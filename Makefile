@@ -3,18 +3,24 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench bench-traffic bench-json bench-compare fmt vet check sweep-resume crash-resume soak sweepd-smoke metrics-smoke
+.PHONY: all build test short race fuzz bench bench-traffic bench-json bench-compare fmt vet check sweep-resume crash-resume soak sweepd-smoke metrics-smoke
 
 all: build test
 
+# bench/ is its own Go module, so the root ./... never builds it; every
+# gate below also runs it explicitly, or an API change the bench probe
+# depends on would break it silently.
 build:
 	$(GO) build ./...
+	$(GO) -C bench build ./...
 
 test:
 	$(GO) test ./...
+	$(GO) -C bench test -short ./...
 
 short:
 	$(GO) test -short ./...
+	$(GO) -C bench test -short ./...
 
 race:
 	$(GO) test -race ./...
@@ -84,5 +90,15 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
+
+# Native fuzzing, one bounded run per target (nightly). The committed
+# seed corpora under testdata/fuzz replay in every plain go test run;
+# a crasher found here lands there too, ready to commit as a regression.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzResultStoreLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 
 check: build fmt vet short

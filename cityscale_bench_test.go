@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -79,7 +80,6 @@ func runCityMedium(tb testing.TB, mcfg mac.MediumConfig, seed int64, fast bool) 
 	chCfg.FastMode = fast
 	ch := radio.MustChannel(chCfg)
 	m := mac.NewMediumWith(engine, ch, nil, mcfg)
-	defer m.Close()
 
 	var stations []*mac.Station
 	for i, ap := range aps {
@@ -164,10 +164,6 @@ func BenchmarkCityScale(b *testing.B) {
 	}{
 		{"indexed", mac.MediumConfig{}, false},
 		{"exhaustive", mac.MediumConfig{Exhaustive: true}, false},
-		// No dash before the worker count: benchjson strips one trailing
-		// -N (the GOMAXPROCS suffix), which would alias the two arms.
-		{"tiled2", mac.MediumConfig{TileWorkers: 2}, false},
-		{"tiled4", mac.MediumConfig{TileWorkers: 4}, false},
 		// The approximate fast channel mode on the indexed path: same
 		// workload, statistically-equivalent results (see the scenario
 		// equivalence gate), recorded so the exact/fast ratio is tracked.
@@ -185,6 +181,22 @@ func BenchmarkCityScale(b *testing.B) {
 	}
 }
 
+// bestTimes runs a and b alternately n times each and returns each one's
+// fastest wall time: the minimum is the sample least disturbed by other
+// load on the host, and alternating spreads host-speed drift over both.
+func bestTimes(n int, a, b func()) (bestA, bestB time.Duration) {
+	bestA, bestB = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		a()
+		bestA = min(bestA, time.Since(start))
+		start = time.Now()
+		b()
+		bestB = min(bestB, time.Since(start))
+	}
+	return bestA, bestB
+}
+
 // TestCityScaleIndexedSpeedup guards the acceptance bar with a cushion:
 // the indexed path must beat the exhaustive scan by a healthy factor on
 // the 300-station workload. The benchmark records the full ratio; the
@@ -197,12 +209,9 @@ func TestCityScaleIndexedSpeedup(t *testing.T) {
 		t.Skip("wall-clock ratio is meaningless under race instrumentation")
 	}
 	runCityMedium(t, mac.MediumConfig{}, 1, false) // warm caches both ways
-	start := time.Now()
-	runCityMedium(t, mac.MediumConfig{}, 2, false)
-	indexed := time.Since(start)
-	start = time.Now()
-	runCityMedium(t, mac.MediumConfig{Exhaustive: true}, 2, false)
-	exhaustive := time.Since(start)
+	indexed, exhaustive := bestTimes(3,
+		func() { runCityMedium(t, mac.MediumConfig{}, 2, false) },
+		func() { runCityMedium(t, mac.MediumConfig{Exhaustive: true}, 2, false) })
 	ratio := float64(exhaustive) / float64(indexed)
 	t.Logf("indexed=%v exhaustive=%v speedup=%.1fx at %d stations", indexed, exhaustive, ratio, cityBenchVehicles+4)
 	// `go test ./...` times this while other packages share the CPU, so
@@ -226,12 +235,9 @@ func TestCityScaleFastSpeedup(t *testing.T) {
 		t.Skip("wall-clock ratio is meaningless under race instrumentation")
 	}
 	runCityMedium(t, mac.MediumConfig{}, 1, true) // warm caches both ways
-	start := time.Now()
-	runCityMedium(t, mac.MediumConfig{}, 2, false)
-	exact := time.Since(start)
-	start = time.Now()
-	runCityMedium(t, mac.MediumConfig{}, 2, true)
-	fast := time.Since(start)
+	exact, fast := bestTimes(3,
+		func() { runCityMedium(t, mac.MediumConfig{}, 2, false) },
+		func() { runCityMedium(t, mac.MediumConfig{}, 2, true) })
 	ratio := float64(exact) / float64(fast)
 	t.Logf("exact=%v fast=%v speedup=%.2fx at %d stations", exact, fast, ratio, cityBenchVehicles+4)
 	if ratio < 1 {

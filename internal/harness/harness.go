@@ -27,10 +27,6 @@ type Runner struct {
 	store    *ResultStore
 	manifest *Manifest
 	timings  *Timings
-	// tileWorkers is the resolved intra-simulation worker budget
-	// (Options.EffectiveTileWorkers against the pool width), applied to
-	// every Batch unit whose config does not set its own.
-	tileWorkers int
 	// Live progress counters (see Progress). Always on: one atomic add
 	// per work unit.
 	unitsTotal    atomic.Int64
@@ -65,10 +61,9 @@ func NewRunner(opts Options) (*Runner, error) {
 	}
 	pool := NewPool(opts.Workers)
 	r := &Runner{
-		opts:        opts,
-		pool:        pool,
-		store:       store,
-		tileWorkers: opts.EffectiveTileWorkers(pool.Workers()),
+		opts:  opts,
+		pool:  pool,
+		store: store,
 		manifest: &Manifest{
 			Schema: ManifestSchema,
 			Seed:   opts.Seed,
@@ -242,13 +237,6 @@ func (c *Context) CappedRounds(n int) int {
 	}
 	return n
 }
-
-// TileWorkers returns the resolved intra-simulation worker budget for
-// this run: Options.TileWorkers capped so that sweep workers times tile
-// workers never exceeds GOMAXPROCS, and 0 when the request was 0 or no
-// headroom is left. Batch result builders apply it to every unit whose
-// config does not pin its own Medium.TileWorkers.
-func (c *Context) TileWorkers() int { return c.runner.tileWorkers }
 
 // FastChannel reports whether the run requested the approximate fast
 // channel mode (-fast-channel). Batch result builders apply it to every

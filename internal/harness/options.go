@@ -3,7 +3,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"time"
 )
@@ -28,18 +27,11 @@ type Options struct {
 	OutDir string
 	// Workers bounds concurrent work units; <= 0 means GOMAXPROCS.
 	Workers int
-	// TileWorkers requests the tile-parallel medium executor inside each
-	// work unit, with this many workers per simulation. The harness caps
-	// the request so the two levels of parallelism compose instead of
-	// oversubscribing: sweep workers x intra-sim tile workers never
-	// exceeds GOMAXPROCS (see EffectiveTileWorkers). 0 runs every unit
-	// single-threaded; traces are byte-identical either way.
-	TileWorkers int
 	// FastChannel selects the radio channel's approximate fast mode for
-	// every scenario in the sweep (radio.Config.FastMode). Unlike
-	// TileWorkers this changes results — statistically equivalent, not
-	// byte-identical — so it is part of every scenario's config digest
-	// and exact/fast results never alias in the result store.
+	// every scenario in the sweep (radio.Config.FastMode). It changes
+	// results — statistically equivalent, not byte-identical — so it is
+	// part of every scenario's config digest and exact/fast results never
+	// alias in the result store.
 	FastChannel bool
 	// ResultStore, when non-empty, is the directory of the
 	// content-addressed unit-result store: units whose key (seed, unit
@@ -99,7 +91,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "root random seed")
 	fs.StringVar(&o.OutDir, "out", o.OutDir, "output directory (reports, series, manifest.json, timings.json)")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent work units (0: GOMAXPROCS)")
-	fs.IntVar(&o.TileWorkers, "tile-workers", o.TileWorkers, "tile-parallel workers inside each simulation, capped so workers x tile-workers <= GOMAXPROCS (0: single-threaded units)")
 	fs.BoolVar(&o.FastChannel, "fast-channel", o.FastChannel, "approximate fast channel mode: quantised PER tables and coarsened shadowing, statistically equivalent to exact mode (digested, so results never alias exact ones)")
 	fs.StringVar(&o.ResultStore, "result-store", o.ResultStore, "directory of the content-addressed unit-result store (empty: recompute everything)")
 	fs.StringVar(&o.TrafficStore, "traffic-store", o.TrafficStore, "directory of the on-disk precomputed traffic-trace store (empty: in-memory cache only)")
@@ -122,9 +113,6 @@ func (o Options) Validate() (Options, error) {
 	if o.TrafficStoreCap < 0 {
 		return o, fmt.Errorf("harness: negative traffic store cap %d", o.TrafficStoreCap)
 	}
-	if o.TileWorkers < 0 {
-		return o, fmt.Errorf("harness: negative tile workers %d", o.TileWorkers)
-	}
 	if o.UnitTimeout < 0 {
 		return o, fmt.Errorf("harness: negative unit timeout %v", o.UnitTimeout)
 	}
@@ -135,37 +123,6 @@ func (o Options) Validate() (Options, error) {
 		o.Now = time.Now
 	}
 	return o, nil
-}
-
-// EffectiveTileWorkers resolves the intra-simulation worker budget
-// against the sweep-level pool width: with sweepWorkers units running
-// concurrently on runtime.GOMAXPROCS(0) cores, each unit gets at most
-// floor(GOMAXPROCS/sweepWorkers) cores. A budget below two means there
-// is no headroom for a second thread inside a unit, so the request
-// degrades to 0 (single-threaded) rather than spawning workers that
-// would only contend. Traces are byte-identical at any return value —
-// the budget is purely a scheduling decision.
-func (o Options) EffectiveTileWorkers(sweepWorkers int) int {
-	return tileWorkerBudget(o.TileWorkers, sweepWorkers, runtime.GOMAXPROCS(0))
-}
-
-// tileWorkerBudget is the pure budget rule behind EffectiveTileWorkers,
-// split out so tests can pin maxProcs.
-func tileWorkerBudget(requested, sweepWorkers, maxProcs int) int {
-	if requested <= 0 {
-		return 0
-	}
-	if sweepWorkers <= 0 {
-		sweepWorkers = maxProcs
-	}
-	budget := maxProcs / sweepWorkers
-	if budget < 2 {
-		return 0
-	}
-	if requested < budget {
-		return requested
-	}
-	return budget
 }
 
 // buildCodeDigest derives the default code identity from the binary's

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -37,24 +36,12 @@ type Batch struct {
 // Batch starts an empty work-unit batch.
 func (c *Context) Batch() *Batch { return &Batch{ctx: c} }
 
-// applyTileBudget applies the run's resolved intra-simulation worker
-// budget (Context.TileWorkers) to one unit's medium config. A config
-// that pins its own TileWorkers wins; traces are byte-identical at any
-// worker count, so this only decides scheduling — but it runs before
-// the config digest is taken, so stored units keyed under one budget
-// are never served to a sweep requesting another.
-func (b *Batch) applyTileBudget(m *mac.MediumConfig) {
-	if m.TileWorkers == 0 {
-		m.TileWorkers = b.ctx.TileWorkers()
-	}
-}
-
 // applyChannelMode applies the run's channel mode (-fast-channel) to one
 // unit's scenario config; a config that already requested the fast mode
-// keeps it. Unlike the tile budget this changes results — fast mode is
-// statistically equivalent, not byte-identical — which is exactly why it
-// too must run before the config digest is taken: a stored exact-mode
-// unit must never be served to a fast-mode sweep, or vice versa.
+// keeps it. This changes results — fast mode is statistically
+// equivalent, not byte-identical — which is exactly why it must run
+// before the config digest is taken: a stored exact-mode unit must never
+// be served to a fast-mode sweep, or vice versa.
 func (b *Batch) applyChannelMode(fast *bool) {
 	if b.ctx.FastChannel() {
 		*fast = true
@@ -162,7 +149,6 @@ func (b *Batch) Testbed(point string, cfg scenario.TestbedConfig) *scenario.Test
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	// The pool owns concurrency; a nested parallel loop would only fight
 	// it for cores.
@@ -208,7 +194,6 @@ func (b *Batch) Highway(point string, cfg scenario.HighwayConfig) *scenario.High
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.HighwayResult{
 		Config: ncfg,
@@ -241,7 +226,6 @@ func (b *Batch) Corridor(point string, cfg scenario.CorridorConfig) *scenario.Co
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.CorridorResult{
 		Config:      ncfg,
@@ -275,7 +259,6 @@ func (b *Batch) TwoWay(point string, cfg scenario.TwoWayConfig) *scenario.TwoWay
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.TwoWayResult{
 		Config:   ncfg,
@@ -311,7 +294,6 @@ func (b *Batch) TrafficGrid(point string, cfg scenario.TrafficGridConfig) *scena
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.TrafficGridResult{
 		Config:  ncfg,
@@ -345,7 +327,6 @@ func (b *Batch) CityScale(point string, cfg scenario.CityScaleConfig) *scenario.
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.CityScaleResult{
 		Config:  ncfg,
@@ -382,7 +363,6 @@ func (b *Batch) CityDemand(point string, cfg scenario.CityDemandConfig) *scenari
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.CityDemandResult{
 		Config:   ncfg,
@@ -428,7 +408,6 @@ func (b *Batch) StopGo(point string, cfg scenario.StopGoConfig) *scenario.StopGo
 	if ncfg.Arm == "" {
 		ncfg.Arm = point
 	}
-	b.applyTileBudget(&ncfg.Medium)
 	b.applyChannelMode(&ncfg.FastChannel)
 	res := &scenario.StopGoResult{
 		Config:  ncfg,
@@ -460,7 +439,6 @@ func (b *Batch) Download(point string, cfg scenario.DownloadConfig) **scenario.D
 	if cfg.Arm == "" {
 		cfg.Arm = point
 	}
-	b.applyTileBudget(&cfg.Medium)
 	b.applyChannelMode(&cfg.FastChannel)
 	res := new(*scenario.DownloadResult)
 	b.addStoredRounds("download", point, 1, cfg,

@@ -195,6 +195,15 @@ func (s *ResultStore) load(key string) (*UnitResult, error) {
 		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: key mismatch (stored %q)", path, hdr.Key))
 	}
 	body := data[nl+1:]
+	// Bound every section before summing: three crafted lengths near
+	// MaxInt64 would otherwise overflow the sum into agreement with the
+	// body size and slice out of range below.
+	for _, n := range []int64{hdr.MetaLen, hdr.ProtoLen, hdr.TrafficLen} {
+		if n < -1 || n > int64(len(body)) {
+			return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: section length %d outside [-1, %d]",
+				path, n, len(body)))
+		}
+	}
 	want := sectionLen(hdr.MetaLen) + sectionLen(hdr.ProtoLen) + sectionLen(hdr.TrafficLen)
 	if int64(len(body)) != want {
 		return nil, s.quarantine(path, fmt.Errorf("harness: result store %s: body %d bytes, header says %d (truncated?)",

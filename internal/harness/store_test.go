@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
 
@@ -198,6 +201,46 @@ func TestStoreDetectsTruncationAndCorruption(t *testing.T) {
 	}
 	if res, err := store.Load("key"); err != nil || res == nil {
 		t.Fatalf("recovered load = (%v, %v)", res, err)
+	}
+}
+
+// craftedOverflowEntry is a store file whose section lengths overflow
+// int64 when summed into agreement with its body length (MaxInt64 +
+// MaxInt64 + len(body)+2 wraps to len(body)), under a correct body CRC,
+// so only the per-section bounds check can catch it.
+func craftedOverflowEntry(key string) []byte {
+	body := []byte(`{"a":1}`)
+	hdr, _ := json.Marshal(resultHeader{
+		Schema:     ResultStoreSchema,
+		Key:        key,
+		MetaLen:    math.MaxInt64,
+		ProtoLen:   math.MaxInt64,
+		TrafficLen: int64(len(body)) + 2,
+		BodyCRC:    crc32.ChecksumIEEE(body),
+	})
+	return append(append(hdr, '\n'), body...)
+}
+
+// TestStoreQuarantinesOverflowingHeader: a crafted header must be
+// rejected and quarantined like any other corrupt entry, never panic.
+func TestStoreQuarantinesOverflowingHeader(t *testing.T) {
+	store, err := NewResultStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := store.Path("key")
+	if err := os.WriteFile(path, craftedOverflowEntry("key"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := store.Load("key")
+	if res != nil || err == nil || !strings.Contains(err.Error(), "section length") {
+		t.Fatalf("Load(crafted) = (%v, %v), want section-length error", res, err)
+	}
+	if _, err := os.Stat(path + storeutil.QuarantineSuffix); err != nil {
+		t.Fatalf("crafted entry not quarantined: %v", err)
+	}
+	if got := store.Stats().Corrupt; got != 1 {
+		t.Fatalf("corrupt count %d, want 1", got)
 	}
 }
 

@@ -58,7 +58,7 @@ type Config struct {
 	// statistically (delivery ratio and delay within CI bands of exact
 	// mode — see internal/scenario's equivalence gate), not byte for
 	// byte; within one mode runs remain fully deterministic and
-	// independent of tile/worker count.
+	// independent of the sweep's worker count.
 	FastMode bool
 }
 

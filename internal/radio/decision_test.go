@@ -151,7 +151,7 @@ func TestResolveDrawPolicy(t *testing.T) {
 
 // TestFadeStreamsOrderIndependent: per-link streams make resolution
 // values independent of the order links are resolved in — the property
-// the tiled executor's byte-identity rests on. Resolving two links in
+// the batched kernel and the certain-loss cull rest on. Resolving two links in
 // opposite orders on two identically-seeded channels must yield
 // bit-identical draws.
 func TestFadeStreamsOrderIndependent(t *testing.T) {

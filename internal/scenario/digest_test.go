@@ -52,12 +52,8 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 		"SpeedMPS": func(c *HighwayConfig) { c.SpeedMPS += 1e-9 },
 		"Coop":     func(c *HighwayConfig) { c.Coop = false },
 		"CoopTime": func(c *HighwayConfig) { c.CoopTime += time.Nanosecond },
-		// Nested-struct fields ride along through the reflection walk; the
-		// tile-executor knobs are the ones a stale-digest bug would silently
-		// serve wrong results for (tiled and untiled traces are identical by
-		// contract, but the configs must still be distinct cache keys).
-		"Medium.TileWorkers": func(c *HighwayConfig) { c.Medium.TileWorkers = 2 },
-		"Medium.TileM":       func(c *HighwayConfig) { c.Medium.TileM = 750 },
+		// Nested-struct fields ride along through the reflection walk.
+		"Medium.CellM": func(c *HighwayConfig) { c.Medium.CellM = 300 },
 		// FastChannel changes results (statistically equivalent, not
 		// byte-identical), so a digest blind to it would let a stored
 		// exact-mode unit satisfy a fast-mode sweep.

@@ -42,20 +42,6 @@ var (
 	mWireAllocs = metrics.NewCounter("mac_wire_alloc_total",
 		"wire buffers freshly allocated")
 
-	// Tiled-executor telemetry (see mac.Stats): everything except the
-	// stall count is deterministic; stalls depend on host scheduling and
-	// are observability-only by design.
-	mTiles = metrics.NewGauge("mac_tiles",
-		"tile count of the conservative-parallel executor's partition (0: untiled)")
-	mTiledResolves = metrics.NewCounter("mac_tiled_resolves_total",
-		"transmissions resolved through the tiled executor")
-	mCrossTileTx = metrics.NewCounter("mac_cross_tile_tx_total",
-		"tiled transmissions whose receiver set spanned more than the source tile")
-	mLookaheadStalls = metrics.NewCounter("mac_lookahead_stalls_total",
-		"tiled resolutions the delivery path had to claim or wait for (scheduling pressure, never correctness)")
-	mTileHighWater = metrics.NewGauge("mac_tile_resolves_high_water",
-		"highest per-tile resolve count seen in any single round")
-
 	mCacheHits = metrics.NewCounter("traffic_trace_cache_hits_total",
 		"in-memory traffic-trace cache hits (sweep arms sharing a recorded world)")
 	mCacheMisses = metrics.NewCounter("traffic_trace_cache_misses_total",
@@ -95,11 +81,6 @@ func flushRunStats(engine *sim.Engine, medium *mac.Medium) {
 	mIndexRebuilds.Add(ms.IndexRebuilds)
 	mWireReuses.Add(ms.WireReuses)
 	mWireAllocs.Add(ms.WireAllocs)
-	mTiles.SetMax(int64(ms.Tiles))
-	mTiledResolves.Add(ms.TiledResolves)
-	mCrossTileTx.Add(ms.CrossTileTx)
-	mLookaheadStalls.Add(ms.LookaheadStalls)
-	mTileHighWater.SetMax(int64(ms.TileResolveHighWater))
 	for reason, c := range mDrops {
 		if c != nil {
 			c.Add(ms.Drops[reason])
