@@ -98,7 +98,8 @@ vet:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzResultStoreLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storeutil -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/faultpoint -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 
 check: build fmt vet short

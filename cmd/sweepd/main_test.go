@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/storeutil"
 )
 
 // fixedClock pins the runner clock so test sweeps are fully
@@ -255,7 +256,7 @@ func TestStoreEndpoint(t *testing.T) {
 	writeSweep(t, dir, "sweepd-probe-store")
 	ts2 := httptest.NewServer(newServer(dir, t.TempDir(), store, false).routes())
 	defer ts2.Close()
-	var sum harness.StoreSummary
+	var sum storeutil.Summary
 	_, body := get(t, ts2.URL+"/api/store", nil)
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatal(err)

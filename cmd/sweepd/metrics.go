@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/storeutil"
 )
 
 // sweepd's own telemetry: request counts by endpoint group. The registry
@@ -68,15 +69,15 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // A sweep still running behind sweepd shows its manifest-recorded
 // experiments grow as the producer rewrites the files.
 type progressView struct {
-	Schema        int                   `json:"schema"`
-	GeneratedAt   string                `json:"generated_at,omitempty"`
-	Workers       int                   `json:"workers,omitempty"`
-	UnitsTotal    int                   `json:"units_total"`
-	UnitsComputed int                   `json:"units_computed"`
-	UnitsCached   int                   `json:"units_cached"`
-	WallMS        int64                 `json:"wall_ms"`
-	Experiments   []progressExperiment  `json:"experiments"`
-	Store         *harness.StoreSummary `json:"store,omitempty"`
+	Schema        int                  `json:"schema"`
+	GeneratedAt   string               `json:"generated_at,omitempty"`
+	Workers       int                  `json:"workers,omitempty"`
+	UnitsTotal    int                  `json:"units_total"`
+	UnitsComputed int                  `json:"units_computed"`
+	UnitsCached   int                  `json:"units_cached"`
+	WallMS        int64                `json:"wall_ms"`
+	Experiments   []progressExperiment `json:"experiments"`
+	Store         *storeutil.Summary   `json:"store,omitempty"`
 }
 
 type progressExperiment struct {

@@ -351,10 +351,12 @@ func ParseSpec(s string) (name string, spec Spec, err error) {
 	parts := strings.Split(s, "@")
 	head := parts[0]
 	eq := strings.IndexByte(head, '=')
-	if eq <= 0 {
+	if eq >= 0 {
+		name = strings.TrimSpace(head[:eq])
+	}
+	if name == "" {
 		return "", Spec{}, fmt.Errorf("faultpoint: spec %q: want name=action[:arg]", s)
 	}
-	name = strings.TrimSpace(head[:eq])
 	action := head[eq+1:]
 	arg := ""
 	if c := strings.IndexByte(action, ':'); c >= 0 {

@@ -259,6 +259,20 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecBlankName: a name that is empty only after trimming is
+// rejected too — accepting it handed New an empty name, which panics.
+func TestParseSpecBlankName(t *testing.T) {
+	disarm(t)
+	for _, in := range []string{" =panic", "\t=error", "  =short:3@hit=1"} {
+		if name, _, err := ParseSpec(in); err == nil {
+			t.Fatalf("ParseSpec(%q) accepted blank name %q", in, name)
+		}
+		if err := ArmSpecs(in); err == nil {
+			t.Fatalf("ArmSpecs(%q) accepted a blank name", in)
+		}
+	}
+}
+
 func TestArmSpecs(t *testing.T) {
 	disarm(t)
 	if err := ArmSpecs(""); err != nil {

@@ -31,19 +31,6 @@ var (
 		"work units that still failed after their retry")
 	mUnitsHung = metrics.NewCounter("harness_units_hung_total",
 		"work units flagged by the -unit-timeout watchdog")
-
-	mResultHits = metrics.NewCounter("result_store_hits_total",
-		"result-store loads that served a stored unit")
-	mResultMisses = metrics.NewCounter("result_store_misses_total",
-		"result-store loads that found no usable entry")
-	mResultReadBytes = metrics.NewCounter("result_store_read_bytes_total",
-		"bytes read from the result store")
-	mResultSaves = metrics.NewCounter("result_store_saves_total",
-		"unit results written to the result store")
-	mResultWrittenBytes = metrics.NewCounter("result_store_written_bytes_total",
-		"bytes written to the result store")
-	mResultCorrupt = metrics.NewCounter("result_store_corrupt_total",
-		"result-store files that failed validation and were quarantined")
 )
 
 // MetricsFile is the name of the per-run metrics snapshot written beside
@@ -75,30 +62,13 @@ func (r *Runner) Progress() Progress {
 	}
 }
 
-// flushStoreStats mirrors the result store's always-on counters into the
-// registry. Called once, when the metrics snapshot is written; the store
-// counts from open, so an earlier flush would double-count.
-func (r *Runner) flushStoreStats() {
-	if r.store == nil {
-		return
-	}
-	st := r.store.Stats()
-	mResultHits.Add(st.Hits)
-	mResultMisses.Add(st.Misses)
-	mResultReadBytes.Add(st.ReadBytes)
-	mResultSaves.Add(st.Saves)
-	mResultWrittenBytes.Add(st.WrittenBytes)
-	mResultCorrupt.Add(st.Corrupt)
-}
-
 // writeMetrics writes the run's metrics.json when the registry is
-// enabled: the deterministic part of the default registry's snapshot,
-// result-store counters folded in. No-op otherwise.
+// enabled: the deterministic part of the default registry's snapshot.
+// No-op otherwise.
 func (r *Runner) writeMetrics() error {
 	if !metrics.Enabled() {
 		return nil
 	}
-	r.flushStoreStats()
 	snap := metrics.Default().Snapshot().Deterministic()
 	path := filepath.Join(r.opts.OutDir, MetricsFile)
 	f, err := os.Create(path)
@@ -120,9 +90,8 @@ func (r *Runner) writeMetrics() error {
 	return nil
 }
 
-// logStoreSummary emits the end-of-sweep resume summary: how much of the
-// sweep the result store served versus what had to be computed. One line,
-// always on (it reads the store's own counters, not the registry).
+// logStoreSummary emits the one-line, always-on resume summary from the
+// store's own counters: how much the store served versus computed.
 func (r *Runner) logStoreSummary() {
 	if r.store == nil {
 		return

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -143,6 +144,58 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 	}
 	if computes != 4 {
 		t.Fatalf("changed config computed %d units, want 4 (no stale hits)", computes)
+	}
+}
+
+// TestStoredRoundsRecomputeParentFormat: an entry in the format the
+// result store wrote before the shared store header (result-store/1:
+// per-section length fields, same body and CRC) is quarantined by the
+// next run and recomputed into the current format with identical
+// applied results; the run after that serves every unit.
+func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
+	const rounds = 4
+	storeDir := t.TempDir()
+	_, out1, _ := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
+	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
+	if err != nil || len(paths) != rounds {
+		t.Fatalf("cold run stored %d entries (%v), want %d", len(paths), err, rounds)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := bytes.IndexByte(data, '\n')
+		var hdr struct {
+			Key      string  `json:"key"`
+			Sections []int64 `json:"sections"`
+			BodyCRC  uint32  `json:"body_crc"`
+		}
+		if err := json.Unmarshal(data[:nl], &hdr); err != nil {
+			t.Fatal(err)
+		}
+		parent := fmt.Sprintf(`{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
+			hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
+		if err := os.WriteFile(path, append([]byte(parent), data[nl:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx2, out2, computes2 := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
+	if *computes2 != rounds {
+		t.Fatalf("run over parent-format entries computed %d units, want %d", *computes2, rounds)
+	}
+	if st := ctx2.runner.Store().Stats(); st.Corrupt != rounds {
+		t.Fatalf("quarantined %d parent-format entries, want %d", st.Corrupt, rounds)
+	}
+	_, out3, computes3 := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
+	if *computes3 != 0 {
+		t.Fatalf("run after the recompute computed %d units, want 0", *computes3)
+	}
+	for round := range out1 {
+		if out2[round] != out1[round] || out3[round] != out1[round] {
+			t.Fatalf("round %d results diverge: %d / %d / %d", round, out1[round], out2[round], out3[round])
+		}
 	}
 }
 

@@ -49,15 +49,14 @@ var trafficStore *traffic.Store
 // traffic world exactly once across processes and serve every later arm
 // from disk; loads are byte-identical to an in-process recording (see the
 // store round-trip tests). maxBytes > 0 installs an LRU size budget on
-// the store (see traffic.Store.SetMaxBytes); 0 leaves it unbounded.
+// the store (see traffic.NewStore); 0 leaves it unbounded.
 func SetTrafficTraceStore(dir string, maxBytes int64) error {
 	var st *traffic.Store
 	if dir != "" {
 		var err error
-		if st, err = traffic.NewStore(dir); err != nil {
+		if st, err = traffic.NewStore(dir, maxBytes); err != nil {
 			return err
 		}
-		st.SetMaxBytes(maxBytes)
 	}
 	trafficCache.mu.Lock()
 	trafficStore = st

@@ -13,7 +13,7 @@ func TestQuarantineMovesAside(t *testing.T) {
 	if err := os.WriteFile(path, []byte("bad bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Quarantine(path); err != nil {
+	if err := quarantine(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -27,7 +27,7 @@ func TestQuarantineMovesAside(t *testing.T) {
 	if err := os.WriteFile(path, []byte("worse bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Quarantine(path); err != nil {
+	if err := quarantine(path); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = os.ReadFile(path + QuarantineSuffix)
@@ -53,7 +53,7 @@ func TestCleanStaleTempsAgeGate(t *testing.T) {
 	if err := os.Chtimes(other, old, old); err != nil {
 		t.Fatal(err)
 	}
-	if n := CleanStaleTemps(dir, ".unit-", ".tmp", time.Hour); n != 1 {
+	if n := cleanStaleTemps(dir, ".unit-", ".tmp", time.Hour); n != 1 {
 		t.Fatalf("removed %d files, want 1", n)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -68,7 +68,7 @@ func TestCleanStaleTempsAgeGate(t *testing.T) {
 }
 
 func TestCleanStaleTempsMissingDir(t *testing.T) {
-	if n := CleanStaleTemps(filepath.Join(t.TempDir(), "nope"), ".x-", ".tmp", time.Hour); n != 0 {
+	if n := cleanStaleTemps(filepath.Join(t.TempDir(), "nope"), ".x-", ".tmp", time.Hour); n != 0 {
 		t.Fatalf("missing dir removed %d", n)
 	}
 }

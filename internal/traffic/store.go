@@ -1,336 +1,51 @@
 package traffic
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"time"
+	"errors"
 
 	"repro/internal/faultpoint"
-	"repro/internal/metrics"
 	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
 
-// Store observability: hit/miss/byte/eviction counters in the shared
-// registry, resolved once at package init and recorded only while
-// metrics are enabled. Store operations sit far off the simulation hot
-// path, so the registry atomics are recorded directly.
-var (
-	mStoreHits = metrics.NewCounter("traffic_store_hits_total",
-		"traffic-trace store loads that served a recorded world")
-	mStoreMisses = metrics.NewCounter("traffic_store_misses_total",
-		"traffic-trace store loads that found no usable entry")
-	mStoreReadBytes = metrics.NewCounter("traffic_store_read_bytes_total",
-		"bytes read from the traffic-trace store")
-	mStoreWrittenBytes = metrics.NewCounter("traffic_store_written_bytes_total",
-		"bytes written to the traffic-trace store")
-	mStoreEvictions = metrics.NewCounter("traffic_store_evictions_total",
-		"traffic-trace store entries evicted by the byte budget")
-	mStoreCorrupt = metrics.NewCounter("traffic_store_corrupt_total",
-		"traffic-trace store files that failed validation and were quarantined")
-)
+// StoreSchema is the traffic store's format version. Bump it when the
+// file or wire format or the record semantics change: loads reject other
+// schemas, so a stale store degrades to recomputation. (/2: exhaustive
+// TraceKey keys, demand-driven vehicles; /3: the storeutil header.)
+const StoreSchema = "traffic-trace-store/3"
 
-// Store fault-injection sites, fired with the cache key: load-time
-// error injection and save-time torn writes, for the recovery tests.
-// Disarmed cost: one atomic load each.
-var (
-	fpTraceLoad = faultpoint.New("traffic.store.load")
-	fpTraceSave = faultpoint.New("traffic.store.save.write")
-)
+// Store is the on-disk cache of recorded traffic streams, keyed like the
+// scenario layer's in-memory cache (every parameter that shapes vehicle
+// motion, never protocol settings): one process records a city's
+// traffic once, and every later sweep arm in any process loads it.
+type Store = storeutil.Store[*trace.Collector]
 
-// staleTempAge is how old an abandoned atomic-write temp must be before
-// opening the store sweeps it (see storeutil.CleanStaleTemps).
-const staleTempAge = time.Hour
-
-// StoreSchema is the on-disk format version. Bump it whenever the trace
-// wire format or the record semantics change: readers reject files written
-// under any other schema, so a stale store degrades to recomputation
-// instead of replaying wrong worlds. (/2: cache keys moved to the
-// exhaustive traffic.TraceKey serialisation, and streams may now hold
-// demand-driven vehicles that enter late and exit at their destination.)
-const StoreSchema = "traffic-trace-store/2"
-
-// storeHeader is the first line of every store file. The full cache key
-// is embedded so hash collisions in the file name can never alias two
-// different worlds, and the CRC + byte length make truncation and
-// corruption detectable without trusting the JSON parser to notice.
-type storeHeader struct {
-	Schema string `json:"schema"`
-	Key    string `json:"key"`
-	// BodyLen and BodyCRC describe the JSONL body following the header
-	// line: its exact byte length and CRC-32 (IEEE).
-	BodyLen int64  `json:"body_len"`
-	BodyCRC uint32 `json:"body_crc"`
+// traceCodec stores a stream as one section in the trace JSONL wire
+// format, so loads replay byte-identically to the in-memory cache.
+var traceCodec = &storeutil.Codec[*trace.Collector]{
+	Name:      "traffic store",
+	Kind:      "trace",
+	Schema:    StoreSchema,
+	Sections:  1,
+	Metrics:   storeutil.NewMetrics("traffic store"),
+	LoadFault: faultpoint.New("traffic.store.load"),
+	SaveFault: faultpoint.New("traffic.store.save.write"),
+	Encode: func(col *trace.Collector) ([][]byte, error) {
+		buf := bytes.NewBuffer([]byte{}) // an empty stream is present, not absent
+		err := col.WriteJSONL(buf)
+		return [][]byte{buf.Bytes()}, err
+	},
+	Decode: func(sections [][]byte) (*trace.Collector, error) {
+		if sections[0] == nil {
+			return nil, errors.New("absent stream")
+		}
+		return trace.ReadJSONL(bytes.NewReader(sections[0]))
+	},
 }
 
-// Store is an on-disk cache of recorded traffic streams, keyed by the
-// same strings the scenario layer's in-memory cache uses (every parameter
-// that shapes vehicle motion, never protocol settings). It is the
-// precomputed-trace tier for high-throughput sweeps: one process records
-// a city's traffic once, and every later sweep arm — in this process or
-// any other — loads the stream instead of re-simulating it.
-//
-// Files are written atomically (temp file + rename), so concurrent
-// writers of the same key race benignly: one of the identical byte
-// streams wins.
-//
-// An optional byte budget (SetMaxBytes) bounds the on-disk size: after
-// every Save the least-recently-used entries are evicted until the store
-// fits. Recency is file mtime — Load refreshes it — so long sweep
-// campaigns keep their hot worlds and shed the ones no arm asks for
-// anymore. The default is no budget (eviction off).
-type Store struct {
-	dir      string
-	maxBytes int64
-	// evictMu serialises eviction scans so concurrent Saves in one
-	// process do not double-delete.
-	evictMu sync.Mutex
-}
-
-// NewStore opens (creating if needed) a store rooted at dir.
-func NewStore(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("traffic: empty store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("traffic: store: %w", err)
-	}
-	// A crashed writer leaves its atomic-write temp behind; sweep any old
-	// enough that no live writer can own them.
-	storeutil.CleanStaleTemps(dir, ".trace-", ".tmp", staleTempAge)
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// SetMaxBytes installs a total-size budget over the store's trace files:
-// every Save then evicts least-recently-used entries (by mtime; Load
-// refreshes it) until the store fits. n <= 0 — the default — disables
-// eviction. Install the budget before handing the store to concurrent
-// users; it is not synchronised against in-flight Saves.
-func (s *Store) SetMaxBytes(n int64) { s.maxBytes = n }
-
-// Path returns the file a key stores under. The name is a 64-bit FNV-1a
-// hash of the key; collisions are harmless because Load verifies the
-// embedded key.
-func (s *Store) Path(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.trace.jsonl", h.Sum64()))
-}
-
-// Load returns the stream stored under key, or (nil, nil) when the key is
-// absent. A present-but-unusable file (wrong schema, key collision,
-// truncation, corruption) returns an error; callers treat that as a miss
-// and recompute, overwriting the bad file.
-func (s *Store) Load(key string) (*trace.Collector, error) {
-	col, err := s.load(key)
-	if metrics.Enabled() {
-		if col != nil {
-			mStoreHits.Inc()
-		} else {
-			mStoreMisses.Inc()
-		}
-	}
-	return col, err
-}
-
-// quarantine handles a file that failed validation: it is counted,
-// moved aside to <name>.corrupt — freeing the path so the caller's
-// recompute-and-Save heals the entry with one atomic rename — and the
-// validation error is annotated with where the bad bytes went.
-func (s *Store) quarantine(path string, err error) error {
-	if metrics.Enabled() {
-		mStoreCorrupt.Inc()
-	}
-	if qerr := storeutil.Quarantine(path); qerr != nil {
-		return err
-	}
-	return fmt.Errorf("%w (quarantined to %s)", err, filepath.Base(path)+storeutil.QuarantineSuffix)
-}
-
-func (s *Store) load(key string) (*trace.Collector, error) {
-	if err := fpTraceLoad.FireKey(key); err != nil {
-		return nil, fmt.Errorf("traffic: store: %w", err)
-	}
-	data, err := os.ReadFile(s.Path(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("traffic: store: %w", err)
-	}
-	if metrics.Enabled() {
-		mStoreReadBytes.Add(uint64(len(data)))
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: truncated header", s.Path(key)))
-	}
-	var hdr storeHeader
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: header: %w", s.Path(key), err))
-	}
-	if hdr.Schema != StoreSchema {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: schema %q, want %q", s.Path(key), hdr.Schema, StoreSchema))
-	}
-	if hdr.Key != key {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: key mismatch (stored %q)", s.Path(key), hdr.Key))
-	}
-	body := data[nl+1:]
-	if int64(len(body)) != hdr.BodyLen {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: body %d bytes, header says %d (truncated?)",
-			s.Path(key), len(body), hdr.BodyLen))
-	}
-	if crc := crc32.ChecksumIEEE(body); crc != hdr.BodyCRC {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: body CRC %08x, header says %08x (corrupt)",
-			s.Path(key), crc, hdr.BodyCRC))
-	}
-	col, err := trace.ReadJSONL(bytes.NewReader(body))
-	if err != nil {
-		return nil, s.quarantine(s.Path(key), fmt.Errorf("traffic: store %s: %w", s.Path(key), err))
-	}
-	// A successful read refreshes the entry's recency, so eviction under
-	// a byte budget never victimises the world a sweep is actively
-	// replaying. Best effort: a read-only store still serves.
-	now := time.Now()
-	_ = os.Chtimes(s.Path(key), now, now)
-	return col, nil
-}
-
-// Save writes the stream under key atomically. The body is the exact
-// trace JSONL wire format, so a loaded stream replays byte-identically to
-// the in-memory cache's round-trip.
-func (s *Store) Save(key string, col *trace.Collector) error {
-	var body bytes.Buffer
-	if err := col.WriteJSONL(&body); err != nil {
-		return fmt.Errorf("traffic: store: %w", err)
-	}
-	hdr, err := json.Marshal(storeHeader{
-		Schema:  StoreSchema,
-		Key:     key,
-		BodyLen: int64(body.Len()),
-		BodyCRC: crc32.ChecksumIEEE(body.Bytes()),
-	})
-	if err != nil {
-		return fmt.Errorf("traffic: store: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".trace-*.tmp")
-	if err != nil {
-		return fmt.Errorf("traffic: store: %w", err)
-	}
-	keepTmp := false
-	defer func() {
-		if !keepTmp {
-			os.Remove(tmp.Name()) // no-op after a successful rename
-		}
-	}()
-	// Torn-write injection: write only the armed byte prefix and abort
-	// the way a crashed process would — temp left behind, no rename, so
-	// the store's published entry is never a partial file.
-	if n, ok := fpTraceSave.ShortWrite(key); ok {
-		payload := append(append(append([]byte{}, hdr...), '\n'), body.Bytes()...)
-		if n > len(payload) {
-			n = len(payload)
-		}
-		_, werr := tmp.Write(payload[:n])
-		if cerr := tmp.Close(); werr == nil {
-			werr = cerr
-		}
-		keepTmp = true
-		return fmt.Errorf("traffic: store: faultpoint short write (%d of %d bytes) on %s: %v",
-			n, len(payload), tmp.Name(), werr)
-	}
-	w := bufio.NewWriter(tmp)
-	if _, err := w.Write(hdr); err == nil {
-		if err = w.WriteByte('\n'); err == nil {
-			_, err = w.Write(body.Bytes())
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("traffic: store: writing %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(key)); err != nil {
-		return fmt.Errorf("traffic: store: %w", err)
-	}
-	if metrics.Enabled() {
-		mStoreWrittenBytes.Add(uint64(len(hdr)) + 1 + uint64(body.Len()))
-	}
-	s.evict(s.Path(key))
-	return nil
-}
-
-// evict removes least-recently-used trace files until the store fits its
-// byte budget. The keep path — the entry just written — is never
-// removed, so a budget smaller than a single stream still serves that
-// stream. Best effort throughout: an unreadable directory or a failed
-// delete only leaves the store bigger, never fails a sweep.
-func (s *Store) evict(keep string) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var files []entry
-	var total int64
-	for _, e := range ents {
-		// Quarantined post-mortem files count toward the budget — and are
-		// evictable — so corruption can never push the store past its cap.
-		if !strings.HasSuffix(e.Name(), ".trace.jsonl") &&
-			!strings.HasSuffix(e.Name(), ".trace.jsonl"+storeutil.QuarantineSuffix) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, entry{filepath.Join(s.dir, e.Name()), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	// Oldest first; equal mtimes break by name so the order is stable.
-	sort.Slice(files, func(i, j int) bool {
-		if !files[i].mtime.Equal(files[j].mtime) {
-			return files[i].mtime.Before(files[j].mtime)
-		}
-		return files[i].path < files[j].path
-	})
-	for _, f := range files {
-		if total <= s.maxBytes {
-			return
-		}
-		if f.path == keep {
-			continue
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			if metrics.Enabled() {
-				mStoreEvictions.Inc()
-			}
-		}
-	}
+// NewStore opens (creating if needed) a store at dir. maxBytes > 0 caps
+// it: each Save evicts least recently used streams until it fits.
+func NewStore(dir string, maxBytes int64) (*Store, error) {
+	return storeutil.Open(dir, traceCodec, maxBytes)
 }

@@ -2,13 +2,13 @@ package traffic
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
 
@@ -49,7 +49,7 @@ func jsonlBytes(t *testing.T, col *trace.Collector) []byte {
 }
 
 func TestStoreRoundTripByteIdentity(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	st, err := NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 }
 
 func TestStoreMissOnAbsentKey(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	st, err := NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,102 +87,6 @@ func TestStoreMissOnAbsentKey(t *testing.T) {
 	}
 }
 
-// TestStoreKeyCollisionRejected plants a file at exactly the path another
-// key hashes to; the embedded full key must unmask the collision.
-func TestStoreKeyCollisionRejected(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	if err := st.Save("key-A", col); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a hash collision: key-B resolving to key-A's file.
-	if err := os.Rename(st.Path("key-A"), st.Path("key-B")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Load("key-B"); err == nil || !strings.Contains(err.Error(), "key mismatch") {
-		t.Fatalf("collided key loaded without a key-mismatch error: %v", err)
-	}
-}
-
-func TestStoreSchemaVersioning(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	const key = "versioned"
-	if err := st.Save(key, col); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the header with a future schema; the body stays valid.
-	data, err := os.ReadFile(st.Path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl := bytes.IndexByte(data, '\n')
-	var hdr storeHeader
-	if err := json.Unmarshal(data[:nl], &hdr); err != nil {
-		t.Fatal(err)
-	}
-	hdr.Schema = "traffic-trace-store/999"
-	newHdr, err := json.Marshal(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewritten := append(append(newHdr, '\n'), data[nl+1:]...)
-	if err := os.WriteFile(st.Path(key), rewritten, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Load(key); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("future-schema file loaded without a schema error: %v", err)
-	}
-}
-
-func TestStoreRejectsTruncatedAndCorrupt(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	const key = "damage"
-	if err := st.Save(key, col); err != nil {
-		t.Fatal(err)
-	}
-	pristine, err := os.ReadFile(st.Path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		mangle func([]byte) []byte
-	}{
-		{"truncated-body", func(b []byte) []byte { return b[:len(b)-len(b)/3] }},
-		{"truncated-header", func(b []byte) []byte { return b[:10] }},
-		{"flipped-body-byte", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[len(c)-2] ^= 0x40 // inside the last record line
-			return c
-		}},
-		{"garbage-header", func(b []byte) []byte {
-			return append([]byte("not json at all\n"), b[bytes.IndexByte(b, '\n')+1:]...)
-		}},
-		{"empty-file", func([]byte) []byte { return nil }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := os.WriteFile(st.Path(key), tc.mangle(pristine), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := st.Load(key); err == nil {
-				t.Fatal("damaged store file loaded without error")
-			}
-		})
-	}
-}
-
 // storeFileSize returns the on-disk size of one saved entry, for sizing
 // eviction budgets.
 func storeFileSize(t *testing.T, st *Store, key string) int64 {
@@ -192,6 +96,16 @@ func storeFileSize(t *testing.T, st *Store, key string) int64 {
 		t.Fatal(err)
 	}
 	return info.Size()
+}
+
+// withBudget reopens st's directory under a byte budget.
+func withBudget(t *testing.T, st *Store, maxBytes int64) *Store {
+	t.Helper()
+	st, err := NewStore(st.Dir(), maxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // ageEntry pushes a stored entry's mtime into the past so eviction-order
@@ -207,7 +121,7 @@ func ageEntry(t *testing.T, st *Store, key string, age time.Duration) {
 // TestStoreEvictionDefaultOff pins the default: without a budget the
 // store grows without bound and never deletes anything.
 func TestStoreEvictionDefaultOff(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	st, err := NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +142,7 @@ func TestStoreEvictionDefaultOff(t *testing.T) {
 // checks the oldest entries go first while the store shrinks under the
 // budget.
 func TestStoreEvictionRespectsBudget(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	st, err := NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +151,7 @@ func TestStoreEvictionRespectsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := storeFileSize(t, st, "old")
-	st.SetMaxBytes(2*size + size/2) // room for two entries, not three
+	st = withBudget(t, st, 2*size+size/2) // room for two entries, not three
 	ageEntry(t, st, "old", 2*time.Hour)
 	if err := st.Save("mid", col); err != nil {
 		t.Fatal(err)
@@ -261,7 +175,7 @@ func TestStoreEvictionRespectsBudget(t *testing.T) {
 // later Save victimises a colder entry — never the one a sweep is
 // actively reading.
 func TestStoreEvictionSparesEntryBeingRead(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	st, err := NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +187,7 @@ func TestStoreEvictionSparesEntryBeingRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := storeFileSize(t, st, "hot")
-	st.SetMaxBytes(2*size + size/2)
+	st = withBudget(t, st, 2*size+size/2)
 	// Make "hot" nominally the older file, then read it: the Load must
 	// bump its recency above "cold".
 	ageEntry(t, st, "hot", 2*time.Hour)
@@ -296,7 +210,7 @@ func TestStoreEvictionSparesEntryBeingRead(t *testing.T) {
 // stream must still serve the stream just written — eviction never
 // removes the entry that triggered it.
 func TestStoreEvictionSparesJustSaved(t *testing.T) {
-	st, err := NewStore(t.TempDir())
+	st, err := NewStore(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +218,7 @@ func TestStoreEvictionSparesJustSaved(t *testing.T) {
 	if err := st.Save("first", col); err != nil {
 		t.Fatal(err)
 	}
-	st.SetMaxBytes(storeFileSize(t, st, "first") / 2)
+	st = withBudget(t, st, storeFileSize(t, st, "first")/2)
 	ageEntry(t, st, "first", time.Hour)
 	if err := st.Save("second", col); err != nil {
 		t.Fatal(err)
@@ -319,7 +233,7 @@ func TestStoreEvictionSparesJustSaved(t *testing.T) {
 
 func TestStoreSaveIsAtomic(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir)
+	st, err := NewStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,5 +248,52 @@ func TestStoreSaveIsAtomic(t *testing.T) {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("temp file %s left behind", filepath.Join(dir, e.Name()))
 		}
+	}
+}
+
+// TestStoreEvictionCountsCorrupt: quarantined post-mortem files count
+// toward the byte budget and are themselves evictable, so corruption
+// can never push the store past its cap.
+func TestStoreEvictionCountsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := storeTestStream(t)
+	if err := st.Save("victim", col); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt and quarantine the entry; the .corrupt file stays on disk.
+	path := st.Path("victim")
+	data, _ := os.ReadFile(path)
+	data[len(data)-2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, lerr := st.Load("victim"); lerr == nil {
+		t.Fatal("corrupt entry loaded")
+	}
+	corrupt := path + storeutil.QuarantineSuffix
+	info, err := os.Stat(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Age the post-mortem file so it is the LRU victim, then budget the
+	// store to a single entry and save another: the .corrupt bytes must
+	// be evicted to make room.
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(corrupt, old, old); err != nil {
+		t.Fatal(err)
+	}
+	st = withBudget(t, st, info.Size()+16)
+	if err := st.Save("fresh", col); err != nil {
+		t.Fatal(err)
+	}
+	if _, serr := os.Stat(corrupt); !os.IsNotExist(serr) {
+		t.Fatal("quarantined bytes were not counted by the budget")
+	}
+	if got, lerr := st.Load("fresh"); got == nil || lerr != nil {
+		t.Fatalf("freshly saved entry evicted instead: (%v, %v)", got, lerr)
 	}
 }
