@@ -251,6 +251,52 @@ func TestStoreSaveIsAtomic(t *testing.T) {
 	}
 }
 
+// TestStoreQuarantineHeals: a corrupt trace entry is moved aside to
+// <name>.corrupt on Load, reads as a clean miss afterwards, and the
+// next Save repairs it.
+func TestStoreQuarantineHeals(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := storeTestStream(t)
+	const key = "quarantine-trace-key"
+	if err := st.Save(key, col); err != nil {
+		t.Fatal(err)
+	}
+	path := st.Path(key)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, lerr := st.Load(key)
+	if lerr == nil || !strings.Contains(lerr.Error(), "CRC") || !strings.Contains(lerr.Error(), "quarantined") {
+		t.Fatalf("Load of corrupt entry = %v, want a quarantining CRC error", lerr)
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Fatal("corrupt file still occupies the entry's path")
+	}
+	if _, serr := os.Stat(path + storeutil.QuarantineSuffix); serr != nil {
+		t.Fatalf("post-mortem copy missing: %v", serr)
+	}
+	if got, lerr := st.Load(key); got != nil || lerr != nil {
+		t.Fatalf("Load after quarantine = (%v, %v), want a clean miss", got, lerr)
+	}
+	if err := st.Save(key, col); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Load(key)
+	if err != nil || got == nil || !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, col)) {
+		t.Fatalf("healed entry = (%v, %v)", got, err)
+	}
+}
+
 // TestStoreEvictionCountsCorrupt: quarantined post-mortem files count
 // toward the byte budget and are themselves evictable, so corruption
 // can never push the store past its cap.
