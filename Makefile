@@ -101,5 +101,6 @@ fuzz:
 	$(GO) test ./internal/storeutil -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultpoint -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME)
 
 check: build fmt vet short

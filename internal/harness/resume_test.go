@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/packet"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // resumeRunner builds a store-backed runner writing into its own temp
@@ -46,12 +49,17 @@ func runSynthetic(t *testing.T, r *Runner, rounds int) (ctx *Context, out []int,
 			mu.Lock()
 			*computes++
 			mu.Unlock()
-			return &UnitResult{Meta: []byte(fmt.Sprintf(`{"vehicles":%d}`, 3*round))}, nil
+			proto := &trace.Collector{}
+			proto.OnComplete(packet.NodeID(round+1), time.Duration(round)*time.Second)
+			return &UnitResult{Meta: []byte(fmt.Sprintf(`{"vehicles":%d}`, 3*round)), Protocol: proto}, nil
 		},
 		func(round int, res *UnitResult) error {
 			m, err := unmarshalRoundMeta(res)
 			if err != nil {
 				return err
+			}
+			if p := res.Protocol; p == nil || len(p.Completed) != 1 || p.Completed[0].Node != packet.NodeID(round+1) {
+				return fmt.Errorf("round %d: protocol trace %+v", round, p)
 			}
 			out[round] = m.Vehicles
 			return nil
@@ -147,20 +155,25 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 	}
 }
 
-// TestStoredRoundsRecomputeParentFormat: an entry in the format the
-// result store wrote before the shared store header (result-store/1:
-// per-section length fields, same body and CRC) is quarantined by the
-// next run and recomputed into the current format with identical
-// applied results; the run after that serves every unit.
+// TestStoredRoundsRecomputeParentFormat: entries in the formats the
+// result store wrote before — result-store/1 (per-section length fields,
+// same body and CRC) and result-store/2 (JSONL trace sections) — and a
+// JSONL body under the current schema are quarantined by the next run
+// and recomputed into the current format with identical applied
+// results; the run after that serves every unit.
 func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
-	const rounds = 4
+	const rounds = 6
 	storeDir := t.TempDir()
 	_, out1, _ := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
 	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
 	if err != nil || len(paths) != rounds {
 		t.Fatalf("cold run stored %d entries (%v), want %d", len(paths), err, rounds)
 	}
-	for _, path := range paths {
+	store, err := NewResultStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -174,9 +187,18 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 		if err := json.Unmarshal(data[:nl], &hdr); err != nil {
 			t.Fatal(err)
 		}
-		parent := fmt.Sprintf(`{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
-			hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
-		if err := os.WriteFile(path, append([]byte(parent), data[nl:]...), 0o644); err != nil {
+		var parent []byte
+		switch i % 3 {
+		case 0:
+			parent = fmt.Appendf(nil, `{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
+				hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
+			parent = append(parent, data[nl:]...)
+		case 1:
+			parent = jsonlEntry(t, store, "result-store/2", hdr.Key)
+		case 2:
+			parent = jsonlEntry(t, store, ResultStoreSchema, hdr.Key)
+		}
+		if err := os.WriteFile(path, parent, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,6 +219,24 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			t.Fatalf("round %d results diverge: %d / %d / %d", round, out1[round], out2[round], out3[round])
 		}
 	}
+}
+
+// jsonlEntry renders the entry stored under key as result-store/2 wrote
+// it: the shared header under schema, the trace sections as JSONL.
+func jsonlEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
+	t.Helper()
+	res, err := store.Load(key)
+	if err != nil || res == nil {
+		t.Fatalf("Load(%q) = (%v, %v)", key, res, err)
+	}
+	var proto bytes.Buffer
+	if err := res.Protocol.WriteJSONL(&proto); err != nil {
+		t.Fatal(err)
+	}
+	body := append(append([]byte(nil), res.Meta...), proto.Bytes()...)
+	line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d,%d,-1],"body_crc":%d}`,
+		schema, key, len(res.Meta), proto.Len(), crc32.ChecksumIEEE(body))
+	return append(append(line, '\n'), body...)
 }
 
 // TestResumeByteIdentity is the simulation-backed acceptance check: a

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -13,8 +12,9 @@ import (
 // ResultStoreSchema is the result store's format version. Bump it when
 // the file or wire format, or scenario semantics no config field
 // captures, change: loads reject other schemas, so a stale store
-// degrades to recomputation. (/2: the shared storeutil header.)
-const ResultStoreSchema = "result-store/2"
+// degrades to recomputation. (/2: the shared storeutil header; /3:
+// binary trace sections.)
+const ResultStoreSchema = "result-store/3"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol
@@ -36,8 +36,8 @@ type UnitResult struct {
 type ResultStore = storeutil.Store[*UnitResult]
 
 // resultCodec stores a UnitResult as its meta, protocol and traffic
-// sections, each absent when nil, collectors in the trace JSONL wire
-// format so loads replay byte-identically.
+// sections, each absent when nil, collectors in the trace binary
+// encoding, so loads replay byte-identically.
 var resultCodec = &storeutil.Codec[*UnitResult]{
 	Name:      "result store",
 	Kind:      "unit",
@@ -47,15 +47,7 @@ var resultCodec = &storeutil.Codec[*UnitResult]{
 	LoadFault: faultpoint.New("harness.store.load"),
 	SaveFault: faultpoint.New("harness.store.save.write"),
 	Encode: func(res *UnitResult) ([][]byte, error) {
-		proto, err := encodeCollector(res.Protocol)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: %w", err)
-		}
-		traffic, err := encodeCollector(res.Traffic)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: %w", err)
-		}
-		return [][]byte{res.Meta, proto, traffic}, nil
+		return [][]byte{res.Meta, encodeCollector(res.Protocol), encodeCollector(res.Traffic)}, nil
 	},
 	Decode: func(sections [][]byte) (res *UnitResult, err error) {
 		res = &UnitResult{Meta: sections[0]}
@@ -74,18 +66,18 @@ func NewResultStore(dir string) (*ResultStore, error) {
 	return storeutil.Open(dir, resultCodec, 0)
 }
 
-func encodeCollector(col *trace.Collector) ([]byte, error) {
+// encodeCollector encodes col as a section, nil (absent) for a nil
+// collector; an empty collector's encoding is present, never nil.
+func encodeCollector(col *trace.Collector) []byte {
 	if col == nil {
-		return nil, nil
+		return nil
 	}
-	buf := bytes.NewBuffer([]byte{}) // an empty collector is present, not absent
-	err := col.WriteJSONL(buf)
-	return buf.Bytes(), err
+	return col.AppendBinary(nil)
 }
 
 func decodeCollector(section []byte) (*trace.Collector, error) {
 	if section == nil {
 		return nil, nil
 	}
-	return trace.ReadJSONL(bytes.NewReader(section))
+	return trace.DecodeBinary(section)
 }

@@ -2,11 +2,18 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
+	"repro/internal/storeutil"
 	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 func quickTrafficGrid() TrafficGridConfig {
@@ -312,5 +319,152 @@ func TestArmForksProtocolRandomnessNotTraffic(t *testing.T) {
 	}
 	if bytes.Equal(traceBytes(t, forked), traceBytes(t, forked2)) {
 		t.Fatal("two distinct arms drew identical randomness")
+	}
+}
+
+// TestTrafficStoreRecomputesParentFormat: a stored traffic world with a
+// JSONL body — as traffic-trace-store/3 wrote it, or mislabelled with
+// the current schema — is quarantined, recomputed into the current
+// format with an identical round, and served from disk afterwards.
+func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation rounds in -short mode")
+	}
+	dir := t.TempDir()
+	if err := SetTrafficTraceStore(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = SetTrafficTraceStore("", 0)
+		resetTrafficCache()
+	}()
+	resetTrafficCache()
+	store := trafficStore
+
+	cfg := quickTrafficGrid()
+	cfg.Replay = true
+	col, stream, err := TrafficGridRound(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.trace.jsonl"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("store holds %v (%v), want one world", paths, err)
+	}
+	path := paths[0]
+	header := func() (hdr struct{ Schema, Key string }) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data[:bytes.IndexByte(data, '\n')], &hdr); err != nil {
+			t.Fatal(err)
+		}
+		return hdr
+	}
+	key := header().Key
+
+	for i, schema := range []string{"traffic-trace-store/3", traffic.StoreSchema} {
+		body := traceBytes(t, stream)
+		line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d],"body_crc":%d}`,
+			schema, key, len(body), crc32.ChecksumIEEE(body))
+		if err := os.WriteFile(path, append(append(line, '\n'), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resetTrafficCache()
+		colAgain, streamAgain, err := TrafficGridRound(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(traceBytes(t, colAgain), traceBytes(t, col)) ||
+			!bytes.Equal(traceBytes(t, streamAgain), traceBytes(t, stream)) {
+			t.Fatalf("%s: recomputed round differs from the first", schema)
+		}
+		if st := store.Stats(); st.Corrupt != uint64(i+1) || st.Saves != uint64(i+2) {
+			t.Fatalf("%s: stats %+v, want the JSONL entry quarantined and re-saved", schema, st)
+		}
+		if _, err := os.Stat(path + storeutil.QuarantineSuffix); err != nil {
+			t.Fatalf("%s: no post-mortem copy: %v", schema, err)
+		}
+		if got := header().Schema; got != traffic.StoreSchema {
+			t.Fatalf("%s: recompute saved schema %q", schema, got)
+		}
+	}
+
+	resetTrafficCache()
+	hits := store.Stats().Hits
+	if _, _, err := TrafficGridRound(cfg, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Hits != hits+1 {
+		t.Fatalf("healed world not served from disk: %+v", st)
+	}
+}
+
+// quickCityScale is the cityscale scenario shrunk to test size: the same
+// world builder and replay path over far fewer vehicles and seconds.
+func quickCityScale() CityScaleConfig {
+	cfg := DefaultCityScale()
+	cfg.Rounds, cfg.Cars, cfg.Background = 1, 2, 6
+	cfg.GridRows, cfg.GridCols = 4, 4
+	cfg.Duration = 8 * time.Second
+	return cfg
+}
+
+// TestTrafficCacheHandsRecordingToReplay: the traffic cache holds the
+// recorded collector itself, with no wire-format round trip in between.
+// That collector equals ReadJSONL(WriteJSONL(recording)) record for
+// record, so the round trip it replaced was an identity; and since every
+// arm now shares it by reference, replaying two arms from the cache must
+// leave it unchanged.
+func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation rounds in -short mode")
+	}
+	resetTrafficCache()
+	defer resetTrafficCache()
+	cfg, err := quickCityScale().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundSeed := sim.SeedFor(cfg.Seed, "city-round-0")
+	g, specs, err := cityScaleWorld(cfg, roundSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
+	recording, err := recordTrafficTrace(tcfg, specs, cfg.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSONL, err := trace.ReadJSONL(bytes.NewReader(traceBytes(t, recording)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var cached *trace.Collector
+	for _, arm := range []string{"coop", "nocoop"} {
+		armCfg := cfg
+		armCfg.Arm, armCfg.Coop = arm, arm == "coop"
+		_, stream, err := CityScaleRound(armCfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trafficCache.mu.Lock()
+		e := trafficCache.m[traffic.TraceKey(tcfg, specs, cfg.Duration)]
+		trafficCache.mu.Unlock()
+		if e == nil || e.col != stream {
+			t.Fatalf("arm %s: round did not replay the cached collector", arm)
+		}
+		cached = e.col
+	}
+
+	if cached.Counts() != viaJSONL.Counts() || len(cached.Vehicles) == 0 {
+		t.Fatalf("cached counts %+v, round-tripped recording %+v", cached.Counts(), viaJSONL.Counts())
+	}
+	for i, want := range viaJSONL.Vehicles {
+		if got := cached.Vehicles[i]; got != want {
+			t.Fatalf("vehicle record %d: cached %+v, round-tripped recording %+v", i, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -122,8 +121,9 @@ func recordTrafficTrace(tcfg traffic.Config, specs []traffic.VehicleSpec, d time
 //     engine through the returned PreRun and steps on its clock, filling
 //     the returned stream as the round executes;
 //   - replay (replay=true): the traffic run is computed up front (via the
-//     shared cache), serialised through the trace JSONL wire format, and
-//     replayed — the record-once, sweep-many path.
+//     shared cache) and its recorded stream replayed — the record-once,
+//     sweep-many path. The cache hands every arm the one recorded
+//     collector by reference, so nothing may modify it.
 //
 // The cache key is traffic.TraceKey(tcfg, specs, d): the exhaustive
 // digest of everything that shapes vehicle motion, computed here so no
@@ -150,17 +150,7 @@ func trafficModels(net *traffic.Network, tcfg traffic.Config, specs []traffic.Ve
 	}
 
 	col, err := trafficCache.get(traffic.TraceKey(tcfg, specs, d), func() (*trace.Collector, error) {
-		rec, err := recordTrafficTrace(tcfg, specs, d)
-		if err != nil {
-			return nil, err
-		}
-		// Round-trip through the wire format so cached replays are
-		// exactly what a trace file on disk would give back.
-		var buf bytes.Buffer
-		if err := rec.WriteJSONL(&buf); err != nil {
-			return nil, err
-		}
-		return trace.ReadJSONL(&buf)
+		return recordTrafficTrace(tcfg, specs, d)
 	})
 	if err != nil {
 		return nil, nil, nil, err

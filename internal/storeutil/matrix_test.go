@@ -358,7 +358,7 @@ func checkGolden[T comparable](t *testing.T, c codecCase[T], name string) {
 		return
 	}
 	if want := readFile(t, path); !bytes.Equal(got, want) {
-		t.Errorf("Save output differs from %s (bump the schema and rerun with -update if intended):\n got %s\nwant %s",
+		t.Errorf("Save output differs from %s (bump the schema and rerun with -update if intended):\n got %q\nwant %q",
 			path, got, want)
 	}
 }

@@ -2,9 +2,11 @@
 // store; the unit-result and traffic stores are Stores over typed Codecs.
 // An entry <fnv64a(key)>.<kind>.jsonl is a JSON header line {schema,
 // key, section lengths (-1 = absent), body CRC-32} and the concatenated
-// sections: the embedded key makes name collisions harmless, lengths and
-// CRC catch truncation and corruption. Saves rename a temp into place,
-// so entries are never partial and concurrent writers race benignly. A
+// sections, which codecs may encode in binary (the .jsonl name promises
+// only the header line): the embedded key makes name collisions
+// harmless, lengths and CRC catch truncation and corruption. Saves
+// rename a temp into place, so entries are never partial and concurrent
+// writers race benignly. A
 // Load that fails validation quarantines the file to <name>.corrupt so
 // the caller's recompute-and-Save heals it; Open sweeps temps crashed
 // writers left. An optional byte budget evicts least recently used

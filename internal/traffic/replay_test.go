@@ -34,7 +34,7 @@ func recordGridRun(t *testing.T, d time.Duration) (*GridNet, *Simulation, *trace
 }
 
 // TestReplayMatchesLiveExactly is the record-then-replay determinism
-// contract: write the stream through JSONL (the on-disk wire format),
+// contract: write the stream through JSONL (the export format),
 // read it back, and check replayed models return bit-identical positions
 // to the live models at arbitrary query times.
 func TestReplayMatchesLiveExactly(t *testing.T) {

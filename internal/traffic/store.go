@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"bytes"
 	"errors"
 
 	"repro/internal/faultpoint"
@@ -12,8 +11,9 @@ import (
 // StoreSchema is the traffic store's format version. Bump it when the
 // file or wire format or the record semantics change: loads reject other
 // schemas, so a stale store degrades to recomputation. (/2: exhaustive
-// TraceKey keys, demand-driven vehicles; /3: the storeutil header.)
-const StoreSchema = "traffic-trace-store/3"
+// TraceKey keys, demand-driven vehicles; /3: the storeutil header; /4:
+// the binary trace section.)
+const StoreSchema = "traffic-trace-store/4"
 
 // Store is the on-disk cache of recorded traffic streams, keyed like the
 // scenario layer's in-memory cache (every parameter that shapes vehicle
@@ -21,8 +21,8 @@ const StoreSchema = "traffic-trace-store/3"
 // traffic once, and every later sweep arm in any process loads it.
 type Store = storeutil.Store[*trace.Collector]
 
-// traceCodec stores a stream as one section in the trace JSONL wire
-// format, so loads replay byte-identically to the in-memory cache.
+// traceCodec stores a stream as one section in the trace binary
+// encoding, so loads replay byte-identically to the in-memory cache.
 var traceCodec = &storeutil.Codec[*trace.Collector]{
 	Name:      "traffic store",
 	Kind:      "trace",
@@ -32,15 +32,13 @@ var traceCodec = &storeutil.Codec[*trace.Collector]{
 	LoadFault: faultpoint.New("traffic.store.load"),
 	SaveFault: faultpoint.New("traffic.store.save.write"),
 	Encode: func(col *trace.Collector) ([][]byte, error) {
-		buf := bytes.NewBuffer([]byte{}) // an empty stream is present, not absent
-		err := col.WriteJSONL(buf)
-		return [][]byte{buf.Bytes()}, err
+		return [][]byte{col.AppendBinary(nil)}, nil
 	},
 	Decode: func(sections [][]byte) (*trace.Collector, error) {
 		if sections[0] == nil {
 			return nil, errors.New("absent stream")
 		}
-		return trace.ReadJSONL(bytes.NewReader(sections[0]))
+		return trace.DecodeBinary(sections[0])
 	},
 }
 

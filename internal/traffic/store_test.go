@@ -67,7 +67,7 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 	}
 	// The loaded stream must serialize to the exact bytes of the
 	// original — the property that makes disk-served replays
-	// byte-identical to the in-memory cache's round-trip.
+	// byte-identical to the in-memory cache's recording.
 	if !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, col)) {
 		t.Fatal("store round-trip changed the JSONL byte stream")
 	}

@@ -47,7 +47,7 @@
 // trajectories are piecewise-linear tracks sampled every
 // Config.RecordEvery ticks (plus every lane/link change); Model reads
 // the same samples a trace.Collector records, so a live-stepped run and
-// a replay of its recorded JSONL stream produce byte-identical position
+// a replay of its recorded stream produce byte-identical position
 // histories — the property the record-once, sweep-many workflow and the
 // cross-worker reproducibility of the harness both rest on. When
 // attached to a sim.Engine, all tick events are pre-scheduled at Attach

@@ -54,8 +54,9 @@ while [ "$i" -le "$SOAK_ITERS" ]; do
     faults="$faults,traffic.store.save.write=short:200@seed=$s:2"
     # Drop trafficgrid's unit results, so every iteration replays its
     # traffic worlds through the shared traffic store instead of being
-    # served whole from the result store.
-    grep -l 'exp=\\"trafficgrid\\"' "$store"/results/*.unit.jsonl 2>/dev/null | xargs rm -f
+    # served whole from the result store. Entry bodies are binary, so -a
+    # keeps grep matching the header line as text.
+    grep -la 'exp=\\"trafficgrid\\"' "$store"/results/*.unit.jsonl 2>/dev/null | xargs rm -f
     echo "==> chaos sweep $i/$SOAK_ITERS (seed $s: $faults)"
     sweep "$work/chaos-$i" "$store" -faultpoints "$faults" \
         >/dev/null 2>"$work/chaos-$i.log" \
