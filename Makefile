@@ -37,7 +37,7 @@ bench-traffic:
 # Machine-readable benchmark snapshot; the committed BENCH_<n>.json files
 # track the perf trajectory PR over PR. Two steps (not a pipe) so a
 # failed bench run cannot silently produce a truncated snapshot.
-BENCH_OUT ?= BENCH_7.json
+BENCH_OUT ?= BENCH_8.json
 bench-json:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... > bench.out.tmp
 	$(GO) run ./cmd/benchjson < bench.out.tmp > $(BENCH_OUT)

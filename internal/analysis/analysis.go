@@ -162,42 +162,48 @@ func Window(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID)
 // directly by `rx`) across rounds, for s in [lo, hi] — one curve of
 // Figures 3–5.
 func ReceptionSeries(rounds []*trace.Collector, flow, rx packet.NodeID, lo, hi uint32) *stats.Series {
-	s := &stats.Series{Name: fmt.Sprintf("Rx in %v of flow %v", rx, flow)}
-	for seq := lo; seq <= hi; seq++ {
-		var p stats.Proportion
-		for _, round := range rounds {
-			p.Add(round.DirectRxSet(rx, flow)[seq])
-		}
-		s.Append(float64(seq), p.Estimate())
-	}
-	return s
+	return seqSeries(fmt.Sprintf("Rx in %v of flow %v", rx, flow), rounds, lo, hi,
+		func(round *trace.Collector) map[uint32]bool { return round.DirectRxSet(rx, flow) })
 }
 
 // AfterCoopSeries computes P(car holds its own packet s after the
 // Cooperative-ARQ phase) for s in [lo, hi] — the "after coop" curve of
 // Figures 6–8.
 func AfterCoopSeries(rounds []*trace.Collector, car packet.NodeID, lo, hi uint32) *stats.Series {
-	s := &stats.Series{Name: fmt.Sprintf("Rx in %v after coop", car)}
-	for seq := lo; seq <= hi; seq++ {
-		var p stats.Proportion
-		for _, round := range rounds {
-			p.Add(round.HeldSet(car)[seq])
-		}
-		s.Append(float64(seq), p.Estimate())
-	}
-	return s
+	return seqSeries(fmt.Sprintf("Rx in %v after coop", car), rounds, lo, hi,
+		func(round *trace.Collector) map[uint32]bool { return round.HeldSet(car) })
 }
 
 // JointSeries computes P(packet s of `flow` was received directly by any
 // of the cars) — the paper's "Joint Rx in Car 1, 2 or 3" oracle curve.
 func JointSeries(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID, lo, hi uint32) *stats.Series {
-	s := &stats.Series{Name: fmt.Sprintf("Joint Rx of flow %v", flow)}
-	for seq := lo; seq <= hi; seq++ {
-		var p stats.Proportion
-		for _, round := range rounds {
-			p.Add(round.JointRxSet(flow, cars...)[seq])
+	return seqSeries(fmt.Sprintf("Joint Rx of flow %v", flow), rounds, lo, hi,
+		func(round *trace.Collector) map[uint32]bool { return round.JointRxSet(flow, cars...) })
+}
+
+// seqSeries samples, for every s in [lo, hi], the fraction of rounds
+// whose set contains s. Each round's set is built once and tallied into
+// per-sequence hit counts, so the cost is linear in the window plus the
+// rounds' receptions rather than their product.
+func seqSeries(name string, rounds []*trace.Collector, lo, hi uint32, set func(*trace.Collector) map[uint32]bool) *stats.Series {
+	s := &stats.Series{Name: name}
+	if lo > hi {
+		return s
+	}
+	hits := make([]int, int(hi-lo)+1)
+	for _, round := range rounds {
+		for seq := range set(round) {
+			if seq >= lo && seq <= hi {
+				hits[seq-lo]++
+			}
 		}
-		s.Append(float64(seq), p.Estimate())
+	}
+	s.X = make([]float64, 0, len(hits))
+	s.Y = make([]float64, 0, len(hits))
+	for i, k := range hits {
+		var p stats.Proportion
+		p.AddN(k, len(rounds))
+		s.Append(float64(lo+uint32(i)), p.Estimate())
 	}
 	return s
 }

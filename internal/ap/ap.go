@@ -150,7 +150,9 @@ func (a *AP) tick(fl *apFlow) {
 	}
 	seq := a.nextSeq[flow]
 	next := seq + 1
-	if a.cfg.CycleLength > 0 && next >= a.cfg.FirstSeq+a.cfg.CycleLength {
+	// Offsets from FirstSeq, so a cycle ending at math.MaxUint32 wraps
+	// back to FirstSeq instead of comparing against an overflowed end.
+	if a.cfg.CycleLength > 0 && next-a.cfg.FirstSeq >= a.cfg.CycleLength {
 		next = a.cfg.FirstSeq
 	}
 	a.nextSeq[flow] = next

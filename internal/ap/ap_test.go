@@ -1,6 +1,7 @@
 package ap
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -121,6 +122,29 @@ func TestFirstSeqOverride(t *testing.T) {
 	}
 	if seqs := tr.dataTx[7]; len(seqs) == 0 || seqs[0] != 100 {
 		t.Fatalf("first seq = %v, want 100", seqs)
+	}
+}
+
+// TestCycleEndingAtMaxUint32: a file cycle whose last block is
+// math.MaxUint32 must serve every block before wrapping to FirstSeq.
+func TestCycleEndingAtMaxUint32(t *testing.T) {
+	const first = math.MaxUint32 - 8
+	cfg := Config{
+		ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 10, Repeats: 1,
+		FirstSeq: first, CycleLength: 9, Stop: 1950 * time.Millisecond,
+	}
+	engine, _, tr := buildAP(t, cfg)
+	if err := engine.RunUntil(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	seqs := tr.dataTx[7]
+	if len(seqs) != 20 {
+		t.Fatalf("sent %d packets, want 20", len(seqs))
+	}
+	for i, seq := range seqs {
+		if want := uint32(first + i%9); seq != want {
+			t.Fatalf("seqs = %v: [%d] = %d, want %d", seqs, i, seq, want)
+		}
 	}
 }
 

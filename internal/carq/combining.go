@@ -82,22 +82,10 @@ func (n *Node) onCorruptFrame(f *packet.Frame, sinrDB float64) {
 		return
 	}
 	// Combination succeeded: the packet decodes as if received.
-	n.have[f.Seq] = f.Payload
+	// Combined original transmissions extend the direct-reception range
+	// exactly like a clean reception would.
+	n.hold(f.Seq, f.Payload, f.Type == packet.TypeData)
 	n.stats.Combined++
-	if f.Type == packet.TypeData {
-		// Combined original transmissions extend the direct-reception
-		// range exactly like a clean reception would.
-		if !n.ownSeen {
-			n.ownMin, n.ownMax, n.ownSeen = f.Seq, f.Seq, true
-		} else {
-			if f.Seq < n.ownMin {
-				n.ownMin = f.Seq
-			}
-			if f.Seq > n.ownMax {
-				n.ownMax = f.Seq
-			}
-		}
-	}
 	n.obs.OnRecovered(n.cfg.ID, f.Seq, f.Src, n.ctx.Now())
 	if n.phase == PhaseCoopARQ && n.MissingCount() == 0 {
 		n.stopRequesting()

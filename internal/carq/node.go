@@ -2,6 +2,7 @@ package carq
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -56,11 +57,16 @@ type Node struct {
 
 	// Own-flow reception state. ownMin/ownMax are the first and last
 	// sequence numbers received *directly* from the AP — the recovery
-	// range the paper prescribes.
-	have    map[uint32][]byte
-	ownMin  uint32
-	ownMax  uint32
-	ownSeen bool
+	// range the paper prescribes. have holds the payloads; heldBits
+	// mirrors its keys as a bitset over the recovery window (bit i of
+	// word w is seq heldBase+64w+i), so the missing list is a word scan
+	// instead of one map probe per sequence.
+	have     map[uint32][]byte
+	heldBits []uint64
+	heldBase uint32 // a multiple of 64
+	ownMin   uint32
+	ownMax   uint32
+	ownSeen  bool
 
 	// Packets buffered for other platoon members: flow -> seq -> payload.
 	forOthers map[packet.NodeID]map[uint32][]byte
@@ -248,9 +254,11 @@ func (n *Node) missingInto(out []uint32) []uint32 {
 	if !n.ownSeen {
 		return out
 	}
-	for s := n.recoveryLo(); s <= n.ownMax; s++ {
-		if _, ok := n.have[s]; !ok {
-			out = append(out, s)
+	lo, hi := n.recoveryLo(), n.ownMax
+	for w := n.wordOf(lo); w <= n.wordOf(hi); w++ {
+		base := n.heldBase + uint32(w)<<6
+		for m := n.gapWord(w, lo, hi); m != 0; m &= m - 1 {
+			out = append(out, base+uint32(bits.TrailingZeros64(m)))
 		}
 	}
 	return out
@@ -261,13 +269,90 @@ func (n *Node) MissingCount() int {
 	if !n.ownSeen {
 		return 0
 	}
+	lo, hi := n.recoveryLo(), n.ownMax
 	c := 0
-	for s := n.recoveryLo(); s <= n.ownMax; s++ {
-		if _, ok := n.have[s]; !ok {
-			c++
-		}
+	for w := n.wordOf(lo); w <= n.wordOf(hi); w++ {
+		c += bits.OnesCount64(n.gapWord(w, lo, hi))
 	}
 	return c
+}
+
+// wordOf returns the heldBits word holding seq, which must lie in the
+// window heldBits covers.
+func (n *Node) wordOf(seq uint32) int { return int((seq - n.heldBase) >> 6) }
+
+// gapWord returns the sequences of word w that are not held, restricted
+// to [lo, hi].
+func (n *Node) gapWord(w int, lo, hi uint32) uint64 {
+	m := ^n.heldBits[w]
+	base := n.heldBase + uint32(w)<<6
+	if lo > base {
+		m &= ^uint64(0) << (lo - base)
+	}
+	if hi-base < 63 {
+		m &= ^uint64(0) >> (63 - (hi - base))
+	}
+	return m
+}
+
+// hold stores own-flow packet seq. A direct reception (DATA off the air,
+// or combined from corrupted DATA copies) also widens the recovery window.
+func (n *Node) hold(seq uint32, payload []byte, direct bool) {
+	n.have[seq] = payload
+	if direct {
+		if !n.ownSeen {
+			n.ownMin, n.ownMax, n.ownSeen = seq, seq, true
+		} else {
+			n.ownMin = min(n.ownMin, seq)
+			n.ownMax = max(n.ownMax, seq)
+		}
+		n.coverWindow()
+	}
+	n.markHeld(seq)
+}
+
+// markHeld sets seq's bit when heldBits covers it. A packet outside the
+// window (a RESPONSE for a sequence the window has not reached) stays in
+// have alone until coverWindow reaches it.
+func (n *Node) markHeld(seq uint32) {
+	if seq < n.heldBase {
+		return
+	}
+	if w := n.wordOf(seq); w < len(n.heldBits) {
+		n.heldBits[w] |= 1 << (seq & 63)
+	}
+}
+
+// coverWindow grows heldBits to span the recovery window [recoveryLo,
+// ownMax] and fills the new words from have. The window only widens
+// (ownMin falls, ownMax rises, KnownFirstSeq is fixed), so the bitset
+// stays (ownMax-recoveryLo)/64 + 2 words at most, whatever the absolute
+// sequence numbers.
+func (n *Node) coverWindow() {
+	lo := n.recoveryLo() &^ 63
+	if len(n.heldBits) == 0 {
+		n.heldBase = lo
+	}
+	if front := int((n.heldBase - lo) >> 6); front > 0 {
+		n.heldBits = append(make([]uint64, front, front+len(n.heldBits)), n.heldBits...)
+		n.heldBase = lo
+		n.fillHeld(0, front)
+	}
+	if want := n.wordOf(n.ownMax) + 1; want > len(n.heldBits) {
+		old := len(n.heldBits)
+		n.heldBits = append(n.heldBits, make([]uint64, want-old)...)
+		n.fillHeld(old, want)
+	}
+}
+
+// fillHeld sets the bits of words [from, to) from have.
+func (n *Node) fillHeld(from, to int) {
+	end := uint64(n.heldBase) + 64*uint64(to)
+	for u := uint64(n.heldBase) + 64*uint64(from); u < end; u++ {
+		if _, ok := n.have[uint32(u)]; ok {
+			n.markHeld(uint32(u))
+		}
+	}
 }
 
 // Cooperators returns the node's current ordered cooperator list.
@@ -310,18 +395,8 @@ func (n *Node) onData(f *packet.Frame) {
 			n.stats.DataDuplicate++
 			return
 		}
-		n.have[f.Seq] = f.Payload
+		n.hold(f.Seq, f.Payload, true)
 		n.stats.DataDirect++
-		if !n.ownSeen {
-			n.ownMin, n.ownMax, n.ownSeen = f.Seq, f.Seq, true
-			return
-		}
-		if f.Seq < n.ownMin {
-			n.ownMin = f.Seq
-		}
-		if f.Seq > n.ownMax {
-			n.ownMax = f.Seq
-		}
 		return
 	}
 	if !n.cfg.CoopEnabled {
@@ -578,7 +653,7 @@ func (n *Node) onResponse(f *packet.Frame) {
 			n.stats.RecoveredDuplicate++
 			return
 		}
-		n.have[f.Seq] = f.Payload
+		n.hold(f.Seq, f.Payload, false)
 		n.stats.Recovered++
 		n.obs.OnRecovered(n.cfg.ID, f.Seq, f.Src, n.ctx.Now())
 		if n.phase == PhaseCoopARQ && n.MissingCount() == 0 {

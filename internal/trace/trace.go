@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -198,16 +199,14 @@ func (c *Collector) VehicleSeries(veh int) []VehicleRecord {
 // DataSentSeqs returns the distinct DATA sequence numbers transmitted for
 // a flow, ascending.
 func (c *Collector) DataSentSeqs(flow packet.NodeID) []uint32 {
-	seen := make(map[uint32]bool)
 	var out []uint32
 	for _, r := range c.Tx {
-		if r.Type == packet.TypeData && r.Flow == flow && !seen[r.Seq] {
-			seen[r.Seq] = true
+		if r.Type == packet.TypeData && r.Flow == flow {
 			out = append(out, r.Seq)
 		}
 	}
-	sortU32(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // DirectRxSet returns the sequence numbers of flow-f DATA frames that
@@ -268,13 +267,5 @@ func (c *Collector) Counts() Counts {
 		Tx: len(c.Tx), Rx: len(c.Rx), Drops: len(c.Drops),
 		Phases: len(c.Phases), Recovered: len(c.Recovered), Completed: len(c.Completed),
 		Vehicles: len(c.Vehicles),
-	}
-}
-
-func sortU32(xs []uint32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

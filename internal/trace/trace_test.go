@@ -8,9 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/carq"
+	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
+	"repro/internal/radio"
+	"repro/internal/sim"
 )
 
 func sampleCollector() *Collector {
@@ -202,12 +206,49 @@ func TestJSONLVehicleFloatExactness(t *testing.T) {
 	}
 }
 
-func TestSortU32(t *testing.T) {
-	xs := []uint32{5, 1, 4, 1, 3}
-	sortU32(xs)
-	want := []uint32{1, 1, 3, 4, 5}
-	if !reflect.DeepEqual(xs, want) {
-		t.Fatalf("sortU32 = %v", xs)
+// TestDataSentSeqsOutOfOrderAndRepeated: an Infostation cycling a
+// 4-block file with every packet sent twice re-sends each seq many times,
+// and records appended by hand arrive out of order; DataSentSeqs must
+// still return each seq once, ascending.
+func TestDataSentSeqsOutOfOrderAndRepeated(t *testing.T) {
+	engine := sim.New()
+	c := &Collector{}
+	chCfg := radio.DefaultConfig()
+	chCfg.ShadowSigmaDB = 0
+	chCfg.FadingK = -1
+	medium := mac.NewMedium(engine, radio.MustChannel(chCfg), c)
+	st, err := medium.AddStation(100, func(time.Duration) geom.Point { return geom.Point{} }, nil, mac.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ap.New(engine, st, ap.Config{
+		ID: 100, Flows: []packet.NodeID{1, 2}, PacketsPerSecond: 10,
+		Repeats: 2, FirstSeq: 7, CycleLength: 4,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.RunUntil(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint32{42, 3, 42, 9, 1} {
+		c.OnTx(100, packet.NewData(100, 1, seq, nil), 3*time.Second, time.Millisecond)
+	}
+	c.OnTx(5, packet.NewResponse(5, 1, 2, nil), 3*time.Second, time.Millisecond) // not DATA
+
+	sent := 0
+	for _, r := range c.Tx {
+		if r.Type == packet.TypeData && r.Flow == 1 {
+			sent++
+		}
+	}
+	if sent < 2*4*2 {
+		t.Fatalf("only %d flow-1 DATA transmissions; the cycle never repeated", sent)
+	}
+	if got, want := c.DataSentSeqs(1), []uint32{1, 3, 7, 8, 9, 10, 42}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("DataSentSeqs(1) = %v, want %v", got, want)
+	}
+	if got, want := c.DataSentSeqs(2), []uint32{7, 8, 9, 10}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("DataSentSeqs(2) = %v, want %v", got, want)
 	}
 }
 
