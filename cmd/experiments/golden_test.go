@@ -18,7 +18,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/*.sha256 from t
 
 // TestGoldenPaperOutputs pins the paper's own studies: the SHA-256 of the
 // manifest of `-exp table1 -rounds 4 -seed 1` (Table 1 and Figures 2-8)
-// and of `-exp cityscale -rounds 1 -seed 1`. The manifest lists every
+// and of `-exp cityscale -rounds 1 -seed 1`, plus the whole catalogue at
+// `-exp all -rounds 1 -seed 1`. The manifest lists every
 // output file with its content hash, so any change to a table, a figure
 // or a series fails here until the golden file is deliberately
 // regenerated with -update and the diff reviewed.
@@ -32,6 +33,7 @@ func TestGoldenPaperOutputs(t *testing.T) {
 	}{
 		{"table1", 4},
 		{"cityscale", 1},
+		{"all", 1},
 	} {
 		t.Run(tc.exp, func(t *testing.T) {
 			dir := t.TempDir()
@@ -41,7 +43,11 @@ func TestGoldenPaperOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := runner.Run([]string{tc.exp}); err != nil {
+			names := []string{tc.exp}
+			if tc.exp == "all" {
+				names = harness.Names()
+			}
+			if err := runner.Run(names); err != nil {
 				t.Fatal(err)
 			}
 			manifest, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
