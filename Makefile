@@ -102,5 +102,8 @@ fuzz:
 	$(GO) test ./internal/faultpoint -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzReadTimings$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzReadSnapshotJSON$$' -fuzztime $(FUZZTIME)
 
 check: build fmt vet short

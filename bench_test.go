@@ -44,7 +44,7 @@ func canonical(b *testing.B) *scenario.TestbedResult {
 	canonicalOnce.Do(func() {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = benchRounds
-		canonicalRes, canonicalErr = scenario.RunTestbed(cfg)
+		canonicalRes, canonicalErr = scenario.RunRounds(cfg)
 	})
 	if canonicalErr != nil {
 		b.Fatal(canonicalErr)
@@ -77,7 +77,7 @@ func BenchmarkTestbedRound(b *testing.B) {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = 1
 		cfg.Seed = int64(i + 1)
-		if _, err := scenario.RunTestbed(cfg); err != nil {
+		if _, err := scenario.RunRounds(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func BenchmarkAblationBatchedRequest(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.BatchRequests = batch
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func BenchmarkAblationCooperatorSelection(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.Selection = tc.sel
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -215,7 +215,7 @@ func BenchmarkAblationAPRetransmit(b *testing.B) {
 				cfg.Seed = int64(i + 1)
 				cfg.APRepeats = tc.repeats
 				cfg.Coop = tc.coop
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func BenchmarkExtPlatoonSize(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.Cars = cars
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -292,7 +292,7 @@ func BenchmarkExtBitrate(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.Modulation = mod
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,7 +325,7 @@ func BenchmarkExtEpidemic(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.Factory = tc.factory
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -349,7 +349,7 @@ func BenchmarkExtHighwaySpeed(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.SpeedMPS = kmh / 3.6
-				res, err := scenario.RunHighway(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -387,7 +387,7 @@ func BenchmarkExtFrameCombining(b *testing.B) {
 				cfg.Seed = int64(i + 1)
 				cfg.APRepeats = 2
 				cfg.FrameCombining = tc.fc
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -418,7 +418,7 @@ func BenchmarkExtAdaptiveRepeats(b *testing.B) {
 				cfg.Seed = int64(i + 1)
 				cfg.Cars = tc.cars
 				cfg.AdaptiveAPRepeats = tc.adaptive
-				res, err := scenario.RunTestbed(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -443,7 +443,7 @@ func BenchmarkExtCorridor(b *testing.B) {
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
 				cfg.Coop = coop
-				res, err := scenario.RunCorridor(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -470,8 +470,8 @@ func BenchmarkAblationRecruitmentTTL(b *testing.B) {
 				cfg := scenario.DefaultTestbed()
 				cfg.Rounds = 2
 				cfg.Seed = int64(i + 1)
-				cfg.TuneCarq = func(c *carq.Config) { c.CandidateTTL = ttl }
-				res, err := scenario.RunTestbed(cfg)
+				cfg.CandidateTTL = ttl
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -561,7 +561,7 @@ func BenchmarkTrafficGridRound(b *testing.B) {
 		cfg := scenario.DefaultTrafficGrid()
 		cfg.Rounds = 1
 		cfg.Seed = int64(i + 1)
-		if _, _, err := scenario.TrafficGridRound(cfg, 0); err != nil {
+		if _, err := scenario.RunRounds(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -604,11 +604,11 @@ func BenchmarkStopGoRound(b *testing.B) {
 		cfg := scenario.DefaultStopGo()
 		cfg.Rounds = 1
 		cfg.Seed = int64(i + 1)
-		_, stream, err := scenario.StopGoRound(cfg, 0)
+		res, err := scenario.RunRounds(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		crawl = scenario.SummarizeTraffic(stream).CrawlShare
+		crawl = scenario.SummarizeTraffic(res.Traffic[0]).CrawlShare
 	}
 	b.ReportMetric(100*crawl, "crawl_%")
 }

@@ -60,7 +60,7 @@ func runCorridor(rounds int, seed int64, cars int, speed float64, coop bool) {
 	if speed > 0 {
 		cfg.SpeedMPS = speed
 	}
-	res, err := scenario.RunCorridor(cfg)
+	res, err := scenario.RunRounds(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func runTestbed(rounds int, seed int64, cars int, speed float64, coop, batch boo
 	if speed > 0 {
 		cfg.SpeedMPS = speed
 	}
-	res, err := scenario.RunTestbed(cfg)
+	res, err := scenario.RunRounds(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func runHighway(rounds int, seed int64, cars int, speed float64, coop bool) {
 	if speed > 0 {
 		cfg.SpeedMPS = speed
 	}
-	res, err := scenario.RunHighway(cfg)
+	res, err := scenario.RunRounds(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

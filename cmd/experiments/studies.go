@@ -124,9 +124,10 @@ func init() {
 func table1AndFigures(c *harness.Context) error {
 	cfg := scenario.DefaultTestbed()
 	cfg.Rounds = c.Rounds()
-	cfg.Seed = c.Seed()
-	res, err := c.Testbed("canonical", cfg)
-	if err != nil {
+	var res *scenario.TestbedResult
+	b := c.Batch()
+	harness.Add(b, "canonical", cfg, &res)
+	if err := b.Go(); err != nil {
 		return err
 	}
 
@@ -182,13 +183,12 @@ func batchAblation(c *harness.Context) error {
 	for i, batch := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(10)
-		cfg.Seed = c.Seed()
 		cfg.BatchRequests = batch
 		point := "per-packet"
 		if batch {
 			point = "batched"
 		}
-		results[i] = b.Testbed(point, cfg)
+		harness.Add(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -232,9 +232,8 @@ func selectionAblation(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(10)
-		cfg.Seed = c.Seed()
 		cfg.Selection = tc.sel
-		results[i] = b.Testbed(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -274,10 +273,9 @@ func apRetxAblation(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(10)
-		cfg.Seed = c.Seed()
 		cfg.APRepeats = tc.repeats
 		cfg.Coop = tc.coop
-		results[i] = b.Testbed(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -314,9 +312,8 @@ func platoonSweep(c *harness.Context) error {
 	for cars := 1; cars <= maxCars; cars++ {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(8)
-		cfg.Seed = c.Seed()
 		cfg.Cars = cars
-		results[cars-1] = b.Testbed(fmt.Sprintf("%d-cars", cars), cfg)
+		harness.Add(b, fmt.Sprintf("%d-cars", cars), cfg, &results[cars-1])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -354,16 +351,15 @@ func platoonSweep(c *harness.Context) error {
 func download(c *harness.Context) error {
 	arms := []bool{false, true}
 	b := c.Batch()
-	results := make([]**scenario.DownloadResult, len(arms))
+	results := make([]*scenario.DownloadResult, len(arms))
 	for i, coop := range arms {
 		cfg := scenario.DefaultDownload()
-		cfg.Seed = c.Seed()
 		cfg.Coop = coop
 		point := "no-coop"
 		if coop {
 			point = "C-ARQ"
 		}
-		results[i] = b.Download(point, cfg)
+		harness.AddDownload(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -372,7 +368,7 @@ func download(c *harness.Context) error {
 	var out strings.Builder
 	out.WriteString("A5: AP visits to download a file (220 blocks/car)\n\n")
 	for i, coop := range arms {
-		res := *results[i]
+		res := results[i]
 		mode := "no-coop"
 		if coop {
 			mode = "C-ARQ"
@@ -395,11 +391,10 @@ func bitrateSweep(c *harness.Context) error {
 	for i, mod := range mods {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(8)
-		cfg.Seed = c.Seed()
 		cfg.Modulation = mod
 		// Higher PHY rates free airtime; keep the packet rate fixed so
 		// the comparison isolates the PER effect.
-		results[i] = b.Testbed(mod.Name, cfg)
+		harness.Add(b, mod.Name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -441,10 +436,9 @@ func epidemicComparison(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(8)
-		cfg.Seed = c.Seed()
 		cfg.Coop = true
 		cfg.Factory = tc.factory
-		results[i] = b.Testbed(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -473,9 +467,8 @@ func highwaySweep(c *harness.Context) error {
 	for i, kmh := range speeds {
 		cfg := scenario.DefaultHighway()
 		cfg.Rounds = c.CappedRounds(6)
-		cfg.Seed = c.Seed()
 		cfg.SpeedMPS = kmh / 3.6
-		results[i] = b.Highway(fmt.Sprintf("%.0f-kmh", kmh), cfg)
+		harness.Add(b, fmt.Sprintf("%.0f-kmh", kmh), cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -522,10 +515,9 @@ func frameCombining(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(10)
-		cfg.Seed = c.Seed()
 		cfg.APRepeats = tc.repeats
 		cfg.FrameCombining = tc.fc
-		results[i] = b.Testbed(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -568,11 +560,10 @@ func adaptiveRepeats(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(8)
-		cfg.Seed = c.Seed()
 		cfg.Cars = tc.cars
 		cfg.APRepeats = tc.static
 		cfg.AdaptiveAPRepeats = tc.adaptive
-		results[i] = b.Testbed(fmt.Sprintf("%d-cars %s", tc.cars, tc.name), cfg)
+		harness.Add(b, fmt.Sprintf("%d-cars %s", tc.cars, tc.name), cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -603,13 +594,12 @@ func corridor(c *harness.Context) error {
 	for i, coop := range arms {
 		cfg := scenario.DefaultCorridor()
 		cfg.Rounds = c.CappedRounds(8)
-		cfg.Seed = c.Seed()
 		cfg.Coop = coop
 		point := "no-coop"
 		if coop {
 			point = "C-ARQ"
 		}
-		results[i] = b.Corridor(point, cfg)
+		harness.Add(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -642,12 +632,10 @@ func recruitmentTTL(c *harness.Context) error {
 	b := c.Batch()
 	results := make([]*scenario.TestbedResult, len(ttls))
 	for i, ttl := range ttls {
-		ttl := ttl
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = c.CappedRounds(10)
-		cfg.Seed = c.Seed()
-		cfg.TuneCarq = func(cc *carq.Config) { cc.CandidateTTL = ttl }
-		results[i] = b.Testbed(ttl.String(), cfg)
+		cfg.CandidateTTL = ttl
+		harness.Add(b, ttl.String(), cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -681,13 +669,12 @@ func recoveryDynamics(c *harness.Context) error {
 	for i, batch := range arms {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = 1
-		cfg.Seed = c.Seed()
 		cfg.BatchRequests = batch
 		point := "per-packet"
 		if batch {
 			point = "batched"
 		}
-		results[i] = b.Testbed(point, cfg)
+		harness.Add(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -749,13 +736,12 @@ func trafficGrid(c *harness.Context) error {
 	for i, coop := range arms {
 		cfg := scenario.DefaultTrafficGrid()
 		cfg.Rounds = c.CappedRounds(6)
-		cfg.Seed = c.Seed()
 		cfg.Coop = coop
 		point := "no-coop"
 		if coop {
 			point = "C-ARQ"
 		}
-		results[i] = b.TrafficGrid(point, cfg)
+		harness.Add(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -820,13 +806,12 @@ func stopGo(c *harness.Context) error {
 	for i, coop := range arms {
 		cfg := scenario.DefaultStopGo()
 		cfg.Rounds = c.CappedRounds(6)
-		cfg.Seed = c.Seed()
 		cfg.Coop = coop
 		point := "no-coop"
 		if coop {
 			point = "C-ARQ"
 		}
-		results[i] = b.StopGo(point, cfg)
+		harness.Add(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -899,10 +884,9 @@ func cityScale(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultCityScale()
 		cfg.Rounds = c.CappedRounds(2)
-		cfg.Seed = c.Seed()
 		cfg.Background = tc.background
 		cfg.Coop = tc.coop
-		results[i] = b.CityScale(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -973,10 +957,9 @@ func cityDemand(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultCityDemand()
 		cfg.Rounds = c.CappedRounds(2)
-		cfg.Seed = c.Seed()
 		cfg.DemandScale = tc.scale
 		cfg.Actuated = tc.actuated
-		results[i] = b.CityDemand(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err
@@ -1049,10 +1032,9 @@ func twoWay(c *harness.Context) error {
 	for i, tc := range arms {
 		cfg := scenario.DefaultTwoWay()
 		cfg.Rounds = c.CappedRounds(6)
-		cfg.Seed = c.Seed()
 		cfg.Coop = tc.coop
 		cfg.RelayCars = tc.relays
-		results[i] = b.TwoWay(tc.name, cfg)
+		harness.Add(b, tc.name, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err

@@ -31,7 +31,7 @@ func main() {
 		cfg.APSpacingM = *spacing
 		cfg.Rounds = *rounds
 		cfg.Coop = coop
-		res, err := scenario.RunCorridor(cfg)
+		res, err := scenario.RunRounds(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

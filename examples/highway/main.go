@@ -27,7 +27,7 @@ func main() {
 		cfg := scenario.DefaultHighway()
 		cfg.Rounds = *rounds
 		cfg.SpeedMPS = kmh / 3.6
-		res, err := scenario.RunHighway(cfg)
+		res, err := scenario.RunRounds(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 
 	fmt.Printf("running the urban testbed: %d rounds, %d cars at %.1f m/s...\n\n",
 		cfg.Rounds, cfg.Cars, cfg.SpeedMPS)
-	res, err := scenario.RunTestbed(cfg)
+	res, err := scenario.RunRounds(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

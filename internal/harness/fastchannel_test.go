@@ -34,7 +34,8 @@ func TestBatchAppliesChannelMode(t *testing.T) {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = 1
 		cfg.FastChannel = cfgFast
-		res := b.Testbed("mode", cfg)
+		var res *scenario.TestbedResult
+		Add(b, "mode", cfg, &res)
 		if err := b.Go(); err != nil {
 			t.Fatal(err)
 		}

@@ -217,8 +217,8 @@ type Context struct {
 // RecycleTraces registers a slice of protocol-trace collectors to hand
 // back to the scenario trace pool when the experiment's Run returns —
 // the ownership contract that lets the harness reuse one collector's
-// grown record buffers across thousands of rounds. Batch result
-// builders register their per-round protocol traces automatically;
+// grown record buffers across thousands of rounds. A Batch registers
+// its per-round protocol traces automatically;
 // studies only need this for collectors they obtain outside a Batch.
 // Never register cache-owned traffic streams: those are shared across
 // arms and processes and must survive the experiment.
@@ -239,13 +239,13 @@ func (c *Context) CappedRounds(n int) int {
 }
 
 // FastChannel reports whether the run requested the approximate fast
-// channel mode (-fast-channel). Batch result builders apply it to every
-// unit's scenario config before the config digest is taken, so exact and
-// fast results never alias in the result store.
+// channel mode (-fast-channel). A Batch applies it to every unit's
+// scenario config before the config digest is taken, so exact and fast
+// results never alias in the result store.
 func (c *Context) FastChannel() bool { return c.runner.opts.FastChannel }
 
-// Seed returns the run's root seed. Studies put it in their scenario
-// configs; each round function then derives its own streams from it and
+// Seed returns the run's root seed. A Batch stamps it into every
+// scenario config; each round then derives its own streams from it and
 // the round index alone (sim.SeedFor), so any unit can be re-run in
 // isolation and scheduling can never perturb results.
 func (c *Context) Seed() int64 { return c.runner.opts.Seed }

@@ -137,13 +137,34 @@ func TestBatchReuseAfterConfigError(t *testing.T) {
 	r := newTestRunner(t, 1)
 	c := &Context{runner: r, rec: &ExperimentRecord{}}
 	b := c.Batch()
-	bad := scenario.TestbedConfig{} // zero rounds/cars: rejected
-	b.Testbed("bad", bad)
+	var res *scenario.TestbedResult
+	Add(b, "bad", scenario.TestbedConfig{}, &res) // zero rounds/cars: rejected
 	if err := b.Go(); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	if err := b.Go(); err != nil {
 		t.Fatalf("stale config error survived reset: %v", err)
+	}
+}
+
+// TestBatchRejectsInvalidDownload: an invalid download config fails Go
+// before any unit runs — no unit attempt, retry or failure record — like
+// an invalid config of any round-based family.
+func TestBatchRejectsInvalidDownload(t *testing.T) {
+	r := newTestRunner(t, 1)
+	tim := &ExperimentTiming{}
+	c := &Context{runner: r, rec: &ExperimentRecord{}, tim: tim}
+	b := c.Batch()
+	bad := scenario.DefaultDownload()
+	bad.FileBlocks = 0
+	var res *scenario.DownloadResult
+	AddDownload(b, "bad", bad, &res)
+	if err := b.Go(); err == nil {
+		t.Fatal("invalid download config accepted")
+	}
+	if tim.Retries != 0 || len(tim.Failed) != 0 || c.rec.Units != 0 {
+		t.Fatalf("invalid config reached the pool: retries=%d failed=%d units=%d",
+			tim.Retries, len(tim.Failed), c.rec.Units)
 	}
 }
 
@@ -243,7 +264,8 @@ func TestRunnerRecyclesRoundCollectors(t *testing.T) {
 		Name: "reg-recycle-a",
 		Run: func(c *Context) error {
 			b := c.Batch()
-			res := b.Highway("p", tiny())
+			var res *scenario.HighwayResult
+			Add(b, "p", tiny(), &res)
 			if err := b.Go(); err != nil {
 				return err
 			}
@@ -256,7 +278,8 @@ func TestRunnerRecyclesRoundCollectors(t *testing.T) {
 		Name: "reg-recycle-b",
 		Run: func(c *Context) error {
 			b := c.Batch()
-			res := b.Highway("p", tiny())
+			var res *scenario.HighwayResult
+			Add(b, "p", tiny(), &res)
 			if err := b.Go(); err != nil {
 				return err
 			}
@@ -315,7 +338,8 @@ func TestCityDemandWorkerInvariance(t *testing.T) {
 		}
 		c := &Context{runner: r, rec: &ExperimentRecord{}}
 		b := c.Batch()
-		res := b.CityDemand("p", cfg)
+		var res *scenario.CityDemandResult
+		Add(b, "p", cfg, &res)
 		if err := b.Go(); err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +367,7 @@ func TestCityDemandWorkerInvariance(t *testing.T) {
 
 // TestBatchTestbedMatchesRunTestbed is the harness half of the
 // determinism contract: decomposing a testbed experiment into pooled
-// work units must reproduce scenario.RunTestbed bit-for-bit.
+// work units must reproduce scenario.RunRounds bit-for-bit.
 func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -355,7 +379,7 @@ func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 	// direct run too so both execute the identical config.
 	cfg.Arm = "canonical"
 
-	direct, err := scenario.RunTestbed(cfg)
+	direct, err := scenario.RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +389,10 @@ func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Context{runner: r, rec: &ExperimentRecord{}}
-	pooled, err := c.Testbed("canonical", cfg)
-	if err != nil {
+	b := c.Batch()
+	var pooled *scenario.TestbedResult
+	Add(b, "canonical", cfg, &pooled)
+	if err := b.Go(); err != nil {
 		t.Fatal(err)
 	}
 

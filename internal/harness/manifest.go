@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // ManifestSchema versions the manifest layout for downstream tooling.
@@ -137,11 +138,17 @@ func (m *Manifest) WriteManifest(path string) error {
 	return writeJSON(path, m)
 }
 
-// ReadManifest loads a manifest written by WriteManifest.
+// ReadManifest loads a manifest written by WriteManifest. It rejects
+// null records, which every consumer would dereference.
 func ReadManifest(path string) (*Manifest, error) {
 	var m Manifest
 	if err := readJSON(path, &m); err != nil {
 		return nil, err
+	}
+	for _, e := range m.Experiments {
+		if e == nil || slices.Contains(e.Points, nil) || slices.Contains(e.Outputs, nil) {
+			return nil, nullRecord(path)
+		}
 	}
 	return &m, nil
 }
@@ -151,13 +158,23 @@ func (t *Timings) WriteTimings(path string) error {
 	return writeJSON(path, t)
 }
 
-// ReadTimings loads a timings sidecar written by WriteTimings.
+// ReadTimings loads a timings sidecar written by WriteTimings. Like
+// ReadManifest, it rejects null records.
 func ReadTimings(path string) (*Timings, error) {
 	var t Timings
 	if err := readJSON(path, &t); err != nil {
 		return nil, err
 	}
+	for _, e := range t.Experiments {
+		if e == nil || slices.Contains(e.Failed, nil) {
+			return nil, nullRecord(path)
+		}
+	}
 	return &t, nil
+}
+
+func nullRecord(path string) error {
+	return fmt.Errorf("harness: %s: null record", filepath.Base(path))
 }
 
 func writeJSON(path string, v any) error {

@@ -256,7 +256,8 @@ func TestResumeByteIdentity(t *testing.T) {
 		r := resumeRunner(t, storeDir, cfg.Rounds, workers)
 		c := &Context{runner: r, rec: &ExperimentRecord{Name: "resume-hw"}}
 		b := c.Batch()
-		res := b.Highway("p", cfg)
+		var res *scenario.HighwayResult
+		Add(b, "p", cfg, &res)
 		if err := b.Go(); err != nil {
 			t.Fatal(err)
 		}

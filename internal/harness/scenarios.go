@@ -5,21 +5,14 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
 // Batch accumulates (scenario, parameter-point, round) work units across
 // parameter points so one Go() call can saturate the pool with every
-// round of every point at once. Results returned by the AddX methods are
-// filled in when Go returns; reading them earlier is a bug.
-//
-// Every method keys the config's sweep arm (scenario's Arm field) by the
-// parameter-point label unless the study set one explicitly, so different
-// arms of one sweep draw independent channel/protocol randomness — no two
-// arms share a fading realization — while their expensive traffic worlds
-// stay shared through the (seed, round)-keyed caches.
+// round of every point at once. Add and AddDownload write their results
+// when Go returns; reading them earlier is a bug.
 //
 // Every unit resolves against the runner's result store (when one is
 // configured) before computing: the unit key is the root seed, the full
@@ -36,15 +29,23 @@ type Batch struct {
 // Batch starts an empty work-unit batch.
 func (c *Context) Batch() *Batch { return &Batch{ctx: c} }
 
-// applyChannelMode applies the run's channel mode (-fast-channel) to one
-// unit's scenario config; a config that already requested the fast mode
-// keeps it. This changes results — fast mode is statistically
-// equivalent, not byte-identical — which is exactly why it must run
-// before the config digest is taken: a stored exact-mode unit must never
-// be served to a fast-mode sweep, or vice versa.
-func (b *Batch) applyChannelMode(fast *bool) {
+// stamp applies the run to one point's shared scenario settings. The
+// root seed is the run's. The sweep arm defaults to the point label, so
+// different arms of one sweep draw independent channel/protocol
+// randomness — no two arms share a fading realization — while their
+// expensive traffic worlds stay shared through the (seed, round)-keyed
+// caches. The run's channel mode (-fast-channel) switches the fast mode
+// on; a config that already requested it keeps it. Fast mode changes
+// results — it is statistically equivalent, not byte-identical — which
+// is why stamping precedes the config digest: a stored exact-mode unit
+// must never be served to a fast-mode sweep, or vice versa.
+func (b *Batch) stamp(point string, c *scenario.Common) {
+	c.Seed = b.ctx.Seed()
+	if c.Arm == "" {
+		c.Arm = point
+	}
 	if b.ctx.FastChannel() {
-		*fast = true
+		c.FastChannel = true
 	}
 }
 
@@ -69,17 +70,18 @@ func (b *Batch) Go() error {
 	return nil
 }
 
-// roundMeta is the scenario-agnostic sidecar of one stored round.
+// roundMeta is the scenario-agnostic sidecar of one stored round,
+// written only when it carries a value.
 type roundMeta struct {
 	DurationNS int64 `json:"duration_ns,omitempty"`
 	Vehicles   int   `json:"vehicles,omitempty"`
 }
 
-// downloadMeta is the stored form of a DownloadResult minus its trace.
+// downloadMeta is the stored form of a DownloadResult minus its trace
+// and config.
 type downloadMeta struct {
-	Config    scenario.DownloadConfig `json:"config"`
-	Cars      []scenario.CarDownload  `json:"cars"`
-	LapTimeNS int64                   `json:"lap_time_ns"`
+	Cars      []scenario.CarDownload `json:"cars"`
+	LapTimeNS int64                  `json:"lap_time_ns"`
 }
 
 func marshalMeta(v any) (json.RawMessage, error) {
@@ -138,320 +140,79 @@ func unmarshalRoundMeta(res *UnitResult) (roundMeta, error) {
 	return m, nil
 }
 
-// Testbed adds every round of one urban-testbed parameter point. The
-// returned result is filled when Go returns.
-func (b *Batch) Testbed(point string, cfg scenario.TestbedConfig) *scenario.TestbedResult {
-	ncfg, err := cfg.Normalized()
+// Add adds every round of one parameter point of a round-based scenario
+// family, and writes the point's result to *out when Go returns. The run
+// stamps the config (see stamp) before it is normalized and digested; a
+// config that fails to normalize fails Go before any unit runs.
+func Add[C scenario.Family[C, R], R any, P interface {
+	*C
+	Base() *scenario.Common
+}](b *Batch, point string, cfg C, out *R) {
+	b.stamp(point, P(&cfg).Base())
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.TestbedResult{}
+		return
 	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	// The pool owns concurrency; a nested parallel loop would only fight
-	// it for cores.
-	ncfg.Parallel = false
-	res := &scenario.TestbedResult{
-		Config: ncfg,
-		CarIDs: scenario.CarIDs(ncfg.Cars),
-		Rounds: make([]*trace.Collector, ncfg.Rounds),
-	}
-	durs := make([]time.Duration, ncfg.Rounds)
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("testbed", point, ncfg.Rounds, ncfg,
+	rounds := make([]scenario.Round, cfg.NumRounds())
+	b.addStoredRounds(cfg.Name(), point, len(rounds), cfg,
 		func(round int) (*UnitResult, error) {
-			col, dur, err := scenario.TestbedRound(ncfg, round)
+			r, err := cfg.Round(round)
 			if err != nil {
 				return nil, err
 			}
-			meta, err := marshalMeta(roundMeta{DurationNS: int64(dur)})
-			if err != nil {
-				return nil, err
+			res := &UnitResult{Protocol: r.Protocol, Traffic: r.Traffic}
+			if r.Duration != 0 || r.Vehicles != 0 {
+				m := roundMeta{DurationNS: int64(r.Duration), Vehicles: r.Vehicles}
+				if res.Meta, err = marshalMeta(m); err != nil {
+					return nil, err
+				}
 			}
-			return &UnitResult{Meta: meta, Protocol: col}, nil
+			return res, nil
 		},
 		func(round int, u *UnitResult) error {
 			m, err := unmarshalRoundMeta(u)
 			if err != nil {
 				return err
 			}
-			res.Rounds[round], durs[round] = u.Protocol, time.Duration(m.DurationNS)
+			rounds[round] = scenario.Round{
+				Protocol: u.Protocol,
+				Traffic:  u.Traffic,
+				Duration: time.Duration(m.DurationNS),
+				Vehicles: m.Vehicles,
+			}
 			return nil
 		})
-	b.finalize = append(b.finalize, func() { res.RoundDuration = durs[0] })
-	return res
+	b.finalize = append(b.finalize, func() {
+		*out = cfg.Result(rounds)
+		cols := make([]*trace.Collector, len(rounds))
+		for i, r := range rounds {
+			cols[i] = r.Protocol
+		}
+		b.ctx.RecycleTraces(cols)
+	})
 }
 
-// Highway adds every round of one drive-thru parameter point.
-func (b *Batch) Highway(point string, cfg scenario.HighwayConfig) *scenario.HighwayResult {
-	ncfg, err := cfg.Normalized()
+// AddDownload adds one multi-lap file-download point as a single unit
+// (the download scenario is one continuous simulation, not rounds), and
+// writes its result to *out when Go returns. The stored form carries the
+// per-car summaries and lap time in the meta section and the trace as
+// the protocol section; the config is the normalized one the unit key
+// digests.
+func AddDownload(b *Batch, point string, cfg scenario.DownloadConfig, out **scenario.DownloadResult) {
+	b.stamp(point, &cfg.Common)
+	cfg, err := cfg.Normalized()
 	if err != nil {
 		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.HighwayResult{}
+		return
 	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.HighwayResult{
-		Config: ncfg,
-		CarIDs: scenario.CarIDs(ncfg.Cars),
-		Rounds: make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("highway", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, err := scenario.HighwayRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round] = u.Protocol
-			return nil
-		})
-	return res
-}
-
-// Corridor adds every round of one multi-Infostation parameter point.
-func (b *Batch) Corridor(point string, cfg scenario.CorridorConfig) *scenario.CorridorResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.CorridorResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.CorridorResult{
-		Config:      ncfg,
-		CarIDs:      scenario.CarIDs(ncfg.Cars),
-		RoadLengthM: scenario.CorridorRoadLength(ncfg),
-		Rounds:      make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("corridor", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, err := scenario.CorridorRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round] = u.Protocol
-			return nil
-		})
-	return res
-}
-
-// TwoWay adds every round of one two-way-highway parameter point.
-func (b *Batch) TwoWay(point string, cfg scenario.TwoWayConfig) *scenario.TwoWayResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.TwoWayResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.TwoWayResult{
-		Config:   ncfg,
-		CarIDs:   scenario.CarIDs(ncfg.Cars),
-		RelayIDs: scenario.TwoWayRelayIDs(ncfg.RelayCars),
-		Rounds:   make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("twoway", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, err := scenario.TwoWayRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round] = u.Protocol
-			return nil
-		})
-	return res
-}
-
-// TrafficGrid adds every round of one signalized urban-grid parameter
-// point. Per-round traffic streams land in the result alongside the
-// protocol traces.
-func (b *Batch) TrafficGrid(point string, cfg scenario.TrafficGridConfig) *scenario.TrafficGridResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.TrafficGridResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.TrafficGridResult{
-		Config:  ncfg,
-		CarIDs:  scenario.CarIDs(ncfg.Cars),
-		Rounds:  make([]*trace.Collector, ncfg.Rounds),
-		Traffic: make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("trafficgrid", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, err := scenario.TrafficGridRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round], res.Traffic[round] = u.Protocol, u.Traffic
-			return nil
-		})
-	return res
-}
-
-// CityScale adds every round of one city-scale parameter point.
-func (b *Batch) CityScale(point string, cfg scenario.CityScaleConfig) *scenario.CityScaleResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.CityScaleResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.CityScaleResult{
-		Config:  ncfg,
-		CarIDs:  scenario.CarIDs(ncfg.Cars),
-		Rounds:  make([]*trace.Collector, ncfg.Rounds),
-		Traffic: make([]*trace.Collector, ncfg.Rounds),
-	}
-	for i := 0; i < ncfg.APs; i++ {
-		res.APIDs = append(res.APIDs, scenario.APID+packet.NodeID(i))
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("cityscale", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, err := scenario.CityScaleRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round], res.Traffic[round] = u.Protocol, u.Traffic
-			return nil
-		})
-	return res
-}
-
-// CityDemand adds every round of one demand-driven city parameter point.
-func (b *Batch) CityDemand(point string, cfg scenario.CityDemandConfig) *scenario.CityDemandResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.CityDemandResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.CityDemandResult{
-		Config:   ncfg,
-		CarIDs:   scenario.CarIDs(ncfg.Cars),
-		Rounds:   make([]*trace.Collector, ncfg.Rounds),
-		Traffic:  make([]*trace.Collector, ncfg.Rounds),
-		Vehicles: make([]int, ncfg.Rounds),
-	}
-	for i := 0; i < ncfg.APs; i++ {
-		res.APIDs = append(res.APIDs, scenario.APID+packet.NodeID(i))
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("citydemand", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, vehicles, err := scenario.CityDemandRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			meta, err := marshalMeta(roundMeta{Vehicles: vehicles})
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Meta: meta, Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			m, err := unmarshalRoundMeta(u)
-			if err != nil {
-				return err
-			}
-			res.Rounds[round], res.Traffic[round], res.Vehicles[round] = u.Protocol, u.Traffic, m.Vehicles
-			return nil
-		})
-	return res
-}
-
-// StopGo adds every round of one congested-highway parameter point.
-func (b *Batch) StopGo(point string, cfg scenario.StopGoConfig) *scenario.StopGoResult {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return &scenario.StopGoResult{}
-	}
-	if ncfg.Arm == "" {
-		ncfg.Arm = point
-	}
-	b.applyChannelMode(&ncfg.FastChannel)
-	res := &scenario.StopGoResult{
-		Config:  ncfg,
-		CarIDs:  scenario.CarIDs(ncfg.Cars),
-		Rounds:  make([]*trace.Collector, ncfg.Rounds),
-		Traffic: make([]*trace.Collector, ncfg.Rounds),
-	}
-	b.ctx.RecycleTraces(res.Rounds)
-	b.addStoredRounds("stopgo", point, ncfg.Rounds, ncfg,
-		func(round int) (*UnitResult, error) {
-			col, stream, err := scenario.StopGoRound(ncfg, round)
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Protocol: col, Traffic: stream}, nil
-		},
-		func(round int, u *UnitResult) error {
-			res.Rounds[round], res.Traffic[round] = u.Protocol, u.Traffic
-			return nil
-		})
-	return res
-}
-
-// Download adds one multi-lap file-download point as a single unit (the
-// download scenario is one continuous simulation, not rounds). The
-// stored form carries the post-normalisation config and per-car
-// summaries in the meta section and the trace as the protocol section.
-func (b *Batch) Download(point string, cfg scenario.DownloadConfig) **scenario.DownloadResult {
-	if cfg.Arm == "" {
-		cfg.Arm = point
-	}
-	b.applyChannelMode(&cfg.FastChannel)
-	res := new(*scenario.DownloadResult)
 	b.addStoredRounds("download", point, 1, cfg,
 		func(int) (*UnitResult, error) {
 			r, err := scenario.RunDownload(cfg)
 			if err != nil {
 				return nil, err
 			}
-			meta, err := marshalMeta(downloadMeta{
-				Config:    r.Config,
-				Cars:      r.Cars,
-				LapTimeNS: int64(r.LapTime),
-			})
+			meta, err := marshalMeta(downloadMeta{Cars: r.Cars, LapTimeNS: int64(r.LapTime)})
 			if err != nil {
 				return nil, err
 			}
@@ -462,80 +223,15 @@ func (b *Batch) Download(point string, cfg scenario.DownloadConfig) **scenario.D
 			if err := json.Unmarshal(u.Meta, &m); err != nil {
 				return fmt.Errorf("harness: download meta: %w", err)
 			}
-			*res = &scenario.DownloadResult{
-				Config:  m.Config,
+			*out = &scenario.DownloadResult{
+				Config:  cfg,
 				Cars:    m.Cars,
 				Trace:   u.Protocol,
 				LapTime: time.Duration(m.LapTimeNS),
 			}
 			return nil
 		})
-	// The download result is a pointer filled by the unit; register its
-	// trace once Go has resolved it.
 	b.finalize = append(b.finalize, func() {
-		if *res != nil {
-			b.ctx.RecycleTraces([]*trace.Collector{(*res).Trace})
-		}
+		b.ctx.RecycleTraces([]*trace.Collector{(*out).Trace})
 	})
-	return res
-}
-
-// TrafficGrid runs a single urban-grid point through the pool.
-func (c *Context) TrafficGrid(point string, cfg scenario.TrafficGridConfig) (*scenario.TrafficGridResult, error) {
-	b := c.Batch()
-	res := b.TrafficGrid(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// StopGo runs a single congested-highway point through the pool.
-func (c *Context) StopGo(point string, cfg scenario.StopGoConfig) (*scenario.StopGoResult, error) {
-	b := c.Batch()
-	res := b.StopGo(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Testbed runs a single testbed point through the pool.
-func (c *Context) Testbed(point string, cfg scenario.TestbedConfig) (*scenario.TestbedResult, error) {
-	b := c.Batch()
-	res := b.Testbed(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Highway runs a single drive-thru point through the pool.
-func (c *Context) Highway(point string, cfg scenario.HighwayConfig) (*scenario.HighwayResult, error) {
-	b := c.Batch()
-	res := b.Highway(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// Corridor runs a single corridor point through the pool.
-func (c *Context) Corridor(point string, cfg scenario.CorridorConfig) (*scenario.CorridorResult, error) {
-	b := c.Batch()
-	res := b.Corridor(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// TwoWay runs a single two-way point through the pool.
-func (c *Context) TwoWay(point string, cfg scenario.TwoWayConfig) (*scenario.TwoWayResult, error) {
-	b := c.Batch()
-	res := b.TwoWay(point, cfg)
-	if err := b.Go(); err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -29,6 +29,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -439,11 +440,37 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadSnapshotJSON parses a snapshot written by WriteJSON.
+// ReadSnapshotJSON parses a snapshot written by WriteJSON. It rejects
+// what a registry never produces and WritePrometheus could not render
+// as one sample or comment per line: a family or label name outside the
+// Prometheus charset, or a help string with a line break.
 func ReadSnapshotJSON(data []byte) (Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return s, fmt.Errorf("metrics: snapshot: %w", err)
+	}
+	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
+	for _, c := range s.Counters {
+		names = append(names, c.Name)
+		if c.Label != "" || c.LabelKey != "" {
+			names = append(names, c.LabelKey)
+		}
+	}
+	for _, g := range s.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, h := range s.Histograms {
+		names = append(names, h.Name)
+	}
+	for _, name := range names {
+		if !ValidName(name) {
+			return Snapshot{}, fmt.Errorf("metrics: snapshot: invalid name %q", name)
+		}
+	}
+	for name, help := range s.Help {
+		if strings.ContainsAny(help, "\r\n") {
+			return Snapshot{}, fmt.Errorf("metrics: snapshot: help for %q spans lines", name)
+		}
 	}
 	s.sort()
 	return s, nil

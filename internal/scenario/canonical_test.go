@@ -11,7 +11,7 @@ func TestCanonical30Rounds(t *testing.T) {
 		t.Skip("full experiment in -short mode")
 	}
 	cfg := DefaultTestbed()
-	res, err := RunTestbed(cfg)
+	res, err := RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

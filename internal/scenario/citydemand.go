@@ -27,21 +27,13 @@ import (
 // cooperative-ARQ candidate set — follows realistic gradients rather
 // than statistically flat noise.
 type CityDemandConfig struct {
+	Common
 	Rounds int
-	// Cars is the platoon size (the C-ARQ stations).
-	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// GridRows x GridCols intersections, BlockM apart.
 	GridRows, GridCols int
 	BlockM             float64
-	// APs is the Infostation count: 4 at the platoon circuit's corners,
+	// APs is the Infostation count (each runs the synchronised carousel
+	// at PacketsPerSecond per flow): 4 at the platoon circuit's corners,
 	// up to 8 adding the side midpoints.
 	APs int
 	// DemandScale multiplies every OD flow's rate — the sweep knob that
@@ -53,13 +45,9 @@ type CityDemandConfig struct {
 	// control (stop-line occupancy extends green up to a max, gap-out
 	// otherwise); false keeps the fixed cycles.
 	Actuated bool
-	// PacketsPerSecond per flow for the synchronised AP carousel.
-	PacketsPerSecond float64
-	PayloadBytes     int
 	// HelloPeriod is the demand vehicles' beacon period (every injected
 	// vehicle carries a radio, like the city-scale background).
 	HelloPeriod time.Duration
-	Coop        bool
 	Modulation  radio.Modulation
 	// Duration is the simulated time per round; it is also the demand
 	// horizon vehicles are injected over.
@@ -68,18 +56,6 @@ type CityDemandConfig struct {
 	// the shared trace cache) instead of live-stepping; both modes
 	// produce byte-identical traces.
 	Replay bool
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
 }
 
 // DefaultCityDemand returns a 12x12-intersection city (2.2 km on a side)
@@ -87,22 +63,24 @@ type CityDemandConfig struct {
 // a demand table that injects roughly ninety vehicles over the round.
 func DefaultCityDemand() CityDemandConfig {
 	return CityDemandConfig{
-		Rounds:           4,
-		Cars:             10,
-		Seed:             1,
-		GridRows:         12,
-		GridCols:         12,
-		BlockM:           200,
-		APs:              4,
-		DemandScale:      1,
-		Actuated:         true,
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		HelloPeriod:      time.Second,
-		Coop:             true,
-		Modulation:       radio.DSSS1Mbps,
-		Duration:         160 * time.Second,
-		Replay:           true,
+		Common: Common{
+			Cars:             10,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:      4,
+		GridRows:    12,
+		GridCols:    12,
+		BlockM:      200,
+		APs:         4,
+		DemandScale: 1,
+		Actuated:    true,
+		HelloPeriod: time.Second,
+		Modulation:  radio.DSSS1Mbps,
+		Duration:    160 * time.Second,
+		Replay:      true,
 	}
 }
 
@@ -159,7 +137,6 @@ func (cfg CityDemandConfig) Normalized() (CityDemandConfig, error) {
 type CityDemandResult struct {
 	Config CityDemandConfig
 	CarIDs []packet.NodeID
-	APIDs  []packet.NodeID
 	// Rounds are the protocol traces; Traffic the recorded vehicle
 	// streams behind them; Vehicles the demand-vehicle count of each
 	// round (stations beyond the platoon and APs).
@@ -280,19 +257,47 @@ func cityDemandWorld(cfg CityDemandConfig, roundSeed int64) (*traffic.GridNet, [
 	return g, append(specs, demand...), nil
 }
 
-// CityDemandRound runs one round and returns the protocol trace, the
-// traffic stream behind it, and the round's demand-vehicle count. Rounds
-// are independent: every stream — including the Poisson arrival
-// processes — derives from the root seed and round index alone.
+// Name implements Family.
+func (CityDemandConfig) Name() string { return "citydemand" }
+
+// NumRounds implements Family.
+func (cfg CityDemandConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg CityDemandConfig) Result(rounds []Round) *CityDemandResult {
+	res := &CityDemandResult{
+		Config:   cfg,
+		CarIDs:   CarIDs(cfg.Cars),
+		Rounds:   protocols(rounds),
+		Traffic:  streams(rounds),
+		Vehicles: make([]int, len(rounds)),
+	}
+	for i, r := range rounds {
+		res.Vehicles[i] = r.Vehicles
+	}
+	return res
+}
+
+// CityDemandRound normalizes cfg and runs one round, returning the
+// protocol trace, the traffic stream behind it, and the round's
+// demand-vehicle count.
 func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.Collector, int, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	r, err := cfg.Round(round)
+	return r.Protocol, r.Traffic, r.Vehicles, err
+}
+
+// Round implements Family: the protocol trace, the traffic stream behind
+// it and the demand-vehicle count. Every stream — including the Poisson
+// arrival processes — derives from the root seed and round index alone.
+func (cfg CityDemandConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("citydemand-round-%d", round))
 	g, specs, err := cityDemandWorld(cfg, roundSeed)
 	if err != nil {
-		return nil, nil, 0, err
+		return Round{}, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	carIDs := CarIDs(cfg.Cars)
@@ -303,25 +308,15 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 	models, trafficStream, preRun, err := trafficModels(g.Network, tcfg, specs,
 		cfg.Duration, cfg.Replay, len(specs))
 	if err != nil {
-		return nil, nil, 0, err
+		return Round{}, err
 	}
 
-	chCfg := cityScaleChannel()
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
 	cars := make([]CarSpec, 0, len(specs))
 	for i, id := range carIDs {
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars = append(cars, CarSpec{ID: id, Mobility: models[i], Carq: ccfg})
+		cars = append(cars, CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)})
 	}
 	period := cfg.HelloPeriod
 	for i := 0; i < demandVehicles; i++ {
@@ -354,40 +349,16 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 		}
 	}
 
-	result, err := Run(Setup{
-		Seed:     sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel:  chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel:  cityScaleChannel(),
 		MAC:      macCfg,
 		APs:      aps,
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, nil, 0, err
+		return Round{}, err
 	}
-	return result.Trace, trafficStream, demandVehicles, nil
-}
-
-// RunCityDemand executes every round serially.
-func RunCityDemand(cfg CityDemandConfig) (*CityDemandResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &CityDemandResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for i := 0; i < cfg.APs; i++ {
-		res.APIDs = append(res.APIDs, APID+packet.NodeID(i))
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, vehicles, err := CityDemandRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: city demand round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
-		res.Vehicles = append(res.Vehicles, vehicles)
-	}
-	return res, nil
+	return Round{Protocol: result.Trace, Traffic: trafficStream, Vehicles: demandVehicles}, nil
 }

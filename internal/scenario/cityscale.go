@@ -27,32 +27,20 @@ const BackgroundID packet.NodeID = 200
 // hundreds of background vehicles beacon HELLOs — the dense-VANET
 // workload the spatially-indexed medium exists for.
 type CityScaleConfig struct {
+	Common
 	Rounds int
-	// Cars is the platoon size (the C-ARQ stations).
-	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// Background is the number of beacon-only vehicles sharing the grid;
 	// every one is a MAC station.
 	Background int
 	// GridRows x GridCols intersections, BlockM apart.
 	GridRows, GridCols int
 	BlockM             float64
-	// APs is the Infostation count: 4 at the platoon circuit's corners,
+	// APs is the Infostation count (each runs the synchronised carousel
+	// at PacketsPerSecond per flow): 4 at the platoon circuit's corners,
 	// up to 8 adding the side midpoints.
 	APs int
-	// PacketsPerSecond per flow for the synchronised AP carousel.
-	PacketsPerSecond float64
-	PayloadBytes     int
 	// HelloPeriod is the background vehicles' beacon period.
 	HelloPeriod time.Duration
-	Coop        bool
 	Modulation  radio.Modulation
 	// Duration is the simulated time per round.
 	Duration time.Duration
@@ -60,18 +48,6 @@ type CityScaleConfig struct {
 	// the shared trace cache) instead of live-stepping; both modes
 	// produce byte-identical traces.
 	Replay bool
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
 }
 
 // DefaultCityScale returns a 16x16-intersection city (3 km on a side)
@@ -79,21 +55,23 @@ type CityScaleConfig struct {
 // corner Infostations — 304 stations in total.
 func DefaultCityScale() CityScaleConfig {
 	return CityScaleConfig{
-		Rounds:           4,
-		Cars:             10,
-		Seed:             1,
-		Background:       290,
-		GridRows:         16,
-		GridCols:         16,
-		BlockM:           200,
-		APs:              4,
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		HelloPeriod:      time.Second,
-		Coop:             true,
-		Modulation:       radio.DSSS1Mbps,
-		Duration:         160 * time.Second,
-		Replay:           true,
+		Common: Common{
+			Cars:             10,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:      4,
+		Background:  290,
+		GridRows:    16,
+		GridCols:    16,
+		BlockM:      200,
+		APs:         4,
+		HelloPeriod: time.Second,
+		Modulation:  radio.DSSS1Mbps,
+		Duration:    160 * time.Second,
+		Replay:      true,
 	}
 }
 
@@ -148,7 +126,6 @@ func (cfg CityScaleConfig) Normalized() (CityScaleConfig, error) {
 type CityScaleResult struct {
 	Config  CityScaleConfig
 	CarIDs  []packet.NodeID
-	APIDs   []packet.NodeID
 	Rounds  []*trace.Collector
 	Traffic []*trace.Collector
 }
@@ -344,18 +321,40 @@ func (n *beaconNode) beacon() {
 	n.engine.Schedule(n.period+jitter-n.period/8, n.beacon)
 }
 
-// CityScaleRound runs one round and returns the protocol trace and the
-// traffic stream behind it. Rounds are independent: every stream derives
-// from the root seed and round index alone.
+// Name implements Family.
+func (CityScaleConfig) Name() string { return "cityscale" }
+
+// NumRounds implements Family.
+func (cfg CityScaleConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg CityScaleConfig) Result(rounds []Round) *CityScaleResult {
+	return &CityScaleResult{
+		Config:  cfg,
+		CarIDs:  CarIDs(cfg.Cars),
+		Rounds:  protocols(rounds),
+		Traffic: streams(rounds),
+	}
+}
+
+// CityScaleRound normalizes cfg and runs one round, returning the
+// protocol trace and the traffic stream behind it.
 func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Collector, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, err
 	}
+	r, err := cfg.Round(round)
+	return r.Protocol, r.Traffic, err
+}
+
+// Round implements Family: the protocol trace and the traffic stream
+// behind it.
+func (cfg CityScaleConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("city-round-%d", round))
 	g, specs, err := cityScaleWorld(cfg, roundSeed)
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	carIDs := CarIDs(cfg.Cars)
@@ -365,25 +364,15 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 	models, trafficStream, preRun, err := trafficModels(g.Network, tcfg, specs,
 		cfg.Duration, cfg.Replay, len(specs))
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
 
-	chCfg := cityScaleChannel()
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
 	cars := make([]CarSpec, 0, cfg.Cars+cfg.Background)
 	for i, id := range carIDs {
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars = append(cars, CarSpec{ID: id, Mobility: models[i], Carq: ccfg})
+		cars = append(cars, CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)})
 	}
 	period := cfg.HelloPeriod
 	for i := 0; i < cfg.Background; i++ {
@@ -411,20 +400,18 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 		}
 	}
 
-	result, err := Run(Setup{
-		Seed:     sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel:  chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel:  cityScaleChannel(),
 		MAC:      macCfg,
 		APs:      aps,
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
-	return result.Trace, trafficStream, nil
+	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
 }
 
 // CityScaleMobilityModels builds (through the shared traffic-trace cache)
@@ -449,25 +436,4 @@ func CityScaleMobilityModels(cfg CityScaleConfig, round int) ([]mobility.Model, 
 		return nil, nil, err
 	}
 	return models, gridAPs(g, cfg.APs), nil
-}
-
-// RunCityScale executes every round serially.
-func RunCityScale(cfg CityScaleConfig) (*CityScaleResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &CityScaleResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for i := 0; i < cfg.APs; i++ {
-		res.APIDs = append(res.APIDs, APID+packet.NodeID(i))
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, err := CityScaleRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: city scale round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
-	}
-	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/ap"
-	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/mobility"
@@ -20,54 +19,34 @@ import (
 // drives past AP1, cooperates in the gap, reaches AP2, and so on — the
 // full Reception -> Cooperative-ARQ -> Reception cycle, repeated.
 type CorridorConfig struct {
-	Rounds int
-	Cars   int
-	Seed   int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm              string
-	SpeedMPS         float64
-	HeadwayM         float64
-	PacketsPerSecond float64
-	PayloadBytes     int
-	Coop             bool
+	Common
+	Rounds   int
+	SpeedMPS float64
+	HeadwayM float64
 	// APCount and APSpacingM place the Infostations along the road,
 	// starting at x = APSpacingM/2.
 	APCount    int
 	APSpacingM float64
 	// APSetbackM is each AP's perpendicular offset from the lane.
 	APSetbackM float64
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneCarq optionally mutates each car's protocol config.
-	TuneCarq func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultCorridor returns a two-Infostation corridor at urban speed.
 func DefaultCorridor() CorridorConfig {
 	return CorridorConfig{
-		Rounds:           10,
-		Cars:             3,
-		Seed:             1,
-		SpeedMPS:         11, // ~40 km/h arterial road
-		HeadwayM:         40,
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		Coop:             true,
-		APCount:          2,
-		APSpacingM:       700,
-		APSetbackM:       12,
+		Common: Common{
+			Cars:             3,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:     10,
+		SpeedMPS:   11, // ~40 km/h arterial road
+		HeadwayM:   40,
+		APCount:    2,
+		APSpacingM: 700,
+		APSetbackM: 12,
 	}
 }
 
@@ -94,34 +73,6 @@ type CorridorResult struct {
 	RoadLengthM float64
 }
 
-// RunCorridor executes the multi-AP corridor rounds. The Infostations
-// broadcast a synchronised carousel: every AP transmits the same numbered
-// stream on the same schedule (as a backhaul-fed deployment would), so a
-// car hears early sequences around AP1, loses the mid-gap range unless a
-// platoon member caught it, and picks the stream back up around AP2. The
-// interesting quantity is how much of the *receivable* stream (anything
-// any platoon member heard) each car ends up holding — cooperation closes
-// most of that gap in the dark stretch between the stations.
-func RunCorridor(cfg CorridorConfig) (*CorridorResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &CorridorResult{
-		Config:      cfg,
-		CarIDs:      CarIDs(cfg.Cars),
-		RoadLengthM: CorridorRoadLength(cfg),
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, err := runCorridorRound(cfg, round, res.CarIDs, res.RoadLengthM)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: corridor round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-	}
-	return res, nil
-}
-
 // Normalized validates the config.
 func (cfg CorridorConfig) Normalized() (CorridorConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
@@ -141,18 +92,34 @@ func CorridorRoadLength(cfg CorridorConfig) float64 {
 	return float64(cfg.APCount) * cfg.APSpacingM
 }
 
-// CorridorRound runs one independent corridor round; see TestbedRound for
-// the determinism contract.
-func CorridorRound(cfg CorridorConfig, round int) (*trace.Collector, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
+// Name implements Family.
+func (CorridorConfig) Name() string { return "corridor" }
+
+// NumRounds implements Family.
+func (cfg CorridorConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg CorridorConfig) Result(rounds []Round) *CorridorResult {
+	return &CorridorResult{
+		Config:      cfg,
+		Rounds:      protocols(rounds),
+		CarIDs:      CarIDs(cfg.Cars),
+		RoadLengthM: CorridorRoadLength(cfg),
 	}
-	return runCorridorRound(cfg, round, CarIDs(cfg.Cars), CorridorRoadLength(cfg))
 }
 
-func runCorridorRound(cfg CorridorConfig, round int, carIDs []packet.NodeID, roadLen float64) (*trace.Collector, error) {
+// Round implements Family: one corridor drive. The Infostations
+// broadcast a synchronised carousel: every AP transmits the same numbered
+// stream on the same schedule (as a backhaul-fed deployment would), so a
+// car hears early sequences around AP1, loses the mid-gap range unless a
+// platoon member caught it, and picks the stream back up around AP2. The
+// interesting quantity is how much of the *receivable* stream (anything
+// any platoon member heard) each car ends up holding — cooperation closes
+// most of that gap in the dark stretch between the stations.
+func (cfg CorridorConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("corridor-round-%d", round))
+	carIDs := CarIDs(cfg.Cars)
+	roadLen := CorridorRoadLength(cfg)
 
 	road := mobility.StraightHighway(roadLen)
 	leader := mobility.MustPathFollower(mobility.FollowerConfig{
@@ -172,7 +139,7 @@ func runCorridorRound(cfg CorridorConfig, round int, carIDs []packet.NodeID, roa
 	}
 	platoon, err := mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 
 	passTime := time.Duration(roadLen / cfg.SpeedMPS * float64(time.Second))
@@ -199,28 +166,18 @@ func runCorridorRound(cfg CorridorConfig, round int, carIDs []packet.NodeID, roa
 
 	cars := make([]CarSpec, cfg.Cars)
 	for i := range cars {
-		id := carIDs[i]
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg}
+		cars[i] = CarSpec{ID: carIDs[i], Mobility: platoon.Car(i), Carq: cfg.carqConfig(carIDs[i])}
 	}
 
-	chCfg := corridorChannel()
-	chCfg.FastMode = cfg.FastChannel
-	result, err := Run(Setup{
-		Seed:     sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel:  chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel:  corridorChannel(),
 		MAC:      mac.DefaultConfig(),
 		APs:      aps,
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	return result.Trace, nil
+	return Round{Protocol: result.Trace}, nil
 }

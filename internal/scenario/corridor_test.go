@@ -9,17 +9,17 @@ import (
 func TestCorridorValidation(t *testing.T) {
 	bad := DefaultCorridor()
 	bad.APCount = 0
-	if _, err := RunCorridor(bad); err == nil {
+	if _, err := RunRounds(bad); err == nil {
 		t.Fatal("zero APs accepted")
 	}
 	bad2 := DefaultCorridor()
 	bad2.Rounds = 0
-	if _, err := RunCorridor(bad2); err == nil {
+	if _, err := RunRounds(bad2); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 	bad3 := DefaultCorridor()
 	bad3.SpeedMPS = 0
-	if _, err := RunCorridor(bad3); err == nil {
+	if _, err := RunRounds(bad3); err == nil {
 		t.Fatal("zero speed accepted")
 	}
 }
@@ -32,7 +32,7 @@ func TestCorridorCoopClosesCoverageGap(t *testing.T) {
 		cfg := DefaultCorridor()
 		cfg.Rounds = 3
 		cfg.Coop = coop
-		res, err := RunCorridor(cfg)
+		res, err := RunRounds(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestCorridorCarsSeeBothAPs(t *testing.T) {
 	}
 	cfg := DefaultCorridor()
 	cfg.Rounds = 1
-	res, err := RunCorridor(cfg)
+	res, err := RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

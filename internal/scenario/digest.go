@@ -18,7 +18,7 @@ import (
 // same never-serve-a-stale-world policy traffic.TraceKey established
 // for traffic worlds, generalised to whole scenario configs.
 //
-// Function-valued fields (TuneCarq, Factory, ...) cannot be hashed by
+// Function-valued fields (Factory, ...) cannot be hashed by
 // content; they digest by their runtime symbol name, which
 // distinguishes distinct functions and closures but not two instances
 // of one closure with different captured variables. Studies therefore

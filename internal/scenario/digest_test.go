@@ -11,19 +11,21 @@ import (
 
 func digestSampleConfig() HighwayConfig {
 	return HighwayConfig{
-		Rounds:           3,
-		Cars:             10,
-		Seed:             42,
-		Arm:              "coop",
-		SpeedMPS:         8.3,
-		HeadwayM:         25,
-		PacketsPerSecond: 10,
-		PayloadBytes:     500,
-		Coop:             true,
-		Modulation:       radio.DSSS2Mbps,
-		RoadLengthM:      2000,
-		APSetbackM:       10,
-		CoopTime:         5 * time.Second,
+		Common: Common{
+			Cars:             10,
+			Seed:             42,
+			Arm:              "coop",
+			PacketsPerSecond: 10,
+			PayloadBytes:     500,
+			Coop:             true,
+		},
+		Rounds:      3,
+		SpeedMPS:    8.3,
+		HeadwayM:    25,
+		Modulation:  radio.DSSS2Mbps,
+		RoadLengthM: 2000,
+		APSetbackM:  10,
+		CoopTime:    5 * time.Second,
 	}
 }
 
@@ -73,37 +75,27 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 // it — these are exactly the configs addStoredRounds keys stored results
 // by.
 func TestConfigDigestSeesFastChannelEverywhere(t *testing.T) {
-	cases := []struct {
-		name        string
-		exact, fast any
-	}{
-		{"testbed", TestbedConfig{}, TestbedConfig{FastChannel: true}},
-		{"highway", HighwayConfig{}, HighwayConfig{FastChannel: true}},
-		{"corridor", CorridorConfig{}, CorridorConfig{FastChannel: true}},
-		{"twoway", TwoWayConfig{}, TwoWayConfig{FastChannel: true}},
-		{"download", DownloadConfig{}, DownloadConfig{FastChannel: true}},
-		{"trafficgrid", TrafficGridConfig{}, TrafficGridConfig{FastChannel: true}},
-		{"stopgo", StopGoConfig{}, StopGoConfig{FastChannel: true}},
-		{"citydemand", CityDemandConfig{}, CityDemandConfig{FastChannel: true}},
-		{"cityscale", CityScaleConfig{}, CityScaleConfig{FastChannel: true}},
-	}
-	for _, tc := range cases {
-		if ConfigDigest(tc.exact) == ConfigDigest(tc.fast) {
-			t.Errorf("%s: FastChannel invisible to the config digest", tc.name)
+	for _, f := range families() {
+		exact := f.config(keep)
+		fast := f.config(func(c *Common) { c.FastChannel = true })
+		if ConfigDigest(exact) == ConfigDigest(fast) {
+			t.Errorf("%s: FastChannel invisible to the config digest", f.name)
 		}
 	}
 }
 
 // TestRadioConfigFieldCount pins radio.Config's field list: ConfigDigest
-// walks whatever struct it is handed, but scenario configs embed the
-// channel settings as scalar fields plus TuneChannel hooks rather than a
-// radio.Config value, so a newly added channel knob (like FastMode) must
-// be consciously plumbed. Bump the count AND mirror the knob into the
-// scenario configs (or their channel builders) when radio.Config grows.
+// walks whatever struct it is handed, but scenario configs carry the
+// channel settings as scalar fields rather than a radio.Config value, so
+// a newly added channel knob (like FastMode) must be consciously plumbed.
+// Bump the count AND add the knob to Common, whose run method applies
+// the shared channel settings to every family's channel builder (or to
+// one family's builder, for a family-specific knob), when radio.Config
+// grows.
 func TestRadioConfigFieldCount(t *testing.T) {
 	const want = 12 // incl. FastMode (PR 10)
 	if got := reflect.TypeOf(radio.Config{}).NumField(); got != want {
-		t.Fatalf("radio.Config has %d fields, expected %d — plumb the new field through the scenario configs and update this count", got, want)
+		t.Fatalf("radio.Config has %d fields, expected %d — plumb the new field through Common and update this count", got, want)
 	}
 }
 

@@ -21,48 +21,46 @@ import (
 // visits each car needs to assemble the complete file, with and without
 // cooperation.
 type DownloadConfig struct {
-	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm              string
-	SpeedMPS         float64
-	HeadwayM         float64
-	PacketsPerSecond float64
-	PayloadBytes     int
-	Coop             bool
+	Common
+	SpeedMPS float64
+	HeadwayM float64
 	// FileBlocks is the file size in packets per flow.
 	FileBlocks uint32
 	// MaxLaps bounds the simulation.
 	MaxLaps int
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultDownload returns a 220-block download on the testbed loop.
 func DefaultDownload() DownloadConfig {
 	return DownloadConfig{
-		Cars:             3,
-		Seed:             1,
-		SpeedMPS:         5.6,
-		HeadwayM:         40,
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		Coop:             true,
-		FileBlocks:       220,
-		MaxLaps:          12,
+		Common: Common{
+			Cars:             3,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		SpeedMPS:   5.6,
+		HeadwayM:   40,
+		FileBlocks: 220,
+		MaxLaps:    12,
 	}
+}
+
+// Normalized validates the config and fills in defaults, returning the
+// exact config a run executes.
+func (cfg DownloadConfig) Normalized() (DownloadConfig, error) {
+	if cfg.Cars <= 0 || cfg.FileBlocks == 0 || cfg.MaxLaps <= 0 {
+		return cfg, fmt.Errorf("scenario: bad download config: cars=%d file blocks=%d max laps=%d",
+			cfg.Cars, cfg.FileBlocks, cfg.MaxLaps)
+	}
+	if cfg.SpeedMPS <= 0 {
+		return cfg, fmt.Errorf("scenario: speed %v", cfg.SpeedMPS)
+	}
+	if cfg.HeadwayM <= 0 {
+		cfg.HeadwayM = 40
+	}
+	return cfg, nil
 }
 
 // CarDownload is one car's download outcome.
@@ -89,14 +87,9 @@ type DownloadResult struct {
 
 // RunDownload executes the multi-lap file download.
 func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
-	if cfg.Cars <= 0 || cfg.FileBlocks == 0 || cfg.MaxLaps <= 0 {
-		return nil, fmt.Errorf("scenario: bad download config %+v", cfg)
-	}
-	if cfg.SpeedMPS <= 0 {
-		return nil, fmt.Errorf("scenario: speed %v", cfg.SpeedMPS)
-	}
-	if cfg.HeadwayM <= 0 {
-		cfg.HeadwayM = 40
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
 	}
 	roundSeed := sim.Stream(cfg.Seed, "download").Int63()
 
@@ -112,14 +105,10 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 		return nil, err
 	}
 
-	carIDs := make([]packet.NodeID, cfg.Cars)
+	carIDs := CarIDs(cfg.Cars)
 	cars := make([]CarSpec, cfg.Cars)
-	for i := range cars {
-		id := packet.NodeID(i + 1)
-		carIDs[i] = id
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg}
+	for i, id := range carIDs {
+		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: cfg.carqConfig(id)}
 	}
 
 	duration := time.Duration(cfg.MaxLaps) * leader.LapTime()
@@ -130,11 +119,8 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 	}
 	done := make(map[packet.NodeID]doneMark, cfg.Cars)
 
-	chCfg := testbedChannel()
-	chCfg.FastMode = cfg.FastChannel
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel: testbedChannel(),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
 			Position: TestbedAPPosition(),
@@ -149,7 +135,6 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
 		Hook: func(engine *sim.Engine, nodes map[packet.NodeID]Node) {
 			// Poll completion once per simulated second.
 			var probe func()

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/mac"
 	"repro/internal/trace"
@@ -62,156 +61,30 @@ func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 		t.Skip("simulation rounds in -short mode")
 	}
 
-	t.Run("testbed", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultTestbed()
-			cfg.Rounds = 1
-			cfg.Medium = m
-			col, _, err := TestbedRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
+	for _, f := range families() {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			run := func(m mac.MediumConfig) *trace.Collector {
+				return f.run(t, func(c *Common) { c.Medium = m }, 0)
 			}
-			return col
-		}
-		assertSameTrace(t, "testbed", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	t.Run("highway", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultHighway()
-			cfg.Rounds = 1
-			cfg.Medium = m
-			col, err := HighwayRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
+			indexed := run(indexedMedium)
+			assertSameTrace(t, f.name, indexed, run(exhaustiveMedium))
+			if f.name != "cityscale" {
+				return
 			}
-			return col
-		}
-		assertSameTrace(t, "highway", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	t.Run("corridor", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultCorridor()
-			cfg.Rounds = 1
-			cfg.Medium = m
-			col, err := CorridorRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
+			// cityscale is the family whose geometry actually exercises
+			// culling (station spread far beyond the reception horizon):
+			// the medium-level property tests cover randomized
+			// topologies, this covers the full protocol stack on top.
+			// With 90 stations spread over ~1.4 km and a ~300 m horizon,
+			// every frame reaching every station would be a regression in
+			// the horizon logic.
+			c := indexed.Counts()
+			stations := 80 + 6 + 4
+			if c.Rx+c.Drops >= c.Tx*(stations-1) {
+				t.Fatalf("no culling: %d delivery events for %d transmissions among %d stations",
+					c.Rx+c.Drops, c.Tx, stations)
 			}
-			return col
-		}
-		assertSameTrace(t, "corridor", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	t.Run("twoway", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultTwoWay()
-			cfg.Rounds = 1
-			cfg.Medium = m
-			col, err := TwoWayRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}
-		assertSameTrace(t, "twoway", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	t.Run("download", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultDownload()
-			cfg.FileBlocks = 40
-			cfg.MaxLaps = 2
-			cfg.Medium = m
-			res, err := RunDownload(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Trace
-		}
-		assertSameTrace(t, "download", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	t.Run("trafficgrid", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultTrafficGrid()
-			cfg.Rounds = 1
-			cfg.Duration = 60 * time.Second
-			cfg.Medium = m
-			col, _, err := TrafficGridRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}
-		assertSameTrace(t, "trafficgrid", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	t.Run("stopgo", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultStopGo()
-			cfg.Rounds = 1
-			cfg.Medium = m
-			col, _, err := StopGoRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}
-		assertSameTrace(t, "stopgo", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	// citydemand layers OD-driven injection and actuated signals on the
-	// city geometry; the equivalence must hold through late entries and
-	// destination exits too.
-	t.Run("citydemand", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultCityDemand()
-			cfg.Rounds = 1
-			cfg.Cars = 4
-			cfg.GridRows, cfg.GridCols = 8, 8
-			cfg.DemandScale = 2
-			cfg.Duration = 30 * time.Second
-			cfg.Medium = m
-			col, _, _, err := CityDemandRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}
-		assertSameTrace(t, "citydemand", run(indexedMedium), run(exhaustiveMedium))
-	})
-
-	// cityscale is the family whose geometry actually exercises culling
-	// (station spread far beyond the reception horizon): the medium-level
-	// property tests cover randomized topologies, this covers the full
-	// protocol stack on top.
-	t.Run("cityscale", func(t *testing.T) {
-		run := func(m mac.MediumConfig) *trace.Collector {
-			cfg := DefaultCityScale()
-			cfg.GridRows, cfg.GridCols = 8, 8
-			cfg.Background = 80
-			cfg.Cars = 6
-			cfg.Duration = 30 * time.Second
-			cfg.Rounds = 1
-			cfg.Medium = m
-			col, _, err := CityScaleRound(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}
-		indexed := run(indexedMedium)
-		assertSameTrace(t, "cityscale", indexed, run(exhaustiveMedium))
-		// Sanity: the topology must actually cull — with 90 stations
-		// spread over ~1.4 km and a ~300 m horizon, every frame reaching
-		// every station would be a regression in the horizon logic.
-		c := indexed.Counts()
-		stations := 80 + 6 + 4
-		if c.Rx+c.Drops >= c.Tx*(stations-1) {
-			t.Fatalf("no culling: %d delivery events for %d transmissions among %d stations",
-				c.Rx+c.Drops, c.Tx, stations)
-		}
-	})
+		})
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/mobility"
@@ -19,22 +18,11 @@ import (
 // highway at speed. Sweeping SpeedMPS reproduces the loss-versus-speed
 // relationship; enabling Coop shows how much of each pass C-ARQ recovers.
 type HighwayConfig struct {
-	Rounds int
-	Cars   int
-	Seed   int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm              string
-	SpeedMPS         float64 // e.g. 8.3 (30 km/h) .. 33.3 (120 km/h)
-	HeadwayM         float64
-	PacketsPerSecond float64
-	PayloadBytes     int
-	Coop             bool
-	Modulation       radio.Modulation
+	Common
+	Rounds     int
+	SpeedMPS   float64 // e.g. 8.3 (30 km/h) .. 33.3 (120 km/h)
+	HeadwayM   float64
+	Modulation radio.Modulation
 	// RoadLengthM is the straight road segment; the AP sits at its
 	// midpoint, set back from the lane.
 	RoadLengthM float64
@@ -43,35 +31,25 @@ type HighwayConfig struct {
 	// CoopTime is extra simulated time after the pass for the
 	// Cooperative-ARQ phase.
 	CoopTime time.Duration
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultHighway returns a 90 km/h three-car drive-thru.
 func DefaultHighway() HighwayConfig {
 	return HighwayConfig{
-		Rounds:           10,
-		Cars:             3,
-		Seed:             1,
-		SpeedMPS:         25, // 90 km/h
-		HeadwayM:         50,
-		PacketsPerSecond: 10,
-		PayloadBytes:     1000,
-		Coop:             true,
-		Modulation:       radio.DSSS1Mbps,
-		RoadLengthM:      2000,
-		APSetbackM:       12,
-		CoopTime:         40 * time.Second,
+		Common: Common{
+			Cars:             3,
+			Seed:             1,
+			PacketsPerSecond: 10,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:      10,
+		SpeedMPS:    25, // 90 km/h
+		HeadwayM:    50,
+		Modulation:  radio.DSSS1Mbps,
+		RoadLengthM: 2000,
+		APSetbackM:  12,
+		CoopTime:    40 * time.Second,
 	}
 }
 
@@ -113,35 +91,21 @@ func (cfg HighwayConfig) Normalized() (HighwayConfig, error) {
 	return cfg, nil
 }
 
-// HighwayRound runs one independent drive-thru pass; see TestbedRound for
-// the determinism contract.
-func HighwayRound(cfg HighwayConfig, round int) (*trace.Collector, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return runHighwayRound(cfg, round, CarIDs(cfg.Cars))
+// Name implements Family.
+func (HighwayConfig) Name() string { return "highway" }
+
+// NumRounds implements Family.
+func (cfg HighwayConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg HighwayConfig) Result(rounds []Round) *HighwayResult {
+	return &HighwayResult{Config: cfg, Rounds: protocols(rounds), CarIDs: CarIDs(cfg.Cars)}
 }
 
-// RunHighway executes the drive-thru passes.
-func RunHighway(cfg HighwayConfig) (*HighwayResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &HighwayResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, err := runHighwayRound(cfg, round, res.CarIDs)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: highway round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-	}
-	return res, nil
-}
-
-func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*trace.Collector, error) {
+// Round implements Family: one drive-thru pass.
+func (cfg HighwayConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("hwy-round-%d", round))
+	carIDs := CarIDs(cfg.Cars)
 
 	road := mobility.StraightHighway(cfg.RoadLengthM)
 	leader := mobility.MustPathFollower(mobility.FollowerConfig{
@@ -161,14 +125,9 @@ func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*tra
 	}
 	platoon, err := mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 
-	chCfg := highwayChannel()
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
@@ -177,18 +136,11 @@ func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*tra
 
 	cars := make([]CarSpec, cfg.Cars)
 	for i := range cars {
-		id := carIDs[i]
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg}
+		cars[i] = CarSpec{ID: carIDs[i], Mobility: platoon.Car(i), Carq: cfg.carqConfig(carIDs[i])}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel: highwayChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: cfg.APSetbackM},
@@ -197,10 +149,9 @@ func runHighwayRound(cfg HighwayConfig, round int, carIDs []packet.NodeID) (*tra
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
-	return result.Trace, nil
+	return Round{Protocol: result.Trace}, nil
 }

@@ -2,10 +2,8 @@ package scenario
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/packet"
-	"repro/internal/radio"
 	"repro/internal/trace"
 )
 
@@ -26,9 +24,8 @@ func TestFullStackInvariants(t *testing.T) {
 	cfg.Rounds = 1
 	cfg.Seed = 7
 
-	// Run one round manually so we keep node handles.
-	carIDs := []packet.NodeID{1, 2, 3}
-	col, _, err := runTestbedRoundForTest(cfg, 0, carIDs)
+	carIDs := CarIDs(cfg.Cars)
+	col, _, err := TestbedRound(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,24 +65,6 @@ func TestFullStackInvariants(t *testing.T) {
 	}
 }
 
-// runTestbedRoundForTest exposes the internal round runner.
-func runTestbedRoundForTest(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*trace.Collector, interface{}, error) {
-	if cfg.APRepeats < 1 {
-		cfg.APRepeats = 1
-	}
-	if cfg.HeadwayM <= 0 {
-		cfg.HeadwayM = 40
-	}
-	if cfg.APWindow <= 0 {
-		cfg.APWindow = 40 * time.Second
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
-	}
-	col, dur, err := runTestbedRound(cfg, round, carIDs)
-	return col, dur, err
-}
-
 func TestTestbedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full round simulation in -short mode")
@@ -94,7 +73,7 @@ func TestTestbedDeterminism(t *testing.T) {
 		cfg := DefaultTestbed()
 		cfg.Rounds = 1
 		cfg.Seed = 99
-		res, err := RunTestbed(cfg)
+		res, err := RunRounds(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +86,7 @@ func TestTestbedDeterminism(t *testing.T) {
 	cfg := DefaultTestbed()
 	cfg.Rounds = 1
 	cfg.Seed = 100
-	res, err := RunTestbed(cfg)
+	res, err := RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +102,7 @@ func TestNoCoopBaselineProducesNoControlTraffic(t *testing.T) {
 	cfg := DefaultTestbed()
 	cfg.Rounds = 1
 	cfg.Coop = false
-	res, err := RunTestbed(cfg)
+	res, err := RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestHighwaySpeedShrinksWindow(t *testing.T) {
 		cfg := DefaultHighway()
 		cfg.Rounds = 3
 		cfg.SpeedMPS = speed
-		res, err := RunHighway(cfg)
+		res, err := RunRounds(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,12 +85,12 @@ func TestHighwaySpeedShrinksWindow(t *testing.T) {
 func TestHighwayValidation(t *testing.T) {
 	bad := DefaultHighway()
 	bad.Rounds = 0
-	if _, err := RunHighway(bad); err == nil {
+	if _, err := RunRounds(bad); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 	bad2 := DefaultHighway()
 	bad2.SpeedMPS = -1
-	if _, err := RunHighway(bad2); err == nil {
+	if _, err := RunRounds(bad2); err == nil {
 		t.Fatal("negative speed accepted")
 	}
 }

@@ -1,11 +1,6 @@
 package scenario
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/trace"
-)
+import "testing"
 
 // TestFastChannelStatisticalEquivalence is the fast channel mode's
 // validation gate: across every scenario family, runs with
@@ -20,121 +15,14 @@ func TestFastChannelStatisticalEquivalence(t *testing.T) {
 	}
 
 	const rounds = 3
-	families := []struct {
-		name string
-		run  func(t *testing.T, fast bool, round int) *trace.Collector
-	}{
-		{"testbed", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultTestbed()
-			cfg.Rounds = rounds
-			cfg.FastChannel = fast
-			col, _, err := TestbedRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"highway", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultHighway()
-			cfg.Rounds = rounds
-			cfg.FastChannel = fast
-			col, err := HighwayRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"corridor", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultCorridor()
-			cfg.Rounds = rounds
-			cfg.FastChannel = fast
-			col, err := CorridorRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"twoway", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultTwoWay()
-			cfg.Rounds = rounds
-			cfg.FastChannel = fast
-			col, err := TwoWayRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"download", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultDownload()
-			cfg.FileBlocks = 40
-			cfg.MaxLaps = 2
-			cfg.Seed = int64(round + 1) // download has no round axis; vary the seed
-			cfg.FastChannel = fast
-			res, err := RunDownload(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Trace
-		}},
-		{"trafficgrid", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultTrafficGrid()
-			cfg.Rounds = rounds
-			cfg.Duration = 60 * time.Second
-			cfg.FastChannel = fast
-			col, _, err := TrafficGridRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"stopgo", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultStopGo()
-			cfg.Rounds = rounds
-			cfg.FastChannel = fast
-			col, _, err := StopGoRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"citydemand", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultCityDemand()
-			cfg.Rounds = rounds
-			cfg.Cars = 4
-			cfg.GridRows, cfg.GridCols = 8, 8
-			cfg.DemandScale = 2
-			cfg.Duration = 30 * time.Second
-			cfg.FastChannel = fast
-			col, _, _, err := CityDemandRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-		{"cityscale", func(t *testing.T, fast bool, round int) *trace.Collector {
-			cfg := DefaultCityScale()
-			cfg.GridRows, cfg.GridCols = 8, 8
-			cfg.Background = 80
-			cfg.Cars = 6
-			cfg.Duration = 30 * time.Second
-			cfg.Rounds = rounds
-			cfg.FastChannel = fast
-			col, _, err := CityScaleRound(cfg, round)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return col
-		}},
-	}
-
 	band := DefaultEquivBand()
-	for _, fam := range families {
+	for _, fam := range families() {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			arm := func(fast bool) []ChannelMetrics {
 				out := make([]ChannelMetrics, rounds)
 				for r := 0; r < rounds; r++ {
-					out[r] = CollectChannelMetrics(fam.run(t, fast, r))
+					out[r] = CollectChannelMetrics(fam.run(t, func(c *Common) { c.FastChannel = fast }, r))
 				}
 				return out
 			}

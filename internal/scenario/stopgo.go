@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
@@ -21,27 +20,15 @@ import (
 // platoon crawls, bunches and re-spreads inside and outside coverage —
 // the regime delay-tolerant vehicular recovery is supposed to shine in.
 type StopGoConfig struct {
+	Common
 	Rounds int
-	// Cars is the platoon size (the C-ARQ stations); the rest of the
-	// ring is radio-silent background traffic.
-	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
-	// Vehicles is the total ring population including the platoon.
+	// Vehicles is the total ring population including the platoon (the
+	// rest of the ring is radio-silent background traffic).
 	Vehicles int
 	// RingM is the ring circumference.
-	RingM            float64
-	PacketsPerSecond float64
-	PayloadBytes     int
-	Coop             bool
-	Modulation       radio.Modulation
-	Duration         time.Duration
+	RingM      float64
+	Modulation radio.Modulation
+	Duration   time.Duration
 	// PerturbAt/PerturbFor time the upstream braking perturbation that
 	// launches the wave (a vehicle ~5 slots ahead of the platoon crawls
 	// at 1.5 m/s for the window).
@@ -49,37 +36,27 @@ type StopGoConfig struct {
 	// Replay drives the protocol run from a recorded traffic stream;
 	// see TrafficGridConfig.Replay.
 	Replay bool
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultStopGo returns a 72-vehicle, 1.8 km ring (25 m spacings — dense
 // but flowing) with a 3-car platoon.
 func DefaultStopGo() StopGoConfig {
 	return StopGoConfig{
-		Rounds:           10,
-		Cars:             3,
-		Seed:             1,
-		Vehicles:         72,
-		RingM:            1800,
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		Coop:             true,
-		Modulation:       radio.DSSS1Mbps,
-		Duration:         180 * time.Second,
-		PerturbAt:        25 * time.Second,
-		PerturbFor:       20 * time.Second,
-		Replay:           true,
+		Common: Common{
+			Cars:             3,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:     10,
+		Vehicles:   72,
+		RingM:      1800,
+		Modulation: radio.DSSS1Mbps,
+		Duration:   180 * time.Second,
+		PerturbAt:  25 * time.Second,
+		PerturbFor: 20 * time.Second,
+		Replay:     true,
 	}
 }
 
@@ -201,16 +178,29 @@ func stopGoAP(net *traffic.Network) geom.Point {
 	return edge.Add(out.Scale(12))
 }
 
-// StopGoRound runs one round; see TrafficGridRound for the contract.
-func StopGoRound(cfg StopGoConfig, round int) (*trace.Collector, *trace.Collector, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, nil, err
+// Name implements Family.
+func (StopGoConfig) Name() string { return "stopgo" }
+
+// NumRounds implements Family.
+func (cfg StopGoConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg StopGoConfig) Result(rounds []Round) *StopGoResult {
+	return &StopGoResult{
+		Config:  cfg,
+		CarIDs:  CarIDs(cfg.Cars),
+		Rounds:  protocols(rounds),
+		Traffic: streams(rounds),
 	}
+}
+
+// Round implements Family: the protocol trace and the traffic stream
+// behind it.
+func (cfg StopGoConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("stopgo-round-%d", round))
 	net, specs, err := stopGoWorld(cfg, roundSeed)
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
 	tcfg := traffic.Config{Network: net, Seed: roundSeed}
 	carIDs := CarIDs(cfg.Cars)
@@ -218,30 +208,19 @@ func StopGoRound(cfg StopGoConfig, round int) (*trace.Collector, *trace.Collecto
 	models, trafficStream, preRun, err := trafficModels(net, tcfg, specs,
 		cfg.Duration, cfg.Replay, cfg.Cars)
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
 
-	chCfg := highwayChannel()
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
 	cars := make([]CarSpec, cfg.Cars)
 	for i, id := range carIDs {
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: ccfg}
+		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel: highwayChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: stopGoAP(net),
@@ -251,28 +230,9 @@ func StopGoRound(cfg StopGoConfig, round int) (*trace.Collector, *trace.Collecto
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
-	return result.Trace, trafficStream, nil
-}
-
-// RunStopGo executes every round serially.
-func RunStopGo(cfg StopGoConfig) (*StopGoResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &StopGoResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, err := StopGoRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: stop-go round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
-	}
-	return res, nil
+	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
 }

@@ -2,9 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ap"
@@ -22,42 +19,28 @@ import (
 // rectangular city-block loop, one building-mounted AP on the main street,
 // and a platoon of cars circling the block.
 type TestbedConfig struct {
+	Common
 	// Rounds is the number of independent laps (the paper ran 30).
 	Rounds int
-	// Cars is the platoon size (the paper used 3).
-	Cars int
-	// Seed roots all randomness; each round derives its own streams.
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// SpeedMPS is the platoon's base speed (the paper's ~20 km/h).
 	SpeedMPS float64
 	// HeadwayM is the nominal inter-car gap (0: default 40 m).
 	HeadwayM float64
-	// PacketsPerSecond per flow and PayloadBytes match the paper's
-	// 5 x 1000 B ICMP stream per car.
-	PacketsPerSecond float64
-	PayloadBytes     int
 	// APWindow is how long the AP transmits each round. The paper's AP
 	// sent ~130 packets per flow per round (26 s at 5 pkt/s), i.e. it
 	// transmitted while the platoon passed, not continuously; zero
 	// defaults to 40 s starting just before the platoon reaches
 	// coverage.
 	APWindow time.Duration
-	// Coop enables the Cooperative-ARQ protocol; false runs the
-	// no-cooperation baseline.
-	Coop bool
 	// BatchRequests enables the batched-REQUEST optimisation (ablation).
 	BatchRequests bool
 	// BufferForAll enables the buffer-for-everyone ablation.
 	BufferForAll bool
 	// Selection overrides the cooperator-selection policy (nil: all).
 	Selection carq.Selection
+	// CandidateTTL overrides the cooperator staleness timeout
+	// (carq.Config.CandidateTTL; zero keeps the protocol default).
+	CandidateTTL time.Duration
 	// APRepeats enables the AP-side retransmission baseline (>= 1).
 	APRepeats int
 	// AdaptiveAPRepeats, when positive, replaces the static repeat count
@@ -69,40 +52,27 @@ type TestbedConfig struct {
 	FrameCombining bool
 	// Modulation is the PHY rate (the paper fixed 1 Mb/s).
 	Modulation radio.Modulation
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate the derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
 	// Factory overrides the protocol run by every car (nil: C-ARQ with
 	// the settings above). Used by the epidemic baseline.
 	Factory NodeFactory
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
-	// Parallel runs rounds concurrently on up to GOMAXPROCS workers.
-	// Rounds are fully independent simulations with per-round RNG
-	// streams, so results are bit-identical to a serial run.
-	Parallel bool
 }
 
 // DefaultTestbed returns the calibrated reproduction of the paper's
-// experiment.
+// experiment. The platoon of 3 runs the paper's 5 x 1000 B ICMP stream
+// per car.
 func DefaultTestbed() TestbedConfig {
 	return TestbedConfig{
-		Rounds:           30,
-		Cars:             3,
-		Seed:             1,
-		SpeedMPS:         5.6, // ~20 km/h
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		Coop:             true,
-		APRepeats:        1,
-		Modulation:       radio.DSSS1Mbps,
+		Common: Common{
+			Cars:             3,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:     30,
+		SpeedMPS:   5.6, // ~20 km/h
+		APRepeats:  1,
+		Modulation: radio.DSSS1Mbps,
 	}
 }
 
@@ -264,76 +234,37 @@ func (cfg TestbedConfig) Normalized() (TestbedConfig, error) {
 	return cfg, nil
 }
 
-// TestbedRound runs one independent round of the urban testbed. Rounds
-// derive their own RNG streams from cfg.Seed and the round index, so any
-// round can run in isolation or concurrently with its siblings and still
-// produce the bits a serial full run would.
+// Name implements Family.
+func (TestbedConfig) Name() string { return "testbed" }
+
+// NumRounds implements Family.
+func (cfg TestbedConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg TestbedConfig) Result(rounds []Round) *TestbedResult {
+	return &TestbedResult{
+		Config:        cfg,
+		Rounds:        protocols(rounds),
+		CarIDs:        CarIDs(cfg.Cars),
+		RoundDuration: rounds[0].Duration,
+	}
+}
+
+// TestbedRound normalizes cfg and runs one independent round of the
+// urban testbed, returning its trace and simulated length.
 func TestbedRound(cfg TestbedConfig, round int) (*trace.Collector, time.Duration, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, 0, err
 	}
-	return runTestbedRound(cfg, round, CarIDs(cfg.Cars))
+	r, err := cfg.Round(round)
+	return r.Protocol, r.Duration, err
 }
 
-// RunTestbed executes all rounds of the urban testbed experiment.
-func RunTestbed(cfg TestbedConfig) (*TestbedResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &TestbedResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	res.Rounds = make([]*trace.Collector, cfg.Rounds)
-	if !cfg.Parallel {
-		for round := 0; round < cfg.Rounds; round++ {
-			col, dur, err := runTestbedRound(cfg, round, res.CarIDs)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: round %d: %w", round, err)
-			}
-			res.Rounds[round] = col
-			res.RoundDuration = dur
-		}
-		return res, nil
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Rounds {
-		workers = cfg.Rounds
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr atomic.Value
-		durOnce  sync.Once
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				round := int(next.Add(1)) - 1
-				if round >= cfg.Rounds {
-					return
-				}
-				col, dur, err := runTestbedRound(cfg, round, res.CarIDs)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("scenario: round %d: %w", round, err))
-					return
-				}
-				res.Rounds[round] = col
-				durOnce.Do(func() { res.RoundDuration = dur })
-			}
-		}()
-	}
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok {
-		return nil, err
-	}
-	return res, nil
-}
-
-func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*trace.Collector, time.Duration, error) {
+// Round implements Family: one lap of the urban block.
+func (cfg TestbedConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("round-%d", round))
+	carIDs := CarIDs(cfg.Cars)
 
 	leader := mobility.MustPathFollower(mobility.FollowerConfig{
 		Path:     TestbedLoop(),
@@ -344,18 +275,13 @@ func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*tra
 	})
 	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars, cfg.HeadwayM), sim.Stream(roundSeed, "platoon"))
 	if err != nil {
-		return nil, 0, err
+		return Round{}, err
 	}
 	// Run until just before the leader would re-enter AP coverage on its
 	// second lap: one coverage pass per round, with the longest possible
 	// dark area for the Cooperative-ARQ phase.
 	duration := timeToArc(leader, 2*loopLen-coverageSpillM) - 2*time.Second
 
-	chCfg := testbedChannel()
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 	macCfg.DeliverCorrupt = cfg.FrameCombining
@@ -370,24 +296,20 @@ func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*tra
 	cars := make([]CarSpec, cfg.Cars)
 	for i := range cars {
 		id := carIDs[i]
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
+		ccfg := cfg.carqConfig(id)
 		ccfg.BatchRequests = cfg.BatchRequests
 		ccfg.BufferForAll = cfg.BufferForAll
 		ccfg.FrameCombining = cfg.FrameCombining
 		ccfg.FCModulation = cfg.Modulation
+		ccfg.CandidateTTL = cfg.CandidateTTL
 		if cfg.Selection != nil {
 			ccfg.Selection = cfg.Selection
-		}
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
 		}
 		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg, Factory: cfg.Factory}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel: testbedChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: TestbedAPPosition(),
@@ -397,12 +319,11 @@ func runTestbedRound(cfg TestbedConfig, round int, carIDs []packet.NodeID) (*tra
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, 0, err
+		return Round{}, err
 	}
-	return result.Trace, duration, nil
+	return Round{Protocol: result.Trace, Duration: duration}, nil
 }
 
 // timeToArc returns the time at which the follower's unwrapped arc reaches

@@ -15,9 +15,9 @@ func runSmallTestbed(t *testing.T, rounds int, mutate func(*TestbedConfig)) *Tes
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, err := RunTestbed(cfg)
+	res, err := RunRounds(cfg)
 	if err != nil {
-		t.Fatalf("RunTestbed: %v", err)
+		t.Fatalf("RunRounds: %v", err)
 	}
 	return res
 }
@@ -25,12 +25,12 @@ func runSmallTestbed(t *testing.T, rounds int, mutate func(*TestbedConfig)) *Tes
 func TestTestbedValidation(t *testing.T) {
 	bad := DefaultTestbed()
 	bad.Rounds = 0
-	if _, err := RunTestbed(bad); err == nil {
+	if _, err := RunRounds(bad); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 	bad2 := DefaultTestbed()
 	bad2.Cars = 0
-	if _, err := RunTestbed(bad2); err == nil {
+	if _, err := RunRounds(bad2); err == nil {
 		t.Fatal("zero cars accepted")
 	}
 }

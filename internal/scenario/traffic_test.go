@@ -60,14 +60,8 @@ func TestTrafficGridLiveVsReplayByteIdentical(t *testing.T) {
 	replay := quickTrafficGrid()
 	replay.Replay = true
 
-	colLive, streamLive, err := TrafficGridRound(live, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colReplay, streamReplay, err := TrafficGridRound(replay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	colLive, streamLive := roundTraces(t, live, 0)
+	colReplay, streamReplay := roundTraces(t, replay, 0)
 	if !bytes.Equal(traceBytes(t, colLive), traceBytes(t, colReplay)) {
 		t.Fatal("live and replayed protocol traces differ")
 	}
@@ -88,14 +82,8 @@ func TestStopGoLiveVsReplayByteIdentical(t *testing.T) {
 	replay := quickStopGo()
 	replay.Replay = true
 
-	colLive, streamLive, err := StopGoRound(live, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	colReplay, streamReplay, err := StopGoRound(replay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	colLive, streamLive := roundTraces(t, live, 0)
+	colReplay, streamReplay := roundTraces(t, replay, 0)
 	if !bytes.Equal(traceBytes(t, colLive), traceBytes(t, colReplay)) {
 		t.Fatal("live and replayed protocol traces differ")
 	}
@@ -114,22 +102,13 @@ func TestTrafficRoundsDeterministic(t *testing.T) {
 		t.Skip("simulation rounds in -short mode")
 	}
 	cfg := quickTrafficGrid()
-	a, _, err := TrafficGridRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := TrafficGridRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := roundTraces(t, cfg, 0)
+	b, _ := roundTraces(t, cfg, 0)
 	if !bytes.Equal(traceBytes(t, a), traceBytes(t, b)) {
 		t.Fatal("same round produced different traces")
 	}
 	// A different round diverges.
-	c, _, err := TrafficGridRound(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := roundTraces(t, cfg, 1)
 	if bytes.Equal(traceBytes(t, a), traceBytes(t, c)) {
 		t.Fatal("distinct rounds produced identical traces")
 	}
@@ -147,14 +126,8 @@ func TestTrafficCacheSharesStreamAcrossArms(t *testing.T) {
 	off := quickStopGo()
 	off.Coop = false
 
-	_, streamOn, err := StopGoRound(on, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, streamOff, err := StopGoRound(off, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, streamOn := roundTraces(t, on, 0)
+	_, streamOff := roundTraces(t, off, 0)
 	if streamOn != streamOff {
 		t.Fatal("coop arms did not share the cached traffic stream")
 	}
@@ -177,10 +150,7 @@ func TestStopGoWaveReachesPlatoon(t *testing.T) {
 	cfg.RingM = 500
 	cfg.PerturbAt = 8 * time.Second
 	cfg.PerturbFor = 18 * time.Second
-	_, stream, err := StopGoRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stream := roundTraces(t, cfg, 0)
 	crawled := false
 	for i := 0; i < cfg.Cars && !crawled; i++ {
 		for _, rec := range stream.VehicleSeries(i) {
@@ -203,7 +173,7 @@ func TestTrafficConfigValidation(t *testing.T) {
 	}
 	bad = DefaultTrafficGrid()
 	bad.Background = 100000
-	if _, _, err := TrafficGridRound(bad, 0); err == nil {
+	if _, err := bad.Round(0); err == nil {
 		t.Fatal("over-capacity background accepted")
 	}
 	sg := DefaultStopGo()
@@ -246,18 +216,12 @@ func TestTrafficStoreServesByteIdenticalRounds(t *testing.T) {
 
 	cfg := quickTrafficGrid()
 	cfg.Replay = true
-	colComputed, streamComputed, err := TrafficGridRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	colComputed, streamComputed := roundTraces(t, cfg, 0)
 
 	// A fresh in-memory cache forces the next identical round through the
 	// disk tier, as a separate sweep process would be.
 	resetTrafficCache()
-	colLoaded, streamLoaded, err := TrafficGridRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	colLoaded, streamLoaded := roundTraces(t, cfg, 0)
 	if !bytes.Equal(traceBytes(t, colComputed), traceBytes(t, colLoaded)) {
 		t.Fatal("disk-served round's protocol trace differs from the computed round's")
 	}
@@ -286,24 +250,15 @@ func TestArmForksProtocolRandomnessNotTraffic(t *testing.T) {
 	base := quickTrafficGrid()
 	base.Replay = true
 
-	unforked, streamA, err := TrafficGridRound(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, _, err := TrafficGridRound(base, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	unforked, streamA := roundTraces(t, base, 0)
+	again, _ := roundTraces(t, base, 0)
 	if !bytes.Equal(traceBytes(t, unforked), traceBytes(t, again)) {
 		t.Fatal("empty arm is not reproducible")
 	}
 
 	armed := base
 	armed.Arm = "coop"
-	forked, streamB, err := TrafficGridRound(armed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forked, streamB := roundTraces(t, armed, 0)
 	if streamA != streamB {
 		t.Fatal("arms did not share the cached traffic stream")
 	}
@@ -313,10 +268,7 @@ func TestArmForksProtocolRandomnessNotTraffic(t *testing.T) {
 
 	other := base
 	other.Arm = "nocoop"
-	forked2, _, err := TrafficGridRound(other, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forked2, _ := roundTraces(t, other, 0)
 	if bytes.Equal(traceBytes(t, forked), traceBytes(t, forked2)) {
 		t.Fatal("two distinct arms drew identical randomness")
 	}
@@ -343,10 +295,7 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 
 	cfg := quickTrafficGrid()
 	cfg.Replay = true
-	col, stream, err := TrafficGridRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	col, stream := roundTraces(t, cfg, 0)
 	paths, err := filepath.Glob(filepath.Join(dir, "*.trace.jsonl"))
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("store holds %v (%v), want one world", paths, err)
@@ -372,10 +321,7 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		resetTrafficCache()
-		colAgain, streamAgain, err := TrafficGridRound(cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		colAgain, streamAgain := roundTraces(t, cfg, 0)
 		if !bytes.Equal(traceBytes(t, colAgain), traceBytes(t, col)) ||
 			!bytes.Equal(traceBytes(t, streamAgain), traceBytes(t, stream)) {
 			t.Fatalf("%s: recomputed round differs from the first", schema)
@@ -393,9 +339,7 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 
 	resetTrafficCache()
 	hits := store.Stats().Hits
-	if _, _, err := TrafficGridRound(cfg, 0); err != nil {
-		t.Fatal(err)
-	}
+	roundTraces(t, cfg, 0)
 	if st := store.Stats(); st.Hits != hits+1 {
 		t.Fatalf("healed world not served from disk: %+v", st)
 	}
@@ -467,4 +411,12 @@ func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 			t.Fatalf("vehicle record %d: cached %+v, round-tripped recording %+v", i, got, want)
 		}
 	}
+}
+
+// roundTraces normalizes cfg and runs one round, returning its protocol
+// trace and traffic stream.
+func roundTraces[C Family[C, R], R any](t testing.TB, cfg C, round int) (*trace.Collector, *trace.Collector) {
+	t.Helper()
+	r := runRound(t, cfg, round)
+	return r.Protocol, r.Traffic
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
@@ -22,26 +21,14 @@ import (
 // generalisation of the paper's corner-C bunching anomaly — and the dark
 // sides of the block exercise the Cooperative-ARQ phase every lap.
 type TrafficGridConfig struct {
+	Common
 	Rounds int
-	// Cars is the platoon size (the C-ARQ stations).
-	Cars int
-	Seed int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// Background is the number of radio-silent vehicles sharing the
 	// grid.
 	Background int
 	// GridRows x GridCols intersections, BlockM apart.
 	GridRows, GridCols int
 	BlockM             float64
-	PacketsPerSecond   float64
-	PayloadBytes       int
-	Coop               bool
 	Modulation         radio.Modulation
 	// Duration is the simulated time per round.
 	Duration time.Duration
@@ -50,37 +37,27 @@ type TrafficGridConfig struct {
 	// of live-stepping the traffic on the round's engine. Both modes
 	// produce byte-identical traces.
 	Replay bool
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultTrafficGrid returns a 3x3-intersection grid with a 4-car
 // platoon among 60 background vehicles.
 func DefaultTrafficGrid() TrafficGridConfig {
 	return TrafficGridConfig{
-		Rounds:           10,
-		Cars:             4,
-		Seed:             1,
-		Background:       60,
-		GridRows:         3,
-		GridCols:         3,
-		BlockM:           120,
-		PacketsPerSecond: 5,
-		PayloadBytes:     1000,
-		Coop:             true,
-		Modulation:       radio.DSSS1Mbps,
-		Duration:         150 * time.Second,
-		Replay:           true,
+		Common: Common{
+			Cars:             4,
+			Seed:             1,
+			PacketsPerSecond: 5,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:     10,
+		Background: 60,
+		GridRows:   3,
+		GridCols:   3,
+		BlockM:     120,
+		Modulation: radio.DSSS1Mbps,
+		Duration:   150 * time.Second,
+		Replay:     true,
 	}
 }
 
@@ -254,18 +231,29 @@ func trafficGridChannel(g *traffic.GridNet) radio.Config {
 	}
 }
 
-// TrafficGridRound runs one round and returns the protocol trace and the
-// traffic stream behind it. Rounds are independent: every stream derives
-// from the root seed and round index alone.
-func TrafficGridRound(cfg TrafficGridConfig, round int) (*trace.Collector, *trace.Collector, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, nil, err
+// Name implements Family.
+func (TrafficGridConfig) Name() string { return "trafficgrid" }
+
+// NumRounds implements Family.
+func (cfg TrafficGridConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg TrafficGridConfig) Result(rounds []Round) *TrafficGridResult {
+	return &TrafficGridResult{
+		Config:  cfg,
+		CarIDs:  CarIDs(cfg.Cars),
+		Rounds:  protocols(rounds),
+		Traffic: streams(rounds),
 	}
+}
+
+// Round implements Family: the protocol trace and the traffic stream
+// behind it.
+func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("tgrid-round-%d", round))
 	g, specs, err := trafficGridWorld(cfg, roundSeed)
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	carIDs := CarIDs(cfg.Cars)
@@ -273,30 +261,19 @@ func TrafficGridRound(cfg TrafficGridConfig, round int) (*trace.Collector, *trac
 	models, trafficStream, preRun, err := trafficModels(g.Network, tcfg, specs,
 		cfg.Duration, cfg.Replay, cfg.Cars)
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
 
-	chCfg := trafficGridChannel(g)
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
 	cars := make([]CarSpec, cfg.Cars)
 	for i, id := range carIDs {
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: ccfg}
+		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
 	}
 
-	result, err := Run(Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel: trafficGridChannel(g),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: trafficGridAP(g),
@@ -306,28 +283,9 @@ func TrafficGridRound(cfg TrafficGridConfig, round int) (*trace.Collector, *trac
 		Cars:     cars,
 		Duration: cfg.Duration,
 		PreRun:   preRun,
-		Medium:   cfg.Medium,
 	})
 	if err != nil {
-		return nil, nil, err
+		return Round{}, err
 	}
-	return result.Trace, trafficStream, nil
-}
-
-// RunTrafficGrid executes every round serially.
-func RunTrafficGrid(cfg TrafficGridConfig) (*TrafficGridResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &TrafficGridResult{Config: cfg, CarIDs: CarIDs(cfg.Cars)}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, stream, err := TrafficGridRound(cfg, round)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: traffic grid round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-		res.Traffic = append(res.Traffic, stream)
-	}
-	return res, nil
+	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/mobility"
@@ -28,20 +27,11 @@ import (
 // own pass) — which head-on traffic on a straight road can never satisfy,
 // but out-and-back traffic can.
 type TwoWayConfig struct {
+	Common
 	Rounds int
-	// Cars is the platoon size.
-	Cars int
 	// RelayCars is the number of trailing/opposing relay vehicles; zero
 	// isolates the platoon-only baseline.
 	RelayCars int
-	Seed      int64
-	// Arm names the sweep arm this config belongs to. A non-empty arm
-	// forks the round's channel and protocol randomness (sim.ArmSeed), so
-	// sweep arms stop sharing one fading/shadowing realization; the
-	// mobility/traffic world stays keyed by (Seed, round) alone and
-	// remains shared across arms. The harness sets it to the
-	// parameter-point label; empty keeps the unforked streams.
-	Arm string
 	// SpeedMPS is the platoon speed; RelaySpeedMPS the relay traffic's.
 	SpeedMPS      float64
 	RelaySpeedMPS float64
@@ -52,11 +42,8 @@ type TwoWayConfig struct {
 	RelayLeadM    float64
 	RelaySpacingM float64
 	// LaneGapM is the lateral separation of the two lanes.
-	LaneGapM         float64
-	PacketsPerSecond float64
-	PayloadBytes     int
-	Coop             bool
-	Modulation       radio.Modulation
+	LaneGapM   float64
+	Modulation radio.Modulation
 	// CycleBlocks makes the AP broadcast a fixed carousel of this many
 	// blocks per flow instead of an endless stream. The carousel is what
 	// makes opposing traffic useful to a pull-based protocol: relay cars
@@ -68,40 +55,30 @@ type TwoWayConfig struct {
 	// midpoint, APSetbackM off the outbound lane.
 	RoadLengthM float64
 	APSetbackM  float64
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
-	// TuneChannel and TuneCarq optionally mutate derived configs.
-	TuneChannel func(*radio.Config)
-	TuneCarq    func(*carq.Config)
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // DefaultTwoWay returns a 90 km/h three-car platoon with four relay cars.
 func DefaultTwoWay() TwoWayConfig {
 	return TwoWayConfig{
-		Rounds:           8,
-		Cars:             3,
-		RelayCars:        4,
-		Seed:             1,
-		SpeedMPS:         25,
-		RelaySpeedMPS:    25,
-		HeadwayM:         50,
-		RelayLeadM:       350,
-		RelaySpacingM:    150,
-		LaneGapM:         6,
-		PacketsPerSecond: 10,
-		PayloadBytes:     1000,
-		Coop:             true,
-		Modulation:       radio.DSSS1Mbps,
-		CycleBlocks:      300,
-		RoadLengthM:      2400,
-		APSetbackM:       12,
+		Common: Common{
+			Cars:             3,
+			Seed:             1,
+			PacketsPerSecond: 10,
+			PayloadBytes:     1000,
+			Coop:             true,
+		},
+		Rounds:        8,
+		RelayCars:     4,
+		SpeedMPS:      25,
+		RelaySpeedMPS: 25,
+		HeadwayM:      50,
+		RelayLeadM:    350,
+		RelaySpacingM: 150,
+		LaneGapM:      6,
+		Modulation:    radio.DSSS1Mbps,
+		CycleBlocks:   300,
+		RoadLengthM:   2400,
+		APSetbackM:    12,
 	}
 }
 
@@ -168,61 +145,26 @@ func twoWayPath(cfg TwoWayConfig) *geom.Polyline {
 // twoWayChannel reuses the open-road highway calibration.
 func twoWayChannel() radio.Config { return highwayChannel() }
 
-// RunTwoWay executes the two-way highway rounds.
-func RunTwoWay(cfg TwoWayConfig) (*TwoWayResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	res := &TwoWayResult{
+// Name implements Family.
+func (TwoWayConfig) Name() string { return "twoway" }
+
+// NumRounds implements Family.
+func (cfg TwoWayConfig) NumRounds() int { return cfg.Rounds }
+
+// Result implements Family.
+func (cfg TwoWayConfig) Result(rounds []Round) *TwoWayResult {
+	return &TwoWayResult{
 		Config:   cfg,
+		Rounds:   protocols(rounds),
 		CarIDs:   CarIDs(cfg.Cars),
 		RelayIDs: TwoWayRelayIDs(cfg.RelayCars),
 	}
-	for round := 0; round < cfg.Rounds; round++ {
-		col, err := runTwoWayRound(cfg, round, res.CarIDs)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: two-way round %d: %w", round, err)
-		}
-		res.Rounds = append(res.Rounds, col)
-	}
-	return res, nil
 }
 
-// TwoWayRound runs one independent two-way round; see TestbedRound for
-// the determinism contract.
-func TwoWayRound(cfg TwoWayConfig, round int) (*trace.Collector, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	return runTwoWayRound(cfg, round, CarIDs(cfg.Cars))
-}
-
-func runTwoWayRound(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (*trace.Collector, error) {
-	setup, err := twoWaySetup(cfg, round, carIDs)
-	if err != nil {
-		return nil, err
-	}
-	result, err := Run(setup)
-	if err != nil {
-		return nil, err
-	}
-	return result.Trace, nil
-}
-
-// TwoWaySetup builds (without running) the full Setup for one two-way
-// round, for callers that want to attach a Hook before running.
-func TwoWaySetup(cfg TwoWayConfig, round int) (Setup, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return Setup{}, err
-	}
-	return twoWaySetup(cfg, round, CarIDs(cfg.Cars))
-}
-
-func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, error) {
+// Round implements Family: one out-and-back drive.
+func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("twoway-round-%d", round))
+	carIDs := CarIDs(cfg.Cars)
 
 	circuit := twoWayPath(cfg)
 	leader := mobility.MustPathFollower(mobility.FollowerConfig{
@@ -242,7 +184,7 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 	}
 	platoon, err := mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
 	if err != nil {
-		return Setup{}, err
+		return Round{}, err
 	}
 
 	// Relay traffic drives the outbound lane only. One shared path starts
@@ -268,11 +210,6 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 		}
 	}
 
-	chCfg := twoWayChannel()
-	chCfg.FastMode = cfg.FastChannel
-	if cfg.TuneChannel != nil {
-		cfg.TuneChannel(&chCfg)
-	}
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
@@ -285,33 +222,22 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 
 	cars := make([]CarSpec, 0, cfg.Cars+cfg.RelayCars)
 	for i := 0; i < cfg.Cars; i++ {
-		id := carIDs[i]
-		ccfg := carq.DefaultConfig(id)
-		ccfg.CoopEnabled = cfg.Coop
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&ccfg)
-		}
-		cars = append(cars, CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg})
+		cars = append(cars, CarSpec{ID: carIDs[i], Mobility: platoon.Car(i), Carq: cfg.carqConfig(carIDs[i])})
 	}
 	for j, id := range relayIDs {
 		// Relays have no flow of their own; BufferForAll makes them keep
 		// any overheard DATA so they can serve REQUESTs for every flow.
-		rcfg := carq.DefaultConfig(id)
-		rcfg.CoopEnabled = cfg.Coop
+		rcfg := cfg.carqConfig(id)
 		rcfg.BufferForAll = true
 		rcfg.KnownFirstSeq = 0
-		if cfg.TuneCarq != nil {
-			cfg.TuneCarq(&rcfg)
-		}
 		cars = append(cars, CarSpec{ID: id, Mobility: relays[j], Carq: rcfg})
 	}
 
 	apCfg := apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
 		cfg.PayloadBytes, 1, 0, apStop)
 	apCfg.CycleLength = cfg.CycleBlocks
-	return Setup{
-		Seed:    sim.ArmSeed(roundSeed, cfg.Arm),
-		Channel: chCfg,
+	result, err := cfg.run(roundSeed, Setup{
+		Channel: twoWayChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: -cfg.APSetbackM},
@@ -319,6 +245,9 @@ func twoWaySetup(cfg TwoWayConfig, round int, carIDs []packet.NodeID) (Setup, er
 		}},
 		Cars:     cars,
 		Duration: duration,
-		Medium:   cfg.Medium,
-	}, nil
+	})
+	if err != nil {
+		return Round{}, err
+	}
+	return Round{Protocol: result.Trace}, nil
 }

@@ -41,21 +41,12 @@ func TestTwoWayConfigValidation(t *testing.T) {
 
 func TestTwoWayRoundDeterminism(t *testing.T) {
 	cfg := tinyTwoWay()
-	a, err := TwoWayRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TwoWayRound(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runRound(t, cfg, 0).Protocol
+	b := runRound(t, cfg, 0).Protocol
 	if !reflect.DeepEqual(a.Counts(), b.Counts()) {
 		t.Fatalf("same round diverged: %+v vs %+v", a.Counts(), b.Counts())
 	}
-	c, err := TwoWayRound(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runRound(t, cfg, 1).Protocol
 	if reflect.DeepEqual(a.Counts(), c.Counts()) {
 		t.Fatal("distinct rounds produced identical traces")
 	}
@@ -70,7 +61,7 @@ func TestTwoWayRelaysServe(t *testing.T) {
 	}
 	cfg := DefaultTwoWay()
 	cfg.Rounds = 2
-	res, err := RunTwoWay(cfg)
+	res, err := RunRounds(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +91,7 @@ func TestTwoWayRelaysServe(t *testing.T) {
 	// Relay service must beat the platoon-only baseline on residual loss.
 	base := cfg
 	base.RelayCars = 0
-	baseRes, err := RunTwoWay(base)
+	baseRes, err := RunRounds(base)
 	if err != nil {
 		t.Fatal(err)
 	}
