@@ -1,8 +1,7 @@
 // Command sweepd serves a sweep's results over HTTP — the
 // heavy-traffic face of the experiment harness. It sits on the same
 // output directory (and optional content-addressed result store) that
-// cmd/experiments writes, configured through the same harness.Options
-// flags, and serves:
+// cmd/experiments writes, and serves:
 //
 //	/api/catalogue   the manifest as an API: every experiment, every
 //	                 output with URL, typed kind, size and ETag
@@ -36,7 +35,11 @@
 // Usage:
 //
 //	sweepd [-addr :8080] [-out results] [-result-store dir]
-//	       [-bench-dir .] [-drain 10s] [-debug] (plus the shared sweep flags)
+//	       [-bench-dir .] [-drain 10s] [-debug]
+//
+// Those six flags are the whole command line: sweepd runs no simulation,
+// so the sweep flags of cmd/experiments (-rounds, -seed, -workers, ...)
+// are rejected as unknown.
 package main
 
 import (
@@ -59,32 +62,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweepd: ")
 
-	opts := harness.DefaultOptions()
-	opts.Bind(flag.CommandLine)
-	var (
-		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		benchDir = flag.String("bench-dir", ".", "directory of the committed BENCH_<n>.json snapshots")
-		debug    = flag.Bool("debug", false, "expose net/http/pprof under /debug/pprof/")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline: on SIGTERM/SIGINT, in-flight requests get this long to finish")
-	)
-	flag.Parse()
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Serving telemetry is the point of this process; no simulation runs
 	// here, so there is no determinism contract to protect by gating.
 	metrics.SetEnabled(true)
 
-	opts, err := opts.Validate()
-	if err != nil {
-		log.Fatal(err)
-	}
 	var store *harness.ResultStore
-	if opts.ResultStore != "" {
-		if store, err = harness.NewResultStore(opts.ResultStore); err != nil {
+	if cfg.resultStore != "" {
+		if store, err = harness.NewResultStore(cfg.resultStore); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	s := newServer(opts.OutDir, *benchDir, store, *debug)
+	s := newServer(cfg.out, cfg.benchDir, store, cfg.debug)
 	if err := s.refresh(); err != nil {
 		// Not fatal: the producer may not have written a manifest yet;
 		// handlers answer 503 until one appears.
@@ -95,7 +89,7 @@ func main() {
 	// signal-driven Shutdown drains in-flight requests instead of
 	// dropping them mid-body when the process is told to go.
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           s.routes(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -105,7 +99,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("serving %s on %s", opts.OutDir, *addr)
+		log.Printf("serving %s on %s", cfg.out, cfg.addr)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -116,8 +110,8 @@ func main() {
 		// The listener died on its own (port taken, socket error).
 		log.Fatal(err)
 	case sig := <-sigc:
-		log.Printf("%v: draining for up to %v", sig, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		log.Printf("%v: draining for up to %v", sig, cfg.drain)
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			// Past the drain deadline: close what remains and report it.
@@ -129,4 +123,32 @@ func main() {
 		}
 		log.Print("shutdown complete")
 	}
+}
+
+// config is sweepd's whole command-line surface.
+type config struct {
+	addr        string
+	out         string
+	resultStore string
+	benchDir    string
+	drain       time.Duration
+	debug       bool
+}
+
+// parseFlags binds sweepd's six flags on fs and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var c config
+	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address")
+	fs.StringVar(&c.out, "out", "results", "sweep output directory to serve (reports, series, manifest.json, timings.json)")
+	fs.StringVar(&c.resultStore, "result-store", "", "directory of the content-addressed unit-result store (empty: no /api/store)")
+	fs.StringVar(&c.benchDir, "bench-dir", ".", "directory of the committed BENCH_<n>.json snapshots")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful-shutdown deadline: on SIGTERM/SIGINT, in-flight requests get this long to finish")
+	fs.BoolVar(&c.debug, "debug", false, "expose net/http/pprof under /debug/pprof/")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if c.out == "" {
+		return c, errors.New("empty output directory")
+	}
+	return c, nil
 }

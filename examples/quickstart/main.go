@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/ap"
-	"repro/internal/core"
+	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
@@ -71,9 +71,9 @@ func main() {
 	}
 
 	// 5. A Cooperative-ARQ node on each car.
-	nodes := make(map[packet.NodeID]*core.Node)
+	nodes := make(map[packet.NodeID]*carq.Node)
 	for _, id := range []packet.NodeID{car1, car2} {
-		node, err := core.NewNode(core.DefaultConfig(id), core.Deps{
+		node, err := carq.NewNode(carq.DefaultConfig(id), carq.Deps{
 			Ctx:      engine,
 			Port:     stations[id],
 			RNG:      sim.Stream(42, fmt.Sprintf("node-%v", id)),

@@ -288,31 +288,3 @@ func TestLastRecoveryLatencies(t *testing.T) {
 		t.Fatalf("latencies without recoveries = %v", got)
 	}
 }
-
-func TestRecoveryLatenciesAndRate(t *testing.T) {
-	mk := func(complete bool) *trace.Collector {
-		c := &trace.Collector{}
-		c.OnPhaseChange(car1, carq.PhaseReception, carq.PhaseCoopARQ, 10*time.Second)
-		if complete {
-			c.OnComplete(car1, 14*time.Second)
-		}
-		return c
-	}
-	rounds := []*trace.Collector{mk(true), mk(false), mk(true)}
-	lats := RecoveryLatencies(rounds, car1)
-	if len(lats) != 2 {
-		t.Fatalf("latencies = %v", lats)
-	}
-	for _, l := range lats {
-		if math.Abs(l-4) > 1e-9 {
-			t.Fatalf("latency = %v, want 4", l)
-		}
-	}
-	if got := RecoveryRate(rounds, car1); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("RecoveryRate = %v, want 2/3", got)
-	}
-	// A car that never entered coop yields no samples.
-	if got := RecoveryRate(rounds, car2); got != 0 {
-		t.Fatalf("RecoveryRate(car2) = %v", got)
-	}
-}

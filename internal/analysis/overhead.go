@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/carq"
 	"repro/internal/packet"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -46,39 +45,11 @@ func MeasureOverhead(round *trace.Collector) Overhead {
 // ControlTx returns the non-DATA transmission count.
 func (o Overhead) ControlTx() int { return o.HelloTx + o.RequestTx + o.ResponseTx }
 
-// RecoveryLatencies returns, for each round in which the car both entered
-// the Cooperative-ARQ phase and completed recovery, the delay from phase
-// entry to completion. Rounds without a completion are skipped (the paper's
-// cars occasionally could not recover everything).
-func RecoveryLatencies(rounds []*trace.Collector, car packet.NodeID) []float64 {
-	var out []float64
-	for _, round := range rounds {
-		var coopStart time.Duration = -1
-		for _, p := range round.Phases {
-			if p.Node == car && p.To == carq.PhaseCoopARQ {
-				coopStart = p.At
-				break
-			}
-		}
-		if coopStart < 0 {
-			continue
-		}
-		for _, c := range round.Completed {
-			if c.Node == car && c.At >= coopStart {
-				out = append(out, (c.At - coopStart).Seconds())
-				break
-			}
-		}
-	}
-	return out
-}
-
 // LastRecoveryLatencies returns, per round, the delay from the car's
 // Cooperative-ARQ phase entry to its final cooperative recovery — how long
-// the car needed to extract everything its cooperators had. Unlike
-// RecoveryLatencies it does not require the missing list to drain
-// completely, which it rarely does when the recovery range reaches back to
-// packets nobody received.
+// the car needed to extract everything its cooperators had. It does not
+// require the missing list to drain completely, which it rarely does when
+// the recovery range reaches back to packets nobody received.
 func LastRecoveryLatencies(rounds []*trace.Collector, car packet.NodeID) []float64 {
 	var out []float64
 	for _, round := range rounds {
@@ -104,31 +75,4 @@ func LastRecoveryLatencies(rounds []*trace.Collector, car packet.NodeID) []float
 		out = append(out, (last - coopStart).Seconds())
 	}
 	return out
-}
-
-// RecoveryRate returns the fraction of rounds (with a coop phase) in which
-// the car fully drained its missing list.
-func RecoveryRate(rounds []*trace.Collector, car packet.NodeID) float64 {
-	var p stats.Proportion
-	for _, round := range rounds {
-		entered := false
-		for _, ph := range round.Phases {
-			if ph.Node == car && ph.To == carq.PhaseCoopARQ {
-				entered = true
-				break
-			}
-		}
-		if !entered {
-			continue
-		}
-		done := false
-		for _, c := range round.Completed {
-			if c.Node == car {
-				done = true
-				break
-			}
-		}
-		p.Add(done)
-	}
-	return p.Estimate()
 }

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,14 +54,17 @@ func TestPoolDoFillsAllSlots(t *testing.T) {
 	p := NewPool(4)
 	const n = 100
 	out := make([]int, n)
-	err := p.Do(n, func(i int) error {
+	errs := p.DoAll(n, func(i int) error {
 		out[i] = i * i
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if len(errs) != n {
+		t.Fatalf("%d errors for %d units", len(errs), n)
 	}
 	for i, v := range out {
+		if errs[i] != nil {
+			t.Fatalf("slot %d: %v", i, errs[i])
+		}
 		if v != i*i {
 			t.Fatalf("slot %d = %d", i, v)
 		}
@@ -75,7 +76,7 @@ func TestPoolDoBoundsConcurrency(t *testing.T) {
 	p := NewPool(width)
 	var cur, max atomic.Int64
 	var mu sync.Mutex
-	err := p.Do(50, func(int) error {
+	for _, err := range p.DoAll(50, func(int) error {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > max.Load() {
@@ -84,26 +85,13 @@ func TestPoolDoBoundsConcurrency(t *testing.T) {
 		mu.Unlock()
 		cur.Add(-1)
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}) {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if m := max.Load(); m > width {
 		t.Fatalf("observed %d concurrent units, want <= %d", m, width)
-	}
-}
-
-func TestPoolDoReturnsLowestIndexError(t *testing.T) {
-	p := NewPool(1)
-	boom := errors.New("boom")
-	err := p.Do(10, func(i int) error {
-		if i >= 3 {
-			return fmt.Errorf("unit %d: %w", i, boom)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "unit 3: boom" {
-		t.Fatalf("err = %v, want unit 3", err)
 	}
 }
 

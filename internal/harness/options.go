@@ -7,13 +7,11 @@ import (
 	"time"
 )
 
-// Options is the one configuration surface of the sweep system. Both
-// binaries — cmd/experiments (the sweep producer) and cmd/sweepd (the
-// HTTP results API) — bind the same fields to the same flags through
-// Bind, so there is exactly one way to point a process at a sweep: an
-// output directory for reports and the manifest, an optional
-// content-addressed result store for unit results, and an optional
-// precomputed traffic-trace store.
+// Options is the one configuration surface of a sweep: an output
+// directory for reports and the manifest, an optional content-addressed
+// result store for unit results, an optional precomputed traffic-trace
+// store, and the run's knobs. cmd/experiments binds it to flags through
+// Bind; cmd/sweepd, which runs no sweep, declares its own six flags.
 type Options struct {
 	// Rounds is the requested round count for the canonical experiments;
 	// studies may cap it per point (see Context.CappedRounds).
@@ -74,7 +72,7 @@ type Options struct {
 	Now func() time.Time
 }
 
-// DefaultOptions returns the defaults both binaries share.
+// DefaultOptions returns the sweep defaults.
 func DefaultOptions() Options {
 	return Options{
 		Rounds: 30,
@@ -83,9 +81,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// Bind registers the shared flags on fs, writing through to o. Binaries
-// add their own private flags (cmd/experiments: -exp, profiling;
-// cmd/sweepd: -addr) beside these.
+// Bind registers the sweep flags on fs, writing through to o.
+// cmd/experiments, its one caller, adds its private flags (-exp,
+// profiling, ...) beside these.
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Rounds, "rounds", o.Rounds, "rounds for the canonical testbed experiments")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "root random seed")

@@ -49,63 +49,14 @@ func call(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// Do runs fn(0..n-1) on up to Workers goroutines and waits for all of
-// them. Workers claim indices from a shared counter, so the schedule is
-// work-stealing; determinism comes from fn writing only to its own index.
-// A failing (or panicking) unit aborts the remaining schedule; the
-// returned error is the lowest-index failure, independent of which
-// goroutine observed its error first.
-func (p *Pool) Do(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := call(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var (
-		wg     sync.WaitGroup
-		next   atomic.Int64
-		failed atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if errs[i] = call(fn, i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DoAll is Do without the early abort: every index runs to completion
-// regardless of other units' failures, and the per-index errors come
-// back positionally. Panics are recovered into *PanicError exactly like
-// Do. The harness uses this for unit isolation — one bad unit fails
-// alone while its siblings finish and persist their results.
+// DoAll runs fn(0..n-1) on up to Workers goroutines and waits for all
+// of them. Workers claim indices from a shared counter, so the schedule
+// is work-stealing; determinism comes from fn writing only to its own
+// index. Every index runs to completion regardless of other units'
+// failures, and the per-index errors come back positionally; a panicking
+// unit is recovered into a *PanicError. The harness uses this for unit
+// isolation — one bad unit fails alone while its siblings finish and
+// persist their results.
 func (p *Pool) DoAll(n int, fn func(i int) error) []error {
 	errs := make([]error, n)
 	if n <= 0 {

@@ -3,12 +3,10 @@ package radio
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/packet"
-	"repro/internal/sim"
 )
 
 // Config parameterises a Channel. The zero value is not valid; use
@@ -85,22 +83,19 @@ type Channel struct {
 	cfg     Config
 	shadows *shadowField
 	// fades are the per-directed-link frame-randomness streams used by
-	// the medium's delivery path (see decision.go); fadeRNG is the
-	// channel-global stream behind the standalone DecideFrame, kept for
-	// analysis tools and the radio-layer statistical tests.
-	fades   fadeField
-	edges   map[edgeKey]FrameEdges
-	fadeRNG *rand.Rand
+	// the medium's delivery path (see decision.go).
+	fades fadeField
+	edges map[edgeKey]FrameEdges
 	// shadowClampDB and fadeClampDB are the resolved boost bounds (see
 	// Config.ShadowClampSigma / Config.FadeClampDB).
 	shadowClampDB float64
 	fadeClampDB   float64
-	// noiseLin caches the noise floor in linear milliwatts; DecideFrame
-	// runs once per candidate receiver of every frame. noiseOnlyDB caches
-	// 10*log10(noiseLin) — the interference-free SINR denominator, which
-	// is the overwhelmingly common case — computed once with the exact
-	// arithmetic DecideFrame would use, so the cached path is bit-
-	// identical to the uncached one.
+	// noiseLin caches the noise floor in linear milliwatts; a frame
+	// decision runs once per candidate receiver of every frame.
+	// noiseOnlyDB caches 10*log10(noiseLin) — the interference-free SINR
+	// denominator, which is the overwhelmingly common case — computed
+	// once with the exact arithmetic of the interference path, so the
+	// cached path is bit-identical to the uncached one.
 	noiseLin    float64
 	noiseOnlyDB float64
 	// lossDB is the path-loss model with its constants precomputed
@@ -169,7 +164,6 @@ func NewChannel(cfg Config) (*Channel, error) {
 		shadows:       shadows,
 		fades:         fadeField{seed: cfg.Seed, links: make(map[uint64]*FadeStream)},
 		edges:         make(map[edgeKey]FrameEdges),
-		fadeRNG:       sim.Stream(cfg.Seed, "fading"),
 		shadowClampDB: shadowClamp,
 		fadeClampDB:   fadeClamp,
 		noiseLin:      noiseLin,
@@ -206,8 +200,9 @@ func (c *Channel) CaptureThresholdDB() float64 { return c.cfg.CaptureThresholdDB
 
 // MeanRxPowerDBm returns the large-scale received power (path loss +
 // shadowing, no fading) for a frame from a at pa to b at pb at virtual
-// time now. The MAC uses it for carrier sensing and capture comparison;
-// the per-frame fading sample is applied separately in FramePER.
+// time now. The medium computes the same value in batches
+// (BatchMeanRxPower); the per-frame fading sample is drawn separately by
+// ResolveFrame.
 func (c *Channel) MeanRxPowerDBm(a, b packet.NodeID, pa, pb geom.Point, now time.Duration) float64 {
 	return c.MeanRxPowerLinkDBm(c.ShadowLink(a, b), pa.Dist(pb), pa, pb, now)
 }
@@ -229,20 +224,6 @@ func (c *Channel) MeanRxPowerLinkDBm(l *ShadowLink, d float64, pa, pb geom.Point
 		p -= c.cfg.ObstructionDB(pa, pb)
 	}
 	return p
-}
-
-// FadingSampleDB draws an independent small-scale fading gain for one
-// frame, in dB, bounded above by the fade clamp. Returns 0 when fading is
-// disabled.
-func (c *Channel) FadingSampleDB() float64 {
-	if c.cfg.FadingK < 0 {
-		return 0
-	}
-	g := fadingGainDB(c.fadeRNG, c.cfg.FadingK)
-	if g > c.fadeClampDB {
-		g = c.fadeClampDB
-	}
-	return g
 }
 
 // ShadowClampDB returns the bound on any shadowing sample's magnitude.
@@ -283,33 +264,10 @@ type FrameDecision struct {
 	Received   bool
 }
 
-// DecideFrame determines whether a frame of the given size survives the
-// channel: it applies a fading sample to the mean rx power, computes SINR
-// against noise + interference, evaluates the modulation's PER and flips a
-// deterministic coin.
-func (c *Channel) DecideFrame(meanRxDBm, interferenceDBm float64, mod Modulation, bytes int) FrameDecision {
-	rx := meanRxDBm + c.FadingSampleDB()
-	// Same arithmetic as SINRdB with the noise term precomputed; the
-	// interference-free denominator comes from the noiseOnlyDB cache.
-	var sinr float64
-	if math.IsInf(interferenceDBm, -1) {
-		sinr = rx - c.noiseOnlyDB
-	} else {
-		sinr = rx - 10*math.Log10(c.noiseLin+math.Pow(10, interferenceDBm/10))
-	}
-	per := mod.PER(sinr, bytes)
-	return FrameDecision{
-		RxPowerDBm: rx,
-		SINRdB:     sinr,
-		PER:        per,
-		Received:   c.fadeRNG.Float64() >= per,
-	}
-}
-
 // CertainLossFloorDBm returns the mean rx power (path loss + shadowing)
 // below which a frame of the given modulation and size can NEVER be
 // received, whatever the RNG does. The argument is exact, not statistical:
-// DecideFrame receives iff Float64() >= PER, Float64() never exceeds
+// a frame is received iff its coin Float64() >= PER, Float64() never exceeds
 // 1 - 2^-53, the fading boost is bounded by the fade clamp, interference
 // only lowers the SINR, and below the returned floor the PER computes to
 // exactly 1.0 in float64. The radio medium uses it (together with

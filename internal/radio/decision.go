@@ -8,9 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the medium's frame-decision engine. It decomposes
-// DecideFrame into pieces whose randomness is per-directed-link instead
-// of channel-global, so that frame resolutions become order-independent:
+// This file is the medium's frame-decision engine. A frame decision
+// applies a fading sample to the mean rx power, computes SINR against
+// noise + interference, evaluates the modulation's PER and flips a
+// deterministic coin; its randomness is per-directed-link, not
+// channel-global, so that frame resolutions are order-independent:
 // resolving each transmission's receivers exactly once — in whatever
 // order, batched at transmission start or one by one at its end —
 // consumes identical stream values and produces byte-identical traces,

@@ -90,18 +90,19 @@ func TestMaxRangeBrackets(t *testing.T) {
 // TestBeyondMaxRangeNeverReceives is the end-to-end losslessness property
 // the medium's culling rests on: at any distance beyond
 // MaxRangeM(CertainLossFloorDBm), even the maximum shadowing boost leaves
-// every frame with PER exactly 1, so DecideFrame can never report a
-// reception — no matter how the fading RNG lands.
+// every frame with PER exactly 1, so the frame decision can never report
+// a reception — no matter how the link's fade stream lands.
 func TestBeyondMaxRangeNeverReceives(t *testing.T) {
 	c := horizonChannel(t)
 	mod, bytes := DSSS1Mbps, 1020
 	floor := c.CertainLossFloorDBm(mod, bytes)
 	r := c.MaxRangeM(floor)
 	cfg := c.Config()
+	s := c.FadeStream(1, 2)
 	for _, d := range []float64{r + 0.01, r * 1.5, r * 10} {
 		meanRx := cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.ShadowClampDB()
 		for i := 0; i < 2000; i++ {
-			dec := c.DecideFrame(meanRx, math.Inf(-1), mod, bytes)
+			dec := decide(c, s, meanRx, mod, bytes)
 			if dec.PER < 1 || dec.Received {
 				t.Fatalf("d=%v (range %v): received frame, PER=%v", d, r, dec.PER)
 			}
@@ -120,7 +121,8 @@ func TestShadowSampleClamped(t *testing.T) {
 	}
 }
 
-// TestFadingSampleClamped: the channel's fade samples respect the clamp.
+// TestFadingSampleClamped: the fade gains ResolveFrame draws respect the
+// clamp.
 func TestFadingSampleClamped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FadingK = 0 // Rayleigh: the heaviest upper tail
@@ -129,9 +131,11 @@ func TestFadingSampleClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := c.FadeStream(1, 2)
+	e := c.FrameEdges(DSSS1Mbps, 1000)
 	hit := false
 	for i := 0; i < 20000; i++ {
-		g := c.FadingSampleDB()
+		g := c.ResolveFrame(s, -80, e, DSSS1Mbps, 1000).FadeDB
 		if g > 1.5 {
 			t.Fatalf("fade sample %v beyond clamp", g)
 		}

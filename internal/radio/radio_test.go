@@ -298,14 +298,23 @@ func TestChannelRxPowerDecreasesWithDistance(t *testing.T) {
 	}
 }
 
+// decide runs one interference-free frame through the medium's decision
+// path: ResolveFrame on the link's fade stream, then FinishFrame.
+func decide(c *Channel, s *FadeStream, meanRxDBm float64, mod Modulation, bytes int) FrameDecision {
+	e := c.FrameEdges(mod, bytes)
+	d := c.ResolveFrame(s, meanRxDBm, e, mod, bytes)
+	return c.FinishFrame(s, &d, meanRxDBm, math.Inf(-1), e, mod, bytes)
+}
+
 func TestChannelDeterminism(t *testing.T) {
 	run := func() []float64 {
 		c := MustChannel(DefaultConfig())
+		s := c.FadeStream(1, 2)
 		var out []float64
 		for i := 0; i < 50; i++ {
 			now := time.Duration(i) * 100 * time.Millisecond
 			p := c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: float64(50 + i)}, now)
-			d := c.DecideFrame(p, math.Inf(-1), DSSS1Mbps, 1000)
+			d := decide(c, s, p, DSSS1Mbps, 1000)
 			out = append(out, p, d.RxPowerDBm, boolToF(d.Received))
 		}
 		return out
@@ -329,11 +338,12 @@ func TestDecideFrameExtremes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FadingK = -1 // disable fading for exactness
 	c := MustChannel(cfg)
-	strong := c.DecideFrame(-40, math.Inf(-1), DSSS1Mbps, 1000)
+	s := c.FadeStream(1, 2)
+	strong := decide(c, s, -40, DSSS1Mbps, 1000)
 	if !strong.Received || strong.PER > 1e-9 {
 		t.Fatalf("strong frame lost: %+v", strong)
 	}
-	weak := c.DecideFrame(-120, math.Inf(-1), DSSS1Mbps, 1000)
+	weak := decide(c, s, -120, DSSS1Mbps, 1000)
 	if weak.Received || weak.PER < 0.999 {
 		t.Fatalf("weak frame received: %+v", weak)
 	}
@@ -360,10 +370,11 @@ func TestDecideFrameEmpiricalLossMatchesPER(t *testing.T) {
 	}
 	power := (lo + hi) / 2
 	wantPER := DSSS1Mbps.PER(SINRdB(power, cfg.NoiseFloorDBm, math.Inf(-1)), 1000)
+	s := c.FadeStream(1, 2)
 	losses := 0
 	n := 20000
 	for i := 0; i < n; i++ {
-		if !c.DecideFrame(power, math.Inf(-1), DSSS1Mbps, 1000).Received {
+		if !decide(c, s, power, DSSS1Mbps, 1000).Received {
 			losses++
 		}
 	}
@@ -378,13 +389,5 @@ func BenchmarkMeanRxPower(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: 120}, time.Duration(i))
-	}
-}
-
-func BenchmarkDecideFrame(b *testing.B) {
-	c := MustChannel(DefaultConfig())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.DecideFrame(-80, math.Inf(-1), DSSS1Mbps, 1000)
 	}
 }

@@ -52,10 +52,6 @@ type CityDemandConfig struct {
 	// Duration is the simulated time per round; it is also the demand
 	// horizon vehicles are injected over.
 	Duration time.Duration
-	// Replay drives the protocol run from a recorded traffic stream (via
-	// the shared trace cache) instead of live-stepping; both modes
-	// produce byte-identical traces.
-	Replay bool
 }
 
 // DefaultCityDemand returns a 12x12-intersection city (2.2 km on a side)
@@ -80,7 +76,6 @@ func DefaultCityDemand() CityDemandConfig {
 		HelloPeriod: time.Second,
 		Modulation:  radio.DSSS1Mbps,
 		Duration:    160 * time.Second,
-		Replay:      true,
 	}
 }
 
@@ -305,8 +300,7 @@ func (cfg CityDemandConfig) Round(round int) (Round, error) {
 
 	// Every vehicle needs a mobility model: the platoon cars run C-ARQ,
 	// the demand population beacons.
-	models, trafficStream, preRun, err := trafficModels(g.Network, tcfg, specs,
-		cfg.Duration, cfg.Replay, len(specs))
+	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, len(specs))
 	if err != nil {
 		return Round{}, err
 	}
@@ -355,7 +349,6 @@ func (cfg CityDemandConfig) Round(round int) (Round, error) {
 		APs:      aps,
 		Cars:     cars,
 		Duration: cfg.Duration,
-		PreRun:   preRun,
 	})
 	if err != nil {
 		return Round{}, err

@@ -44,10 +44,6 @@ type CityScaleConfig struct {
 	Modulation  radio.Modulation
 	// Duration is the simulated time per round.
 	Duration time.Duration
-	// Replay drives the protocol run from a recorded traffic stream (via
-	// the shared trace cache) instead of live-stepping; both modes
-	// produce byte-identical traces.
-	Replay bool
 }
 
 // DefaultCityScale returns a 16x16-intersection city (3 km on a side)
@@ -71,7 +67,6 @@ func DefaultCityScale() CityScaleConfig {
 		HelloPeriod: time.Second,
 		Modulation:  radio.DSSS1Mbps,
 		Duration:    160 * time.Second,
-		Replay:      true,
 	}
 }
 
@@ -361,8 +356,7 @@ func (cfg CityScaleConfig) Round(round int) (Round, error) {
 
 	// Every vehicle needs a mobility model: the platoon cars run C-ARQ,
 	// the rest beacon.
-	models, trafficStream, preRun, err := trafficModels(g.Network, tcfg, specs,
-		cfg.Duration, cfg.Replay, len(specs))
+	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, len(specs))
 	if err != nil {
 		return Round{}, err
 	}
@@ -406,7 +400,6 @@ func (cfg CityScaleConfig) Round(round int) (Round, error) {
 		APs:      aps,
 		Cars:     cars,
 		Duration: cfg.Duration,
-		PreRun:   preRun,
 	})
 	if err != nil {
 		return Round{}, err
@@ -430,8 +423,7 @@ func CityScaleMobilityModels(cfg CityScaleConfig, round int) ([]mobility.Model, 
 		return nil, nil, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	models, _, _, err := trafficModels(g.Network, tcfg, specs,
-		cfg.Duration, true, len(specs))
+	models, _, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, len(specs))
 	if err != nil {
 		return nil, nil, err
 	}

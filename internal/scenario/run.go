@@ -86,13 +86,6 @@ type Setup struct {
 	// exhaustive fallback produce byte-identical traces; the flag exists
 	// for the equivalence tests and for benchmarking the two paths.
 	Medium mac.MediumConfig
-	// PreRun, if non-nil, runs immediately after the engine is created,
-	// before any AP or protocol node schedules its first event. Traffic
-	// scenarios use it to attach a live-stepped traffic simulation: the
-	// pre-scheduled tick events then carry lower sequence numbers than
-	// any protocol event at the same instant, which the live-vs-replay
-	// determinism contract requires.
-	PreRun func(engine *sim.Engine)
 	// Hook, if non-nil, receives the constructed engine and nodes before
 	// the run starts, for callers that want to schedule extra probes.
 	Hook func(engine *sim.Engine, nodes map[packet.NodeID]Node)
@@ -139,9 +132,6 @@ func Run(s Setup) (*Result, error) {
 		return nil, fmt.Errorf("scenario: non-positive duration %v", s.Duration)
 	}
 	engine := sim.New()
-	if s.PreRun != nil {
-		s.PreRun(engine)
-	}
 	col := tracePool.Get()
 	s.Channel.Seed = s.Seed
 	channel, err := radio.NewChannel(s.Channel)

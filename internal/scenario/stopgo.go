@@ -33,9 +33,6 @@ type StopGoConfig struct {
 	// launches the wave (a vehicle ~5 slots ahead of the platoon crawls
 	// at 1.5 m/s for the window).
 	PerturbAt, PerturbFor time.Duration
-	// Replay drives the protocol run from a recorded traffic stream;
-	// see TrafficGridConfig.Replay.
-	Replay bool
 }
 
 // DefaultStopGo returns a 72-vehicle, 1.8 km ring (25 m spacings — dense
@@ -56,7 +53,6 @@ func DefaultStopGo() StopGoConfig {
 		Duration:   180 * time.Second,
 		PerturbAt:  25 * time.Second,
 		PerturbFor: 20 * time.Second,
-		Replay:     true,
 	}
 }
 
@@ -205,8 +201,7 @@ func (cfg StopGoConfig) Round(round int) (Round, error) {
 	tcfg := traffic.Config{Network: net, Seed: roundSeed}
 	carIDs := CarIDs(cfg.Cars)
 
-	models, trafficStream, preRun, err := trafficModels(net, tcfg, specs,
-		cfg.Duration, cfg.Replay, cfg.Cars)
+	models, trafficStream, err := trafficModels(net, tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
 		return Round{}, err
 	}
@@ -229,7 +224,6 @@ func (cfg StopGoConfig) Round(round int) (Round, error) {
 		}},
 		Cars:     cars,
 		Duration: cfg.Duration,
-		PreRun:   preRun,
 	})
 	if err != nil {
 		return Round{}, err

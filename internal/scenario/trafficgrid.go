@@ -32,11 +32,6 @@ type TrafficGridConfig struct {
 	Modulation         radio.Modulation
 	// Duration is the simulated time per round.
 	Duration time.Duration
-	// Replay drives the protocol run from a recorded traffic stream
-	// (computed once per round through the shared trace cache) instead
-	// of live-stepping the traffic on the round's engine. Both modes
-	// produce byte-identical traces.
-	Replay bool
 }
 
 // DefaultTrafficGrid returns a 3x3-intersection grid with a 4-car
@@ -57,7 +52,6 @@ func DefaultTrafficGrid() TrafficGridConfig {
 		BlockM:     120,
 		Modulation: radio.DSSS1Mbps,
 		Duration:   150 * time.Second,
-		Replay:     true,
 	}
 }
 
@@ -258,8 +252,7 @@ func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	carIDs := CarIDs(cfg.Cars)
 
-	models, trafficStream, preRun, err := trafficModels(g.Network, tcfg, specs,
-		cfg.Duration, cfg.Replay, cfg.Cars)
+	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
 		return Round{}, err
 	}
@@ -282,7 +275,6 @@ func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 		}},
 		Cars:     cars,
 		Duration: cfg.Duration,
-		PreRun:   preRun,
 	})
 	if err != nil {
 		return Round{}, err

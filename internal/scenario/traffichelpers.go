@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/mobility"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -115,58 +114,39 @@ func recordTrafficTrace(tcfg traffic.Config, specs []traffic.VehicleSpec, d time
 }
 
 // trafficModels builds the platoon cars' mobility models over a traffic
-// world, in one of two byte-identical modes:
-//
-//   - live (replay=false): the traffic simulation attaches to the round's
-//     engine through the returned PreRun and steps on its clock, filling
-//     the returned stream as the round executes;
-//   - replay (replay=true): the traffic run is computed up front (via the
-//     shared cache) and its recorded stream replayed — the record-once,
-//     sweep-many path. The cache hands every arm the one recorded
-//     collector by reference, so nothing may modify it.
+// world: the traffic run is computed up front (via the shared cache) and
+// its recorded stream replayed — the record-once, sweep-many path. The
+// cache hands every arm the one recorded collector by reference, so
+// nothing may modify it.
 //
 // The cache key is traffic.TraceKey(tcfg, specs, d): the exhaustive
 // digest of everything that shapes vehicle motion, computed here so no
 // scenario can forget a field when its config grows one.
 //
 // The first nPlatoon specs are the platoon; their models are returned in
-// order. The stream holds every vehicle's recorded track (complete only
-// after the round runs to its horizon in live mode).
+// order. The stream holds every vehicle's recorded track.
 func trafficModels(net *traffic.Network, tcfg traffic.Config, specs []traffic.VehicleSpec,
-	d time.Duration, replay bool, nPlatoon int) ([]mobility.Model, *trace.Collector, func(*sim.Engine), error) {
-
-	models := make([]mobility.Model, nPlatoon)
-	if !replay {
-		rec := &trace.Collector{}
-		tcfg.Recorder = rec
-		ts, err := traffic.New(tcfg, specs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		for i := range models {
-			models[i] = ts.Model(i)
-		}
-		return models, rec, func(eng *sim.Engine) { ts.Attach(eng, d) }, nil
-	}
+	d time.Duration, nPlatoon int) ([]mobility.Model, *trace.Collector, error) {
 
 	col, err := trafficCache.get(traffic.TraceKey(tcfg, specs, d), func() (*trace.Collector, error) {
 		return recordTrafficTrace(tcfg, specs, d)
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rp, err := traffic.NewReplay(net, col)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	models := make([]mobility.Model, nPlatoon)
 	for i := range models {
 		m, err := rp.Model(i)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("scenario: platoon vehicle %d: %w", i, err)
+			return nil, nil, fmt.Errorf("scenario: platoon vehicle %d: %w", i, err)
 		}
 		models[i] = m
 	}
-	return models, col, nil, nil
+	return models, col, nil
 }
 
 // jitterDriver applies the per-round heterogeneity every traffic scenario

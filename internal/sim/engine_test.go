@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -454,16 +453,6 @@ func TestStreamIndependence(t *testing.T) {
 	}
 	if collide > 0 {
 		t.Fatalf("streams alpha/beta collided %d times", collide)
-	}
-}
-
-func TestSubStreamDeterministic(t *testing.T) {
-	mk := func() *rand.Rand { return SubStream(Stream(7, "root"), "child") }
-	a, b := mk(), mk()
-	for i := 0; i < 32; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("SubStream not deterministic")
-		}
 	}
 }
 

@@ -76,12 +76,6 @@ func (a *StreamArena) Stream(rootSeed int64, name []byte) *rand.Rand {
 	return rand.New(src)
 }
 
-// SubStream derives a further stream from an existing one by name, e.g. a
-// per-link shadowing process derived from the channel's stream.
-func SubStream(r *rand.Rand, name string) *rand.Rand {
-	return Stream(int64(r.Uint64()), name)
-}
-
 // ArmSeed forks a round's seed by sweep-arm name. Parameter sweeps derive
 // each arm's channel and protocol randomness from ArmSeed(roundSeed, arm),
 // so arms stop sharing one fading/shadowing realization while the

@@ -12,8 +12,7 @@
 // stays in its cell (the common case for sub-cell motion between
 // refreshes) the move is a bare position store. Iteration order is
 // deterministic: cells scan row-major, entries in insertion order (an
-// entry removed or moved out of a cell swaps the cell's last entry into
-// its place).
+// entry moved out of a cell swaps the cell's last entry into its place).
 package spatial
 
 import (
@@ -29,18 +28,18 @@ type Entry[ID any] struct {
 	P  geom.Point
 }
 
-// Ref is a stable handle to one indexed point, valid until the entry is
-// removed or the grid is Reset/Reindexed. Incremental consumers keep the
+// Ref is a stable handle to one indexed point, valid until the grid is
+// Reset or Reindexed. Incremental consumers keep the
 // Ref returned by InsertRef and feed position updates through MoveRef.
 type Ref int32
 
 // gridEntry is the bookkeeping side of an entry: its location in the cell
-// table, so MoveRef and RemoveRef are O(1). The entry's payload (ID and
+// table, so MoveRef is O(1). The entry's payload (ID and
 // position) lives inline in the cell slot — queries then scan contiguous
 // memory instead of chasing a pointer per candidate, which is where most
 // of the query time went at city scale.
 type gridEntry struct {
-	// cell is the owning cell index, or -1 for free slots.
+	// cell is the owning cell index.
 	cell int32
 	// slot is the entry's index within cells[cell].
 	slot int32
@@ -61,11 +60,9 @@ type Grid[ID any] struct {
 	cols, rows int
 	// cells[c] lists the entries stored in cell c, payloads inline.
 	cells [][]cellSlot[ID]
-	// entries is the stable bookkeeping arena Refs point into.
+	// entries is the stable bookkeeping arena Refs point into, one per
+	// indexed point.
 	entries []gridEntry
-	// free lists recycled entry slots.
-	free  []int32
-	count int
 }
 
 // NewGrid builds an empty index over bounds with the given cell size.
@@ -101,12 +98,12 @@ func (g *Grid[ID]) Reindex(bounds geom.Rect, cellM float64) error {
 		g.cells = make([][]cellSlot[ID], need)
 	}
 	g.bounds, g.cellM, g.cols, g.rows = bounds, cellM, cols, rows
-	g.entries, g.free, g.count = g.entries[:0], g.free[:0], 0
+	g.entries = g.entries[:0]
 	return nil
 }
 
 // Len returns the number of indexed points.
-func (g *Grid[ID]) Len() int { return g.count }
+func (g *Grid[ID]) Len() int { return len(g.entries) }
 
 // Bounds returns the indexed area.
 func (g *Grid[ID]) Bounds() geom.Rect { return g.bounds }
@@ -126,7 +123,7 @@ func (g *Grid[ID]) Reset() {
 	for i := range g.cells {
 		g.cells[i] = g.cells[i][:0]
 	}
-	g.entries, g.free, g.count = g.entries[:0], g.free[:0], 0
+	g.entries = g.entries[:0]
 }
 
 // cellAt clamps p into the grid and returns its cell index.
@@ -147,18 +144,10 @@ func (g *Grid[ID]) Insert(id ID, p geom.Point) {
 
 // InsertRef is Insert returning a stable handle for incremental updates.
 func (g *Grid[ID]) InsertRef(id ID, p geom.Point) Ref {
-	var i int32
-	if n := len(g.free); n > 0 {
-		i = g.free[n-1]
-		g.free = g.free[:n-1]
-	} else {
-		g.entries = append(g.entries, gridEntry{})
-		i = int32(len(g.entries) - 1)
-	}
+	i := int32(len(g.entries))
 	c := g.cellAt(p)
-	g.entries[i] = gridEntry{cell: c, slot: int32(len(g.cells[c]))}
+	g.entries = append(g.entries, gridEntry{cell: c, slot: int32(len(g.cells[c]))})
 	g.cells[c] = append(g.cells[c], cellSlot[ID]{p: p, id: id, ent: i})
-	g.count++
 	return Ref(i)
 }
 
@@ -178,16 +167,6 @@ func (g *Grid[ID]) MoveRef(r Ref, p geom.Point) {
 	g.unlink(ent)
 	ent.cell, ent.slot = c, int32(len(g.cells[c]))
 	g.cells[c] = append(g.cells[c], moved)
-}
-
-// RemoveRef deletes one entry; the Ref (and any Ref obtained for the same
-// entry) must not be used afterwards.
-func (g *Grid[ID]) RemoveRef(r Ref) {
-	ent := &g.entries[r]
-	g.unlink(ent)
-	ent.cell = -1
-	g.free = append(g.free, int32(r))
-	g.count--
 }
 
 // unlink removes ent's payload from its cell's slot list, swapping the

@@ -179,31 +179,6 @@ func TestGridMoveRefAcrossCells(t *testing.T) {
 	}
 }
 
-func TestGridRemoveRef(t *testing.T) {
-	g := testGrid(t)
-	// Three entries in one cell exercise the swap-remove slot fixups.
-	a := g.InsertRef(1, geom.Point{X: 51, Y: 51})
-	b := g.InsertRef(2, geom.Point{X: 52, Y: 52})
-	c := g.InsertRef(3, geom.Point{X: 53, Y: 53})
-	g.RemoveRef(a) // c swaps into a's slot
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d after remove", g.Len())
-	}
-	g.MoveRef(c, geom.Point{X: 5, Y: 5}) // must unlink via its fixed-up slot
-	if n := g.CountWithin(geom.Point{X: 5, Y: 5}, 2); n != 1 {
-		t.Fatalf("entry c lost after slot fixup: %d", n)
-	}
-	if n := g.CountWithin(geom.Point{X: 52, Y: 52}, 1); n != 1 {
-		t.Fatalf("entry b lost: %d", n)
-	}
-	// The freed slot recycles.
-	d := g.InsertRef(4, geom.Point{X: 60, Y: 60})
-	if d != a {
-		t.Fatalf("freed slot not recycled: got ref %d, want %d", d, a)
-	}
-	_ = b
-}
-
 func TestGridContains(t *testing.T) {
 	g := testGrid(t)
 	if !g.Contains(geom.Point{X: 50, Y: 50}) {
@@ -214,8 +189,7 @@ func TestGridContains(t *testing.T) {
 	}
 }
 
-// TestGridIncrementalMatchesRebuilt drives random insert/move/remove
-// traffic through one grid maintained incrementally and checks, after
+// TestGridIncrementalMatchesRebuilt drives random insert/move traffic through one grid maintained incrementally and checks, after
 // every batch, that its query results match a grid rebuilt from scratch —
 // the oracle behind the radio medium's incremental index maintenance.
 func TestGridIncrementalMatchesRebuilt(t *testing.T) {
@@ -241,12 +215,6 @@ func TestGridIncrementalMatchesRebuilt(t *testing.T) {
 				p := pt()
 				live[nextID] = &ent{ref: inc.InsertRef(nextID, p), p: p}
 				nextID++
-			case rng.Intn(5) == 0: // remove
-				for id, e := range live {
-					inc.RemoveRef(e.ref)
-					delete(live, id)
-					break
-				}
 			default: // move: mostly small drifts, sometimes a jump
 				for _, e := range live {
 					var p geom.Point

@@ -186,17 +186,24 @@ func TestDemandVehiclesDriveAndExit(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Run past the horizon with slack for the trip (route is ~400 m).
+	s.RunTo(horizon + 120*time.Second)
+
 	// Before its entry time a vehicle must sit parked at the origin.
+	rp, err := NewReplay(g.Network, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probe := 0
-	model := s.Model(probe)
+	model, err := rp.Model(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	at0 := model.Position(0)
 	justBefore := specs[probe].EnterAt - time.Millisecond
 	if justBefore > 0 && model.Position(justBefore) != at0 {
 		t.Fatal("pending vehicle moved before its entry time")
 	}
-
-	// Run past the horizon with slack for the trip (route is ~400 m).
-	s.RunTo(horizon + 120*time.Second)
 	destLen := g.Link(d).Length()
 	exited := 0
 	for i := range specs {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/mobility"
 	"repro/internal/sim"
 	"repro/internal/spatial"
 	"repro/internal/trace"
@@ -103,15 +102,6 @@ type VehicleSpec struct {
 	ExitAtEnd bool
 }
 
-// sample is one point of a vehicle's exposed piecewise-linear track.
-type sample struct {
-	at   time.Duration
-	link int32
-	lane int32
-	arc  float64
-	v    float64
-}
-
 type vehicle struct {
 	id   int
 	drv  DriverParams
@@ -134,7 +124,6 @@ type vehicle struct {
 
 	lastChange time.Duration
 	changed    bool
-	samples    []sample
 }
 
 // Simulation steps a closed-loop vehicle population over a road network
@@ -216,9 +205,8 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 	for _, veh := range s.vehs {
 		if veh.pending {
 			// The pre-entry sample parks the vehicle at its entry point
-			// with zero speed, so live and replayed models agree on its
-			// position from t=0 (byte-identity needs a track even before
-			// injection).
+			// with zero speed, so its replayed track holds it there from
+			// t=0 (a model needs a track even before injection).
 			veh.recordParked(s.now, cfg.Recorder)
 		} else {
 			veh.record(s.now, cfg.Recorder)
@@ -330,15 +318,9 @@ func (v *vehicle) desiredSpeed(now time.Duration) float64 {
 	return math.Max(v0, 0.1)
 }
 
+// record emits the vehicle's current state as one trajectory sample. The
+// recorder stream is the simulation's only trajectory output.
 func (v *vehicle) record(now time.Duration, rec *trace.Collector) {
-	smp := sample{
-		at:   now,
-		link: int32(v.link.ID),
-		lane: int32(v.lane),
-		arc:  v.arc,
-		v:    v.v,
-	}
-	v.samples = append(v.samples, smp)
 	if rec != nil {
 		rec.OnVehicle(trace.VehicleRecord{
 			At: now, Veh: v.id,
@@ -403,10 +385,9 @@ func (s *Simulation) Step() {
 	// demand, deterministically. Sorted insertion into the sorted lists
 	// keeps the ordering for everything downstream. The activation
 	// sample is recorded with the others at the END of the step (via the
-	// changed flag): in live mode samples must never be stamped earlier
-	// than the engine instant they appear at, or a protocol event
-	// landing inside this tick would see different positions live
-	// versus replayed.
+	// changed flag), like every sample: a sample always holds the
+	// vehicle's exact state at its own timestamp, so a replayed track
+	// equals PositionNow at every recorded instant.
 	for _, veh := range s.vehs {
 		if veh.pending && veh.enterAt <= s.now && s.entryClear(veh, dt) {
 			veh.pending = false
@@ -762,172 +743,6 @@ func (s *Simulation) RunTo(d time.Duration) {
 	for s.now < d {
 		s.Step()
 	}
-}
-
-// Attach drives the simulation from a discrete-event engine: every tick
-// up to horizon is pre-scheduled immediately, so tick events carry lower
-// sequence numbers than — and therefore fire before — any protocol event
-// scheduled later for the same instant. Call Attach before constructing
-// APs and protocol nodes, on a fresh simulation and a fresh engine.
-func (s *Simulation) Attach(eng *sim.Engine, horizon time.Duration) {
-	if s.tick != 0 {
-		panic("traffic: Attach on a stepped simulation")
-	}
-	step := func() { s.Step() }
-	for t := s.cfg.Tick; t <= horizon; t += s.cfg.Tick {
-		eng.ScheduleAt(t, step)
-	}
-}
-
-// Model exposes vehicle id's recorded track as a mobility model: the
-// latest sample at or before the query time, linearly extrapolated along
-// its lane at the sampled speed. Valid in live mode (samples appear as
-// the engine steps) and after RunTo. The model keeps a private sample
-// cursor: simulation clocks are monotone, so the usual query pattern
-// advances a step or two per call instead of re-running a binary search
-// over the whole track. Like the simulation itself, a model must not be
-// shared across concurrently running engines.
-func (s *Simulation) Model(id int) mobility.Model {
-	veh := s.vehs[id]
-	net := s.net
-	var cur posCursor
-	return mobility.Func(func(now time.Duration) geom.Point {
-		// veh.samples re-reads each call: live mode appends as the
-		// engine steps. The cursor's cached window never outlives the
-		// samples it was built from (appends only extend the track).
-		return cur.at(net, veh.samples, now)
-	})
-}
-
-// samplePos evaluates a piecewise-linear track. Replayed and live models
-// share it, which is what makes record-then-replay byte-identical.
-func samplePos(net *Network, samples []sample, now time.Duration) geom.Point {
-	p, _ := samplePosCursor(net, samples, now, 0)
-	return p
-}
-
-// posCursor carries a track evaluator's resumable state: the sample index
-// boundary samplePosCursor maintains, plus a fast-path cache of the
-// governing sample and the polyline segment its extrapolation currently
-// runs along. Queries landing in the same (sample, segment) window — the
-// overwhelmingly common case, since the radio layer asks for positions
-// orders of magnitude more often than tracks change segment — then touch
-// only this struct. The cached evaluation replays the exact float
-// expressions of samplePosCursor + Link.LanePoint on cached copies of the
-// same inputs, so its results are bit-identical to the slow path's.
-type posCursor struct {
-	idx int
-	// Governing-sample window [smpAt, nextAt).
-	ok     bool
-	smpAt  time.Duration
-	nextAt time.Duration
-	smpArc float64
-	smpV   float64
-	// Containing segment and lane offset.
-	seg geom.Segment
-	off float64
-}
-
-// at evaluates the track at now, resuming from (and updating) the cursor.
-func (c *posCursor) at(net *Network, samples []sample, now time.Duration) geom.Point {
-	if c.ok && now >= c.smpAt && now < c.nextAt {
-		arc := c.smpArc + c.smpV*(now-c.smpAt).Seconds()
-		if arc >= c.seg.CumLo && arc < c.seg.CumHi {
-			t := (arc - c.seg.CumLo) / (c.seg.CumHi - c.seg.CumLo)
-			p := geom.Lerp(c.seg.Lo, c.seg.Hi, t)
-			right := geom.Vec{DX: c.seg.Dir.DY, DY: -c.seg.Dir.DX}
-			return p.Add(right.Scale(c.off))
-		}
-	}
-	p, idx := samplePosCursor(net, samples, now, c.idx)
-	c.idx = idx
-	c.refill(net, samples, now, idx)
-	return p
-}
-
-// refill rebuilds the fast-path cache after a slow-path evaluation. The
-// cache only arms when the fast path can reproduce the slow path exactly:
-// a real (non-clamped) governing sample with a known next sample, and an
-// arc strictly inside a non-degenerate segment. A wrapped loop arc never
-// arms (Mod-reduced arcs are only exact while 0 <= arc < length, which
-// the CumLo/CumHi window already enforces for the unwrapped case).
-func (c *posCursor) refill(net *Network, samples []sample, now time.Duration, idx int) {
-	c.ok = false
-	if idx == 0 || idx >= len(samples) {
-		return
-	}
-	smp := samples[idx-1]
-	arc := smp.arc + smp.v*(now-smp.at).Seconds()
-	if arc < 0 {
-		return
-	}
-	l := net.Links[smp.link]
-	seg, ok := l.Centre.SegmentAt(arc)
-	if !ok {
-		return
-	}
-	c.ok = true
-	c.smpAt, c.nextAt = smp.at, samples[idx].at
-	c.smpArc, c.smpV = smp.arc, smp.v
-	c.seg = seg
-	c.off = (float64(smp.lane) + 0.5) * l.LaneWidthM
-}
-
-// samplePosCursor is samplePos with a resumable cursor: hint is the index
-// boundary returned by the previous call (the first sample after that
-// query time). Monotone query times advance the cursor in O(1) amortised;
-// a backward jump or a cold hint falls back to the binary search. The
-// selected sample — and therefore the evaluated position — is exactly the
-// one the plain binary search picks, whatever the hint.
-func samplePosCursor(net *Network, samples []sample, now time.Duration, hint int) (geom.Point, int) {
-	if len(samples) == 0 {
-		return geom.Point{}, 0
-	}
-	lo := sampleIdx(samples, now, hint)
-	var smp sample
-	if lo == 0 {
-		smp = samples[0]
-		now = smp.at
-	} else {
-		smp = samples[lo-1]
-	}
-	l := net.Links[smp.link]
-	arc := smp.arc + smp.v*(now-smp.at).Seconds()
-	if !l.loops {
-		// Plain comparison, not math.Min: arc and length are always
-		// finite here and the call is too hot for the NaN-aware helper.
-		if max := l.Length(); arc > max {
-			arc = max
-		}
-	}
-	return l.LanePoint(int(smp.lane), arc), lo
-}
-
-// sampleIdx returns the index of the first sample with at > now (the
-// binary-search upper bound), resuming from hint when possible.
-func sampleIdx(samples []sample, now time.Duration, hint int) int {
-	n := len(samples)
-	if hint < 0 || hint > n || (hint > 0 && samples[hint-1].at > now) {
-		hint = 0 // cold or backward: restart
-	}
-	// Forward scan from the hint; bail to binary search if the query
-	// jumped far ahead.
-	i := hint
-	for steps := 0; i < n && samples[i].at <= now; i++ {
-		if steps++; steps > 8 {
-			lo, hi := i, n
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if samples[mid].at <= now {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			return lo
-		}
-	}
-	return i
 }
 
 // State reports vehicle id's instantaneous road coordinates.

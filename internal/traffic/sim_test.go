@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // straightCorridor is a single 1 km one-way street feeding back into
@@ -252,55 +249,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if la != lb || na != nb || aa != ab || va != vb {
 			t.Fatalf("vehicle %d diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
 				i, la, na, aa, va, lb, nb, ab, vb)
-		}
-	}
-}
-
-// TestAttachMatchesRunTo checks the live-stepped mode: driving the
-// simulation from a sim.Engine produces the exact same trajectory samples
-// as stepping it directly.
-func TestAttachMatchesRunTo(t *testing.T) {
-	g, err := NewGridNetwork(DefaultGridSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := func() []VehicleSpec {
-		var out []VehicleSpec
-		for i := 0; i < 12; i++ {
-			out = append(out, VehicleSpec{
-				Driver: DefaultDriver(),
-				Link:   LinkID(i % len(g.Links)),
-				ArcM:   float64(10 + i*5),
-			})
-		}
-		return out
-	}
-	const horizon = 45 * time.Second
-
-	recA := &trace.Collector{}
-	a, err := New(Config{Network: g.Network, Seed: 7, Recorder: recA}, specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.RunTo(horizon)
-
-	recB := &trace.Collector{}
-	b, err := New(Config{Network: g.Network, Seed: 7, Recorder: recB}, specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	b.Attach(eng, horizon)
-	if err := eng.RunUntil(horizon); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(recA.Vehicles) != len(recB.Vehicles) {
-		t.Fatalf("sample counts differ: %d vs %d", len(recA.Vehicles), len(recB.Vehicles))
-	}
-	for i := range recA.Vehicles {
-		if recA.Vehicles[i] != recB.Vehicles[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, recA.Vehicles[i], recB.Vehicles[i])
 		}
 	}
 }

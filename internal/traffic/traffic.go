@@ -43,15 +43,15 @@
 // A Simulation is a pure function of (Config, []VehicleSpec): vehicles
 // step in ID order, per-lane orderings are explicit slices (no map
 // iteration), and every random draw comes from a per-vehicle stream
-// derived from Config.Seed, so a run is bit-reproducible. Exposed
-// trajectories are piecewise-linear tracks sampled every
-// Config.RecordEvery ticks (plus every lane/link change); Model reads
-// the same samples a trace.Collector records, so a live-stepped run and
-// a replay of its recorded stream produce byte-identical position
-// histories — the property the record-once, sweep-many workflow and the
-// cross-worker reproducibility of the harness both rest on. When
-// attached to a sim.Engine, all tick events are pre-scheduled at Attach
-// time so they fire before any same-timestamp protocol event.
+// derived from Config.Seed, so a run is bit-reproducible. Its only
+// trajectory output is the stream Config.Recorder receives: samples
+// every Config.RecordEvery ticks (plus every lane/link change), each
+// holding the vehicle's exact state at its timestamp. A Replay of that
+// stream — in memory or decoded from either trace codec — is a
+// piecewise-linear track equal to Simulation.PositionNow at every
+// recorded instant, so every sweep arm and every harness worker sees
+// the same position history: the property the record-once, sweep-many
+// workflow rests on.
 package traffic
 
 import (

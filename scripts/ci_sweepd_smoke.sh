@@ -3,7 +3,8 @@
 # sweep, start sweepd on it, and check the catalogue, one output's
 # content type, the ETag/If-None-Match 304 contract, the telemetry
 # endpoints (/api/metrics Prometheus exposition, /api/progress), the
-# /api/healthz probe, and the SIGTERM graceful-shutdown contract.
+# /api/healthz probe, the SIGTERM graceful-shutdown contract, and that
+# sweepd's command line stays its own six flags.
 set -eu
 
 work="$(mktemp -d)"
@@ -35,8 +36,16 @@ go run ./cmd/experiments \
     -traffic-store "$work/traffic-store" \
     -code-digest ci-smoke -metrics
 
-echo "==> build + start sweepd"
+echo "==> build sweepd; sweep-only flags are unknown (exit 2)"
 go build -o "$work/sweepd" ./cmd/sweepd
+rc=0
+"$work/sweepd" -rounds 1 -out "$out" 2>/dev/null || rc=$?
+[ "$rc" = 2 ] || {
+    echo "FAIL: sweepd -rounds 1 exited $rc, want 2 (unknown flag)" >&2
+    exit 1
+}
+
+echo "==> start sweepd"
 "$work/sweepd" -addr "$addr" -out "$out" -result-store "$work/store" &
 pid=$!
 
