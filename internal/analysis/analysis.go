@@ -9,6 +9,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/packet"
@@ -62,40 +63,83 @@ func (r *Table1Row) Improvement() float64 {
 // Table1 computes the paper's Table 1 from a set of round traces. The
 // reception window of a car in a round is [first, last] sequence received
 // directly from the AP, exactly the range the protocol's recovery targets.
-// Rounds in which a car received nothing are skipped for that car.
+// Rounds in which a car received nothing are skipped for that car. Each
+// round is read in one pass per record kind for all cars together; a car
+// listed twice fills both its rows.
 func Table1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 	rows := make([]*Table1Row, len(cars))
+	slot := make(map[packet.NodeID]int, len(cars)) // car → its per-round lists
 	for i, car := range cars {
 		rows[i] = &Table1Row{Car: car}
+		if _, ok := slot[car]; !ok {
+			slot[car] = len(slot)
+		}
 	}
+	// Each distinct car's lists in the current round: the DATA seqs it
+	// received directly, the DATA seqs the AP sent for its flow and the
+	// seqs it recovered through C-ARQ.
+	type lists struct{ direct, sent, recovered []uint32 }
+	per := make([]lists, len(slot))
 	for _, round := range rounds {
-		for i, car := range cars {
-			direct := round.DirectRxSet(car, car)
-			if len(direct) == 0 {
+		for k, l := range per {
+			per[k] = lists{l.direct[:0], l.sent[:0], l.recovered[:0]}
+		}
+		for i := range round.Rx {
+			r := &round.Rx[i]
+			if r.Type != packet.TypeData || r.Flow != r.Dst {
 				continue
 			}
-			first, last := seqBounds(direct)
-			txN := 0
-			for _, seq := range round.DataSentSeqs(car) {
+			if k, ok := slot[r.Dst]; ok {
+				per[k].direct = append(per[k].direct, r.Seq)
+			}
+		}
+		for i := range round.Tx {
+			r := &round.Tx[i]
+			if r.Type != packet.TypeData {
+				continue
+			}
+			if k, ok := slot[r.Flow]; ok {
+				per[k].sent = append(per[k].sent, r.Seq)
+			}
+		}
+		for _, r := range round.Recovered {
+			if k, ok := slot[r.Node]; ok {
+				per[k].recovered = append(per[k].recovered, r.Seq)
+			}
+		}
+		for i, car := range cars {
+			l := &per[slot[car]]
+			l.direct, l.sent, l.recovered = distinct(l.direct), distinct(l.sent), distinct(l.recovered)
+			if len(l.direct) == 0 {
+				continue
+			}
+			first, last := l.direct[0], l.direct[len(l.direct)-1]
+			txN, heldN := 0, len(l.direct)
+			for _, seq := range l.sent {
 				if seq >= first && seq <= last {
 					txN++
 				}
 			}
-			held := round.HeldSet(car)
-			heldN := 0
-			for seq := range held {
-				if seq >= first && seq <= last {
+			for _, seq := range l.recovered {
+				if _, direct := slices.BinarySearch(l.direct, seq); !direct && seq >= first && seq <= last {
 					heldN++
 				}
 			}
 			row := rows[i]
 			row.Rounds++
 			row.TxByAP.Add(float64(txN))
-			row.LostBefore.Add(float64(txN - len(direct)))
+			row.LostBefore.Add(float64(txN - len(l.direct)))
 			row.LostAfter.Add(float64(txN - heldN))
 		}
 	}
 	return rows
+}
+
+// distinct sorts seqs in place and returns its distinct values; on its
+// own result it is the identity.
+func distinct(seqs []uint32) []uint32 {
+	slices.Sort(seqs)
+	return slices.Compact(seqs)
 }
 
 // FormatTable1 renders rows in the layout of the paper's Table 1.

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -286,5 +288,84 @@ func TestLastRecoveryLatencies(t *testing.T) {
 	empty.OnPhaseChange(car1, carq.PhaseReception, carq.PhaseCoopARQ, time.Second)
 	if got := LastRecoveryLatencies([]*trace.Collector{empty}, car1); len(got) != 0 {
 		t.Fatalf("latencies without recoveries = %v", got)
+	}
+}
+
+// naiveTable1 is the per-car reference Table1 is checked against: for
+// every round and car it queries the round's direct-reception set, the
+// AP's DATA sends and the held set separately.
+func naiveTable1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
+	rows := make([]*Table1Row, len(cars))
+	for i, car := range cars {
+		rows[i] = &Table1Row{Car: car}
+	}
+	for _, round := range rounds {
+		for i, car := range cars {
+			direct := round.DirectRxSet(car, car)
+			if len(direct) == 0 {
+				continue
+			}
+			first, last := seqBounds(direct)
+			txN := 0
+			for _, seq := range round.DataSentSeqs(car) {
+				if seq >= first && seq <= last {
+					txN++
+				}
+			}
+			heldN := 0
+			for seq := range round.HeldSet(car) {
+				if seq >= first && seq <= last {
+					heldN++
+				}
+			}
+			row := rows[i]
+			row.Rounds++
+			row.TxByAP.Add(float64(txN))
+			row.LostBefore.Add(float64(txN - len(direct)))
+			row.LostAfter.Add(float64(txN - heldN))
+		}
+	}
+	return rows
+}
+
+// TestTable1MatchesNaiveReference: randomized rounds over a small id
+// space — so flows, receivers and recoverers collide — with every frame
+// type, repeated sequence numbers, DATA overheard by other stations,
+// recoveries of seqs also received directly and recoveries outside the
+// reception window; the car list repeats a car and names cars absent
+// from some or all rounds.
+func TestTable1MatchesNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	types := []packet.Type{packet.TypeData, packet.TypeData, packet.TypeHello, packet.TypeRequest, packet.TypeResponse}
+	for trial := 0; trial < 100; trial++ {
+		node := func() packet.NodeID { return packet.NodeID(rng.Intn(6)) }
+		seq := func() uint32 { return uint32(rng.Intn(40)) }
+		var rounds []*trace.Collector
+		for r := rng.Intn(4); r >= 0; r-- {
+			c := &trace.Collector{}
+			for k := rng.Intn(80); k > 0; k-- {
+				c.Tx = append(c.Tx, trace.TxRecord{Src: apID, Type: types[rng.Intn(len(types))], Dst: node(), Flow: node(), Seq: seq()})
+			}
+			for k := rng.Intn(80); k > 0; k-- {
+				c.Rx = append(c.Rx, trace.RxRecord{Dst: node(), Src: apID, Type: types[rng.Intn(len(types))], AddrTo: node(), Flow: node(), Seq: seq()})
+			}
+			for k := rng.Intn(20); k > 0; k-- {
+				c.Recovered = append(c.Recovered, trace.RecoveryRecord{Node: node(), Seq: seq(), From: node()})
+			}
+			rounds = append(rounds, c)
+		}
+		// Ids 6 and 7 never appear in a round; a random car repeats.
+		cars := []packet.NodeID{node(), node(), 6, node(), node(), 7}
+		cars = append(cars, cars[rng.Intn(len(cars))])
+		rng.Shuffle(len(cars), func(i, j int) { cars[i], cars[j] = cars[j], cars[i] })
+
+		got, want := Table1(rounds, cars), naiveTable1(rounds, cars)
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("trial %d, cars %v, row %d (car %d):\n got %+v\nwant %+v", trial, cars, i, cars[i], *got[i], *want[i])
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -157,10 +158,11 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 
 // TestStoredRoundsRecomputeParentFormat: entries in the formats the
 // result store wrote before — result-store/1 (per-section length fields,
-// same body and CRC) and result-store/2 (JSONL trace sections) — and a
-// JSONL body under the current schema are quarantined by the next run
-// and recomputed into the current format with identical applied
-// results; the run after that serves every unit.
+// same body and CRC), result-store/2 (JSONL trace sections) and
+// result-store/4 (fixed-width binary trace sections) — and JSONL or
+// fixed-width bodies under the current schema are quarantined by the
+// next run and recomputed into the current format with identical
+// applied results; the run after that serves every unit.
 func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 	const rounds = 6
 	storeDir := t.TempDir()
@@ -188,7 +190,7 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		var parent []byte
-		switch i % 3 {
+		switch i % 5 {
 		case 0:
 			parent = fmt.Appendf(nil, `{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
 				hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
@@ -197,6 +199,10 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			parent = jsonlEntry(t, store, "result-store/2", hdr.Key)
 		case 2:
 			parent = jsonlEntry(t, store, ResultStoreSchema, hdr.Key)
+		case 3:
+			parent = fixedWidthEntry(t, store, "result-store/4", hdr.Key)
+		case 4:
+			parent = fixedWidthEntry(t, store, ResultStoreSchema, hdr.Key)
 		}
 		if err := os.WriteFile(path, parent, 0o644); err != nil {
 			t.Fatal(err)
@@ -225,17 +231,48 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 // it: the shared header under schema, the trace sections as JSONL.
 func jsonlEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
 	t.Helper()
+	return parentEntry(t, store, schema, key, func(col *trace.Collector) []byte {
+		var buf bytes.Buffer
+		if err := col.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	})
+}
+
+// fixedWidthEntry renders the entry stored under key as result-store/4
+// wrote it: the shared header under schema, the trace sections in the
+// fixed-width binary encoding — per category a uint64 count, then
+// records at their Go widths; a completion is its At and Node — which
+// is all a synthetic unit's one completion needs.
+func fixedWidthEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
+	t.Helper()
+	le := binary.LittleEndian
+	return parentEntry(t, store, schema, key, func(col *trace.Collector) []byte {
+		if n := col.Counts(); n != (trace.Counts{Completed: n.Completed}) {
+			t.Fatalf("fixed-width entry for %+v records", n)
+		}
+		out := make([]byte, 5*8)
+		out = le.AppendUint64(out, uint64(len(col.Completed)))
+		for _, r := range col.Completed {
+			out = le.AppendUint16(le.AppendUint64(out, uint64(r.At)), uint16(r.Node))
+		}
+		return le.AppendUint64(out, 0)
+	})
+}
+
+// parentEntry renders the entry stored under key with the shared
+// header under schema and the protocol section in encode's format.
+func parentEntry(t *testing.T, store *ResultStore, schema, key string, encode func(*trace.Collector) []byte) []byte {
+	t.Helper()
 	res, err := store.Load(key)
 	if err != nil || res == nil {
 		t.Fatalf("Load(%q) = (%v, %v)", key, res, err)
 	}
-	var proto bytes.Buffer
-	if err := res.Protocol.WriteJSONL(&proto); err != nil {
-		t.Fatal(err)
-	}
-	body := append(append([]byte(nil), res.Meta...), proto.Bytes()...)
+	proto := encode(res.Protocol)
+	body := append(append([]byte(nil), res.Meta...), proto...)
 	line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d,%d,-1],"body_crc":%d}`,
-		schema, key, len(res.Meta), proto.Len(), crc32.ChecksumIEEE(body))
+		schema, key, len(res.Meta), len(proto), crc32.ChecksumIEEE(body))
 	return append(append(line, '\n'), body...)
 }
 

@@ -13,8 +13,9 @@ import (
 // the file or wire format, or scenario semantics no config field
 // captures, change: loads reject other schemas, so a stale store
 // degrades to recomputation. (/2: the shared storeutil header; /3:
-// binary trace sections; /4: download meta without a config copy.)
-const ResultStoreSchema = "result-store/4"
+// binary trace sections; /4: download meta without a config copy; /5:
+// delta-varint trace sections.)
+const ResultStoreSchema = "result-store/5"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol

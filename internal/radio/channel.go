@@ -232,18 +232,6 @@ func (c *Channel) ShadowClampDB() float64 { return c.shadowClampDB }
 // FadeClampDB returns the bound on any per-frame fading gain.
 func (c *Channel) FadeClampDB() float64 { return c.fadeClampDB }
 
-// SINRdB combines a received frame power with noise plus an aggregate
-// interference power (both dBm; interferenceDBm may be math.Inf(-1) for
-// none).
-func SINRdB(rxPowerDBm, noiseDBm, interferenceDBm float64) float64 {
-	noiseLin := math.Pow(10, noiseDBm/10)
-	intLin := 0.0
-	if !math.IsInf(interferenceDBm, -1) {
-		intLin = math.Pow(10, interferenceDBm/10)
-	}
-	return rxPowerDBm - 10*math.Log10(noiseLin+intLin)
-}
-
 // CombineDBm returns the power sum of two dBm values.
 func CombineDBm(a, b float64) float64 {
 	if math.IsInf(a, -1) {

@@ -249,6 +249,19 @@ func TestModulationByName(t *testing.T) {
 	}
 }
 
+// SINRdB combines a received frame power with noise plus an aggregate
+// interference power (both dBm; interferenceDBm may be math.Inf(-1) for
+// none): the reference formula the tests check the channel's SINR and
+// PER against.
+func SINRdB(rxPowerDBm, noiseDBm, interferenceDBm float64) float64 {
+	noiseLin := math.Pow(10, noiseDBm/10)
+	intLin := 0.0
+	if !math.IsInf(interferenceDBm, -1) {
+		intLin = math.Pow(10, interferenceDBm/10)
+	}
+	return rxPowerDBm - 10*math.Log10(noiseLin+intLin)
+}
+
 func TestSINRdB(t *testing.T) {
 	// No interference: SINR = rx - noise.
 	if got := SINRdB(-70, -94, math.Inf(-1)); math.Abs(got-24) > 1e-9 {

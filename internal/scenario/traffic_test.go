@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -231,9 +233,11 @@ func TestArmForksProtocolRandomnessNotTraffic(t *testing.T) {
 }
 
 // TestTrafficStoreRecomputesParentFormat: a stored traffic world with a
-// JSONL body — as traffic-trace-store/3 wrote it, or mislabelled with
-// the current schema — is quarantined, recomputed into the current
-// format with an identical round, and served from disk afterwards.
+// JSONL body — as traffic-trace-store/3 wrote it — or a fixed-width
+// binary body — as traffic-trace-store/4 wrote it — or either
+// mislabelled with the current schema, is quarantined, recomputed into
+// the current format with an identical round, and served from disk
+// afterwards.
 func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -268,8 +272,15 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 	}
 	key := header().Key
 
-	for i, schema := range []string{"traffic-trace-store/3", traffic.StoreSchema} {
-		body := traceBytes(t, stream)
+	jsonl, fixed := traceBytes(t, stream), fixedWidthStream(t, stream)
+	for i, parent := range []struct {
+		schema string
+		body   []byte
+	}{
+		{"traffic-trace-store/3", jsonl}, {traffic.StoreSchema, jsonl},
+		{"traffic-trace-store/4", fixed}, {traffic.StoreSchema, fixed},
+	} {
+		schema, body := parent.schema, parent.body
 		line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d],"body_crc":%d}`,
 			schema, key, len(body), crc32.ChecksumIEEE(body))
 		if err := os.WriteFile(path, append(append(line, '\n'), body...), 0o644); err != nil {
@@ -298,6 +309,26 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 	if st := store.Stats(); st.Hits != hits+1 {
 		t.Fatalf("healed world not served from disk: %+v", st)
 	}
+}
+
+// fixedWidthStream encodes a traffic stream as traffic-trace-store/4
+// stored it: per category a uint64 record count, each vehicle record
+// its At, Veh, Link and Lane as int64 and its floats' bits, all
+// little-endian.
+func fixedWidthStream(t *testing.T, stream *trace.Collector) []byte {
+	t.Helper()
+	if n := stream.Counts(); n != (trace.Counts{Vehicles: n.Vehicles}) {
+		t.Fatalf("traffic stream holds protocol records: %+v", n)
+	}
+	le := binary.LittleEndian
+	out := le.AppendUint64(make([]byte, 6*8), uint64(len(stream.Vehicles)))
+	for _, r := range stream.Vehicles {
+		for _, v := range []uint64{uint64(r.At), uint64(r.Veh), uint64(r.Link), uint64(r.Lane),
+			math.Float64bits(r.Arc), math.Float64bits(r.Speed)} {
+			out = le.AppendUint64(out, v)
+		}
+	}
+	return out
 }
 
 // quickCityScale is the cityscale scenario shrunk to test size: the same

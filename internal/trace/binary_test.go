@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -119,13 +120,37 @@ func sameRecords(t *testing.T, want, got *Collector) {
 	}
 }
 
-// TestBinaryRoundTrip: randomized collectors full of edge values decode
-// to the very records they were encoded from, and re-encode to the same
-// bytes.
+// extremeCollector puts the delta-coded fields' worst cases back to
+// back: At, Bytes, Veh, Link and Lane swinging between math.MinInt64 and
+// math.MaxInt64 (deltas that wrap int64), and Seq between 0 and
+// math.MaxUint32 (deltas that wrap uint32), in no particular order.
+func extremeCollector() *Collector {
+	ints := []int{math.MaxInt64, math.MinInt64, math.MaxInt64, 0, math.MinInt64, -1, math.MinInt64}
+	seqs := []uint32{0, math.MaxUint32, 0, 1 << 31, 1<<31 - 1, math.MaxUint32, 1}
+	c := &Collector{}
+	for k, v := range ints {
+		at, seq, id := time.Duration(v), seqs[k], packet.NodeID(0xFFFF-k)
+		c.Tx = append(c.Tx, TxRecord{At: at, Src: id, Dst: 0xFFFF, Flow: 0, Seq: seq, Bytes: v})
+		c.Rx = append(c.Rx, RxRecord{At: at, Dst: id, Src: 0, AddrTo: 0xFFFF, Flow: id, Seq: seq, SINRdB: math.Inf(-1)})
+		c.Drops = append(c.Drops, DropRecord{At: at, Dst: id, Seq: seq, Reason: 0xFF})
+		c.Phases = append(c.Phases, PhaseRecord{At: at, Node: id, From: 0xFF})
+		c.Recovered = append(c.Recovered, RecoveryRecord{At: at, Node: id, Seq: seq, From: 0xFFFF})
+		c.Completed = append(c.Completed, CompleteRecord{At: at, Node: id})
+		c.Vehicles = append(c.Vehicles, VehicleRecord{At: at, Veh: v, Link: v, Lane: ints[len(ints)-1-k], Arc: math.NaN()})
+	}
+	return c
+}
+
+// TestBinaryRoundTrip: randomized collectors full of edge values, and
+// the extremes of every delta-coded field, decode to the very records
+// they were encoded from, and re-encode to the same bytes.
 func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	collectors := []*Collector{extremeCollector()}
 	for n := 0; n < 200; n++ {
-		c := randomCollector(rng)
+		collectors = append(collectors, randomCollector(rng))
+	}
+	for n, c := range collectors {
 		enc := c.AppendBinary(nil)
 		got, err := DecodeBinary(enc)
 		if err != nil {
@@ -150,12 +175,12 @@ func TestBinaryAppends(t *testing.T) {
 }
 
 // TestBinaryEmptyCollector: an empty collector encodes to its seven zero
-// counts — non-nil, so a store keeps "present but empty" distinct from
-// an absent section — and decodes back to nil categories, as ReadJSONL
-// leaves them.
+// counts, one byte each — non-nil, so a store keeps "present but empty"
+// distinct from an absent section — and decodes back to nil categories,
+// as ReadJSONL leaves them.
 func TestBinaryEmptyCollector(t *testing.T) {
 	enc := (&Collector{}).AppendBinary(nil)
-	if enc == nil || len(enc) != categories*countSize {
+	if !bytes.Equal(enc, make([]byte, categories)) {
 		t.Fatalf("empty collector encodes to %v", enc)
 	}
 	got, err := DecodeBinary(enc)
@@ -170,22 +195,40 @@ func TestBinaryEmptyCollector(t *testing.T) {
 // TestDecodeBinaryRejects names the malformed inputs DecodeBinary must
 // refuse and the cause it gives for each.
 func TestDecodeBinaryRejects(t *testing.T) {
-	enc := sampleCollector().AppendBinary(nil)
-	oversized := le.AppendUint64(nil, 3) // three tx records in 2 records' bytes
-	oversized = append(oversized, make([]byte, 2*txSize)...)
+	c := sampleCollector()
+	enc := c.AppendBinary(nil)
+	noVehicles := *c
+	noVehicles.Vehicles = nil
+	vehicleCount := len(noVehicles.AppendBinary(nil)) - 1 // offset of the vehicle count
+
+	// block prefixes hand-built encodings with the first k categories'
+	// zero counts.
+	blocks := func(k int, rest ...byte) []byte { return append(make([]byte, k), rest...) }
+	oversized := append([]byte{3}, make([]byte, 2*7)...) // three tx records in two minimal records' bytes
 	cases := []struct {
 		name, cause string
 		data        []byte
 	}{
-		{"nil", "tx count truncated", nil},
-		{"short count", "tx count truncated", enc[:5]},
-		{"mid record", "need more than", enc[:countSize+txSize/2]},
-		{"cut count", "vehicle count truncated", enc[:len(enc)-4*vehicleSize-4]},
-		{"last byte", "need more than", enc[:len(enc)-1]},
+		{"nil", "tx count: truncated", nil},
+		{"short count", "tx count: truncated", []byte{0x85}},
+		{"mid record", "need more than", enc[:4]},
+		{"cut count", "vehicle count: truncated", enc[:vehicleCount]},
+		{"last byte", "vehicle record 3: truncated", enc[:len(enc)-1]},
 		{"oversized count", "3 tx records need more than", oversized},
-		{"huge count", "need more than", le.AppendUint64(nil, math.MaxUint64)},
+		{"huge count", "need more than", binary.AppendUvarint(nil, math.MaxUint64)},
 		{"trailing bytes", "1 trailing bytes", append(append([]byte(nil), enc...), 0)},
 		{"jsonl", "need more than", []byte(`{"kind":"veh","veh":{"at":0,"veh":3,"link":2,"lane":0,"arc":40,"v":8.25}}` + "\n")},
+		// A zero count written in two bytes.
+		{"non-minimal count", "tx count: non-minimal varint", []byte{0x80, 0x00, 0, 0, 0, 0, 0, 0}},
+		// One completion whose At delta 0 is written in two bytes.
+		{"non-minimal varint", "completion record 0: non-minimal varint", blocks(5, 1, 0x80, 0x00, 0x01, 0)},
+		// An 11-byte varint.
+		{"varint overflow", "tx count: varint overflow", append(bytes.Repeat([]byte{0xFF}, 10), 0x01)},
+		// One completion by node 0x10000 (encoded id+1 = 0x10001).
+		{"id overflow", "completion record 0: id overflow", blocks(5, 1, 0x00, 0x81, 0x80, 0x04, 0)},
+		// One recovery whose zigzag seq delta is 1<<32, past int32.
+		{"seq delta overflow", "recovery record 0: seq delta overflow",
+			blocks(4, 1, 0x00, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x01, 0, 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,20 +238,27 @@ func TestDecodeBinaryRejects(t *testing.T) {
 			}
 		})
 	}
+	t.Run("every truncation", func(t *testing.T) {
+		for n := range enc {
+			if c, err := DecodeBinary(enc[:n]); err == nil || c != nil {
+				t.Fatalf("encoding cut to %d of %d bytes: DecodeBinary = (%v, %v)", n, len(enc), c, err)
+			}
+		}
+	})
 }
 
 // TestDecodeBinaryChecksCountBeforeAllocating: a count claiming ten
-// million vehicle records (480 MB) over an empty remainder must fail
-// without allocating room for them.
+// million vehicle records (480 MB decoded) over an almost empty
+// remainder must fail without allocating room for them.
 func TestDecodeBinaryChecksCountBeforeAllocating(t *testing.T) {
-	data := make([]byte, 6*countSize)
-	data = le.AppendUint64(data, 10_000_000)
+	data := binary.AppendUvarint(make([]byte, categories-1), 10_000_000)
+	data = append(data, make([]byte, 1000)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := DecodeBinary(data)
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("oversized count accepted")
+	if err == nil || !strings.Contains(err.Error(), "10000000 vehicle records need more than the 1000 bytes left") {
+		t.Fatalf("oversized count: %v", err)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 		t.Fatalf("rejecting an oversized count allocated %d bytes", n)

@@ -3,9 +3,10 @@
 // recovery — mirroring the paper's methodology of capturing all traffic in
 // monitor mode and post-processing it offline. Collectors plug into both
 // the MAC (mac.Tracer) and the protocol (carq.Observer), can be exported
-// and re-imported as JSON Lines (the interchange format) or in a compact
-// binary encoding (the stores' format), and expose the set/series queries
-// the analysis layer is built on.
+// and re-imported as JSON Lines (the interchange format) or in a compact,
+// canonical delta-varint binary encoding (the stores' format; see
+// AppendBinary), and expose the set/series queries the analysis layer is
+// built on.
 package trace
 
 import (

@@ -12,8 +12,8 @@ import (
 // file or wire format or the record semantics change: loads reject other
 // schemas, so a stale store degrades to recomputation. (/2: exhaustive
 // TraceKey keys, demand-driven vehicles; /3: the storeutil header; /4:
-// the binary trace section.)
-const StoreSchema = "traffic-trace-store/4"
+// the binary trace section; /5: the delta-varint trace section.)
+const StoreSchema = "traffic-trace-store/5"
 
 // Store is the on-disk cache of recorded traffic streams, keyed like the
 // scenario layer's in-memory cache (every parameter that shapes vehicle
