@@ -14,8 +14,6 @@ import (
 
 	"repro/internal/faultpoint"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
 // Runner executes registered experiments through a shared worker pool,
@@ -156,12 +154,6 @@ func (r *Runner) runOne(e *Experiment) error {
 	// sort them so the sidecar reads the same at any worker count.
 	sort.Slice(tim.Failed, func(i, j int) bool { return tim.Failed[i].Unit < tim.Failed[j].Unit })
 	sort.Strings(tim.Hung)
-	// The experiment is done with its results: return every registered
-	// round collector to the scenario pool so the next experiment's
-	// rounds reuse the grown record buffers instead of allocating anew.
-	for _, cols := range ctx.recycle {
-		scenario.RecycleTraces(cols...)
-	}
 	if err != nil {
 		rec.Error = err.Error()
 	}
@@ -208,22 +200,6 @@ type Context struct {
 	// units served from the result store. Units run concurrently.
 	computed atomic.Int64
 	cached   atomic.Int64
-	// recycle holds the per-round protocol-trace slices registered for
-	// return to the scenario trace pool once the experiment finishes.
-	// Slices are registered before units fill them and read afterwards.
-	recycle [][]*trace.Collector
-}
-
-// RecycleTraces registers a slice of protocol-trace collectors to hand
-// back to the scenario trace pool when the experiment's Run returns —
-// the ownership contract that lets the harness reuse one collector's
-// grown record buffers across thousands of rounds. A Batch registers
-// its per-round protocol traces automatically;
-// studies only need this for collectors they obtain outside a Batch.
-// Never register cache-owned traffic streams: those are shared across
-// arms and processes and must survive the experiment.
-func (c *Context) RecycleTraces(cols []*trace.Collector) {
-	c.recycle = append(c.recycle, cols)
 }
 
 // Rounds returns the run's requested round count.

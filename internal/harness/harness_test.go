@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -230,74 +231,62 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunnerRecyclesRoundCollectors pins the result-ownership
-// restructure: round collectors registered by Batch result builders go
-// back to the scenario trace pool once their experiment's Run returns,
-// so a later experiment's rounds reuse them (Reset, same pointer)
-// instead of allocating fresh ones. Serial runner, single rounds: the
-// LIFO pool must hand experiment B exactly experiment A's collector.
-func TestRunnerRecyclesRoundCollectors(t *testing.T) {
+// TestRunReleasesRoundTraces pins round-trace ownership: a round's
+// protocol trace is an ordinary value owned by the study that reads it,
+// so once the experiment returns nothing in the runner, the scenario
+// layer or the result store keeps it alive. Both the computed pass and
+// the pass that decodes every round from the store must release all of
+// their collectors to the garbage collector.
+func TestRunReleasesRoundTraces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
 	}
-	tiny := func() scenario.HighwayConfig {
-		cfg := scenario.DefaultHighway()
-		cfg.Rounds = 1
-		cfg.Cars = 1
-		return cfg
-	}
-	var first, second *trace.Collector
-	var firstTx int
+	const rounds = 2
+	var released atomic.Int64
 	Register(Experiment{
-		Name: "reg-recycle-a",
+		Name: "reg-release-traces",
 		Run: func(c *Context) error {
+			cfg := scenario.DefaultHighway()
+			cfg.Rounds = rounds
+			cfg.Cars = 1
 			b := c.Batch()
 			var res *scenario.HighwayResult
-			Add(b, "p", tiny(), &res)
+			Add(b, "p", cfg, &res)
 			if err := b.Go(); err != nil {
 				return err
 			}
-			first = res.Rounds[0]
-			firstTx = len(first.Tx)
-			return nil
-		},
-	})
-	Register(Experiment{
-		Name: "reg-recycle-b",
-		Run: func(c *Context) error {
-			b := c.Batch()
-			var res *scenario.HighwayResult
-			Add(b, "p", tiny(), &res)
-			if err := b.Go(); err != nil {
-				return err
+			for _, col := range res.Rounds {
+				runtime.SetFinalizer(col, func(*trace.Collector) { released.Add(1) })
 			}
-			second = res.Rounds[0]
 			return nil
 		},
 	})
-	r, err := NewRunner(Options{Rounds: 1, Seed: 2, OutDir: t.TempDir(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LIFO pool: A's collector lands on top when A finishes, so B's
-	// single round must pop exactly it, whatever earlier tests parked.
-	if err := r.Run([]string{"reg-recycle-a"}); err != nil {
-		t.Fatal(err)
-	}
-	probe := first
-	if probe == nil || firstTx == 0 {
-		t.Fatal("experiment A produced no trace")
-	}
-	// The experiment is over: its collector must already be Reset for
-	// reuse (the whole point of the ownership restructure).
-	if len(probe.Tx) != 0 {
-		t.Fatal("recycled collector still holds experiment A's records")
-	}
-	if err := r.Run([]string{"reg-recycle-b"}); err != nil {
-		t.Fatal(err)
-	}
-	if second != probe {
-		t.Fatal("experiment B did not reuse experiment A's recycled collector")
+	storeDir := t.TempDir()
+	for _, pass := range []struct {
+		name             string
+		computed, cached int
+	}{{"computed", rounds, 0}, {"cached", 0, rounds}} {
+		released.Store(0)
+		r, err := NewRunner(Options{Rounds: rounds, Seed: 3, OutDir: t.TempDir(), ResultStore: storeDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run([]string{"reg-release-traces"}); err != nil {
+			t.Fatal(err)
+		}
+		tim := r.Timings().Experiments[0]
+		if tim.UnitsComputed != pass.computed || tim.UnitsCached != pass.cached {
+			t.Fatalf("%s pass: computed %d, cached %d", pass.name, tim.UnitsComputed, tim.UnitsCached)
+		}
+		// Finalizers run on their own goroutine after the cycle that
+		// found the collector unreachable: give them a bounded while.
+		for i := 0; i < 50 && released.Load() < rounds; i++ {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := released.Load(); n != rounds {
+			t.Fatalf("%s pass: %d of %d round collectors released", pass.name, n, rounds)
+		}
 	}
 }
 

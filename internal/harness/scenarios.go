@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/scenario"
-	"repro/internal/trace"
 )
 
 // Batch accumulates (scenario, parameter-point, round) work units across
@@ -183,14 +182,7 @@ func Add[C scenario.Family[C, R], R any, P interface {
 			}
 			return nil
 		})
-	b.finalize = append(b.finalize, func() {
-		*out = cfg.Result(rounds)
-		cols := make([]*trace.Collector, len(rounds))
-		for i, r := range rounds {
-			cols[i] = r.Protocol
-		}
-		b.ctx.RecycleTraces(cols)
-	})
+	b.finalize = append(b.finalize, func() { *out = cfg.Result(rounds) })
 }
 
 // AddDownload adds one multi-lap file-download point as a single unit
@@ -231,7 +223,4 @@ func AddDownload(b *Batch, point string, cfg scenario.DownloadConfig, out **scen
 			}
 			return nil
 		})
-	b.finalize = append(b.finalize, func() {
-		b.ctx.RecycleTraces([]*trace.Collector{(*out).Trace})
-	})
 }

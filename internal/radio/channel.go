@@ -198,15 +198,6 @@ func (c *Channel) NoiseFloorDBm() float64 { return c.cfg.NoiseFloorDBm }
 // collision resolution.
 func (c *Channel) CaptureThresholdDB() float64 { return c.cfg.CaptureThresholdDB }
 
-// MeanRxPowerDBm returns the large-scale received power (path loss +
-// shadowing, no fading) for a frame from a at pa to b at pb at virtual
-// time now. The medium computes the same value in batches
-// (BatchMeanRxPower); the per-frame fading sample is drawn separately by
-// ResolveFrame.
-func (c *Channel) MeanRxPowerDBm(a, b packet.NodeID, pa, pb geom.Point, now time.Duration) float64 {
-	return c.MeanRxPowerLinkDBm(c.ShadowLink(a, b), pa.Dist(pb), pa, pb, now)
-}
-
 // ShadowLink returns the handle to the unordered pair's shadowing
 // process, for callers that sample the same link at high rates (the MAC
 // caches these per station pair). Simulation-loop only.
@@ -214,10 +205,12 @@ func (c *Channel) ShadowLink(a, b packet.NodeID) *ShadowLink {
 	return (*ShadowLink)(c.shadows.link(a, b))
 }
 
-// MeanRxPowerLinkDBm is MeanRxPowerDBm for a prefetched shadow link and a
-// precomputed distance (d must equal pa.Dist(pb); the MAC's receiver
-// filter has always just computed it). Values are bit-identical to
-// MeanRxPowerDBm's.
+// MeanRxPowerLinkDBm returns the large-scale received power (path loss +
+// shadowing, no fading) for a frame from pa to pb over shadow link l at
+// virtual time now. d must equal pa.Dist(pb); the MAC's receiver filter
+// has always just computed it. The medium computes the same value in
+// batches (BatchMeanRxPower); the per-frame fading sample is drawn
+// separately by ResolveFrame.
 func (c *Channel) MeanRxPowerLinkDBm(l *ShadowLink, d float64, pa, pb geom.Point, now time.Duration) float64 {
 	p := c.cfg.TxPowerDBm - c.lossDB(d) + (*shadowProcess)(l).sample(now)
 	if c.cfg.ObstructionDB != nil {

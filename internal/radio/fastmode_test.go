@@ -132,23 +132,23 @@ func TestFastShadowHold(t *testing.T) {
 
 	held := mk()
 	t0 := time.Second
-	v0 := held.MeanRxPowerDBm(a, b, pa, pb, t0)
-	if v1 := held.MeanRxPowerDBm(a, b, pa, pb, t0+hold/2); v1 != v0 {
+	v0 := meanRxPowerDBm(held, a, b, pa, pb, t0)
+	if v1 := meanRxPowerDBm(held, a, b, pa, pb, t0+hold/2); v1 != v0 {
 		t.Errorf("sample inside the hold window moved: %v then %v", v0, v1)
 	}
 	control := mk()
-	if got := control.MeanRxPowerDBm(a, b, pa, pb, t0); got != v0 {
+	if got := meanRxPowerDBm(control, a, b, pa, pb, t0); got != v0 {
 		t.Fatalf("identically-seeded channels diverge at t0: %v vs %v", got, v0)
 	}
 	// The held read must leave the state exactly where the control's is.
 	t1 := t0 + 4*DefaultConfig().ShadowTau
-	if g, w := held.MeanRxPowerDBm(a, b, pa, pb, t1), control.MeanRxPowerDBm(a, b, pa, pb, t1); g != w {
+	if g, w := meanRxPowerDBm(held, a, b, pa, pb, t1), meanRxPowerDBm(control, a, b, pa, pb, t1); g != w {
 		t.Errorf("held read perturbed the process: %v vs control %v", g, w)
 	}
 	// Exact mode has no hold: a short step re-samples.
 	exact := MustChannel(DefaultConfig())
-	e0 := exact.MeanRxPowerDBm(a, b, pa, pb, t0)
-	if e1 := exact.MeanRxPowerDBm(a, b, pa, pb, t0+hold/2); e1 == e0 {
+	e0 := meanRxPowerDBm(exact, a, b, pa, pb, t0)
+	if e1 := meanRxPowerDBm(exact, a, b, pa, pb, t0+hold/2); e1 == e0 {
 		t.Error("exact mode unexpectedly held the shadowing sample")
 	}
 }

@@ -21,8 +21,8 @@ func TestObstructionAttenuatesLink(t *testing.T) {
 
 	// Link crossing the wall: 30 dB weaker than the clear link of equal
 	// length.
-	blocked := c.MeanRxPowerDBm(1, 2, geom.Point{X: 0}, geom.Point{X: 100}, 0)
-	clear := c.MeanRxPowerDBm(1, 3, geom.Point{X: 0, Y: 50}, geom.Point{X: 100, Y: 50}, 0)
+	blocked := meanRxPowerDBm(c, 1, 2, geom.Point{X: 0}, geom.Point{X: 100}, 0)
+	clear := meanRxPowerDBm(c, 1, 3, geom.Point{X: 0, Y: 50}, geom.Point{X: 100, Y: 50}, 0)
 	if got := clear - blocked; got < 29.9 || got > 30.1 {
 		t.Fatalf("obstruction delta = %v dB, want 30", got)
 	}
@@ -34,11 +34,11 @@ func TestNilObstructionIsTransparent(t *testing.T) {
 	cfg.FadingK = -1
 	cfg.ObstructionDB = nil
 	c := MustChannel(cfg)
-	p1 := c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: 100}, 0)
+	p1 := meanRxPowerDBm(c, 1, 2, geom.Point{}, geom.Point{X: 100}, 0)
 	cfg2 := cfg
 	cfg2.ObstructionDB = func(a, b geom.Point) float64 { return 0 }
 	c2 := MustChannel(cfg2)
-	p2 := c2.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: 100}, 0)
+	p2 := meanRxPowerDBm(c2, 1, 2, geom.Point{}, geom.Point{X: 100}, 0)
 	if p1 != p2 {
 		t.Fatalf("zero obstruction changed power: %v vs %v", p1, p2)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -262,6 +263,12 @@ func SINRdB(rxPowerDBm, noiseDBm, interferenceDBm float64) float64 {
 	return rxPowerDBm - 10*math.Log10(noiseLin+intLin)
 }
 
+// meanRxPowerDBm is MeanRxPowerLinkDBm for an unordered node pair, the
+// per-frame reference the tests probe the large-scale power through.
+func meanRxPowerDBm(c *Channel, a, b packet.NodeID, pa, pb geom.Point, now time.Duration) float64 {
+	return c.MeanRxPowerLinkDBm(c.ShadowLink(a, b), pa.Dist(pb), pa, pb, now)
+}
+
 func TestSINRdB(t *testing.T) {
 	// No interference: SINR = rx - noise.
 	if got := SINRdB(-70, -94, math.Inf(-1)); math.Abs(got-24) > 1e-9 {
@@ -304,8 +311,8 @@ func TestChannelRxPowerDecreasesWithDistance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ShadowSigmaDB = 0 // isolate path loss
 	c := MustChannel(cfg)
-	near := c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: 10}, 0)
-	far := c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: 100}, 0)
+	near := meanRxPowerDBm(c, 1, 2, geom.Point{}, geom.Point{X: 10}, 0)
+	far := meanRxPowerDBm(c, 1, 2, geom.Point{}, geom.Point{X: 100}, 0)
 	if far >= near {
 		t.Fatalf("rx power at 100 m (%v) >= at 10 m (%v)", far, near)
 	}
@@ -326,7 +333,7 @@ func TestChannelDeterminism(t *testing.T) {
 		var out []float64
 		for i := 0; i < 50; i++ {
 			now := time.Duration(i) * 100 * time.Millisecond
-			p := c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: float64(50 + i)}, now)
+			p := meanRxPowerDBm(c, 1, 2, geom.Point{}, geom.Point{X: float64(50 + i)}, now)
 			d := decide(c, s, p, DSSS1Mbps, 1000)
 			out = append(out, p, d.RxPowerDBm, boolToF(d.Received))
 		}
@@ -401,6 +408,6 @@ func BenchmarkMeanRxPower(b *testing.B) {
 	c := MustChannel(DefaultConfig())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.MeanRxPowerDBm(1, 2, geom.Point{}, geom.Point{X: 120}, time.Duration(i))
+		meanRxPowerDBm(c, 1, 2, geom.Point{}, geom.Point{X: 120}, time.Duration(i))
 	}
 }

@@ -20,6 +20,10 @@ var (
 		"events accepted by the simulation scheduler, all rounds")
 	mEventsProcessed = metrics.NewCounter("sim_events_processed_total",
 		"events whose callbacks ran, all rounds")
+	mEventsCancelled = metrics.NewCounter("sim_events_cancelled_total",
+		"events cancelled before their callbacks ran, all rounds")
+	mEventsPending = metrics.NewCounter("sim_events_pending_total",
+		"events still pending when their round ended, all rounds")
 	mEventPoolHits = metrics.NewCounter("sim_event_pool_hits_total",
 		"pooled schedules served from the engine free list")
 	mEventsRecycled = metrics.NewCounter("sim_events_recycled_total",
@@ -69,6 +73,8 @@ func flushRunStats(engine *sim.Engine, medium *mac.Medium) {
 	es := engine.Stats()
 	mEventsScheduled.Add(es.Scheduled)
 	mEventsProcessed.Add(es.Processed)
+	mEventsCancelled.Add(es.Cancelled)
+	mEventsPending.Add(uint64(engine.Pending()))
 	mEventPoolHits.Add(es.PoolHits)
 	mEventsRecycled.Add(es.Recycled)
 	mHeapHighWater.SetMax(int64(es.HeapHighWater))

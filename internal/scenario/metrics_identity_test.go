@@ -12,7 +12,9 @@ import (
 // enabling the metrics registry must not change a single byte of any
 // trace. The counters live entirely off the RNG and event-ordering
 // paths, so an instrumented round and an uninstrumented round of the
-// same unit are the same simulation.
+// same unit are the same simulation. The instrumented round must also
+// account for every event it scheduled: processed, cancelled or still
+// pending when the round ended.
 func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -28,8 +30,18 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 			metrics.SetEnabled(false)
 			off := mediumTraceBytes(t, f.run(t, keep, 0))
 			metrics.SetEnabled(true)
+			scheduled, processed := mEventsScheduled.Value(), mEventsProcessed.Value()
+			cancelled, pending := mEventsCancelled.Value(), mEventsPending.Value()
 			on := mediumTraceBytes(t, f.run(t, keep, 0))
 			metrics.SetEnabled(false)
+			scheduled = mEventsScheduled.Value() - scheduled
+			processed = mEventsProcessed.Value() - processed
+			cancelled = mEventsCancelled.Value() - cancelled
+			pending = mEventsPending.Value() - pending
+			if scheduled == 0 || scheduled != processed+cancelled+pending {
+				t.Fatalf("%s: scheduled %d != processed %d + cancelled %d + pending %d",
+					f.name, scheduled, processed, cancelled, pending)
+			}
 			if len(off) == 0 {
 				t.Fatalf("%s: empty trace", f.name)
 			}

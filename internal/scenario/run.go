@@ -104,21 +104,6 @@ func (r *Result) CarqNode(id packet.NodeID) *carq.Node {
 	return n
 }
 
-// tracePool recycles the per-round protocol-trace collectors: Run draws
-// every round's collector here and RecycleTraces returns them once their
-// study is done with the results, so harness sweeps append into
-// already-grown record buffers instead of re-growing fresh ones every
-// round. Traffic streams are cache-owned and shared across sweep arms —
-// they must never pass through this pool.
-var tracePool trace.Pool
-
-// RecycleTraces hands protocol-trace collectors produced by Run (via the
-// per-round scenario functions) back to the shared pool. Callers must
-// drop every reference first: the collectors are Reset and reissued to
-// later rounds. The harness calls this after each experiment completes;
-// one-shot callers may simply let theirs be garbage collected.
-func RecycleTraces(cols ...*trace.Collector) { tracePool.Put(cols...) }
-
 // Run executes one simulation round and returns its trace and final node
 // states.
 func Run(s Setup) (*Result, error) {
@@ -132,7 +117,7 @@ func Run(s Setup) (*Result, error) {
 		return nil, fmt.Errorf("scenario: non-positive duration %v", s.Duration)
 	}
 	engine := sim.New()
-	col := tracePool.Get()
+	col := &trace.Collector{}
 	s.Channel.Seed = s.Seed
 	channel, err := radio.NewChannel(s.Channel)
 	if err != nil {

@@ -112,12 +112,10 @@ func TestStopGoWaveReachesPlatoon(t *testing.T) {
 	cfg.PerturbFor = 18 * time.Second
 	_, stream := roundTraces(t, cfg, 0)
 	crawled := false
-	for i := 0; i < cfg.Cars && !crawled; i++ {
-		for _, rec := range stream.VehicleSeries(i) {
-			if rec.At > cfg.PerturbAt && rec.Speed < 2 {
-				crawled = true
-				break
-			}
+	for _, rec := range stream.Vehicles {
+		if rec.Veh < cfg.Cars && rec.At > cfg.PerturbAt && rec.Speed < 2 {
+			crawled = true
+			break
 		}
 	}
 	if !crawled {

@@ -32,6 +32,7 @@ type Engine struct {
 	scheduled uint64 // events accepted by Schedule*/ScheduleCall
 	poolHits  uint64 // pooled schedules served from the free list
 	recycled  uint64 // pooled events returned to the free list
+	cancelled uint64 // Cancel calls that stopped a live event
 	heapHW    int    // high-water mark of the queue length
 	// cancelledQueued counts events that were cancelled but are still
 	// physically in the queue (cancellation leaves them in place; the
@@ -73,6 +74,10 @@ type Stats struct {
 	// it. Scheduled-PoolHits bounds the event allocations.
 	PoolHits uint64
 	Recycled uint64
+	// Cancelled counts Cancel calls that stopped a live event. Every
+	// scheduled event is processed, cancelled or still pending, so
+	// Scheduled == Processed + Cancelled + Pending() at any instant.
+	Cancelled uint64
 	// HeapHighWater is the deepest the event queue ever grew, the
 	// capacity measure for the queue's backing array.
 	HeapHighWater int
@@ -87,6 +92,7 @@ func (e *Engine) Stats() Stats {
 		Processed:     e.processed,
 		PoolHits:      e.poolHits,
 		Recycled:      e.recycled,
+		Cancelled:     e.cancelled,
 		HeapHighWater: e.heapHW,
 	}
 }

@@ -502,3 +502,70 @@ func BenchmarkEventChain(b *testing.B) {
 		}
 	}
 }
+
+// TestEventAccountingIdentity drives a randomized mix of Schedule,
+// ScheduleCall, timer resets and stops, repeated and late cancels and
+// horizon-bounded runs, and checks that every scheduled event is
+// accounted for exactly once: processed, cancelled or still pending.
+func TestEventAccountingIdentity(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		e := New()
+		rng := Stream(seed, "identity")
+		var events []*Event
+		var timers []*Timer
+		check := func(where string) {
+			t.Helper()
+			st := e.Stats()
+			if st.Scheduled != st.Processed+st.Cancelled+uint64(e.Pending()) {
+				t.Fatalf("seed %d, %s: scheduled %d != processed %d + cancelled %d + pending %d",
+					seed, where, st.Scheduled, st.Processed, st.Cancelled, e.Pending())
+			}
+		}
+		var act func()
+		act = func() {
+			d := time.Duration(rng.Intn(500)) * time.Millisecond
+			switch rng.Intn(6) {
+			case 0:
+				events = append(events, e.Schedule(d, func() {}))
+			case 1:
+				e.ScheduleCall(d, func(any) {}, nil)
+			case 2:
+				if len(events) > 0 {
+					// May hit a live, fired or already cancelled event.
+					events[rng.Intn(len(events))].Cancel()
+				}
+			case 3:
+				if len(timers) == 0 || rng.Intn(3) == 0 {
+					timers = append(timers, e.NewTimer(func() {}))
+				}
+				timers[rng.Intn(len(timers))].Reset(d)
+			case 4:
+				if len(timers) > 0 {
+					timers[rng.Intn(len(timers))].Stop()
+				}
+			case 5:
+				if rng.Intn(2) == 0 {
+					events = append(events, e.Schedule(d, act))
+				} else {
+					e.ScheduleCall(d, func(any) { act() }, nil)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			act()
+			if rng.Intn(20) == 0 {
+				if err := e.RunUntil(e.Now() + time.Duration(rng.Intn(300))*time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("after step")
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		check("after drain")
+		if st := e.Stats(); e.Pending() != 0 || st.Cancelled == 0 {
+			t.Fatalf("seed %d: drained with %d pending, %d cancelled", seed, e.Pending(), st.Cancelled)
+		}
+	}
+}

@@ -50,6 +50,7 @@ func (ev *Event) Cancel() bool {
 	ev.arg = nil
 	if ev.eng != nil {
 		ev.eng.cancelledQueued++
+		ev.eng.cancelled++
 	}
 	return true
 }

