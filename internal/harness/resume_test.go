@@ -158,11 +158,13 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 
 // TestStoredRoundsRecomputeParentFormat: entries in the formats the
 // result store wrote before — result-store/1 (per-section length fields,
-// same body and CRC), result-store/2 (JSONL trace sections) and
-// result-store/4 (fixed-width binary trace sections) — and JSONL or
-// fixed-width bodies under the current schema are quarantined by the
-// next run and recomputed into the current format with identical
-// applied results; the run after that serves every unit.
+// same body and CRC), result-store/2 (JSONL trace sections),
+// result-store/4 (fixed-width binary trace sections) and result-store/5
+// (the current encoding, whose city traces also held the background
+// beacons' events) — and JSONL or fixed-width bodies under the current
+// schema are quarantined by the next run and recomputed into the current
+// format with identical applied results; the run after that serves
+// every unit.
 func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 	const rounds = 6
 	storeDir := t.TempDir()
@@ -190,7 +192,7 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		var parent []byte
-		switch i % 5 {
+		switch i % 6 {
 		case 0:
 			parent = fmt.Appendf(nil, `{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
 				hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
@@ -203,6 +205,8 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			parent = fixedWidthEntry(t, store, "result-store/4", hdr.Key)
 		case 4:
 			parent = fixedWidthEntry(t, store, ResultStoreSchema, hdr.Key)
+		case 5:
+			parent = bytes.Replace(data, []byte(ResultStoreSchema), []byte("result-store/5"), 1)
 		}
 		if err := os.WriteFile(path, parent, 0o644); err != nil {
 			t.Fatal(err)

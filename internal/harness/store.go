@@ -14,8 +14,9 @@ import (
 // captures, change: loads reject other schemas, so a stale store
 // degrades to recomputation. (/2: the shared storeutil header; /3:
 // binary trace sections; /4: download meta without a config copy; /5:
-// delta-varint trace sections.)
-const ResultStoreSchema = "result-store/5"
+// delta-varint trace sections; /6: protocol traces scoped to the tracked
+// stations, without the city families' background beacons.)
+const ResultStoreSchema = "result-store/6"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol

@@ -279,6 +279,11 @@ type Stats struct {
 	// WireAllocs those that had to be freshly allocated.
 	WireReuses uint64
 	WireAllocs uint64
+	// Untraced counts tracer calls skipped for untraced stations (see
+	// Station.Untrace): with every station traced it is zero, and in
+	// general the tracer saw Transmissions + Deliveries + ΣDrops -
+	// Untraced events.
+	Untraced uint64
 }
 
 // Stats returns the medium's counters so far. The medium is
@@ -656,7 +661,9 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame, wire []byte) {
 		m.maxAirtime = airtime
 	}
 	m.stats.Transmissions++
-	m.tracer.OnTx(src.id, f, now, airtime)
+	if m.traced(src) {
+		m.tracer.OnTx(src.id, f, now, airtime)
+	}
 
 	// Stations that sense the new transmission abort their contention and
 	// wait for the medium to free.
@@ -843,7 +850,9 @@ func (m *Medium) deliver(tx *transmission, i int) {
 	now := m.engine.Now()
 	if v := m.verdicts[i]; v != 0 {
 		m.stats.Drops[v]++
-		m.tracer.OnDrop(rx.id, tx.frame, now, v)
+		if m.traced(rx) {
+			m.tracer.OnDrop(rx.id, tx.frame, now, v)
+		}
 		return
 	}
 
@@ -851,7 +860,9 @@ func (m *Medium) deliver(tx *transmission, i int) {
 	meta := RxMeta{At: now, RxPowerDBm: decision.RxPowerDBm, SINRdB: decision.SINRdB}
 	if !decision.Received {
 		m.stats.Drops[DropChannel]++
-		m.tracer.OnDrop(rx.id, tx.frame, now, DropChannel)
+		if m.traced(rx) {
+			m.tracer.OnDrop(rx.id, tx.frame, now, DropChannel)
+		}
 		if rx.cfg.DeliverCorrupt && rx.handler != nil {
 			if f := tx.decode(); f != nil {
 				meta.Corrupt = true
@@ -873,14 +884,28 @@ func (m *Medium) deliver(tx *transmission, i int) {
 	f := tx.decode()
 	if f == nil {
 		m.stats.Drops[DropDecode]++
-		m.tracer.OnDrop(rx.id, tx.frame, now, DropDecode)
+		if m.traced(rx) {
+			m.tracer.OnDrop(rx.id, tx.frame, now, DropDecode)
+		}
 		return
 	}
 	m.stats.Deliveries++
-	m.tracer.OnRx(rx.id, f, meta)
+	if m.traced(rx) {
+		m.tracer.OnRx(rx.id, f, meta)
+	}
 	if rx.handler != nil {
 		rx.handler.HandleFrame(f, meta)
 	}
+}
+
+// traced reports whether s's events reach the tracer, counting the
+// skipped call when they do not.
+func (m *Medium) traced(s *Station) bool {
+	if s.untraced {
+		m.stats.Untraced++
+		return false
+	}
+	return true
 }
 
 // decode returns the transmission's wire bytes decoded into a frame,

@@ -33,6 +33,8 @@ type Station struct {
 	handler Handler
 	cfg     Config
 	rng     *rand.Rand
+	// untraced takes the station out of the trace scope (see Untrace).
+	untraced bool
 
 	// queue is a ring of frames waiting for the medium: qhead indexes the
 	// next frame out, the tail appends, and the backing array recycles
@@ -89,6 +91,13 @@ func (s *Station) QueueLen() int { return len(s.queue) - s.qhead }
 // SetHandler installs the receive handler; protocol layers that need a
 // reference to their own station call this after AddStation.
 func (s *Station) SetHandler(h Handler) { s.handler = h }
+
+// Untrace takes the station out of the trace scope: the medium no longer
+// reports its transmissions, or the receptions and drops at it, to the
+// tracer, and counts each skipped call in Stats.Untraced instead.
+// Delivery, the other counters, decoding and handler dispatch are
+// unchanged.
+func (s *Station) Untrace() { s.untraced = true }
 
 // stationLink bundles the channel handles of one src→rx pair. Creating
 // either handle draws no randomness, so fetching both on the pair's first

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/carq"
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/radio"
@@ -308,29 +307,21 @@ func (cfg CityDemandConfig) Round(round int) (Round, error) {
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
-	cars := make([]CarSpec, 0, len(specs))
+	cars := make([]CarSpec, cfg.Cars)
 	for i, id := range carIDs {
-		cars = append(cars, CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)})
+		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
 	}
-	period := cfg.HelloPeriod
-	for i := 0; i < demandVehicles; i++ {
-		id := BackgroundID + packet.NodeID(i)
+	beacons := make([]BeaconSpec, demandVehicles)
+	for i := range beacons {
 		// Radio-silent until the vehicle's arrival instant: the
 		// pre-entry population parked at the network edges must not
 		// radiate (vehicles that reached their destination keep
 		// beaconing, as parked cars do). Entry can slip past EnterAt
 		// under spillback, but only by the queue-clearing delay.
-		startAt := specs[cfg.Cars+i].EnterAt
-		cars = append(cars, CarSpec{
-			ID:       id,
-			Mobility: models[cfg.Cars+i],
-			Factory: func(id packet.NodeID, engine *sim.Engine, port *mac.Station, seed int64, _ carq.Observer) (Node, error) {
-				return &beaconNode{
-					id: id, engine: engine, port: port, period: period, startAt: startAt,
-					rng: sim.Stream(seed, fmt.Sprintf("beacon-%v", id)),
-				}, nil
-			},
-		})
+		beacons[i] = BeaconSpec{
+			ID: BackgroundID + packet.NodeID(i), Mobility: models[cfg.Cars+i],
+			Period: cfg.HelloPeriod, StartAt: specs[cfg.Cars+i].EnterAt,
+		}
 	}
 
 	aps := make([]APSpec, cfg.APs)
@@ -348,6 +339,7 @@ func (cfg CityDemandConfig) Round(round int) (Round, error) {
 		MAC:      macCfg,
 		APs:      aps,
 		Cars:     cars,
+		Beacons:  beacons,
 		Duration: cfg.Duration,
 	})
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/packet"
 )
 
 // quickCityDemand shrinks the demand-driven city for affordable test
@@ -71,23 +73,35 @@ func TestCityDemandVehiclesEnterOverTime(t *testing.T) {
 	}
 	// Radios are gated on arrival: the set of demand vehicles heard on
 	// the air must grow over the round — beacons all present from t=0
-	// would mean the pre-entry parked stacks radiate.
-	early := map[int]bool{}
-	all := map[int]bool{}
-	for _, tx := range col.Tx {
-		if tx.Src < BackgroundID {
-			continue
+	// would mean the pre-entry parked stacks radiate. The trace holds
+	// the tracked stations' events only, so a demand vehicle's airtime
+	// shows as its frames received or dropped at the platoon and APs.
+	early := map[packet.NodeID]bool{}
+	all := map[packet.NodeID]bool{}
+	heard := func(src packet.NodeID, at time.Duration) {
+		if src < BackgroundID {
+			return
 		}
-		all[int(tx.Src)] = true
-		if tx.At < cfg.Duration/4 {
-			early[int(tx.Src)] = true
+		all[src] = true
+		if at < cfg.Duration/4 {
+			early[src] = true
 		}
+	}
+	for _, r := range col.Rx {
+		heard(r.Src, r.At)
+	}
+	for _, d := range col.Drops {
+		heard(d.Src, d.At)
 	}
 	if len(all) == 0 {
 		t.Fatal("no demand vehicle ever beaconed")
 	}
-	if len(early) >= len(all) {
-		t.Fatalf("all %d beaconing vehicles were on the air in the first quarter; entry gating is not reaching the radio", len(all))
+	// Arrivals spread over the horizon, so most vehicles are first heard
+	// after the first quarter. Requiring only "not all of them" is too
+	// weak here: a tracked receiver hears a far vehicle late even when
+	// it radiates from t=0 (ungated, 58 of 59 heard vehicles were early).
+	if 2*len(early) > len(all) {
+		t.Fatalf("%d of %d beaconing vehicles were on the air in the first quarter; entry gating is not reaching the radio", len(early), len(all))
 	}
 	if vehicles < 3 {
 		t.Fatalf("only %d demand vehicles; want a population", vehicles)

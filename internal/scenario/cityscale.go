@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/carq"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/mobility"
@@ -282,40 +281,6 @@ func cityScaleWorld(cfg CityScaleConfig, roundSeed int64) (*traffic.GridNet, []t
 	return g, specs, nil
 }
 
-// beaconNode is the background vehicles' protocol: periodic HELLO
-// beacons with per-node deterministic jitter, no reaction to received
-// frames. It models the paper's non-cooperating traffic that still loads
-// the channel — and, at scale, the medium. startAt delays the first
-// beacon: demand-injected vehicles stay radio-silent until their
-// arrival instant, so the pre-entry population parked at the network
-// edges never radiates (zero for always-present vehicles).
-type beaconNode struct {
-	id      packet.NodeID
-	engine  *sim.Engine
-	port    *mac.Station
-	period  time.Duration
-	startAt time.Duration
-	rng     *rand.Rand
-}
-
-// HandleFrame implements mac.Handler.
-func (n *beaconNode) HandleFrame(*packet.Frame, mac.RxMeta) {}
-
-// Start implements Node: the first beacon lands at a uniformly jittered
-// offset past startAt so the population desynchronises.
-func (n *beaconNode) Start() {
-	first := n.startAt + time.Duration(n.rng.Int63n(int64(n.period)))
-	n.engine.Schedule(first, n.beacon)
-}
-
-func (n *beaconNode) beacon() {
-	// Queue-full errors just skip a beacon; the channel is saturated
-	// anyway when that happens.
-	_ = n.port.Send(packet.NewHello(n.id, nil))
-	jitter := time.Duration(n.rng.Int63n(int64(n.period / 4)))
-	n.engine.Schedule(n.period+jitter-n.period/8, n.beacon)
-}
-
 // Name implements Family.
 func (CityScaleConfig) Name() string { return "cityscale" }
 
@@ -364,23 +329,15 @@ func (cfg CityScaleConfig) Round(round int) (Round, error) {
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
-	cars := make([]CarSpec, 0, cfg.Cars+cfg.Background)
+	cars := make([]CarSpec, cfg.Cars)
 	for i, id := range carIDs {
-		cars = append(cars, CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)})
+		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
 	}
-	period := cfg.HelloPeriod
-	for i := 0; i < cfg.Background; i++ {
-		id := BackgroundID + packet.NodeID(i)
-		cars = append(cars, CarSpec{
-			ID:       id,
-			Mobility: models[cfg.Cars+i],
-			Factory: func(id packet.NodeID, engine *sim.Engine, port *mac.Station, seed int64, _ carq.Observer) (Node, error) {
-				return &beaconNode{
-					id: id, engine: engine, port: port, period: period,
-					rng: sim.Stream(seed, fmt.Sprintf("beacon-%v", id)),
-				}, nil
-			},
-		})
+	beacons := make([]BeaconSpec, cfg.Background)
+	for i := range beacons {
+		beacons[i] = BeaconSpec{
+			ID: BackgroundID + packet.NodeID(i), Mobility: models[cfg.Cars+i], Period: cfg.HelloPeriod,
+		}
 	}
 
 	aps := make([]APSpec, cfg.APs)
@@ -399,6 +356,7 @@ func (cfg CityScaleConfig) Round(round int) (Round, error) {
 		MAC:      macCfg,
 		APs:      aps,
 		Cars:     cars,
+		Beacons:  beacons,
 		Duration: cfg.Duration,
 	})
 	if err != nil {

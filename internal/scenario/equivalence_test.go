@@ -8,7 +8,7 @@ import (
 	"repro/internal/trace"
 )
 
-// traceBytes serialises a round's full event record through the JSONL
+// mediumTraceBytes serialises a round's trace through the JSONL
 // wire format — the strictest practical definition of "the same trace".
 func mediumTraceBytes(t *testing.T, col *trace.Collector) []byte {
 	t.Helper()
@@ -52,10 +52,11 @@ var (
 
 // TestScenarioEquivalenceAcrossMediumModes asserts the refactor's core
 // contract on every scenario family behind the study catalogue
-// (A1..A17): the spatially-indexed medium produces byte-identical traces
-// to the exhaustive fallback. Small configurations keep it affordable;
-// the per-family channel/geometry paths are exactly those the full
-// studies run.
+// (A1..A18): the spatially-indexed medium produces byte-identical traces
+// to the exhaustive fallback, and the same delivery counters — every
+// transmission, delivery and drop, at tracked and untraced stations
+// alike. Small configurations keep it affordable; the per-family
+// channel/geometry paths are exactly those the full studies run.
 func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -64,11 +65,16 @@ func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 	for _, f := range families() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			run := func(m mac.MediumConfig) *trace.Collector {
-				return f.run(t, func(c *Common) { c.Medium = m }, 0)
+			run := func(m mac.MediumConfig) (*trace.Collector, mac.Stats) {
+				col, c := countedRound(t, f, func(c *Common) { c.Medium = m }, 0)
+				return col, c.mac
 			}
-			indexed := run(indexedMedium)
-			assertSameTrace(t, f.name, indexed, run(exhaustiveMedium))
+			indexed, is := run(indexedMedium)
+			exhaustive, es := run(exhaustiveMedium)
+			assertSameTrace(t, f.name, indexed, exhaustive)
+			if is != es {
+				t.Fatalf("%s: medium counters differ:\nindexed:    %+v\nexhaustive: %+v", f.name, is, es)
+			}
 			if f.name != "cityscale" {
 				return
 			}
@@ -78,12 +84,12 @@ func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 			// topologies, this covers the full protocol stack on top.
 			// With 90 stations spread over ~1.4 km and a ~300 m horizon,
 			// every frame reaching every station would be a regression in
-			// the horizon logic.
-			c := indexed.Counts()
-			stations := 80 + 6 + 4
-			if c.Rx+c.Drops >= c.Tx*(stations-1) {
+			// the horizon logic. The counters cover every station; the
+			// trace only the tracked ones.
+			stations := uint64(80 + 6 + 4)
+			if resolved := is.Deliveries + dropped(is); resolved >= is.Transmissions*(stations-1) {
 				t.Fatalf("no culling: %d delivery events for %d transmissions among %d stations",
-					c.Rx+c.Drops, c.Tx, stations)
+					resolved, is.Transmissions, stations)
 			}
 		})
 	}

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -12,6 +14,8 @@ import (
 // configuration that still runs the study's channel and geometry paths.
 type familyCase struct {
 	name string
+	// cars is the small config's platoon size; its cars are CarIDs(cars).
+	cars int
 	// config returns the small config with with applied to its shared
 	// settings.
 	config func(with func(*Common)) any
@@ -33,6 +37,7 @@ func family[C Family[C, R], R any, P interface {
 	}
 	return familyCase{
 		name:   cfg.Name(),
+		cars:   P(&cfg).Base().Cars,
 		config: func(with func(*Common)) any { return config(with) },
 		run: func(t *testing.T, with func(*Common), round int) *trace.Collector {
 			return runRound(t, config(with), round).Protocol
@@ -85,6 +90,7 @@ func families() []familyCase {
 		family(twoway),
 		{
 			name:   "download",
+			cars:   download(keep, 0).Cars,
 			config: func(with func(*Common)) any { return download(with, 0) },
 			run: func(t *testing.T, with func(*Common), round int) *trace.Collector {
 				res, err := RunDownload(download(with, round))
@@ -116,4 +122,67 @@ func runRound[C Family[C, R], R any](t testing.TB, cfg C, round int) Round {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// roundCounts are the counters one instrumented round flushed into the
+// metrics registry: the engine's event identity terms, and the medium's
+// delivery counters as a mac.Stats (Transmissions, Deliveries, Drops and
+// Untraced; the enumeration and wire-pool counters stay zero).
+type roundCounts struct {
+	scheduled, processed, cancelled, pending uint64
+	mac                                      mac.Stats
+}
+
+func readRoundCounts() roundCounts {
+	c := roundCounts{
+		scheduled: mEventsScheduled.Value(),
+		processed: mEventsProcessed.Value(),
+		cancelled: mEventsCancelled.Value(),
+		pending:   mEventsPending.Value(),
+		mac: mac.Stats{
+			Transmissions: mTransmissions.Value(),
+			Deliveries:    mDeliveries.Value(),
+			Untraced:      mUntraced.Value(),
+		},
+	}
+	for reason, d := range mDrops {
+		if d != nil {
+			c.mac.Drops[reason] = d.Value()
+		}
+	}
+	return c
+}
+
+func (c roundCounts) minus(o roundCounts) roundCounts {
+	c.scheduled -= o.scheduled
+	c.processed -= o.processed
+	c.cancelled -= o.cancelled
+	c.pending -= o.pending
+	c.mac.Transmissions -= o.mac.Transmissions
+	c.mac.Deliveries -= o.mac.Deliveries
+	c.mac.Untraced -= o.mac.Untraced
+	for i := range c.mac.Drops {
+		c.mac.Drops[i] -= o.mac.Drops[i]
+	}
+	return c
+}
+
+// countedRound runs one round of f with the metrics registry enabled and
+// returns its trace with the counters that round flushed.
+func countedRound(t *testing.T, f familyCase, with func(*Common), round int) (*trace.Collector, roundCounts) {
+	t.Helper()
+	defer metrics.SetEnabled(metrics.Enabled())
+	metrics.SetEnabled(true)
+	before := readRoundCounts()
+	col := f.run(t, with, round)
+	return col, readRoundCounts().minus(before)
+}
+
+// dropped sums a medium's drops over every cause.
+func dropped(s mac.Stats) uint64 {
+	var n uint64
+	for _, d := range s.Drops {
+		n += d
+	}
+	return n
 }

@@ -45,6 +45,8 @@ var (
 		"wire buffers served from the medium free lists")
 	mWireAllocs = metrics.NewCounter("mac_wire_alloc_total",
 		"wire buffers freshly allocated")
+	mUntraced = metrics.NewCounter("mac_untraced_events_total",
+		"transmissions, receptions and drops left out of the trace (untraced stations)")
 
 	mCacheHits = metrics.NewCounter("traffic_trace_cache_hits_total",
 		"in-memory traffic-trace cache hits (sweep arms sharing a recorded world)")
@@ -87,6 +89,7 @@ func flushRunStats(engine *sim.Engine, medium *mac.Medium) {
 	mIndexRebuilds.Add(ms.IndexRebuilds)
 	mWireReuses.Add(ms.WireReuses)
 	mWireAllocs.Add(ms.WireAllocs)
+	mUntraced.Add(ms.Untraced)
 	for reason, c := range mDrops {
 		if c != nil {
 			c.Add(ms.Drops[reason])

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/packet"
+	"repro/internal/trace"
 )
 
 // TestMetricsIdentityAcrossFamilies is the telemetry layer's hard
@@ -13,8 +15,9 @@ import (
 // trace. The counters live entirely off the RNG and event-ordering
 // paths, so an instrumented round and an uninstrumented round of the
 // same unit are the same simulation. The instrumented round must also
-// account for every event it scheduled: processed, cancelled or still
-// pending when the round ended.
+// account for every event it scheduled — processed, cancelled or still
+// pending when the round ended — and for every medium event: traced, or
+// left out because its station is untraced (checkTraceScope).
 func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -29,18 +32,11 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			metrics.SetEnabled(false)
 			off := mediumTraceBytes(t, f.run(t, keep, 0))
-			metrics.SetEnabled(true)
-			scheduled, processed := mEventsScheduled.Value(), mEventsProcessed.Value()
-			cancelled, pending := mEventsCancelled.Value(), mEventsPending.Value()
-			on := mediumTraceBytes(t, f.run(t, keep, 0))
-			metrics.SetEnabled(false)
-			scheduled = mEventsScheduled.Value() - scheduled
-			processed = mEventsProcessed.Value() - processed
-			cancelled = mEventsCancelled.Value() - cancelled
-			pending = mEventsPending.Value() - pending
-			if scheduled == 0 || scheduled != processed+cancelled+pending {
+			col, c := countedRound(t, f, keep, 0)
+			on := mediumTraceBytes(t, col)
+			if c.scheduled == 0 || c.scheduled != c.processed+c.cancelled+c.pending {
 				t.Fatalf("%s: scheduled %d != processed %d + cancelled %d + pending %d",
-					f.name, scheduled, processed, cancelled, pending)
+					f.name, c.scheduled, c.processed, c.cancelled, c.pending)
 			}
 			if len(off) == 0 {
 				t.Fatalf("%s: empty trace", f.name)
@@ -48,6 +44,44 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 			if !bytes.Equal(off, on) {
 				t.Fatalf("%s: trace changed when metrics were enabled", f.name)
 			}
+			checkTraceScope(t, f, col, c)
 		})
+	}
+}
+
+// checkTraceScope checks a round's trace against the scope rule: every
+// medium event is either in the trace or counted as untraced, the
+// beacon-only background vehicles (IDs from BackgroundID, city families
+// only) are the untraced stations, and every platoon car is traced.
+func checkTraceScope(t *testing.T, f familyCase, col *trace.Collector, c roundCounts) {
+	t.Helper()
+	events := c.mac.Transmissions + c.mac.Deliveries + dropped(c.mac)
+	if traced := uint64(len(col.Tx) + len(col.Rx) + len(col.Drops)); traced+c.mac.Untraced != events {
+		t.Fatalf("%s: %d traced + %d untraced events != %d medium events", f.name, traced, c.mac.Untraced, events)
+	}
+	if beacons := f.name == "cityscale" || f.name == "citydemand"; beacons != (c.mac.Untraced > 0) {
+		t.Fatalf("%s: %d untraced events (background beacons: %v)", f.name, c.mac.Untraced, beacons)
+	}
+	sent := map[packet.NodeID]bool{}
+	for _, r := range col.Tx {
+		if r.Src >= BackgroundID {
+			t.Fatalf("%s: traced transmission from beacon %v", f.name, r.Src)
+		}
+		sent[r.Src] = true
+	}
+	for _, r := range col.Rx {
+		if r.Dst >= BackgroundID {
+			t.Fatalf("%s: traced reception at beacon %v", f.name, r.Dst)
+		}
+	}
+	for _, r := range col.Drops {
+		if r.Dst >= BackgroundID {
+			t.Fatalf("%s: traced drop at beacon %v", f.name, r.Dst)
+		}
+	}
+	for _, id := range CarIDs(f.cars) {
+		if !sent[id] {
+			t.Fatalf("%s: platoon car %v has no traced transmission", f.name, id)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/ap"
@@ -63,6 +64,20 @@ type CarSpec struct {
 	Factory  NodeFactory
 }
 
+// BeaconSpec binds one beacon-only background vehicle: a station that
+// sends a HELLO every Period (jittered) from StartAt on and ignores what
+// it hears. Beacons load the channel and the medium but are not part of
+// the round's trace scope (see Run).
+type BeaconSpec struct {
+	ID       packet.NodeID
+	Mobility mobility.Model
+	Period   time.Duration
+	// StartAt delays the first beacon: demand-injected vehicles stay
+	// radio-silent until their arrival instant (zero for always-present
+	// vehicles).
+	StartAt time.Duration
+}
+
 // APSpec places one access point.
 type APSpec struct {
 	Position geom.Point
@@ -80,6 +95,7 @@ type Setup struct {
 	MAC      mac.Config
 	APs      []APSpec
 	Cars     []CarSpec
+	Beacons  []BeaconSpec
 	Duration time.Duration
 	// Medium selects the radio medium's delivery path (spatial index vs
 	// exhaustive scan). The zero value — the indexed default — and the
@@ -105,7 +121,11 @@ func (r *Result) CarqNode(id packet.NodeID) *carq.Node {
 }
 
 // Run executes one simulation round and returns its trace and final node
-// states.
+// states. The trace is scoped to the tracked stations — the APs and the
+// cars: it records a transmission whose source is tracked and a
+// reception or drop whose receiver is tracked. Beacons are registered
+// after the cars and stay out of the trace; the medium still counts
+// their events (mac.Stats).
 func Run(s Setup) (*Result, error) {
 	if len(s.APs) == 0 {
 		return nil, fmt.Errorf("scenario: no access points")
@@ -166,6 +186,18 @@ func Run(s Setup) (*Result, error) {
 		node.Start()
 		nodes[car.ID] = node
 	}
+	for _, b := range s.Beacons {
+		st, err := medium.AddStation(b.ID, b.Mobility.Position, nil, s.MAC)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: beacon %v: %w", b.ID, err)
+		}
+		st.Untrace()
+		node := &beaconNode{BeaconSpec: b, engine: engine, port: st,
+			rng: sim.Stream(s.Seed, fmt.Sprintf("beacon-%v", b.ID))}
+		st.SetHandler(node)
+		node.Start()
+		nodes[b.ID] = node
+	}
 
 	if s.Hook != nil {
 		s.Hook(engine, nodes)
@@ -180,6 +212,35 @@ func Run(s Setup) (*Result, error) {
 		flushRunStats(engine, medium)
 	}
 	return &Result{Trace: col, Nodes: nodes}, nil
+}
+
+// beaconNode is the background vehicles' protocol: periodic HELLO
+// beacons with per-node deterministic jitter, no reaction to received
+// frames. It models the paper's non-cooperating traffic that still loads
+// the channel — and, at scale, the medium.
+type beaconNode struct {
+	BeaconSpec
+	engine *sim.Engine
+	port   *mac.Station
+	rng    *rand.Rand
+}
+
+// HandleFrame implements mac.Handler.
+func (n *beaconNode) HandleFrame(*packet.Frame, mac.RxMeta) {}
+
+// Start implements Node: the first beacon lands at a uniformly jittered
+// offset past StartAt so the population desynchronises.
+func (n *beaconNode) Start() {
+	first := n.StartAt + time.Duration(n.rng.Int63n(int64(n.Period)))
+	n.engine.Schedule(first, n.beacon)
+}
+
+func (n *beaconNode) beacon() {
+	// Queue-full errors just skip a beacon; the channel is saturated
+	// anyway when that happens.
+	_ = n.port.Send(packet.NewHello(n.ID, nil))
+	jitter := time.Duration(n.rng.Int63n(int64(n.Period / 4)))
+	n.engine.Schedule(n.Period+jitter-n.Period/8, n.beacon)
 }
 
 func staticPos(p geom.Point) mac.PositionFunc {

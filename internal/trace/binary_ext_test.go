@@ -11,12 +11,15 @@ import (
 )
 
 // smallCityScale is a cityscale config shrunk to test size: the same
-// world builder and replay path, far fewer vehicles and seconds.
+// world builder and replay path, far fewer vehicles and seconds. Its
+// protocol trace holds only the tracked stations' events (the platoon's
+// and the APs'), so the round lasts long enough to fill every category
+// TestBinaryCompactness sizes.
 func smallCityScale() scenario.CityScaleConfig {
 	cfg := scenario.DefaultCityScale()
 	cfg.Rounds, cfg.Cars, cfg.Background = 1, 2, 6
 	cfg.GridRows, cfg.GridCols = 4, 4
-	cfg.Duration = 8 * time.Second
+	cfg.Duration = 12 * time.Second
 	return cfg
 }
 
@@ -64,8 +67,10 @@ func TestBinaryMatchesJSONL(t *testing.T) {
 
 // TestBinaryCompactness guards the delta-varint encoding's size: the
 // bytes per record of each category a small cityscale round fills may
-// not exceed the measured size plus 10% (measured: tx 10.24, rx 25.27,
-// drop 9.69, vehicle 20.50; fixed-width they took 27, 37, 20 and 48).
+// not exceed the measured size plus 10% (measured on the full-population
+// trace: tx 10.24, rx 25.27, drop 9.69, vehicle 20.50; on the tracked
+// stations' trace: tx 10.10, rx 25.54, drop 8.85; fixed-width they took
+// 27, 37, 20 and 48).
 func TestBinaryCompactness(t *testing.T) {
 	proto, traffic, err := scenario.CityScaleRound(smallCityScale(), 0)
 	if err != nil {

@@ -1,7 +1,10 @@
-// Package trace records what happens on the simulated network — every
-// transmission, reception, drop, protocol phase change and cooperative
-// recovery — mirroring the paper's methodology of capturing all traffic in
-// monitor mode and post-processing it offline. Collectors plug into both
+// Package trace records what happens on the simulated network — the
+// tracked stations' transmissions, receptions and drops, and every
+// protocol phase change and cooperative recovery — mirroring the paper's
+// methodology of capturing the platoon's and the AP's traffic in monitor
+// mode and post-processing it offline. A round tracks its APs and cars;
+// beacon-only background vehicles load the channel but stay out of the
+// record (see mac.Station.Untrace). Collectors plug into both
 // the MAC (mac.Tracer) and the protocol (carq.Observer), can be exported
 // and re-imported as JSON Lines (the interchange format) or in a compact,
 // canonical delta-varint binary encoding (the stores' format; see
@@ -91,8 +94,10 @@ type VehicleRecord struct {
 	Speed float64       `json:"v"`
 }
 
-// Collector accumulates the full event record of one simulation round. It
-// implements mac.Tracer and carq.Observer. The zero value is ready to use.
+// Collector accumulates the tracked stations' events of one simulation
+// round: a transmission whose source is tracked, a reception or drop
+// whose receiver is tracked, and the protocol's events. It implements
+// mac.Tracer and carq.Observer. The zero value is ready to use.
 type Collector struct {
 	Tx        []TxRecord
 	Rx        []RxRecord
