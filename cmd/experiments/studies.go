@@ -17,6 +17,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // The experiment catalogue. Registration order is the `-exp all` order.
@@ -243,14 +244,14 @@ func selectionAblation(c *harness.Context) error {
 	out.WriteString("A2: cooperator selection policy\n\n")
 	for i, tc := range arms {
 		rows := report.Table1Rows(results[i])
-		var post, impr float64
+		_, post := meanLoss(rows)
+		var impr float64
 		for _, row := range rows {
-			post += row.LostAfterPct()
 			impr += row.Improvement()
 		}
 		o := report.OverheadSummary(results[i].Rounds)
 		fmt.Fprintf(&out, "%-22s mean post-coop loss=%.1f%% mean improvement=%.2f responses=%d\n",
-			tc.name, post/float64(len(rows)), impr/float64(len(rows)), o.ResponseTx)
+			tc.name, post, impr/float64(len(rows)), o.ResponseTx)
 	}
 	return c.Emit("ablation_selection.txt", harness.OutputRaw, out.String())
 }
@@ -325,14 +326,7 @@ func platoonSweep(c *harness.Context) error {
 	var dat strings.Builder
 	dat.WriteString("# cars pre post\n")
 	for cars := 1; cars <= maxCars; cars++ {
-		rows := report.Table1Rows(results[cars-1])
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		pre /= float64(len(rows))
-		post /= float64(len(rows))
+		pre, post := meanLoss(report.Table1Rows(results[cars-1]))
 		impr := 0.0
 		if pre > 0 {
 			impr = 1 - post/pre
@@ -405,14 +399,12 @@ func bitrateSweep(c *harness.Context) error {
 	out.WriteString("rate              pre-coop%%  post-coop%%  delivered/car/round\n")
 	for i, mod := range mods {
 		rows := report.Table1Rows(results[i])
-		var pre, post, delivered float64
+		pre, post := meanLoss(rows)
+		var delivered float64
 		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
 			delivered += row.TxByAP.Mean() * (1 - row.LostAfterPct()/100)
 		}
-		n := float64(len(rows))
-		fmt.Fprintf(&out, "%-17s %9.1f  %10.1f  %19.1f\n", mod.Name, pre/n, post/n, delivered/n)
+		fmt.Fprintf(&out, "%-17s %9.1f  %10.1f  %19.1f\n", mod.Name, pre, post, delivered/float64(len(rows)))
 	}
 	return c.Emit("ext_bitrate.txt", harness.OutputRaw, out.String())
 }
@@ -447,14 +439,10 @@ func epidemicComparison(c *harness.Context) error {
 	var out strings.Builder
 	out.WriteString("A7: C-ARQ vs epidemic flooding in the dark area\n\n")
 	for i, tc := range arms {
-		rows := report.Table1Rows(results[i])
-		var post float64
-		for _, row := range rows {
-			post += row.LostAfterPct()
-		}
+		_, post := meanLoss(report.Table1Rows(results[i]))
 		o := report.OverheadSummary(results[i].Rounds)
 		fmt.Fprintf(&out, "%-10s mean residual loss=%.1f%%  recovery transmissions=%d (%d B)\n",
-			tc.name, post/float64(len(rows)), o.ResponseTx+o.RequestTx, o.ResponseBytes+o.RequestBytes)
+			tc.name, post, o.ResponseTx+o.RequestTx, o.ResponseBytes+o.RequestBytes)
 	}
 	return c.Emit("ext_epidemic.txt", harness.OutputRaw, out.String())
 }
@@ -482,15 +470,14 @@ func highwaySweep(c *harness.Context) error {
 	for i, kmh := range speeds {
 		res := results[i]
 		rows := report.RowsFor(res.Rounds, res.CarIDs)
-		var tx, pre, post float64
+		pre, post := meanLoss(rows)
+		var tx float64
 		for _, row := range rows {
 			tx += row.TxByAP.Mean()
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
 		}
-		n := float64(len(rows))
-		fmt.Fprintf(&out, "%11.0f  %12.0f  %9.1f  %10.1f\n", kmh, tx/n, pre/n, post/n)
-		fmt.Fprintf(&dat, "%g %g %g %g\n", kmh, tx/n, pre/n, post/n)
+		tx /= float64(len(rows))
+		fmt.Fprintf(&out, "%11.0f  %12.0f  %9.1f  %10.1f\n", kmh, tx, pre, post)
+		fmt.Fprintf(&dat, "%g %g %g %g\n", kmh, tx, pre, post)
 	}
 	if err := c.Emit("ext_highway.dat", harness.OutputTable, dat.String()); err != nil {
 		return err
@@ -527,14 +514,8 @@ func frameCombining(c *harness.Context) error {
 	out.WriteString("A9: frame combining (C-ARQ/FC, reference [12])\n")
 	out.WriteString("Soft copies only exist when packets air more than once, so FC is paired with AP repeats.\n\n")
 	for i, tc := range arms {
-		rows := report.Table1Rows(results[i])
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		n := float64(len(rows))
-		fmt.Fprintf(&out, "%-20s mean pre-coop=%.1f%%  mean post-coop=%.1f%%\n", tc.name, pre/n, post/n)
+		pre, post := meanLoss(report.Table1Rows(results[i]))
+		fmt.Fprintf(&out, "%-20s mean pre-coop=%.1f%%  mean post-coop=%.1f%%\n", tc.name, pre, post)
 	}
 	return c.Emit("ext_combining.txt", harness.OutputRaw, out.String())
 }
@@ -574,12 +555,8 @@ func adaptiveRepeats(c *harness.Context) error {
 	out.WriteString("The AP overhears HELLOs and repeats more for poorly-connected cars.\n\n")
 	out.WriteString("cars  policy        post-coop%%\n")
 	for i, tc := range arms {
-		rows := report.Table1Rows(results[i])
-		var post float64
-		for _, row := range rows {
-			post += row.LostAfterPct()
-		}
-		fmt.Fprintf(&out, "%4d  %-12s %10.1f\n", tc.cars, tc.name, post/float64(len(rows)))
+		_, post := meanLoss(report.Table1Rows(results[i]))
+		fmt.Fprintf(&out, "%4d  %-12s %10.1f\n", tc.cars, tc.name, post)
 	}
 	return c.Emit("ext_adaptive.txt", harness.OutputRaw, out.String())
 }
@@ -759,27 +736,16 @@ func trafficGrid(c *harness.Context) error {
 		if coop {
 			mode = "C-ARQ"
 		}
-		var speed, crawl float64
-		for _, stream := range res.Traffic {
-			s := scenario.SummarizeTraffic(stream)
-			speed += s.MeanSpeedMPS
-			crawl += s.CrawlShare
-		}
+		speed, crawl := trafficSums(res.Traffic)
 		nr := float64(len(res.Traffic))
-		rows := report.RowsFor(res.Rounds, res.CarIDs)
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		n := float64(len(rows))
+		pre, post := meanLoss(report.RowsFor(res.Rounds, res.CarIDs))
 		fmt.Fprintf(&out, "%-8s traffic: mean speed %.1f m/s, crawl share %.1f%%   losses: pre-coop %.1f%%  post-coop %.1f%%\n",
-			mode, speed/nr, 100*crawl/nr, pre/n, post/n)
+			mode, speed/nr, 100*crawl/nr, pre, post)
 		coopFlag := 0
 		if coop {
 			coopFlag = 1
 		}
-		fmt.Fprintf(&dat, "%d %g %g %g %g\n", coopFlag, speed/nr, crawl/nr, pre/n, post/n)
+		fmt.Fprintf(&dat, "%d %g %g %g %g\n", coopFlag, speed/nr, crawl/nr, pre, post)
 	}
 	// Per-car detail for the C-ARQ arm: queue compression diversity
 	// shows up as near-equal post-coop losses across the platoon.
@@ -829,31 +795,17 @@ func stopGo(c *harness.Context) error {
 		if coop {
 			mode = "C-ARQ"
 		}
-		var speed, crawl float64
-		for _, stream := range res.Traffic {
-			s := scenario.SummarizeTraffic(stream)
-			speed += s.MeanSpeedMPS
-			crawl += s.CrawlShare
-		}
+		speed, crawl := trafficSums(res.Traffic)
 		nr := float64(len(res.Traffic))
-		rows := report.RowsFor(res.Rounds, res.CarIDs)
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		n := float64(len(rows))
-		recoveries := 0
-		for _, round := range res.Rounds {
-			recoveries += len(round.Recovered)
-		}
+		pre, post := meanLoss(report.RowsFor(res.Rounds, res.CarIDs))
+		rec := recoveries(res.Rounds)
 		fmt.Fprintf(&out, "%-8s traffic: mean speed %.1f m/s, crawl share %.1f%%   losses: pre-coop %.1f%%  post-coop %.1f%%  recoveries=%d\n",
-			mode, speed/nr, 100*crawl/nr, pre/n, post/n, recoveries)
+			mode, speed/nr, 100*crawl/nr, pre, post, rec)
 		coopFlag := 0
 		if coop {
 			coopFlag = 1
 		}
-		fmt.Fprintf(&dat, "%d %g %g %g %g %d\n", coopFlag, speed/nr, crawl/nr, pre/n, post/n, recoveries)
+		fmt.Fprintf(&dat, "%d %g %g %g %g %d\n", coopFlag, speed/nr, crawl/nr, pre, post, rec)
 	}
 	if err := c.Emit("ext_stopgo.dat", harness.OutputTable, dat.String()); err != nil {
 		return err
@@ -902,29 +854,17 @@ func cityScale(c *harness.Context) error {
 	dat.WriteString("# background coop stations pre post recoveries\n")
 	for i, tc := range arms {
 		res := results[i]
-		rows := report.RowsFor(res.Rounds, res.CarIDs)
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		n := float64(len(rows))
-		recoveries := 0
-		for _, round := range res.Rounds {
-			recoveries += len(round.Recovered)
-		}
-		var speed float64
-		for _, stream := range res.Traffic {
-			speed += scenario.SummarizeTraffic(stream).MeanSpeedMPS
-		}
+		pre, post := meanLoss(report.RowsFor(res.Rounds, res.CarIDs))
+		rec := recoveries(res.Rounds)
+		speed, _ := trafficSums(res.Traffic)
 		speed /= float64(len(res.Traffic))
 		fmt.Fprintf(&out, "%-17s %8d  %9.1f  %10.1f  %10d  %15.1f\n",
-			tc.name, res.Stations(), pre/n, post/n, recoveries, speed)
+			tc.name, res.Stations(), pre, post, rec, speed)
 		coopFlag := 0
 		if tc.coop {
 			coopFlag = 1
 		}
-		fmt.Fprintf(&dat, "%d %d %d %g %g %d\n", tc.background, coopFlag, res.Stations(), pre/n, post/n, recoveries)
+		fmt.Fprintf(&dat, "%d %d %d %g %g %d\n", tc.background, coopFlag, res.Stations(), pre, post, rec)
 	}
 	if err := c.Emit("ext_cityscale.dat", harness.OutputTable, dat.String()); err != nil {
 		return err
@@ -981,32 +921,18 @@ func cityDemand(c *harness.Context) error {
 			vehicles += float64(n)
 		}
 		vehicles /= float64(len(res.Vehicles))
-		var speed, crawl float64
-		for _, stream := range res.Traffic {
-			s := scenario.SummarizeTraffic(stream)
-			speed += s.MeanSpeedMPS
-			crawl += s.CrawlShare
-		}
+		speed, crawl := trafficSums(res.Traffic)
 		nr := float64(len(res.Traffic))
-		rows := report.RowsFor(res.Rounds, res.CarIDs)
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		n := float64(len(rows))
-		recoveries := 0
-		for _, round := range res.Rounds {
-			recoveries += len(round.Recovered)
-		}
+		pre, post := meanLoss(report.RowsFor(res.Rounds, res.CarIDs))
+		rec := recoveries(res.Rounds)
 		fmt.Fprintf(&out, "%-17s %8.1f  %15.1f  %6.1f  %9.1f  %10.1f  %10d\n",
-			tc.name, vehicles, speed/nr, 100*crawl/nr, pre/n, post/n, recoveries)
+			tc.name, vehicles, speed/nr, 100*crawl/nr, pre, post, rec)
 		actFlag := 0
 		if tc.actuated {
 			actFlag = 1
 		}
 		fmt.Fprintf(&dat, "%g %d %g %g %g %g %g %d\n",
-			tc.scale, actFlag, vehicles, speed/nr, crawl/nr, pre/n, post/n, recoveries)
+			tc.scale, actFlag, vehicles, speed/nr, crawl/nr, pre, post, rec)
 	}
 	if err := c.Emit("ext_citydemand.dat", harness.OutputTable, dat.String()); err != nil {
 		return err
@@ -1049,13 +975,7 @@ func twoWay(c *harness.Context) error {
 	dat.WriteString("# relays pre post relayshare\n")
 	for i, tc := range arms {
 		res := results[i]
-		rows := report.RowsFor(res.Rounds, res.CarIDs)
-		var pre, post float64
-		for _, row := range rows {
-			pre += row.LostBeforePct()
-			post += row.LostAfterPct()
-		}
-		n := float64(len(rows))
+		pre, post := meanLoss(report.RowsFor(res.Rounds, res.CarIDs))
 		relay := make(map[packet.NodeID]bool, len(res.RelayIDs))
 		for _, id := range res.RelayIDs {
 			relay[id] = true
@@ -1070,17 +990,48 @@ func twoWay(c *harness.Context) error {
 			}
 		}
 		fmt.Fprintf(&out, "%-14s %9.1f  %10.1f  %10d  %11d\n",
-			tc.name, pre/n, post/n, total, fromRelay)
+			tc.name, pre, post, total, fromRelay)
 		if tc.coop {
 			share := 0.0
 			if total > 0 {
 				share = float64(fromRelay) / float64(total)
 			}
-			fmt.Fprintf(&dat, "%d %g %g %g\n", tc.relays, pre/n, post/n, share)
+			fmt.Fprintf(&dat, "%d %g %g %g\n", tc.relays, pre, post, share)
 		}
 	}
 	if err := c.Emit("ext_twoway.dat", harness.OutputTable, dat.String()); err != nil {
 		return err
 	}
 	return c.Emit("ext_twoway.txt", harness.OutputRaw, out.String())
+}
+
+// meanLoss returns the rows' mean pre- and post-cooperation loss
+// percentages.
+func meanLoss(rows []*analysis.Table1Row) (pre, post float64) {
+	for _, row := range rows {
+		pre += row.LostBeforePct()
+		post += row.LostAfterPct()
+	}
+	n := float64(len(rows))
+	return pre / n, post / n
+}
+
+// trafficSums sums the streams' per-round mean speeds and crawl shares;
+// callers divide by the round count where they print.
+func trafficSums(streams []*trace.Collector) (speed, crawl float64) {
+	for _, stream := range streams {
+		s := scenario.SummarizeTraffic(stream)
+		speed += s.MeanSpeedMPS
+		crawl += s.CrawlShare
+	}
+	return speed, crawl
+}
+
+// recoveries counts the rounds' cooperative recoveries.
+func recoveries(rounds []*trace.Collector) int {
+	n := 0
+	for _, round := range rounds {
+		n += len(round.Recovered)
+	}
+	return n
 }

@@ -16,7 +16,27 @@ import (
 	"repro/internal/trace"
 )
 
+// restoreRegistry returns the process-global registry to its current
+// contents when t ends, so tests that register experiments can run again
+// in the same process (go test -count=N).
+func restoreRegistry(t *testing.T) {
+	t.Helper()
+	registry.Lock()
+	order := append([]*Experiment(nil), registry.order...)
+	byName := make(map[string]*Experiment, len(registry.byName))
+	for name, e := range registry.byName {
+		byName[name] = e
+	}
+	registry.Unlock()
+	t.Cleanup(func() {
+		registry.Lock()
+		registry.order, registry.byName = order, byName
+		registry.Unlock()
+	})
+}
+
 func TestRegistryLookupAndOrder(t *testing.T) {
+	restoreRegistry(t)
 	Register(Experiment{Name: "reg-a", Title: "A", Aliases: []string{"reg-a-alias"}, Run: func(*Context) error { return nil }})
 	Register(Experiment{Name: "reg-b", Title: "B", Run: func(*Context) error { return nil }})
 
@@ -42,6 +62,7 @@ func TestRegistryLookupAndOrder(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
+	restoreRegistry(t)
 	Register(Experiment{Name: "reg-dup", Run: func(*Context) error { return nil }})
 	defer func() {
 		if recover() == nil {
@@ -99,6 +120,7 @@ func TestPoolDoBoundsConcurrency(t *testing.T) {
 // TestRunDedupsAliasesAndRepeats checks that names resolving to the same
 // experiment (aliases, accidental repeats) run it once.
 func TestRunDedupsAliasesAndRepeats(t *testing.T) {
+	restoreRegistry(t)
 	var runs atomic.Int64
 	Register(Experiment{
 		Name:    "reg-dedup",
@@ -167,6 +189,7 @@ func newTestRunner(t *testing.T, rounds int) *Runner {
 }
 
 func TestRunnerWritesManifest(t *testing.T) {
+	restoreRegistry(t)
 	dir := t.TempDir()
 	r, err := NewRunner(Options{Rounds: 3, Seed: 7, OutDir: dir, Workers: 2})
 	if err != nil {
@@ -238,6 +261,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 // the pass that decodes every round from the store must release all of
 // their collectors to the garbage collector.
 func TestRunReleasesRoundTraces(t *testing.T) {
+	restoreRegistry(t)
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
 	}

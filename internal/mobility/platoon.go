@@ -146,6 +146,15 @@ func (p *Platoon) Car(i int) Model {
 	})
 }
 
+// Cars returns every car's Model, leader first.
+func (p *Platoon) Cars() []Model {
+	cars := make([]Model, len(p.profiles))
+	for i := range cars {
+		cars[i] = p.Car(i)
+	}
+	return cars
+}
+
 // Gap returns the instantaneous gap in metres between car i and its
 // predecessor (i >= 1), for diagnostics and tests.
 func (p *Platoon) Gap(i int, now time.Duration) float64 {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -27,14 +26,12 @@ import (
 // than statistically flat noise.
 type CityDemandConfig struct {
 	Common
+	// CityGrid's HelloPeriod is the demand vehicles' beacon period
+	// (every injected vehicle carries a radio, like the city-scale
+	// background); its Duration is also the demand horizon vehicles are
+	// injected over.
+	CityGrid
 	Rounds int
-	// GridRows x GridCols intersections, BlockM apart.
-	GridRows, GridCols int
-	BlockM             float64
-	// APs is the Infostation count (each runs the synchronised carousel
-	// at PacketsPerSecond per flow): 4 at the platoon circuit's corners,
-	// up to 8 adding the side midpoints.
-	APs int
 	// DemandScale multiplies every OD flow's rate — the sweep knob that
 	// moves the whole city from fluid to saturated. Zero is honoured as
 	// an empty-city baseline (no background demand at all), mirroring
@@ -44,13 +41,6 @@ type CityDemandConfig struct {
 	// control (stop-line occupancy extends green up to a max, gap-out
 	// otherwise); false keeps the fixed cycles.
 	Actuated bool
-	// HelloPeriod is the demand vehicles' beacon period (every injected
-	// vehicle carries a radio, like the city-scale background).
-	HelloPeriod time.Duration
-	Modulation  radio.Modulation
-	// Duration is the simulated time per round; it is also the demand
-	// horizon vehicles are injected over.
-	Duration time.Duration
 }
 
 // DefaultCityDemand returns a 12x12-intersection city (2.2 km on a side)
@@ -65,16 +55,18 @@ func DefaultCityDemand() CityDemandConfig {
 			PayloadBytes:     1000,
 			Coop:             true,
 		},
+		CityGrid: CityGrid{
+			GridRows:    12,
+			GridCols:    12,
+			BlockM:      200,
+			APs:         4,
+			HelloPeriod: time.Second,
+			Modulation:  radio.DSSS1Mbps,
+			Duration:    160 * time.Second,
+		},
 		Rounds:      4,
-		GridRows:    12,
-		GridCols:    12,
-		BlockM:      200,
-		APs:         4,
 		DemandScale: 1,
 		Actuated:    true,
-		HelloPeriod: time.Second,
-		Modulation:  radio.DSSS1Mbps,
-		Duration:    160 * time.Second,
 	}
 }
 
@@ -83,46 +75,11 @@ func (cfg CityDemandConfig) Normalized() (CityDemandConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
 	}
-	if cfg.GridRows == 0 {
-		cfg.GridRows = 12
-	}
-	if cfg.GridCols == 0 {
-		cfg.GridCols = 12
-	}
-	if cfg.GridRows < 4 || cfg.GridCols < 4 {
-		return cfg, fmt.Errorf("scenario: grid %dx%d too small for the AP circuit", cfg.GridRows, cfg.GridCols)
-	}
-	if cfg.BlockM == 0 {
-		cfg.BlockM = 200
-	}
 	if cfg.DemandScale < 0 {
 		return cfg, fmt.Errorf("scenario: demand scale %g", cfg.DemandScale)
 	}
-	if cfg.APs == 0 {
-		cfg.APs = 4
-	}
-	if cfg.APs < 4 || cfg.APs > 8 {
-		return cfg, fmt.Errorf("scenario: %d APs (want 4..8: circuit corners plus side midpoints)", cfg.APs)
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 160 * time.Second
-	}
-	if cfg.PacketsPerSecond <= 0 {
-		cfg.PacketsPerSecond = 5
-	}
-	if cfg.PayloadBytes <= 0 {
-		cfg.PayloadBytes = 1000
-	}
-	if cfg.HelloPeriod <= 0 {
-		cfg.HelloPeriod = time.Second
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
-	}
-	if maxLead := platoonLeadArc(cfg.Cars); maxLead > cfg.BlockM-10 {
-		return cfg, fmt.Errorf("scenario: %d platoon cars do not fit a %v m block", cfg.Cars, cfg.BlockM)
-	}
-	return cfg, nil
+	err := cfg.CityGrid.normalize(&cfg.Common, 12)
+	return cfg, err
 }
 
 // CityDemandResult is the study output. Demand realisations differ per
@@ -210,15 +167,7 @@ func cityDemandFlows(g *traffic.GridNet, cfg CityDemandConfig) ([]traffic.Demand
 // the demand-injected population (Poisson arrivals, shortest routes,
 // exit at destination).
 func cityDemandWorld(cfg CityDemandConfig, roundSeed int64) (*traffic.GridNet, []traffic.VehicleSpec, error) {
-	gspec := traffic.GridSpec{
-		Rows: cfg.GridRows, Cols: cfg.GridCols,
-		BlockM:        cfg.BlockM,
-		Lanes:         2,
-		LaneWidthM:    3.2,
-		SpeedLimitMPS: 14,
-		Green:         24 * time.Second,
-		AllRed:        4 * time.Second,
-	}
+	gspec := cityGridSpec(cfg.GridRows, cfg.GridCols, cfg.BlockM)
 	if cfg.Actuated {
 		ap := traffic.DefaultActuatedParams()
 		gspec.Actuated = &ap
@@ -293,57 +242,10 @@ func (cfg CityDemandConfig) Round(round int) (Round, error) {
 	if err != nil {
 		return Round{}, err
 	}
-	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	carIDs := CarIDs(cfg.Cars)
-	demandVehicles := len(specs) - cfg.Cars
-
-	// Every vehicle needs a mobility model: the platoon cars run C-ARQ,
-	// the demand population beacons.
-	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, len(specs))
+	r, err := cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
 	if err != nil {
 		return Round{}, err
 	}
-
-	macCfg := mac.DefaultConfig()
-	macCfg.Modulation = cfg.Modulation
-
-	cars := make([]CarSpec, cfg.Cars)
-	for i, id := range carIDs {
-		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
-	}
-	beacons := make([]BeaconSpec, demandVehicles)
-	for i := range beacons {
-		// Radio-silent until the vehicle's arrival instant: the
-		// pre-entry population parked at the network edges must not
-		// radiate (vehicles that reached their destination keep
-		// beaconing, as parked cars do). Entry can slip past EnterAt
-		// under spillback, but only by the queue-clearing delay.
-		beacons[i] = BeaconSpec{
-			ID: BackgroundID + packet.NodeID(i), Mobility: models[cfg.Cars+i],
-			Period: cfg.HelloPeriod, StartAt: specs[cfg.Cars+i].EnterAt,
-		}
-	}
-
-	aps := make([]APSpec, cfg.APs)
-	for i, pos := range gridAPs(g, cfg.APs) {
-		// Synchronised carousel, as in the city-scale scenario.
-		aps[i] = APSpec{
-			Position: pos,
-			Config: apConfigWindow(APID+packet.NodeID(i), carIDs, cfg.PacketsPerSecond,
-				cfg.PayloadBytes, 1, time.Millisecond, 0),
-		}
-	}
-
-	result, err := cfg.run(roundSeed, Setup{
-		Channel:  cityScaleChannel(),
-		MAC:      macCfg,
-		APs:      aps,
-		Cars:     cars,
-		Beacons:  beacons,
-		Duration: cfg.Duration,
-	})
-	if err != nil {
-		return Round{}, err
-	}
-	return Round{Protocol: result.Trace, Traffic: trafficStream, Vehicles: demandVehicles}, nil
+	r.Vehicles = len(specs) - cfg.Cars
+	return r, nil
 }

@@ -1,0 +1,280 @@
+package scenario
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"repro/internal/geom"
+	"repro/internal/mac"
+	"repro/internal/packet"
+	"repro/internal/radio"
+	"repro/internal/traffic"
+)
+
+// BackgroundID is the station ID of the first beacon-only background
+// vehicle in the city families (additional vehicles count up).
+const BackgroundID packet.NodeID = 200
+
+// CityGrid holds the settings the city families (cityscale, citydemand)
+// share: the signalized street grid, the Infostations on the platoon
+// circuit and every vehicle's radio. Both configs embed it, so their
+// defaults, validation and round wiring live here once.
+type CityGrid struct {
+	// GridRows x GridCols intersections, BlockM apart.
+	GridRows, GridCols int
+	BlockM             float64
+	// APs is the Infostation count (each runs the synchronised carousel
+	// at PacketsPerSecond per flow): 4 at the platoon circuit's corners,
+	// up to 8 adding the side midpoints.
+	APs int
+	// HelloPeriod is the beacon period of every vehicle outside the
+	// platoon.
+	HelloPeriod time.Duration
+	Modulation  radio.Modulation
+	// Duration is the simulated time per round.
+	Duration time.Duration
+}
+
+// normalize validates the grid and fills in its defaults — a
+// defaultSide x defaultSide grid of 200 m blocks, 4 APs, 160 s rounds,
+// 1 s beacons — together with c's stream defaults. c's platoon must fit
+// its start block.
+func (cg *CityGrid) normalize(c *Common, defaultSide int) error {
+	if cg.GridRows == 0 {
+		cg.GridRows = defaultSide
+	}
+	if cg.GridCols == 0 {
+		cg.GridCols = defaultSide
+	}
+	if cg.GridRows < 4 || cg.GridCols < 4 {
+		return fmt.Errorf("scenario: grid %dx%d too small for the AP circuit", cg.GridRows, cg.GridCols)
+	}
+	if cg.BlockM == 0 {
+		cg.BlockM = 200
+	}
+	if cg.APs == 0 {
+		cg.APs = 4
+	}
+	if cg.APs < 4 || cg.APs > 8 {
+		return fmt.Errorf("scenario: %d APs (want 4..8: circuit corners plus side midpoints)", cg.APs)
+	}
+	if cg.Duration <= 0 {
+		cg.Duration = 160 * time.Second
+	}
+	if c.PacketsPerSecond <= 0 {
+		c.PacketsPerSecond = 5
+	}
+	if c.PayloadBytes <= 0 {
+		c.PayloadBytes = 1000
+	}
+	if cg.HelloPeriod <= 0 {
+		cg.HelloPeriod = time.Second
+	}
+	if cg.Modulation.BitRate == 0 {
+		cg.Modulation = radio.DSSS1Mbps
+	}
+	if maxLead := platoonLeadArc(c.Cars); maxLead > cg.BlockM-10 {
+		return fmt.Errorf("scenario: %d platoon cars do not fit a %v m block", c.Cars, cg.BlockM)
+	}
+	return nil
+}
+
+// round runs one city round over a built world whose first c.Cars specs
+// are the platoon: the platoon runs C-ARQ, every later vehicle beacons
+// from its entry instant, and the Infostations on the circuit broadcast
+// a synchronised carousel — every AP transmits the same numbered stream
+// on the same schedule. Every vehicle replays the world's recorded
+// traffic stream.
+func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, error) {
+	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
+	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cg.Duration, len(specs))
+	if err != nil {
+		return Round{}, err
+	}
+
+	macCfg := mac.DefaultConfig()
+	macCfg.Modulation = cg.Modulation
+
+	beacons := make([]BeaconSpec, len(specs)-c.Cars)
+	for i := range beacons {
+		// Radio-silent until the vehicle's arrival instant: demand
+		// vehicles parked at the network edges before entry must not
+		// radiate (vehicles that reached their destination keep
+		// beaconing, as parked cars do). Entry can slip past EnterAt
+		// under spillback, but only by the queue-clearing delay.
+		beacons[i] = BeaconSpec{
+			ID: BackgroundID + packet.NodeID(i), Mobility: models[c.Cars+i],
+			Period: cg.HelloPeriod, StartAt: specs[c.Cars+i].EnterAt,
+		}
+	}
+
+	carIDs := CarIDs(c.Cars)
+	aps := make([]APSpec, cg.APs)
+	for i, pos := range gridAPs(g, cg.APs) {
+		aps[i] = APSpec{
+			Position: pos,
+			Config: apConfigWindow(APID+packet.NodeID(i), carIDs, c.PacketsPerSecond,
+				c.PayloadBytes, 1, time.Millisecond, 0),
+		}
+	}
+
+	result, err := c.run(roundSeed, Setup{
+		Channel:  cityScaleChannel(),
+		MAC:      macCfg,
+		APs:      aps,
+		Cars:     c.platoon(models[:c.Cars]),
+		Beacons:  beacons,
+		Duration: cg.Duration,
+	})
+	if err != nil {
+		return Round{}, err
+	}
+	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
+}
+
+// cityGridSpec is the street grid every grid family drives: two-lane
+// 14 m/s streets under fixed 24 s green, 4 s all-red cycles.
+func cityGridSpec(rows, cols int, blockM float64) traffic.GridSpec {
+	return traffic.GridSpec{
+		Rows: rows, Cols: cols,
+		BlockM:        blockM,
+		Lanes:         2,
+		LaneWidthM:    3.2,
+		SpeedLimitMPS: 14,
+		Green:         24 * time.Second,
+		AllRed:        4 * time.Second,
+	}
+}
+
+// gridBackground places n background vehicles deterministically over
+// every link of g but skip (the platoon's start link), random turns at
+// intersections: vehicle i takes link i mod links, and as the links fill
+// the vehicles alternate lanes, then step through slotArcs. Draws one
+// jittered default driver per vehicle from rng, in vehicle order.
+func gridBackground(g *traffic.GridNet, skip traffic.LinkID, n int, slotArcs []float64, rng *rand.Rand) ([]traffic.VehicleSpec, error) {
+	var candidates []traffic.LinkID
+	for _, l := range g.Links {
+		if l.ID != skip {
+			candidates = append(candidates, l.ID)
+		}
+	}
+	capacity := len(candidates) * len(slotArcs) * 2
+	if n > capacity {
+		return nil, fmt.Errorf("scenario: %d background vehicles exceed capacity %d", n, capacity)
+	}
+	specs := make([]traffic.VehicleSpec, n)
+	for i := range specs {
+		linkIdx := i % len(candidates)
+		slot := i / len(candidates)
+		arc := slotArcs[(slot/2)%len(slotArcs)]
+		l := g.Links[candidates[linkIdx]]
+		if arc >= l.Length()-5 {
+			arc = l.Length() - 5
+		}
+		specs[i] = traffic.VehicleSpec{
+			Driver:   jitterDriver(traffic.DefaultDriver(), rng),
+			Link:     candidates[linkIdx],
+			Lane:     slot % 2,
+			ArcM:     arc,
+			SpeedMPS: 6,
+		}
+	}
+	return specs, nil
+}
+
+// platoonLeadArc places the platoon head so the whole column fits on its
+// start link with 14 m spacings.
+func platoonLeadArc(cars int) float64 { return 10 + 14*float64(cars-1) }
+
+// cityPlatoonSpecs builds the looping platoon's vehicle specs shared by
+// the grid families: a jittered urban driver profile with tight uniform
+// headways, the whole column fitting the route's start link. Draws
+// exactly cars jitter triples from rng, in platoon order.
+func cityPlatoonSpecs(route []traffic.LinkID, cars int, rng *rand.Rand) []traffic.VehicleSpec {
+	base := traffic.DefaultDriver()
+	base.DesiredSpeedMPS = 13
+	specs := make([]traffic.VehicleSpec, 0, cars)
+	for i := 0; i < cars; i++ {
+		drv := jitterDriver(base, rng)
+		drv.TimeHeadwayS = base.TimeHeadwayS // the platoon keeps tight, uniform headways
+		specs = append(specs, traffic.VehicleSpec{
+			Driver:   drv,
+			Link:     route[0],
+			Lane:     0,
+			ArcM:     platoonLeadArc(cars) - 14*float64(i),
+			SpeedMPS: 8,
+			Route:    route,
+		})
+	}
+	return specs
+}
+
+// gridCircuit returns the platoon circuit's corner intersections on a
+// rows x cols grid: a rectangle inset a quarter of the grid from each
+// edge.
+func gridCircuit(rows, cols int) (loR, loC, hiR, hiC int) {
+	loR, loC = rows/4, cols/4
+	hiR, hiC = rows-1-loR, cols-1-loC
+	return
+}
+
+// cityRoute builds the clockwise link route around the circuit.
+func cityRoute(g *traffic.GridNet, loR, loC, hiR, hiC int) ([]traffic.LinkID, error) {
+	var hops [][4]int
+	for c := loC; c < hiC; c++ {
+		hops = append(hops, [4]int{loR, c, loR, c + 1})
+	}
+	for r := loR; r < hiR; r++ {
+		hops = append(hops, [4]int{r, hiC, r + 1, hiC})
+	}
+	for c := hiC; c > loC; c-- {
+		hops = append(hops, [4]int{hiR, c, hiR, c - 1})
+	}
+	for r := hiR; r > loR; r-- {
+		hops = append(hops, [4]int{r, loC, r - 1, loC})
+	}
+	route := make([]traffic.LinkID, 0, len(hops))
+	for _, hop := range hops {
+		id, ok := g.LinkBetween(hop[0], hop[1], hop[2], hop[3])
+		if !ok {
+			return nil, fmt.Errorf("scenario: city grid misses hop %v", hop)
+		}
+		route = append(route, id)
+	}
+	return route, nil
+}
+
+// gridAPs places the Infostations on the platoon circuit: the four
+// circuit corners, then side midpoints for APs beyond four, each offset
+// into the street corner like a pole-mounted unit.
+func gridAPs(g *traffic.GridNet, aps int) []geom.Point {
+	loR, loC, hiR, hiC := gridCircuit(g.Spec.Rows, g.Spec.Cols)
+	midR, midC := (loR+hiR)/2, (loC+hiC)/2
+	nodes := [][2]int{
+		{loR, loC}, {loR, hiC}, {hiR, hiC}, {hiR, loC}, // corners
+		{loR, midC}, {midR, hiC}, {hiR, midC}, {midR, loC}, // side midpoints
+	}
+	pts := make([]geom.Point, aps)
+	for i := range pts {
+		p := g.NodePoint(nodes[i][0], nodes[i][1])
+		pts[i] = geom.Point{X: p.X + 8, Y: p.Y + 8}
+	}
+	return pts
+}
+
+// cityScaleChannel is the deep-urban calibration: strong aggregate
+// clutter (exponent 4.2, modest transmit power) shrinks the reception
+// horizon to a few hundred metres — a small fraction of the city — which
+// is exactly the regime where spatially-indexed delivery pays.
+func cityScaleChannel() radio.Config {
+	return radio.Config{
+		PathLoss:           radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 4.2},
+		TxPowerDBm:         15,
+		NoiseFloorDBm:      -92,
+		ShadowSigmaDB:      3,
+		ShadowTau:          800 * time.Millisecond,
+		FadingK:            2,
+		CaptureThresholdDB: 10,
+	}
+}

@@ -126,18 +126,7 @@ func (cfg CorridorConfig) Round(round int) (Round, error) {
 		Path:     road,
 		SpeedMPS: cfg.SpeedMPS,
 	})
-	profiles := make([]mobility.DriverProfile, cfg.Cars)
-	profiles[0] = mobility.DriverProfile{Name: "car1"}
-	for i := 1; i < cfg.Cars; i++ {
-		profiles[i] = mobility.DriverProfile{
-			Name:           fmt.Sprintf("car%d", i+1),
-			HeadwayM:       cfg.HeadwayM,
-			HeadwayJitterM: cfg.HeadwayM / 8,
-			WobbleM:        cfg.HeadwayM / 10,
-			WobblePeriod:   30 * time.Second,
-		}
-	}
-	platoon, err := mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
+	platoon, err := roadPlatoon(leader, cfg.Cars, cfg.HeadwayM, 30*time.Second, roundSeed)
 	if err != nil {
 		return Round{}, err
 	}
@@ -164,16 +153,11 @@ func (cfg CorridorConfig) Round(round int) (Round, error) {
 		}
 	}
 
-	cars := make([]CarSpec, cfg.Cars)
-	for i := range cars {
-		cars[i] = CarSpec{ID: carIDs[i], Mobility: platoon.Car(i), Carq: cfg.carqConfig(carIDs[i])}
-	}
-
 	result, err := cfg.run(roundSeed, Setup{
 		Channel:  corridorChannel(),
 		MAC:      mac.DefaultConfig(),
 		APs:      aps,
-		Cars:     cars,
+		Cars:     cfg.platoon(platoon.Cars()),
 		Duration: duration,
 	})
 	if err != nil {

@@ -106,10 +106,6 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 	}
 
 	carIDs := CarIDs(cfg.Cars)
-	cars := make([]CarSpec, cfg.Cars)
-	for i, id := range carIDs {
-		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: cfg.carqConfig(id)}
-	}
 
 	duration := time.Duration(cfg.MaxLaps) * leader.LapTime()
 
@@ -133,7 +129,7 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 				CycleLength:      cfg.FileBlocks,
 			},
 		}},
-		Cars:     cars,
+		Cars:     cfg.platoon(platoon.Cars()),
 		Duration: duration,
 		Hook: func(engine *sim.Engine, nodes map[packet.NodeID]Node) {
 			// Poll completion once per simulated second.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/carq"
 	"repro/internal/mac"
+	"repro/internal/mobility"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -54,6 +55,16 @@ func (c Common) carqConfig(id packet.NodeID) carq.Config {
 	ccfg := carq.DefaultConfig(id)
 	ccfg.CoopEnabled = c.Coop
 	return ccfg
+}
+
+// platoon returns the C-ARQ car specs of a platoon moving by models,
+// front first, numbered as CarIDs numbers them.
+func (c Common) platoon(models []mobility.Model) []CarSpec {
+	cars := make([]CarSpec, len(models))
+	for i, id := range CarIDs(len(models)) {
+		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: c.carqConfig(id)}
+	}
+	return cars
 }
 
 // run executes one round's Setup under the shared wiring: the round seed

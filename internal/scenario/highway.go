@@ -70,6 +70,25 @@ func highwayChannel() radio.Config {
 	}
 }
 
+// roadPlatoon builds an open-road platoon behind leader: every follower
+// keeps headway with an eighth of it as per-round jitter and a tenth as
+// a sinusoidal wobble of period wobble, drawn from the round's
+// "platoon" stream.
+func roadPlatoon(leader *mobility.PathFollower, cars int, headway float64, wobble time.Duration, roundSeed int64) (*mobility.Platoon, error) {
+	profiles := make([]mobility.DriverProfile, cars)
+	profiles[0] = mobility.DriverProfile{Name: "car1"}
+	for i := 1; i < cars; i++ {
+		profiles[i] = mobility.DriverProfile{
+			Name:           fmt.Sprintf("car%d", i+1),
+			HeadwayM:       headway,
+			HeadwayJitterM: headway / 8,
+			WobbleM:        headway / 10,
+			WobblePeriod:   wobble,
+		}
+	}
+	return mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
+}
+
 // HighwayResult is the drive-thru experiment output.
 type HighwayResult struct {
 	Config HighwayConfig
@@ -112,18 +131,7 @@ func (cfg HighwayConfig) Round(round int) (Round, error) {
 		Path:     road,
 		SpeedMPS: cfg.SpeedMPS,
 	})
-	profiles := make([]mobility.DriverProfile, cfg.Cars)
-	profiles[0] = mobility.DriverProfile{Name: "car1"}
-	for i := 1; i < cfg.Cars; i++ {
-		profiles[i] = mobility.DriverProfile{
-			Name:           fmt.Sprintf("car%d", i+1),
-			HeadwayM:       cfg.HeadwayM,
-			HeadwayJitterM: cfg.HeadwayM / 8,
-			WobbleM:        cfg.HeadwayM / 10,
-			WobblePeriod:   20 * time.Second,
-		}
-	}
-	platoon, err := mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
+	platoon, err := roadPlatoon(leader, cfg.Cars, cfg.HeadwayM, 20*time.Second, roundSeed)
 	if err != nil {
 		return Round{}, err
 	}
@@ -134,11 +142,6 @@ func (cfg HighwayConfig) Round(round int) (Round, error) {
 	passTime := time.Duration(cfg.RoadLengthM / cfg.SpeedMPS * float64(time.Second))
 	duration := passTime + cfg.CoopTime
 
-	cars := make([]CarSpec, cfg.Cars)
-	for i := range cars {
-		cars[i] = CarSpec{ID: carIDs[i], Mobility: platoon.Car(i), Carq: cfg.carqConfig(carIDs[i])}
-	}
-
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: highwayChannel(),
 		MAC:     macCfg,
@@ -147,7 +150,7 @@ func (cfg HighwayConfig) Round(round int) (Round, error) {
 			Config: apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
 				cfg.PayloadBytes, 1, 0, passTime),
 		}},
-		Cars:     cars,
+		Cars:     cfg.platoon(platoon.Cars()),
 		Duration: duration,
 	})
 	if err != nil {

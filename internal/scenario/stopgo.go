@@ -199,8 +199,6 @@ func (cfg StopGoConfig) Round(round int) (Round, error) {
 		return Round{}, err
 	}
 	tcfg := traffic.Config{Network: net, Seed: roundSeed}
-	carIDs := CarIDs(cfg.Cars)
-
 	models, trafficStream, err := trafficModels(net, tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
 		return Round{}, err
@@ -209,20 +207,15 @@ func (cfg StopGoConfig) Round(round int) (Round, error) {
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
-	cars := make([]CarSpec, cfg.Cars)
-	for i, id := range carIDs {
-		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
-	}
-
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: highwayChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: stopGoAP(net),
-			Config: apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
+			Config: apConfigWindow(APID, CarIDs(cfg.Cars), cfg.PacketsPerSecond,
 				cfg.PayloadBytes, 1, 0, 0),
 		}},
-		Cars:     cars,
+		Cars:     cfg.platoon(models),
 		Duration: cfg.Duration,
 	})
 	if err != nil {

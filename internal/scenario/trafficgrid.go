@@ -102,25 +102,12 @@ type TrafficGridResult struct {
 	Traffic []*trace.Collector
 }
 
-// platoonLeadArc places the platoon head so the whole column fits on its
-// start link with 14 m spacings.
-func platoonLeadArc(cars int) float64 { return 10 + 14*float64(cars-1) }
-
 // trafficGridWorld builds the round's road network and vehicle
 // population: the platoon (vehicle IDs 0..Cars-1, looping the block at
 // the AP intersection clockwise) followed by the background population
 // on every other street.
 func trafficGridWorld(cfg TrafficGridConfig, roundSeed int64) (*traffic.GridNet, []traffic.VehicleSpec, error) {
-	spec := traffic.GridSpec{
-		Rows: cfg.GridRows, Cols: cfg.GridCols,
-		BlockM:        cfg.BlockM,
-		Lanes:         2,
-		LaneWidthM:    3.2,
-		SpeedLimitMPS: 14,
-		Green:         24 * time.Second,
-		AllRed:        4 * time.Second,
-	}
-	g, err := traffic.NewGridNetwork(spec)
+	g, err := traffic.NewGridNetwork(cityGridSpec(cfg.GridRows, cfg.GridCols, cfg.BlockM))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,54 +123,13 @@ func trafficGridWorld(cfg TrafficGridConfig, roundSeed int64) (*traffic.GridNet,
 	}
 
 	rng := sim.Stream(roundSeed, "tgrid-drivers")
-	base := traffic.DefaultDriver()
-	base.DesiredSpeedMPS = 13
-
-	var specs []traffic.VehicleSpec
-	for i := 0; i < cfg.Cars; i++ {
-		drv := jitterDriver(base, rng)
-		drv.TimeHeadwayS = base.TimeHeadwayS // the platoon keeps tight, uniform headways
-		specs = append(specs, traffic.VehicleSpec{
-			Driver:   drv,
-			Link:     route[0],
-			Lane:     0,
-			ArcM:     platoonLeadArc(cfg.Cars) - 14*float64(i),
-			SpeedMPS: 8,
-			Route:    route,
-		})
+	specs := cityPlatoonSpecs(route, cfg.Cars, rng)
+	// Background vehicles, four slots per lane per link.
+	background, err := gridBackground(g, route[0], cfg.Background, []float64{12, 38, 64, 90}, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Background vehicles cycle deterministically over every link except
-	// the platoon's start link, four slots per lane per link.
-	var candidates []traffic.LinkID
-	for _, l := range g.Links {
-		if l.ID != route[0] {
-			candidates = append(candidates, l.ID)
-		}
-	}
-	slotArcs := []float64{12, 38, 64, 90}
-	capacity := len(candidates) * len(slotArcs) * 2
-	if cfg.Background > capacity {
-		return nil, nil, fmt.Errorf("scenario: %d background vehicles exceed capacity %d", cfg.Background, capacity)
-	}
-	for i := 0; i < cfg.Background; i++ {
-		linkIdx := i % len(candidates)
-		slot := i / len(candidates)
-		lane := slot % 2
-		arc := slotArcs[(slot/2)%len(slotArcs)]
-		l := g.Links[candidates[linkIdx]]
-		if arc >= l.Length()-5 {
-			arc = l.Length() - 5
-		}
-		specs = append(specs, traffic.VehicleSpec{
-			Driver:   jitterDriver(traffic.DefaultDriver(), rng),
-			Link:     candidates[linkIdx],
-			Lane:     lane,
-			ArcM:     arc,
-			SpeedMPS: 6,
-		})
-	}
-	return g, specs, nil
+	return g, append(specs, background...), nil
 }
 
 // trafficGridAP returns the AP antenna position: the platoon-loop
@@ -250,8 +196,6 @@ func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 		return Round{}, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	carIDs := CarIDs(cfg.Cars)
-
 	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
 		return Round{}, err
@@ -260,20 +204,15 @@ func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
 
-	cars := make([]CarSpec, cfg.Cars)
-	for i, id := range carIDs {
-		cars[i] = CarSpec{ID: id, Mobility: models[i], Carq: cfg.carqConfig(id)}
-	}
-
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: trafficGridChannel(g),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: trafficGridAP(g),
-			Config: apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
+			Config: apConfigWindow(APID, CarIDs(cfg.Cars), cfg.PacketsPerSecond,
 				cfg.PayloadBytes, 1, 0, 0),
 		}},
-		Cars:     cars,
+		Cars:     cfg.platoon(models),
 		Duration: cfg.Duration,
 	})
 	if err != nil {

@@ -142,9 +142,6 @@ func twoWayPath(cfg TwoWayConfig) *geom.Polyline {
 	)
 }
 
-// twoWayChannel reuses the open-road highway calibration.
-func twoWayChannel() radio.Config { return highwayChannel() }
-
 // Name implements Family.
 func (TwoWayConfig) Name() string { return "twoway" }
 
@@ -171,18 +168,7 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 		Path:     circuit,
 		SpeedMPS: cfg.SpeedMPS,
 	})
-	profiles := make([]mobility.DriverProfile, cfg.Cars)
-	profiles[0] = mobility.DriverProfile{Name: "car1"}
-	for i := 1; i < cfg.Cars; i++ {
-		profiles[i] = mobility.DriverProfile{
-			Name:           fmt.Sprintf("car%d", i+1),
-			HeadwayM:       cfg.HeadwayM,
-			HeadwayJitterM: cfg.HeadwayM / 8,
-			WobbleM:        cfg.HeadwayM / 10,
-			WobblePeriod:   20 * time.Second,
-		}
-	}
-	platoon, err := mobility.NewPlatoon(leader, profiles, sim.Stream(roundSeed, "platoon"))
+	platoon, err := roadPlatoon(leader, cfg.Cars, cfg.HeadwayM, 20*time.Second, roundSeed)
 	if err != nil {
 		return Round{}, err
 	}
@@ -220,10 +206,7 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	apStop := timeToArc(leader, cfg.RoadLengthM)
 	duration := timeToArc(leader, cfg.RoadLengthM+cfg.LaneGapM+cfg.RoadLengthM/2)
 
-	cars := make([]CarSpec, 0, cfg.Cars+cfg.RelayCars)
-	for i := 0; i < cfg.Cars; i++ {
-		cars = append(cars, CarSpec{ID: carIDs[i], Mobility: platoon.Car(i), Carq: cfg.carqConfig(carIDs[i])})
-	}
+	cars := cfg.platoon(platoon.Cars())
 	for j, id := range relayIDs {
 		// Relays have no flow of their own; BufferForAll makes them keep
 		// any overheard DATA so they can serve REQUESTs for every flow.
@@ -237,7 +220,7 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 		cfg.PayloadBytes, 1, 0, apStop)
 	apCfg.CycleLength = cfg.CycleBlocks
 	result, err := cfg.run(roundSeed, Setup{
-		Channel: twoWayChannel(),
+		Channel: highwayChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
 			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: -cfg.APSetbackM},
