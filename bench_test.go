@@ -608,7 +608,7 @@ func BenchmarkStopGoRound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		crawl = scenario.SummarizeTraffic(res.Traffic[0]).CrawlShare
+		crawl = res.Traffic[0].CrawlShare
 	}
 	b.ReportMetric(100*crawl, "crawl_%")
 }

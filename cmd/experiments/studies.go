@@ -1016,11 +1016,10 @@ func meanLoss(rows []*analysis.Table1Row) (pre, post float64) {
 	return pre / n, post / n
 }
 
-// trafficSums sums the streams' per-round mean speeds and crawl shares;
-// callers divide by the round count where they print.
-func trafficSums(streams []*trace.Collector) (speed, crawl float64) {
-	for _, stream := range streams {
-		s := scenario.SummarizeTraffic(stream)
+// trafficSums sums the rounds' mean speeds and crawl shares; callers
+// divide by the round count where they print.
+func trafficSums(sums []scenario.TrafficSummary) (speed, crawl float64) {
+	for _, s := range sums {
 		speed += s.MeanSpeedMPS
 		crawl += s.CrawlShare
 	}

@@ -159,14 +159,15 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 // TestStoredRoundsRecomputeParentFormat: entries in the formats the
 // result store wrote before — result-store/1 (per-section length fields,
 // same body and CRC), result-store/2 (JSONL trace sections),
-// result-store/4 (fixed-width binary trace sections) and result-store/5
+// result-store/4 (fixed-width binary trace sections), result-store/5
 // (the current encoding, whose city traces also held the background
-// beacons' events) — and JSONL or fixed-width bodies under the current
-// schema are quarantined by the next run and recomputed into the current
-// format with identical applied results; the run after that serves
-// every unit.
+// beacons' events) and result-store/6 (a traffic family's entry, which
+// also carried the round's traffic stream) — and JSONL or fixed-width
+// bodies under the current schema are quarantined by the next run and
+// recomputed into the current format with identical applied results;
+// the run after that serves every unit.
 func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
-	const rounds = 6
+	const rounds = 7
 	storeDir := t.TempDir()
 	_, out1, _ := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
 	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
@@ -192,7 +193,7 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		var parent []byte
-		switch i % 6 {
+		switch i % 7 {
 		case 0:
 			parent = fmt.Appendf(nil, `{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
 				hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
@@ -207,6 +208,8 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			parent = fixedWidthEntry(t, store, ResultStoreSchema, hdr.Key)
 		case 5:
 			parent = bytes.Replace(data, []byte(ResultStoreSchema), []byte("result-store/5"), 1)
+		case 6:
+			parent = streamEntry(t, store, "result-store/6", hdr.Key)
 		}
 		if err := os.WriteFile(path, parent, 0o644); err != nil {
 			t.Fatal(err)
@@ -241,7 +244,7 @@ func jsonlEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
-	})
+	}, nil)
 }
 
 // fixedWidthEntry renders the entry stored under key as result-store/4
@@ -262,12 +265,24 @@ func fixedWidthEntry(t *testing.T, store *ResultStore, schema, key string) []byt
 			out = le.AppendUint16(le.AppendUint64(out, uint64(r.At)), uint16(r.Node))
 		}
 		return le.AppendUint64(out, 0)
-	})
+	}, nil)
+}
+
+// streamEntry renders the entry stored under key as result-store/6
+// wrote a traffic family's round: the shared header under schema, the
+// protocol section in the binary encoding and a recorded traffic stream
+// in the third section.
+func streamEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
+	t.Helper()
+	stream := &trace.Collector{}
+	stream.OnVehicle(trace.VehicleRecord{At: time.Second, Veh: 3, Link: 2, Arc: 40, Speed: 1.5})
+	return parentEntry(t, store, schema, key, encodeCollector, stream.AppendBinary(nil))
 }
 
 // parentEntry renders the entry stored under key with the shared
-// header under schema and the protocol section in encode's format.
-func parentEntry(t *testing.T, store *ResultStore, schema, key string, encode func(*trace.Collector) []byte) []byte {
+// header under schema, the protocol section in encode's format and
+// traffic as the third section, absent when nil.
+func parentEntry(t *testing.T, store *ResultStore, schema, key string, encode func(*trace.Collector) []byte, traffic []byte) []byte {
 	t.Helper()
 	res, err := store.Load(key)
 	if err != nil || res == nil {
@@ -275,8 +290,12 @@ func parentEntry(t *testing.T, store *ResultStore, schema, key string, encode fu
 	}
 	proto := encode(res.Protocol)
 	body := append(append([]byte(nil), res.Meta...), proto...)
-	line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d,%d,-1],"body_crc":%d}`,
-		schema, key, len(res.Meta), len(proto), crc32.ChecksumIEEE(body))
+	trafficLen := -1
+	if traffic != nil {
+		body, trafficLen = append(body, traffic...), len(traffic)
+	}
+	line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d,%d,%d],"body_crc":%d}`,
+		schema, key, len(res.Meta), len(proto), trafficLen, crc32.ChecksumIEEE(body))
 	return append(append(line, '\n'), body...)
 }
 

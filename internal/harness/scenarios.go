@@ -70,10 +70,16 @@ func (b *Batch) Go() error {
 }
 
 // roundMeta is the scenario-agnostic sidecar of one stored round,
-// written only when it carries a value.
+// written only when it carries a value: the round length, the
+// demand-vehicle count and the round's traffic summary. encoding/json
+// writes a float as the shortest text that parses back to the same
+// bits, so the summary reloads bit for bit.
 type roundMeta struct {
-	DurationNS int64 `json:"duration_ns,omitempty"`
-	Vehicles   int   `json:"vehicles,omitempty"`
+	DurationNS   int64   `json:"duration_ns,omitempty"`
+	Vehicles     int     `json:"vehicles,omitempty"`
+	MeanSpeedMPS float64 `json:"mean_speed_mps,omitempty"`
+	CrawlShare   float64 `json:"crawl_share,omitempty"`
+	Samples      int     `json:"samples,omitempty"`
 }
 
 // downloadMeta is the stored form of a DownloadResult minus its trace
@@ -160,9 +166,12 @@ func Add[C scenario.Family[C, R], R any, P interface {
 			if err != nil {
 				return nil, err
 			}
-			res := &UnitResult{Protocol: r.Protocol, Traffic: r.Traffic}
-			if r.Duration != 0 || r.Vehicles != 0 {
-				m := roundMeta{DurationNS: int64(r.Duration), Vehicles: r.Vehicles}
+			res := &UnitResult{Protocol: r.Protocol}
+			m := roundMeta{
+				DurationNS: int64(r.Duration), Vehicles: r.Vehicles,
+				MeanSpeedMPS: r.Traffic.MeanSpeedMPS, CrawlShare: r.Traffic.CrawlShare, Samples: r.Traffic.Samples,
+			}
+			if m != (roundMeta{}) {
 				if res.Meta, err = marshalMeta(m); err != nil {
 					return nil, err
 				}
@@ -176,7 +185,9 @@ func Add[C scenario.Family[C, R], R any, P interface {
 			}
 			rounds[round] = scenario.Round{
 				Protocol: u.Protocol,
-				Traffic:  u.Traffic,
+				Traffic: scenario.TrafficSummary{
+					MeanSpeedMPS: m.MeanSpeedMPS, CrawlShare: m.CrawlShare, Samples: m.Samples,
+				},
 				Duration: time.Duration(m.DurationNS),
 				Vehicles: m.Vehicles,
 			}

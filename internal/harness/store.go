@@ -15,16 +15,18 @@ import (
 // degrades to recomputation. (/2: the shared storeutil header; /3:
 // binary trace sections; /4: download meta without a config copy; /5:
 // delta-varint trace sections; /6: protocol traces scoped to the tracked
-// stations, without the city families' background beacons.)
-const ResultStoreSchema = "result-store/6"
+// stations, without the city families' background beacons; /7: traffic
+// summaries in the round meta; no traffic stream.)
+const ResultStoreSchema = "result-store/7"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol
-// trace, Traffic the per-round traffic stream for scenarios that expose
-// one, and Meta a small scenario-specific JSON payload (round duration,
-// vehicle count, download summary). A loaded result reconstructs the
-// unit's contribution byte-identically: every downstream report reads
-// only what these three sections carry.
+// trace and Meta a small scenario-specific JSON payload (round duration,
+// vehicle count, traffic summary, download summary). A loaded result
+// reconstructs the unit's contribution byte-identically: every
+// downstream report reads only what these sections carry. Traffic, a
+// traffic stream, is the codec's third section; no scenario writes it,
+// since the round meta carries the stream's summary instead.
 type UnitResult struct {
 	Meta     json.RawMessage
 	Protocol *trace.Collector

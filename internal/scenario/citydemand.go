@@ -88,11 +88,11 @@ func (cfg CityDemandConfig) Normalized() (CityDemandConfig, error) {
 type CityDemandResult struct {
 	Config CityDemandConfig
 	CarIDs []packet.NodeID
-	// Rounds are the protocol traces; Traffic the recorded vehicle
-	// streams behind them; Vehicles the demand-vehicle count of each
-	// round (stations beyond the platoon and APs).
+	// Rounds are the protocol traces; Traffic the summaries of the
+	// recorded vehicle streams behind them; Vehicles the demand-vehicle
+	// count of each round (stations beyond the platoon and APs).
 	Rounds   []*trace.Collector
-	Traffic  []*trace.Collector
+	Traffic  []TrafficSummary
 	Vehicles []int
 }
 
@@ -212,7 +212,7 @@ func (cfg CityDemandConfig) Result(rounds []Round) *CityDemandResult {
 		Config:   cfg,
 		CarIDs:   CarIDs(cfg.Cars),
 		Rounds:   protocols(rounds),
-		Traffic:  streams(rounds),
+		Traffic:  summaries(rounds),
 		Vehicles: make([]int, len(rounds)),
 	}
 	for i, r := range rounds {
@@ -229,23 +229,30 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	r, err := cfg.Round(round)
-	return r.Protocol, r.Traffic, r.Vehicles, err
+	r, stream, err := cfg.round(round)
+	return r.Protocol, stream, r.Vehicles, err
 }
 
-// Round implements Family: the protocol trace, the traffic stream behind
-// it and the demand-vehicle count. Every stream — including the Poisson
-// arrival processes — derives from the root seed and round index alone.
+// Round implements Family: the protocol trace, the summary of the
+// traffic stream behind it and the demand-vehicle count. Every stream —
+// including the Poisson arrival processes — derives from the root seed
+// and round index alone.
 func (cfg CityDemandConfig) Round(round int) (Round, error) {
+	r, _, err := cfg.round(round)
+	return r, err
+}
+
+// round runs one round, returning it and its traffic stream.
+func (cfg CityDemandConfig) round(round int) (Round, *trace.Collector, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("citydemand-round-%d", round))
 	g, specs, err := cityDemandWorld(cfg, roundSeed)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
-	r, err := cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
+	r, stream, err := cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 	r.Vehicles = len(specs) - cfg.Cars
-	return r, nil
+	return r, stream, nil
 }

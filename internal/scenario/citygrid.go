@@ -9,6 +9,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/radio"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -85,12 +86,12 @@ func (cg *CityGrid) normalize(c *Common, defaultSide int) error {
 // from its entry instant, and the Infostations on the circuit broadcast
 // a synchronised carousel — every AP transmits the same numbered stream
 // on the same schedule. Every vehicle replays the world's recorded
-// traffic stream.
-func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, error) {
+// traffic stream, which round returns beside the round.
+func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, *trace.Collector, error) {
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cg.Duration, len(specs))
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 
 	macCfg := mac.DefaultConfig()
@@ -128,9 +129,9 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 		Duration: cg.Duration,
 	})
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
+	return Round{Protocol: result.Trace, Traffic: SummarizeTraffic(trafficStream)}, trafficStream, nil
 }
 
 // cityGridSpec is the street grid every grid family drives: two-lane

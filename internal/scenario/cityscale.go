@@ -66,12 +66,13 @@ func (cfg CityScaleConfig) Normalized() (CityScaleConfig, error) {
 	return cfg, err
 }
 
-// CityScaleResult is the study output.
+// CityScaleResult is the study output: per-round protocol traces and
+// the summaries of the traffic streams behind them.
 type CityScaleResult struct {
 	Config  CityScaleConfig
 	CarIDs  []packet.NodeID
 	Rounds  []*trace.Collector
-	Traffic []*trace.Collector
+	Traffic []TrafficSummary
 }
 
 // Stations returns the total MAC station count of a round.
@@ -115,7 +116,7 @@ func (cfg CityScaleConfig) Result(rounds []Round) *CityScaleResult {
 		Config:  cfg,
 		CarIDs:  CarIDs(cfg.Cars),
 		Rounds:  protocols(rounds),
-		Traffic: streams(rounds),
+		Traffic: summaries(rounds),
 	}
 }
 
@@ -126,17 +127,23 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := cfg.Round(round)
-	return r.Protocol, r.Traffic, err
+	r, stream, err := cfg.round(round)
+	return r.Protocol, stream, err
 }
 
-// Round implements Family: the protocol trace and the traffic stream
-// behind it.
+// Round implements Family: the protocol trace and the summary of the
+// traffic stream behind it.
 func (cfg CityScaleConfig) Round(round int) (Round, error) {
+	r, _, err := cfg.round(round)
+	return r, err
+}
+
+// round runs one round, returning it and its traffic stream.
+func (cfg CityScaleConfig) round(round int) (Round, *trace.Collector, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("city-round-%d", round))
 	g, specs, err := cityScaleWorld(cfg, roundSeed)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 	return cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
 }

@@ -80,9 +80,9 @@ func (c Common) run(roundSeed int64, s Setup) (*Result, error) {
 // reloads.
 type Round struct {
 	Protocol *trace.Collector
-	// Traffic is the recorded traffic stream behind the round; nil for
-	// families without a traffic world.
-	Traffic *trace.Collector
+	// Traffic summarises the recorded traffic stream behind the round;
+	// the zero value for families without a traffic world.
+	Traffic TrafficSummary
 	// Duration is the simulated round length (testbed).
 	Duration time.Duration
 	// Vehicles is the round's demand-vehicle count (citydemand).
@@ -124,7 +124,7 @@ func RunRounds[C Family[C, R], R any](cfg C) (R, error) {
 	return cfg.Result(rounds), nil
 }
 
-// protocols and streams gather the per-round traces for a Result.
+// protocols and summaries gather the per-round outputs for a Result.
 func protocols(rounds []Round) []*trace.Collector {
 	cols := make([]*trace.Collector, len(rounds))
 	for i, r := range rounds {
@@ -133,10 +133,10 @@ func protocols(rounds []Round) []*trace.Collector {
 	return cols
 }
 
-func streams(rounds []Round) []*trace.Collector {
-	cols := make([]*trace.Collector, len(rounds))
+func summaries(rounds []Round) []TrafficSummary {
+	sums := make([]TrafficSummary, len(rounds))
 	for i, r := range rounds {
-		cols[i] = r.Traffic
+		sums[i] = r.Traffic
 	}
-	return cols
+	return sums
 }

@@ -94,12 +94,13 @@ func (cfg StopGoConfig) Normalized() (StopGoConfig, error) {
 	return cfg, nil
 }
 
-// StopGoResult is the study output.
+// StopGoResult is the study output: per-round protocol traces plus the
+// summaries of the traffic streams that produced them.
 type StopGoResult struct {
 	Config  StopGoConfig
 	CarIDs  []packet.NodeID
 	Rounds  []*trace.Collector
-	Traffic []*trace.Collector
+	Traffic []TrafficSummary
 }
 
 // stopGoWorld builds the ring and its population. Vehicle IDs 0..Cars-1
@@ -186,22 +187,28 @@ func (cfg StopGoConfig) Result(rounds []Round) *StopGoResult {
 		Config:  cfg,
 		CarIDs:  CarIDs(cfg.Cars),
 		Rounds:  protocols(rounds),
-		Traffic: streams(rounds),
+		Traffic: summaries(rounds),
 	}
 }
 
-// Round implements Family: the protocol trace and the traffic stream
-// behind it.
+// Round implements Family: the protocol trace and the summary of the
+// traffic stream behind it.
 func (cfg StopGoConfig) Round(round int) (Round, error) {
+	r, _, err := cfg.round(round)
+	return r, err
+}
+
+// round runs one round, returning it and its traffic stream.
+func (cfg StopGoConfig) round(round int) (Round, *trace.Collector, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("stopgo-round-%d", round))
 	net, specs, err := stopGoWorld(cfg, roundSeed)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 	tcfg := traffic.Config{Network: net, Seed: roundSeed}
 	models, trafficStream, err := trafficModels(net, tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 
 	macCfg := mac.DefaultConfig()
@@ -219,7 +226,7 @@ func (cfg StopGoConfig) Round(round int) (Round, error) {
 		Duration: cfg.Duration,
 	})
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
+	return Round{Protocol: result.Trace, Traffic: SummarizeTraffic(trafficStream)}, trafficStream, nil
 }

@@ -397,10 +397,27 @@ func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 	}
 }
 
+// trafficFamily is a traffic family's config: its round also returns
+// the stream behind the round.
+type trafficFamily[C any] interface {
+	Normalized() (C, error)
+	round(round int) (Round, *trace.Collector, error)
+}
+
 // roundTraces normalizes cfg and runs one round, returning its protocol
-// trace and traffic stream.
-func roundTraces[C Family[C, R], R any](t testing.TB, cfg C, round int) (*trace.Collector, *trace.Collector) {
+// trace and traffic stream. The round's summary must be the stream's.
+func roundTraces[C trafficFamily[C]](t testing.TB, cfg C, round int) (*trace.Collector, *trace.Collector) {
 	t.Helper()
-	r := runRound(t, cfg, round)
-	return r.Protocol, r.Traffic
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, stream, err := cfg.round(round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := SummarizeTraffic(stream); r.Traffic != want {
+		t.Fatalf("round summary %+v, stream summarises to %+v", r.Traffic, want)
+	}
+	return r.Protocol, stream
 }

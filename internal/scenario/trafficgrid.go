@@ -94,12 +94,12 @@ func (cfg TrafficGridConfig) Normalized() (TrafficGridConfig, error) {
 }
 
 // TrafficGridResult is the study output: per-round protocol traces plus
-// the traffic streams that produced them.
+// the summaries of the traffic streams that produced them.
 type TrafficGridResult struct {
 	Config  TrafficGridConfig
 	CarIDs  []packet.NodeID
 	Rounds  []*trace.Collector
-	Traffic []*trace.Collector
+	Traffic []TrafficSummary
 }
 
 // trafficGridWorld builds the round's road network and vehicle
@@ -183,22 +183,28 @@ func (cfg TrafficGridConfig) Result(rounds []Round) *TrafficGridResult {
 		Config:  cfg,
 		CarIDs:  CarIDs(cfg.Cars),
 		Rounds:  protocols(rounds),
-		Traffic: streams(rounds),
+		Traffic: summaries(rounds),
 	}
 }
 
-// Round implements Family: the protocol trace and the traffic stream
-// behind it.
+// Round implements Family: the protocol trace and the summary of the
+// traffic stream behind it.
 func (cfg TrafficGridConfig) Round(round int) (Round, error) {
+	r, _, err := cfg.round(round)
+	return r, err
+}
+
+// round runs one round, returning it and its traffic stream.
+func (cfg TrafficGridConfig) round(round int) (Round, *trace.Collector, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("tgrid-round-%d", round))
 	g, specs, err := trafficGridWorld(cfg, roundSeed)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
 
 	macCfg := mac.DefaultConfig()
@@ -216,7 +222,7 @@ func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 		Duration: cfg.Duration,
 	})
 	if err != nil {
-		return Round{}, err
+		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, Traffic: trafficStream}, nil
+	return Round{Protocol: result.Trace, Traffic: SummarizeTraffic(trafficStream)}, trafficStream, nil
 }

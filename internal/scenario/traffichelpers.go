@@ -172,7 +172,10 @@ func clamp(v, lo, hi float64) float64 {
 
 // TrafficSummary condenses a recorded traffic stream for reports: mean
 // speed over the run and the share of samples below the crawling
-// threshold (2 m/s) — the jam exposure of the whole population.
+// threshold (2 m/s) — the jam exposure of the whole population. It is
+// all the studies read of a traffic world, so a round carries and a
+// stored unit keeps this summary instead of the stream; the zero value
+// stands for a round without a traffic world.
 type TrafficSummary struct {
 	MeanSpeedMPS float64
 	CrawlShare   float64
