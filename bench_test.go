@@ -267,7 +267,7 @@ func BenchmarkExtFileDownload(b *testing.B) {
 				cfg := scenario.DefaultDownload()
 				cfg.Seed = int64(i + 1)
 				cfg.Coop = coop
-				res, err := scenario.RunDownload(cfg)
+				res, err := scenario.RunRounds(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

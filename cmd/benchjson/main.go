@@ -36,6 +36,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Result is one parsed benchmark line: the owning package, the name
@@ -289,7 +291,7 @@ func main() {
 				req = append(req, name)
 			}
 		}
-		if err := Promlint(os.Stdin, req); err != nil {
+		if err := metrics.LintPrometheus(os.Stdin, req); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: promlint: %v\n", err)
 			os.Exit(1)
 		}

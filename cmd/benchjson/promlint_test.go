@@ -1,8 +1,13 @@
 package main
 
+// The -promlint mode runs metrics.LintPrometheus; these tests pin the
+// linter's verdicts at the command that CI calls.
+
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 const validExposition = `# HELP sim_events_processed_total events whose callbacks ran
@@ -25,25 +30,25 @@ harness_unit_wall_seconds_count 4
 `
 
 func TestPromlintAcceptsValidExposition(t *testing.T) {
-	if err := Promlint(strings.NewReader(validExposition), nil); err != nil {
+	if err := metrics.LintPrometheus(strings.NewReader(validExposition), nil); err != nil {
 		t.Fatalf("valid exposition rejected: %v", err)
 	}
 }
 
 func TestPromlintNonzero(t *testing.T) {
 	ok := []string{"sim_events_processed_total", "mac_drops_total", "harness_unit_wall_seconds"}
-	if err := Promlint(strings.NewReader(validExposition), ok); err != nil {
+	if err := metrics.LintPrometheus(strings.NewReader(validExposition), ok); err != nil {
 		t.Fatalf("nonzero families rejected: %v", err)
 	}
 	// An all-zero family fails even though it has samples...
-	err := Promlint(strings.NewReader(validExposition+
+	err := metrics.LintPrometheus(strings.NewReader(validExposition+
 		"# HELP dead_total never incremented\n# TYPE dead_total counter\ndead_total 0\n"),
 		[]string{"dead_total"})
 	if err == nil || !strings.Contains(err.Error(), "all-zero") {
 		t.Fatalf("all-zero family passed: %v", err)
 	}
 	// ...and an absent family fails outright.
-	err = Promlint(strings.NewReader(validExposition), []string{"no_such_total"})
+	err = metrics.LintPrometheus(strings.NewReader(validExposition), []string{"no_such_total"})
 	if err == nil || !strings.Contains(err.Error(), "no samples") {
 		t.Fatalf("absent family passed: %v", err)
 	}
@@ -74,7 +79,7 @@ func TestPromlintRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := Promlint(strings.NewReader(tc.text), nil)
+			err := metrics.LintPrometheus(strings.NewReader(tc.text), nil)
 			if err == nil {
 				t.Fatalf("accepted %q", tc.text)
 			}
@@ -104,7 +109,7 @@ harness_unit_wall_seconds_bucket{le="+Inf"} 2
 harness_unit_wall_seconds_sum 1.40625
 harness_unit_wall_seconds_count 2
 `
-	if err := Promlint(strings.NewReader(real), []string{"mac_drops_total"}); err != nil {
+	if err := metrics.LintPrometheus(strings.NewReader(real), []string{"mac_drops_total"}); err != nil {
 		t.Fatalf("registry-shaped exposition rejected: %v", err)
 	}
 }

@@ -7,6 +7,9 @@
 //	carqsim [-scenario testbed|highway|download|corridor] [-rounds N]
 //	        [-seed N] [-cars N] [-speed m/s] [-coop=true] [-batch]
 //	        [-trace file.jsonl]
+//
+// -rounds applies to testbed, highway and corridor; download is one
+// continuous multi-lap run.
 package main
 
 import (
@@ -27,7 +30,7 @@ func main() {
 
 	var (
 		scen      = flag.String("scenario", "testbed", "scenario: testbed, highway, download or corridor")
-		rounds    = flag.Int("rounds", 10, "experiment rounds (testbed/highway)")
+		rounds    = flag.Int("rounds", 10, "experiment rounds (testbed, highway, corridor; download is one continuous run)")
 		seed      = flag.Int64("seed", 1, "root random seed")
 		cars      = flag.Int("cars", 3, "platoon size")
 		speed     = flag.Float64("speed", 0, "speed in m/s (0: scenario default)")
@@ -144,7 +147,7 @@ func runDownload(seed int64, cars int, speed float64, coop bool) {
 	if speed > 0 {
 		cfg.SpeedMPS = speed
 	}
-	res, err := scenario.RunDownload(cfg)
+	res, err := scenario.RunRounds(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

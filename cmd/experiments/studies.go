@@ -353,7 +353,7 @@ func download(c *harness.Context) error {
 		if coop {
 			point = "C-ARQ"
 		}
-		harness.AddDownload(b, point, cfg, &results[i])
+		harness.Add(b, point, cfg, &results[i])
 	}
 	if err := b.Go(); err != nil {
 		return err

@@ -60,8 +60,10 @@ func TestMetricsEndpointServesMergedExposition(t *testing.T) {
 		t.Errorf("exposition misses the live request counter:\n%s", text)
 	}
 
-	// The exposition must satisfy the same linter CI scrapes it with.
-	if err := lintExposition(text); err != nil {
+	// The exposition must satisfy the linter CI scrapes it with, with the
+	// families the run counted nonzero.
+	nonzero := []string{"sim_events_processed_total", "result_store_hits_total"}
+	if err := metrics.LintPrometheus(strings.NewReader(text), nonzero); err != nil {
 		t.Errorf("exposition fails lint: %v", err)
 	}
 
@@ -84,30 +86,6 @@ func TestMetricsEndpointServesMergedExposition(t *testing.T) {
 		}
 	}
 }
-
-// lintExposition re-checks the text format with the same shape of rules
-// cmd/benchjson -promlint enforces: HELP/TYPE before samples, one TYPE
-// per family. Kept minimal here; the full linter has its own tests.
-func lintExposition(text string) error {
-	types := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			fields := strings.Fields(line)
-			if len(fields) != 4 {
-				return &lintErr{line}
-			}
-			if types[fields[2]] {
-				return &lintErr{"duplicate TYPE " + fields[2]}
-			}
-			types[fields[2]] = true
-		}
-	}
-	return nil
-}
-
-type lintErr struct{ s string }
-
-func (e *lintErr) Error() string { return e.s }
 
 func TestMetricsEndpointWithoutRunSnapshot(t *testing.T) {
 	// No metrics.json on disk: the endpoint still serves the live

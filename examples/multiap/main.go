@@ -26,7 +26,7 @@ func main() {
 		cfg := scenario.DefaultDownload()
 		cfg.FileBlocks = uint32(*blocks)
 		cfg.Coop = coop
-		res, err := scenario.RunDownload(cfg)
+		res, err := scenario.RunRounds(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

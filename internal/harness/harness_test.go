@@ -169,7 +169,7 @@ func TestBatchRejectsInvalidDownload(t *testing.T) {
 	bad := scenario.DefaultDownload()
 	bad.FileBlocks = 0
 	var res *scenario.DownloadResult
-	AddDownload(b, "bad", bad, &res)
+	Add(b, "bad", bad, &res)
 	if err := b.Go(); err == nil {
 		t.Fatal("invalid download config accepted")
 	}
@@ -367,42 +367,120 @@ func TestCityDemandWorkerInvariance(t *testing.T) {
 }
 
 // TestBatchTestbedMatchesRunTestbed is the harness half of the
-// determinism contract: decomposing a testbed experiment into pooled
-// work units must reproduce scenario.RunRounds bit-for-bit.
+// determinism contract: decomposing an experiment into pooled,
+// store-backed work units must reproduce scenario.RunRounds bit for bit,
+// both when a cold run computes the units and when a warm run loads
+// them. The testbed stores no meta; the download stores its cars.
 func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
 	}
-	cfg := scenario.DefaultTestbed()
-	cfg.Rounds = 2
-	cfg.Seed = 3
-	// The batch keys the sweep arm by the point label; pin it on the
-	// direct run too so both execute the identical config.
-	cfg.Arm = "canonical"
+	t.Run("testbed", func(t *testing.T) {
+		cfg := scenario.DefaultTestbed()
+		cfg.Rounds = 2
+		cfg.Seed = 3
+		// The batch keys the sweep arm by the point label; pin it on the
+		// direct run too so both execute the identical config.
+		cfg.Arm = "p"
+		direct, err := scenario.RunRounds(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analysis.Table1(direct.Rounds, direct.CarIDs)
+		for _, pooled := range coldWarm(t, cfg) {
+			got := analysis.Table1(pooled.Rounds, pooled.CarIDs)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("pooled testbed diverges from direct run:\n%+v\nvs\n%+v", want, got)
+			}
+			sameTraces(t, pooled.Rounds, direct.Rounds)
+			if pooled.RoundDuration != direct.RoundDuration {
+				t.Fatalf("round duration %v vs %v", pooled.RoundDuration, direct.RoundDuration)
+			}
+		}
+	})
+	t.Run("download", func(t *testing.T) {
+		cfg := smallDownload()
+		cfg.Seed = 3
+		cfg.Arm = "p"
+		direct, err := scenario.RunRounds(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pooled := range coldWarm(t, cfg) {
+			if !reflect.DeepEqual(pooled.Cars, direct.Cars) {
+				t.Fatalf("pooled download cars diverge from direct run:\n%+v\nvs\n%+v", pooled.Cars, direct.Cars)
+			}
+			if pooled.LapTime != direct.LapTime {
+				t.Fatalf("lap time %v vs %v", pooled.LapTime, direct.LapTime)
+			}
+			sameTraces(t, []*trace.Collector{pooled.Trace}, []*trace.Collector{direct.Trace})
+		}
+	})
+}
 
-	direct, err := scenario.RunRounds(cfg)
+// smallDownload is a download that ends within two laps.
+func smallDownload() scenario.DownloadConfig {
+	cfg := scenario.DefaultDownload()
+	cfg.FileBlocks = 40
+	cfg.MaxLaps = 2
+	return cfg
+}
+
+// storedPoint runs cfg as point "p" through a batch backed by the result
+// store in storeDir, at the config's seed, and returns the result with
+// the number of units the run computed and loaded from the store.
+func storedPoint[C scenario.Family[C, R], R any, P interface {
+	*C
+	Base() *scenario.Common
+}](t *testing.T, storeDir string, cfg C) (res R, computed, cached int64) {
+	t.Helper()
+	r, err := NewRunner(Options{
+		Rounds: 1, Seed: P(&cfg).Base().Seed, OutDir: t.TempDir(), Workers: 4,
+		ResultStore: storeDir,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := NewRunner(Options{Rounds: 2, Seed: 3, OutDir: t.TempDir(), Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Context{runner: r, rec: &ExperimentRecord{}}
+	c := &Context{runner: r, rec: &ExperimentRecord{Name: "stored-point"}}
 	b := c.Batch()
-	var pooled *scenario.TestbedResult
-	Add(b, "canonical", cfg, &pooled)
+	Add[C, R, P](b, "p", cfg, &res)
 	if err := b.Go(); err != nil {
 		t.Fatal(err)
 	}
+	return res, c.computed.Load(), c.cached.Load()
+}
 
-	want := analysis.Table1(direct.Rounds, direct.CarIDs)
-	got := analysis.Table1(pooled.Rounds, pooled.CarIDs)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("pooled testbed diverges from direct run:\n%+v\nvs\n%+v", want, got)
+// coldWarm runs cfg through storedPoint twice over one empty store: a
+// cold run that computes every unit, then a warm run that loads every
+// unit. It returns both results.
+func coldWarm[C scenario.Family[C, R], R any, P interface {
+	*C
+	Base() *scenario.Common
+}](t *testing.T, cfg C) []R {
+	t.Helper()
+	storeDir := t.TempDir()
+	units := int64(cfg.NumRounds())
+	cold, computed, cached := storedPoint[C, R, P](t, storeDir, cfg)
+	if computed != units || cached != 0 {
+		t.Fatalf("cold run computed %d and loaded %d units, want %d and 0", computed, cached, units)
 	}
-	if pooled.RoundDuration != direct.RoundDuration {
-		t.Fatalf("round duration %v vs %v", pooled.RoundDuration, direct.RoundDuration)
+	warm, computed, cached := storedPoint[C, R, P](t, storeDir, cfg)
+	if computed != 0 || cached != units {
+		t.Fatalf("warm run computed %d and loaded %d units, want 0 and %d", computed, cached, units)
+	}
+	return []R{cold, warm}
+}
+
+// sameTraces fails t unless got and want hold the same traces, compared
+// by their binary encoding.
+func sameTraces(t *testing.T, got, want []*trace.Collector) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d traces, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].AppendBinary(nil), want[i].AppendBinary(nil)) {
+			t.Fatalf("trace %d differs", i)
+		}
 	}
 }

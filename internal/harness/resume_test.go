@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -55,14 +56,14 @@ func runSynthetic(t *testing.T, r *Runner, rounds int) (ctx *Context, out []int,
 			return &UnitResult{Meta: []byte(fmt.Sprintf(`{"vehicles":%d}`, 3*round)), Protocol: proto}, nil
 		},
 		func(round int, res *UnitResult) error {
-			m, err := unmarshalRoundMeta(res)
+			r, err := loadRound(res)
 			if err != nil {
 				return err
 			}
 			if p := res.Protocol; p == nil || len(p.Completed) != 1 || p.Completed[0].Node != packet.NodeID(round+1) {
 				return fmt.Errorf("round %d: protocol trace %+v", round, p)
 			}
-			out[round] = m.Vehicles
+			out[round] = r.Vehicles
 			return nil
 		})
 	if err := b.Go(); err != nil {
@@ -234,6 +235,164 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 	}
 }
 
+// parentRoundMeta and parentDownloadMeta are the meta layouts
+// result-store/7 entries were first written in, before a stored unit
+// became its scenario.Round: one hand-kept sidecar for the round-based
+// families and one for the download.
+type parentRoundMeta struct {
+	DurationNS   int64   `json:"duration_ns,omitempty"`
+	Vehicles     int     `json:"vehicles,omitempty"`
+	MeanSpeedMPS float64 `json:"mean_speed_mps,omitempty"`
+	CrawlShare   float64 `json:"crawl_share,omitempty"`
+	Samples      int     `json:"samples,omitempty"`
+}
+
+type parentDownloadMeta struct {
+	Cars      []scenario.CarDownload `json:"cars"`
+	LapTimeNS int64                  `json:"lap_time_ns"`
+}
+
+// TestStoredRoundsReadParentLayout: result-store/7 entries whose meta
+// section holds the earlier layout — the testbed's round length, the
+// download's cars and lap time, a traffic family's summary, citydemand's
+// vehicle count — are served as hits, and apply to the same result as a
+// fresh compute. This is what lets the stored form change without a
+// schema bump.
+func TestStoredRoundsReadParentLayout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation rounds in -short mode")
+	}
+	t.Run("testbed", func(t *testing.T) {
+		cfg := scenario.DefaultTestbed()
+		cfg.Rounds = 1
+		fresh, served, stored := servedFromLayout(t, cfg, func(r *scenario.TestbedResult) any {
+			return parentRoundMeta{DurationNS: int64(r.RoundDuration)}
+		})
+		if stored != nil {
+			t.Fatalf("testbed round stored meta %s, want none", stored)
+		}
+		if served.RoundDuration != fresh.RoundDuration {
+			t.Fatalf("round duration %v, want %v", served.RoundDuration, fresh.RoundDuration)
+		}
+		sameTraces(t, served.Rounds, fresh.Rounds)
+	})
+	t.Run("download", func(t *testing.T) {
+		fresh, served, _ := servedFromLayout(t, smallDownload(), func(r *scenario.DownloadResult) any {
+			return parentDownloadMeta{Cars: r.Cars, LapTimeNS: int64(r.LapTime)}
+		})
+		if !reflect.DeepEqual(served.Cars, fresh.Cars) || served.LapTime != fresh.LapTime {
+			t.Fatalf("served cars %+v lap %v, want %+v lap %v", served.Cars, served.LapTime, fresh.Cars, fresh.LapTime)
+		}
+		sameTraces(t, []*trace.Collector{served.Trace}, []*trace.Collector{fresh.Trace})
+	})
+	t.Run("stopgo", func(t *testing.T) {
+		cfg := scenario.DefaultStopGo()
+		cfg.Rounds = 1
+		fresh, served, stored := servedFromLayout(t, cfg, func(r *scenario.StopGoResult) any {
+			s := r.Traffic[0]
+			return parentRoundMeta{MeanSpeedMPS: s.MeanSpeedMPS, CrawlShare: s.CrawlShare, Samples: s.Samples}
+		})
+		if s := fresh.Traffic[0]; s.MeanSpeedMPS == 0 || s.CrawlShare == 0 || s.Samples == 0 {
+			t.Fatalf("summary %+v leaves a field zero, so its key goes unchecked", s)
+		}
+		sameMeta(t, stored, parentRoundMeta{MeanSpeedMPS: fresh.Traffic[0].MeanSpeedMPS,
+			CrawlShare: fresh.Traffic[0].CrawlShare, Samples: fresh.Traffic[0].Samples})
+		if !reflect.DeepEqual(served.Traffic, fresh.Traffic) {
+			t.Fatalf("served summaries %+v, want %+v", served.Traffic, fresh.Traffic)
+		}
+		sameTraces(t, served.Rounds, fresh.Rounds)
+	})
+	t.Run("citydemand", func(t *testing.T) {
+		cfg := scenario.DefaultCityDemand()
+		cfg.Rounds = 1
+		cfg.Cars = 2
+		cfg.GridRows, cfg.GridCols = 6, 6
+		cfg.BlockM = 120
+		cfg.DemandScale = 3
+		cfg.Duration = 40 * time.Second
+		layout := func(r *scenario.CityDemandResult) any {
+			s := r.Traffic[0]
+			return parentRoundMeta{Vehicles: r.Vehicles[0], MeanSpeedMPS: s.MeanSpeedMPS, CrawlShare: s.CrawlShare, Samples: s.Samples}
+		}
+		fresh, served, stored := servedFromLayout(t, cfg, layout)
+		if fresh.Vehicles[0] == 0 {
+			t.Fatal("no demand vehicles, so the vehicles key goes unchecked")
+		}
+		sameMeta(t, stored, layout(fresh))
+		if !reflect.DeepEqual(served.Vehicles, fresh.Vehicles) || !reflect.DeepEqual(served.Traffic, fresh.Traffic) {
+			t.Fatalf("served vehicles %v summaries %+v, want %v %+v", served.Vehicles, served.Traffic, fresh.Vehicles, fresh.Traffic)
+		}
+		sameTraces(t, served.Rounds, fresh.Rounds)
+	})
+}
+
+// servedFromLayout runs cfg's one unit cold into an empty store, then
+// rewrites the stored entry's meta section to the JSON of layout(fresh),
+// where fresh is scenario.RunRounds(cfg), and runs cfg warm, which must
+// load the unit. It returns fresh, the warm result and the meta section
+// the cold run stored.
+func servedFromLayout[C scenario.Family[C, R], R any, P interface {
+	*C
+	Base() *scenario.Common
+}](t *testing.T, cfg C, layout func(fresh R) any) (fresh, served R, stored []byte) {
+	t.Helper()
+	P(&cfg).Base().Arm = "p" // the arm the batch stamps on point "p"
+	fresh, err := scenario.RunRounds(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeDir := t.TempDir()
+	storedPoint[C, R, P](t, storeDir, cfg)
+
+	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("cold run stored %d entries (%v), want 1", len(paths), err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr struct {
+		Key string `json:"key"`
+	}
+	if err := json.Unmarshal(data[:bytes.IndexByte(data, '\n')], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewResultStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := store.Load(hdr.Key)
+	if err != nil || res == nil {
+		t.Fatalf("Load(%q) = (%v, %v)", hdr.Key, res, err)
+	}
+	stored = res.Meta
+	if res.Meta, err = json.Marshal(layout(fresh)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(hdr.Key, res); err != nil {
+		t.Fatal(err)
+	}
+
+	served, computed, cached := storedPoint[C, R, P](t, storeDir, cfg)
+	if computed != 0 || cached != 1 {
+		t.Fatalf("run over the earlier layout computed %d and loaded %d units, want 0 and 1", computed, cached)
+	}
+	return fresh, served, stored
+}
+
+// sameMeta fails t unless stored is the JSON of layout byte for byte.
+func sameMeta(t *testing.T, stored []byte, layout any) {
+	t.Helper()
+	want, err := json.Marshal(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, want) {
+		t.Fatalf("stored meta %s, want the earlier layout's %s", stored, want)
+	}
+}
+
 // jsonlEntry renders the entry stored under key as result-store/2 wrote
 // it: the shared header under schema, the trace sections as JSONL.
 func jsonlEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
@@ -397,11 +556,11 @@ func TestSharedStoreConcurrentRunners(t *testing.T) {
 					return &UnitResult{Meta: []byte(fmt.Sprintf(`{"vehicles":%d}`, 3*round))}, nil
 				},
 				func(round int, res *UnitResult) error {
-					m, err := unmarshalRoundMeta(res)
+					r, err := loadRound(res)
 					if err != nil {
 						return err
 					}
-					out[round] = m.Vehicles
+					out[round] = r.Vehicles
 					return nil
 				})
 			if err := b.Go(); err != nil {

@@ -3,15 +3,14 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/scenario"
 )
 
 // Batch accumulates (scenario, parameter-point, round) work units across
 // parameter points so one Go() call can saturate the pool with every
-// round of every point at once. Add and AddDownload write their results
-// when Go returns; reading them earlier is a bug.
+// round of every point at once. Add writes its results when Go returns;
+// reading them earlier is a bug.
 //
 // Every unit resolves against the runner's result store (when one is
 // configured) before computing: the unit key is the root seed, the full
@@ -69,34 +68,6 @@ func (b *Batch) Go() error {
 	return nil
 }
 
-// roundMeta is the scenario-agnostic sidecar of one stored round,
-// written only when it carries a value: the round length, the
-// demand-vehicle count and the round's traffic summary. encoding/json
-// writes a float as the shortest text that parses back to the same
-// bits, so the summary reloads bit for bit.
-type roundMeta struct {
-	DurationNS   int64   `json:"duration_ns,omitempty"`
-	Vehicles     int     `json:"vehicles,omitempty"`
-	MeanSpeedMPS float64 `json:"mean_speed_mps,omitempty"`
-	CrawlShare   float64 `json:"crawl_share,omitempty"`
-	Samples      int     `json:"samples,omitempty"`
-}
-
-// downloadMeta is the stored form of a DownloadResult minus its trace
-// and config.
-type downloadMeta struct {
-	Cars      []scenario.CarDownload `json:"cars"`
-	LapTimeNS int64                  `json:"lap_time_ns"`
-}
-
-func marshalMeta(v any) (json.RawMessage, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("harness: unit meta: %w", err)
-	}
-	return data, nil
-}
-
 // addStoredRounds adds one unit per round, each resolving through the
 // result store: a stored result applies directly, a miss computes,
 // applies and persists. cfg is the normalized config whose digest
@@ -132,23 +103,15 @@ func (b *Batch) addStoredRounds(scenarioName, point string, rounds int, cfg any,
 	}
 }
 
-// unmarshalRoundMeta tolerates an absent meta section (zero value) so
-// stores written by leaner scenarios stay loadable.
-func unmarshalRoundMeta(res *UnitResult) (roundMeta, error) {
-	var m roundMeta
-	if len(res.Meta) == 0 {
-		return m, nil
-	}
-	if err := json.Unmarshal(res.Meta, &m); err != nil {
-		return m, fmt.Errorf("harness: unit meta: %w", err)
-	}
-	return m, nil
-}
-
-// Add adds every round of one parameter point of a round-based scenario
-// family, and writes the point's result to *out when Go returns. The run
-// stamps the config (see stamp) before it is normalized and digested; a
-// config that fails to normalize fails Go before any unit runs.
+// Add adds every round of one parameter point of a scenario family, and
+// writes the point's result to *out when Go returns. The run stamps the
+// config (see stamp) before it is normalized and digested; a config that
+// fails to normalize fails Go before any unit runs.
+//
+// A unit stores its scenario.Round: the trace as the protocol section and
+// the round's JSON form as the meta section, absent when it is {}. A
+// computed round applies the way a loaded one does, by decoding that
+// stored form, so cold and warm runs read the same bytes.
 func Add[C scenario.Family[C, R], R any, P interface {
 	*C
 	Base() *scenario.Common
@@ -166,72 +129,38 @@ func Add[C scenario.Family[C, R], R any, P interface {
 			if err != nil {
 				return nil, err
 			}
-			res := &UnitResult{Protocol: r.Protocol}
-			m := roundMeta{
-				DurationNS: int64(r.Duration), Vehicles: r.Vehicles,
-				MeanSpeedMPS: r.Traffic.MeanSpeedMPS, CrawlShare: r.Traffic.CrawlShare, Samples: r.Traffic.Samples,
-			}
-			if m != (roundMeta{}) {
-				if res.Meta, err = marshalMeta(m); err != nil {
-					return nil, err
-				}
-			}
-			return res, nil
+			return storedRound(r)
 		},
-		func(round int, u *UnitResult) error {
-			m, err := unmarshalRoundMeta(u)
-			if err != nil {
-				return err
-			}
-			rounds[round] = scenario.Round{
-				Protocol: u.Protocol,
-				Traffic: scenario.TrafficSummary{
-					MeanSpeedMPS: m.MeanSpeedMPS, CrawlShare: m.CrawlShare, Samples: m.Samples,
-				},
-				Duration: time.Duration(m.DurationNS),
-				Vehicles: m.Vehicles,
-			}
-			return nil
+		func(round int, u *UnitResult) (err error) {
+			rounds[round], err = loadRound(u)
+			return err
 		})
 	b.finalize = append(b.finalize, func() { *out = cfg.Result(rounds) })
 }
 
-// AddDownload adds one multi-lap file-download point as a single unit
-// (the download scenario is one continuous simulation, not rounds), and
-// writes its result to *out when Go returns. The stored form carries the
-// per-car summaries and lap time in the meta section and the trace as
-// the protocol section; the config is the normalized one the unit key
-// digests.
-func AddDownload(b *Batch, point string, cfg scenario.DownloadConfig, out **scenario.DownloadResult) {
-	b.stamp(point, &cfg.Common)
-	cfg, err := cfg.Normalized()
+// storedRound returns the stored form of r. encoding/json writes a float
+// as the shortest text that parses back to the same bits, so every field
+// reloads bit for bit.
+func storedRound(r scenario.Round) (*UnitResult, error) {
+	meta, err := json.Marshal(r)
 	if err != nil {
-		b.cfgErrors = append(b.cfgErrors, err)
-		return
+		return nil, fmt.Errorf("harness: unit meta: %w", err)
 	}
-	b.addStoredRounds("download", point, 1, cfg,
-		func(int) (*UnitResult, error) {
-			r, err := scenario.RunDownload(cfg)
-			if err != nil {
-				return nil, err
-			}
-			meta, err := marshalMeta(downloadMeta{Cars: r.Cars, LapTimeNS: int64(r.LapTime)})
-			if err != nil {
-				return nil, err
-			}
-			return &UnitResult{Meta: meta, Protocol: r.Trace}, nil
-		},
-		func(_ int, u *UnitResult) error {
-			var m downloadMeta
-			if err := json.Unmarshal(u.Meta, &m); err != nil {
-				return fmt.Errorf("harness: download meta: %w", err)
-			}
-			*out = &scenario.DownloadResult{
-				Config:  cfg,
-				Cars:    m.Cars,
-				Trace:   u.Protocol,
-				LapTime: time.Duration(m.LapTimeNS),
-			}
-			return nil
-		})
+	res := &UnitResult{Protocol: r.Protocol}
+	if string(meta) != "{}" {
+		res.Meta = meta
+	}
+	return res, nil
+}
+
+// loadRound decodes a stored round; an absent meta section is a round
+// that carries only its trace.
+func loadRound(u *UnitResult) (scenario.Round, error) {
+	r := scenario.Round{Protocol: u.Protocol}
+	if len(u.Meta) > 0 {
+		if err := json.Unmarshal(u.Meta, &r); err != nil {
+			return r, fmt.Errorf("harness: unit meta: %w", err)
+		}
+	}
+	return r, nil
 }

@@ -1,4 +1,4 @@
-package main
+package metrics
 
 import (
 	"bufio"
@@ -8,18 +8,18 @@ import (
 	"strings"
 )
 
-// Promlint validates a Prometheus text-exposition stream (format 0.0.4):
-// well-formed HELP/TYPE comments, valid metric and label names, parseable
-// sample values, TYPE declared once and before the family's samples, and
-// histogram series restricted to the _bucket/_sum/_count suffixes. It is
-// the CI gate over sweepd's /api/metrics — deliberately a small subset of
-// the upstream promlint, covering exactly the mistakes a hand-rolled
-// renderer can make.
+// LintPrometheus validates a Prometheus text-exposition stream (format
+// 0.0.4): well-formed HELP/TYPE comments, valid metric and label names,
+// parseable sample values, TYPE declared once and before the family's
+// samples, and histogram series restricted to the _bucket/_sum/_count
+// suffixes. It is the CI gate over sweepd's /api/metrics (cmd/benchjson
+// -promlint) — deliberately a small subset of the upstream promlint,
+// covering exactly the mistakes WritePrometheus could make.
 //
 // nonzero lists metric families that must additionally carry at least one
 // sample with a positive value; a sweep that ran leaves its core counters
 // nonzero, so an all-zero family means the wiring silently broke.
-func Promlint(r io.Reader, nonzero []string) error {
+func LintPrometheus(r io.Reader, nonzero []string) error {
 	types := make(map[string]string) // family -> TYPE
 	helped := make(map[string]bool)  // family -> HELP seen
 	sampled := make(map[string]bool) // family -> samples seen
@@ -92,12 +92,12 @@ func lintComment(line string, types map[string]string, helped, sampled map[strin
 	kind, family := fields[1], fields[2]
 	switch kind {
 	case "HELP":
-		if !validMetricName(family) {
+		if !ValidName(family) {
 			return fmt.Errorf("HELP for invalid metric name %q", family)
 		}
 		helped[family] = true
 	case "TYPE":
-		if !validMetricName(family) {
+		if !ValidName(family) {
 			return fmt.Errorf("TYPE for invalid metric name %q", family)
 		}
 		if len(fields) != 4 {
@@ -130,7 +130,7 @@ func lintSample(line string) (string, float64, error) {
 		return "", 0, fmt.Errorf("malformed sample %q", line)
 	}
 	name := rest[:end]
-	if !validMetricName(name) {
+	if !ValidName(name) {
 		return "", 0, fmt.Errorf("invalid metric name %q", name)
 	}
 	rest = rest[end:]
@@ -217,27 +217,6 @@ func sampleFamily(name string, types map[string]string) string {
 	return name
 }
 
-func validMetricName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 func validLabelName(name string) bool {
-	if name == "" || strings.ContainsRune(name, ':') {
-		return false
-	}
-	return validMetricName(name)
+	return !strings.ContainsRune(name, ':') && ValidName(name)
 }

@@ -131,7 +131,7 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, Traffic: SummarizeTraffic(trafficStream)}, trafficStream, nil
+	return Round{Protocol: result.Trace, TrafficSummary: SummarizeTraffic(trafficStream)}, trafficStream, nil
 }
 
 // cityGridSpec is the street grid every grid family drives: two-lane

@@ -85,35 +85,43 @@ type DownloadResult struct {
 	LapTime time.Duration
 }
 
-// RunDownload executes the multi-lap file download.
-func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	roundSeed := sim.Stream(cfg.Seed, "download").Int63()
+// Name implements Family.
+func (DownloadConfig) Name() string { return "download" }
 
-	leader := mobility.MustPathFollower(mobility.FollowerConfig{
-		Path:     TestbedLoop(),
-		Loop:     true,
-		StartArc: carStartArc,
-		SpeedMPS: cfg.SpeedMPS,
-		Zones:    cornerZones(),
-	})
+// NumRounds implements Family: the download is one continuous run.
+func (DownloadConfig) NumRounds() int { return 1 }
+
+// Result implements Family.
+func (cfg DownloadConfig) Result(rounds []Round) *DownloadResult {
+	return &DownloadResult{
+		Config:  cfg,
+		Cars:    rounds[0].Cars,
+		Trace:   rounds[0].Protocol,
+		LapTime: loopLeader(cfg.SpeedMPS).LapTime(),
+	}
+}
+
+// Round implements Family: the multi-lap file download. Round r seeds
+// itself with the (r+1)-th draw of the config's download stream.
+func (cfg DownloadConfig) Round(round int) (Round, error) {
+	seeds := sim.Stream(cfg.Seed, "download")
+	var roundSeed int64
+	for i := 0; i <= round; i++ {
+		roundSeed = seeds.Int63()
+	}
+
+	leader := loopLeader(cfg.SpeedMPS)
 	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars, cfg.HeadwayM), sim.Stream(roundSeed, "platoon"))
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 
 	carIDs := CarIDs(cfg.Cars)
 
 	duration := time.Duration(cfg.MaxLaps) * leader.LapTime()
 
-	type doneMark struct {
-		at     time.Duration
-		blocks int
-	}
-	done := make(map[packet.NodeID]doneMark, cfg.Cars)
+	// done holds each car's completion instant.
+	done := make(map[packet.NodeID]time.Duration, cfg.Cars)
 
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: testbedChannel(),
@@ -144,7 +152,7 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 						continue
 					}
 					if cn.HaveCount() >= int(cfg.FileBlocks) {
-						done[id] = doneMark{at: engine.Now(), blocks: cn.HaveCount()}
+						done[id] = engine.Now()
 					}
 				}
 				if len(done) < len(nodes) {
@@ -155,19 +163,19 @@ func RunDownload(cfg DownloadConfig) (*DownloadResult, error) {
 		},
 	})
 	if err != nil {
-		return nil, err
+		return Round{}, err
 	}
 
-	out := &DownloadResult{Config: cfg, Trace: result.Trace, LapTime: leader.LapTime()}
+	out := Round{Protocol: result.Trace}
 	for i, id := range carIDs {
 		cd := CarDownload{Car: id, Blocks: result.CarqNode(id).HaveCount()}
-		if mark, ok := done[id]; ok {
+		if at, ok := done[id]; ok {
 			cd.Completed = true
-			cd.CompletionTime = mark.at
+			cd.CompletionTime = at
 			// A visit is a coverage pass. Every car enters coverage at
 			// the same (unwrapped, per-lap) arc position; count how many
 			// entries this car had made by completion time.
-			arc := platoon.ArcAt(i, mark.at)
+			arc := platoon.ArcAt(i, at)
 			entry := loopLen - coverageSpillM
 			if arc >= entry {
 				cd.Visits = int((arc-entry)/loopLen) + 1

@@ -45,9 +45,7 @@ func family[C Family[C, R], R any, P interface {
 	}
 }
 
-// families is the cross-family table, in study-catalogue order. The
-// download scenario has no round axis, so its rows vary the seed with
-// the round index instead.
+// families is the cross-family table, in study-catalogue order.
 func families() []familyCase {
 	testbed := DefaultTestbed()
 	testbed.Rounds = 1
@@ -57,14 +55,9 @@ func families() []familyCase {
 	corridor.Rounds = 1
 	twoway := DefaultTwoWay()
 	twoway.Rounds = 1
-	download := func(with func(*Common), round int) DownloadConfig {
-		cfg := DefaultDownload()
-		cfg.FileBlocks = 40
-		cfg.MaxLaps = 2
-		cfg.Seed = int64(round + 1)
-		with(&cfg.Common)
-		return cfg
-	}
+	download := DefaultDownload()
+	download.FileBlocks = 40
+	download.MaxLaps = 2
 	grid := DefaultTrafficGrid()
 	grid.Rounds = 1
 	grid.Duration = 60 * time.Second
@@ -88,18 +81,7 @@ func families() []familyCase {
 		family(highway),
 		family(corridor),
 		family(twoway),
-		{
-			name:   "download",
-			cars:   download(keep, 0).Cars,
-			config: func(with func(*Common)) any { return download(with, 0) },
-			run: func(t *testing.T, with func(*Common), round int) *trace.Collector {
-				res, err := RunDownload(download(with, round))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Trace
-			},
-		},
+		family(download),
 		family(grid),
 		family(stopgo),
 		family(demand),

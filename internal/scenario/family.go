@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/carq"
 	"repro/internal/mac"
@@ -77,16 +76,18 @@ func (c Common) run(roundSeed int64, s Setup) (*Result, error) {
 }
 
 // Round is one round's output: what a work unit computes, stores and
-// reloads.
+// reloads. Its JSON form, minus the trace, is the stored unit's meta
+// section, so a field added here needs a JSON tag and nothing else to be
+// stored; a value the config determines is derived, not stored.
 type Round struct {
-	Protocol *trace.Collector
-	// Traffic summarises the recorded traffic stream behind the round;
-	// the zero value for families without a traffic world.
-	Traffic TrafficSummary
-	// Duration is the simulated round length (testbed).
-	Duration time.Duration
+	Protocol *trace.Collector `json:"-"`
 	// Vehicles is the round's demand-vehicle count (citydemand).
-	Vehicles int
+	Vehicles int `json:"vehicles,omitempty"`
+	// TrafficSummary summarises the recorded traffic stream behind the
+	// round; the zero value for families without a traffic world.
+	TrafficSummary
+	// Cars is each car's download outcome (download).
+	Cars []CarDownload `json:"cars,omitempty"`
 }
 
 // Family is a round-based scenario config C with result R: its rounds
@@ -136,7 +137,7 @@ func protocols(rounds []Round) []*trace.Collector {
 func summaries(rounds []Round) []TrafficSummary {
 	sums := make([]TrafficSummary, len(rounds))
 	for i, r := range rounds {
-		sums[i] = r.Traffic
+		sums[i] = r.TrafficSummary
 	}
 	return sums
 }

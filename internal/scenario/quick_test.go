@@ -13,7 +13,7 @@ func TestDownloadCoopReducesVisits(t *testing.T) {
 	visits := func(coop bool) (total int) {
 		cfg := DefaultDownload()
 		cfg.Coop = coop
-		res, err := RunDownload(cfg)
+		res, err := RunRounds(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,12 +39,12 @@ func TestDownloadCoopReducesVisits(t *testing.T) {
 func TestDownloadValidation(t *testing.T) {
 	bad := DefaultDownload()
 	bad.FileBlocks = 0
-	if _, err := RunDownload(bad); err == nil {
+	if _, err := RunRounds(bad); err == nil {
 		t.Fatal("zero blocks accepted")
 	}
 	bad2 := DefaultDownload()
 	bad2.SpeedMPS = 0
-	if _, err := RunDownload(bad2); err == nil {
+	if _, err := RunRounds(bad2); err == nil {
 		t.Fatal("zero speed accepted")
 	}
 }

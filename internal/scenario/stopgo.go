@@ -228,5 +228,5 @@ func (cfg StopGoConfig) round(round int) (Round, *trace.Collector, error) {
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, Traffic: SummarizeTraffic(trafficStream)}, trafficStream, nil
+	return Round{Protocol: result.Trace, TrafficSummary: SummarizeTraffic(trafficStream)}, trafficStream, nil
 }

@@ -185,6 +185,27 @@ func testbedProfiles(cars int, headway float64) []mobility.DriverProfile {
 // spends the rest of the round dark, running the Cooperative-ARQ phase.
 const carStartArc = blockWidth + blockHeight + blockWidth/2
 
+// loopLeader returns the platoon leader circling the urban block at
+// speed: it starts mid-way along the north street (carStartArc) and slows
+// through the corners.
+func loopLeader(speed float64) *mobility.PathFollower {
+	return mobility.MustPathFollower(mobility.FollowerConfig{
+		Path:     TestbedLoop(),
+		Loop:     true,
+		StartArc: carStartArc,
+		SpeedMPS: speed,
+		Zones:    cornerZones(),
+	})
+}
+
+// roundDuration is a testbed round's simulated length: it runs until
+// just before the leader would re-enter AP coverage on its second lap —
+// one coverage pass per round, with the longest possible dark area for
+// the Cooperative-ARQ phase.
+func roundDuration(leader *mobility.PathFollower) time.Duration {
+	return timeToArc(leader, 2*loopLen-coverageSpillM) - 2*time.Second
+}
+
 // cornerZones slows the platoon through each corner, as human drivers do.
 func cornerZones() []mobility.SpeedZone {
 	corners := []float64{0, blockWidth, blockWidth + blockHeight, 2*blockWidth + blockHeight}
@@ -246,7 +267,7 @@ func (cfg TestbedConfig) Result(rounds []Round) *TestbedResult {
 		Config:        cfg,
 		Rounds:        protocols(rounds),
 		CarIDs:        CarIDs(cfg.Cars),
-		RoundDuration: rounds[0].Duration,
+		RoundDuration: roundDuration(loopLeader(cfg.SpeedMPS)),
 	}
 }
 
@@ -258,7 +279,10 @@ func TestbedRound(cfg TestbedConfig, round int) (*trace.Collector, time.Duration
 		return nil, 0, err
 	}
 	r, err := cfg.Round(round)
-	return r.Protocol, r.Duration, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.Protocol, roundDuration(loopLeader(cfg.SpeedMPS)), nil
 }
 
 // Round implements Family: one lap of the urban block.
@@ -266,21 +290,11 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("round-%d", round))
 	carIDs := CarIDs(cfg.Cars)
 
-	leader := mobility.MustPathFollower(mobility.FollowerConfig{
-		Path:     TestbedLoop(),
-		Loop:     true,
-		StartArc: carStartArc,
-		SpeedMPS: cfg.SpeedMPS,
-		Zones:    cornerZones(),
-	})
+	leader := loopLeader(cfg.SpeedMPS)
 	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars, cfg.HeadwayM), sim.Stream(roundSeed, "platoon"))
 	if err != nil {
 		return Round{}, err
 	}
-	// Run until just before the leader would re-enter AP coverage on its
-	// second lap: one coverage pass per round, with the longest possible
-	// dark area for the Cooperative-ARQ phase.
-	duration := timeToArc(leader, 2*loopLen-coverageSpillM) - 2*time.Second
 
 	macCfg := mac.DefaultConfig()
 	macCfg.Modulation = cfg.Modulation
@@ -318,12 +332,12 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 			AdaptiveMaxRepeats: cfg.AdaptiveAPRepeats,
 		}},
 		Cars:     cars,
-		Duration: duration,
+		Duration: roundDuration(leader),
 	})
 	if err != nil {
 		return Round{}, err
 	}
-	return Round{Protocol: result.Trace, Duration: duration}, nil
+	return Round{Protocol: result.Trace}, nil
 }
 
 // timeToArc returns the time at which the follower's unwrapped arc reaches

@@ -416,8 +416,8 @@ func roundTraces[C trafficFamily[C]](t testing.TB, cfg C, round int) (*trace.Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := SummarizeTraffic(stream); r.Traffic != want {
-		t.Fatalf("round summary %+v, stream summarises to %+v", r.Traffic, want)
+	if want := SummarizeTraffic(stream); r.TrafficSummary != want {
+		t.Fatalf("round summary %+v, stream summarises to %+v", r.TrafficSummary, want)
 	}
 	return r.Protocol, stream
 }

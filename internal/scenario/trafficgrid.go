@@ -224,5 +224,5 @@ func (cfg TrafficGridConfig) round(round int) (Round, *trace.Collector, error) {
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, Traffic: SummarizeTraffic(trafficStream)}, trafficStream, nil
+	return Round{Protocol: result.Trace, TrafficSummary: SummarizeTraffic(trafficStream)}, trafficStream, nil
 }

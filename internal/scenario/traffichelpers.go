@@ -177,9 +177,9 @@ func clamp(v, lo, hi float64) float64 {
 // stored unit keeps this summary instead of the stream; the zero value
 // stands for a round without a traffic world.
 type TrafficSummary struct {
-	MeanSpeedMPS float64
-	CrawlShare   float64
-	Samples      int
+	MeanSpeedMPS float64 `json:"mean_speed_mps,omitempty"`
+	CrawlShare   float64 `json:"crawl_share,omitempty"`
+	Samples      int     `json:"samples,omitempty"`
 }
 
 // SummarizeTraffic computes the summary of one recorded stream.
