@@ -20,7 +20,7 @@ import (
 // Attach it to the AP's station as the receive handler and pass it to
 // New via Config.RepeatPolicy.
 type AdaptiveRepeats struct {
-	ctx sim.Context
+	ctx *sim.Engine
 	// MaxRepeats is the repeat count used when no cooperators are heard.
 	MaxRepeats int
 	// Window is how long a heard vehicle stays in the estimate.
@@ -35,7 +35,7 @@ type AdaptiveRepeats struct {
 
 // NewAdaptiveRepeats builds a policy with the given ceiling. A window of
 // zero defaults to 3 seconds.
-func NewAdaptiveRepeats(ctx sim.Context, maxRepeats int, window time.Duration) *AdaptiveRepeats {
+func NewAdaptiveRepeats(ctx *sim.Engine, maxRepeats int, window time.Duration) *AdaptiveRepeats {
 	if maxRepeats < 1 {
 		maxRepeats = 1
 	}

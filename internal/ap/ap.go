@@ -68,7 +68,7 @@ func (c Config) validate() error {
 // AP drives numbered per-flow packet streams through a MAC station.
 type AP struct {
 	cfg     Config
-	ctx     sim.Context
+	ctx     *sim.Engine
 	station *mac.Station
 	nextSeq map[packet.NodeID]uint32
 	sent    map[packet.NodeID]uint32 // distinct packets per flow (excluding repeats)
@@ -78,7 +78,7 @@ type AP struct {
 
 // New validates cfg and attaches the AP behaviour to the given station.
 // The caller schedules nothing: the AP registers its own timers on ctx.
-func New(ctx sim.Context, station *mac.Station, cfg Config) (*AP, error) {
+func New(ctx *sim.Engine, station *mac.Station, cfg Config) (*AP, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -77,7 +77,7 @@ type pushKey struct {
 // round-robin so their owners (and further relays) can pick them up.
 type EpidemicNode struct {
 	cfg  EpidemicConfig
-	ctx  sim.Context
+	ctx  *sim.Engine
 	port carq.Port
 	rng  *rand.Rand
 	obs  carq.Observer
@@ -89,9 +89,9 @@ type EpidemicNode struct {
 	pushes map[pushKey]int
 	cursor int
 
-	dark        bool
-	apTimeoutEv *sim.Event
-	pushEv      *sim.Event
+	dark      bool
+	apTimeout *sim.Timer // enters the dark area when AP frames stop
+	push      *sim.Timer // paces the dark-area flood
 
 	stats EpidemicStats
 }
@@ -105,7 +105,7 @@ type EpidemicStats struct {
 }
 
 // NewEpidemicNode builds a stopped node; Start begins operation.
-func NewEpidemicNode(cfg EpidemicConfig, ctx sim.Context, port carq.Port, rng *rand.Rand, obs carq.Observer) (*EpidemicNode, error) {
+func NewEpidemicNode(cfg EpidemicConfig, ctx *sim.Engine, port carq.Port, rng *rand.Rand, obs carq.Observer) (*EpidemicNode, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func NewEpidemicNode(cfg EpidemicConfig, ctx sim.Context, port carq.Port, rng *r
 	if obs == nil {
 		obs = carq.NopObserver{}
 	}
-	return &EpidemicNode{
+	n := &EpidemicNode{
 		cfg:    cfg,
 		ctx:    ctx,
 		port:   port,
@@ -124,7 +124,10 @@ func NewEpidemicNode(cfg EpidemicConfig, ctx sim.Context, port carq.Port, rng *r
 		own:    make(map[uint32][]byte),
 		store:  make(map[pushKey][]byte),
 		pushes: make(map[pushKey]int),
-	}, nil
+	}
+	n.apTimeout = ctx.NewTimer(n.enterDark)
+	n.push = ctx.NewTimer(n.pushTick)
+	return n, nil
 }
 
 // Start implements scenario.Node; the epidemic node is purely reactive
@@ -182,39 +185,30 @@ func (n *EpidemicNode) absorb(flow packet.NodeID, seq uint32, payload []byte, fr
 }
 
 func (n *EpidemicNode) onAPContact() {
-	if n.apTimeoutEv != nil {
-		n.apTimeoutEv.Cancel()
-	}
-	n.apTimeoutEv = n.ctx.Schedule(n.cfg.APTimeout, n.enterDark)
+	n.apTimeout.Reset(n.cfg.APTimeout)
 	if n.dark {
 		n.dark = false
-		if n.pushEv != nil {
-			n.pushEv.Cancel()
-			n.pushEv = nil
-		}
+		n.push.Stop()
 	}
 }
 
 func (n *EpidemicNode) enterDark() {
-	n.apTimeoutEv = nil
 	n.dark = true
 	// Desynchronise the flood start across nodes.
 	jitter := time.Duration(n.rng.Int63n(int64(n.cfg.PushInterval) + 1))
-	n.pushEv = n.ctx.Schedule(jitter, n.pushTick)
+	n.push.Reset(jitter)
 }
 
+// pushTick runs only while dark: leaving the dark area stops the push
+// timer.
 func (n *EpidemicNode) pushTick() {
-	n.pushEv = nil
-	if !n.dark {
-		return
-	}
 	if key, payload, ok := n.nextPush(); ok {
 		if err := n.port.Send(packet.NewResponse(n.cfg.ID, key.flow, key.seq, payload)); err == nil {
 			n.pushes[key]++
 			n.stats.Pushes++
 		}
 	}
-	n.pushEv = n.ctx.Schedule(n.cfg.PushInterval, n.pushTick)
+	n.push.Reset(n.cfg.PushInterval)
 }
 
 // nextPush scans the round-robin order for the next packet still under

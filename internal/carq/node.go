@@ -15,7 +15,7 @@ import (
 // Deps are the node's runtime dependencies.
 type Deps struct {
 	// Ctx is the simulation clock and timer source.
-	Ctx sim.Context
+	Ctx *sim.Engine
 	// Port transmits frames; *mac.Station satisfies it.
 	Port Port
 	// RNG drives beacon jitter. Pass a node-specific stream.
@@ -42,7 +42,7 @@ type candidate struct {
 // timers via the sim context, so the type needs no internal locking.
 type Node struct {
 	cfg  Config
-	ctx  sim.Context
+	ctx  *sim.Engine
 	port Port
 	rng  *rand.Rand
 	obs  Observer
@@ -71,7 +71,7 @@ type Node struct {
 	// Packets buffered for other platoon members: flow -> seq -> payload.
 	forOthers map[packet.NodeID]map[uint32][]byte
 
-	// Timers, pooled through the sim context: re-arming them (which the
+	// Timers, pooled through the engine: re-arming them (which the
 	// AP timeout does on every reception) allocates nothing.
 	helloTimer   *sim.Timer
 	apTimeout    *sim.Timer

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -27,7 +26,7 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
-// PanicError is a panic recovered at a pool-unit boundary, preserving
+// PanicError is a panic recovered at a unit-attempt boundary, preserving
 // the panic value and the panicking goroutine's stack so the failure
 // stays diagnosable after the sweep moves on.
 type PanicError struct {
@@ -37,26 +36,14 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// call runs fn(i) with a panic guard: a panicking unit becomes a
-// *PanicError instead of taking down the whole sweep process. The stack
-// is captured at the recover site, inside the unit's goroutine.
-func call(fn func(i int) error, i int) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: string(debug.Stack())}
-		}
-	}()
-	return fn(i)
-}
-
 // DoAll runs fn(0..n-1) on up to Workers goroutines and waits for all
 // of them. Workers claim indices from a shared counter, so the schedule
 // is work-stealing; determinism comes from fn writing only to its own
 // index. Every index runs to completion regardless of other units'
-// failures, and the per-index errors come back positionally; a panicking
-// unit is recovered into a *PanicError. The harness uses this for unit
-// isolation — one bad unit fails alone while its siblings finish and
-// persist their results.
+// failures, and the per-index errors come back positionally. fn must not
+// panic: DoAll has no guard of its own, so the harness recovers each unit
+// attempt into a *PanicError (attemptUnit) — one bad unit fails alone
+// while its siblings finish and persist their results.
 func (p *Pool) DoAll(n int, fn func(i int) error) []error {
 	errs := make([]error, n)
 	if n <= 0 {
@@ -68,7 +55,7 @@ func (p *Pool) DoAll(n int, fn func(i int) error) []error {
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = call(fn, i)
+			errs[i] = fn(i)
 		}
 		return errs
 	}
@@ -85,7 +72,7 @@ func (p *Pool) DoAll(n int, fn func(i int) error) []error {
 				if i >= n {
 					return
 				}
-				errs[i] = call(fn, i)
+				errs[i] = fn(i)
 			}
 		}()
 	}

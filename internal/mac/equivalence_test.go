@@ -116,7 +116,7 @@ func runEquivalenceWorldSpec(t *testing.T, seed int64, stations int, mcfg Medium
 				f = packet.NewHello(id, nil)
 			}
 			st := st
-			engine.ScheduleAt(at, func() { _ = st.Send(f) })
+			engine.Schedule(at, func() { _ = st.Send(f) })
 		}
 	}
 	if err := engine.Run(); err != nil {
@@ -241,7 +241,7 @@ func TestSenderRewokenWhenMediumStillBusy(t *testing.T) {
 	if err := a.Send(packet.NewData(1, 2, 2, make([]byte, 1000))); err != nil {
 		t.Fatal(err)
 	}
-	engine.ScheduleAt(4*time.Millisecond, func() {
+	engine.Schedule(4*time.Millisecond, func() {
 		_ = b.Send(packet.NewData(2, 1, 9, make([]byte, 2304)))
 	})
 	if err := engine.RunUntil(10 * time.Second); err != nil {
@@ -277,14 +277,14 @@ func TestHistoryBoundedUnderSustainedTraffic(t *testing.T) {
 		at := at
 		for i, st := range stations {
 			st, i := st, i
-			engine.ScheduleAt(at, func() {
+			engine.Schedule(at, func() {
 				_ = st.Send(packet.NewData(st.ID(), packet.NodeID((i+1)%4+1), uint32(at), []byte("x")))
 			})
 		}
 	}
 	var maxHist, probes, sent int
 	for at := 500 * time.Millisecond; at < horizon; at += 50 * time.Millisecond {
-		engine.ScheduleAt(at, func() {
+		engine.Schedule(at, func() {
 			probes++
 			if len(m.history) > maxHist {
 				maxHist = len(m.history)

@@ -25,9 +25,9 @@ var (
 	mEventsPending = metrics.NewCounter("sim_events_pending_total",
 		"events still pending when their round ended, all rounds")
 	mEventPoolHits = metrics.NewCounter("sim_event_pool_hits_total",
-		"pooled schedules served from the engine free list")
+		"schedules served from the engine free list")
 	mEventsRecycled = metrics.NewCounter("sim_events_recycled_total",
-		"pooled events returned to the engine free list")
+		"popped events returned to the engine free list")
 	mHeapHighWater = metrics.NewGauge("sim_heap_depth_high_water",
 		"deepest event-queue depth seen in any single round")
 

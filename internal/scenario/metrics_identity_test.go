@@ -2,10 +2,15 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/carq"
+	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -17,7 +22,9 @@ import (
 // same unit are the same simulation. The instrumented round must also
 // account for every event it scheduled — processed, cancelled or still
 // pending when the round ended — and for every medium event: traced, or
-// left out because its station is untraced (checkTraceScope).
+// left out because its station is untraced (checkTraceScope). One extra
+// testbed round runs the epidemic baseline, whose AP-timeout and push
+// Timers must show up as cancelled events in the identity.
 func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -27,7 +34,7 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 	// way the rest of the suite expects whatever happens inside.
 	defer metrics.SetEnabled(false)
 
-	for _, f := range families() {
+	for _, f := range append(families(), epidemicTestbed()) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
 			metrics.SetEnabled(false)
@@ -38,6 +45,9 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 				t.Fatalf("%s: scheduled %d != processed %d + cancelled %d + pending %d",
 					f.name, c.scheduled, c.processed, c.cancelled, c.pending)
 			}
+			if f.name == epidemicArm && c.cancelled == 0 {
+				t.Fatalf("%s: no cancelled events", f.name)
+			}
 			if len(off) == 0 {
 				t.Fatalf("%s: empty trace", f.name)
 			}
@@ -47,6 +57,22 @@ func TestMetricsIdentityAcrossFamilies(t *testing.T) {
 			checkTraceScope(t, f, col, c)
 		})
 	}
+}
+
+const epidemicArm = "testbed-epidemic"
+
+// epidemicTestbed is the testbed family with every car running the
+// epidemic baseline instead of C-ARQ, as in the epidemic study.
+func epidemicTestbed() familyCase {
+	cfg := DefaultTestbed()
+	cfg.Rounds = 1
+	cfg.Factory = func(id packet.NodeID, engine *sim.Engine, port *mac.Station, seed int64, obs carq.Observer) (Node, error) {
+		return baseline.NewEpidemicNode(baseline.DefaultEpidemicConfig(id), engine, port,
+			sim.Stream(seed, fmt.Sprintf("epidemic-%v", id)), obs)
+	}
+	f := family(cfg)
+	f.name = epidemicArm
+	return f
 }
 
 // checkTraceScope checks a round's trace against the scope rule: every

@@ -192,8 +192,9 @@ func Run(s Setup) (*Result, error) {
 			return nil, fmt.Errorf("scenario: beacon %v: %w", b.ID, err)
 		}
 		st.Untrace()
-		node := &beaconNode{BeaconSpec: b, engine: engine, port: st,
+		node := &beaconNode{BeaconSpec: b, port: st,
 			rng: sim.Stream(s.Seed, fmt.Sprintf("beacon-%v", b.ID))}
+		node.timer = engine.NewTimer(node.beacon)
 		st.SetHandler(node)
 		node.Start()
 		nodes[b.ID] = node
@@ -220,9 +221,9 @@ func Run(s Setup) (*Result, error) {
 // the channel — and, at scale, the medium.
 type beaconNode struct {
 	BeaconSpec
-	engine *sim.Engine
-	port   *mac.Station
-	rng    *rand.Rand
+	timer *sim.Timer // fires the next beacon
+	port  *mac.Station
+	rng   *rand.Rand
 }
 
 // HandleFrame implements mac.Handler.
@@ -232,7 +233,7 @@ func (n *beaconNode) HandleFrame(*packet.Frame, mac.RxMeta) {}
 // offset past StartAt so the population desynchronises.
 func (n *beaconNode) Start() {
 	first := n.StartAt + time.Duration(n.rng.Int63n(int64(n.Period)))
-	n.engine.Schedule(first, n.beacon)
+	n.timer.Reset(first)
 }
 
 func (n *beaconNode) beacon() {
@@ -240,7 +241,7 @@ func (n *beaconNode) beacon() {
 	// anyway when that happens.
 	_ = n.port.Send(packet.NewHello(n.ID, nil))
 	jitter := time.Duration(n.rng.Int63n(int64(n.Period / 4)))
-	n.engine.Schedule(n.Period+jitter-n.Period/8, n.beacon)
+	n.timer.Reset(n.Period + jitter - n.Period/8)
 }
 
 func staticPos(p geom.Point) mac.PositionFunc {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -29,20 +28,20 @@ type Engine struct {
 	// any branch that would guard it) and read through Stats. They feed
 	// the metrics layer but never influence scheduling, so they are
 	// invisible to traces.
-	scheduled uint64 // events accepted by Schedule*/ScheduleCall
-	poolHits  uint64 // pooled schedules served from the free list
-	recycled  uint64 // pooled events returned to the free list
-	cancelled uint64 // Cancel calls that stopped a live event
+	scheduled uint64 // events accepted by Schedule/ScheduleCall/Timer.Reset
+	poolHits  uint64 // schedules served from the free list
+	recycled  uint64 // popped events returned to the free list
+	cancelled uint64 // Timer.Stop calls that stopped a live event
 	heapHW    int    // high-water mark of the queue length
 	// cancelledQueued counts events that were cancelled but are still
 	// physically in the queue (cancellation leaves them in place; the
 	// pop path discards them lazily). Pending subtracts it so callers
 	// see only live work.
 	cancelledQueued int
-	// free is the pooled-event free list. Pooled events recycle through
-	// it as they pop, so steady-state hot paths (MAC transmission ends,
-	// AP ticks, protocol timers) schedule without allocating.
-	free *Event
+	// free is the event free list. Every event recycles through it as it
+	// pops, so steady-state hot paths (MAC transmission ends, AP ticks,
+	// protocol timers, beacons) schedule without allocating.
+	free *event
 }
 
 // New returns an Engine with the clock at zero and an empty queue.
@@ -65,16 +64,16 @@ func (e *Engine) Pending() int { return e.queue.Len() - e.cancelledQueued }
 // Everything here is a count of things that happened — deterministic for
 // a deterministic simulation — never a wall-clock measure.
 type Stats struct {
-	// Scheduled counts events accepted by Schedule, ScheduleAt and
-	// ScheduleCall; Processed counts events whose callbacks ran.
+	// Scheduled counts events accepted by Schedule, ScheduleCall and
+	// Timer.Reset; Processed counts events whose callbacks ran.
 	Scheduled uint64
 	Processed uint64
-	// PoolHits counts pooled schedules served from the free list (the
-	// steady-state hot path); Recycled counts pooled events returned to
-	// it. Scheduled-PoolHits bounds the event allocations.
+	// PoolHits counts schedules served from the free list (the
+	// steady-state hot path); Recycled counts popped events returned to
+	// it. Scheduled-PoolHits is the number of event allocations.
 	PoolHits uint64
 	Recycled uint64
-	// Cancelled counts Cancel calls that stopped a live event. Every
+	// Cancelled counts Timer.Stop calls that stopped a live event. Every
 	// scheduled event is processed, cancelled or still pending, so
 	// Scheduled == Processed + Cancelled + Pending() at any instant.
 	Cancelled uint64
@@ -99,65 +98,46 @@ func (e *Engine) Stats() Stats {
 
 // Schedule arranges for fn to run after delay. Negative delays are clamped
 // to zero, so the event fires at the current time but strictly after the
-// callback that scheduled it returns.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt arranges for fn to run at absolute virtual time t. Scheduling
-// in the past panics: it would make time non-monotonic and always indicates
-// a protocol bug.
-func (e *Engine) ScheduleAt(t time.Duration, fn func()) *Event {
+// callback that scheduled it returns. The event cannot be cancelled — use
+// a Timer for that. A func value boxes into the event's arg without
+// allocating, so re-arming with a stored func (not a fresh closure) is
+// allocation-free after warm-up.
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	if fn == nil {
-		panic("sim: ScheduleAt with nil callback")
+		panic("sim: Schedule with nil callback")
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: ScheduleAt(%v) before now (%v)", t, e.now))
-	}
-	ev := &Event{at: t, seq: e.seq, fn: fn, eng: e}
-	e.seq++
-	e.queue.Push(ev)
-	e.scheduled++
-	if l := e.queue.Len(); l > e.heapHW {
-		e.heapHW = l
-	}
-	return ev
+	e.ScheduleCall(delay, callFunc, fn)
 }
 
-// ScheduleCall arranges for fn(arg) to run after delay, like Schedule, but
-// through a pooled event: after warm-up no Event is allocated, and because
-// fn is a plain function taking the context through arg, hot paths avoid
-// the per-call closure allocation too (boxing a pointer-typed arg into the
-// any is allocation-free). The event cannot be cancelled — use a Timer for
-// cancellable pooled scheduling.
+// callFunc is the event callback behind Schedule.
+func callFunc(a any) { a.(func())() }
+
+// ScheduleCall arranges for fn(arg) to run after delay, like Schedule.
+// Because fn is a plain function taking its context through arg, hot paths
+// avoid the per-call closure allocation (boxing a pointer-typed arg into
+// the any is allocation-free). The event cannot be cancelled.
 func (e *Engine) ScheduleCall(delay time.Duration, fn func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.scheduleCallAt(e.now+delay, fn, arg)
+	e.schedule(e.now+delay, fn, arg)
 }
 
-// scheduleCallAt is the pooled twin of ScheduleAt. It returns the event so
-// Timer can track (and cancel) it; the event must never escape further.
-func (e *Engine) scheduleCallAt(t time.Duration, fn func(any), arg any) *Event {
+// schedule queues fn(arg) at absolute time t on an event from the free
+// list. It returns the event so Timer can track (and cancel) it; the event
+// must never escape further.
+func (e *Engine) schedule(t time.Duration, fn func(any), arg any) *event {
 	if fn == nil {
 		panic("sim: ScheduleCall with nil callback")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: ScheduleCall(%v) before now (%v)", t, e.now))
 	}
 	ev := e.free
 	if ev != nil {
 		e.free = ev.next
-		*ev = Event{}
 		e.poolHits++
 	} else {
-		ev = &Event{}
+		ev = &event{}
 	}
-	ev.at, ev.seq, ev.callFn, ev.arg, ev.pooled, ev.eng = t, e.seq, fn, arg, true, e
+	*ev = event{at: t, seq: e.seq, fn: fn, arg: arg}
 	e.seq++
 	e.queue.Push(ev)
 	e.scheduled++
@@ -167,9 +147,18 @@ func (e *Engine) scheduleCallAt(t time.Duration, fn func(any), arg any) *Event {
 	return ev
 }
 
-// recycle returns a popped pooled event to the free list.
-func (e *Engine) recycle(ev *Event) {
-	*ev = Event{next: e.free}
+// cancel stops a queued live event. The event stays in the queue until it
+// pops (cancellation is lazy), so Pending subtracts it meanwhile.
+func (e *Engine) cancel(ev *event) {
+	ev.cancelled = true
+	ev.fn, ev.arg = nil, nil
+	e.cancelledQueued++
+	e.cancelled++
+}
+
+// recycle returns a popped event to the free list.
+func (e *Engine) recycle(ev *event) {
+	*ev = event{next: e.free}
 	e.free = ev
 	e.recycled++
 }
@@ -188,27 +177,18 @@ func (e *Engine) Step() bool {
 		}
 		if ev.cancelled {
 			e.cancelledQueued--
-			if ev.pooled {
-				e.recycle(ev)
-			}
+			e.recycle(ev)
 			continue
 		}
 		e.now = ev.at
-		ev.fired = true
 		e.processed++
-		if ev.pooled {
-			fn, arg := ev.callFn, ev.arg
-			// Recycle before the callback runs: the only live reference
-			// at this point is ours (Timers drop theirs via timerFire,
-			// which is the callback itself), and recycling first lets the
-			// callback's own ScheduleCall reuse the slot immediately.
-			e.recycle(ev)
-			fn(arg)
-			return true
-		}
-		fn := ev.fn
-		ev.fn = nil
-		fn()
+		fn, arg := ev.fn, ev.arg
+		// Recycle before the callback runs: the only live reference at
+		// this point is ours (Timers drop theirs via timerFire, which is
+		// the callback itself), and recycling first lets the callback's
+		// own schedule reuse the slot immediately.
+		e.recycle(ev)
+		fn(arg)
 		return true
 	}
 }
@@ -248,5 +228,3 @@ func (e *Engine) RunUntil(horizon time.Duration) error {
 	}
 	return nil
 }
-
-var _ Context = (*Engine)(nil)

@@ -86,21 +86,6 @@ func TestNegativeDelayClampedToZero(t *testing.T) {
 	}
 }
 
-func TestScheduleAtPastPanics(t *testing.T) {
-	e := New()
-	e.Schedule(time.Second, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScheduleAt in the past did not panic")
-			}
-		}()
-		e.ScheduleAt(500*time.Millisecond, func() {})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestScheduleNilCallbackPanics(t *testing.T) {
 	e := New()
 	defer func() {
@@ -114,56 +99,64 @@ func TestScheduleNilCallbackPanics(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.Schedule(time.Second, func() { fired = true })
-	if !ev.Cancel() {
-		t.Fatal("Cancel on live event returned false")
+	tm := e.NewTimer(func() { fired = true })
+	tm.Reset(time.Second)
+	if !tm.Stop() {
+		t.Fatal("Stop on armed timer returned false")
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-	if ev.Fired() {
-		t.Fatal("Fired() = true for cancelled event")
+	if st := e.Stats(); st.Cancelled != 1 || st.Processed != 0 {
+		t.Fatalf("cancelled/processed = %d/%d, want 1/0", st.Cancelled, st.Processed)
 	}
 }
 
 func TestCancelIsIdempotent(t *testing.T) {
 	e := New()
-	ev := e.Schedule(time.Second, func() {})
-	if !ev.Cancel() {
-		t.Fatal("first Cancel returned false")
+	tm := e.NewTimer(func() {})
+	tm.Reset(time.Second)
+	if !tm.Stop() {
+		t.Fatal("first Stop returned false")
 	}
-	if ev.Cancel() {
-		t.Fatal("second Cancel returned true")
+	if tm.Stop() {
+		t.Fatal("second Stop returned true")
+	}
+	if e.Stats().Cancelled != 1 {
+		t.Fatalf("Cancelled = %d after a repeated Stop, want 1", e.Stats().Cancelled)
 	}
 }
 
 func TestCancelAfterFireReturnsFalse(t *testing.T) {
 	e := New()
-	ev := e.Schedule(time.Second, func() {})
+	fired := false
+	tm := e.NewTimer(func() { fired = true })
+	tm.Reset(time.Second)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !ev.Fired() {
-		t.Fatal("event did not fire")
+	if !fired {
+		t.Fatal("timer did not fire")
 	}
-	if ev.Cancel() {
-		t.Fatal("Cancel after fire returned true")
+	if tm.Stop() {
+		t.Fatal("Stop after fire returned true")
+	}
+	if e.Stats().Cancelled != 0 {
+		t.Fatalf("Cancelled = %d after a late Stop, want 0", e.Stats().Cancelled)
 	}
 }
 
-func TestCancelNilEventSafe(t *testing.T) {
-	var ev *Event
-	if ev.Cancel() {
-		t.Fatal("Cancel on nil returned true")
+func TestCancelIdleTimerSafe(t *testing.T) {
+	e := New()
+	tm := e.NewTimer(func() {})
+	if tm.Stop() {
+		t.Fatal("Stop on a never-armed timer returned true")
 	}
-	if ev.Cancelled() || ev.Fired() {
-		t.Fatal("nil event reports state")
+	if tm.Pending() || e.Pending() != 0 || e.Stats().Cancelled != 0 {
+		t.Fatal("never-armed timer left state behind")
 	}
 }
 
@@ -190,27 +183,27 @@ func TestStopHaltsRun(t *testing.T) {
 }
 
 // TestPendingExcludesCancelled is the regression test for the live-event
-// count: cancelled events sit in the queue until lazily popped, but
+// count: stopped timers' events sit in the queue until lazily popped, but
 // Pending must not count them.
 func TestPendingExcludesCancelled(t *testing.T) {
 	e := New()
-	nop := func() {}
-	evs := make([]*Event, 5)
-	for i := range evs {
-		evs[i] = e.Schedule(time.Duration(i+1)*time.Second, nop)
+	tms := make([]*Timer, 5)
+	for i := range tms {
+		tms[i] = e.NewTimer(func() {})
+		tms[i].Reset(time.Duration(i+1) * time.Second)
 	}
 	if e.Pending() != 5 {
 		t.Fatalf("Pending() = %d, want 5", e.Pending())
 	}
-	evs[1].Cancel()
-	evs[3].Cancel()
+	tms[1].Stop()
+	tms[3].Stop()
 	if e.Pending() != 3 {
-		t.Fatalf("Pending() after two cancels = %d, want 3", e.Pending())
+		t.Fatalf("Pending() after two stops = %d, want 3", e.Pending())
 	}
-	// Double-cancel must not double-count.
-	evs[1].Cancel()
+	// Stopping twice must not double-count.
+	tms[1].Stop()
 	if e.Pending() != 3 {
-		t.Fatalf("Pending() after re-cancel = %d, want 3", e.Pending())
+		t.Fatalf("Pending() after re-stop = %d, want 3", e.Pending())
 	}
 	// Stepping over a cancelled event keeps the count consistent.
 	if !e.Step() { // runs the live 1 s event
@@ -225,10 +218,10 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() after drain = %d, want 0", e.Pending())
 	}
-	// Cancelling an already-fired event changes nothing.
-	evs[0].Cancel()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() after post-fire cancel = %d, want 0", e.Pending())
+	// Stopping a timer that already fired changes nothing.
+	tms[0].Stop()
+	if e.Pending() != 0 || e.Stats().Cancelled != 2 {
+		t.Fatalf("after post-fire stop: pending %d, cancelled %d, want 0, 2", e.Pending(), e.Stats().Cancelled)
 	}
 }
 
@@ -294,8 +287,9 @@ func TestEventChaining(t *testing.T) {
 func TestProcessedCountsLiveEventsOnly(t *testing.T) {
 	e := New()
 	e.Schedule(time.Second, func() {})
-	ev := e.Schedule(2*time.Second, func() {})
-	ev.Cancel()
+	tm := e.NewTimer(func() {})
+	tm.Reset(2 * time.Second)
+	tm.Stop()
 	e.Schedule(3*time.Second, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -351,9 +345,9 @@ func TestQueueHeapProperty(t *testing.T) {
 	check := func(times []uint32) bool {
 		var q eventQueue
 		for i, ts := range times {
-			q.Push(&Event{at: time.Duration(ts), seq: uint64(i)})
+			q.Push(&event{at: time.Duration(ts), seq: uint64(i)})
 		}
-		var popped []*Event
+		var popped []*event
 		for {
 			ev := q.Pop()
 			if ev == nil {
@@ -504,14 +498,17 @@ func BenchmarkEventChain(b *testing.B) {
 }
 
 // TestEventAccountingIdentity drives a randomized mix of Schedule,
-// ScheduleCall, timer resets and stops, repeated and late cancels and
-// horizon-bounded runs, and checks that every scheduled event is
-// accounted for exactly once: processed, cancelled or still pending.
+// ScheduleCall, timer resets and stops, repeated and late stops (of
+// timers already stopped or fired) and horizon-bounded runs, and checks
+// that every scheduled event is accounted for exactly once: processed,
+// cancelled or still pending.
 func TestEventAccountingIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		e := New()
 		rng := Stream(seed, "identity")
-		var events []*Event
+		// shots are one-shot timers, armed once and never re-armed, so a
+		// Stop may hit a live, fired or already stopped timer.
+		var shots []*Timer
 		var timers []*Timer
 		check := func(where string) {
 			t.Helper()
@@ -526,13 +523,14 @@ func TestEventAccountingIdentity(t *testing.T) {
 			d := time.Duration(rng.Intn(500)) * time.Millisecond
 			switch rng.Intn(6) {
 			case 0:
-				events = append(events, e.Schedule(d, func() {}))
+				tm := e.NewTimer(func() {})
+				tm.Reset(d)
+				shots = append(shots, tm)
 			case 1:
 				e.ScheduleCall(d, func(any) {}, nil)
 			case 2:
-				if len(events) > 0 {
-					// May hit a live, fired or already cancelled event.
-					events[rng.Intn(len(events))].Cancel()
+				if len(shots) > 0 {
+					shots[rng.Intn(len(shots))].Stop()
 				}
 			case 3:
 				if len(timers) == 0 || rng.Intn(3) == 0 {
@@ -545,7 +543,7 @@ func TestEventAccountingIdentity(t *testing.T) {
 				}
 			case 5:
 				if rng.Intn(2) == 0 {
-					events = append(events, e.Schedule(d, act))
+					e.Schedule(d, act)
 				} else {
 					e.ScheduleCall(d, func(any) { act() }, nil)
 				}
@@ -567,5 +565,25 @@ func TestEventAccountingIdentity(t *testing.T) {
 		if st := e.Stats(); e.Pending() != 0 || st.Cancelled == 0 {
 			t.Fatalf("seed %d: drained with %d pending, %d cancelled", seed, e.Pending(), st.Cancelled)
 		}
+	}
+}
+
+// TestScheduleStoredFuncAllocationFree pins the pooled Schedule path: a
+// func value boxes into the event's arg without allocating, so re-arming
+// with a stored func allocates nothing once the free list is warm.
+func TestScheduleStoredFuncAllocationFree(t *testing.T) {
+	e := New()
+	var tick func()
+	tick = func() {}
+	e.Schedule(time.Millisecond, tick) // warm the free list
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(time.Millisecond, tick)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("re-arming a stored func allocated %.1f times per run", allocs)
 	}
 }

@@ -22,7 +22,7 @@ import "time"
 type qitem struct {
 	at  time.Duration
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 type eventQueue struct {
@@ -40,13 +40,13 @@ func (q *eventQueue) less(i, j int) bool {
 }
 
 // Push inserts ev and restores the heap property.
-func (q *eventQueue) Push(ev *Event) {
+func (q *eventQueue) Push(ev *event) {
 	q.items = append(q.items, qitem{at: ev.at, seq: ev.seq, ev: ev})
 	q.up(len(q.items) - 1)
 }
 
 // Pop removes and returns the earliest event, or nil if the queue is empty.
-func (q *eventQueue) Pop() *Event {
+func (q *eventQueue) Pop() *event {
 	n := len(q.items)
 	if n == 0 {
 		return nil
@@ -62,7 +62,7 @@ func (q *eventQueue) Pop() *Event {
 }
 
 // Peek returns the earliest event without removing it, or nil.
-func (q *eventQueue) Peek() *Event {
+func (q *eventQueue) Peek() *event {
 	if len(q.items) == 0 {
 		return nil
 	}

@@ -2,21 +2,21 @@ package sim
 
 import "time"
 
-// Timer is a reusable, cancellable one-shot timer over the engine's pooled
-// events. Protocol code that re-arms a deadline at high frequency (the MAC
-// contention timer, C-ARQ's per-reception AP timeout) uses one Timer per
-// deadline instead of a fresh Schedule closure per arming, which removes
-// both the Event and the closure allocation from the hot path.
+// Timer is a reusable one-shot timer, and the only cancellable form of
+// event. Protocol code that re-arms or cancels a deadline (the MAC
+// contention timer, C-ARQ's per-reception AP timeout, beacons) holds one
+// Timer per deadline, so arming costs neither an event nor a closure
+// allocation after warm-up.
 //
 // A Timer is single-owner and not safe for concurrent use, like the engine
 // it belongs to. The zero value is not useful; create timers with NewTimer.
 type Timer struct {
 	eng *Engine
 	fn  func()
-	// ev is the pending pooled event, nil while the timer is idle. The
-	// reference is dropped (timerFire) before the engine recycles the
-	// event, so the timer can never observe a recycled event.
-	ev *Event
+	// ev is the pending event, nil while the timer is idle. The reference
+	// is dropped (timerFire, Stop) before the engine recycles the event,
+	// so the timer can never observe a recycled event.
+	ev *event
 }
 
 // NewTimer returns an idle timer that runs fn each time it expires.
@@ -27,7 +27,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 	return &Timer{eng: e, fn: fn}
 }
 
-// timerFire is the pooled-event callback shared by every Timer.
+// timerFire is the event callback shared by every Timer.
 func timerFire(arg any) {
 	t := arg.(*Timer)
 	t.ev = nil
@@ -41,7 +41,7 @@ func (t *Timer) Reset(delay time.Duration) {
 	if delay < 0 {
 		delay = 0
 	}
-	t.ev = t.eng.scheduleCallAt(t.eng.now+delay, timerFire, t)
+	t.ev = t.eng.schedule(t.eng.now+delay, timerFire, t)
 }
 
 // Stop cancels the pending firing, if any. It reports whether a firing was
@@ -50,9 +50,9 @@ func (t *Timer) Stop() bool {
 	if t.ev == nil {
 		return false
 	}
-	ev := t.ev
+	t.eng.cancel(t.ev)
 	t.ev = nil
-	return ev.Cancel()
+	return true
 }
 
 // Pending reports whether the timer is armed.

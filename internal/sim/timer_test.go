@@ -15,7 +15,7 @@ func TestScheduleCallFiresInOrderWithScheduled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("same-instant pooled/unpooled order = %v, want [1 2 3]", got)
+		t.Fatalf("same-instant Schedule/ScheduleCall order = %v, want [1 2 3]", got)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // way no config field captures (a new integration rule, a controller
 // logic change): every previously stored world then misses and is
 // recomputed instead of replaying stale dynamics.
-const traceKeySchema = "traffic-world/2"
+const traceKeySchema = "traffic-world/3"
 
 // TraceKey returns the canonical cache key of the traffic world defined
 // by (cfg, specs, horizon) — exactly the inputs the determinism contract
@@ -30,12 +30,10 @@ func TraceKey(cfg Config, specs []VehicleSpec, horizon time.Duration) string {
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	w("%s\n", traceKeySchema)
 	// Every Config field except Network (below, structurally) and
-	// Recorder (an output sink). Fields that only shape auxiliary
-	// structures (NeighborCellM sizes the spatial index) are included
-	// anyway: a needless cache miss is harmless, a missed field is not.
-	w("cfg|tick=%d|rec=%d|seed=%d|nolc=%t|bsafe=%g|lch=%d|stop=%g|cell=%g\n",
+	// Recorder (an output sink).
+	w("cfg|tick=%d|rec=%d|seed=%d|nolc=%t|bsafe=%g|lch=%d|stop=%g\n",
 		int64(cfg.Tick), cfg.RecordEvery, cfg.Seed, cfg.DisableLaneChanges,
-		cfg.SafeDecelMPS2, int64(cfg.LaneChangeHoldoff), cfg.StopMarginM, cfg.NeighborCellM)
+		cfg.SafeDecelMPS2, int64(cfg.LaneChangeHoldoff), cfg.StopMarginM)
 	w("horizon=%d\n", int64(horizon))
 	if net := cfg.Network; net != nil {
 		writeNetworkDigest(h, net)

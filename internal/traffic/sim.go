@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/sim"
-	"repro/internal/spatial"
 	"repro/internal/trace"
 )
 
@@ -35,8 +34,6 @@ type Config struct {
 	// StopMarginM is how far before the link end vehicles halt at a red
 	// signal (default 2 m).
 	StopMarginM float64
-	// NeighborCellM is the spatial index cell size (default 30 m).
-	NeighborCellM float64
 	// Recorder, when non-nil, receives every exposed trajectory sample
 	// as a trace.VehicleRecord — the stream Replay reconstructs models
 	// from.
@@ -58,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StopMarginM <= 0 {
 		c.StopMarginM = 2
-	}
-	if c.NeighborCellM <= 0 {
-		c.NeighborCellM = 30
 	}
 	return c
 }
@@ -137,12 +131,8 @@ type Simulation struct {
 	// arc. The ordering is the O(1) leader/gap structure: a vehicle's
 	// leader is simply the next slice element.
 	lanes [][][]*vehicle
-	grid  *spatial.Grid[int]
-	// gridTick remembers which tick the spatial index was built for, so
-	// Index rebuilds lazily.
-	gridTick int
-	now      time.Duration
-	tick     int
+	now   time.Duration
+	tick  int
 	// actuated holds the per-signal controller state of queue-actuated
 	// signals, indexed by SignalID (untouched for fixed-cycle signals).
 	actuated []actuatedState
@@ -173,18 +163,12 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 		return nil, fmt.Errorf("traffic: no vehicles")
 	}
 	s := &Simulation{
-		cfg:      cfg,
-		net:      cfg.Network,
-		lanes:    make([][][]*vehicle, len(cfg.Network.Links)),
-		gridTick: -1,
+		cfg:   cfg,
+		net:   cfg.Network,
+		lanes: make([][][]*vehicle, len(cfg.Network.Links)),
 	}
 	for i, l := range s.net.Links {
 		s.lanes[i] = make([][]*vehicle, l.Lanes)
-	}
-	var err error
-	s.grid, err = spatial.NewGrid[int](s.net.Bounds(), cfg.NeighborCellM)
-	if err != nil {
-		return nil, err
 	}
 	s.actuated = make([]actuatedState, len(s.net.Signals))
 	for i, spec := range specs {
@@ -789,17 +773,4 @@ func (s *Simulation) StoppedCount(thresholdMPS float64) int {
 		}
 	}
 	return n
-}
-
-// Index returns the spatial neighbor index rebuilt for the current tick.
-// The returned grid is valid until the next Step.
-func (s *Simulation) Index() *spatial.Grid[int] {
-	if s.gridTick != s.tick {
-		s.grid.Reset()
-		for _, veh := range s.vehs {
-			s.grid.Insert(veh.id, veh.link.LanePoint(veh.lane, veh.arc))
-		}
-		s.gridTick = s.tick
-	}
-	return s.grid
 }

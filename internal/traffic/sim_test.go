@@ -327,27 +327,3 @@ func TestVehicleSpecValidation(t *testing.T) {
 		t.Fatal("nil network accepted")
 	}
 }
-
-func TestIndexTracksVehicles(t *testing.T) {
-	net := straightCorridor(1)
-	s, err := New(Config{Network: net, Seed: 1}, []VehicleSpec{
-		{Driver: DefaultDriver(), Link: 0, ArcM: 0, SpeedMPS: 10},
-		{Driver: DefaultDriver(), Link: 0, ArcM: 500, SpeedMPS: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := s.Index()
-	if idx.Len() != 2 {
-		t.Fatalf("index len = %d", idx.Len())
-	}
-	if n := idx.CountWithin(s.PositionNow(0), 20); n != 1 {
-		t.Fatalf("neighbors of vehicle 0 = %d, want itself only", n)
-	}
-	// The index follows the vehicles across steps.
-	s.RunTo(10 * time.Second)
-	idx = s.Index()
-	if n := idx.CountWithin(s.PositionNow(1), 5); n < 1 {
-		t.Fatal("index lost vehicle 1 after stepping")
-	}
-}

@@ -2,9 +2,12 @@
 # ci_metrics_smoke.sh — the telemetry gate without a server: run one
 # tiny sweep with -progress (which implies -metrics), then check that
 # (1) the stderr ticker reported unit progress, (2) metrics.json landed
-# beside timings.json with nonzero core counters, and (3) an
-# uninstrumented run of the same sweep produces byte-identical results —
-# the determinism contract the whole metrics layer is built on.
+# beside timings.json with nonzero core counters that satisfy the event
+# accounting identity (scheduled = processed + cancelled + pending), and
+# (3) an uninstrumented run of the same sweep produces byte-identical
+# results — the determinism contract the whole metrics layer is built on.
+# The sweep covers a traffic family (dynamics) and the epidemic baseline,
+# whose timers cancel events.
 set -eu
 
 work="$(mktemp -d)"
@@ -15,7 +18,7 @@ off="$work/off"
 
 echo "==> instrumented sweep (-progress)"
 go run ./cmd/experiments \
-    -exp dynamics -rounds 2 -seed 1 -out "$on" \
+    -exp dynamics,epidemic -rounds 2 -seed 1 -out "$on" \
     -result-store "$work/store" \
     -traffic-store "$work/traffic-on" \
     -code-digest ci-metrics-gate -progress 2>"$work/on.log" \
@@ -40,9 +43,31 @@ for name in sim_events_processed_total mac_transmissions_total harness_units_com
     fi
 done
 
+echo "==> event accounting identity"
+# counter NAME prints NAME's value from metrics.json (the "value" line
+# after its "name" line).
+counter() {
+    awk -v want="\"name\": \"$1\"" '
+        index($0, want) { found = 1; next }
+        found && /"value":/ { sub(/.*"value": */, ""); sub(/[^0-9].*/, ""); print; exit }
+    ' "$on/metrics.json"
+}
+scheduled="$(counter sim_events_scheduled_total)"
+processed="$(counter sim_events_processed_total)"
+cancelled="$(counter sim_events_cancelled_total)"
+pending="$(counter sim_events_pending_total)"
+for v in "$scheduled" "$processed" "$cancelled" "$pending"; do
+    [ -n "$v" ] || { echo "FAIL: an event counter is missing from metrics.json" >&2; exit 1; }
+done
+if [ "$scheduled" -ne $((processed + cancelled + pending)) ]; then
+    echo "FAIL: scheduled $scheduled != processed $processed + cancelled $cancelled + pending $pending" >&2
+    exit 1
+fi
+echo "scheduled $scheduled = processed $processed + cancelled $cancelled + pending $pending"
+
 echo "==> uninstrumented control run"
 go run ./cmd/experiments \
-    -exp dynamics -rounds 2 -seed 1 -out "$off" \
+    -exp dynamics,epidemic -rounds 2 -seed 1 -out "$off" \
     -traffic-store "$work/traffic-off" \
     -code-digest ci-metrics-gate
 
@@ -57,4 +82,4 @@ if [ -f "$off/metrics.json" ]; then
     exit 1
 fi
 
-echo "OK: progress ticker, metrics.json counters, and byte-identity with metrics off"
+echo "OK: progress ticker, metrics.json counters, event identity, and byte-identity with metrics off"
