@@ -101,10 +101,9 @@ func runCityMedium(tb testing.TB, mcfg mac.MediumConfig, seed int64, fast bool) 
 
 	// Self-rescheduling pooled send chains keep the event heap at one
 	// pending timer per station instead of the whole run's schedule, and
-	// cost no allocations in steady state. The per-station frame is
-	// reused across sends: the medium is traced by a nil tracer here and
-	// encodes the frame to wire inside Send, so nothing observes the
-	// mutation.
+	// cost no allocations in steady state. Each station sends its one
+	// frame over and over, unchanged: frames are immutable from Send on,
+	// and nothing here reads a sequence number.
 	sched := sim.Stream(seed, "city-bench-schedule")
 	payload := make([]byte, 1000)
 	type beatState struct {
@@ -116,7 +115,6 @@ func runCityMedium(tb testing.TB, mcfg mac.MediumConfig, seed int64, fast bool) 
 	var beat func(any)
 	beat = func(arg any) {
 		b := arg.(*beatState)
-		b.frame.Seq++
 		_ = b.st.Send(b.frame)
 		b.at += b.period
 		if b.at < cityBenchSimFor {

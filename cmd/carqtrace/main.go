@@ -66,7 +66,7 @@ func main() {
 	for _, d := range col.Drops {
 		byReason[d.Reason]++
 	}
-	for _, reason := range []mac.DropReason{mac.DropChannel, mac.DropCollision, mac.DropHalfDuplex, mac.DropDecode} {
+	for reason := mac.DropChannel; reason <= mac.DropHalfDuplex; reason++ {
 		if n := byReason[reason]; n > 0 {
 			fmt.Printf("  %-12s %d\n", reason, n)
 		}

@@ -76,7 +76,6 @@ const (
 	DropChannel    DropReason = iota + 1 // PER coin flip failed (noise/fading)
 	DropCollision                        // concurrent transmission, no capture
 	DropHalfDuplex                       // receiver was transmitting
-	DropDecode                           // frame bytes failed validation
 )
 
 // String implements fmt.Stringer.
@@ -88,8 +87,6 @@ func (r DropReason) String() string {
 		return "collision"
 	case DropHalfDuplex:
 		return "half-duplex"
-	case DropDecode:
-		return "decode"
 	default:
 		return fmt.Sprintf("DropReason(%d)", uint8(r))
 	}

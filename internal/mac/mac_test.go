@@ -427,7 +427,7 @@ func TestDropReasonString(t *testing.T) {
 		{DropChannel, "channel"},
 		{DropCollision, "collision"},
 		{DropHalfDuplex, "half-duplex"},
-		{DropDecode, "decode"},
+		{DropReason(4), "DropReason(4)"},
 		{DropReason(42), "DropReason(42)"},
 	} {
 		if got := tc.r.String(); got != tc.want {

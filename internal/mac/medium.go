@@ -31,13 +31,13 @@ type RxMeta struct {
 }
 
 // Handler consumes frames delivered by a station's radio. Stations are
-// promiscuous: every successfully decoded frame is delivered, whatever its
-// destination, mirroring the prototype's monitor-mode NICs.
+// promiscuous: every frame the channel delivers reaches the handler,
+// whatever its destination, mirroring the prototype's monitor-mode NICs.
 //
-// The frame a handler receives is decoded once per transmission and shared
-// by every receiving station (decoding is deterministic, so this is
-// invisible in traces). Handlers may retain the frame and its payload but
-// must never mutate them.
+// The frame a handler receives is the one the sender passed to
+// Station.Send, shared by the tracer and every receiving station. Frames
+// are immutable from Send on: handlers may retain the frame and the
+// slices it holds, but must never mutate them.
 type Handler interface {
 	HandleFrame(f *packet.Frame, meta RxMeta)
 }
@@ -57,18 +57,20 @@ type Tracer interface {
 	OnDrop(dst packet.NodeID, f *packet.Frame, at time.Duration, reason DropReason)
 }
 
-// nopTracer is used when the caller passes a nil tracer.
-type nopTracer struct{}
+// discardTracer is used when the caller passes a nil tracer.
+type discardTracer struct{}
 
-func (nopTracer) OnTx(packet.NodeID, *packet.Frame, time.Duration, time.Duration) {}
-func (nopTracer) OnRx(packet.NodeID, *packet.Frame, RxMeta)                       {}
-func (nopTracer) OnDrop(packet.NodeID, *packet.Frame, time.Duration, DropReason)  {}
+func (discardTracer) OnTx(packet.NodeID, *packet.Frame, time.Duration, time.Duration) {}
+func (discardTracer) OnRx(packet.NodeID, *packet.Frame, RxMeta)                       {}
+func (discardTracer) OnDrop(packet.NodeID, *packet.Frame, time.Duration, DropReason)  {}
 
 // transmission is one frame on the air.
 type transmission struct {
 	src   *Station
 	frame *packet.Frame
-	wire  []byte
+	// bytes is frame.WireSize(), the size airtime, the horizon and the
+	// PER edges are computed for.
+	bytes int
 	mod   radio.Modulation
 	start time.Duration
 	end   time.Duration
@@ -94,10 +96,6 @@ type transmission struct {
 	// edges are the exact PER decision edges for this frame's
 	// (modulation, size), resolved once at transmission start.
 	edges radio.FrameEdges
-	// rxFrame is the frame decoded from wire, shared by every receiver
-	// (decode is lazy: transmissions nobody decodes never pay for it).
-	rxFrame *packet.Frame
-	decoded bool
 	// next links the medium's transmission free list; transmissions
 	// recycle when they age out of the interference history.
 	next *transmission
@@ -217,16 +215,8 @@ type Medium struct {
 	// endCall is the pooled-event callback ending transmissions, built
 	// once so the tx/rx hot path schedules without allocating a closure.
 	endCall func(any)
-	// nopTrace marks a medium built with a nil tracer: deliveries whose
-	// receiver also has no handler can then skip the wire decode, since
-	// nothing could observe the frame.
-	nopTrace bool
-	// txFree and the wire free lists recycle transmissions and wire
-	// buffers as they age out of the history; wires pool in two capacity
-	// classes so control frames do not evict data-frame buffers.
-	txFree    *transmission
-	wireSmall [][]byte
-	wireLarge [][]byte
+	// txFree recycles transmissions as they age out of the history.
+	txFree *transmission
 	// scratch buffers, reused across transmissions.
 	candIdx  []int32
 	rxc      []rxCand
@@ -265,8 +255,8 @@ type Stats struct {
 	Transmissions uint64
 	Deliveries    uint64
 	// Drops counts non-deliveries by cause, indexed by DropReason
-	// (DropChannel..DropDecode; index 0 is unused).
-	Drops [5]uint64
+	// (DropChannel..DropHalfDuplex; index 0 is unused).
+	Drops [4]uint64
 	// IndexQueries counts receiver-set enumerations answered by the
 	// spatial index, ScanQueries those answered by the exhaustive scan
 	// (small populations, Exhaustive mode, or unbounded horizons).
@@ -275,10 +265,6 @@ type Stats struct {
 	IndexQueries  uint64
 	ScanQueries   uint64
 	IndexRebuilds uint64
-	// WireReuses counts wire buffers served from the free lists,
-	// WireAllocs those that had to be freshly allocated.
-	WireReuses uint64
-	WireAllocs uint64
 	// Untraced counts tracer calls skipped for untraced stations (see
 	// Station.Untrace): with every station traced it is zero, and in
 	// general the tracer saw Transmissions + Deliveries + ΣDrops -
@@ -305,12 +291,10 @@ func NewMedium(engine *sim.Engine, channel *radio.Channel, tracer Tracer) *Mediu
 
 // NewMediumWith is NewMedium with an explicit delivery configuration.
 func NewMediumWith(engine *sim.Engine, channel *radio.Channel, tracer Tracer, cfg MediumConfig) *Medium {
-	nop := tracer == nil
-	if nop {
-		tracer = nopTracer{}
+	if tracer == nil {
+		tracer = discardTracer{}
 	}
 	m := &Medium{
-		nopTrace:   nop,
 		engine:     engine,
 		channel:    channel,
 		tracer:     tracer,
@@ -535,12 +519,11 @@ func (m *Medium) getTransmission() *transmission {
 	return tx
 }
 
-// recycleTransmission returns an expired history entry to the free lists.
-// The decoded frame is NOT recycled: handlers may retain it.
+// recycleTransmission returns an expired history entry to the free list.
+// Only the medium's reference to the frame is dropped: handlers may retain
+// the frame itself.
 func (m *Medium) recycleTransmission(tx *transmission) {
-	m.putWire(tx.wire)
-	tx.src, tx.frame, tx.wire, tx.rxFrame = nil, nil, nil, nil
-	tx.decoded = false
+	tx.src, tx.frame = nil, nil
 	for i := range tx.dests {
 		tx.dests[i] = nil
 		tx.fades[i] = nil
@@ -550,54 +533,18 @@ func (m *Medium) recycleTransmission(tx *transmission) {
 	m.txFree = tx
 }
 
-// wireSmallCap is the boundary between the two wire-buffer classes:
-// control frames (HELLO, REQUEST) pool separately from data frames so a
-// mixed workload reuses both without evictions.
-const wireSmallCap = 256
-
-// getWire pops a reusable wire buffer with at least n bytes of capacity.
-func (m *Medium) getWire(n int) []byte {
-	pool := &m.wireLarge
-	if n <= wireSmallCap {
-		pool = &m.wireSmall
-	}
-	if k := len(*pool); k > 0 {
-		b := (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
-		if cap(b) >= n {
-			m.stats.WireReuses++
-			return b[:0]
-		}
-	}
-	m.stats.WireAllocs++
-	return make([]byte, 0, n)
-}
-
-// putWire returns an unused wire buffer (encode failure, full queue,
-// recycled transmission) to its pool.
-func (m *Medium) putWire(b []byte) {
-	if b == nil {
-		return
-	}
-	if cap(b) <= wireSmallCap {
-		m.wireSmall = append(m.wireSmall, b[:0])
-	} else {
-		m.wireLarge = append(m.wireLarge, b[:0])
-	}
-}
-
 // startTransmission puts a frame on the air from station src.
-func (m *Medium) startTransmission(src *Station, f *packet.Frame, wire []byte) {
+func (m *Medium) startTransmission(src *Station, f *packet.Frame) {
 	now := m.engine.Now()
 	mod := src.cfg.Modulation
-	airtime := secondsToDuration(mod.Airtime(len(wire)))
+	bytes := f.WireSize()
+	airtime := secondsToDuration(mod.Airtime(bytes))
 	srcPos := src.posAt(now)
-	cands := m.recipients(src, srcPos, now, m.maxRangeFor(mod, len(wire)))
+	cands := m.recipients(src, srcPos, now, m.maxRangeFor(mod, bytes))
 	tx := m.getTransmission()
-	tx.src, tx.frame, tx.wire, tx.mod = src, f, wire, mod
+	tx.src, tx.frame, tx.bytes, tx.mod = src, f, bytes, mod
 	tx.start, tx.end = now, now+airtime
-	tx.edges = m.channel.FrameEdges(mod, len(wire))
+	tx.edges = m.channel.FrameEdges(mod, bytes)
 	// Receivers whose sampled mean power sits below this floor are
 	// culled at stage zero: PER is exactly 1.0 whatever the fading draw,
 	// the power is too weak to trigger any carrier sensor, and it sits at
@@ -655,7 +602,7 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame, wire []byte) {
 	}
 	// Every survivor's frame draw and interference-free decision, in one
 	// batched kernel pass.
-	m.channel.BatchResolve(tx.fades, tx.pows, tx.edges, tx.mod, len(tx.wire), tx.draws)
+	m.channel.BatchResolve(tx.fades, tx.pows, tx.edges, tx.mod, tx.bytes, tx.draws)
 	m.active = append(m.active, tx)
 	if airtime > m.maxAirtime {
 		m.maxAirtime = airtime
@@ -838,13 +785,12 @@ func (m *Medium) finishTransmission(tx *transmission) {
 			}
 		}
 	}
-	m.channel.BatchFinish(tx.fades, tx.draws, tx.pows, m.interf, m.skip, tx.edges, tx.mod, len(tx.wire), m.decs)
+	m.channel.BatchFinish(tx.fades, tx.draws, tx.pows, m.interf, m.skip, tx.edges, tx.mod, tx.bytes, m.decs)
 }
 
 // deliver applies receiver tx.dests[i]'s precomputed verdict or channel
-// decision (see finishTransmission): counters, trace events, decode and
-// handler dispatch — the per-receiver side effects, in registration
-// order.
+// decision (see finishTransmission): counters, trace events and handler
+// dispatch — the per-receiver side effects, in registration order.
 func (m *Medium) deliver(tx *transmission, i int) {
 	rx := tx.dests[i]
 	now := m.engine.Now()
@@ -864,37 +810,17 @@ func (m *Medium) deliver(tx *transmission, i int) {
 			m.tracer.OnDrop(rx.id, tx.frame, now, DropChannel)
 		}
 		if rx.cfg.DeliverCorrupt && rx.handler != nil {
-			if f := tx.decode(); f != nil {
-				meta.Corrupt = true
-				rx.handler.HandleFrame(f, meta)
-			}
-		}
-		return
-	}
-	// Untraced deliveries to handler-less stations have no observer for
-	// the decoded frame: skip the decode. (Sensing, capture and the
-	// channel decision above — everything that consumes randomness or
-	// affects other stations — already ran.)
-	if m.nopTrace && rx.handler == nil {
-		m.stats.Deliveries++
-		return
-	}
-	// Decode from wire bytes: the CRC is part of the model. The decoded
-	// frame is shared by every receiver of the transmission (see Handler).
-	f := tx.decode()
-	if f == nil {
-		m.stats.Drops[DropDecode]++
-		if m.traced(rx) {
-			m.tracer.OnDrop(rx.id, tx.frame, now, DropDecode)
+			meta.Corrupt = true
+			rx.handler.HandleFrame(tx.frame, meta)
 		}
 		return
 	}
 	m.stats.Deliveries++
 	if m.traced(rx) {
-		m.tracer.OnRx(rx.id, f, meta)
+		m.tracer.OnRx(rx.id, tx.frame, meta)
 	}
 	if rx.handler != nil {
-		rx.handler.HandleFrame(f, meta)
+		rx.handler.HandleFrame(tx.frame, meta)
 	}
 }
 
@@ -906,16 +832,6 @@ func (m *Medium) traced(s *Station) bool {
 		return false
 	}
 	return true
-}
-
-// decode returns the transmission's wire bytes decoded into a frame,
-// computing it on first use and nil if the bytes do not decode.
-func (t *transmission) decode() *packet.Frame {
-	if !t.decoded {
-		t.decoded = true
-		t.rxFrame, _ = packet.Decode(t.wire)
-	}
-	return t.rxFrame
 }
 
 // interferenceAt power-sums the transmissions that overlapped the frame

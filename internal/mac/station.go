@@ -39,7 +39,7 @@ type Station struct {
 	// queue is a ring of frames waiting for the medium: qhead indexes the
 	// next frame out, the tail appends, and the backing array recycles
 	// whenever the queue drains — steady state enqueues nothing.
-	queue        []queued
+	queue        []*packet.Frame
 	qhead        int
 	transmitting bool
 	// contention is the DIFS+back-off countdown timer; idle when the
@@ -74,11 +74,6 @@ type Station struct {
 	dropped uint64
 }
 
-type queued struct {
-	frame *packet.Frame
-	wire  []byte
-}
-
 // ID returns the station's node ID.
 func (s *Station) ID() packet.NodeID { return s.id }
 
@@ -95,8 +90,7 @@ func (s *Station) SetHandler(h Handler) { s.handler = h }
 // Untrace takes the station out of the trace scope: the medium no longer
 // reports its transmissions, or the receptions and drops at it, to the
 // tracer, and counts each skipped call in Stats.Untraced instead.
-// Delivery, the other counters, decoding and handler dispatch are
-// unchanged.
+// Delivery, the other counters and handler dispatch are unchanged.
 func (s *Station) Untrace() { s.untraced = true }
 
 // stationLink bundles the channel handles of one src→rx pair. Creating
@@ -134,20 +128,21 @@ func (s *Station) posAt(now time.Duration) geom.Point {
 	return p
 }
 
-// Send encodes the frame and enqueues it for transmission. It returns an
-// error if the frame does not encode or the queue is full.
+// Send validates the frame and enqueues it for transmission. It returns
+// an error if the frame fails packet.Frame.Validate or the queue is full.
+//
+// The frame is immutable from Send on: the medium hands this very frame,
+// not a copy, to the tracer and to every receiving handler, so neither
+// the sender nor any handler may change it or the slices it holds.
 func (s *Station) Send(f *packet.Frame) error {
-	wire, err := f.AppendEncode(s.medium.getWire(f.WireSize()))
-	if err != nil {
-		s.medium.putWire(wire)
+	if err := f.Validate(); err != nil {
 		return fmt.Errorf("mac: station %v: %w", s.id, err)
 	}
 	if s.QueueLen() >= s.cfg.QueueCap {
-		s.medium.putWire(wire)
 		s.dropped++
 		return fmt.Errorf("mac: station %v: queue full (%d frames)", s.id, s.QueueLen())
 	}
-	s.queue = append(s.queue, queued{frame: f, wire: wire})
+	s.queue = append(s.queue, f)
 	s.tryContend()
 	return nil
 }
@@ -190,8 +185,8 @@ func (s *Station) beginTx() {
 		s.medium.enqueueWaiting(s)
 		return
 	}
-	q := s.queue[s.qhead]
-	s.queue[s.qhead] = queued{}
+	f := s.queue[s.qhead]
+	s.queue[s.qhead] = nil
 	s.qhead++
 	if s.qhead == len(s.queue) {
 		s.queue, s.qhead = s.queue[:0], 0
@@ -202,13 +197,13 @@ func (s *Station) beginTx() {
 		// frame and bounds the array at ~2x the live queue.
 		n := copy(s.queue, s.queue[s.qhead:])
 		for i := n; i < len(s.queue); i++ {
-			s.queue[i] = queued{}
+			s.queue[i] = nil
 		}
 		s.queue, s.qhead = s.queue[:n], 0
 	}
 	s.transmitting = true
 	s.sent++
-	s.medium.startTransmission(s, q.frame, q.wire)
+	s.medium.startTransmission(s, f)
 }
 
 // onMediumBusy is called by the medium when a transmission starts that

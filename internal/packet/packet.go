@@ -1,9 +1,14 @@
 // Package packet defines the wire formats exchanged by the Cooperative-ARQ
 // protocol: DATA frames from the access point, HELLO beacons carrying
 // cooperator lists, REQUEST frames for missing packets, and RESPONSE frames
-// from cooperators. Frames encode to real bytes (big-endian, CRC-32
-// trailer) so that header overhead and airtime are accounted for honestly
-// in the MAC model.
+// from cooperators.
+//
+// Encode and Decode define the byte format (big-endian, CRC-32 trailer);
+// they are the format's specification, checked by tests and fuzzing. The
+// simulator never puts those bytes on its medium: the MAC hands every
+// receiver the sender's *Frame, checks it with Validate and charges
+// airtime for WireSize bytes, so header overhead is still accounted for
+// honestly.
 package packet
 
 import (
@@ -74,7 +79,7 @@ const (
 	MaxListLen = 1024
 )
 
-// Errors returned by Decode.
+// Errors returned by Decode, Validate and Encode.
 var (
 	ErrTruncated   = errors.New("packet: frame truncated")
 	ErrBadVersion  = errors.New("packet: unsupported version")
@@ -139,8 +144,8 @@ func (f *Frame) listLen() int {
 	}
 }
 
-// WireSize returns the encoded length in bytes without encoding. The MAC
-// uses it to compute airtime.
+// WireSize returns the length of the frame's encoding without encoding
+// it. The MAC computes airtime from it.
 func (f *Frame) WireSize() int {
 	n := headerLen + trailerLen + len(f.Payload)
 	switch f.Type {
@@ -152,33 +157,31 @@ func (f *Frame) WireSize() int {
 	return n
 }
 
-// Encode serialises the frame. It returns an error if list or payload
-// bounds are exceeded or the type is unknown.
-func (f *Frame) Encode() ([]byte, error) {
-	return f.AppendEncode(nil)
-}
-
-// AppendEncode serialises the frame into dst (which may be nil or an
-// emptied reusable buffer) and returns the extended slice. The MAC's wire
-// buffers recycle through it, so steady-state transmissions encode without
-// allocating.
-func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
+// Validate checks the frame against the wire format's limits: a known
+// type, a list of at most MaxListLen elements and a payload of at most
+// MaxPayload bytes. A frame that validates encodes.
+func (f *Frame) Validate() error {
 	switch f.Type {
 	case TypeData, TypeHello, TypeRequest, TypeResponse:
 	default:
-		return dst, fmt.Errorf("%w: %d", ErrBadType, f.Type)
+		return fmt.Errorf("%w: %d", ErrBadType, f.Type)
 	}
 	if f.listLen() > MaxListLen {
-		return dst, fmt.Errorf("%w: %d elements", ErrBadList, f.listLen())
+		return fmt.Errorf("%w: %d elements", ErrBadList, f.listLen())
 	}
 	if len(f.Payload) > MaxPayload {
-		return dst, fmt.Errorf("%w: %d bytes", ErrBadPayload, len(f.Payload))
+		return fmt.Errorf("%w: %d bytes", ErrBadPayload, len(f.Payload))
 	}
-	buf := dst
-	if buf == nil {
-		buf = make([]byte, 0, f.WireSize())
+	return nil
+}
+
+// Encode serialises the frame into WireSize() bytes. It returns
+// Validate's error for a frame outside the format's limits.
+func (f *Frame) Encode() ([]byte, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
-	start := len(buf)
+	buf := make([]byte, 0, f.WireSize())
 	buf = append(buf, version, byte(f.Type))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(f.Src))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(f.Dst))
@@ -197,7 +200,7 @@ func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 		}
 	}
 	buf = append(buf, f.Payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
 

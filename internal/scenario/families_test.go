@@ -109,7 +109,7 @@ func runRound[C Family[C, R], R any](t testing.TB, cfg C, round int) Round {
 // roundCounts are the counters one instrumented round flushed into the
 // metrics registry: the engine's event identity terms, and the medium's
 // delivery counters as a mac.Stats (Transmissions, Deliveries, Drops and
-// Untraced; the enumeration and wire-pool counters stay zero).
+// Untraced; the enumeration counters stay zero).
 type roundCounts struct {
 	scheduled, processed, cancelled, pending uint64
 	mac                                      mac.Stats

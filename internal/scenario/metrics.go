@@ -41,12 +41,12 @@ var (
 		"receiver-set enumerations answered by the exhaustive scan")
 	mIndexRebuilds = metrics.NewCounter("mac_index_rebuilds_total",
 		"full spatial-index rebuilds (refreshes that could not stay incremental)")
-	mWireReuses = metrics.NewCounter("mac_wire_reuse_total",
-		"wire buffers served from the medium free lists")
-	mWireAllocs = metrics.NewCounter("mac_wire_alloc_total",
-		"wire buffers freshly allocated")
 	mUntraced = metrics.NewCounter("mac_untraced_events_total",
 		"transmissions, receptions and drops left out of the trace (untraced stations)")
+
+	// Always 0; kept registered only until ROADMAP item 1's bench edit drops mac.wire_reuse_ratio.
+	_ = metrics.NewCounter("mac_wire_reuse_total", "always 0: the medium keeps no wire buffers")
+	_ = metrics.NewCounter("mac_wire_alloc_total", "always 0: the medium keeps no wire buffers")
 
 	mCacheHits = metrics.NewCounter("traffic_trace_cache_hits_total",
 		"in-memory traffic-trace cache hits (sweep arms sharing a recorded world)")
@@ -55,11 +55,10 @@ var (
 
 	// mDrops indexes mac_drops_total{cause=...} by mac.DropReason, the
 	// same indexing mac.Stats.Drops uses; slot 0 is unused.
-	mDrops = [5]*metrics.Counter{
+	mDrops = [4]*metrics.Counter{
 		mac.DropChannel:    dropCounter(mac.DropChannel),
 		mac.DropCollision:  dropCounter(mac.DropCollision),
 		mac.DropHalfDuplex: dropCounter(mac.DropHalfDuplex),
-		mac.DropDecode:     dropCounter(mac.DropDecode),
 	}
 )
 
@@ -87,8 +86,6 @@ func flushRunStats(engine *sim.Engine, medium *mac.Medium) {
 	mIndexQueries.Add(ms.IndexQueries)
 	mScanQueries.Add(ms.ScanQueries)
 	mIndexRebuilds.Add(ms.IndexRebuilds)
-	mWireReuses.Add(ms.WireReuses)
-	mWireAllocs.Add(ms.WireAllocs)
 	mUntraced.Add(ms.Untraced)
 	for reason, c := range mDrops {
 		if c != nil {

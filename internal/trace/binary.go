@@ -44,7 +44,9 @@ import (
 // DecodeBinary accepts only canonical input — minimal varints, ids up
 // to 0xFFFF, seq deltas within int32, counts the bytes left can hold,
 // no trailing bytes — so every Collector has exactly one encoding and
-// every accepted input re-encodes to the same bytes. Ints are stored as
+// every accepted input re-encodes to the same bytes. It also accepts
+// only the frame types (TypeData..TypeResponse) and drop causes
+// (DropChannel..DropHalfDuplex) the MAC records. Ints are stored as
 // int64: the codec assumes a 64-bit int.
 const categories = 7
 
@@ -213,6 +215,8 @@ const (
 	errVarintOverflow
 	errIDOverflow
 	errSeqOverflow
+	errBadType
+	errBadReason
 )
 
 var readErrors = [...]string{
@@ -221,6 +225,8 @@ var readErrors = [...]string{
 	-errVarintOverflow - 1: "varint overflow",
 	-errIDOverflow - 1:     "id overflow",
 	-errSeqOverflow - 1:    "seq delta overflow",
+	-errBadType - 1:        "unknown frame type",
+	-errBadReason - 1:      "unknown drop reason",
 }
 
 // count reads a block's record count and checks that the bytes left
@@ -257,6 +263,21 @@ func recordError(p []byte, i int, ids, seq uint64, tail int) int {
 		return errSeqOverflow
 	case len(p)-i < tail:
 		return errTruncated
+	}
+	return 0
+}
+
+// frameError returns the read error of a record tail that starts with a
+// frame type byte and, when withReason, a drop reason byte next; 0 if it
+// has none. Only the types and causes the MAC can record are valid.
+func frameError(tail []byte, withReason bool) int {
+	if t := packet.Type(tail[0]); t < packet.TypeData || t > packet.TypeResponse {
+		return errBadType
+	}
+	if withReason {
+		if r := mac.DropReason(tail[1]); r < mac.DropChannel || r > mac.DropHalfDuplex {
+			return errBadReason
+		}
 	}
 	return 0
 }
@@ -308,7 +329,11 @@ func decodeTx(d *decoder) []TxRecord {
 	var u [6]uint64
 	for k := range recs {
 		i = uvarints(p, i, u[:])
-		if code := recordError(p, i, u[1]|u[2]|u[3], u[4], 1); code < 0 {
+		code := recordError(p, i, u[1]|u[2]|u[3], u[4], 1)
+		if code == 0 {
+			code = frameError(p[i:], false)
+		}
+		if code < 0 {
 			d.fail("tx", k, code)
 			return nil
 		}
@@ -335,7 +360,11 @@ func decodeRx(d *decoder) []RxRecord {
 	var u [6]uint64
 	for k := range recs {
 		i = uvarints(p, i, u[:])
-		if code := recordError(p, i, u[1]|u[2]|u[3]|u[4], u[5], 17); code < 0 {
+		code := recordError(p, i, u[1]|u[2]|u[3]|u[4], u[5], 17)
+		if code == 0 {
+			code = frameError(p[i:], false)
+		}
+		if code < 0 {
 			d.fail("rx", k, code)
 			return nil
 		}
@@ -364,7 +393,11 @@ func decodeDrops(d *decoder) []DropRecord {
 	var u [5]uint64
 	for k := range recs {
 		i = uvarints(p, i, u[:])
-		if code := recordError(p, i, u[1]|u[2]|u[3], u[4], 2); code < 0 {
+		code := recordError(p, i, u[1]|u[2]|u[3], u[4], 2)
+		if code == 0 {
+			code = frameError(p[i:], true)
+		}
+		if code < 0 {
 			d.fail("drop", k, code)
 			return nil
 		}

@@ -53,19 +53,21 @@ func randomCollector(rng *rand.Rand) *Collector {
 		return rng.Uint32()
 	}
 	u8 := func() uint8 { return uint8(rng.Intn(256)) }
+	typ := func() packet.Type { return packet.TypeData + packet.Type(rng.Intn(int(packet.TypeResponse))) }
+	reason := func() mac.DropReason { return mac.DropChannel + mac.DropReason(rng.Intn(int(mac.DropHalfDuplex))) }
 	n := func() int { return rng.Intn(12) }
 
 	c := &Collector{}
 	for k := n(); k > 0; k-- {
-		c.Tx = append(c.Tx, TxRecord{At: at(), Src: node(), Type: packet.Type(u8()), Dst: node(), Flow: node(), Seq: seq(), Bytes: i()})
+		c.Tx = append(c.Tx, TxRecord{At: at(), Src: node(), Type: typ(), Dst: node(), Flow: node(), Seq: seq(), Bytes: i()})
 	}
 	for k := n(); k > 0; k-- {
-		c.Rx = append(c.Rx, RxRecord{At: at(), Dst: node(), Src: node(), Type: packet.Type(u8()), AddrTo: node(),
+		c.Rx = append(c.Rx, RxRecord{At: at(), Dst: node(), Src: node(), Type: typ(), AddrTo: node(),
 			Flow: node(), Seq: seq(), RxPowerDBm: f(), SINRdB: f()})
 	}
 	for k := n(); k > 0; k-- {
-		c.Drops = append(c.Drops, DropRecord{At: at(), Dst: node(), Src: node(), Type: packet.Type(u8()), Flow: node(),
-			Seq: seq(), Reason: mac.DropReason(u8())})
+		c.Drops = append(c.Drops, DropRecord{At: at(), Dst: node(), Src: node(), Type: typ(), Flow: node(),
+			Seq: seq(), Reason: reason()})
 	}
 	for k := n(); k > 0; k-- {
 		c.Phases = append(c.Phases, PhaseRecord{At: at(), Node: node(), From: carq.Phase(u8()), To: carq.Phase(u8())})
@@ -130,9 +132,9 @@ func extremeCollector() *Collector {
 	c := &Collector{}
 	for k, v := range ints {
 		at, seq, id := time.Duration(v), seqs[k], packet.NodeID(0xFFFF-k)
-		c.Tx = append(c.Tx, TxRecord{At: at, Src: id, Dst: 0xFFFF, Flow: 0, Seq: seq, Bytes: v})
-		c.Rx = append(c.Rx, RxRecord{At: at, Dst: id, Src: 0, AddrTo: 0xFFFF, Flow: id, Seq: seq, SINRdB: math.Inf(-1)})
-		c.Drops = append(c.Drops, DropRecord{At: at, Dst: id, Seq: seq, Reason: 0xFF})
+		c.Tx = append(c.Tx, TxRecord{At: at, Src: id, Type: packet.TypeResponse, Dst: 0xFFFF, Flow: 0, Seq: seq, Bytes: v})
+		c.Rx = append(c.Rx, RxRecord{At: at, Dst: id, Src: 0, Type: packet.TypeData, AddrTo: 0xFFFF, Flow: id, Seq: seq, SINRdB: math.Inf(-1)})
+		c.Drops = append(c.Drops, DropRecord{At: at, Dst: id, Type: packet.TypeResponse, Seq: seq, Reason: mac.DropHalfDuplex})
 		c.Phases = append(c.Phases, PhaseRecord{At: at, Node: id, From: 0xFF})
 		c.Recovered = append(c.Recovered, RecoveryRecord{At: at, Node: id, Seq: seq, From: 0xFFFF})
 		c.Completed = append(c.Completed, CompleteRecord{At: at, Node: id})
@@ -229,6 +231,12 @@ func TestDecodeBinaryRejects(t *testing.T) {
 		// One recovery whose zigzag seq delta is 1<<32, past int32.
 		{"seq delta overflow", "recovery record 0: seq delta overflow",
 			blocks(4, 1, 0x00, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x01, 0, 0)},
+		// One tx record of type 5, past TypeResponse.
+		{"tx type", "tx record 0: unknown frame type", append([]byte{1, 0, 2, 2, 2, 0, 0, 5}, blocks(6)...)},
+		// One rx record of type 0.
+		{"rx type", "rx record 0: unknown frame type", append(blocks(1, 1, 0, 2, 2, 2, 2, 0, 0), make([]byte, 16+5)...)},
+		// One DATA drop for reason 4, a cause the MAC no longer has.
+		{"drop reason", "drop record 0: unknown drop reason", blocks(2, 1, 0, 2, 2, 2, 0, 1, 4, 0, 0, 0, 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/mac"
+	"repro/internal/packet"
 )
 
 // FuzzReadJSONL checks that ReadJSONL never panics on arbitrary bytes and
@@ -44,14 +47,17 @@ func FuzzReadJSONL(f *testing.F) {
 
 // layouts spells each category's record fields in encoding order, the
 // fuzz oracle's independent model of the format: 'v' a zigzag varint,
-// 'i' a NodeID, 's' a seq delta, then the tail: 'b' a raw byte, 'f' an
-// 8-byte float.
-var layouts = [categories]string{"viiisvb", "viiiisbff", "viiisbb", "vibb", "visi", "vi", "vvvvff"}
+// 'i' a NodeID, 's' a seq delta, then the tail: 't' a frame type byte,
+// 'r' a drop reason byte, 'b' any other raw byte, 'f' an 8-byte float.
+// Bytes precede floats, so a byte's index in the tail is its offset.
+var layouts = [categories]string{"viiisvt", "viiiistff", "viiistr", "vibb", "visi", "vi", "vvvvff"}
 
 // refWalk skips through data by layouts alone — no records decoded —
 // and returns the error DecodeBinary must give, or "" for input it must
 // accept. A record fails at its first malformed varint, else at an id
-// out of range, else at a seq delta out of range, else at a short tail.
+// out of range, else at a seq delta out of range, else at a short tail,
+// else at a frame type outside TypeData..TypeResponse, else at a drop
+// reason outside DropChannel..DropHalfDuplex.
 func refWalk(data []byte) string {
 	kinds := [categories]string{"tx", "rx", "drop", "phase", "recovery", "completion", "vehicle"}
 	rest := data
@@ -73,7 +79,7 @@ func refWalk(data []byte) string {
 		if cause != "" {
 			return fmt.Sprintf("trace: %s count: %s", kinds[k], cause)
 		}
-		varints := strings.TrimRight(layout, "bf")
+		varints := strings.TrimRight(layout, "trbf")
 		tail := len(layout) - len(varints) + 7*strings.Count(layout, "f")
 		if minSize := len(varints) + tail; n > uint64(len(rest)/minSize) {
 			return fmt.Sprintf("trace: %d %s records need more than the %d bytes left", n, kinds[k], len(rest))
@@ -100,6 +106,17 @@ func refWalk(data []byte) string {
 			case len(rest) < tail:
 				cause = "truncated"
 			}
+			for j, field := range layout[len(varints):] {
+				if cause != "" {
+					break
+				}
+				switch {
+				case field == 't' && (rest[j] < byte(packet.TypeData) || rest[j] > byte(packet.TypeResponse)):
+					cause = "unknown frame type"
+				case field == 'r' && (rest[j] < byte(mac.DropChannel) || rest[j] > byte(mac.DropHalfDuplex)):
+					cause = "unknown drop reason"
+				}
+			}
 			if cause != "" {
 				return fmt.Sprintf("trace: %s record %d: %s", kinds[k], rec, cause)
 			}
@@ -119,8 +136,8 @@ func refWalk(data []byte) string {
 // accepted input re-encodes to the same bytes. The seed corpus
 // (testdata/fuzz/FuzzDecodeBinary) holds every record kind, the empty
 // collector, truncations, an oversized count, trailing bytes, a
-// non-minimal varint, id and seq-delta overflows and a real cityscale
-// traffic section.
+// non-minimal varint, id and seq-delta overflows, unknown frame types and
+// drop reasons and a real cityscale traffic section.
 func FuzzDecodeBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wantErr := refWalk(data)

@@ -3,7 +3,8 @@
 # tiny sweep with -progress (which implies -metrics), then check that
 # (1) the stderr ticker reported unit progress, (2) metrics.json landed
 # beside timings.json with nonzero core counters that satisfy the event
-# accounting identity (scheduled = processed + cancelled + pending), and
+# accounting identity (scheduled = processed + cancelled + pending) and
+# exactly the drop causes channel, collision and half-duplex, and
 # (3) an uninstrumented run of the same sweep produces byte-identical
 # results — the determinism contract the whole metrics layer is built on.
 # The sweep covers a traffic family (dynamics) and the epidemic baseline,
@@ -36,12 +37,24 @@ grep -q 'result store: ' "$work/on.log" || {
 
 echo "==> metrics.json core counters"
 [ -f "$on/metrics.json" ] || { echo "FAIL: no metrics.json" >&2; exit 1; }
-for name in sim_events_processed_total mac_transmissions_total harness_units_computed_total; do
+for name in sim_events_processed_total mac_transmissions_total mac_deliveries_total harness_units_computed_total; do
     if ! grep -A1 "\"$name\"" "$on/metrics.json" | grep -Eq '"value": *[1-9]'; then
         echo "FAIL: $name missing or zero in metrics.json" >&2
         exit 1
     fi
 done
+
+echo "==> drop causes"
+# The bench sums every mac_drops_total series into its delivery ratio, so
+# an added or renamed cause must fail here rather than shift that ratio.
+causes="$(awk '
+    /"name": "mac_drops_total"/ { found = 1; next }
+    found && /"label":/ { sub(/.*"label": *"/, ""); sub(/".*/, ""); print; found = 0 }
+' "$on/metrics.json" | LC_ALL=C sort | tr '\n' ' ')"
+if [ "$causes" != "channel collision half-duplex " ]; then
+    echo "FAIL: mac_drops_total causes are [$causes], want [channel collision half-duplex ]" >&2
+    exit 1
+fi
 
 echo "==> event accounting identity"
 # counter NAME prints NAME's value from metrics.json (the "value" line
@@ -82,4 +95,4 @@ if [ -f "$off/metrics.json" ]; then
     exit 1
 fi
 
-echo "OK: progress ticker, metrics.json counters, event identity, and byte-identity with metrics off"
+echo "OK: progress ticker, metrics.json counters, drop causes, event identity, and byte-identity with metrics off"
