@@ -19,7 +19,10 @@ test:
 	$(GO) -C bench test -short ./...
 
 # -count=2 runs every root test twice in one process, so a test that
-# leaks global state (a registry entry, a cache) fails here.
+# leaks global state (a registry entry, a cache) fails here. The Table 1
+# text golden (cmd/experiments TestGoldenTable1Text) does not skip under
+# -short, so this target gates any drift in Table 1 and Figures 3-8; the
+# manifest-hash goldens skip here and run in `make test`.
 short:
 	$(GO) test -count=2 -short ./...
 	$(GO) -C bench test -short ./...

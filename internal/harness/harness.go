@@ -221,12 +221,6 @@ func (c *Context) CappedRounds(n int) int {
 	return n
 }
 
-// FastChannel reports whether the run requested the approximate fast
-// channel mode (-fast-channel). A Batch applies it to every unit's
-// scenario config before the config digest is taken, so exact and fast
-// results never alias in the result store.
-func (c *Context) FastChannel() bool { return c.runner.opts.FastChannel }
-
 // Seed returns the run's root seed. A Batch stamps it into every
 // scenario config; each round then derives its own streams from it and
 // the round index alone (sim.SeedFor), so any unit can be re-run in

@@ -25,12 +25,6 @@ type Options struct {
 	OutDir string
 	// Workers bounds concurrent work units; <= 0 means GOMAXPROCS.
 	Workers int
-	// FastChannel selects the radio channel's approximate fast mode for
-	// every scenario in the sweep (radio.Config.FastMode). It changes
-	// results — statistically equivalent, not byte-identical — so it is
-	// part of every scenario's config digest and exact/fast results never
-	// alias in the result store.
-	FastChannel bool
 	// ResultStore, when non-empty, is the directory of the
 	// content-addressed unit-result store: units whose key (seed, unit
 	// identity, config digest, code digest) is already stored are loaded
@@ -89,7 +83,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "root random seed")
 	fs.StringVar(&o.OutDir, "out", o.OutDir, "output directory (reports, series, manifest.json, timings.json)")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent work units (0: GOMAXPROCS)")
-	fs.BoolVar(&o.FastChannel, "fast-channel", o.FastChannel, "approximate fast channel mode: quantised PER tables and coarsened shadowing, statistically equivalent to exact mode (digested, so results never alias exact ones)")
 	fs.StringVar(&o.ResultStore, "result-store", o.ResultStore, "directory of the content-addressed unit-result store (empty: recompute everything)")
 	fs.StringVar(&o.TrafficStore, "traffic-store", o.TrafficStore, "directory of the on-disk precomputed traffic-trace store (empty: in-memory cache only)")
 	fs.Int64Var(&o.TrafficStoreCap, "traffic-store-cap", o.TrafficStoreCap, "byte budget of the traffic-trace store: least-recently-used traces are evicted past it (0: unbounded)")

@@ -32,18 +32,11 @@ func (c *Context) Batch() *Batch { return &Batch{ctx: c} }
 // different arms of one sweep draw independent channel/protocol
 // randomness — no two arms share a fading realization — while their
 // expensive traffic worlds stay shared through the (seed, round)-keyed
-// caches. The run's channel mode (-fast-channel) switches the fast mode
-// on; a config that already requested it keeps it. Fast mode changes
-// results — it is statistically equivalent, not byte-identical — which
-// is why stamping precedes the config digest: a stored exact-mode unit
-// must never be served to a fast-mode sweep, or vice versa.
+// caches.
 func (b *Batch) stamp(point string, c *scenario.Common) {
 	c.Seed = b.ctx.Seed()
 	if c.Arm == "" {
 		c.Arm = point
-	}
-	if b.ctx.FastChannel() {
-		c.FastChannel = true
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // batch split safe: each receiver's directed-link stream still sees
 // exactly the draws ResolveFrame/FinishFrame would make, in the same
 // per-link order (fade in the classify pass, coin in the in-band pass),
-// so exact mode stays byte-identical to the one-receiver-at-a-time
+// so the batch stays byte-identical to the one-receiver-at-a-time
 // loops it replaced. Hoisting the per-stage constants and splitting the
 // passes keeps the transcendental calls pipelining instead of
 // alternating with map lookups and branch-heavy MAC bookkeeping.
@@ -54,18 +54,13 @@ func (c *Channel) BatchResolve(streams []*FadeStream, meanRxDBm []float64, e Fra
 	// work runs as its own sweep over the — typically sparse — band.
 	k := c.cfg.FadingK
 	fading := k >= 0
-	fast := c.fastMath
 	clamp := c.fadeClampDB
 	noise := c.noiseOnlyDB
 	inBand := false
 	for i, s := range streams {
 		var fade float64
 		if fading {
-			if fast {
-				fade = fadingGainFastDB(s.rng, k)
-			} else {
-				fade = fadingGainDB(s.rng, k)
-			}
+			fade = fadingGainDB(s.rng, k)
 			if fade > clamp {
 				fade = clamp
 			}
@@ -94,7 +89,7 @@ func (c *Channel) BatchResolve(streams []*FadeStream, meanRxDBm []float64, e Fra
 		if !d.HasCoin {
 			continue
 		}
-		d.PER0 = e.per(mod, bytes, d.SINR0dB)
+		d.PER0 = mod.PER(d.SINR0dB, bytes)
 		d.Coin = streams[i].rng.Float64()
 		d.Received0 = d.Coin >= d.PER0
 	}

@@ -47,17 +47,6 @@ type Config struct {
 	CaptureThresholdDB float64
 	// Seed roots the channel's deterministic random streams.
 	Seed int64
-	// FastMode trades bit-exactness for speed on the frame-decision hot
-	// path: PER is read from a quantised per-(modulation, size-class)
-	// lookup table instead of the transcendental curve, shadowing holds
-	// its value for steps shorter than tau/16, dB conversions use a
-	// polynomial log10, and the reception-horizon cull budgets a 3σ
-	// shadowing boost instead of the full clamp. Results are validated
-	// statistically (delivery ratio and delay within CI bands of exact
-	// mode — see internal/scenario's equivalence gate), not byte for
-	// byte; within one mode runs remain fully deterministic and
-	// independent of the sweep's worker count.
-	FastMode bool
 }
 
 // DefaultConfig returns channel parameters calibrated for the paper's
@@ -99,15 +88,8 @@ type Channel struct {
 	noiseLin    float64
 	noiseOnlyDB float64
 	// lossDB is the path-loss model with its constants precomputed
-	// (bit-identical to cfg.PathLoss.LossDB in exact mode; the fast-log
-	// approximation in fast mode).
+	// (bit-identical to cfg.PathLoss.LossDB).
 	lossDB func(d float64) float64
-	// fastMath mirrors cfg.FastMode for the per-frame branch; cullBoostDB
-	// is the shadowing boost MaxRangeM budgets for — the full clamp in
-	// exact mode (a provable bound), min(clamp, 3σ) in fast mode (a
-	// statistical one).
-	fastMath    bool
-	cullBoostDB float64
 }
 
 // Default boost bounds; see the Config field docs for the rationale.
@@ -139,26 +121,6 @@ func NewChannel(cfg Config) (*Channel, error) {
 	shadowClamp := clampSigma * cfg.ShadowSigmaDB
 	noiseLin := math.Pow(10, cfg.NoiseFloorDBm/10)
 	shadows := newShadowField(cfg.ShadowSigmaDB, cfg.ShadowTau, cfg.Seed, shadowClamp)
-	lossDB := fastLossFunc(cfg.PathLoss)
-	cullBoost := shadowClamp
-	if cfg.FastMode {
-		// Coarsened shadowing: steps shorter than tau/16 hold the last
-		// sample. A tau/16 grain keeps the AR(1) correlation ≥ exp(-1/16)
-		// ≈ 0.94 across a hold, so burst structure is preserved.
-		if cfg.ShadowTau > 0 {
-			shadows.hold = cfg.ShadowTau / 16
-		}
-		lossDB = fastApproxLossFunc(cfg.PathLoss)
-		// Budget the horizon for a 3σ up-shadow instead of the full
-		// clamp: a 3σ excursion has probability ~1.3e-3 per sample, and a
-		// receiver in that tail at the horizon edge still needs a deep
-		// cliff-band SNR to decode — the delivery-ratio effect is far
-		// below the equivalence gate's resolution, while the candidate
-		// set shrinks superlinearly with the radius.
-		if boost := 3 * cfg.ShadowSigmaDB; boost < cullBoost {
-			cullBoost = boost
-		}
-	}
 	return &Channel{
 		cfg:           cfg,
 		shadows:       shadows,
@@ -168,9 +130,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 		fadeClampDB:   fadeClamp,
 		noiseLin:      noiseLin,
 		noiseOnlyDB:   10 * math.Log10(noiseLin),
-		lossDB:        lossDB,
-		fastMath:      cfg.FastMode,
-		cullBoostDB:   cullBoost,
+		lossDB:        fastLossFunc(cfg.PathLoss),
 	}, nil
 }
 
@@ -186,10 +146,6 @@ func MustChannel(cfg Config) *Channel {
 
 // Config returns the channel's configuration.
 func (c *Channel) Config() Config { return c.cfg }
-
-// FastMode reports whether the channel runs the approximate fast path
-// (see Config.FastMode).
-func (c *Channel) FastMode() bool { return c.fastMath }
 
 // NoiseFloorDBm returns the configured noise floor.
 func (c *Channel) NoiseFloorDBm() float64 { return c.cfg.NoiseFloorDBm }
@@ -293,15 +249,13 @@ func certainLossSNRdB(mod Modulation, bytes int) float64 {
 // losses only reduce power further, so ignoring them is conservative.
 // Returns +Inf when no finite distance guarantees it (the caller must then
 // consider every receiver) and 0 when even the reference distance is below
-// the floor. In exact mode the bound is provable (boost = the shadowing
-// clamp); in fast mode it budgets only a 3σ boost, so the cull becomes
-// statistical — covered by the fast-mode equivalence gate, not the
-// byte-identity suites.
+// the floor. The bound is provable: the boost it budgets is the shadowing
+// clamp.
 func (c *Channel) MaxRangeM(floorDBm float64) float64 {
 	if math.IsInf(floorDBm, -1) {
 		return math.Inf(1)
 	}
-	budget := c.cfg.TxPowerDBm + c.cullBoostDB - floorDBm
+	budget := c.cfg.TxPowerDBm + c.shadowClampDB - floorDBm
 	if c.lossDB(1) > budget {
 		return 0
 	}

@@ -90,21 +90,6 @@ func (c *Channel) FadeStream(src, dst packet.NodeID) *FadeStream {
 type FrameEdges struct {
 	LossSNRdB float64
 	ZeroSNRdB float64
-	// table, set only in fast mode, is the quantised PER curve the
-	// in-band branch reads instead of the exact transcendental one.
-	// Carrying the pointer inside the edges keeps the hot paths free of
-	// mode branches and map lookups (FrameEdges stays comparable — the
-	// memo and tests compare edge values with ==).
-	table *perTable
-}
-
-// per evaluates the PER at an in-band SINR: the quantised table in fast
-// mode, the exact curve otherwise.
-func (e FrameEdges) per(mod Modulation, bytes int, sinrDB float64) float64 {
-	if e.table != nil {
-		return e.table.lookup(sinrDB)
-	}
-	return mod.PER(sinrDB, bytes)
 }
 
 type edgeKey struct {
@@ -115,14 +100,8 @@ type edgeKey struct {
 // FrameEdges returns (and memoises) the decision edges for frames of the
 // given modulation and size. Not safe for concurrent use — the medium
 // resolves edges once per transmission and stores them on the
-// transmission for its delivery stages. In fast mode the size is
-// first rounded up to its geometric class and the returned edges carry
-// that class's PER table: every frame in a class shares one set of edges
-// and one table.
+// transmission for its delivery stages.
 func (c *Channel) FrameEdges(mod Modulation, bytes int) FrameEdges {
-	if c.fastMath {
-		bytes = sizeClass(bytes)
-	}
 	key := edgeKey{mod.Name, bytes}
 	if e, ok := c.edges[key]; ok {
 		return e
@@ -130,9 +109,6 @@ func (c *Channel) FrameEdges(mod Modulation, bytes int) FrameEdges {
 	e := FrameEdges{
 		LossSNRdB: certainLossSNRdB(mod, bytes),
 		ZeroSNRdB: zeroPERSNRdB(mod, bytes),
-	}
-	if c.fastMath {
-		e.table = buildPERTable(mod, bytes, e)
 	}
 	c.edges[key] = e
 	return e
@@ -213,11 +189,7 @@ type FrameDraw struct {
 func (c *Channel) ResolveFrame(s *FadeStream, meanRxDBm float64, e FrameEdges, mod Modulation, bytes int) FrameDraw {
 	var fade float64
 	if c.cfg.FadingK >= 0 {
-		if c.fastMath {
-			fade = fadingGainFastDB(s.rng, c.cfg.FadingK)
-		} else {
-			fade = fadingGainDB(s.rng, c.cfg.FadingK)
-		}
+		fade = fadingGainDB(s.rng, c.cfg.FadingK)
 		if fade > c.fadeClampDB {
 			fade = c.fadeClampDB
 		}
@@ -231,7 +203,7 @@ func (c *Channel) ResolveFrame(s *FadeStream, meanRxDBm float64, e FrameEdges, m
 		d.PER0 = 0
 		d.Received0 = true
 	default:
-		d.PER0 = e.per(mod, bytes, sinr0)
+		d.PER0 = mod.PER(sinr0, bytes)
 		d.Coin = s.rng.Float64()
 		d.HasCoin = true
 		d.Received0 = d.Coin >= d.PER0
@@ -264,7 +236,7 @@ func (c *Channel) FinishFrame(s *FadeStream, d *FrameDraw, meanRxDBm, interferen
 		dec.PER = 0
 		dec.Received = true
 	default:
-		dec.PER = e.per(mod, bytes, sinr)
+		dec.PER = mod.PER(sinr, bytes)
 		if !d.HasCoin {
 			d.Coin = s.rng.Float64()
 			d.HasCoin = true

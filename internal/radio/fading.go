@@ -11,18 +11,6 @@ import (
 // independent sample, modelling fast fading whose coherence time at
 // vehicular speeds is shorter than the inter-frame spacing.
 func fadingGainDB(rng *rand.Rand, k float64) float64 {
-	return 10 * math.Log10(fadingPowerGain(rng, k))
-}
-
-// fadingGainFastDB is fadingGainDB with the polynomial log10 — same draw
-// from the stream, approximate dB conversion. Fast mode only.
-func fadingGainFastDB(rng *rand.Rand, k float64) float64 {
-	return 10 * fastLog10(fadingPowerGain(rng, k))
-}
-
-// fadingPowerGain draws the linear power gain shared by the exact and
-// fast dB conversions — one stream value either way.
-func fadingPowerGain(rng *rand.Rand, k float64) float64 {
 	var gain float64
 	if k <= 0 {
 		// Rayleigh: power gain is exponential with unit mean.
@@ -34,7 +22,7 @@ func fadingPowerGain(rng *rand.Rand, k float64) float64 {
 	if gain < 1e-9 {
 		gain = 1e-9
 	}
-	return gain
+	return 10 * math.Log10(gain)
 }
 
 func rayleighPowerGain(rng *rand.Rand) float64 {

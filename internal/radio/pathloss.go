@@ -113,55 +113,6 @@ func fastLossFunc(pl PathLoss) func(d float64) float64 {
 	}
 }
 
-// fastApproxLossFunc is fastLossFunc with math.Log10 replaced by the
-// polynomial fastLog10 — the fast channel mode's path-loss kernel. Same
-// constant hoisting and branch structure; results differ from LossDB by
-// under 1e-9 dB-relative. Unknown models fall back to the exact method.
-func fastApproxLossFunc(pl PathLoss) func(d float64) float64 {
-	switch m := pl.(type) {
-	case LogDistance:
-		d0 := m.RefDist
-		if d0 <= 0 {
-			d0 = 1
-		}
-		pl0 := FreeSpace{FreqHz: m.FreqHz}.LossDB(d0)
-		n10 := 10 * m.Exponent
-		return func(d float64) float64 {
-			if d < 1 {
-				d = 1
-			}
-			if d <= d0 {
-				return pl0
-			}
-			return pl0 + n10*fastLog10(d/d0)
-		}
-	case TwoRay:
-		dc := m.crossover()
-		fs := FreeSpace{FreqHz: m.FreqHz}
-		fsAtDc := fs.LossDB(dc)
-		logF := 20 * math.Log10(m.FreqHz)
-		return func(d float64) float64 {
-			if d < 1 {
-				d = 1
-			}
-			if d <= dc {
-				return 20*fastLog10(d) + logF - 147.55
-			}
-			return fsAtDc + 40*fastLog10(d/dc)
-		}
-	case FreeSpace:
-		logF := 20 * math.Log10(m.FreqHz)
-		return func(d float64) float64 {
-			if d < 1 {
-				d = 1
-			}
-			return 20*fastLog10(d) + logF - 147.55
-		}
-	default:
-		return pl.LossDB
-	}
-}
-
 // TwoRay is the two-ray ground-reflection model: free-space below the
 // crossover distance, 4th-power decay beyond it. Suited to open highway
 // scenarios with low antennas.

@@ -59,11 +59,7 @@ type shadowProcess struct {
 	// itself evolves unclamped so the dynamics are unchanged); it is what
 	// makes the maximum shadowing boost finite for Channel.MaxRangeM.
 	clampDB float64
-	// hold, when positive (fast mode), is the sample-and-hold grain:
-	// steps shorter than it return the held value without advancing the
-	// state, so the next real step still sees the true elapsed dt.
-	hold time.Duration
-	rng  *rand.Rand
+	rng     *rand.Rand
 	// field backs the AR(1) coefficient memo shared by every process of
 	// one shadow field (nil only in standalone tests that build a
 	// process directly).
@@ -106,10 +102,6 @@ func (p *shadowProcess) sample(now time.Duration) float64 {
 		p.primed = true
 	case now <= p.last:
 		// Same instant (or earlier): hold the value.
-	case now-p.last < p.hold:
-		// Fast mode: below the coarse grain, hold without touching the
-		// state — p.last stays put, so correlation decays with the true
-		// elapsed time once a step finally exceeds the grain.
 	case p.tau <= 0:
 		// No correlation: i.i.d. per sample.
 		p.last = now
@@ -162,10 +154,7 @@ type shadowField struct {
 	tau     time.Duration
 	seed    int64
 	clampDB float64
-	// hold is the fast-mode sample-and-hold grain copied onto every
-	// process (see shadowProcess.hold); zero in exact mode.
-	hold  time.Duration
-	links map[linkKey]*shadowProcess
+	links   map[linkKey]*shadowProcess
 	// zero is the shared no-op process handed out when sigma is zero.
 	zero shadowProcess
 	// slab and arena amortise per-pair process construction (see
@@ -221,7 +210,6 @@ func (f *shadowField) link(a, b packet.NodeID) *shadowProcess {
 			tau:     f.tau,
 			rng:     f.arena.Stream(f.seed, name),
 			clampDB: f.clampDB,
-			hold:    f.hold,
 			field:   f,
 		}
 		f.links[key] = p

@@ -56,10 +56,6 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 		"CoopTime": func(c *HighwayConfig) { c.CoopTime += time.Nanosecond },
 		// Nested-struct fields ride along through the reflection walk.
 		"Medium.CellM": func(c *HighwayConfig) { c.Medium.CellM = 300 },
-		// FastChannel changes results (statistically equivalent, not
-		// byte-identical), so a digest blind to it would let a stored
-		// exact-mode unit satisfy a fast-mode sweep.
-		"FastChannel": func(c *HighwayConfig) { c.FastChannel = true },
 	}
 	for field, mutate := range perturb {
 		cfg := digestSampleConfig()
@@ -70,16 +66,15 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 	}
 }
 
-// TestConfigDigestSeesFastChannelEverywhere: every scenario family
-// carries the FastChannel mode switch, and each family's digest must see
-// it — these are exactly the configs addStoredRounds keys stored results
-// by.
-func TestConfigDigestSeesFastChannelEverywhere(t *testing.T) {
+// TestConfigDigestSeesCommonEverywhere: every scenario family embeds
+// Common, and each family's digest must see its fields — these are
+// exactly the configs addStoredRounds keys stored results by.
+func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
 	for _, f := range families() {
-		exact := f.config(keep)
-		fast := f.config(func(c *Common) { c.FastChannel = true })
-		if ConfigDigest(exact) == ConfigDigest(fast) {
-			t.Errorf("%s: FastChannel invisible to the config digest", f.name)
+		indexed := f.config(keep)
+		exhaustive := f.config(func(c *Common) { c.Medium.Exhaustive = true })
+		if ConfigDigest(indexed) == ConfigDigest(exhaustive) {
+			t.Errorf("%s: Common.Medium.Exhaustive invisible to the config digest", f.name)
 		}
 	}
 }
@@ -87,13 +82,13 @@ func TestConfigDigestSeesFastChannelEverywhere(t *testing.T) {
 // TestRadioConfigFieldCount pins radio.Config's field list: ConfigDigest
 // walks whatever struct it is handed, but scenario configs carry the
 // channel settings as scalar fields rather than a radio.Config value, so
-// a newly added channel knob (like FastMode) must be consciously plumbed.
+// a newly added channel knob must be consciously plumbed.
 // Bump the count AND add the knob to Common, whose run method applies
 // the shared channel settings to every family's channel builder (or to
 // one family's builder, for a family-specific knob), when radio.Config
 // grows.
 func TestRadioConfigFieldCount(t *testing.T) {
-	const want = 12 // incl. FastMode (PR 10)
+	const want = 11
 	if got := reflect.TypeOf(radio.Config{}).NumField(); got != want {
 		t.Fatalf("radio.Config has %d fields, expected %d — plumb the new field through Common and update this count", got, want)
 	}

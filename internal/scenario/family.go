@@ -12,8 +12,8 @@ import (
 )
 
 // Common holds the settings every scenario config embeds and reads the
-// same way, so the cross-cutting wiring — arm-forked seeds, the channel
-// mode, the medium path, the per-car protocol switch — lives here once
+// same way, so the cross-cutting wiring — arm-forked seeds, the medium
+// path, the per-car protocol switch — lives here once
 // instead of once per family.
 type Common struct {
 	// Cars is the platoon size (the C-ARQ stations).
@@ -33,12 +33,6 @@ type Common struct {
 	// PacketsPerSecond per flow and PayloadBytes size the AP's stream.
 	PacketsPerSecond float64
 	PayloadBytes     int
-	// FastChannel selects the radio channel's config-gated fast mode
-	// (radio.Config.FastMode): quantised PER tables and coarsened
-	// shadowing, statistically equivalent to exact mode rather than
-	// byte-identical. Part of the config digest, so exact and fast
-	// results never alias in the sweep store.
-	FastChannel bool
 	// Medium selects the radio medium's delivery path (indexed default
 	// vs exhaustive fallback); both produce byte-identical traces.
 	Medium mac.MediumConfig
@@ -67,11 +61,9 @@ func (c Common) platoon(models []mobility.Model) []CarSpec {
 }
 
 // run executes one round's Setup under the shared wiring: the round seed
-// forked by the sweep arm, the channel mode and the medium path.
+// forked by the sweep arm and the medium path.
 func (c Common) run(roundSeed int64, s Setup) (*Result, error) {
-	chCfg := s.Channel
-	chCfg.FastMode = c.FastChannel
-	s.Seed, s.Channel, s.Medium = sim.ArmSeed(roundSeed, c.Arm), chCfg, c.Medium
+	s.Seed, s.Medium = sim.ArmSeed(roundSeed, c.Arm), c.Medium
 	return Run(s)
 }
 

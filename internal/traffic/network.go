@@ -241,29 +241,6 @@ func (n *Network) Validate() error {
 	return nil
 }
 
-// Bounds returns the axis-aligned bounding box of every lane of every
-// link, for sizing spatial indexes.
-func (n *Network) Bounds() geom.Rect {
-	r := geom.Rect{
-		MinX: math.Inf(1), MinY: math.Inf(1),
-		MaxX: math.Inf(-1), MaxY: math.Inf(-1),
-	}
-	grow := func(p geom.Point) {
-		r.MinX = math.Min(r.MinX, p.X)
-		r.MinY = math.Min(r.MinY, p.Y)
-		r.MaxX = math.Max(r.MaxX, p.X)
-		r.MaxY = math.Max(r.MaxY, p.Y)
-	}
-	for _, l := range n.Links {
-		pad := float64(l.Lanes) * l.LaneWidthM
-		for _, p := range l.Centre.Points() {
-			grow(geom.Point{X: p.X - pad, Y: p.Y - pad})
-			grow(geom.Point{X: p.X + pad, Y: p.Y + pad})
-		}
-	}
-	return r
-}
-
 // --- Builders ------------------------------------------------------------
 
 // GridSpec parameterises a Manhattan street grid: Rows x Cols signalized

@@ -168,16 +168,3 @@ func TestNetworkValidateRejects(t *testing.T) {
 		}
 	}
 }
-
-func TestNetworkBounds(t *testing.T) {
-	g, err := NewGridNetwork(DefaultGridSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := g.Bounds()
-	spec := g.Spec
-	if b.MinX > 0 || b.MinY > 0 ||
-		b.MaxX < float64(spec.Cols-1)*spec.BlockM || b.MaxY < float64(spec.Rows-1)*spec.BlockM {
-		t.Fatalf("bounds %+v do not cover the grid", b)
-	}
-}
