@@ -15,8 +15,13 @@ import (
 // exactly what the per-receiver
 // MeanRxPowerLinkDBm/ResolveFrame/FinishFrame loop computes, including
 // the skip contract (a MAC-dropped receiver's stream is never touched at
-// finish time).
+// finish time). The subtest names the channel mode it checks: exact,
+// the one decision path.
 func TestBatchMatchesSequential(t *testing.T) {
+	t.Run("exact", batchMatchesSequential)
+}
+
+func batchMatchesSequential(t *testing.T) {
 	seq, bat := MustChannel(DefaultConfig()), MustChannel(DefaultConfig())
 	mod := Modulations()[0]
 	const bytes = 500
