@@ -24,6 +24,8 @@ type eqRecorder struct {
 	// events.
 	txCount    int
 	deliveries int
+	// stats are the medium's counters at the end of the run.
+	stats Stats
 }
 
 func (r *eqRecorder) OnTx(src packet.NodeID, f *packet.Frame, start, airtime time.Duration) {
@@ -55,7 +57,7 @@ func urbanEquivalenceChannel(seed int64) radio.Config {
 type eqWorld struct {
 	areaM   float64
 	simFor  time.Duration
-	maxVel  float64 // per-axis m/s; keep under MaxSpeedMPS/sqrt(2)
+	maxVel  float64 // per-axis m/s; keep under maxSpeedMPS/sqrt(2)
 	sendsPb int     // frames per station
 }
 
@@ -64,14 +66,9 @@ func defaultEqWorld() eqWorld {
 }
 
 // runEquivalenceWorld builds one randomized topology/schedule and runs it
-// under the given medium config. Everything random derives from seed, so
-// two calls with different medium configs see identical worlds.
-func runEquivalenceWorld(t *testing.T, seed int64, stations int, mcfg MediumConfig) *eqRecorder {
-	t.Helper()
-	return runEquivalenceWorldSpec(t, seed, stations, mcfg, defaultEqWorld())
-}
-
-func runEquivalenceWorldSpec(t *testing.T, seed int64, stations int, mcfg MediumConfig, w eqWorld) *eqRecorder {
+// under the given enumeration. Everything random derives from seed, so
+// two calls with different enumerations see identical worlds.
+func runEquivalenceWorld(t *testing.T, seed int64, stations int, enum Enumeration, w eqWorld) *eqRecorder {
 	t.Helper()
 	var (
 		areaM   = w.areaM
@@ -83,7 +80,8 @@ func runEquivalenceWorldSpec(t *testing.T, seed int64, stations int, mcfg Medium
 	engine := sim.New()
 	ch := radio.MustChannel(urbanEquivalenceChannel(seed))
 	rec := &eqRecorder{}
-	m := NewMediumWith(engine, ch, rec, mcfg)
+	m := NewMedium(engine, ch, rec)
+	m.SetEnumeration(enum)
 
 	var corrupts []string
 	for i := 0; i < stations; i++ {
@@ -123,31 +121,40 @@ func runEquivalenceWorldSpec(t *testing.T, seed int64, stations int, mcfg Medium
 		t.Fatal(err)
 	}
 	rec.log = append(rec.log, corrupts...)
+	rec.stats = m.Stats()
 	return rec
 }
 
-// TestIndexedMatchesExhaustive is the property test behind the refactor:
-// over randomized topologies, speeds, schedules and seeds, the spatially
+// TestIndexedMatchesExhaustive is the property test behind the station
+// grid: over randomized topologies, speeds, schedules and seeds, the
 // indexed delivery path must produce the exact event stream of the
 // exhaustive scan — same receptions, drops, corrupt soft copies, PHY
-// metadata and RNG evolution.
+// metadata and RNG evolution — and the same delivery counters.
 func TestIndexedMatchesExhaustive(t *testing.T) {
+	// A small area, fast stations and a long run: hundreds of grid
+	// rebuilds, with stations crossing cells between them.
+	long := eqWorld{areaM: 1500, simFor: 12 * time.Second, maxVel: 40, sendsPb: 6}
 	cases := []struct {
 		seed     int64
 		stations int
-		refresh  time.Duration
+		world    eqWorld
 	}{
-		{1, 40, 0},                      // default refresh
-		{2, 40, 20 * time.Millisecond},  // nearly-fresh index
-		{3, 40, 800 * time.Millisecond}, // very stale index, wide pads
-		{4, 120, 0},
-		{5, 120, 150 * time.Millisecond},
+		{1, 40, defaultEqWorld()},
+		{2, 40, defaultEqWorld()},
+		{3, 40, defaultEqWorld()},
+		{4, 120, defaultEqWorld()},
+		{5, 120, defaultEqWorld()},
+		{11, 60, long},
+		{12, 60, long},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprintf("seed%d_n%d_refresh%v", tc.seed, tc.stations, tc.refresh), func(t *testing.T) {
-			exh := runEquivalenceWorld(t, tc.seed, tc.stations, MediumConfig{Exhaustive: true})
-			idx := runEquivalenceWorld(t, tc.seed, tc.stations, MediumConfig{RefreshInterval: tc.refresh})
+		t.Run(fmt.Sprintf("seed%d_n%d", tc.seed, tc.stations), func(t *testing.T) {
+			if tc.world == long && testing.Short() {
+				t.Skip("long equivalence world in -short mode")
+			}
+			exh := runEquivalenceWorld(t, tc.seed, tc.stations, EnumerateScan, tc.world)
+			idx := runEquivalenceWorld(t, tc.seed, tc.stations, EnumerateIndex, tc.world)
 
 			if len(exh.log) == 0 {
 				t.Fatal("empty event log")
@@ -159,6 +166,13 @@ func TestIndexedMatchesExhaustive(t *testing.T) {
 				if idx.log[i] != exh.log[i] {
 					t.Fatalf("event %d differs:\nindexed:    %s\nexhaustive: %s", i, idx.log[i], exh.log[i])
 				}
+			}
+			if idx.stats.IndexQueries == 0 || exh.stats.IndexQueries != 0 {
+				t.Fatalf("index queries: indexed %d, exhaustive %d", idx.stats.IndexQueries, exh.stats.IndexQueries)
+			}
+			is, es := delivery(idx.stats), delivery(exh.stats)
+			if is != es {
+				t.Fatalf("delivery counters differ:\nindexed:    %+v\nexhaustive: %+v", is, es)
 			}
 			// The comparison only means something if the horizon excluded
 			// stations: without culling every transmission reaches
@@ -170,39 +184,11 @@ func TestIndexedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestIncrementalIndexLongRunEquivalence stresses the incremental index
-// maintenance specifically: small cells and a long run mean hundreds of
-// refresh cycles with constant cell crossings, and the per-axis velocity
-// is high enough that stations escape the padded bounds mid-run, forcing
-// full rebuilds interleaved with incremental refreshes. Every mode must
-// still reproduce the exhaustive scan's event stream byte for byte.
-func TestIncrementalIndexLongRunEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long equivalence world in -short mode")
-	}
-	world := eqWorld{areaM: 1500, simFor: 12 * time.Second, maxVel: 40, sendsPb: 6}
-	for _, seed := range []int64{11, 12} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			exh := runEquivalenceWorldSpec(t, seed, 60, MediumConfig{Exhaustive: true}, world)
-			idx := runEquivalenceWorldSpec(t, seed, 60,
-				MediumConfig{CellM: 100, RefreshInterval: 300 * time.Millisecond}, world)
-			if len(exh.log) == 0 {
-				t.Fatal("empty event log")
-			}
-			if len(idx.log) != len(exh.log) {
-				t.Fatalf("event counts differ: indexed %d vs exhaustive %d", len(idx.log), len(exh.log))
-			}
-			for i := range exh.log {
-				if idx.log[i] != exh.log[i] {
-					t.Fatalf("event %d differs:\nindexed:    %s\nexhaustive: %s", i, idx.log[i], exh.log[i])
-				}
-			}
-			if exh.deliveries >= exh.txCount*(60-1) {
-				t.Fatal("no transmission was culled; the topology does not exercise the horizon")
-			}
-		})
-	}
+// delivery strips the enumeration counters from s, leaving what both
+// enumerations must agree on.
+func delivery(s Stats) Stats {
+	s.IndexQueries, s.ScanQueries, s.IndexRebuilds = 0, 0, 0
+	return s
 }
 
 // TestSenderRewokenWhenMediumStillBusy is the regression test for a

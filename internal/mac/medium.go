@@ -9,7 +9,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/sim"
-	"repro/internal/spatial"
 )
 
 // PositionFunc reports a station's position at a virtual time. Mobility
@@ -77,7 +76,7 @@ type transmission struct {
 	// dests are the stations inside the transmission's reception horizon
 	// at start whose sampled mean power clears the certain-loss floor, in
 	// registration order — the only stations the frame can reach,
-	// interfere at, or be sensed by (see MediumConfig and the stage-zero
+	// interfere at, or be sensed by (see recipients and the stage-zero
 	// cull in startTransmission).
 	dests []*Station
 	// pows[i] is the mean rx power at dests[i], sampled at start. A
@@ -116,51 +115,38 @@ func (t *transmission) overlaps(s, e time.Duration) bool {
 	return t.start < e && t.end > s
 }
 
-// MediumConfig tunes how the medium finds each transmission's potential
-// receivers. The zero value gives the spatially-indexed path with
-// defaults; it never changes WHAT is delivered, only how the receiver set
-// is enumerated — Exhaustive true/false produce byte-identical traces.
-type MediumConfig struct {
-	// Exhaustive scans every registered station per transmission instead
-	// of querying the spatial index. Kept as the equivalence oracle for
-	// tests and as the fallback for workloads with few stations.
-	Exhaustive bool
-	// RefreshInterval bounds how stale the spatial index may grow before
-	// a transmission rebuilds it from the stations' position functions
-	// (default 500 ms of virtual time). Staleness is compensated by
-	// padding queries with MaxSpeedMPS times the index age, so the
-	// interval trades index rebuild cost against query width, never
-	// correctness.
-	RefreshInterval time.Duration
-	// MaxSpeedMPS bounds how fast any station may move (default 60).
-	// It is a contract with the mobility models: a station exceeding it
-	// could outrun the stale-index pad and miss deliveries.
-	MaxSpeedMPS float64
-	// CellM is the spatial index cell size (default 250 m).
-	CellM float64
-	// MinIndexStations is the population below which the indexed path
-	// falls back to the plain scan (rebuilding a grid for a handful of
-	// stations costs more than looking at all of them). 0 defaults to
-	// 16; negative forces the index at any population — equivalence
-	// tests use that to exercise the indexed path on small scenarios.
-	MinIndexStations int
-}
+// Enumeration selects how the medium finds each transmission's candidate
+// receivers. It never changes WHAT is delivered, only how the receiver
+// set is enumerated: every choice produces byte-identical traces.
+type Enumeration uint8
 
-func (c MediumConfig) withDefaults() MediumConfig {
-	if c.RefreshInterval <= 0 {
-		c.RefreshInterval = 500 * time.Millisecond
-	}
-	if c.MaxSpeedMPS <= 0 {
-		c.MaxSpeedMPS = 60
-	}
-	if c.CellM <= 0 {
-		c.CellM = 250
-	}
-	if c.MinIndexStations == 0 {
-		c.MinIndexStations = 16
-	}
-	return c
-}
+const (
+	// EnumerateAuto, the zero value, scans populations below
+	// indexMinStations and queries the station grid above.
+	EnumerateAuto Enumeration = iota
+	// EnumerateScan looks at every registered station per transmission:
+	// the tests' reference path.
+	EnumerateScan
+	// EnumerateIndex queries the station grid at any population.
+	EnumerateIndex
+)
+
+const (
+	// indexMinStations is the population below which EnumerateAuto scans:
+	// building a grid for a handful of stations costs more than looking
+	// at all of them.
+	indexMinStations = 16
+	// indexRefresh bounds how stale the station grid may grow before a
+	// transmission rebuilds it from the stations' position functions.
+	// Staleness is compensated by padding queries with maxSpeedMPS times
+	// the grid's age, so the interval trades rebuild cost against query
+	// width, never correctness.
+	indexRefresh = 500 * time.Millisecond
+	// maxSpeedMPS bounds how fast any station may move. It is a contract
+	// with the mobility models: a station exceeding it could outrun the
+	// stale-grid pad and miss deliveries.
+	maxSpeedMPS = 60
+)
 
 // Medium is the shared wireless channel. It owns the set of stations, the
 // list of in-flight transmissions, and the delivery logic.
@@ -178,7 +164,7 @@ type Medium struct {
 	engine   *sim.Engine
 	channel  *radio.Channel
 	tracer   Tracer
-	cfg      MediumConfig
+	enum     Enumeration
 	stations map[packet.NodeID]*Station
 	order    []*Station // deterministic iteration order
 	active   []*transmission
@@ -198,16 +184,12 @@ type Medium struct {
 	// rangeCache memoises the per-(modulation, frame size) horizon.
 	rangeCache map[rangeKey]float64
 
-	// index is the spatial station index for the indexed delivery path,
-	// keyed by registration index and maintained incrementally: a refresh
-	// moves every station's entry to its current position (a bare store
-	// when the station stayed in its cell) instead of rebuilding the grid.
-	// Full rebuilds happen only when the population changes or a station
-	// escapes the padded bounds.
-	index   *spatial.Grid[int32]
-	idxRefs []spatial.Ref
-	indexAt time.Duration
-	indexOK bool
+	// grid indexes every station's position sampled at gridAt, for the
+	// indexed enumeration; gridOK is false until the first build and after
+	// AddStation.
+	grid   stationGrid
+	gridAt time.Duration
+	gridOK bool
 	// waitlist holds stations that flagged themselves waiting for an idle
 	// medium; endTransmission wakes exactly these (in registration
 	// order) instead of scanning every station.
@@ -257,11 +239,17 @@ type Stats struct {
 	// Drops counts non-deliveries by cause, indexed by DropReason
 	// (DropChannel..DropHalfDuplex; index 0 is unused).
 	Drops [4]uint64
+	// Candidates counts, per transmission, the stations inside the
+	// frame's reception horizon; Culled counts those the stage-zero cull
+	// dropped. Every other candidate is delivered, dropped for a named
+	// cause, or still on the air (InFlightReceivers):
+	// Candidates = Deliveries + ΣDrops + Culled + InFlightReceivers().
+	Candidates uint64
+	Culled     uint64
 	// IndexQueries counts receiver-set enumerations answered by the
-	// spatial index, ScanQueries those answered by the exhaustive scan
-	// (small populations, Exhaustive mode, or unbounded horizons).
-	// IndexRebuilds counts full spatial-index rebuilds — refreshes that
-	// could not stay incremental.
+	// station grid, ScanQueries those answered by the exhaustive scan
+	// (small populations, EnumerateScan, or unbounded horizons).
+	// IndexRebuilds counts station-grid builds, one per refresh.
 	IndexQueries  uint64
 	ScanQueries   uint64
 	IndexRebuilds uint64
@@ -277,20 +265,25 @@ type Stats struct {
 // the run completes).
 func (m *Medium) Stats() Stats { return m.stats }
 
+// InFlightReceivers returns how many receivers the frames still on the
+// air are bound for: the term that closes the receiver accounting
+// identity (see Stats.Candidates) for a run stopped mid-frame.
+func (m *Medium) InFlightReceivers() int {
+	n := 0
+	for _, tx := range m.active {
+		n += len(tx.dests)
+	}
+	return n
+}
+
 type rangeKey struct {
 	mod   string
 	bytes int
 }
 
-// NewMedium creates a medium over the given engine and channel with the
-// default (spatially indexed) configuration. A nil tracer disables
-// tracing.
+// NewMedium creates a medium over the given engine and channel. A nil
+// tracer disables tracing.
 func NewMedium(engine *sim.Engine, channel *radio.Channel, tracer Tracer) *Medium {
-	return NewMediumWith(engine, channel, tracer, MediumConfig{})
-}
-
-// NewMediumWith is NewMedium with an explicit delivery configuration.
-func NewMediumWith(engine *sim.Engine, channel *radio.Channel, tracer Tracer, cfg MediumConfig) *Medium {
 	if tracer == nil {
 		tracer = discardTracer{}
 	}
@@ -298,7 +291,6 @@ func NewMediumWith(engine *sim.Engine, channel *radio.Channel, tracer Tracer, cf
 		engine:     engine,
 		channel:    channel,
 		tracer:     tracer,
-		cfg:        cfg.withDefaults(),
 		stations:   make(map[packet.NodeID]*Station),
 		minCSDBm:   math.Inf(1),
 		rangeCache: make(map[rangeKey]float64),
@@ -307,6 +299,10 @@ func NewMediumWith(engine *sim.Engine, channel *radio.Channel, tracer Tracer, cf
 	m.endCall = func(arg any) { m.endTransmission(arg.(*transmission)) }
 	return m
 }
+
+// SetEnumeration selects how receivers are enumerated (EnumerateAuto by
+// default). Any choice delivers the same frames.
+func (m *Medium) SetEnumeration(e Enumeration) { m.enum = e }
 
 // Engine returns the simulation engine driving this medium.
 func (m *Medium) Engine() *sim.Engine { return m.engine }
@@ -338,7 +334,7 @@ func (m *Medium) AddStation(id packet.NodeID, pos PositionFunc, handler Handler,
 	s.contention = m.engine.NewTimer(s.beginTx)
 	m.stations[id] = s
 	m.order = append(m.order, s)
-	m.indexOK = false // force a rebuild that includes the newcomer
+	m.gridOK = false // force a rebuild that includes the newcomer
 	if cfg.CSThresholdDBm < m.minCSDBm {
 		m.minCSDBm = cfg.CSThresholdDBm
 		// The horizon may widen for the more sensitive carrier sensor.
@@ -379,8 +375,8 @@ type rxCand struct {
 }
 
 // recipients returns the stations inside maxRange of srcPos at now,
-// excluding src. The indexed and exhaustive paths enumerate exactly the
-// same set with exactly the same distance test, so they consume identical
+// excluding src. The indexed and scan paths enumerate exactly the same
+// set with exactly the same distance test, so they consume identical
 // channel randomness downstream. The order is NOT canonical (the indexed
 // path yields cell-scan order): per-candidate channel values are
 // order-independent (each link owns its random streams), and
@@ -388,7 +384,8 @@ type rxCand struct {
 // the certain-loss cull — cheaper than sorting every raw cell-scan
 // candidate here.
 func (m *Medium) recipients(src *Station, srcPos geom.Point, now time.Duration, maxRange float64) []rxCand {
-	if m.cfg.Exhaustive || math.IsInf(maxRange, 1) || len(m.order) < m.cfg.MinIndexStations {
+	scan := m.enum == EnumerateScan || m.enum == EnumerateAuto && len(m.order) < indexMinStations
+	if scan || math.IsInf(maxRange, 1) {
 		m.stats.ScanQueries++
 		out := m.rxc[:0]
 		for _, rx := range m.order {
@@ -404,12 +401,22 @@ func (m *Medium) recipients(src *Station, srcPos geom.Point, now time.Duration, 
 		return out
 	}
 
-	m.refreshIndex(now)
+	// The grid is rebuilt wholesale, from every station's current
+	// position, once it is older than the refresh interval.
+	if !m.gridOK || now-m.gridAt > indexRefresh {
+		m.stats.IndexRebuilds++
+		m.pts = m.pts[:0]
+		for _, s := range m.order {
+			m.pts = append(m.pts, s.posAt(now))
+		}
+		m.grid.build(m.pts)
+		m.gridAt, m.gridOK = now, true
+	}
 	m.stats.IndexQueries++
-	// The index holds positions sampled at indexAt; a station may have
+	// The grid holds positions sampled at gridAt; a station may have
 	// moved since, but no further than its speed bound allows.
-	pad := m.cfg.MaxSpeedMPS * (now - m.indexAt).Seconds()
-	m.candIdx = m.index.IDsWithin(srcPos, maxRange+pad, m.candIdx[:0])
+	pad := maxSpeedMPS * (now - m.gridAt).Seconds()
+	m.candIdx = m.grid.near(srcPos, maxRange+pad, m.candIdx[:0])
 	// Cell-scan order; the exact same filter the scan applies.
 	srcIdx := int32(src.idx)
 	out := m.rxc[:0]
@@ -425,70 +432,6 @@ func (m *Medium) recipients(src *Station, srcPos geom.Point, now time.Duration, 
 	}
 	m.rxc = out
 	return out
-}
-
-// indexBoundsPadCells is how many extra cells of margin a full rebuild
-// adds around the stations' bounding box, so the population can drift for
-// many refresh intervals before anyone escapes the bounds and forces the
-// next full rebuild.
-const indexBoundsPadCells = 4
-
-// refreshIndex brings the spatial index up to date when it is missing or
-// older than the refresh interval. The steady-state path is incremental:
-// every station's entry moves to its current position (O(1), and a bare
-// position store while the station stays inside its cell). A full rebuild
-// happens only on the first use, after AddStation, or when a station
-// leaves the padded bounds.
-func (m *Medium) refreshIndex(now time.Duration) {
-	if m.indexOK && now-m.indexAt <= m.cfg.RefreshInterval {
-		return
-	}
-	if m.indexOK && len(m.idxRefs) == len(m.order) {
-		for i, s := range m.order {
-			p := s.posAt(now)
-			if !m.index.Contains(p) {
-				m.rebuildIndex(now)
-				return
-			}
-			m.index.MoveRef(m.idxRefs[i], p)
-		}
-		m.indexAt = now
-		return
-	}
-	m.rebuildIndex(now)
-}
-
-// rebuildIndex rebuilds the spatial index from scratch over the stations'
-// current bounding box plus drift margin.
-func (m *Medium) rebuildIndex(now time.Duration) {
-	m.stats.IndexRebuilds++
-	m.pts = m.pts[:0]
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, s := range m.order {
-		p := s.posAt(now)
-		m.pts = append(m.pts, p)
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
-	}
-	// Pad so the bounds are never degenerate and drift stays in-bounds
-	// across many refresh intervals.
-	pad := indexBoundsPadCells * m.cfg.CellM
-	bounds := geom.Rect{
-		MinX: minX - pad, MinY: minY - pad,
-		MaxX: maxX + pad, MaxY: maxY + pad,
-	}
-	if m.index == nil {
-		m.index, _ = spatial.NewGrid[int32](bounds, m.cfg.CellM)
-	} else if err := m.index.Reindex(bounds, m.cfg.CellM); err != nil {
-		panic(fmt.Sprintf("mac: reindex: %v", err))
-	}
-	m.idxRefs = m.idxRefs[:0]
-	for i := range m.order {
-		m.idxRefs = append(m.idxRefs, m.index.InsertRef(int32(i), m.pts[i]))
-	}
-	m.indexAt = now
-	m.indexOK = true
 }
 
 // busyFor reports whether any in-flight transmission is sensed above the
@@ -574,6 +517,7 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame) {
 		m.posScr[i] = c.pos
 	}
 	m.channel.BatchMeanRxPower(m.shadowScr, m.distScr, srcPos, m.posScr, now, m.powScr)
+	m.stats.Candidates += uint64(n)
 	for i, c := range cands {
 		pow := m.powScr[i]
 		if pow <= certainFloor && !c.st.cfg.DeliverCorrupt {
@@ -583,6 +527,7 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame) {
 		tx.pows = append(tx.pows, pow)
 		tx.fades = append(tx.fades, m.fadeScr[i])
 	}
+	m.stats.Culled += uint64(n - len(tx.dests))
 	// Restore registration order — the ordering contract behind delivery,
 	// sensing and trace byte-identity. The candidates arrive in cell-scan
 	// order on the indexed path, but after the cull only a survivor or
@@ -712,7 +657,7 @@ func (m *Medium) endTransmission(tx *transmission) {
 }
 
 // sortStationsByIdx restores registration order — the ordering contract
-// behind indexed/exhaustive byte-identity. Insertion sort: the slices are
+// behind indexed/scan byte-identity. Insertion sort: the slices are
 // small and allocation matters on these paths.
 func sortStationsByIdx(ss []*Station) {
 	for i := 1; i < len(ss); i++ {

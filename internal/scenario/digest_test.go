@@ -54,8 +54,9 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 		"SpeedMPS": func(c *HighwayConfig) { c.SpeedMPS += 1e-9 },
 		"Coop":     func(c *HighwayConfig) { c.Coop = false },
 		"CoopTime": func(c *HighwayConfig) { c.CoopTime += time.Nanosecond },
-		// Nested-struct fields ride along through the reflection walk.
-		"Medium.CellM": func(c *HighwayConfig) { c.Medium.CellM = 300 },
+		// Fields of the embedded Common ride along through the
+		// reflection walk.
+		"Common.PayloadBytes": func(c *HighwayConfig) { c.Common.PayloadBytes++ },
 	}
 	for field, mutate := range perturb {
 		cfg := digestSampleConfig()
@@ -71,10 +72,10 @@ func TestConfigDigestSeesEveryField(t *testing.T) {
 // exactly the configs addStoredRounds keys stored results by.
 func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
 	for _, f := range families() {
-		indexed := f.config(keep)
-		exhaustive := f.config(func(c *Common) { c.Medium.Exhaustive = true })
-		if ConfigDigest(indexed) == ConfigDigest(exhaustive) {
-			t.Errorf("%s: Common.Medium.Exhaustive invisible to the config digest", f.name)
+		base := f.config(keep)
+		forked := f.config(func(c *Common) { c.Arm += "-forked" })
+		if ConfigDigest(base) == ConfigDigest(forked) {
+			t.Errorf("%s: Common.Arm invisible to the config digest", f.name)
 		}
 	}
 }

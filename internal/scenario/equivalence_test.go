@@ -42,21 +42,24 @@ func assertSameTrace(t *testing.T, name string, indexed, exhaustive *trace.Colle
 	}
 }
 
-var (
-	exhaustiveMedium = mac.MediumConfig{Exhaustive: true}
-	// indexedMedium forces the spatial index even below the small-
-	// population fallback threshold, so every family genuinely runs the
-	// indexed enumeration rather than two identical scans.
-	indexedMedium = mac.MediumConfig{MinIndexStations: -1}
-)
+// countedRoundWith is countedRound with every medium the round builds
+// forced to enumerate receivers by enum.
+func countedRoundWith(t *testing.T, f familyCase, enum mac.Enumeration) (*trace.Collector, roundCounts) {
+	t.Helper()
+	defer func(prev mac.Enumeration) { mediumEnumeration = prev }(mediumEnumeration)
+	mediumEnumeration = enum
+	return countedRound(t, f, keep, 0)
+}
 
-// TestScenarioEquivalenceAcrossMediumModes asserts the refactor's core
-// contract on every scenario family behind the study catalogue
-// (A1..A18): the spatially-indexed medium produces byte-identical traces
-// to the exhaustive fallback, and the same delivery counters — every
-// transmission, delivery and drop, at tracked and untraced stations
-// alike. Small configurations keep it affordable; the per-family
-// channel/geometry paths are exactly those the full studies run.
+// TestScenarioEquivalenceAcrossMediumModes asserts the station grid's
+// core contract on every scenario family behind the study catalogue
+// (A1..A18): the indexed medium — forced even below the small-population
+// threshold, so every family genuinely runs the grid query — produces
+// byte-identical traces to the exhaustive scan, and the same delivery
+// counters — every candidate, cull, transmission, delivery and drop, at
+// tracked and untraced stations alike. Small configurations keep it
+// affordable; the per-family channel/geometry paths are exactly those
+// the full studies run.
 func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -65,13 +68,15 @@ func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 	for _, f := range families() {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			run := func(m mac.MediumConfig) (*trace.Collector, mac.Stats) {
-				col, c := countedRound(t, f, func(c *Common) { c.Medium = m }, 0)
-				return col, c.mac
-			}
-			indexed, is := run(indexedMedium)
-			exhaustive, es := run(exhaustiveMedium)
+			indexed, is := countedRoundWith(t, f, mac.EnumerateIndex)
+			exhaustive, es := countedRoundWith(t, f, mac.EnumerateScan)
 			assertSameTrace(t, f.name, indexed, exhaustive)
+			if is.mac.IndexQueries == 0 || es.mac.IndexQueries != 0 {
+				t.Fatalf("%s: index queries: indexed arm %d, exhaustive arm %d",
+					f.name, is.mac.IndexQueries, es.mac.IndexQueries)
+			}
+			is.mac.IndexQueries, is.mac.ScanQueries = 0, 0
+			es.mac.IndexQueries, es.mac.ScanQueries = 0, 0
 			if is != es {
 				t.Fatalf("%s: medium counters differ:\nindexed:    %+v\nexhaustive: %+v", f.name, is, es)
 			}
@@ -87,9 +92,9 @@ func TestScenarioEquivalenceAcrossMediumModes(t *testing.T) {
 			// the horizon logic. The counters cover every station; the
 			// trace only the tracked ones.
 			stations := uint64(80 + 6 + 4)
-			if resolved := is.Deliveries + dropped(is); resolved >= is.Transmissions*(stations-1) {
+			if resolved := is.mac.Deliveries + dropped(is.mac); resolved >= is.mac.Transmissions*(stations-1) {
 				t.Fatalf("no culling: %d delivery events for %d transmissions among %d stations",
-					resolved, is.Transmissions, stations)
+					resolved, is.mac.Transmissions, stations)
 			}
 		})
 	}

@@ -107,11 +107,12 @@ func runRound[C Family[C, R], R any](t testing.TB, cfg C, round int) Round {
 }
 
 // roundCounts are the counters one instrumented round flushed into the
-// metrics registry: the engine's event identity terms, and the medium's
-// delivery counters as a mac.Stats (Transmissions, Deliveries, Drops and
-// Untraced; the enumeration counters stay zero).
+// metrics registry: the engine's event identity terms, the receivers of
+// frames still on the air at round end, and the medium's counters as a
+// mac.Stats (IndexRebuilds stays zero).
 type roundCounts struct {
 	scheduled, processed, cancelled, pending uint64
+	inflight                                 uint64
 	mac                                      mac.Stats
 }
 
@@ -121,9 +122,14 @@ func readRoundCounts() roundCounts {
 		processed: mEventsProcessed.Value(),
 		cancelled: mEventsCancelled.Value(),
 		pending:   mEventsPending.Value(),
+		inflight:  mInflightReceivers.Value(),
 		mac: mac.Stats{
 			Transmissions: mTransmissions.Value(),
 			Deliveries:    mDeliveries.Value(),
+			Candidates:    mCandidates.Value(),
+			Culled:        mCulled.Value(),
+			IndexQueries:  mIndexQueries.Value(),
+			ScanQueries:   mScanQueries.Value(),
 			Untraced:      mUntraced.Value(),
 		},
 	}
@@ -140,8 +146,13 @@ func (c roundCounts) minus(o roundCounts) roundCounts {
 	c.processed -= o.processed
 	c.cancelled -= o.cancelled
 	c.pending -= o.pending
+	c.inflight -= o.inflight
 	c.mac.Transmissions -= o.mac.Transmissions
 	c.mac.Deliveries -= o.mac.Deliveries
+	c.mac.Candidates -= o.mac.Candidates
+	c.mac.Culled -= o.mac.Culled
+	c.mac.IndexQueries -= o.mac.IndexQueries
+	c.mac.ScanQueries -= o.mac.ScanQueries
 	c.mac.Untraced -= o.mac.Untraced
 	for i := range c.mac.Drops {
 		c.mac.Drops[i] -= o.mac.Drops[i]
@@ -150,14 +161,24 @@ func (c roundCounts) minus(o roundCounts) roundCounts {
 }
 
 // countedRound runs one round of f with the metrics registry enabled and
-// returns its trace with the counters that round flushed.
+// returns its trace with the counters that round flushed. Every counted
+// round must satisfy the receiver accounting identity: each station
+// inside a frame's reception horizon is delivered the frame, drops it for
+// a named cause, is culled at stage zero, or is still waiting for it
+// when the round ends.
 func countedRound(t *testing.T, f familyCase, with func(*Common), round int) (*trace.Collector, roundCounts) {
 	t.Helper()
 	defer metrics.SetEnabled(metrics.Enabled())
 	metrics.SetEnabled(true)
 	before := readRoundCounts()
 	col := f.run(t, with, round)
-	return col, readRoundCounts().minus(before)
+	c := readRoundCounts().minus(before)
+	m := c.mac
+	if m.Candidates == 0 || m.Candidates != m.Deliveries+dropped(m)+m.Culled+c.inflight {
+		t.Fatalf("%s: candidates %d != deliveries %d + drops %d + culled %d + in flight %d",
+			f.name, m.Candidates, m.Deliveries, dropped(m), m.Culled, c.inflight)
+	}
+	return col, c
 }
 
 // dropped sums a medium's drops over every cause.

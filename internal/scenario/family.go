@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/carq"
-	"repro/internal/mac"
 	"repro/internal/mobility"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -12,8 +11,8 @@ import (
 )
 
 // Common holds the settings every scenario config embeds and reads the
-// same way, so the cross-cutting wiring — arm-forked seeds, the medium
-// path, the per-car protocol switch — lives here once
+// same way, so the cross-cutting wiring — arm-forked seeds and the
+// per-car protocol switch — lives here once
 // instead of once per family.
 type Common struct {
 	// Cars is the platoon size (the C-ARQ stations).
@@ -33,9 +32,6 @@ type Common struct {
 	// PacketsPerSecond per flow and PayloadBytes size the AP's stream.
 	PacketsPerSecond float64
 	PayloadBytes     int
-	// Medium selects the radio medium's delivery path (indexed default
-	// vs exhaustive fallback); both produce byte-identical traces.
-	Medium mac.MediumConfig
 }
 
 // Base returns c itself. Promoted through embedding, it gives generic
@@ -61,9 +57,9 @@ func (c Common) platoon(models []mobility.Model) []CarSpec {
 }
 
 // run executes one round's Setup under the shared wiring: the round seed
-// forked by the sweep arm and the medium path.
+// forked by the sweep arm.
 func (c Common) run(roundSeed int64, s Setup) (*Result, error) {
-	s.Seed, s.Medium = sim.ArmSeed(roundSeed, c.Arm), c.Medium
+	s.Seed = sim.ArmSeed(roundSeed, c.Arm)
 	return Run(s)
 }
 

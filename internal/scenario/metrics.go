@@ -36,11 +36,17 @@ var (
 	mDeliveries = metrics.NewCounter("mac_deliveries_total",
 		"successful frame receptions")
 	mIndexQueries = metrics.NewCounter("mac_index_queries_total",
-		"receiver-set enumerations answered by the spatial index")
+		"receiver-set enumerations answered by the station grid")
 	mScanQueries = metrics.NewCounter("mac_scan_queries_total",
 		"receiver-set enumerations answered by the exhaustive scan")
 	mIndexRebuilds = metrics.NewCounter("mac_index_rebuilds_total",
-		"full spatial-index rebuilds (refreshes that could not stay incremental)")
+		"station-grid builds, one per refresh")
+	mCandidates = metrics.NewCounter("mac_candidates_total",
+		"stations inside a frame's reception horizon, per transmission")
+	mCulled = metrics.NewCounter("mac_culled_total",
+		"candidates dropped by the stage-zero certain-loss cull")
+	mInflightReceivers = metrics.NewCounter("mac_inflight_receivers_total",
+		"receivers of frames still on the air when their round ended, all rounds")
 	mUntraced = metrics.NewCounter("mac_untraced_events_total",
 		"transmissions, receptions and drops left out of the trace (untraced stations)")
 
@@ -86,6 +92,9 @@ func flushRunStats(engine *sim.Engine, medium *mac.Medium) {
 	mIndexQueries.Add(ms.IndexQueries)
 	mScanQueries.Add(ms.ScanQueries)
 	mIndexRebuilds.Add(ms.IndexRebuilds)
+	mCandidates.Add(ms.Candidates)
+	mCulled.Add(ms.Culled)
+	mInflightReceivers.Add(uint64(medium.InFlightReceivers()))
 	mUntraced.Add(ms.Untraced)
 	for reason, c := range mDrops {
 		if c != nil {

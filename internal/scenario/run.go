@@ -97,11 +97,6 @@ type Setup struct {
 	Cars     []CarSpec
 	Beacons  []BeaconSpec
 	Duration time.Duration
-	// Medium selects the radio medium's delivery path (spatial index vs
-	// exhaustive scan). The zero value — the indexed default — and the
-	// exhaustive fallback produce byte-identical traces; the flag exists
-	// for the equivalence tests and for benchmarking the two paths.
-	Medium mac.MediumConfig
 	// Hook, if non-nil, receives the constructed engine and nodes before
 	// the run starts, for callers that want to schedule extra probes.
 	Hook func(engine *sim.Engine, nodes map[packet.NodeID]Node)
@@ -119,6 +114,11 @@ func (r *Result) CarqNode(id packet.NodeID) *carq.Node {
 	n, _ := r.Nodes[id].(*carq.Node)
 	return n
 }
+
+// mediumEnumeration is how every medium Run builds enumerates receivers:
+// mac.EnumerateAuto, except while the scan-vs-index equivalence test
+// forces one path. Every choice produces the same round.
+var mediumEnumeration mac.Enumeration
 
 // Run executes one simulation round and returns its trace and final node
 // states. The trace is scoped to the tracked stations — the APs and the
@@ -143,7 +143,8 @@ func Run(s Setup) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: channel: %w", err)
 	}
-	medium := mac.NewMediumWith(engine, channel, col, s.Medium)
+	medium := mac.NewMedium(engine, channel, col)
+	medium.SetEnumeration(mediumEnumeration)
 
 	for i, spec := range s.APs {
 		apStation, err := medium.AddStation(spec.Config.ID, staticPos(spec.Position), nil, s.MAC)

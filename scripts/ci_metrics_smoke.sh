@@ -3,8 +3,10 @@
 # tiny sweep with -progress (which implies -metrics), then check that
 # (1) the stderr ticker reported unit progress, (2) metrics.json landed
 # beside timings.json with nonzero core counters that satisfy the event
-# accounting identity (scheduled = processed + cancelled + pending) and
-# exactly the drop causes channel, collision and half-duplex, and
+# accounting identity (scheduled = processed + cancelled + pending), the
+# receiver accounting identity (candidates = deliveries + drops + culled
+# + in flight) and exactly the drop causes channel, collision and
+# half-duplex, and
 # (3) an uninstrumented run of the same sweep produces byte-identical
 # results — the determinism contract the whole metrics layer is built on.
 # The sweep covers a traffic family (dynamics) and the epidemic baseline,
@@ -37,7 +39,7 @@ grep -q 'result store: ' "$work/on.log" || {
 
 echo "==> metrics.json core counters"
 [ -f "$on/metrics.json" ] || { echo "FAIL: no metrics.json" >&2; exit 1; }
-for name in sim_events_processed_total mac_transmissions_total mac_deliveries_total harness_units_computed_total; do
+for name in sim_events_processed_total mac_transmissions_total mac_deliveries_total mac_candidates_total harness_units_computed_total; do
     if ! grep -A1 "\"$name\"" "$on/metrics.json" | grep -Eq '"value": *[1-9]'; then
         echo "FAIL: $name missing or zero in metrics.json" >&2
         exit 1
@@ -78,6 +80,28 @@ if [ "$scheduled" -ne $((processed + cancelled + pending)) ]; then
 fi
 echo "scheduled $scheduled = processed $processed + cancelled $cancelled + pending $pending"
 
+echo "==> receiver accounting identity"
+# Every station inside a frame's reception horizon is delivered the
+# frame, drops it for a named cause, is culled at stage zero, or is still
+# waiting for it when its round ends.
+drops="$(awk '
+    /"name": "mac_drops_total"/ { found = 1; next }
+    found && /"value":/ { sub(/.*"value": */, ""); sub(/[^0-9].*/, ""); sum += $0; found = 0 }
+    END { printf "%.0f\n", sum }
+' "$on/metrics.json")"
+candidates="$(counter mac_candidates_total)"
+deliveries="$(counter mac_deliveries_total)"
+culled="$(counter mac_culled_total)"
+inflight="$(counter mac_inflight_receivers_total)"
+for v in "$candidates" "$deliveries" "$culled" "$inflight"; do
+    [ -n "$v" ] || { echo "FAIL: a receiver counter is missing from metrics.json" >&2; exit 1; }
+done
+if [ "$candidates" -ne $((deliveries + drops + culled + inflight)) ]; then
+    echo "FAIL: candidates $candidates != deliveries $deliveries + drops $drops + culled $culled + in flight $inflight" >&2
+    exit 1
+fi
+echo "candidates $candidates = deliveries $deliveries + drops $drops + culled $culled + in flight $inflight"
+
 echo "==> uninstrumented control run"
 go run ./cmd/experiments \
     -exp dynamics,epidemic -rounds 2 -seed 1 -out "$off" \
@@ -95,4 +119,4 @@ if [ -f "$off/metrics.json" ]; then
     exit 1
 fi
 
-echo "OK: progress ticker, metrics.json counters, drop causes, event identity, and byte-identity with metrics off"
+echo "OK: progress ticker, metrics.json counters, drop causes, event and receiver identities, and byte-identity with metrics off"
