@@ -131,56 +131,74 @@ func runEquivalenceWorld(t *testing.T, seed int64, stations int, enum Enumeratio
 // exhaustive scan — same receptions, drops, corrupt soft copies, PHY
 // metadata and RNG evolution — and the same delivery counters.
 func TestIndexedMatchesExhaustive(t *testing.T) {
-	// A small area, fast stations and a long run: hundreds of grid
-	// rebuilds, with stations crossing cells between them.
-	long := eqWorld{areaM: 1500, simFor: 12 * time.Second, maxVel: 40, sendsPb: 6}
 	cases := []struct {
 		seed     int64
 		stations int
-		world    eqWorld
 	}{
-		{1, 40, defaultEqWorld()},
-		{2, 40, defaultEqWorld()},
-		{3, 40, defaultEqWorld()},
-		{4, 120, defaultEqWorld()},
-		{5, 120, defaultEqWorld()},
-		{11, 60, long},
-		{12, 60, long},
+		{1, 40},
+		{2, 40},
+		{3, 40},
+		{4, 120},
+		{5, 120},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d_n%d", tc.seed, tc.stations), func(t *testing.T) {
-			if tc.world == long && testing.Short() {
-				t.Skip("long equivalence world in -short mode")
-			}
-			exh := runEquivalenceWorld(t, tc.seed, tc.stations, EnumerateScan, tc.world)
-			idx := runEquivalenceWorld(t, tc.seed, tc.stations, EnumerateIndex, tc.world)
-
-			if len(exh.log) == 0 {
-				t.Fatal("empty event log")
-			}
-			if len(idx.log) != len(exh.log) {
-				t.Fatalf("event counts differ: indexed %d vs exhaustive %d", len(idx.log), len(exh.log))
-			}
-			for i := range exh.log {
-				if idx.log[i] != exh.log[i] {
-					t.Fatalf("event %d differs:\nindexed:    %s\nexhaustive: %s", i, idx.log[i], exh.log[i])
-				}
-			}
-			if idx.stats.IndexQueries == 0 || exh.stats.IndexQueries != 0 {
-				t.Fatalf("index queries: indexed %d, exhaustive %d", idx.stats.IndexQueries, exh.stats.IndexQueries)
-			}
-			is, es := delivery(idx.stats), delivery(exh.stats)
-			if is != es {
-				t.Fatalf("delivery counters differ:\nindexed:    %+v\nexhaustive: %+v", is, es)
-			}
-			// The comparison only means something if the horizon excluded
-			// stations: without culling every transmission reaches
-			// exactly stations-1 receivers.
-			if exh.deliveries >= exh.txCount*(tc.stations-1) {
-				t.Fatal("no transmission was culled; the topology does not exercise the horizon")
-			}
+			checkIndexedMatchesExhaustive(t, tc.seed, tc.stations, defaultEqWorld())
 		})
+	}
+}
+
+// TestIncrementalIndexLongRunEquivalence stresses the grid's refresh
+// cycle specifically: a small area and a long run mean hundreds of grid
+// rebuilds with constant cell crossings between them, and the per-axis
+// velocity is high enough that stations leave the area mid-run, so the
+// grid's bounds move with every rebuild. The indexed path must still
+// reproduce the exhaustive scan's event stream byte for byte.
+func TestIncrementalIndexLongRunEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long equivalence world in -short mode")
+	}
+	world := eqWorld{areaM: 1500, simFor: 12 * time.Second, maxVel: 40, sendsPb: 6}
+	for _, seed := range []int64{11, 12} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkIndexedMatchesExhaustive(t, seed, 60, world)
+		})
+	}
+}
+
+// checkIndexedMatchesExhaustive runs one world under both enumerations
+// and fails unless their event streams and delivery counters agree and
+// the horizon really culled receivers.
+func checkIndexedMatchesExhaustive(t *testing.T, seed int64, stations int, world eqWorld) {
+	t.Helper()
+	exh := runEquivalenceWorld(t, seed, stations, EnumerateScan, world)
+	idx := runEquivalenceWorld(t, seed, stations, EnumerateIndex, world)
+
+	if len(exh.log) == 0 {
+		t.Fatal("empty event log")
+	}
+	if len(idx.log) != len(exh.log) {
+		t.Fatalf("event counts differ: indexed %d vs exhaustive %d", len(idx.log), len(exh.log))
+	}
+	for i := range exh.log {
+		if idx.log[i] != exh.log[i] {
+			t.Fatalf("event %d differs:\nindexed:    %s\nexhaustive: %s", i, idx.log[i], exh.log[i])
+		}
+	}
+	if idx.stats.IndexQueries == 0 || exh.stats.IndexQueries != 0 {
+		t.Fatalf("index queries: indexed %d, exhaustive %d", idx.stats.IndexQueries, exh.stats.IndexQueries)
+	}
+	is, es := delivery(idx.stats), delivery(exh.stats)
+	if is != es {
+		t.Fatalf("delivery counters differ:\nindexed:    %+v\nexhaustive: %+v", is, es)
+	}
+	// The comparison only means something if the horizon excluded
+	// stations: without culling every transmission reaches exactly
+	// stations-1 receivers.
+	if exh.deliveries >= exh.txCount*(stations-1) {
+		t.Fatal("no transmission was culled; the topology does not exercise the horizon")
 	}
 }
 
