@@ -11,8 +11,8 @@
 //	experiments [-exp all|<name>[,<name>...]] [-rounds 30] [-seed 1]
 //	            [-out results] [-workers N] [-list]
 //	            [-result-store dir] [-code-digest id]
-//	            [-traffic-store dir] [-traffic-store-cap bytes]
-//	            [-metrics] [-progress]
+//	            [-traffic-store dir] [-metrics] [-progress]
+//	            [-unit-timeout d] [-faultpoints specs]
 //	            [-cpuprofile file] [-memprofile file]
 //
 // Outputs are written to the -out directory as plain-text reports,
@@ -91,7 +91,7 @@ func run(exp string, opts harness.Options, progress bool, cpuProfile, memProfile
 		opts.Metrics = true
 	}
 	if opts.TrafficStore != "" {
-		if err := scenario.SetTrafficTraceStore(opts.TrafficStore, opts.TrafficStoreCap); err != nil {
+		if err := scenario.SetTrafficTraceStore(opts.TrafficStore); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -183,20 +184,28 @@ func (s *server) refresh() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	path := filepath.Join(s.outDir, "manifest.json")
-	info, err := os.Stat(path)
+	// Stat and read one open file: the harness replaces the manifest by
+	// rename, so the stamp, the bytes (and their ETag) and the parsed
+	// catalogue all describe one version.
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("no manifest at %s (run a sweep first): %w", path, err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return err
 	}
 	if s.manifest != nil && info.ModTime().Equal(s.manifestMod) && info.Size() == s.manifestLen {
 		return nil
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := io.ReadAll(f)
 	if err != nil {
 		return err
 	}
-	m, err := harness.ReadManifest(path)
+	m, err := harness.ParseManifest(raw)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	outputs := make(map[string]outputInfo)
 	for _, exp := range m.Experiments {

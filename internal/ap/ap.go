@@ -136,9 +136,6 @@ func (a *AP) Stop() { a.stopped = true }
 // far (repeats not counted).
 func (a *AP) SentCount(flow packet.NodeID) uint32 { return a.sent[flow] }
 
-// NextSeq returns the next sequence number to be sent on a flow.
-func (a *AP) NextSeq(flow packet.NodeID) uint32 { return a.nextSeq[flow] }
-
 func (a *AP) tick(fl *apFlow) {
 	if a.stopped {
 		return

@@ -132,9 +132,6 @@ type Config struct {
 	// just those whose HELLO listed this node as cooperator. The paper's
 	// protocol is strict (false); true is an ablation.
 	BufferForAll bool
-	// BufferOverheardResponses adds overheard RESPONSE payloads to the
-	// cooperator buffer. Off in the paper's prototype.
-	BufferOverheardResponses bool
 	// CoopEnabled gates the whole cooperative machinery; false turns the
 	// node into the no-cooperation baseline (it still counts receptions
 	// but neither beacons, buffers, requests nor responds).

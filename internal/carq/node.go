@@ -675,11 +675,6 @@ func (n *Node) onResponse(f *packet.Frame) {
 		}
 		delete(n.pending, key)
 	}
-	if n.cfg.BufferOverheardResponses {
-		if _, serving := n.serveOrder[f.Dst]; serving || n.cfg.BufferForAll {
-			n.bufferFor(f.Dst, f.Seq, f.Payload)
-		}
-	}
 }
 
 var _ mac.Handler = (*Node)(nil)

@@ -622,21 +622,6 @@ func TestReEnteringCoverageStopsRequests(t *testing.T) {
 	}
 }
 
-func TestOverheardResponseBufferingAblation(t *testing.T) {
-	engine, n, _, _ := newTestNode(t, func(c *Config) { c.BufferOverheardResponses = true })
-	n.Start()
-	engine.Schedule(time.Second, func() {
-		rx(n, packet.NewHello(2, []packet.NodeID{1})) // we serve node 2
-		rx(n, packet.NewResponse(9, 2, 7, []byte("x")))
-	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n.BufferedFor(2) != 1 {
-		t.Fatalf("BufferedFor(2) = %d, want 1", n.BufferedFor(2))
-	}
-}
-
 func TestPhaseString(t *testing.T) {
 	for _, tc := range []struct {
 		p    Phase

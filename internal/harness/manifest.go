@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -138,16 +139,21 @@ func (m *Manifest) WriteManifest(path string) error {
 	return writeJSON(path, m)
 }
 
-// ReadManifest loads a manifest written by WriteManifest. It rejects
-// null records, which every consumer would dereference.
+// ReadManifest loads a manifest written by WriteManifest.
 func ReadManifest(path string) (*Manifest, error) {
+	return readParsed(path, ParseManifest)
+}
+
+// ParseManifest decodes the bytes of a manifest.json. It rejects null
+// records, which every consumer would dereference.
+func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
-	if err := readJSON(path, &m); err != nil {
+	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, err
 	}
 	for _, e := range m.Experiments {
 		if e == nil || slices.Contains(e.Points, nil) || slices.Contains(e.Outputs, nil) {
-			return nil, nullRecord(path)
+			return nil, errNullRecord
 		}
 	}
 	return &m, nil
@@ -161,43 +167,69 @@ func (t *Timings) WriteTimings(path string) error {
 // ReadTimings loads a timings sidecar written by WriteTimings. Like
 // ReadManifest, it rejects null records.
 func ReadTimings(path string) (*Timings, error) {
-	var t Timings
-	if err := readJSON(path, &t); err != nil {
-		return nil, err
-	}
-	for _, e := range t.Experiments {
-		if e == nil || slices.Contains(e.Failed, nil) {
-			return nil, nullRecord(path)
+	return readParsed(path, func(data []byte) (*Timings, error) {
+		var t Timings
+		if err := json.Unmarshal(data, &t); err != nil {
+			return nil, err
 		}
-	}
-	return &t, nil
+		for _, e := range t.Experiments {
+			if e == nil || slices.Contains(e.Failed, nil) {
+				return nil, errNullRecord
+			}
+		}
+		return &t, nil
+	})
 }
 
-func nullRecord(path string) error {
-	return fmt.Errorf("harness: %s: null record", filepath.Base(path))
+var errNullRecord = errors.New("null record")
+
+// readParsed reads path and parses its bytes, naming the file in any
+// error.
+func readParsed[T any](path string, parse func([]byte) (T, error)) (T, error) {
+	data, err := os.ReadFile(path)
+	if err == nil {
+		var v T
+		if v, err = parse(data); err == nil {
+			return v, nil
+		}
+	}
+	return *new(T), fmt.Errorf("harness: %s: %w", filepath.Base(path), err)
 }
 
 func writeJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: %s: %w", filepath.Base(path), err)
+	if err == nil {
+		err = writeFileAtomic(path, append(data, '\n'))
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err != nil {
 		return fmt.Errorf("harness: %s: %w", filepath.Base(path), err)
 	}
 	return nil
 }
 
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
+// writeFileAtomic publishes data at path through a temp file in the same
+// directory and a rename, so a reader of path (sweepd, serving a
+// directory a sweep is still writing) sees the old file or the new one,
+// never a torn one. The temp is removed on failure.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
-		return fmt.Errorf("harness: %s: %w", filepath.Base(path), err)
+		return err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("harness: %s: %w", filepath.Base(path), err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 func newOutputRecord(name string, kind OutputKind, content []byte) *OutputRecord {

@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/metrics"
@@ -71,17 +70,10 @@ func (r *Runner) writeMetrics() error {
 	}
 	snap := metrics.Default().Snapshot().Deterministic()
 	path := filepath.Join(r.opts.OutDir, MetricsFile)
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	err = snap.WriteJSON(w)
-	if ferr := w.Flush(); err == nil {
-		err = ferr
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	var buf bytes.Buffer
+	err := snap.WriteJSON(&buf)
+	if err == nil {
+		err = writeFileAtomic(path, buf.Bytes())
 	}
 	if err != nil {
 		return fmt.Errorf("harness: writing %s: %w", path, err)

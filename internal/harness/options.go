@@ -10,8 +10,9 @@ import (
 // Options is the one configuration surface of a sweep: an output
 // directory for reports and the manifest, an optional content-addressed
 // result store for unit results, an optional precomputed traffic-trace
-// store, and the run's knobs. cmd/experiments binds it to flags through
-// Bind; cmd/sweepd, which runs no sweep, declares its own six flags.
+// store (both unbounded: nothing evicts an entry), and the run's knobs.
+// cmd/experiments binds it to flags through Bind; cmd/sweepd, which runs
+// no sweep, declares its own six flags.
 type Options struct {
 	// Rounds is the requested round count for the canonical experiments;
 	// studies may cap it per point (see Context.CappedRounds).
@@ -34,8 +35,6 @@ type Options struct {
 	// TrafficStore, when non-empty, is the directory of the on-disk
 	// precomputed traffic-trace store (see traffic.Store).
 	TrafficStore string
-	// TrafficStoreCap is the traffic store's byte budget; 0 is unbounded.
-	TrafficStoreCap int64
 	// Metrics enables the process-wide telemetry registry
 	// (internal/metrics): simulator and store counters accumulate, and the
 	// runner writes a metrics.json snapshot beside timings.json. Off by
@@ -85,7 +84,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent work units (0: GOMAXPROCS)")
 	fs.StringVar(&o.ResultStore, "result-store", o.ResultStore, "directory of the content-addressed unit-result store (empty: recompute everything)")
 	fs.StringVar(&o.TrafficStore, "traffic-store", o.TrafficStore, "directory of the on-disk precomputed traffic-trace store (empty: in-memory cache only)")
-	fs.Int64Var(&o.TrafficStoreCap, "traffic-store-cap", o.TrafficStoreCap, "byte budget of the traffic-trace store: least-recently-used traces are evicted past it (0: unbounded)")
 	fs.BoolVar(&o.Metrics, "metrics", o.Metrics, "enable the telemetry registry and write a metrics.json snapshot beside timings.json")
 	fs.DurationVar(&o.UnitTimeout, "unit-timeout", o.UnitTimeout, "flag work units still running after this long (watchdog: logged and listed in timings.json, never killed; 0: off)")
 	fs.StringVar(&o.FaultPoints, "faultpoints", o.FaultPoints, "arm deterministic fault injection: comma-separated name=action[:arg][@hit=n][@key=k][@seed=s:n][@count=n] specs (testing and CI only)")
@@ -100,9 +98,6 @@ func (o Options) Validate() (Options, error) {
 	}
 	if o.OutDir == "" {
 		return o, fmt.Errorf("harness: empty output directory")
-	}
-	if o.TrafficStoreCap < 0 {
-		return o, fmt.Errorf("harness: negative traffic store cap %d", o.TrafficStoreCap)
 	}
 	if o.UnitTimeout < 0 {
 		return o, fmt.Errorf("harness: negative unit timeout %v", o.UnitTimeout)

@@ -65,9 +65,9 @@ var resultCodec = &storeutil.Codec[*UnitResult]{
 	},
 }
 
-// NewResultStore opens (creating if needed) a budget-free store at dir.
+// NewResultStore opens (creating if needed) a store at dir.
 func NewResultStore(dir string) (*ResultStore, error) {
-	return storeutil.Open(dir, resultCodec, 0)
+	return storeutil.Open(dir, resultCodec)
 }
 
 // encodeCollector encodes col as a section, nil (absent) for a nil

@@ -26,18 +26,6 @@ type Config struct {
 	// FadingK selects small-scale fading: negative disables fading, 0 is
 	// Rayleigh, positive values are the Rician K-factor (linear).
 	FadingK float64
-	// ShadowClampSigma bounds every shadowing sample to ±k·ShadowSigmaDB
-	// (0 defaults to 6). The clamp is what makes the shadowing boost
-	// provably finite — the foundation of MaxRangeM's lossless culling
-	// guarantee — while being statistically unobservable: a 6σ excursion
-	// has probability ~2e-9 per sample.
-	ShadowClampSigma float64
-	// FadeClampDB bounds the per-frame small-scale fading gain from above,
-	// in dB (0 defaults to 13). Like the shadowing clamp it exists to
-	// bound the link budget, not to shape the distribution: a +13 dB
-	// Rayleigh up-fade has probability ~2e-9 per frame, and Rician tails
-	// are thinner still.
-	FadeClampDB float64
 	// ObstructionDB, when non-nil, returns extra attenuation in dB for a
 	// link between two positions — used to model buildings blocking
 	// non-line-of-sight street segments in the urban scenario.
@@ -76,7 +64,7 @@ type Channel struct {
 	fades fadeField
 	edges map[edgeKey]FrameEdges
 	// shadowClampDB and fadeClampDB are the resolved boost bounds (see
-	// Config.ShadowClampSigma / Config.FadeClampDB).
+	// shadowClampSigma and maxFadeDB).
 	shadowClampDB float64
 	fadeClampDB   float64
 	// noiseLin caches the noise floor in linear milliwatts; a frame
@@ -92,10 +80,19 @@ type Channel struct {
 	lossDB func(d float64) float64
 }
 
-// Default boost bounds; see the Config field docs for the rationale.
+// The boost bounds. They exist to bound the link budget, not to shape
+// the distributions.
 const (
-	defaultShadowClampSigma = 6
-	defaultFadeClampDB      = 13
+	// shadowClampSigma bounds every shadowing sample to ±k·ShadowSigmaDB.
+	// The clamp is what makes the shadowing boost provably finite — the
+	// foundation of MaxRangeM's lossless culling guarantee — while being
+	// statistically unobservable: a 6σ excursion has probability ~2e-9
+	// per sample.
+	shadowClampSigma = 6
+	// maxFadeDB bounds the per-frame small-scale fading gain from above,
+	// in dB: a +13 dB Rayleigh up-fade has probability ~2e-9 per frame,
+	// and Rician tails are thinner still.
+	maxFadeDB = 13
 )
 
 // NewChannel validates cfg and builds a channel.
@@ -106,19 +103,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 	if cfg.ShadowSigmaDB < 0 {
 		return nil, fmt.Errorf("radio: negative shadowing sigma %v", cfg.ShadowSigmaDB)
 	}
-	if cfg.ShadowClampSigma < 0 || cfg.FadeClampDB < 0 {
-		return nil, fmt.Errorf("radio: negative clamp (shadow %vσ, fade %v dB)",
-			cfg.ShadowClampSigma, cfg.FadeClampDB)
-	}
-	clampSigma := cfg.ShadowClampSigma
-	if clampSigma == 0 {
-		clampSigma = defaultShadowClampSigma
-	}
-	fadeClamp := cfg.FadeClampDB
-	if fadeClamp == 0 {
-		fadeClamp = defaultFadeClampDB
-	}
-	shadowClamp := clampSigma * cfg.ShadowSigmaDB
+	shadowClamp := shadowClampSigma * cfg.ShadowSigmaDB
 	noiseLin := math.Pow(10, cfg.NoiseFloorDBm/10)
 	shadows := newShadowField(cfg.ShadowSigmaDB, cfg.ShadowTau, cfg.Seed, shadowClamp)
 	return &Channel{
@@ -127,7 +112,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 		fades:         fadeField{seed: cfg.Seed, links: make(map[uint64]*FadeStream)},
 		edges:         make(map[edgeKey]FrameEdges),
 		shadowClampDB: shadowClamp,
-		fadeClampDB:   fadeClamp,
+		fadeClampDB:   maxFadeDB,
 		noiseLin:      noiseLin,
 		noiseOnlyDB:   10 * math.Log10(noiseLin),
 		lossDB:        fastLossFunc(cfg.PathLoss),

@@ -122,15 +122,16 @@ func TestShadowSampleClamped(t *testing.T) {
 }
 
 // TestFadingSampleClamped: the fade gains ResolveFrame draws respect the
-// clamp.
+// clamp. The clamp is lowered to 1.5 dB on the built channel so 20k
+// draws reach it.
 func TestFadingSampleClamped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FadingK = 0 // Rayleigh: the heaviest upper tail
-	cfg.FadeClampDB = 1.5
 	c, err := NewChannel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.fadeClampDB = 1.5
 	s := c.FadeStream(1, 2)
 	e := c.FrameEdges(DSSS1Mbps, 1000)
 	hit := false

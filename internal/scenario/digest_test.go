@@ -89,7 +89,7 @@ func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
 // one family's builder, for a family-specific knob), when radio.Config
 // grows.
 func TestRadioConfigFieldCount(t *testing.T) {
-	const want = 11
+	const want = 9
 	if got := reflect.TypeOf(radio.Config{}).NumField(); got != want {
 		t.Fatalf("radio.Config has %d fields, expected %d — plumb the new field through Common and update this count", got, want)
 	}

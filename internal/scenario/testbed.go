@@ -26,16 +26,8 @@ type TestbedConfig struct {
 	SpeedMPS float64
 	// HeadwayM is the nominal inter-car gap (0: default 40 m).
 	HeadwayM float64
-	// APWindow is how long the AP transmits each round. The paper's AP
-	// sent ~130 packets per flow per round (26 s at 5 pkt/s), i.e. it
-	// transmitted while the platoon passed, not continuously; zero
-	// defaults to 40 s starting just before the platoon reaches
-	// coverage.
-	APWindow time.Duration
 	// BatchRequests enables the batched-REQUEST optimisation (ablation).
 	BatchRequests bool
-	// BufferForAll enables the buffer-for-everyone ablation.
-	BufferForAll bool
 	// Selection overrides the cooperator-selection policy (nil: all).
 	Selection carq.Selection
 	// CandidateTTL overrides the cooperator staleness timeout
@@ -100,6 +92,12 @@ const (
 	// at the east end of the main street where car 3 closed up on car 2.
 	cornerC = blockWidth
 )
+
+// testbedAPWindow is how long the AP transmits each round. The paper's
+// AP sent ~130 packets per flow per round (26 s at 5 pkt/s), i.e. it
+// transmitted while the platoon passed, not continuously; the window
+// starts just before the platoon reaches coverage.
+const testbedAPWindow = 40 * time.Second
 
 // TestbedLoop returns the block circuit polyline.
 func TestbedLoop() *geom.Polyline {
@@ -249,9 +247,6 @@ func (cfg TestbedConfig) Normalized() (TestbedConfig, error) {
 	if cfg.HeadwayM <= 0 {
 		cfg.HeadwayM = 40
 	}
-	if cfg.APWindow <= 0 {
-		cfg.APWindow = 40 * time.Second
-	}
 	return cfg, nil
 }
 
@@ -301,7 +296,7 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 	macCfg.DeliverCorrupt = cfg.FrameCombining
 
 	// The AP transmits while the platoon passes: from just before the
-	// leader reaches the spill edge of coverage, for APWindow.
+	// leader reaches the spill edge of coverage, for testbedAPWindow.
 	apStart := timeToArc(leader, loopLen-coverageSpillM) - 3*time.Second
 	if apStart < 0 {
 		apStart = 0
@@ -312,7 +307,6 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 		id := carIDs[i]
 		ccfg := cfg.carqConfig(id)
 		ccfg.BatchRequests = cfg.BatchRequests
-		ccfg.BufferForAll = cfg.BufferForAll
 		ccfg.FrameCombining = cfg.FrameCombining
 		ccfg.FCModulation = cfg.Modulation
 		ccfg.CandidateTTL = cfg.CandidateTTL
@@ -328,7 +322,7 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 		APs: []APSpec{{
 			Position: TestbedAPPosition(),
 			Config: apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
-				cfg.PayloadBytes, cfg.APRepeats, apStart, apStart+cfg.APWindow),
+				cfg.PayloadBytes, cfg.APRepeats, apStart, apStart+testbedAPWindow),
 			AdaptiveMaxRepeats: cfg.AdaptiveAPRepeats,
 		}},
 		Cars:     cars,

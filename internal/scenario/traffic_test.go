@@ -163,11 +163,11 @@ func TestTrafficStoreServesByteIdenticalRounds(t *testing.T) {
 		t.Skip("simulation rounds in -short mode")
 	}
 	dir := t.TempDir()
-	if err := SetTrafficTraceStore(dir, 0); err != nil {
+	if err := SetTrafficTraceStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		_ = SetTrafficTraceStore("", 0)
+		_ = SetTrafficTraceStore("")
 		resetTrafficCache()
 	}()
 	resetTrafficCache()
@@ -241,11 +241,11 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 		t.Skip("simulation rounds in -short mode")
 	}
 	dir := t.TempDir()
-	if err := SetTrafficTraceStore(dir, 0); err != nil {
+	if err := SetTrafficTraceStore(dir); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
-		_ = SetTrafficTraceStore("", 0)
+		_ = SetTrafficTraceStore("")
 		resetTrafficCache()
 	}()
 	resetTrafficCache()

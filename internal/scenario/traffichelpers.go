@@ -46,13 +46,13 @@ var trafficStore *traffic.Store
 // are unaffected. Sweeps pointed at a shared directory compute each
 // traffic world exactly once across processes and serve every later arm
 // from disk; loads are byte-identical to an in-process recording (see the
-// store round-trip tests). maxBytes > 0 installs an LRU size budget on
-// the store (see traffic.NewStore); 0 leaves it unbounded.
-func SetTrafficTraceStore(dir string, maxBytes int64) error {
+// store round-trip tests). The store grows without bound: nothing evicts
+// a stream, so pruning the directory is the operator's call.
+func SetTrafficTraceStore(dir string) error {
 	var st *traffic.Store
 	if dir != "" {
 		var err error
-		if st, err = traffic.NewStore(dir, maxBytes); err != nil {
+		if st, err = traffic.NewStore(dir); err != nil {
 			return err
 		}
 	}

@@ -62,18 +62,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest observation, or 0 with no observations.
 func (a *Accumulator) Max() float64 { return a.max }
 
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean.
-func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
 // String implements fmt.Stringer for quick logging.
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f", a.n, a.Mean(), a.StdDev())

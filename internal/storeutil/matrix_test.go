@@ -67,7 +67,7 @@ var resultCase = codecCase[*harness.UnitResult]{
 var trafficCase = codecCase[*trace.Collector]{
 	name:   "traffic",
 	fault:  "traffic.store",
-	open:   func(dir string) (*traffic.Store, error) { return traffic.NewStore(dir, 0) },
+	open:   func(dir string) (*traffic.Store, error) { return traffic.NewStore(dir) },
 	sample: trafficSample,
 	parent: func(h header) any {
 		return struct {

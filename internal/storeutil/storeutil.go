@@ -9,9 +9,9 @@
 // writers race benignly. A
 // Load that fails validation quarantines the file to <name>.corrupt so
 // the caller's recompute-and-Save heals it; Open sweeps temps crashed
-// writers left. An optional byte budget evicts least recently used
-// files. Stats are always-on atomics, mirrored live into the metrics
-// registry while metrics are enabled.
+// writers left. Stores are unbounded: nothing evicts an entry. Stats are
+// always-on atomics, mirrored live into the metrics registry while
+// metrics are enabled.
 package storeutil
 
 import (
@@ -23,9 +23,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,7 +61,6 @@ const (
 	readBytes
 	saves
 	writtenBytes
-	evictions
 	corrupt
 	nStats
 )
@@ -74,7 +71,6 @@ var statMetrics = [nStats]struct{ suffix, help string }{
 	{"read_bytes", "bytes read, header lines included"},
 	{"saves", "entries written"},
 	{"written_bytes", "bytes written, header lines included"},
-	{"evictions", "entries evicted by the byte budget"},
 	{"corrupt", "files that failed validation and were quarantined"},
 }
 
@@ -99,7 +95,6 @@ type Stats struct {
 	Hits, Misses        uint64
 	ReadBytes           uint64 // serving hits and rejecting bad files
 	Saves, WrittenBytes uint64
-	Evictions           uint64 // files removed by the byte budget
 	Corrupt             uint64 // files quarantined
 }
 
@@ -113,16 +108,13 @@ type header struct {
 // Store is an on-disk, content-addressed store of T values, safe for
 // concurrent use within and across processes.
 type Store[T any] struct {
-	dir      string
-	codec    *Codec[T]
-	maxBytes int64
-	evictMu  sync.Mutex // one eviction scan at a time
-	stats    [nStats]atomic.Uint64
+	dir   string
+	codec *Codec[T]
+	stats [nStats]atomic.Uint64
 }
 
 // Open opens (creating if needed) the store of codec's entries at dir.
-// maxBytes > 0 installs the LRU byte budget; 0 leaves it unbounded.
-func Open[T any](dir string, codec *Codec[T], maxBytes int64) (*Store[T], error) {
+func Open[T any](dir string, codec *Codec[T]) (*Store[T], error) {
 	if dir == "" {
 		return nil, fmt.Errorf("%s: empty directory", codec.Name)
 	}
@@ -130,7 +122,7 @@ func Open[T any](dir string, codec *Codec[T], maxBytes int64) (*Store[T], error)
 		return nil, fmt.Errorf("%s: %w", codec.Name, err)
 	}
 	cleanStaleTemps(dir, "."+codec.Kind+"-", ".tmp", staleTempAge)
-	return &Store[T]{dir: dir, codec: codec, maxBytes: maxBytes}, nil
+	return &Store[T]{dir: dir, codec: codec}, nil
 }
 
 func (s *Store[T]) add(stat int, n uint64) {
@@ -143,7 +135,7 @@ func (s *Store[T]) add(stat int, n uint64) {
 // Stats returns the store's counters.
 func (s *Store[T]) Stats() Stats {
 	v := func(stat int) uint64 { return s.stats[stat].Load() }
-	return Stats{v(hits), v(misses), v(readBytes), v(saves), v(writtenBytes), v(evictions), v(corrupt)}
+	return Stats{v(hits), v(misses), v(readBytes), v(saves), v(writtenBytes), v(corrupt)}
 }
 
 // Dir returns the store's root directory.
@@ -187,12 +179,6 @@ func (s *Store[T]) Load(key string) (v T, err error) {
 			err = fmt.Errorf("%w (quarantined to %s)", err, filepath.Base(path)+QuarantineSuffix)
 		}
 		return *new(T), err
-	}
-	if s.maxBytes > 0 {
-		// Refresh recency so eviction spares the entries a sweep is
-		// reading. Best effort: a read-only store still serves.
-		now := time.Now()
-		_ = os.Chtimes(path, now, now)
 	}
 	outcome = hits
 	return v, nil
@@ -239,7 +225,7 @@ func (s *Store[T]) split(key string, data []byte) ([][]byte, error) {
 	return sections, nil
 }
 
-// Save writes v under key atomically, then enforces the byte budget.
+// Save writes v under key atomically.
 func (s *Store[T]) Save(key string, v T) error {
 	sections, err := s.codec.Encode(v)
 	if err != nil {
@@ -291,56 +277,7 @@ func (s *Store[T]) Save(key string, v T) error {
 	}
 	s.add(saves, 1)
 	s.add(writtenBytes, uint64(written))
-	s.evict(s.Path(key))
 	return nil
-}
-
-// scan stats the store's entries and quarantined files.
-func (s *Store[T]) scan() []os.FileInfo {
-	ents, _ := os.ReadDir(s.dir)
-	var files []os.FileInfo
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasSuffix(name, s.ext()) || strings.HasSuffix(name, s.ext()+QuarantineSuffix) {
-			if info, err := e.Info(); err == nil {
-				files = append(files, info)
-			}
-		}
-	}
-	return files
-}
-
-// evict removes the least recently used files until the store fits its
-// budget. Quarantined files count and go too, so corruption never pushes
-// the store past its cap; keep, the entry just written, always stays.
-// Best effort: a failed delete leaves the store bigger, never fails.
-func (s *Store[T]) evict(keep string) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	files := s.scan()
-	var total int64
-	for _, f := range files {
-		total += f.Size()
-	}
-	// Oldest first; equal mtimes break by name so the order is stable.
-	sort.Slice(files, func(i, j int) bool {
-		if ti, tj := files[i].ModTime(), files[j].ModTime(); !ti.Equal(tj) {
-			return ti.Before(tj)
-		}
-		return files[i].Name() < files[j].Name()
-	})
-	for _, f := range files {
-		if total <= s.maxBytes {
-			return
-		}
-		if f.Name() != filepath.Base(keep) && os.Remove(filepath.Join(s.dir, f.Name())) == nil {
-			total -= f.Size()
-			s.add(evictions, 1)
-		}
-	}
 }
 
 // Summary describes a store directory for the results API.
@@ -355,12 +292,16 @@ type Summary struct {
 // Summary scans the store directory.
 func (s *Store[T]) Summary() Summary {
 	sum := Summary{Schema: s.codec.Schema, Dir: s.dir}
-	for _, f := range s.scan() {
-		if strings.HasSuffix(f.Name(), QuarantineSuffix) {
+	ents, _ := os.ReadDir(s.dir)
+	for _, e := range ents {
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, s.ext()+QuarantineSuffix):
 			sum.Corrupt++
-		} else {
-			sum.Entries++
-			sum.Bytes += f.Size()
+		case strings.HasSuffix(name, s.ext()):
+			if info, err := e.Info(); err == nil {
+				sum.Entries++
+				sum.Bytes += info.Size()
+			}
 		}
 	}
 	return sum

@@ -9,10 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-func demandTestGrid(t *testing.T) *GridNet {
+func demandTestGrid(t *testing.T, lanes int) *GridNet {
 	t.Helper()
 	g, err := NewGridNetwork(GridSpec{
-		Rows: 4, Cols: 4, BlockM: 120, Lanes: 2, LaneWidthM: 3.2,
+		Rows: 4, Cols: 4, BlockM: 120, Lanes: lanes, LaneWidthM: 3.2,
 		SpeedLimitMPS: 14, Green: 20 * time.Second, AllRed: 4 * time.Second,
 	})
 	if err != nil {
@@ -26,7 +26,7 @@ func demandTestGrid(t *testing.T) *GridNet {
 // link lengths and speed limits — the link count must equal the BFS
 // minimum, proving the route really is shortest.
 func TestShortestRouteOnGrid(t *testing.T) {
-	g := demandTestGrid(t)
+	g := demandTestGrid(t, 2)
 	from, ok := g.LinkBetween(0, 0, 0, 1)
 	if !ok {
 		t.Fatal("grid misses (0,0)->(0,1)")
@@ -106,7 +106,7 @@ func demandTestFlows(t *testing.T, g *GridNet) []DemandFlow {
 // its inputs: identical calls yield identical specs, a different seed a
 // different realisation.
 func TestExpandDemandDeterministic(t *testing.T) {
-	g := demandTestGrid(t)
+	g := demandTestGrid(t, 2)
 	flows := demandTestFlows(t, g)
 	a, err := ExpandDemand(g.Network, flows, 5*time.Minute, 7, nil)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestExpandDemandDeterministic(t *testing.T) {
 // (a 900-arrival expectation has a ~30-vehicle standard deviation; the
 // bounds below are > 6 sigma).
 func TestExpandDemandPoissonRate(t *testing.T) {
-	g := demandTestGrid(t)
+	g := demandTestGrid(t, 1)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	d, _ := g.LinkBetween(1, 2, 1, 3)
 	flows := []DemandFlow{{Origin: o, Dest: d, RateVehPerHour: 3600}}
@@ -164,7 +164,7 @@ func TestExpandDemandPoissonRate(t *testing.T) {
 // their entry time, and early arrivals reach their destination link's
 // end and stop there (the OD exit).
 func TestDemandVehiclesDriveAndExit(t *testing.T) {
-	g := demandTestGrid(t)
+	g := demandTestGrid(t, 1)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	d, _ := g.LinkBetween(1, 2, 1, 3)
 	flows := []DemandFlow{{Origin: o, Dest: d, RateVehPerHour: 360}}
@@ -227,7 +227,7 @@ func TestDemandVehiclesDriveAndExit(t *testing.T) {
 // past its nominal arrival (spillback), enters only once the queue
 // leaves a safe gap, and never overlaps its leader.
 func TestInjectionDefersUntilEntryClear(t *testing.T) {
-	g := demandTestGrid(t)
+	g := demandTestGrid(t, 1)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	blocker := VehicleSpec{
 		Driver: DefaultDriver(),
@@ -244,9 +244,9 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 	// end; the blocked-entry mechanics are what is under test.
 	entrant.ExitAtEnd = true
 	rec := &trace.Collector{}
-	// Single-file: without lane changes an "overtake" can only mean the
-	// entrant passed through the blocker's body.
-	s, err := New(Config{Network: g.Network, Seed: 2, DisableLaneChanges: true, Recorder: rec},
+	// Single-file: on one lane an "overtake" can only mean the entrant
+	// passed through the blocker's body.
+	s, err := New(Config{Network: g.Network, Seed: 2, Recorder: rec},
 		[]VehicleSpec{blocker, entrant})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 }
 
 func TestDemandSpecValidation(t *testing.T) {
-	g := demandTestGrid(t)
+	g := demandTestGrid(t, 1)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	base := VehicleSpec{Driver: DefaultDriver(), Link: o, ArcM: 10}
 

@@ -10,9 +10,9 @@ import (
 // traceKeySchema versions the cache-key serialisation AND the stepping
 // semantics behind it. Bump it whenever Step's behaviour changes in a
 // way no config field captures (a new integration rule, a controller
-// logic change): every previously stored world then misses and is
+// logic change, one of sim.go's constants such as the tick): every previously stored world then misses and is
 // recomputed instead of replaying stale dynamics.
-const traceKeySchema = "traffic-world/3"
+const traceKeySchema = "traffic-world/4"
 
 // TraceKey returns the canonical cache key of the traffic world defined
 // by (cfg, specs, horizon) — exactly the inputs the determinism contract
@@ -31,9 +31,7 @@ func TraceKey(cfg Config, specs []VehicleSpec, horizon time.Duration) string {
 	w("%s\n", traceKeySchema)
 	// Every Config field except Network (below, structurally) and
 	// Recorder (an output sink).
-	w("cfg|tick=%d|rec=%d|seed=%d|nolc=%t|bsafe=%g|lch=%d|stop=%g\n",
-		int64(cfg.Tick), cfg.RecordEvery, cfg.Seed, cfg.DisableLaneChanges,
-		cfg.SafeDecelMPS2, int64(cfg.LaneChangeHoldoff), cfg.StopMarginM)
+	w("cfg|seed=%d\n", cfg.Seed)
 	w("horizon=%d\n", int64(horizon))
 	if net := cfg.Network; net != nil {
 		writeNetworkDigest(h, net)

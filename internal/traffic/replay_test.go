@@ -62,7 +62,7 @@ func oracleWorlds(t *testing.T) []oracleWorld {
 		})
 	}
 
-	dg := demandTestGrid(t)
+	dg := demandTestGrid(t, 2)
 	var flows []DemandFlow
 	for _, od := range [][2][4]int{
 		{{1, 0, 1, 1}, {1, 2, 1, 3}},

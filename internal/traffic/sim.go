@@ -15,49 +15,29 @@ import (
 type Config struct {
 	// Network is the road geometry. Required.
 	Network *Network
-	// Tick is the fixed integration step (default 100 ms).
-	Tick time.Duration
-	// RecordEvery is how many ticks pass between exposed trajectory
-	// samples (default 5, i.e. 2 Hz at the default tick). Lane and link
-	// changes always force a sample.
-	RecordEvery int
 	// Seed roots every per-vehicle random stream (turn choices).
 	Seed int64
-	// DisableLaneChanges turns the MOBIL rule off.
-	DisableLaneChanges bool
-	// SafeDecelMPS2 is the MOBIL safety bound b_safe: a lane change must
-	// not force the new follower below -b_safe (default 4).
-	SafeDecelMPS2 float64
-	// LaneChangeHoldoff is the per-vehicle cooldown between lane
-	// changes (default 5 s).
-	LaneChangeHoldoff time.Duration
-	// StopMarginM is how far before the link end vehicles halt at a red
-	// signal (default 2 m).
-	StopMarginM float64
 	// Recorder, when non-nil, receives every exposed trajectory sample
 	// as a trace.VehicleRecord — the stream Replay reconstructs models
 	// from.
 	Recorder *trace.Collector
 }
 
-func (c Config) withDefaults() Config {
-	if c.Tick <= 0 {
-		c.Tick = 100 * time.Millisecond
-	}
-	if c.RecordEvery <= 0 {
-		c.RecordEvery = 5
-	}
-	if c.SafeDecelMPS2 <= 0 {
-		c.SafeDecelMPS2 = 4
-	}
-	if c.LaneChangeHoldoff <= 0 {
-		c.LaneChangeHoldoff = 5 * time.Second
-	}
-	if c.StopMarginM <= 0 {
-		c.StopMarginM = 2
-	}
-	return c
-}
+const (
+	// tickLen is the fixed integration step.
+	tickLen = 100 * time.Millisecond
+	// recordEvery is how many ticks pass between exposed trajectory
+	// samples (2 Hz). Lane and link changes always force a sample.
+	recordEvery = 5
+	// safeDecelMPS2 is the MOBIL safety bound b_safe: a lane change must
+	// not force the new follower below -b_safe.
+	safeDecelMPS2 = 4
+	// laneChangeHoldoff is the per-vehicle cooldown between lane changes.
+	laneChangeHoldoff = 5 * time.Second
+	// stopMarginM is how far before the link end vehicles halt at a red
+	// signal.
+	stopMarginM = 2
+)
 
 // SpeedCap limits a vehicle's desired speed during a time window — the
 // deterministic perturbation used to trigger stop-and-go waves (a driver
@@ -152,7 +132,6 @@ type actuatedState struct {
 // New validates the configuration and vehicle placement and returns a
 // ready simulation with every vehicle's initial sample recorded.
 func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("traffic: nil network")
 	}
@@ -348,7 +327,7 @@ func (s *Simulation) NumVehicles() int { return len(s.vehs) }
 
 // Step advances every vehicle by one tick.
 func (s *Simulation) Step() {
-	dt := s.cfg.Tick.Seconds()
+	dt := tickLen.Seconds()
 
 	// 1. Restore per-lane ordering. This must precede injection: the
 	// previous tick's link transitions insert vehicles by their stale
@@ -386,7 +365,7 @@ func (s *Simulation) Step() {
 	s.stepSignals()
 	for li := range s.lanes {
 		l := s.net.Links[li]
-		stopLine := l.Length() - s.cfg.StopMarginM
+		stopLine := l.Length() - stopMarginM
 		red := !s.linkGreen(l)
 		for lane := range s.lanes[li] {
 			list := s.lanes[li][lane]
@@ -427,13 +406,11 @@ func (s *Simulation) Step() {
 	}
 
 	// 3. MOBIL lane changes, in vehicle-ID order.
-	if !s.cfg.DisableLaneChanges {
-		for _, veh := range s.vehs {
-			if veh.pending || veh.exited {
-				continue
-			}
-			s.maybeChangeLane(veh)
+	for _, veh := range s.vehs {
+		if veh.pending || veh.exited {
+			continue
 		}
+		s.maybeChangeLane(veh)
 	}
 
 	// 4. Integrate. Positions move with the pre-update speed so one-tick
@@ -482,8 +459,8 @@ func (s *Simulation) Step() {
 	// 5. Advance the clock and record samples. Parked vehicles (pending
 	// entry, or exited and already pinned) record nothing.
 	s.tick++
-	s.now += s.cfg.Tick
-	atSample := s.tick%s.cfg.RecordEvery == 0
+	s.now += tickLen
+	atSample := s.tick%recordEvery == 0
 	for _, veh := range s.vehs {
 		if veh.pending || (veh.exited && !veh.changed) {
 			continue
@@ -593,7 +570,7 @@ func (s *Simulation) SignalGreen(link LinkID) bool {
 // maybeChangeLane applies the simplified MOBIL rule to one vehicle.
 func (s *Simulation) maybeChangeLane(veh *vehicle) {
 	l := veh.link
-	if l.Lanes < 2 || s.now-veh.lastChange < s.cfg.LaneChangeHoldoff {
+	if l.Lanes < 2 || s.now-veh.lastChange < laneChangeHoldoff {
 		return
 	}
 	v0 := veh.desiredSpeed(s.now)
@@ -617,7 +594,7 @@ func (s *Simulation) maybeChangeLane(veh *vehicle) {
 			aNew = math.Min(aNew, veh.drv.IDMAccel(veh.v, leader.v, gap, v0))
 		}
 		red := !s.linkGreen(l)
-		if stopLine := l.Length() - s.cfg.StopMarginM; red && veh.arc < stopLine {
+		if stopLine := l.Length() - stopMarginM; red && veh.arc < stopLine {
 			aNew = math.Min(aNew, veh.drv.IDMAccel(veh.v, 0, stopLine-veh.arc, v0))
 		}
 		followerLoss := 0.0
@@ -628,7 +605,7 @@ func (s *Simulation) maybeChangeLane(veh *vehicle) {
 				continue
 			}
 			aFollowerNew = follower.drv.IDMAccel(follower.v, veh.v, gap, follower.desiredSpeed(s.now))
-			if aFollowerNew < -s.cfg.SafeDecelMPS2 {
+			if aFollowerNew < -safeDecelMPS2 {
 				continue
 			}
 			followerLoss = math.Max(0, follower.a-aFollowerNew)

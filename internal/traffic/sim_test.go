@@ -43,7 +43,7 @@ func TestFollowerSettlesAtEquilibriumGap(t *testing.T) {
 			Caps: []SpeedCap{{From: 0, To: time.Hour, MaxMPS: 8}}},
 		{Driver: drv, Link: 0, ArcM: 50, SpeedMPS: 8},
 	}
-	s, err := New(Config{Network: net, Seed: 1, DisableLaneChanges: true}, specs)
+	s, err := New(Config{Network: net, Seed: 1}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +64,13 @@ func TestFollowerSettlesAtEquilibriumGap(t *testing.T) {
 	}
 }
 
-// gridCross builds a minimal 2x2 grid and a vehicle heading for the
-// signalized intersection at node (0,1) via the eastbound link.
-func gridCross(t *testing.T) (*GridNet, LinkID) {
+// gridCross builds a minimal 2x2 grid with the given lanes per link and
+// returns the eastbound link heading for the signalized intersection at
+// node (0,1).
+func gridCross(t *testing.T, lanes int) (*GridNet, LinkID) {
 	t.Helper()
 	spec := DefaultGridSpec()
-	spec.Rows, spec.Cols = 2, 2
+	spec.Rows, spec.Cols, spec.Lanes = 2, 2, lanes
 	g, err := NewGridNetwork(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +83,7 @@ func gridCross(t *testing.T) (*GridNet, LinkID) {
 }
 
 func TestRedLightStopsVehicle(t *testing.T) {
-	g, east := gridCross(t)
+	g, east := gridCross(t, DefaultGridSpec().Lanes)
 	l := g.Links[east]
 	sig := g.Signals[l.Signal]
 	// Phase 0 is north-south green: an eastbound (EW) vehicle sees red.
@@ -116,14 +117,15 @@ func TestRedLightStopsVehicle(t *testing.T) {
 }
 
 func TestQueueCompresssAtRed(t *testing.T) {
-	g, east := gridCross(t)
+	// One lane: the queue stays single-file.
+	g, east := gridCross(t, 1)
 	drv := DefaultDriver()
 	specs := []VehicleSpec{
 		{Driver: drv, Link: east, ArcM: 90, SpeedMPS: 10},
 		{Driver: drv, Link: east, ArcM: 60, SpeedMPS: 10},
 		{Driver: drv, Link: east, ArcM: 30, SpeedMPS: 10},
 	}
-	s, err := New(Config{Network: g.Network, Seed: 1, DisableLaneChanges: true}, specs)
+	s, err := New(Config{Network: g.Network, Seed: 1}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +171,14 @@ func TestLaneChangeOvertakesSlowLeader(t *testing.T) {
 	if v < 10 {
 		t.Fatalf("fast vehicle crawling at %v after change", v)
 	}
-	// With lane changes disabled it stays stuck behind.
-	s2, err := New(Config{Network: net, Seed: 1, DisableLaneChanges: true}, specs)
+	// With no second lane to change into it stays stuck behind.
+	s2, err := New(Config{Network: straightCorridor(1), Seed: 1}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2.RunTo(40 * time.Second)
 	if _, lane, _, v := s2.State(1); lane != 0 || v > 4 {
-		t.Fatalf("disabled lane change: lane=%d v=%v, want stuck in lane 0 at ~3", lane, v)
+		t.Fatalf("one-lane corridor: lane=%d v=%v, want stuck in lane 0 at ~3", lane, v)
 	}
 }
 
@@ -194,7 +196,7 @@ func TestStopAndGoWavePropagates(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
-	s, err := New(Config{Network: net, Seed: 1, DisableLaneChanges: true}, specs)
+	s, err := New(Config{Network: net, Seed: 1}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

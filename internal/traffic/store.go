@@ -42,8 +42,7 @@ var traceCodec = &storeutil.Codec[*trace.Collector]{
 	},
 }
 
-// NewStore opens (creating if needed) a store at dir. maxBytes > 0 caps
-// it: each Save evicts least recently used streams until it fits.
-func NewStore(dir string, maxBytes int64) (*Store, error) {
-	return storeutil.Open(dir, traceCodec, maxBytes)
+// NewStore opens (creating if needed) a store at dir.
+func NewStore(dir string) (*Store, error) {
+	return storeutil.Open(dir, traceCodec)
 }

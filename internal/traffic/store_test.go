@@ -49,7 +49,7 @@ func jsonlBytes(t *testing.T, col *trace.Collector) []byte {
 }
 
 func TestStoreRoundTripByteIdentity(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 0)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 }
 
 func TestStoreMissOnAbsentKey(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 0)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,41 +87,10 @@ func TestStoreMissOnAbsentKey(t *testing.T) {
 	}
 }
 
-// storeFileSize returns the on-disk size of one saved entry, for sizing
-// eviction budgets.
-func storeFileSize(t *testing.T, st *Store, key string) int64 {
-	t.Helper()
-	info, err := os.Stat(st.Path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return info.Size()
-}
-
-// withBudget reopens st's directory under a byte budget.
-func withBudget(t *testing.T, st *Store, maxBytes int64) *Store {
-	t.Helper()
-	st, err := NewStore(st.Dir(), maxBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// ageEntry pushes a stored entry's mtime into the past so eviction-order
-// tests are deterministic regardless of filesystem timestamp resolution.
-func ageEntry(t *testing.T, st *Store, key string, age time.Duration) {
-	t.Helper()
-	old := time.Now().Add(-age)
-	if err := os.Chtimes(st.Path(key), old, old); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreEvictionDefaultOff pins the default: without a budget the
-// store grows without bound and never deletes anything.
+// TestStoreEvictionDefaultOff pins that the store is unbounded: it grows
+// with every Save and never deletes an entry.
 func TestStoreEvictionDefaultOff(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 0)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,102 +107,9 @@ func TestStoreEvictionDefaultOff(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionRespectsBudget fills the store past its byte cap and
-// checks the oldest entries go first while the store shrinks under the
-// budget.
-func TestStoreEvictionRespectsBudget(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	if err := st.Save("old", col); err != nil {
-		t.Fatal(err)
-	}
-	size := storeFileSize(t, st, "old")
-	st = withBudget(t, st, 2*size+size/2) // room for two entries, not three
-	ageEntry(t, st, "old", 2*time.Hour)
-	if err := st.Save("mid", col); err != nil {
-		t.Fatal(err)
-	}
-	ageEntry(t, st, "mid", time.Hour)
-	if err := st.Save("new", col); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := st.Load("old"); err != nil || got != nil {
-		t.Fatalf("oldest entry survived eviction (col=%v err=%v)", got != nil, err)
-	}
-	for _, key := range []string{"mid", "new"} {
-		if got, err := st.Load(key); err != nil || got == nil {
-			t.Fatalf("entry %q evicted although the budget had room: %v", key, err)
-		}
-	}
-}
-
-// TestStoreEvictionSparesEntryBeingRead is the issue's acceptance test:
-// a Load refreshes an entry's recency, so the eviction triggered by a
-// later Save victimises a colder entry — never the one a sweep is
-// actively reading.
-func TestStoreEvictionSparesEntryBeingRead(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	if err := st.Save("hot", col); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save("cold", col); err != nil {
-		t.Fatal(err)
-	}
-	size := storeFileSize(t, st, "hot")
-	st = withBudget(t, st, 2*size+size/2)
-	// Make "hot" nominally the older file, then read it: the Load must
-	// bump its recency above "cold".
-	ageEntry(t, st, "hot", 2*time.Hour)
-	ageEntry(t, st, "cold", time.Hour)
-	if got, err := st.Load("hot"); err != nil || got == nil {
-		t.Fatalf("hot entry unreadable before eviction: %v", err)
-	}
-	if err := st.Save("trigger", col); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := st.Load("hot"); err != nil || got == nil {
-		t.Fatalf("eviction removed the entry being read (col=%v err=%v)", got != nil, err)
-	}
-	if got, err := st.Load("cold"); err != nil || got != nil {
-		t.Fatal("eviction spared the cold entry instead of the hot one")
-	}
-}
-
-// TestStoreEvictionSparesJustSaved: a budget smaller than a single
-// stream must still serve the stream just written — eviction never
-// removes the entry that triggered it.
-func TestStoreEvictionSparesJustSaved(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	if err := st.Save("first", col); err != nil {
-		t.Fatal(err)
-	}
-	st = withBudget(t, st, storeFileSize(t, st, "first")/2)
-	ageEntry(t, st, "first", time.Hour)
-	if err := st.Save("second", col); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := st.Load("second"); err != nil || got == nil {
-		t.Fatalf("the just-saved entry was evicted by its own save: %v", err)
-	}
-	if got, err := st.Load("first"); err != nil || got != nil {
-		t.Fatal("over-budget older entry survived")
-	}
-}
-
 func TestStoreSaveIsAtomic(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir, 0)
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +132,7 @@ func TestStoreSaveIsAtomic(t *testing.T) {
 // next Save repairs it.
 func TestStoreQuarantineHeals(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir, 0)
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,52 +170,5 @@ func TestStoreQuarantineHeals(t *testing.T) {
 	got, err := st.Load(key)
 	if err != nil || got == nil || !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, col)) {
 		t.Fatalf("healed entry = (%v, %v)", got, err)
-	}
-}
-
-// TestStoreEvictionCountsCorrupt: quarantined post-mortem files count
-// toward the byte budget and are themselves evictable, so corruption
-// can never push the store past its cap.
-func TestStoreEvictionCountsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := storeTestStream(t)
-	if err := st.Save("victim", col); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt and quarantine the entry; the .corrupt file stays on disk.
-	path := st.Path("victim")
-	data, _ := os.ReadFile(path)
-	data[len(data)-2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, lerr := st.Load("victim"); lerr == nil {
-		t.Fatal("corrupt entry loaded")
-	}
-	corrupt := path + storeutil.QuarantineSuffix
-	info, err := os.Stat(corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Age the post-mortem file so it is the LRU victim, then budget the
-	// store to a single entry and save another: the .corrupt bytes must
-	// be evicted to make room.
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(corrupt, old, old); err != nil {
-		t.Fatal(err)
-	}
-	st = withBudget(t, st, info.Size()+16)
-	if err := st.Save("fresh", col); err != nil {
-		t.Fatal(err)
-	}
-	if _, serr := os.Stat(corrupt); !os.IsNotExist(serr) {
-		t.Fatal("quarantined bytes were not counted by the budget")
-	}
-	if got, lerr := st.Load("fresh"); got == nil || lerr != nil {
-		t.Fatalf("freshly saved entry evicted instead: (%v, %v)", got, lerr)
 	}
 }

@@ -32,9 +32,9 @@
 // exceeds a threshold plus politeness times the acceleration the new
 // follower loses.
 //
-// Integration is forward Euler on a fixed tick dt (Config.Tick, default
-// 100 ms): positions advance with the pre-update speed (arc += v·dt, then
-// v += a·dt, clamped at 0). The position update deliberately uses the
+// Integration is forward Euler on a fixed tick dt of 100 ms: positions
+// advance with the pre-update speed (arc += v·dt, then v += a·dt,
+// clamped at 0). The position update deliberately uses the
 // old speed so that a sample's linear extrapolation over one tick lands
 // exactly on the next tick's position.
 //
@@ -45,8 +45,8 @@
 // iteration), and every random draw comes from a per-vehicle stream
 // derived from Config.Seed, so a run is bit-reproducible. Its only
 // trajectory output is the stream Config.Recorder receives: samples
-// every Config.RecordEvery ticks (plus every lane/link change), each
-// holding the vehicle's exact state at its timestamp. A Replay of that
+// every fifth tick (plus every lane/link change), each holding the
+// vehicle's exact state at its timestamp. A Replay of that
 // stream — in memory or decoded from either trace codec — is a
 // piecewise-linear track equal to Simulation.PositionNow at every
 // recorded instant, so every sweep arm and every harness worker sees
