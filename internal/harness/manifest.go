@@ -210,24 +210,19 @@ func writeJSON(path string, v any) error {
 // writeFileAtomic publishes data at path through a temp file in the same
 // directory and a rename, so a reader of path (sweepd, serving a
 // directory a sweep is still writing) sees the old file or the new one,
-// never a torn one. The temp is removed on failure.
+// never a torn one. The temp has a fixed name and is created like
+// os.WriteFile (mode 0644 less the umask), so a temp left by a crash is
+// overwritten and renamed away by the next write of path; one runner
+// writes an output directory, so no two writers share the temp. The
+// temp is removed on failure.
 func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp")
+	err := os.WriteFile(tmp, data, 0o644)
 	if err == nil {
-		err = os.Chmod(tmp.Name(), 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
+		os.Remove(tmp)
 	}
 	return err
 }

@@ -11,7 +11,8 @@ import (
 // TestWriteManifestReplacesAtomically: a reader holding the old
 // manifest.json open (sweepd, serving a directory a sweep is writing)
 // still reads the complete old bytes after a rewrite, the path then
-// holds the complete new manifest, and no temp file is left behind.
+// holds the complete new manifest with os.WriteFile's mode, and no temp
+// file is left behind, not even one a crashed earlier write left.
 func TestWriteManifestReplacesAtomically(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
@@ -30,6 +31,10 @@ func TestWriteManifestReplacesAtomically(t *testing.T) {
 	}
 	defer f.Close()
 
+	// A temp left by a write that crashed before its rename.
+	if err := os.WriteFile(filepath.Join(dir, ".manifest.json.tmp"), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	next := &Manifest{Schema: ManifestSchema, Seed: 2, Rounds: 3}
 	if err := next.WriteManifest(path); err != nil {
 		t.Fatal(err)
@@ -58,5 +63,20 @@ func TestWriteManifestReplacesAtomically(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("directory holds %v, want only manifest.json", names)
+	}
+	ref := filepath.Join(t.TempDir(), "ref")
+	if err := os.WriteFile(ref, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("manifest.json mode %v, want os.WriteFile's %v", got.Mode(), want.Mode())
 	}
 }

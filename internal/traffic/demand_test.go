@@ -133,7 +133,7 @@ func TestExpandDemandDeterministic(t *testing.T) {
 // (a 900-arrival expectation has a ~30-vehicle standard deviation; the
 // bounds below are > 6 sigma).
 func TestExpandDemandPoissonRate(t *testing.T) {
-	g := demandTestGrid(t, 1)
+	g := demandTestGrid(t, 2)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	d, _ := g.LinkBetween(1, 2, 1, 3)
 	flows := []DemandFlow{{Origin: o, Dest: d, RateVehPerHour: 3600}}
@@ -164,7 +164,7 @@ func TestExpandDemandPoissonRate(t *testing.T) {
 // their entry time, and early arrivals reach their destination link's
 // end and stop there (the OD exit).
 func TestDemandVehiclesDriveAndExit(t *testing.T) {
-	g := demandTestGrid(t, 1)
+	g := demandTestGrid(t, 2)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	d, _ := g.LinkBetween(1, 2, 1, 3)
 	flows := []DemandFlow{{Origin: o, Dest: d, RateVehPerHour: 360}}
@@ -285,7 +285,7 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 }
 
 func TestDemandSpecValidation(t *testing.T) {
-	g := demandTestGrid(t, 1)
+	g := demandTestGrid(t, 2)
 	o, _ := g.LinkBetween(1, 0, 1, 1)
 	base := VehicleSpec{Driver: DefaultDriver(), Link: o, ArcM: 10}
 

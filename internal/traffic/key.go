@@ -10,8 +10,9 @@ import (
 // traceKeySchema versions the cache-key serialisation AND the stepping
 // semantics behind it. Bump it whenever Step's behaviour changes in a
 // way no config field captures (a new integration rule, a controller
-// logic change, one of sim.go's constants such as the tick): every previously stored world then misses and is
-// recomputed instead of replaying stale dynamics.
+// logic change, one of sim.go's constants such as the tick): every
+// previously stored world then misses and is recomputed instead of
+// replaying stale dynamics.
 const traceKeySchema = "traffic-world/4"
 
 // TraceKey returns the canonical cache key of the traffic world defined
