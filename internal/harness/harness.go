@@ -473,7 +473,10 @@ func (c *Context) Emit(name string, kind OutputKind, content string) error {
 	}
 	path := filepath.Join(c.runner.opts.OutDir, name)
 	data := []byte(content)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Published by rename, so a reader (sweepd) holding the old file
+	// open never sees a half-written one. The ".<name>.tmp" temp cannot
+	// collide with an output: names starting with "." are rejected above.
+	if err := writeFileAtomic(path, data); err != nil {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	c.rec.Outputs = append(c.rec.Outputs, newOutputRecord(name, kind, data))

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -186,6 +187,54 @@ func newTestRunner(t *testing.T, rounds int) *Runner {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestEmitReplacesAtomically: a reader holding an output open (sweepd,
+// serving a directory a sweep is rewriting) still reads the complete old
+// bytes after a rerun rewrites it, the path then holds the new bytes,
+// and no temp file is left behind.
+func TestEmitReplacesAtomically(t *testing.T) {
+	restoreRegistry(t)
+	dir := t.TempDir()
+	content := "first run\n"
+	Register(Experiment{
+		Name:  "reg-emit-probe",
+		Title: "emits one file",
+		Run:   func(c *Context) error { return c.Emit("probe.txt", OutputRaw, content) },
+	})
+	run := func() {
+		t.Helper()
+		r, err := NewRunner(Options{Rounds: 1, Seed: 1, OutDir: dir, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run([]string{"reg-emit-probe"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	path := filepath.Join(dir, "probe.txt")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	content = "second run, longer\n"
+	run()
+	held, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(held) != "first run\n" {
+		t.Fatalf("open reader saw %q after the rewrite, want the old bytes", held)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != content {
+		t.Fatalf("rewritten probe.txt = %q, %v", got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".probe.txt.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
 }
 
 func TestRunnerWritesManifest(t *testing.T) {

@@ -24,11 +24,6 @@ type Func func(now time.Duration) geom.Point
 // Position implements Model.
 func (f Func) Position(now time.Duration) geom.Point { return f(now) }
 
-// Static returns a model pinned at p — access points use this.
-func Static(p geom.Point) Model {
-	return Func(func(time.Duration) geom.Point { return p })
-}
-
 // SpeedZone scales the base speed within an arc-length range of the path.
 // Zones model corners and congested stretches.
 type SpeedZone struct {

@@ -17,16 +17,6 @@ func square(side float64) *geom.Polyline {
 	)
 }
 
-func TestStatic(t *testing.T) {
-	m := Static(geom.Point{X: 5, Y: 6})
-	if got := m.Position(0); got != (geom.Point{X: 5, Y: 6}) {
-		t.Fatalf("Position = %v", got)
-	}
-	if got := m.Position(time.Hour); got != (geom.Point{X: 5, Y: 6}) {
-		t.Fatalf("Position moved: %v", got)
-	}
-}
-
 func TestNewPathFollowerValidation(t *testing.T) {
 	path := square(100)
 	if _, err := NewPathFollower(FollowerConfig{Path: nil, SpeedMPS: 5}); err == nil {

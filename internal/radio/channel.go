@@ -160,12 +160,6 @@ func (c *Channel) MeanRxPowerLinkDBm(l *ShadowLink, d float64, pa, pb geom.Point
 	return p
 }
 
-// ShadowClampDB returns the bound on any shadowing sample's magnitude.
-func (c *Channel) ShadowClampDB() float64 { return c.shadowClampDB }
-
-// FadeClampDB returns the bound on any per-frame fading gain.
-func (c *Channel) FadeClampDB() float64 { return c.fadeClampDB }
-
 // CombineDBm returns the power sum of two dBm values.
 func CombineDBm(a, b float64) float64 {
 	if math.IsInf(a, -1) {

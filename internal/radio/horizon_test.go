@@ -31,11 +31,11 @@ func TestCertainLossFloorSaturatesPER(t *testing.T) {
 			if math.IsInf(floor, -1) {
 				t.Fatalf("%s/%dB: no certain-loss floor", mod.Name, bytes)
 			}
-			atFloor := floor + c.FadeClampDB() - c.NoiseFloorDBm()
+			atFloor := floor + c.fadeClampDB - c.NoiseFloorDBm()
 			if per := mod.PER(atFloor, bytes); per < 1 {
 				t.Fatalf("%s/%dB: PER at floor = %v, want exactly 1", mod.Name, bytes, per)
 			}
-			above := floor + 1 + c.FadeClampDB() - c.NoiseFloorDBm()
+			above := floor + 1 + c.fadeClampDB - c.NoiseFloorDBm()
 			if per := mod.PER(above, bytes); per >= 1 {
 				t.Fatalf("%s/%dB: PER still saturated 1 dB above the floor", mod.Name, bytes)
 			}
@@ -68,7 +68,7 @@ func TestMaxRangeBrackets(t *testing.T) {
 		t.Fatalf("MaxRangeM(%v) = %v", floor, r)
 	}
 	cfg := c.Config()
-	at := func(d float64) float64 { return cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.ShadowClampDB() }
+	at := func(d float64) float64 { return cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.shadowClampDB }
 	if p := at(r - 0.01); p < floor-1e-9 {
 		t.Fatalf("power just inside range %v below floor: %v < %v", r, p, floor)
 	}
@@ -82,7 +82,7 @@ func TestMaxRangeBrackets(t *testing.T) {
 	if r := c.MaxRangeM(math.Inf(-1)); !math.IsInf(r, 1) {
 		t.Fatalf("-Inf floor: range %v", r)
 	}
-	if r := c.MaxRangeM(cfg.TxPowerDBm + c.ShadowClampDB() + 1); r != 0 {
+	if r := c.MaxRangeM(cfg.TxPowerDBm + c.shadowClampDB + 1); r != 0 {
 		t.Fatalf("unreachable floor: range %v, want 0", r)
 	}
 }
@@ -100,7 +100,7 @@ func TestBeyondMaxRangeNeverReceives(t *testing.T) {
 	cfg := c.Config()
 	s := c.FadeStream(1, 2)
 	for _, d := range []float64{r + 0.01, r * 1.5, r * 10} {
-		meanRx := cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.ShadowClampDB()
+		meanRx := cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.shadowClampDB
 		for i := 0; i < 2000; i++ {
 			dec := decide(c, s, meanRx, mod, bytes)
 			if dec.PER < 1 || dec.Received {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/packet"
-	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -26,10 +25,9 @@ import (
 // than statistically flat noise.
 type CityDemandConfig struct {
 	Common
-	// CityGrid's HelloPeriod is the demand vehicles' beacon period
-	// (every injected vehicle carries a radio, like the city-scale
-	// background); its Duration is also the demand horizon vehicles are
-	// injected over.
+	// CityGrid's Duration is also the demand horizon vehicles are
+	// injected over. Every injected vehicle carries a radio and beacons,
+	// like the city-scale background.
 	CityGrid
 	Rounds int
 	// DemandScale multiplies every OD flow's rate — the sweep knob that
@@ -56,13 +54,10 @@ func DefaultCityDemand() CityDemandConfig {
 			Coop:             true,
 		},
 		CityGrid: CityGrid{
-			GridRows:    12,
-			GridCols:    12,
-			BlockM:      200,
-			APs:         4,
-			HelloPeriod: time.Second,
-			Modulation:  radio.DSSS1Mbps,
-			Duration:    160 * time.Second,
+			GridRows: 12,
+			GridCols: 12,
+			BlockM:   200,
+			Duration: 160 * time.Second,
 		},
 		Rounds:      4,
 		DemandScale: 1,
@@ -70,7 +65,7 @@ func DefaultCityDemand() CityDemandConfig {
 	}
 }
 
-// Normalized validates the config and fills in defaults.
+// Normalized validates the config and returns it unchanged.
 func (cfg CityDemandConfig) Normalized() (CityDemandConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
@@ -78,8 +73,7 @@ func (cfg CityDemandConfig) Normalized() (CityDemandConfig, error) {
 	if cfg.DemandScale < 0 {
 		return cfg, fmt.Errorf("scenario: demand scale %g", cfg.DemandScale)
 	}
-	err := cfg.CityGrid.normalize(&cfg.Common, 12)
-	return cfg, err
+	return cfg, cfg.CityGrid.validate(cfg.Common)
 }
 
 // CityDemandResult is the study output. Demand realisations differ per

@@ -18,62 +18,33 @@ import (
 const BackgroundID packet.NodeID = 200
 
 // CityGrid holds the settings the city families (cityscale, citydemand)
-// share: the signalized street grid, the Infostations on the platoon
-// circuit and every vehicle's radio. Both configs embed it, so their
-// defaults, validation and round wiring live here once.
+// share: the signalized street grid and the round length. Both configs
+// embed it, so their validation and round wiring live here once.
 type CityGrid struct {
 	// GridRows x GridCols intersections, BlockM apart.
 	GridRows, GridCols int
 	BlockM             float64
-	// APs is the Infostation count (each runs the synchronised carousel
-	// at PacketsPerSecond per flow): 4 at the platoon circuit's corners,
-	// up to 8 adding the side midpoints.
-	APs int
-	// HelloPeriod is the beacon period of every vehicle outside the
-	// platoon.
-	HelloPeriod time.Duration
-	Modulation  radio.Modulation
 	// Duration is the simulated time per round.
 	Duration time.Duration
 }
 
-// normalize validates the grid and fills in its defaults — a
-// defaultSide x defaultSide grid of 200 m blocks, 4 APs, 160 s rounds,
-// 1 s beacons — together with c's stream defaults. c's platoon must fit
-// its start block.
-func (cg *CityGrid) normalize(c *Common, defaultSide int) error {
-	if cg.GridRows == 0 {
-		cg.GridRows = defaultSide
-	}
-	if cg.GridCols == 0 {
-		cg.GridCols = defaultSide
-	}
+// Every vehicle outside a city platoon beacons every cityHelloPeriod, and
+// cityAPs Infostations stand at the platoon circuit's corners, each
+// running the synchronised carousel at the platoon's PacketsPerSecond
+// per flow.
+const (
+	cityHelloPeriod = time.Second
+	cityAPs         = 4
+)
+
+// validate checks the grid against c's platoon: the grid must hold the
+// AP circuit, and the platoon must fit its start block.
+func (cg CityGrid) validate(c Common) error {
 	if cg.GridRows < 4 || cg.GridCols < 4 {
 		return fmt.Errorf("scenario: grid %dx%d too small for the AP circuit", cg.GridRows, cg.GridCols)
 	}
-	if cg.BlockM == 0 {
-		cg.BlockM = 200
-	}
-	if cg.APs == 0 {
-		cg.APs = 4
-	}
-	if cg.APs < 4 || cg.APs > 8 {
-		return fmt.Errorf("scenario: %d APs (want 4..8: circuit corners plus side midpoints)", cg.APs)
-	}
 	if cg.Duration <= 0 {
-		cg.Duration = 160 * time.Second
-	}
-	if c.PacketsPerSecond <= 0 {
-		c.PacketsPerSecond = 5
-	}
-	if c.PayloadBytes <= 0 {
-		c.PayloadBytes = 1000
-	}
-	if cg.HelloPeriod <= 0 {
-		cg.HelloPeriod = time.Second
-	}
-	if cg.Modulation.BitRate == 0 {
-		cg.Modulation = radio.DSSS1Mbps
+		return fmt.Errorf("scenario: duration %v", cg.Duration)
 	}
 	if maxLead := platoonLeadArc(c.Cars); maxLead > cg.BlockM-10 {
 		return fmt.Errorf("scenario: %d platoon cars do not fit a %v m block", c.Cars, cg.BlockM)
@@ -94,9 +65,6 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 		return Round{}, nil, err
 	}
 
-	macCfg := mac.DefaultConfig()
-	macCfg.Modulation = cg.Modulation
-
 	beacons := make([]BeaconSpec, len(specs)-c.Cars)
 	for i := range beacons {
 		// Radio-silent until the vehicle's arrival instant: demand
@@ -106,13 +74,13 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 		// under spillback, but only by the queue-clearing delay.
 		beacons[i] = BeaconSpec{
 			ID: BackgroundID + packet.NodeID(i), Mobility: models[c.Cars+i],
-			Period: cg.HelloPeriod, StartAt: specs[c.Cars+i].EnterAt,
+			Period: cityHelloPeriod, StartAt: specs[c.Cars+i].EnterAt,
 		}
 	}
 
 	carIDs := CarIDs(c.Cars)
-	aps := make([]APSpec, cg.APs)
-	for i, pos := range gridAPs(g, cg.APs) {
+	aps := make([]APSpec, cityAPs)
+	for i, pos := range gridAPs(g) {
 		aps[i] = APSpec{
 			Position: pos,
 			Config: apConfigWindow(APID+packet.NodeID(i), carIDs, c.PacketsPerSecond,
@@ -122,7 +90,7 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 
 	result, err := c.run(roundSeed, Setup{
 		Channel:  cityScaleChannel(),
-		MAC:      macCfg,
+		MAC:      mac.DefaultConfig(),
 		APs:      aps,
 		Cars:     c.platoon(models[:c.Cars]),
 		Beacons:  beacons,
@@ -246,19 +214,14 @@ func cityRoute(g *traffic.GridNet, loR, loC, hiR, hiC int) ([]traffic.LinkID, er
 	return route, nil
 }
 
-// gridAPs places the Infostations on the platoon circuit: the four
-// circuit corners, then side midpoints for APs beyond four, each offset
-// into the street corner like a pole-mounted unit.
-func gridAPs(g *traffic.GridNet, aps int) []geom.Point {
+// gridAPs places the cityAPs Infostations at the platoon circuit's
+// corners, each offset into the street corner like a pole-mounted unit.
+func gridAPs(g *traffic.GridNet) []geom.Point {
 	loR, loC, hiR, hiC := gridCircuit(g.Spec.Rows, g.Spec.Cols)
-	midR, midC := (loR+hiR)/2, (loC+hiC)/2
-	nodes := [][2]int{
-		{loR, loC}, {loR, hiC}, {hiR, hiC}, {hiR, loC}, // corners
-		{loR, midC}, {midR, hiC}, {hiR, midC}, {midR, loC}, // side midpoints
-	}
-	pts := make([]geom.Point, aps)
-	for i := range pts {
-		p := g.NodePoint(nodes[i][0], nodes[i][1])
+	corners := [cityAPs][2]int{{loR, loC}, {loR, hiC}, {hiR, hiC}, {hiR, loC}}
+	pts := make([]geom.Point, cityAPs)
+	for i, n := range corners {
+		p := g.NodePoint(n[0], n[1])
 		pts[i] = geom.Point{X: p.X + 8, Y: p.Y + 8}
 	}
 	return pts

@@ -1,34 +1,28 @@
 package scenario
 
 import (
-	"reflect"
 	"testing"
-	"time"
-
-	"repro/internal/radio"
 )
 
 // TestCityGridNormalization drives the shared city-grid validation
-// through both city families: each rejects the same bad grids and fills
-// the same defaults, differing only in the default grid side.
+// through both city families: each rejects the same bad grids.
 func TestCityGridNormalization(t *testing.T) {
 	type edit func(*Common, *CityGrid)
 	families := []struct {
 		name      string
-		side      int
-		normalize func(edit) (Common, CityGrid, error)
+		normalize func(edit) error
 	}{
-		{"cityscale", 16, func(e edit) (Common, CityGrid, error) {
+		{"cityscale", func(e edit) error {
 			cfg := DefaultCityScale()
 			e(&cfg.Common, &cfg.CityGrid)
-			n, err := cfg.Normalized()
-			return n.Common, n.CityGrid, err
+			_, err := cfg.Normalized()
+			return err
 		}},
-		{"citydemand", 12, func(e edit) (Common, CityGrid, error) {
+		{"citydemand", func(e edit) error {
 			cfg := DefaultCityDemand()
 			e(&cfg.Common, &cfg.CityGrid)
-			n, err := cfg.Normalized()
-			return n.Common, n.CityGrid, err
+			_, err := cfg.Normalized()
+			return err
 		}},
 	}
 	rejects := []struct {
@@ -36,38 +30,15 @@ func TestCityGridNormalization(t *testing.T) {
 		edit edit
 	}{
 		{"3-row grid", func(_ *Common, g *CityGrid) { g.GridRows = 3 }},
-		{"3 APs", func(_ *Common, g *CityGrid) { g.APs = 3 }},
-		{"9 APs", func(_ *Common, g *CityGrid) { g.APs = 9 }},
+		{"zero duration", func(_ *Common, g *CityGrid) { g.Duration = 0 }},
 		// Ten cars need a 136 m lead arc; a 100 m block leaves 90.
 		{"platoon longer than a block", func(c *Common, g *CityGrid) { c.Cars, g.BlockM = 10, 100 }},
 	}
 	for _, f := range families {
 		for _, r := range rejects {
-			if _, _, err := f.normalize(r.edit); err == nil {
+			if err := f.normalize(r.edit); err == nil {
 				t.Errorf("%s: %s accepted", f.name, r.name)
 			}
-		}
-
-		c, g, err := f.normalize(func(c *Common, g *CityGrid) {
-			*g = CityGrid{}
-			c.PacketsPerSecond, c.PayloadBytes = 0, 0
-		})
-		if err != nil {
-			t.Fatalf("%s: zero grid rejected: %v", f.name, err)
-		}
-		if c.PacketsPerSecond != 5 || c.PayloadBytes != 1000 {
-			t.Errorf("%s: stream defaults %v pkt/s, %d B", f.name, c.PacketsPerSecond, c.PayloadBytes)
-		}
-		if g.Modulation.Name != radio.DSSS1Mbps.Name {
-			t.Errorf("%s: default modulation %q", f.name, g.Modulation.Name)
-		}
-		g.Modulation = radio.Modulation{} // holds a func: compare the rest
-		want := CityGrid{
-			GridRows: f.side, GridCols: f.side, BlockM: 200, APs: 4,
-			HelloPeriod: time.Second, Duration: 160 * time.Second,
-		}
-		if !reflect.DeepEqual(g, want) {
-			t.Errorf("%s: zero grid normalized to %+v, want %+v", f.name, g, want)
 		}
 	}
 }

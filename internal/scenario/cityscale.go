@@ -7,7 +7,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/packet"
-	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -41,20 +40,17 @@ func DefaultCityScale() CityScaleConfig {
 			Coop:             true,
 		},
 		CityGrid: CityGrid{
-			GridRows:    16,
-			GridCols:    16,
-			BlockM:      200,
-			APs:         4,
-			HelloPeriod: time.Second,
-			Modulation:  radio.DSSS1Mbps,
-			Duration:    160 * time.Second,
+			GridRows: 16,
+			GridCols: 16,
+			BlockM:   200,
+			Duration: 160 * time.Second,
 		},
 		Rounds:     4,
 		Background: 290,
 	}
 }
 
-// Normalized validates the config and fills in defaults.
+// Normalized validates the config and returns it unchanged.
 func (cfg CityScaleConfig) Normalized() (CityScaleConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
@@ -62,8 +58,7 @@ func (cfg CityScaleConfig) Normalized() (CityScaleConfig, error) {
 	if cfg.Background < 0 {
 		return cfg, fmt.Errorf("scenario: background %d", cfg.Background)
 	}
-	err := cfg.CityGrid.normalize(&cfg.Common, 16)
-	return cfg, err
+	return cfg, cfg.CityGrid.validate(cfg.Common)
 }
 
 // CityScaleResult is the study output: per-round protocol traces and
@@ -77,7 +72,7 @@ type CityScaleResult struct {
 
 // Stations returns the total MAC station count of a round.
 func (r *CityScaleResult) Stations() int {
-	return len(r.CarIDs) + r.Config.Background + r.Config.APs
+	return len(r.CarIDs) + r.Config.Background + cityAPs
 }
 
 // cityScaleWorld builds the round's road network and vehicle population:
@@ -168,5 +163,5 @@ func CityScaleMobilityModels(cfg CityScaleConfig, round int) ([]mobility.Model, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return models, gridAPs(g, cfg.APs), nil
+	return models, gridAPs(g), nil
 }

@@ -22,13 +22,10 @@ type CorridorConfig struct {
 	Common
 	Rounds   int
 	SpeedMPS float64
-	HeadwayM float64
 	// APCount and APSpacingM place the Infostations along the road,
-	// starting at x = APSpacingM/2.
+	// starting at x = APSpacingM/2, each roadsideAPSetbackM off the lane.
 	APCount    int
 	APSpacingM float64
-	// APSetbackM is each AP's perpendicular offset from the lane.
-	APSetbackM float64
 }
 
 // DefaultCorridor returns a two-Infostation corridor at urban speed.
@@ -43,10 +40,8 @@ func DefaultCorridor() CorridorConfig {
 		},
 		Rounds:     10,
 		SpeedMPS:   11, // ~40 km/h arterial road
-		HeadwayM:   40,
 		APCount:    2,
 		APSpacingM: 700,
-		APSetbackM: 12,
 	}
 }
 
@@ -73,7 +68,7 @@ type CorridorResult struct {
 	RoadLengthM float64
 }
 
-// Normalized validates the config.
+// Normalized validates the config and returns it unchanged.
 func (cfg CorridorConfig) Normalized() (CorridorConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
@@ -126,7 +121,7 @@ func (cfg CorridorConfig) Round(round int) (Round, error) {
 		Path:     road,
 		SpeedMPS: cfg.SpeedMPS,
 	})
-	platoon, err := roadPlatoon(leader, cfg.Cars, cfg.HeadwayM, 30*time.Second, roundSeed)
+	platoon, err := roadPlatoon(leader, cfg.Cars, urbanHeadwayM, 30*time.Second, roundSeed)
 	if err != nil {
 		return Round{}, err
 	}
@@ -139,7 +134,7 @@ func (cfg CorridorConfig) Round(round int) (Round, error) {
 		aps[i] = APSpec{
 			Position: geom.Point{
 				X: cfg.APSpacingM/2 + float64(i)*cfg.APSpacingM,
-				Y: cfg.APSetbackM,
+				Y: roadsideAPSetbackM,
 			},
 			Config: ap.Config{
 				ID:               APID + packet.NodeID(i),

@@ -3,7 +3,6 @@ package scenario
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/carq"
 	"repro/internal/radio"
@@ -21,11 +20,7 @@ func digestSampleConfig() HighwayConfig {
 		},
 		Rounds:      3,
 		SpeedMPS:    8.3,
-		HeadwayM:    25,
-		Modulation:  radio.DSSS2Mbps,
 		RoadLengthM: 2000,
-		APSetbackM:  10,
-		CoopTime:    5 * time.Second,
 	}
 }
 
@@ -43,17 +38,17 @@ func TestConfigDigestDeterministic(t *testing.T) {
 }
 
 // TestConfigDigestSeesEveryField: perturbing any field — numeric,
-// string, bool, duration — must change the digest, or the result store
+// string, bool — must change the digest, or the result store
 // would serve a stale unit for the changed config.
 func TestConfigDigestSeesEveryField(t *testing.T) {
 	base := ConfigDigest(digestSampleConfig())
 	perturb := map[string]func(*HighwayConfig){
-		"Cars":     func(c *HighwayConfig) { c.Cars++ },
-		"Seed":     func(c *HighwayConfig) { c.Seed++ },
-		"Arm":      func(c *HighwayConfig) { c.Arm = "solo" },
-		"SpeedMPS": func(c *HighwayConfig) { c.SpeedMPS += 1e-9 },
-		"Coop":     func(c *HighwayConfig) { c.Coop = false },
-		"CoopTime": func(c *HighwayConfig) { c.CoopTime += time.Nanosecond },
+		"Cars":        func(c *HighwayConfig) { c.Cars++ },
+		"Seed":        func(c *HighwayConfig) { c.Seed++ },
+		"Arm":         func(c *HighwayConfig) { c.Arm = "solo" },
+		"SpeedMPS":    func(c *HighwayConfig) { c.SpeedMPS += 1e-9 },
+		"Coop":        func(c *HighwayConfig) { c.Coop = false },
+		"RoadLengthM": func(c *HighwayConfig) { c.RoadLengthM++ },
 		// Fields of the embedded Common ride along through the
 		// reflection walk.
 		"Common.PayloadBytes": func(c *HighwayConfig) { c.Common.PayloadBytes++ },
@@ -92,6 +87,44 @@ func TestRadioConfigFieldCount(t *testing.T) {
 	const want = 9
 	if got := reflect.TypeOf(radio.Config{}).NumField(); got != want {
 		t.Fatalf("radio.Config has %d fields, expected %d — plumb the new field through Common and update this count", got, want)
+	}
+}
+
+// TestScenarioConfigFieldCount pins the settable fields of Common,
+// CityGrid and the nine family configs, embedded structs excluded (they
+// count through their own entry). A value is a field only while a study,
+// example or CLI varies it, or a test shrinks a world with it; every
+// other value is a constant beside its family. Add a field only with a
+// caller that sets it, and update its count here.
+func TestScenarioConfigFieldCount(t *testing.T) {
+	want := map[reflect.Type]int{
+		reflect.TypeOf(Common{}):            6,
+		reflect.TypeOf(CityGrid{}):          4,
+		reflect.TypeOf(TestbedConfig{}):     10,
+		reflect.TypeOf(HighwayConfig{}):     3,
+		reflect.TypeOf(CorridorConfig{}):    4,
+		reflect.TypeOf(TwoWayConfig{}):      4,
+		reflect.TypeOf(DownloadConfig{}):    3,
+		reflect.TypeOf(TrafficGridConfig{}): 6,
+		reflect.TypeOf(StopGoConfig{}):      6,
+		reflect.TypeOf(CityScaleConfig{}):   2,
+		reflect.TypeOf(CityDemandConfig{}):  3,
+	}
+	total := 0
+	for typ, n := range want {
+		got := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if !typ.Field(i).Anonymous {
+				got++
+			}
+		}
+		if got != n {
+			t.Errorf("%s has %d fields, expected %d", typ.Name(), got, n)
+		}
+		total += got
+	}
+	if total != 51 {
+		t.Errorf("scenario configs hold %d fields, expected 51", total)
 	}
 }
 

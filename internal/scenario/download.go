@@ -23,7 +23,6 @@ import (
 type DownloadConfig struct {
 	Common
 	SpeedMPS float64
-	HeadwayM float64
 	// FileBlocks is the file size in packets per flow.
 	FileBlocks uint32
 	// MaxLaps bounds the simulation.
@@ -41,14 +40,12 @@ func DefaultDownload() DownloadConfig {
 			Coop:             true,
 		},
 		SpeedMPS:   5.6,
-		HeadwayM:   40,
 		FileBlocks: 220,
 		MaxLaps:    12,
 	}
 }
 
-// Normalized validates the config and fills in defaults, returning the
-// exact config a run executes.
+// Normalized validates the config and returns it unchanged.
 func (cfg DownloadConfig) Normalized() (DownloadConfig, error) {
 	if cfg.Cars <= 0 || cfg.FileBlocks == 0 || cfg.MaxLaps <= 0 {
 		return cfg, fmt.Errorf("scenario: bad download config: cars=%d file blocks=%d max laps=%d",
@@ -56,9 +53,6 @@ func (cfg DownloadConfig) Normalized() (DownloadConfig, error) {
 	}
 	if cfg.SpeedMPS <= 0 {
 		return cfg, fmt.Errorf("scenario: speed %v", cfg.SpeedMPS)
-	}
-	if cfg.HeadwayM <= 0 {
-		cfg.HeadwayM = 40
 	}
 	return cfg, nil
 }
@@ -111,7 +105,7 @@ func (cfg DownloadConfig) Round(round int) (Round, error) {
 	}
 
 	leader := loopLeader(cfg.SpeedMPS)
-	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars, cfg.HeadwayM), sim.Stream(roundSeed, "platoon"))
+	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars), sim.Stream(roundSeed, "platoon"))
 	if err != nil {
 		return Round{}, err
 	}

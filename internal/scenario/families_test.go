@@ -89,6 +89,37 @@ func families() []familyCase {
 	}
 }
 
+// TestNormalizedKeepsDefaults: a family default is written once, in its
+// DefaultX, and Normalized only validates — so every family's default
+// config comes back from Normalized unchanged, funcs included (compared
+// through ConfigDigest, which walks every field).
+func TestNormalizedKeepsDefaults(t *testing.T) {
+	for name, check := range map[string]func() (string, string, error){
+		"testbed":     func() (string, string, error) { return normalizedDigests(DefaultTestbed()) },
+		"highway":     func() (string, string, error) { return normalizedDigests(DefaultHighway()) },
+		"corridor":    func() (string, string, error) { return normalizedDigests(DefaultCorridor()) },
+		"twoway":      func() (string, string, error) { return normalizedDigests(DefaultTwoWay()) },
+		"download":    func() (string, string, error) { return normalizedDigests(DefaultDownload()) },
+		"trafficgrid": func() (string, string, error) { return normalizedDigests(DefaultTrafficGrid()) },
+		"stopgo":      func() (string, string, error) { return normalizedDigests(DefaultStopGo()) },
+		"citydemand":  func() (string, string, error) { return normalizedDigests(DefaultCityDemand()) },
+		"cityscale":   func() (string, string, error) { return normalizedDigests(DefaultCityScale()) },
+	} {
+		before, after, err := check()
+		if err != nil {
+			t.Errorf("%s: default config rejected: %v", name, err)
+		} else if before != after {
+			t.Errorf("%s: Normalized changed the default config", name)
+		}
+	}
+}
+
+// normalizedDigests returns the digests of cfg and of cfg normalized.
+func normalizedDigests[C Family[C, R], R any](cfg C) (before, after string, err error) {
+	n, err := cfg.Normalized()
+	return ConfigDigest(cfg), ConfigDigest(n), err
+}
+
 // keep leaves a config's shared settings as they are.
 func keep(*Common) {}
 

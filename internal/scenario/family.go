@@ -86,8 +86,8 @@ type Round struct {
 type Family[C, R any] interface {
 	// Name is the scenario name the harness records and keys units by.
 	Name() string
-	// Normalized validates the config and fills in defaults, returning
-	// the exact config a run executes.
+	// Normalized validates the config and returns it unchanged: a
+	// family's defaults live in its DefaultX constructor only.
 	Normalized() (C, error)
 	// NumRounds is the number of rounds a run executes.
 	NumRounds() int

@@ -19,19 +19,23 @@ import (
 // relationship; enabling Coop shows how much of each pass C-ARQ recovers.
 type HighwayConfig struct {
 	Common
-	Rounds     int
-	SpeedMPS   float64 // e.g. 8.3 (30 km/h) .. 33.3 (120 km/h)
-	HeadwayM   float64
-	Modulation radio.Modulation
+	Rounds   int
+	SpeedMPS float64 // e.g. 8.3 (30 km/h) .. 33.3 (120 km/h)
 	// RoadLengthM is the straight road segment; the AP sits at its
-	// midpoint, set back from the lane.
+	// midpoint, roadsideAPSetbackM off the lane.
 	RoadLengthM float64
-	// APSetbackM is the AP's perpendicular distance from the lane.
-	APSetbackM float64
-	// CoopTime is extra simulated time after the pass for the
-	// Cooperative-ARQ phase.
-	CoopTime time.Duration
 }
+
+// The open-road platoons (highway, twoway) keep highwayHeadwayM between
+// cars; every roadside AP of the road families (highway, twoway,
+// corridor) stands roadsideAPSetbackM off its lane; a drive-thru runs
+// highwayCoopTime past the end of the road for the Cooperative-ARQ
+// phase.
+const (
+	highwayHeadwayM    = 50.0
+	roadsideAPSetbackM = 12.0
+	highwayCoopTime    = 40 * time.Second
+)
 
 // DefaultHighway returns a 90 km/h three-car drive-thru.
 func DefaultHighway() HighwayConfig {
@@ -45,11 +49,7 @@ func DefaultHighway() HighwayConfig {
 		},
 		Rounds:      10,
 		SpeedMPS:    25, // 90 km/h
-		HeadwayM:    50,
-		Modulation:  radio.DSSS1Mbps,
 		RoadLengthM: 2000,
-		APSetbackM:  12,
-		CoopTime:    40 * time.Second,
 	}
 }
 
@@ -96,16 +96,13 @@ type HighwayResult struct {
 	CarIDs []packet.NodeID
 }
 
-// Normalized validates the config and fills in defaults.
+// Normalized validates the config and returns it unchanged.
 func (cfg HighwayConfig) Normalized() (HighwayConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
 	}
 	if cfg.SpeedMPS <= 0 {
 		return cfg, fmt.Errorf("scenario: speed %v", cfg.SpeedMPS)
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
 	}
 	return cfg, nil
 }
@@ -131,22 +128,19 @@ func (cfg HighwayConfig) Round(round int) (Round, error) {
 		Path:     road,
 		SpeedMPS: cfg.SpeedMPS,
 	})
-	platoon, err := roadPlatoon(leader, cfg.Cars, cfg.HeadwayM, 20*time.Second, roundSeed)
+	platoon, err := roadPlatoon(leader, cfg.Cars, highwayHeadwayM, 20*time.Second, roundSeed)
 	if err != nil {
 		return Round{}, err
 	}
 
-	macCfg := mac.DefaultConfig()
-	macCfg.Modulation = cfg.Modulation
-
 	passTime := time.Duration(cfg.RoadLengthM / cfg.SpeedMPS * float64(time.Second))
-	duration := passTime + cfg.CoopTime
+	duration := passTime + highwayCoopTime
 
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: highwayChannel(),
-		MAC:     macCfg,
+		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
-			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: cfg.APSetbackM},
+			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: roadsideAPSetbackM},
 			Config: apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
 				cfg.PayloadBytes, 1, 0, passTime),
 		}},

@@ -7,7 +7,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/packet"
-	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -26,9 +25,8 @@ type StopGoConfig struct {
 	// rest of the ring is radio-silent background traffic).
 	Vehicles int
 	// RingM is the ring circumference.
-	RingM      float64
-	Modulation radio.Modulation
-	Duration   time.Duration
+	RingM    float64
+	Duration time.Duration
 	// PerturbAt/PerturbFor time the upstream braking perturbation that
 	// launches the wave (a vehicle ~5 slots ahead of the platoon crawls
 	// at 1.5 m/s for the window).
@@ -49,23 +47,16 @@ func DefaultStopGo() StopGoConfig {
 		Rounds:     10,
 		Vehicles:   72,
 		RingM:      1800,
-		Modulation: radio.DSSS1Mbps,
 		Duration:   180 * time.Second,
 		PerturbAt:  25 * time.Second,
 		PerturbFor: 20 * time.Second,
 	}
 }
 
-// Normalized validates the config and fills in defaults.
+// Normalized validates the config and returns it unchanged.
 func (cfg StopGoConfig) Normalized() (StopGoConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
-	}
-	if cfg.Vehicles == 0 {
-		cfg.Vehicles = 72
-	}
-	if cfg.RingM == 0 {
-		cfg.RingM = 1800
 	}
 	if cfg.Vehicles < cfg.Cars+8 {
 		return cfg, fmt.Errorf("scenario: %d vehicles too few for a %d-car platoon", cfg.Vehicles, cfg.Cars)
@@ -74,22 +65,7 @@ func (cfg StopGoConfig) Normalized() (StopGoConfig, error) {
 		return cfg, fmt.Errorf("scenario: ring spacing %.1f m leaves no room to move", spacing)
 	}
 	if cfg.Duration <= 0 {
-		cfg.Duration = 180 * time.Second
-	}
-	if cfg.PerturbAt <= 0 {
-		cfg.PerturbAt = 25 * time.Second
-	}
-	if cfg.PerturbFor <= 0 {
-		cfg.PerturbFor = 20 * time.Second
-	}
-	if cfg.PacketsPerSecond <= 0 {
-		cfg.PacketsPerSecond = 5
-	}
-	if cfg.PayloadBytes <= 0 {
-		cfg.PayloadBytes = 1000
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
+		return cfg, fmt.Errorf("scenario: duration %v", cfg.Duration)
 	}
 	return cfg, nil
 }
@@ -211,12 +187,9 @@ func (cfg StopGoConfig) round(round int) (Round, *trace.Collector, error) {
 		return Round{}, nil, err
 	}
 
-	macCfg := mac.DefaultConfig()
-	macCfg.Modulation = cfg.Modulation
-
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: highwayChannel(),
-		MAC:     macCfg,
+		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
 			Position: stopGoAP(net),
 			Config: apConfigWindow(APID, CarIDs(cfg.Cars), cfg.PacketsPerSecond,

@@ -24,8 +24,6 @@ type TestbedConfig struct {
 	Rounds int
 	// SpeedMPS is the platoon's base speed (the paper's ~20 km/h).
 	SpeedMPS float64
-	// HeadwayM is the nominal inter-car gap (0: default 40 m).
-	HeadwayM float64
 	// BatchRequests enables the batched-REQUEST optimisation (ablation).
 	BatchRequests bool
 	// Selection overrides the cooperator-selection policy (nil: all).
@@ -149,19 +147,23 @@ func testbedChannel() radio.Config {
 	}
 }
 
+// urbanHeadwayM is the nominal inter-car gap of the urban platoons
+// (testbed, download, corridor).
+const urbanHeadwayM = 40.0
+
 // testbedProfiles builds the platoon driver profiles. Car indices are
 // 0-based internally; car 0 leads (the paper's "car 1"). The squeeze on
 // the last car reproduces the corner-C effect: while the platoon traverses
 // the corner at the east end of the main street, car 3 closes to a third
 // of its gap behind car 2, making their reception conditions on the rest
 // of the pass nearly identical.
-func testbedProfiles(cars int, headway float64) []mobility.DriverProfile {
+func testbedProfiles(cars int) []mobility.DriverProfile {
 	profiles := make([]mobility.DriverProfile, cars)
 	profiles[0] = mobility.DriverProfile{Name: "car1"}
 	for i := 1; i < cars; i++ {
 		profiles[i] = mobility.DriverProfile{
 			Name:           fmt.Sprintf("car%d", i+1),
-			HeadwayM:       headway,
+			HeadwayM:       urbanHeadwayM,
 			HeadwayJitterM: 6,
 			WobbleM:        4,
 			WobblePeriod:   40 * time.Second,
@@ -228,9 +230,9 @@ type TestbedResult struct {
 	RoundDuration time.Duration
 }
 
-// Normalized validates the config and fills in defaults, returning the
-// exact config a run would execute. Harness bridges call it once before
-// decomposing the experiment into per-round work units.
+// Normalized validates the config and returns it unchanged. Harness
+// bridges call it once before decomposing the experiment into per-round
+// work units.
 func (cfg TestbedConfig) Normalized() (TestbedConfig, error) {
 	if cfg.Rounds <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds %d", cfg.Rounds)
@@ -239,13 +241,7 @@ func (cfg TestbedConfig) Normalized() (TestbedConfig, error) {
 		return cfg, fmt.Errorf("scenario: cars %d", cfg.Cars)
 	}
 	if cfg.APRepeats < 1 {
-		cfg.APRepeats = 1
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
-	}
-	if cfg.HeadwayM <= 0 {
-		cfg.HeadwayM = 40
+		return cfg, fmt.Errorf("scenario: ap repeats %d", cfg.APRepeats)
 	}
 	return cfg, nil
 }
@@ -286,7 +282,7 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 	carIDs := CarIDs(cfg.Cars)
 
 	leader := loopLeader(cfg.SpeedMPS)
-	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars, cfg.HeadwayM), sim.Stream(roundSeed, "platoon"))
+	platoon, err := mobility.NewPlatoon(leader, testbedProfiles(cfg.Cars), sim.Stream(roundSeed, "platoon"))
 	if err != nil {
 		return Round{}, err
 	}

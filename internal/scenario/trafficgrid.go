@@ -29,7 +29,6 @@ type TrafficGridConfig struct {
 	// GridRows x GridCols intersections, BlockM apart.
 	GridRows, GridCols int
 	BlockM             float64
-	Modulation         radio.Modulation
 	// Duration is the simulated time per round.
 	Duration time.Duration
 }
@@ -50,42 +49,23 @@ func DefaultTrafficGrid() TrafficGridConfig {
 		GridRows:   3,
 		GridCols:   3,
 		BlockM:     120,
-		Modulation: radio.DSSS1Mbps,
 		Duration:   150 * time.Second,
 	}
 }
 
-// Normalized validates the config and fills in defaults.
+// Normalized validates the config and returns it unchanged.
 func (cfg TrafficGridConfig) Normalized() (TrafficGridConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
 	}
-	if cfg.GridRows == 0 {
-		cfg.GridRows = 3
-	}
-	if cfg.GridCols == 0 {
-		cfg.GridCols = 3
-	}
 	if cfg.GridRows < 2 || cfg.GridCols < 2 {
 		return cfg, fmt.Errorf("scenario: grid %dx%d too small", cfg.GridRows, cfg.GridCols)
-	}
-	if cfg.BlockM == 0 {
-		cfg.BlockM = 120
 	}
 	if cfg.Background < 0 {
 		return cfg, fmt.Errorf("scenario: background %d", cfg.Background)
 	}
 	if cfg.Duration <= 0 {
-		cfg.Duration = 150 * time.Second
-	}
-	if cfg.PacketsPerSecond <= 0 {
-		cfg.PacketsPerSecond = 5
-	}
-	if cfg.PayloadBytes <= 0 {
-		cfg.PayloadBytes = 1000
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
+		return cfg, fmt.Errorf("scenario: duration %v", cfg.Duration)
 	}
 	if maxLead := platoonLeadArc(cfg.Cars); maxLead > cfg.BlockM-10 {
 		return cfg, fmt.Errorf("scenario: %d platoon cars do not fit a %v m block", cfg.Cars, cfg.BlockM)
@@ -207,12 +187,9 @@ func (cfg TrafficGridConfig) round(round int) (Round, *trace.Collector, error) {
 		return Round{}, nil, err
 	}
 
-	macCfg := mac.DefaultConfig()
-	macCfg.Modulation = cfg.Modulation
-
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: trafficGridChannel(g),
-		MAC:     macCfg,
+		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
 			Position: trafficGridAP(g),
 			Config: apConfigWindow(APID, CarIDs(cfg.Cars), cfg.PacketsPerSecond,

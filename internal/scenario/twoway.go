@@ -8,7 +8,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/mobility"
 	"repro/internal/packet"
-	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -32,18 +31,6 @@ type TwoWayConfig struct {
 	// RelayCars is the number of trailing/opposing relay vehicles; zero
 	// isolates the platoon-only baseline.
 	RelayCars int
-	// SpeedMPS is the platoon speed; RelaySpeedMPS the relay traffic's.
-	SpeedMPS      float64
-	RelaySpeedMPS float64
-	HeadwayM      float64
-	// RelayLeadM is the gap between the platoon's tail and the first
-	// relay car; RelaySpacingM the gap between successive relays. The
-	// lead keeps relays out of radio range until the head-on return.
-	RelayLeadM    float64
-	RelaySpacingM float64
-	// LaneGapM is the lateral separation of the two lanes.
-	LaneGapM   float64
-	Modulation radio.Modulation
 	// CycleBlocks makes the AP broadcast a fixed carousel of this many
 	// blocks per flow instead of an endless stream. The carousel is what
 	// makes opposing traffic useful to a pull-based protocol: relay cars
@@ -52,10 +39,20 @@ type TwoWayConfig struct {
 	// platoon's own window.
 	CycleBlocks uint32
 	// RoadLengthM is the one-way road length; the AP sits at its
-	// midpoint, APSetbackM off the outbound lane.
+	// midpoint, roadsideAPSetbackM off the outbound lane.
 	RoadLengthM float64
-	APSetbackM  float64
 }
+
+// Two-way geometry. The platoon and the relays drive twoWaySpeedMPS;
+// relay 0 trails the platoon's tail by relayLeadM and later relays
+// follow relaySpacingM apart — the lead keeps relays out of radio range
+// until the head-on return. laneGapM separates the two lanes.
+const (
+	twoWaySpeedMPS = 25.0
+	relayLeadM     = 350.0
+	relaySpacingM  = 150.0
+	laneGapM       = 6.0
+)
 
 // DefaultTwoWay returns a 90 km/h three-car platoon with four relay cars.
 func DefaultTwoWay() TwoWayConfig {
@@ -67,22 +64,14 @@ func DefaultTwoWay() TwoWayConfig {
 			PayloadBytes:     1000,
 			Coop:             true,
 		},
-		Rounds:        8,
-		RelayCars:     4,
-		SpeedMPS:      25,
-		RelaySpeedMPS: 25,
-		HeadwayM:      50,
-		RelayLeadM:    350,
-		RelaySpacingM: 150,
-		LaneGapM:      6,
-		Modulation:    radio.DSSS1Mbps,
-		CycleBlocks:   300,
-		RoadLengthM:   2400,
-		APSetbackM:    12,
+		Rounds:      8,
+		RelayCars:   4,
+		CycleBlocks: 300,
+		RoadLengthM: 2400,
 	}
 }
 
-// Normalized validates the config and fills in defaults.
+// Normalized validates the config and returns it unchanged.
 func (cfg TwoWayConfig) Normalized() (TwoWayConfig, error) {
 	if cfg.Rounds <= 0 || cfg.Cars <= 0 {
 		return cfg, fmt.Errorf("scenario: rounds=%d cars=%d", cfg.Rounds, cfg.Cars)
@@ -90,26 +79,8 @@ func (cfg TwoWayConfig) Normalized() (TwoWayConfig, error) {
 	if cfg.RelayCars < 0 {
 		return cfg, fmt.Errorf("scenario: relay cars %d", cfg.RelayCars)
 	}
-	if cfg.SpeedMPS <= 0 || cfg.RelaySpeedMPS <= 0 {
-		return cfg, fmt.Errorf("scenario: speeds %v/%v", cfg.SpeedMPS, cfg.RelaySpeedMPS)
-	}
 	if cfg.RoadLengthM <= 0 {
 		return cfg, fmt.Errorf("scenario: road length %v", cfg.RoadLengthM)
-	}
-	if cfg.Modulation.BitRate == 0 {
-		cfg.Modulation = radio.DSSS1Mbps
-	}
-	if cfg.HeadwayM <= 0 {
-		cfg.HeadwayM = 50
-	}
-	if cfg.LaneGapM <= 0 {
-		cfg.LaneGapM = 6
-	}
-	if cfg.RelayLeadM <= 0 {
-		cfg.RelayLeadM = 350
-	}
-	if cfg.RelaySpacingM <= 0 {
-		cfg.RelaySpacingM = 150
 	}
 	return cfg, nil
 }
@@ -137,8 +108,8 @@ func twoWayPath(cfg TwoWayConfig) *geom.Polyline {
 	return geom.MustPolyline(
 		geom.Point{X: 0, Y: 0},
 		geom.Point{X: cfg.RoadLengthM, Y: 0},
-		geom.Point{X: cfg.RoadLengthM, Y: cfg.LaneGapM},
-		geom.Point{X: 0, Y: cfg.LaneGapM},
+		geom.Point{X: cfg.RoadLengthM, Y: laneGapM},
+		geom.Point{X: 0, Y: laneGapM},
 	)
 }
 
@@ -166,21 +137,21 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	circuit := twoWayPath(cfg)
 	leader := mobility.MustPathFollower(mobility.FollowerConfig{
 		Path:     circuit,
-		SpeedMPS: cfg.SpeedMPS,
+		SpeedMPS: twoWaySpeedMPS,
 	})
-	platoon, err := roadPlatoon(leader, cfg.Cars, cfg.HeadwayM, 20*time.Second, roundSeed)
+	platoon, err := roadPlatoon(leader, cfg.Cars, highwayHeadwayM, 20*time.Second, roundSeed)
 	if err != nil {
 		return Round{}, err
 	}
 
 	// Relay traffic drives the outbound lane only. One shared path starts
 	// far enough west that every relay has a non-negative start arc; relay
-	// 0 trails the platoon tail by RelayLeadM, later relays follow at
-	// RelaySpacingM. Relays park at the road end after the platoon has
+	// 0 trails the platoon tail by relayLeadM, later relays follow at
+	// relaySpacingM. Relays park at the road end after the platoon has
 	// streamed past them on the return lane.
 	relayIDs := TwoWayRelayIDs(cfg.RelayCars)
-	platoonTail := cfg.HeadwayM * float64(cfg.Cars-1)
-	backlog := cfg.RelayLeadM + cfg.RelaySpacingM*float64(cfg.RelayCars-1)
+	platoonTail := highwayHeadwayM * float64(cfg.Cars-1)
+	backlog := relayLeadM + relaySpacingM*float64(cfg.RelayCars-1)
 	var relays []mobility.Model
 	if cfg.RelayCars > 0 {
 		relayPath := geom.MustPolyline(
@@ -190,21 +161,18 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 		for j := 0; j < cfg.RelayCars; j++ {
 			relays = append(relays, mobility.MustPathFollower(mobility.FollowerConfig{
 				Path:     relayPath,
-				StartArc: cfg.RelaySpacingM * float64(cfg.RelayCars-1-j),
-				SpeedMPS: cfg.RelaySpeedMPS,
+				StartArc: relaySpacingM * float64(cfg.RelayCars-1-j),
+				SpeedMPS: twoWaySpeedMPS,
 			}))
 		}
 	}
-
-	macCfg := mac.DefaultConfig()
-	macCfg.Modulation = cfg.Modulation
 
 	// The AP serves the outbound pass: it stops transmitting once the
 	// platoon reaches the turn, by when the whole relay stream has been
 	// through coverage. The run ends when the leader is back at the AP's
 	// abscissa on the return lane — past the last head-on encounter.
 	apStop := timeToArc(leader, cfg.RoadLengthM)
-	duration := timeToArc(leader, cfg.RoadLengthM+cfg.LaneGapM+cfg.RoadLengthM/2)
+	duration := timeToArc(leader, cfg.RoadLengthM+laneGapM+cfg.RoadLengthM/2)
 
 	cars := cfg.platoon(platoon.Cars())
 	for j, id := range relayIDs {
@@ -221,9 +189,9 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	apCfg.CycleLength = cfg.CycleBlocks
 	result, err := cfg.run(roundSeed, Setup{
 		Channel: highwayChannel(),
-		MAC:     macCfg,
+		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
-			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: -cfg.APSetbackM},
+			Position: geom.Point{X: cfg.RoadLengthM / 2, Y: -roadsideAPSetbackM},
 			Config:   apCfg,
 		}},
 		Cars:     cars,

@@ -21,12 +21,10 @@ func tinyTwoWay() TwoWayConfig {
 
 func TestTwoWayConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*TwoWayConfig){
-		"rounds":      func(c *TwoWayConfig) { c.Rounds = 0 },
-		"cars":        func(c *TwoWayConfig) { c.Cars = 0 },
-		"relays":      func(c *TwoWayConfig) { c.RelayCars = -1 },
-		"speed":       func(c *TwoWayConfig) { c.SpeedMPS = 0 },
-		"relay-speed": func(c *TwoWayConfig) { c.RelaySpeedMPS = -1 },
-		"road":        func(c *TwoWayConfig) { c.RoadLengthM = 0 },
+		"rounds": func(c *TwoWayConfig) { c.Rounds = 0 },
+		"cars":   func(c *TwoWayConfig) { c.Cars = 0 },
+		"relays": func(c *TwoWayConfig) { c.RelayCars = -1 },
+		"road":   func(c *TwoWayConfig) { c.RoadLengthM = 0 },
 	} {
 		cfg := DefaultTwoWay()
 		mutate(&cfg)

@@ -64,9 +64,6 @@ func MeanAbsDiff(a, b *Series) float64 {
 	return sum / float64(a.Len())
 }
 
-// MeanY returns the mean of the series' Y values.
-func (s *Series) MeanY() float64 { return Mean(s.Y) }
-
 // MinMaxY returns the smallest and largest Y value. An empty series
 // reports (0, 0).
 func (s *Series) MinMaxY() (min, max float64) {

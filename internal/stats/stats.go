@@ -68,8 +68,7 @@ func (a *Accumulator) String() string {
 }
 
 // Proportion is a streaming Bernoulli estimator: a count of successes out
-// of trials, with Wilson-score confidence intervals. The zero value is
-// ready to use.
+// of trials. The zero value is ready to use.
 type Proportion struct {
 	successes int
 	trials    int
@@ -92,12 +91,6 @@ func (p *Proportion) AddN(k, n int) {
 	p.trials += n
 }
 
-// Successes returns the success count.
-func (p *Proportion) Successes() int { return p.successes }
-
-// Trials returns the trial count.
-func (p *Proportion) Trials() int { return p.trials }
-
 // Estimate returns the maximum-likelihood estimate k/n, or 0 with no
 // trials.
 func (p *Proportion) Estimate() float64 {
@@ -105,28 +98,6 @@ func (p *Proportion) Estimate() float64 {
 		return 0
 	}
 	return float64(p.successes) / float64(p.trials)
-}
-
-// Wilson95 returns the 95% Wilson score interval (lo, hi) for the
-// proportion. With no trials it returns (0, 1).
-func (p *Proportion) Wilson95() (lo, hi float64) {
-	if p.trials == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	n := float64(p.trials)
-	phat := p.Estimate()
-	denom := 1 + z*z/n
-	centre := (phat + z*z/(2*n)) / denom
-	half := z * math.Sqrt(phat*(1-phat)/n+z*z/(4*n*n)) / denom
-	lo, hi = centre-half, centre+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -14,12 +14,13 @@ out2="$work/run2"
 
 # -progress enables the telemetry registry and the stderr ticker; the
 # identity gate below proves neither perturbs a byte of the results.
-# stopgo has a traffic world, so the warm run also reads each round's
-# traffic summary back from the stored meta; table1's testbed rounds
-# store no meta at all, and download stores its cars' outcomes.
+# stopgo and trafficgrid have traffic worlds, so the warm run also reads
+# each round's traffic summary back from the stored meta; table1's
+# testbed rounds store no meta at all, and download stores its cars'
+# outcomes. twoway and corridor cover the remaining road families.
 sweep() {
     go run ./cmd/experiments \
-        -exp highway,dynamics,stopgo,table1,download -rounds 2 -seed 1 \
+        -exp highway,dynamics,stopgo,table1,download,twoway,corridor,trafficgrid -rounds 2 -seed 1 \
         -out "$1" -result-store "$store" \
         -traffic-store "$work/traffic-store" \
         -code-digest ci-resume-gate -progress
