@@ -1,9 +1,11 @@
 package carq
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/mac"
@@ -30,13 +32,6 @@ type respKey struct {
 	seq uint32
 }
 
-// candidate is the mutable tracking record behind a Candidate.
-type candidate struct {
-	firstHeard time.Duration
-	lastHeard  time.Duration
-	rxPowerDBm float64
-}
-
 // Node is one vehicle running the Cooperative-ARQ protocol. It is driven
 // entirely by the simulation loop: frames arrive via HandleFrame and
 // timers via the sim context, so the type needs no internal locking.
@@ -49,8 +44,9 @@ type Node struct {
 
 	phase Phase
 
-	// Neighbour and cooperator state.
-	cands      map[packet.NodeID]*candidate
+	// Neighbour and cooperator state. cands is kept sorted by ID as
+	// candidates arrive and expire, the order Selection sees them in.
+	cands      []Candidate
 	myCoops    []packet.NodeID                 // cooperators I advertise, in order
 	serveOrder map[packet.NodeID]int           // my response order for nodes that listed me
 	serveSeen  map[packet.NodeID]time.Duration // last HELLO from nodes I serve
@@ -88,10 +84,8 @@ type Node struct {
 	// Frame-combining soft buffers (nil until first corrupted copy).
 	combiner map[combinerKey]*combinerState
 
-	// Scratch buffers reused across protocol rounds.
+	// Scratch buffer reused across protocol rounds.
 	missScratch []uint32
-	idsScratch  []packet.NodeID
-	candScratch []Candidate
 
 	stats Stats
 }
@@ -170,7 +164,6 @@ func NewNode(cfg Config, deps Deps) (*Node, error) {
 		rng:        deps.RNG,
 		obs:        obs,
 		phase:      PhaseIdle,
-		cands:      make(map[packet.NodeID]*candidate),
 		serveOrder: make(map[packet.NodeID]int),
 		serveSeen:  make(map[packet.NodeID]time.Duration),
 		have:       make(map[uint32][]byte),
@@ -466,13 +459,14 @@ func (n *Node) onHello(f *packet.Frame, meta mac.RxMeta) {
 		return
 	}
 	now := n.ctx.Now()
-	c, ok := n.cands[f.Src]
+	i, ok := slices.BinarySearchFunc(n.cands, f.Src, func(c Candidate, id packet.NodeID) int {
+		return cmp.Compare(c.ID, id)
+	})
 	if !ok {
-		c = &candidate{firstHeard: now}
-		n.cands[f.Src] = c
+		n.cands = slices.Insert(n.cands, i, Candidate{ID: f.Src, FirstHeard: now})
 	}
-	c.lastHeard = now
-	c.rxPowerDBm = meta.RxPowerDBm
+	n.cands[i].LastHeard = now
+	n.cands[i].RxPowerDBm = meta.RxPowerDBm
 	n.refreshCooperators()
 
 	// Second HELLO function: the sender's list tells us whether we must
@@ -494,47 +488,20 @@ func (n *Node) onHello(f *packet.Frame, meta mac.RxMeta) {
 }
 
 // refreshCooperators prunes stale candidates and re-runs the selection
-// policy. The id and candidate slices are node-owned scratch (selection
-// policies copy their input); only the policy's own result allocates.
+// policy over the live, ID-sorted candidate list (selection policies copy
+// their input); only the policy's own result allocates.
 func (n *Node) refreshCooperators() {
 	now := n.ctx.Now()
-	ids := n.idsScratch[:0]
-	for id := range n.cands {
-		ids = append(ids, id)
-	}
-	sortNodeIDs(ids)
-	cands := n.candScratch[:0]
-	for _, id := range ids {
-		c := n.cands[id]
-		if now-c.lastHeard > n.cfg.CandidateTTL {
-			delete(n.cands, id)
-			continue
-		}
-		cands = append(cands, Candidate{
-			ID:         id,
-			FirstHeard: c.firstHeard,
-			LastHeard:  c.lastHeard,
-			RxPowerDBm: c.rxPowerDBm,
-		})
-	}
-	n.idsScratch, n.candScratch = ids, cands
-	n.myCoops = n.cfg.Selection.Select(cands)
+	n.cands = slices.DeleteFunc(n.cands, func(c Candidate) bool {
+		return now-c.LastHeard > n.cfg.CandidateTTL
+	})
+	n.myCoops = n.cfg.Selection.Select(n.cands)
 
 	// Also expire serving relationships whose HELLOs went silent.
 	for id, seen := range n.serveSeen {
 		if now-seen > n.cfg.CandidateTTL {
 			delete(n.serveOrder, id)
 			delete(n.serveSeen, id)
-		}
-	}
-}
-
-// sortNodeIDs is an allocation-free ascending insertion sort (candidate
-// sets are a handful of platoon neighbours).
-func sortNodeIDs(ids []packet.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }

@@ -25,9 +25,10 @@ type Candidate struct {
 // explicitly leaves the optimal policy as future work; SelectAll matches
 // the prototype (every one-hop neighbour, in discovery order).
 //
-// The cands slice is node-owned scratch, valid only for the duration of
-// the call: implementations must copy anything they keep (the built-in
-// policies sort a copy) and must not return a slice backed by it.
+// The cands slice is the node's live candidate list, sorted by ID and
+// valid only for the duration of the call: implementations must not
+// modify it, must copy anything they keep (the built-in policies sort a
+// copy) and must not return a slice backed by it.
 type Selection interface {
 	Select(cands []Candidate) []packet.NodeID
 }

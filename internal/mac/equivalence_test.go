@@ -24,8 +24,10 @@ type eqRecorder struct {
 	// events.
 	txCount    int
 	deliveries int
-	// stats are the medium's counters at the end of the run.
-	stats Stats
+	// stats are the medium's counters at the end of the run, inflight
+	// its InFlightReceivers.
+	stats    Stats
+	inflight int
 }
 
 func (r *eqRecorder) OnTx(src packet.NodeID, f *packet.Frame, start, airtime time.Duration) {
@@ -59,6 +61,10 @@ type eqWorld struct {
 	simFor  time.Duration
 	maxVel  float64 // per-axis m/s; keep under maxSpeedMPS/sqrt(2)
 	sendsPb int     // frames per station
+	// beacons makes every odd-numbered station an untraced background
+	// beacon; beaconsListen gives those a no-op handler, so they are
+	// resolved in full instead of deaf.
+	beacons, beaconsListen bool
 }
 
 func defaultEqWorld() eqWorld {
@@ -100,11 +106,19 @@ func runEquivalenceWorld(t *testing.T, seed int64, stations int, enum Enumeratio
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.SetHandler(HandlerFunc(func(f *packet.Frame, meta RxMeta) {
-			if meta.Corrupt {
-				corrupts = append(corrupts, fmt.Sprintf("corrupt %v %s %d %.17g", id, f, meta.At, meta.SINRdB))
+		switch {
+		case w.beacons && i%2 == 1:
+			st.Untrace()
+			if w.beaconsListen {
+				st.SetHandler(HandlerFunc(func(*packet.Frame, RxMeta) {}))
 			}
-		}))
+		default:
+			st.SetHandler(HandlerFunc(func(f *packet.Frame, meta RxMeta) {
+				if meta.Corrupt {
+					corrupts = append(corrupts, fmt.Sprintf("corrupt %v %s %d %.17g", id, f, meta.At, meta.SINRdB))
+				}
+			}))
+		}
 		for s := 0; s < sendsPb; s++ {
 			at := time.Duration(world.Int63n(int64(simFor)))
 			var f *packet.Frame
@@ -122,6 +136,7 @@ func runEquivalenceWorld(t *testing.T, seed int64, stations int, enum Enumeratio
 	}
 	rec.log = append(rec.log, corrupts...)
 	rec.stats = m.Stats()
+	rec.inflight = m.InFlightReceivers()
 	return rec
 }
 

@@ -73,12 +73,16 @@ type transmission struct {
 	mod   radio.Modulation
 	start time.Duration
 	end   time.Duration
-	// dests are the stations inside the transmission's reception horizon
-	// at start whose sampled mean power clears the certain-loss floor, in
-	// registration order — the only stations the frame can reach,
-	// interfere at, or be sensed by (see recipients and the stage-zero
-	// cull in startTransmission).
+	// dests are the listening stations inside the transmission's
+	// reception horizon at start whose sampled mean power clears the
+	// certain-loss floor, in registration order — the only stations the
+	// frame is resolved at or interferes at (see recipients and the
+	// stage-zero cull in startTransmission).
 	dests []*Station
+	// sensors are the deaf stations (see Station.deaf) whose mean power
+	// at start reaches their carrier-sense threshold, in candidate order:
+	// the frame keeps them busy but is never resolved at them.
+	sensors []*Station
 	// pows[i] is the mean rx power at dests[i], sampled at start. A
 	// parallel slice, not a map: the horizon keeps the set small enough
 	// that a linear scan beats hashing, and the allocation matters at
@@ -100,8 +104,8 @@ type transmission struct {
 	next *transmission
 }
 
-// powerAt returns the transmission's mean rx power at station s, if s was
-// inside its horizon.
+// powerAt returns the transmission's mean rx power at station s, if s is
+// one of its dests.
 func (t *transmission) powerAt(s *Station) (float64, bool) {
 	for i, d := range t.dests {
 		if d == s {
@@ -109,6 +113,20 @@ func (t *transmission) powerAt(s *Station) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// sensedBy reports whether s senses the transmission: a dest at or above
+// its carrier-sense threshold, or a sensor.
+func (t *transmission) sensedBy(s *Station) bool {
+	if p, ok := t.powerAt(s); ok {
+		return p >= s.cfg.CSThresholdDBm
+	}
+	for _, d := range t.sensors {
+		if d == s {
+			return true
+		}
+	}
+	return false
 }
 
 func (t *transmission) overlaps(s, e time.Duration) bool {
@@ -232,20 +250,24 @@ type Medium struct {
 // fields are deterministic counts, never wall-clock measures.
 type Stats struct {
 	// Transmissions counts frames put on the air; Deliveries counts
-	// successful frame receptions (the channel accepted the frame at a
-	// receiver, whether or not a handler observed it).
+	// successful frame receptions at resolved receivers: listening
+	// stations, whose handler, tracer or corrupt-delivery flag observes
+	// the frame. Deaf stations are never resolved (see Sensed).
 	Transmissions uint64
 	Deliveries    uint64
-	// Drops counts non-deliveries by cause, indexed by DropReason
-	// (DropChannel..DropHalfDuplex; index 0 is unused).
+	// Drops counts non-deliveries at resolved receivers by cause, indexed
+	// by DropReason (DropChannel..DropHalfDuplex; index 0 is unused).
 	Drops [4]uint64
 	// Candidates counts, per transmission, the stations inside the
 	// frame's reception horizon; Culled counts those the stage-zero cull
-	// dropped. Every other candidate is delivered, dropped for a named
-	// cause, or still on the air (InFlightReceivers):
-	// Candidates = Deliveries + ΣDrops + Culled + InFlightReceivers().
+	// dropped, and Sensed the deaf stations the frame only keeps busy
+	// (mean power at or above their carrier-sense threshold). Every other
+	// candidate is delivered, dropped for a named cause, or still on the
+	// air (InFlightReceivers):
+	// Candidates = Deliveries + ΣDrops + Culled + Sensed + InFlightReceivers().
 	Candidates uint64
 	Culled     uint64
+	Sensed     uint64
 	// IndexQueries counts receiver-set enumerations answered by the
 	// station grid, ScanQueries those answered by the exhaustive scan
 	// (small populations, EnumerateScan, or unbounded horizons).
@@ -308,7 +330,9 @@ func (m *Medium) SetEnumeration(e Enumeration) { m.enum = e }
 func (m *Medium) Engine() *sim.Engine { return m.engine }
 
 // AddStation registers a station. The id must be unique and pos non-nil;
-// handler may be nil for transmit-only stations.
+// handler may be nil for transmit-only stations. An untraced station with
+// no handler and no DeliverCorrupt is deaf: the medium only carrier-senses
+// for it (see Station.deaf).
 func (m *Medium) AddStation(id packet.NodeID, pos PositionFunc, handler Handler, cfg Config) (*Station, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -436,14 +460,12 @@ func (m *Medium) recipients(src *Station, srcPos geom.Point, now time.Duration, 
 
 // busyFor reports whether any in-flight transmission is sensed above the
 // station's carrier-sense threshold (or the station itself is
-// transmitting). Transmissions keep no power entry for stations beyond
-// their horizon — by construction those arrive below every threshold.
+// transmitting). Transmissions keep no entry for stations beyond their
+// horizon or under the certain-loss floor — by construction those arrive
+// below every threshold.
 func (m *Medium) busyFor(s *Station) bool {
 	for _, tx := range m.active {
-		if tx.src == s {
-			return true
-		}
-		if p, ok := tx.powerAt(s); ok && p >= s.cfg.CSThresholdDBm {
+		if tx.src == s || tx.sensedBy(s) {
 			return true
 		}
 	}
@@ -471,7 +493,9 @@ func (m *Medium) recycleTransmission(tx *transmission) {
 		tx.dests[i] = nil
 		tx.fades[i] = nil
 	}
+	clear(tx.sensors)
 	tx.dests, tx.pows, tx.fades = tx.dests[:0], tx.pows[:0], tx.fades[:0]
+	tx.sensors = tx.sensors[:0]
 	tx.next = m.txFree
 	m.txFree = tx
 }
@@ -498,6 +522,13 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame) {
 	// Corrupt-delivery receivers are exempt — their handlers observe
 	// every frame's fading sample through RxMeta.SINRdB, so they stay
 	// and resolve in full.
+	//
+	// Deaf receivers that survive the cull are never resolved: nothing
+	// observes their fade draw, PER coin or verdict, and each directed
+	// link owns its random streams, so skipping them moves no other
+	// link's draws. Only their carrier sense matters, which needs the
+	// mean power alone: those at or above their threshold become sensors,
+	// the rest are culled.
 	certainFloor := m.channel.CertainMeanFloorDBm(tx.edges)
 	// SoA gather: collect every candidate's link handles and geometry
 	// into parallel scratch slices, sweep the mean-power kernel over the
@@ -520,14 +551,20 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame) {
 	m.stats.Candidates += uint64(n)
 	for i, c := range cands {
 		pow := m.powScr[i]
-		if pow <= certainFloor && !c.st.cfg.DeliverCorrupt {
-			continue
+		switch rx := c.st; {
+		case pow <= certainFloor && !rx.cfg.DeliverCorrupt:
+		case rx.deaf():
+			if pow >= rx.cfg.CSThresholdDBm {
+				tx.sensors = append(tx.sensors, rx)
+			}
+		default:
+			tx.dests = append(tx.dests, rx)
+			tx.pows = append(tx.pows, pow)
+			tx.fades = append(tx.fades, m.fadeScr[i])
 		}
-		tx.dests = append(tx.dests, c.st)
-		tx.pows = append(tx.pows, pow)
-		tx.fades = append(tx.fades, m.fadeScr[i])
 	}
-	m.stats.Culled += uint64(n - len(tx.dests))
+	m.stats.Sensed += uint64(len(tx.sensors))
+	m.stats.Culled += uint64(n - len(tx.dests) - len(tx.sensors))
 	// Restore registration order — the ordering contract behind delivery,
 	// sensing and trace byte-identity. The candidates arrive in cell-scan
 	// order on the indexed path, but after the cull only a survivor or
@@ -558,11 +595,16 @@ func (m *Medium) startTransmission(src *Station, f *packet.Frame) {
 	}
 
 	// Stations that sense the new transmission abort their contention and
-	// wait for the medium to free.
+	// wait for the medium to free. The order of these calls is invisible:
+	// each only cancels the station's own timer and joins the waitlist,
+	// which endTransmission sorts into registration order.
 	for i, s := range tx.dests {
 		if tx.pows[i] >= s.cfg.CSThresholdDBm {
 			s.onMediumBusy()
 		}
+	}
+	for _, s := range tx.sensors {
+		s.onMediumBusy()
 	}
 
 	m.engine.ScheduleCall(airtime, m.endCall, tx)

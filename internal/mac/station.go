@@ -90,8 +90,17 @@ func (s *Station) SetHandler(h Handler) { s.handler = h }
 // Untrace takes the station out of the trace scope: the medium no longer
 // reports its transmissions, or the receptions and drops at it, to the
 // tracer, and counts each skipped call in Stats.Untraced instead.
-// Delivery, the other counters and handler dispatch are unchanged.
+// Delivery, the other counters and handler dispatch are unchanged,
+// unless the station is also deaf (see deaf).
 func (s *Station) Untrace() { s.untraced = true }
+
+// deaf reports whether nothing observes what the station receives: it is
+// untraced, has no handler and does not take corrupt deliveries. The
+// medium resolves no frame at a deaf station and only tracks which frames
+// it carrier-senses (Stats.Sensed). Deafness is read as each frame starts.
+func (s *Station) deaf() bool {
+	return s.untraced && s.handler == nil && !s.cfg.DeliverCorrupt
+}
 
 // stationLink bundles the channel handles of one src→rx pair. Creating
 // either handle draws no randomness, so fetching both on the pair's first

@@ -166,7 +166,7 @@ func cityDemandWorld(cfg CityDemandConfig, roundSeed int64) (*traffic.GridNet, [
 		ap := traffic.DefaultActuatedParams()
 		gspec.Actuated = &ap
 	}
-	g, err := traffic.NewGridNetwork(gspec)
+	g, err := gridNetwork(gspec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -80,7 +80,7 @@ func (r *CityScaleResult) Stations() int {
 // background population spread over every other link with random-turn
 // routes.
 func cityScaleWorld(cfg CityScaleConfig, roundSeed int64) (*traffic.GridNet, []traffic.VehicleSpec, error) {
-	g, err := traffic.NewGridNetwork(cityGridSpec(cfg.GridRows, cfg.GridCols, cfg.BlockM))
+	g, err := gridNetwork(cityGridSpec(cfg.GridRows, cfg.GridCols, cfg.BlockM))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -82,8 +82,8 @@ func (cfg CorridorConfig) Normalized() (CorridorConfig, error) {
 	return cfg, nil
 }
 
-// CorridorRoadLength returns the road length the config implies.
-func CorridorRoadLength(cfg CorridorConfig) float64 {
+// corridorRoadLength returns the road length the config implies.
+func corridorRoadLength(cfg CorridorConfig) float64 {
 	return float64(cfg.APCount) * cfg.APSpacingM
 }
 
@@ -99,7 +99,7 @@ func (cfg CorridorConfig) Result(rounds []Round) *CorridorResult {
 		Config:      cfg,
 		Rounds:      protocols(rounds),
 		CarIDs:      CarIDs(cfg.Cars),
-		RoadLengthM: CorridorRoadLength(cfg),
+		RoadLengthM: corridorRoadLength(cfg),
 	}
 }
 
@@ -114,7 +114,7 @@ func (cfg CorridorConfig) Result(rounds []Round) *CorridorResult {
 func (cfg CorridorConfig) Round(round int) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("corridor-round-%d", round))
 	carIDs := CarIDs(cfg.Cars)
-	roadLen := CorridorRoadLength(cfg)
+	roadLen := corridorRoadLength(cfg)
 
 	road := mobility.StraightHighway(roadLen)
 	leader := mobility.MustPathFollower(mobility.FollowerConfig{

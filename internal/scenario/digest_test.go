@@ -76,17 +76,18 @@ func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
 }
 
 // TestRadioConfigFieldCount pins radio.Config's field list: ConfigDigest
-// walks whatever struct it is handed, but scenario configs carry the
-// channel settings as scalar fields rather than a radio.Config value, so
-// a newly added channel knob must be consciously plumbed.
-// Bump the count AND add the knob to Common, whose run method applies
-// the shared channel settings to every family's channel builder (or to
-// one family's builder, for a family-specific knob), when radio.Config
-// grows.
+// walks whatever struct it is handed, but scenario configs carry no
+// radio.Config value — each family builds its channel in its own
+// builder (cityScaleChannel in citygrid.go, corridorChannel,
+// highwayChannel, testbedChannel, trafficGridChannel), so a newly added
+// channel knob must be consciously set there. Bump the count AND decide
+// the new field's value in each of those builders (and, if a study
+// varies it, add it to that family's config) when radio.Config grows.
 func TestRadioConfigFieldCount(t *testing.T) {
 	const want = 9
 	if got := reflect.TypeOf(radio.Config{}).NumField(); got != want {
-		t.Fatalf("radio.Config has %d fields, expected %d — plumb the new field through Common and update this count", got, want)
+		t.Fatalf("radio.Config has %d fields, expected %d — set the new field in the per-family channel builders "+
+			"(citygrid.go, corridor.go, highway.go, testbed.go, trafficgrid.go) and update this count", got, want)
 	}
 }
 

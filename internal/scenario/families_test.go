@@ -159,6 +159,7 @@ func readRoundCounts() roundCounts {
 			Deliveries:    mDeliveries.Value(),
 			Candidates:    mCandidates.Value(),
 			Culled:        mCulled.Value(),
+			Sensed:        mSensed.Value(),
 			IndexQueries:  mIndexQueries.Value(),
 			ScanQueries:   mScanQueries.Value(),
 			Untraced:      mUntraced.Value(),
@@ -182,6 +183,7 @@ func (c roundCounts) minus(o roundCounts) roundCounts {
 	c.mac.Deliveries -= o.mac.Deliveries
 	c.mac.Candidates -= o.mac.Candidates
 	c.mac.Culled -= o.mac.Culled
+	c.mac.Sensed -= o.mac.Sensed
 	c.mac.IndexQueries -= o.mac.IndexQueries
 	c.mac.ScanQueries -= o.mac.ScanQueries
 	c.mac.Untraced -= o.mac.Untraced
@@ -195,8 +197,8 @@ func (c roundCounts) minus(o roundCounts) roundCounts {
 // returns its trace with the counters that round flushed. Every counted
 // round must satisfy the receiver accounting identity: each station
 // inside a frame's reception horizon is delivered the frame, drops it for
-// a named cause, is culled at stage zero, or is still waiting for it
-// when the round ends.
+// a named cause, is culled at stage zero, only senses it (a deaf
+// station), or is still waiting for it when the round ends.
 func countedRound(t *testing.T, f familyCase, with func(*Common), round int) (*trace.Collector, roundCounts) {
 	t.Helper()
 	defer metrics.SetEnabled(metrics.Enabled())
@@ -205,9 +207,9 @@ func countedRound(t *testing.T, f familyCase, with func(*Common), round int) (*t
 	col := f.run(t, with, round)
 	c := readRoundCounts().minus(before)
 	m := c.mac
-	if m.Candidates == 0 || m.Candidates != m.Deliveries+dropped(m)+m.Culled+c.inflight {
-		t.Fatalf("%s: candidates %d != deliveries %d + drops %d + culled %d + in flight %d",
-			f.name, m.Candidates, m.Deliveries, dropped(m), m.Culled, c.inflight)
+	if m.Candidates == 0 || m.Candidates != m.Deliveries+dropped(m)+m.Culled+m.Sensed+c.inflight {
+		t.Fatalf("%s: candidates %d != deliveries %d + drops %d + culled %d + sensed %d + in flight %d",
+			f.name, m.Candidates, m.Deliveries, dropped(m), m.Culled, m.Sensed, c.inflight)
 	}
 	return col, c
 }

@@ -34,7 +34,7 @@ var (
 	mTransmissions = metrics.NewCounter("mac_transmissions_total",
 		"frames put on the air")
 	mDeliveries = metrics.NewCounter("mac_deliveries_total",
-		"successful frame receptions")
+		"successful frame receptions at resolved (listening) receivers; deaf stations only sense")
 	mIndexQueries = metrics.NewCounter("mac_index_queries_total",
 		"receiver-set enumerations answered by the station grid")
 	mScanQueries = metrics.NewCounter("mac_scan_queries_total",
@@ -44,7 +44,9 @@ var (
 	mCandidates = metrics.NewCounter("mac_candidates_total",
 		"stations inside a frame's reception horizon, per transmission")
 	mCulled = metrics.NewCounter("mac_culled_total",
-		"candidates dropped by the stage-zero certain-loss cull")
+		"candidates dropped by the stage-zero certain-loss cull, or deaf ones below carrier sense")
+	mSensed = metrics.NewCounter("mac_sensed_total",
+		"deaf candidates (untraced, no handler) that only carrier-sensed a frame; candidates = deliveries + drops + culled + sensed + in flight")
 	mInflightReceivers = metrics.NewCounter("mac_inflight_receivers_total",
 		"receivers of frames still on the air when their round ended, all rounds")
 	mUntraced = metrics.NewCounter("mac_untraced_events_total",
@@ -70,7 +72,7 @@ var (
 
 func dropCounter(r mac.DropReason) *metrics.Counter {
 	return metrics.NewLabelledCounter("mac_drops_total",
-		"frames not delivered to a receiver, by cause", "cause", r.String())
+		"frames not delivered to a resolved (listening) receiver, by cause", "cause", r.String())
 }
 
 // flushRunStats folds one finished round's engine and medium counters
@@ -94,6 +96,7 @@ func flushRunStats(engine *sim.Engine, medium *mac.Medium) {
 	mIndexRebuilds.Add(ms.IndexRebuilds)
 	mCandidates.Add(ms.Candidates)
 	mCulled.Add(ms.Culled)
+	mSensed.Add(ms.Sensed)
 	mInflightReceivers.Add(uint64(medium.InFlightReceivers()))
 	mUntraced.Add(ms.Untraced)
 	for reason, c := range mDrops {

@@ -78,15 +78,17 @@ func epidemicTestbed() familyCase {
 // checkTraceScope checks a round's trace against the scope rule: every
 // medium event is either in the trace or counted as untraced, the
 // beacon-only background vehicles (IDs from BackgroundID, city families
-// only) are the untraced stations, and every platoon car is traced.
+// only) are the untraced and deaf stations, and every platoon car is
+// traced.
 func checkTraceScope(t *testing.T, f familyCase, col *trace.Collector, c roundCounts) {
 	t.Helper()
 	events := c.mac.Transmissions + c.mac.Deliveries + dropped(c.mac)
 	if traced := uint64(len(col.Tx) + len(col.Rx) + len(col.Drops)); traced+c.mac.Untraced != events {
 		t.Fatalf("%s: %d traced + %d untraced events != %d medium events", f.name, traced, c.mac.Untraced, events)
 	}
-	if beacons := f.name == "cityscale" || f.name == "citydemand"; beacons != (c.mac.Untraced > 0) {
-		t.Fatalf("%s: %d untraced events (background beacons: %v)", f.name, c.mac.Untraced, beacons)
+	if beacons := f.name == "cityscale" || f.name == "citydemand"; beacons != (c.mac.Untraced > 0) || beacons != (c.mac.Sensed > 0) {
+		t.Fatalf("%s: %d untraced events, %d sensed receivers (background beacons: %v)",
+			f.name, c.mac.Untraced, c.mac.Sensed, beacons)
 	}
 	sent := map[packet.NodeID]bool{}
 	for _, r := range col.Tx {

@@ -97,12 +97,13 @@ type Setup struct {
 	Cars     []CarSpec
 	Beacons  []BeaconSpec
 	Duration time.Duration
-	// Hook, if non-nil, receives the constructed engine and nodes before
-	// the run starts, for callers that want to schedule extra probes.
+	// Hook, if non-nil, receives the constructed engine and car nodes
+	// before the run starts, for callers that want to schedule extra probes.
 	Hook func(engine *sim.Engine, nodes map[packet.NodeID]Node)
 }
 
-// Result is one simulation run's output.
+// Result is one simulation run's output: the trace and the cars' final
+// protocol instances (beacons keep no state worth returning).
 type Result struct {
 	Trace *trace.Collector
 	Nodes map[packet.NodeID]Node
@@ -192,13 +193,13 @@ func Run(s Setup) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: beacon %v: %w", b.ID, err)
 		}
+		// Untraced with no handler, a beacon station is deaf: the medium
+		// only carrier-senses for it.
 		st.Untrace()
 		node := &beaconNode{BeaconSpec: b, port: st,
 			rng: sim.Stream(s.Seed, fmt.Sprintf("beacon-%v", b.ID))}
 		node.timer = engine.NewTimer(node.beacon)
-		st.SetHandler(node)
-		node.Start()
-		nodes[b.ID] = node
+		node.start()
 	}
 
 	if s.Hook != nil {
@@ -227,12 +228,9 @@ type beaconNode struct {
 	rng   *rand.Rand
 }
 
-// HandleFrame implements mac.Handler.
-func (n *beaconNode) HandleFrame(*packet.Frame, mac.RxMeta) {}
-
-// Start implements Node: the first beacon lands at a uniformly jittered
-// offset past StartAt so the population desynchronises.
-func (n *beaconNode) Start() {
+// start arms the first beacon at a uniformly jittered offset past
+// StartAt so the population desynchronises.
+func (n *beaconNode) start() {
 	first := n.StartAt + time.Duration(n.rng.Int63n(int64(n.Period)))
 	n.timer.Reset(first)
 }

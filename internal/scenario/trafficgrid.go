@@ -87,7 +87,7 @@ type TrafficGridResult struct {
 // the AP intersection clockwise) followed by the background population
 // on every other street.
 func trafficGridWorld(cfg TrafficGridConfig, roundSeed int64) (*traffic.GridNet, []traffic.VehicleSpec, error) {
-	g, err := traffic.NewGridNetwork(cityGridSpec(cfg.GridRows, cfg.GridCols, cfg.BlockM))
+	g, err := gridNetwork(cityGridSpec(cfg.GridRows, cfg.GridCols, cfg.BlockM))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -100,6 +100,47 @@ func (c *trafficTraceCache) get(key string, compute func() (*trace.Collector, er
 	return e.col, e.err
 }
 
+// gridNets memoises street grids by spec. A GridNet is read-only once
+// built (traffic.New and NewReplay only read and validate it), so every
+// round and every concurrent unit over one spec shares one build instead
+// of rebuilding the same grid per round. A process builds one grid per
+// distinct spec, and the catalogue has a handful.
+var gridNets = struct {
+	mu sync.Mutex
+	m  map[gridKey]*traffic.GridNet
+}{m: make(map[gridKey]*traffic.GridNet)}
+
+// gridKey is a GridSpec by value: Actuated's parameters instead of the
+// caller's pointer.
+type gridKey struct {
+	spec     traffic.GridSpec // Actuated cleared
+	actuated bool
+	params   traffic.ActuatedParams
+}
+
+// gridNetwork returns the shared street grid for spec, building it on
+// first use.
+func gridNetwork(spec traffic.GridSpec) (*traffic.GridNet, error) {
+	key := gridKey{spec: spec}
+	if spec.Actuated != nil {
+		// The shared grid must not alias the caller's parameters.
+		params := *spec.Actuated
+		key.spec.Actuated, key.actuated, key.params = nil, true, params
+		spec.Actuated = &params
+	}
+	gridNets.mu.Lock()
+	defer gridNets.mu.Unlock()
+	if g, ok := gridNets.m[key]; ok {
+		return g, nil
+	}
+	g, err := traffic.NewGridNetwork(spec)
+	if err != nil {
+		return nil, err
+	}
+	gridNets.m[key] = g
+	return g, nil
+}
+
 // recordTrafficTrace runs one traffic simulation to completion with
 // recording on and returns the recorded stream.
 func recordTrafficTrace(tcfg traffic.Config, specs []traffic.VehicleSpec, d time.Duration) (*trace.Collector, error) {

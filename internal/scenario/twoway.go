@@ -93,8 +93,8 @@ type TwoWayResult struct {
 	RelayIDs []packet.NodeID
 }
 
-// TwoWayRelayIDs returns the relay vehicle node IDs for cfg.
-func TwoWayRelayIDs(n int) []packet.NodeID {
+// twoWayRelayIDs returns the relay vehicle node IDs for cfg.
+func twoWayRelayIDs(n int) []packet.NodeID {
 	ids := make([]packet.NodeID, n)
 	for i := range ids {
 		ids[i] = RelayID + packet.NodeID(i)
@@ -125,7 +125,7 @@ func (cfg TwoWayConfig) Result(rounds []Round) *TwoWayResult {
 		Config:   cfg,
 		Rounds:   protocols(rounds),
 		CarIDs:   CarIDs(cfg.Cars),
-		RelayIDs: TwoWayRelayIDs(cfg.RelayCars),
+		RelayIDs: twoWayRelayIDs(cfg.RelayCars),
 	}
 }
 
@@ -149,7 +149,7 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	// 0 trails the platoon tail by relayLeadM, later relays follow at
 	// relaySpacingM. Relays park at the road end after the platoon has
 	// streamed past them on the return lane.
-	relayIDs := TwoWayRelayIDs(cfg.RelayCars)
+	relayIDs := twoWayRelayIDs(cfg.RelayCars)
 	platoonTail := highwayHeadwayM * float64(cfg.Cars-1)
 	backlog := relayLeadM + relaySpacingM*float64(cfg.RelayCars-1)
 	var relays []mobility.Model

@@ -8,6 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
+// signalGreen reports whether link saw green on the simulation's last
+// tick (on its initial displays before the first): the per-tick green
+// table every car-following decision of that tick read.
+func signalGreen(s *Simulation, link LinkID) bool { return s.green[link] }
+
 // actuatedTestWorld builds a 3x3 actuated grid with a deterministic
 // vehicle population dense enough to occupy stop-line detectors.
 func actuatedTestWorld(t *testing.T, ap ActuatedParams, vehicles int) (*GridNet, []VehicleSpec) {
@@ -72,7 +77,7 @@ func TestActuatedGreenBounds(t *testing.T) {
 	var greens []time.Duration
 	for now := time.Duration(0); now < 5*time.Minute; now += tick {
 		for _, id := range signalled {
-			green := s.SignalGreen(id)
+			green := signalGreen(s, id)
 			started, was := greenSince[id]
 			switch {
 			case green && !was:

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -39,22 +40,22 @@ type Link struct {
 	// Signal is the traffic light controlling this link's downstream
 	// exit, or NoSignal.
 	Signal SignalID
-
-	loops bool
 }
 
 // Length returns the centreline arc length.
 func (l *Link) Length() float64 { return l.Centre.Length() }
 
-// Loops reports whether the link is a closed loop (it lists itself as a
-// successor).
-func (l *Link) Loops() bool { return l.loops }
+// Loops reports whether the link is a closed loop: it lists itself as its
+// only successor (Validate rejects a self-successor among others). It is
+// derived, not stored, so validating a network never writes to it and
+// concurrent simulations may share one.
+func (l *Link) Loops() bool { return len(l.Next) == 1 && l.Next[0] == l.ID }
 
 // LanePoint maps road coordinates (lane, arc) to the plane: the
 // centreline point at arc, offset half a lane plus lane widths to the
 // right of the direction of travel.
 func (l *Link) LanePoint(lane int, arc float64) geom.Point {
-	if l.loops {
+	if l.Loops() {
 		total := l.Length()
 		arc = math.Mod(arc, total)
 		if arc < 0 {
@@ -139,28 +140,32 @@ func (s *Signal) Cycle() time.Duration {
 	return c
 }
 
-// GreenFor reports whether link sees green at virtual time now.
+// GreenFor reports whether link sees green at virtual time now under the
+// fixed cycle.
 func (s *Signal) GreenFor(link LinkID, now time.Duration) bool {
-	cycle := s.Cycle()
-	if cycle <= 0 {
+	if s.Cycle() <= 0 {
 		return true
 	}
+	green, _ := s.phaseAt(now)
+	return slices.Contains(green, link)
+}
+
+// phaseAt returns the green links of the fixed-cycle phase showing at now
+// (none during a clearance) and the instant that phase ends. The cycle
+// must be positive.
+func (s *Signal) phaseAt(now time.Duration) (green []LinkID, until time.Duration) {
+	cycle := s.Cycle()
 	t := (now + s.Offset) % cycle
 	if t < 0 {
 		t += cycle
 	}
 	for _, p := range s.Phases {
 		if t < p.Dur {
-			for _, g := range p.Green {
-				if g == link {
-					return true
-				}
-			}
-			return false
+			return p.Green, now + p.Dur - t
 		}
 		t -= p.Dur
 	}
-	return false
+	panic("traffic: phase scan ran past a positive cycle")
 }
 
 // Network is a set of directed links plus the signals controlling them.
@@ -197,16 +202,12 @@ func (n *Network) Validate() error {
 		if len(l.Next) == 0 {
 			return fmt.Errorf("traffic: link %d is a dead end", i)
 		}
-		l.loops = false
 		for _, nx := range l.Next {
 			if nx < 0 || int(nx) >= len(n.Links) {
 				return fmt.Errorf("traffic: link %d successor %d out of range", i, nx)
 			}
-			if nx == l.ID {
-				l.loops = true
-			}
 		}
-		if l.loops && len(l.Next) > 1 {
+		if len(l.Next) > 1 && slices.Contains(l.Next, l.ID) {
 			return fmt.Errorf("traffic: link %d loops but has other successors", i)
 		}
 		if l.Signal != NoSignal {

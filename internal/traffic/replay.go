@@ -186,7 +186,7 @@ func samplePosCursor(net *Network, track []sample, now time.Duration, hint int) 
 	}
 	l := net.Links[smp.link]
 	arc := smp.arc + smp.v*(now-smp.at).Seconds()
-	if !l.loops {
+	if !l.Loops() {
 		// Plain comparison, not math.Min: arc and length are always
 		// finite here and the call is too hot for the NaN-aware helper.
 		if max := l.Length(); arc > max {

@@ -116,6 +116,20 @@ type Simulation struct {
 	// actuated holds the per-signal controller state of queue-actuated
 	// signals, indexed by SignalID (untouched for fixed-cycle signals).
 	actuated []actuatedState
+	// green[link] is whether the link sees green this tick, the table
+	// every car-following and lane-change decision of the tick reads.
+	// refreshGreens keeps it current once per tick, rewriting only the
+	// links of signals whose display changed (shown, by SignalID).
+	green []bool
+	shown []display
+}
+
+// display is what one signal shows, as last written into the green
+// table: the green links of its current phase (none in a clearance) and,
+// under fixed-cycle control, the instant that phase ends.
+type display struct {
+	on    []LinkID
+	until time.Duration
 }
 
 // actuatedState is one actuated signal's controller: which phase shows
@@ -150,6 +164,12 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 		s.lanes[i] = make([][]*vehicle, l.Lanes)
 	}
 	s.actuated = make([]actuatedState, len(s.net.Signals))
+	s.green = make([]bool, len(s.net.Links))
+	for i, l := range s.net.Links {
+		s.green[i] = l.Signal == NoSignal
+	}
+	s.shown = make([]display, len(s.net.Signals))
+	s.refreshGreens()
 	for i, spec := range specs {
 		veh, err := s.newVehicle(i, spec)
 		if err != nil {
@@ -250,7 +270,7 @@ func (s *Simulation) newVehicle(id int, spec VehicleSpec) (*vehicle, error) {
 func (v *vehicle) chooseNext(net *Network) {
 	l := v.link
 	switch {
-	case l.loops:
+	case l.Loops():
 		v.next = l
 	case len(v.route) > 0:
 		if v.exitAtEnd {
@@ -363,12 +383,12 @@ func (s *Simulation) Step() {
 	// state, then compute car-following accelerations against the
 	// resulting displays.
 	s.stepSignals()
-	for li := range s.lanes {
+	s.refreshGreens()
+	for li, lanes := range s.lanes {
 		l := s.net.Links[li]
 		stopLine := l.Length() - stopMarginM
-		red := !s.linkGreen(l)
-		for lane := range s.lanes[li] {
-			list := s.lanes[li][lane]
+		red := !s.green[li]
+		for _, list := range lanes {
 			for i, veh := range list {
 				v0 := veh.desiredSpeed(s.now)
 				a := veh.drv.IDMAccel(veh.v, 0, math.Inf(1), v0)
@@ -377,7 +397,7 @@ func (s *Simulation) Step() {
 					lead := list[i+1]
 					gap := lead.arc - lead.drv.LengthM - veh.arc
 					a = math.Min(a, veh.drv.IDMAccel(veh.v, lead.v, gap, v0))
-				case l.loops && len(list) > 0:
+				case l.Loops() && len(list) > 0:
 					// Wrap-around leader; alone, a vehicle follows its
 					// own tail a full circumference ahead.
 					lead := list[0]
@@ -422,7 +442,7 @@ func (s *Simulation) Step() {
 		newArc := veh.arc + veh.v*dt
 		veh.v = math.Max(0, veh.v+veh.a*dt)
 		l := veh.link
-		if l.loops {
+		if l.Loops() {
 			for newArc >= l.Length() {
 				newArc -= l.Length()
 			}
@@ -536,35 +556,42 @@ func (s *Simulation) detectorOccupied(links []LinkID, detectorM float64) bool {
 	return false
 }
 
-// linkGreen reports whether the link's downstream signal currently shows
-// it green (links without a signal are always green). Fixed-cycle
-// signals evaluate their schedule; actuated signals consult the
-// controller state.
-func (s *Simulation) linkGreen(l *Link) bool {
-	if l.Signal == NoSignal {
-		return true
-	}
-	sig := s.net.Signals[l.Signal]
-	if sig.Actuated == nil {
-		return sig.GreenFor(l.ID, s.now)
-	}
-	st := &s.actuated[sig.ID]
-	if st.inClear {
-		return false
-	}
-	for _, g := range sig.Phases[st.phase].Green {
-		if g == l.ID {
-			return true
+// refreshGreens brings the per-link green table up to the current tick:
+// links without a signal are always green (set once, in New), and each
+// signal shows green to the links of its current phase that it controls.
+// Fixed-cycle signals re-evaluate their schedule only once the phase
+// last shown has ended; actuated signals read the controller state
+// stepSignals just advanced (no green during clearance). Only a changed
+// display rewrites links.
+func (s *Simulation) refreshGreens() {
+	for i, sig := range s.net.Signals {
+		d := &s.shown[i]
+		var on []LinkID
+		if sig.Actuated == nil {
+			if s.now < d.until {
+				continue
+			}
+			on, d.until = sig.phaseAt(s.now)
+		} else if st := &s.actuated[i]; !st.inClear {
+			on = sig.Phases[st.phase].Green
 		}
+		// Phases hold their own green slices, so the same phase shows
+		// the same backing array.
+		if len(on) == len(d.on) && (len(on) == 0 || &on[0] == &d.on[0]) {
+			continue
+		}
+		for _, id := range d.on {
+			if s.net.Links[id].Signal == sig.ID {
+				s.green[id] = false
+			}
+		}
+		for _, id := range on {
+			if s.net.Links[id].Signal == sig.ID {
+				s.green[id] = true
+			}
+		}
+		d.on = on
 	}
-	return false
-}
-
-// SignalGreen reports whether the given link currently sees green —
-// fixed-cycle or actuated. Tests use it to observe actuated phase
-// timing from outside.
-func (s *Simulation) SignalGreen(link LinkID) bool {
-	return s.linkGreen(s.net.Link(link))
 }
 
 // maybeChangeLane applies the simplified MOBIL rule to one vehicle.
@@ -593,7 +620,7 @@ func (s *Simulation) maybeChangeLane(veh *vehicle) {
 			}
 			aNew = math.Min(aNew, veh.drv.IDMAccel(veh.v, leader.v, gap, v0))
 		}
-		red := !s.linkGreen(l)
+		red := !s.green[l.ID]
 		if stopLine := l.Length() - stopMarginM; red && veh.arc < stopLine {
 			aNew = math.Min(aNew, veh.drv.IDMAccel(veh.v, 0, stopLine-veh.arc, v0))
 		}
@@ -650,7 +677,7 @@ func laneNeighbors(list []*vehicle, veh *vehicle, l *Link) (leader, follower *ve
 	if lo > 0 {
 		follower = list[lo-1]
 	}
-	if l.loops && len(list) > 0 {
+	if l.Loops() && len(list) > 0 {
 		if leader == nil {
 			leader = list[0]
 		}
@@ -665,7 +692,7 @@ func laneNeighbors(list []*vehicle, veh *vehicle, l *Link) (leader, follower *ve
 // loop links.
 func gapAhead(back, lead *vehicle, l *Link) float64 {
 	d := lead.arc - back.arc
-	if l.loops && d < 0 {
+	if l.Loops() && d < 0 {
 		d += l.Length()
 	}
 	return d - lead.drv.LengthM

@@ -82,6 +82,42 @@ func gridCross(t *testing.T, lanes int) (*GridNet, LinkID) {
 	return g, east
 }
 
+// TestGreenTableFollowsFixedCycle: the per-tick green table, which is
+// rewritten only when a signal's phase ends, shows on every tick exactly
+// what each fixed-cycle schedule says at that tick's time — over several
+// cycles, with positive, negative and zero signal offsets and a phase
+// that does not end on a tick boundary.
+func TestGreenTableFollowsFixedCycle(t *testing.T) {
+	spec := DefaultGridSpec()
+	spec.Green = 7*time.Second + 30*time.Millisecond
+	g, err := NewGridNetwork(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sig := range g.Signals {
+		sig.Offset = time.Duration(i-len(g.Signals)/2) * 3 * time.Second
+	}
+	s, err := New(Config{Network: g.Network, Seed: 1}, []VehicleSpec{{Driver: DefaultDriver(), Link: 0, SpeedMPS: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 600; tick++ {
+		// Step advances the clock after it drives, so the table holds
+		// the displays of the tick that just ran.
+		at := s.Now()
+		if tick > 0 {
+			at -= tickLen
+		}
+		for _, l := range g.Links {
+			want := l.Signal == NoSignal || g.Signals[l.Signal].GreenFor(l.ID, at)
+			if got := signalGreen(s, l.ID); got != want {
+				t.Fatalf("tick %d (t=%v): link %d green %v, schedule says %v", tick, at, l.ID, got, want)
+			}
+		}
+		s.Step()
+	}
+}
+
 func TestRedLightStopsVehicle(t *testing.T) {
 	g, east := gridCross(t, DefaultGridSpec().Lanes)
 	l := g.Links[east]
