@@ -25,7 +25,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -537,15 +536,14 @@ func BenchmarkTrafficGrid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec := &trace.Collector{}
 		s, err := traffic.New(traffic.Config{
-			Network: g.Network, Seed: int64(i + 1), Recorder: rec,
+			Network: g.Network, Seed: int64(i + 1),
 		}, benchGridPopulation(g, vehicles))
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.RunTo(duration)
-		samples = float64(len(rec.Vehicles))
+		samples = float64(s.World().Summary().Samples)
 		meanSpeed = s.MeanSpeedMPS()
 	}
 	b.ReportMetric(samples, "samples")

@@ -704,7 +704,7 @@ func recoveryDynamics(c *harness.Context) error {
 // C-ARQ platoon loops a signalized block among closed-loop IDM traffic.
 // Red lights compress it bumper-to-bumper (the generalised corner-C
 // effect) and the far side of the block is dark. Both arms replay the
-// same cached per-round traffic streams, so the sweep pays the
+// same cached per-round traffic worlds, so the sweep pays the
 // closed-loop vehicle dynamics once.
 func trafficGrid(c *harness.Context) error {
 	arms := []bool{false, true}

@@ -1,7 +1,8 @@
 package carq
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/packet"
@@ -39,18 +40,7 @@ type SelectAll struct{}
 
 // Select implements Selection.
 func (SelectAll) Select(cands []Candidate) []packet.NodeID {
-	sorted := append([]Candidate(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].FirstHeard != sorted[j].FirstHeard {
-			return sorted[i].FirstHeard < sorted[j].FirstHeard
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	out := make([]packet.NodeID, len(sorted))
-	for i, c := range sorted {
-		out[i] = c.ID
-	}
-	return out
+	return rankTake(cands, 0, func(a, b Candidate) int { return cmp.Compare(a.FirstHeard, b.FirstHeard) })
 }
 
 // SelectBestK keeps the K candidates with the strongest last-heard signal,
@@ -63,22 +53,7 @@ type SelectBestK struct {
 
 // Select implements Selection.
 func (s SelectBestK) Select(cands []Candidate) []packet.NodeID {
-	sorted := append([]Candidate(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].RxPowerDBm != sorted[j].RxPowerDBm {
-			return sorted[i].RxPowerDBm > sorted[j].RxPowerDBm
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	k := s.K
-	if k <= 0 || k > len(sorted) {
-		k = len(sorted)
-	}
-	out := make([]packet.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = sorted[i].ID
-	}
-	return out
+	return rankTake(cands, s.K, func(a, b Candidate) int { return cmp.Compare(b.RxPowerDBm, a.RxPowerDBm) })
 }
 
 // SelectFreshestK keeps the K most recently heard candidates — a recency
@@ -89,19 +64,25 @@ type SelectFreshestK struct {
 
 // Select implements Selection.
 func (s SelectFreshestK) Select(cands []Candidate) []packet.NodeID {
-	sorted := append([]Candidate(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].LastHeard != sorted[j].LastHeard {
-			return sorted[i].LastHeard > sorted[j].LastHeard
+	return rankTake(cands, s.K, func(a, b Candidate) int { return cmp.Compare(b.LastHeard, a.LastHeard) })
+}
+
+// rankTake orders a copy of cands by rank, ties by ID (IDs are unique, so
+// the order is total), and returns the IDs of the first k, or of all
+// when k <= 0 or k exceeds the candidates.
+func rankTake(cands []Candidate, k int, rank func(a, b Candidate) int) []packet.NodeID {
+	sorted := slices.Clone(cands)
+	slices.SortFunc(sorted, func(a, b Candidate) int {
+		if c := rank(a, b); c != 0 {
+			return c
 		}
-		return sorted[i].ID < sorted[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	k := s.K
 	if k <= 0 || k > len(sorted) {
 		k = len(sorted)
 	}
 	out := make([]packet.NodeID, k)
-	for i := 0; i < k; i++ {
+	for i := range out {
 		out[i] = sorted[i].ID
 	}
 	return out

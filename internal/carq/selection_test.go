@@ -58,6 +58,23 @@ func TestSelectFreshestK(t *testing.T) {
 	}
 }
 
+// TestSelectionsTieBreakByID: candidates equal on every policy's rank
+// come out in ID order, whatever their input order.
+func TestSelectionsTieBreakByID(t *testing.T) {
+	cands := []Candidate{
+		{ID: 8, FirstHeard: time.Second, LastHeard: 4 * time.Second, RxPowerDBm: -65},
+		{ID: 1, FirstHeard: time.Second, LastHeard: 4 * time.Second, RxPowerDBm: -65},
+		{ID: 4, FirstHeard: time.Second, LastHeard: 4 * time.Second, RxPowerDBm: -65},
+	}
+	for _, sel := range []Selection{SelectAll{}, SelectBestK{K: 2}, SelectFreshestK{K: 3}} {
+		got := sel.Select(cands)
+		want := []packet.NodeID{1, 4, 8}[:len(got)]
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T = %v, want %v", sel, got, want)
+		}
+	}
+}
+
 func TestSelectionsDoNotMutateInput(t *testing.T) {
 	cands := mkCands()
 	orig := append([]Candidate(nil), cands...)

@@ -433,8 +433,7 @@ func fixedWidthEntry(t *testing.T, store *ResultStore, schema, key string) []byt
 // in the third section.
 func streamEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
 	t.Helper()
-	stream := &trace.Collector{}
-	stream.OnVehicle(trace.VehicleRecord{At: time.Second, Veh: 3, Link: 2, Arc: 40, Speed: 1.5})
+	stream := &trace.Collector{Vehicles: []trace.VehicleRecord{{At: time.Second, Veh: 3, Link: 2, Arc: 40, Speed: 1.5}}}
 	return parentEntry(t, store, schema, key, encodeCollector, stream.AppendBinary(nil))
 }
 

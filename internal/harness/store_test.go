@@ -16,8 +16,7 @@ func storeSample() *UnitResult {
 	proto := &trace.Collector{}
 	proto.OnTx(100, packet.NewData(100, 1, 7, []byte("x")), time.Second, 8*time.Millisecond)
 	proto.OnComplete(1, 2*time.Second)
-	traffic := &trace.Collector{}
-	traffic.OnVehicle(trace.VehicleRecord{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25})
+	traffic := &trace.Collector{Vehicles: []trace.VehicleRecord{{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25}}}
 	return &UnitResult{
 		Meta:     json.RawMessage(`{"duration_ns":1500000000,"vehicles":3}`),
 		Protocol: proto,

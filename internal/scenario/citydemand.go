@@ -83,7 +83,7 @@ type CityDemandResult struct {
 	Config CityDemandConfig
 	CarIDs []packet.NodeID
 	// Rounds are the protocol traces; Traffic the summaries of the
-	// recorded vehicle streams behind them; Vehicles the demand-vehicle
+	// recorded traffic worlds behind them; Vehicles the demand-vehicle
 	// count of each round (stations beyond the platoon and APs).
 	Rounds   []*trace.Collector
 	Traffic  []TrafficSummary
@@ -216,19 +216,22 @@ func (cfg CityDemandConfig) Result(rounds []Round) *CityDemandResult {
 }
 
 // CityDemandRound normalizes cfg and runs one round, returning the
-// protocol trace, the traffic stream behind it, and the round's
-// demand-vehicle count.
+// protocol trace, the traffic world behind it in its serialized form
+// (traffic.World.Trace), and the round's demand-vehicle count.
 func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.Collector, int, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	r, stream, err := cfg.round(round)
-	return r.Protocol, stream, r.Vehicles, err
+	r, world, err := cfg.round(round)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return r.Protocol, world.Trace(), r.Vehicles, nil
 }
 
 // Round implements Family: the protocol trace, the summary of the
-// traffic stream behind it and the demand-vehicle count. Every stream —
+// traffic world behind it and the demand-vehicle count. Every stream —
 // including the Poisson arrival processes — derives from the root seed
 // and round index alone.
 func (cfg CityDemandConfig) Round(round int) (Round, error) {
@@ -236,17 +239,17 @@ func (cfg CityDemandConfig) Round(round int) (Round, error) {
 	return r, err
 }
 
-// round runs one round, returning it and its traffic stream.
-func (cfg CityDemandConfig) round(round int) (Round, *trace.Collector, error) {
+// round runs one round, returning it and its traffic world.
+func (cfg CityDemandConfig) round(round int) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("citydemand-round-%d", round))
 	g, specs, err := cityDemandWorld(cfg, roundSeed)
 	if err != nil {
 		return Round{}, nil, err
 	}
-	r, stream, err := cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
+	r, world, err := cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
 	if err != nil {
 		return Round{}, nil, err
 	}
 	r.Vehicles = len(specs) - cfg.Cars
-	return r, stream, nil
+	return r, world, nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/radio"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -56,11 +55,11 @@ func (cg CityGrid) validate(c Common) error {
 // are the platoon: the platoon runs C-ARQ, every later vehicle beacons
 // from its entry instant, and the Infostations on the circuit broadcast
 // a synchronised carousel — every AP transmits the same numbered stream
-// on the same schedule. Every vehicle replays the world's recorded
-// traffic stream, which round returns beside the round.
-func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, *trace.Collector, error) {
+// on the same schedule. Every vehicle replays the recorded traffic
+// world, which round returns beside the round.
+func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, *traffic.World, error) {
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cg.Duration, len(specs))
+	models, world, err := trafficModels(tcfg, specs, cg.Duration, len(specs))
 	if err != nil {
 		return Round{}, nil, err
 	}
@@ -99,7 +98,7 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, TrafficSummary: SummarizeTraffic(trafficStream)}, trafficStream, nil
+	return Round{Protocol: result.Trace, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
 }
 
 // cityGridSpec is the street grid every grid family drives: two-lane

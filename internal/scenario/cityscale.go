@@ -62,7 +62,7 @@ func (cfg CityScaleConfig) Normalized() (CityScaleConfig, error) {
 }
 
 // CityScaleResult is the study output: per-round protocol traces and
-// the summaries of the traffic streams behind them.
+// the summaries of the traffic worlds behind them.
 type CityScaleResult struct {
 	Config  CityScaleConfig
 	CarIDs  []packet.NodeID
@@ -116,25 +116,29 @@ func (cfg CityScaleConfig) Result(rounds []Round) *CityScaleResult {
 }
 
 // CityScaleRound normalizes cfg and runs one round, returning the
-// protocol trace and the traffic stream behind it.
+// protocol trace and the traffic world behind it in its serialized form
+// (traffic.World.Trace).
 func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Collector, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, err
 	}
-	r, stream, err := cfg.round(round)
-	return r.Protocol, stream, err
+	r, world, err := cfg.round(round)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Protocol, world.Trace(), nil
 }
 
 // Round implements Family: the protocol trace and the summary of the
-// traffic stream behind it.
+// traffic world behind it.
 func (cfg CityScaleConfig) Round(round int) (Round, error) {
 	r, _, err := cfg.round(round)
 	return r, err
 }
 
-// round runs one round, returning it and its traffic stream.
-func (cfg CityScaleConfig) round(round int) (Round, *trace.Collector, error) {
+// round runs one round, returning it and its traffic world.
+func (cfg CityScaleConfig) round(round int) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("city-round-%d", round))
 	g, specs, err := cityScaleWorld(cfg, roundSeed)
 	if err != nil {
@@ -159,7 +163,7 @@ func CityScaleMobilityModels(cfg CityScaleConfig, round int) ([]mobility.Model, 
 		return nil, nil, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	models, _, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, len(specs))
+	models, _, err := trafficModels(tcfg, specs, cfg.Duration, len(specs))
 	if err != nil {
 		return nil, nil, err
 	}

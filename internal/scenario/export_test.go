@@ -1,9 +1,12 @@
 package scenario
 
-import "repro/internal/trace"
+import (
+	"repro/internal/trace"
+	"repro/internal/traffic"
+)
 
-// Test-size configs and the stream-returning round, exported to the
-// external scenario_test package.
+// Test-size configs, the world-returning round and the reference
+// summary, exported to the external scenario_test package.
 var (
 	QuickTrafficGrid = quickTrafficGrid
 	QuickStopGo      = quickStopGo
@@ -11,8 +14,13 @@ var (
 	QuickCityDemand  = quickCityDemand
 )
 
-// RoundStream runs one round of a normalized traffic family config,
-// returning the round and the traffic stream it replays.
-func RoundStream[C trafficFamily[C]](cfg C, round int) (Round, *trace.Collector, error) {
+// RoundWorld runs one round of a normalized traffic family config,
+// returning the round and the traffic world it replays.
+func RoundWorld[C trafficFamily[C]](cfg C, round int) (Round, *traffic.World, error) {
 	return cfg.round(round)
+}
+
+// TraceSummary summarises a serialized traffic world in record order.
+func TraceSummary(col *trace.Collector) TrafficSummary {
+	return TrafficSummary(traceSummary(col))
 }

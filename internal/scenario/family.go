@@ -71,7 +71,7 @@ type Round struct {
 	Protocol *trace.Collector `json:"-"`
 	// Vehicles is the round's demand-vehicle count (citydemand).
 	Vehicles int `json:"vehicles,omitempty"`
-	// TrafficSummary summarises the recorded traffic stream behind the
+	// TrafficSummary summarises the recorded traffic world behind the
 	// round; the zero value for families without a traffic world.
 	TrafficSummary
 	// Cars is each car's download outcome (download).

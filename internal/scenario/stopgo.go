@@ -71,7 +71,7 @@ func (cfg StopGoConfig) Normalized() (StopGoConfig, error) {
 }
 
 // StopGoResult is the study output: per-round protocol traces plus the
-// summaries of the traffic streams that produced them.
+// summaries of the traffic worlds that produced them.
 type StopGoResult struct {
 	Config  StopGoConfig
 	CarIDs  []packet.NodeID
@@ -168,21 +168,21 @@ func (cfg StopGoConfig) Result(rounds []Round) *StopGoResult {
 }
 
 // Round implements Family: the protocol trace and the summary of the
-// traffic stream behind it.
+// traffic world behind it.
 func (cfg StopGoConfig) Round(round int) (Round, error) {
 	r, _, err := cfg.round(round)
 	return r, err
 }
 
-// round runs one round, returning it and its traffic stream.
-func (cfg StopGoConfig) round(round int) (Round, *trace.Collector, error) {
+// round runs one round, returning it and its traffic world.
+func (cfg StopGoConfig) round(round int) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("stopgo-round-%d", round))
 	net, specs, err := stopGoWorld(cfg, roundSeed)
 	if err != nil {
 		return Round{}, nil, err
 	}
 	tcfg := traffic.Config{Network: net, Seed: roundSeed}
-	models, trafficStream, err := trafficModels(net, tcfg, specs, cfg.Duration, cfg.Cars)
+	models, world, err := trafficModels(tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
 		return Round{}, nil, err
 	}
@@ -201,5 +201,5 @@ func (cfg StopGoConfig) round(round int) (Round, *trace.Collector, error) {
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, TrafficSummary: SummarizeTraffic(trafficStream)}, trafficStream, nil
+	return Round{Protocol: result.Trace, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/scenario"
 	"repro/internal/storeutil"
-	"repro/internal/trace"
+	"repro/internal/traffic"
 )
 
 // summaryProbe is the run body of the registered "stored-summary-probe"
@@ -28,12 +28,12 @@ func init() {
 
 // summaryCase is one traffic family at test size: add puts its point on
 // a batch and returns the summaries the batch applied once it has run;
-// stream runs a round in process and returns the stream it replays.
+// world runs a round in process and returns the world it replays.
 type summaryCase struct {
 	name   string
 	rounds int
 	add    func(b *harness.Batch) func() []scenario.TrafficSummary
-	stream func(round int) (*trace.Collector, error)
+	world  func(round int) (*traffic.World, error)
 }
 
 // newSummaryCase builds the case of cfg, stamped the way the harness
@@ -42,7 +42,7 @@ func newSummaryCase[C scenario.Family[C, R], R any, P interface {
 	*C
 	Base() *scenario.Common
 }](name string, cfg C, summaries func(R) []scenario.TrafficSummary,
-	roundStream func(C, int) (scenario.Round, *trace.Collector, error)) summaryCase {
+	roundWorld func(C, int) (scenario.Round, *traffic.World, error)) summaryCase {
 	base := P(&cfg).Base()
 	base.Seed, base.Arm = 1, "p"
 	return summaryCase{
@@ -53,21 +53,21 @@ func newSummaryCase[C scenario.Family[C, R], R any, P interface {
 			harness.Add[C, R, P](b, "p", cfg, &out)
 			return func() []scenario.TrafficSummary { return summaries(out) }
 		},
-		stream: func(round int) (*trace.Collector, error) {
+		world: func(round int) (*traffic.World, error) {
 			norm, err := cfg.Normalized()
 			if err != nil {
 				return nil, err
 			}
-			_, stream, err := roundStream(norm, round)
-			return stream, err
+			_, world, err := roundWorld(norm, round)
+			return world, err
 		},
 	}
 }
 
 // TestStoredTrafficSummaryBitExact: a traffic family's stored unit keeps
-// its round's traffic summary in the meta section instead of the stream.
+// its round's traffic summary in the meta section instead of the world.
 // A cold run fills an empty result store and a warm run is served from
-// it; both apply, round by round, the summary of the stream the round
+// it; both apply, round by round, the summary of the world the round
 // replays in process, bit for bit. Every stored entry's traffic section
 // is absent.
 func TestStoredTrafficSummaryBitExact(t *testing.T) {
@@ -77,16 +77,16 @@ func TestStoredTrafficSummaryBitExact(t *testing.T) {
 	cases := []summaryCase{
 		newSummaryCase("trafficgrid", scenario.QuickTrafficGrid(),
 			func(r *scenario.TrafficGridResult) []scenario.TrafficSummary { return r.Traffic },
-			scenario.RoundStream[scenario.TrafficGridConfig]),
+			scenario.RoundWorld[scenario.TrafficGridConfig]),
 		newSummaryCase("stopgo", scenario.QuickStopGo(),
 			func(r *scenario.StopGoResult) []scenario.TrafficSummary { return r.Traffic },
-			scenario.RoundStream[scenario.StopGoConfig]),
+			scenario.RoundWorld[scenario.StopGoConfig]),
 		newSummaryCase("cityscale", scenario.QuickCityScale(),
 			func(r *scenario.CityScaleResult) []scenario.TrafficSummary { return r.Traffic },
-			scenario.RoundStream[scenario.CityScaleConfig]),
+			scenario.RoundWorld[scenario.CityScaleConfig]),
 		newSummaryCase("citydemand", scenario.QuickCityDemand(),
 			func(r *scenario.CityDemandResult) []scenario.TrafficSummary { return r.Traffic },
-			scenario.RoundStream[scenario.CityDemandConfig]),
+			scenario.RoundWorld[scenario.CityDemandConfig]),
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,17 +101,17 @@ func TestStoredTrafficSummaryBitExact(t *testing.T) {
 				t.Fatalf("warm run stats %+v, want every unit served from the store", warmStats)
 			}
 			for round := 0; round < tc.rounds; round++ {
-				stream, err := tc.stream(round)
+				world, err := tc.world(round)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := scenario.SummarizeTraffic(stream)
+				want := scenario.TraceSummary(world.Trace())
 				if want.Samples == 0 {
-					t.Fatalf("round %d: empty traffic stream", round)
+					t.Fatalf("round %d: empty traffic world", round)
 				}
 				for run, got := range map[string]scenario.TrafficSummary{"cold": cold[round], "warm": warm[round]} {
 					if !sameBits(got, want) {
-						t.Errorf("%s round %d: applied summary %+v, stream summarises to %+v", run, round, got, want)
+						t.Errorf("%s round %d: applied summary %+v, world summarises to %+v", run, round, got, want)
 					}
 				}
 			}

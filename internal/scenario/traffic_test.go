@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -88,8 +89,8 @@ func TestTrafficCacheSharesStreamAcrossArms(t *testing.T) {
 	if streamOn != streamOff {
 		t.Fatal("coop arms did not share the cached traffic stream")
 	}
-	if len(streamOn.Vehicles) == 0 {
-		t.Fatal("cached stream is empty")
+	if streamOn.Summary().Samples == 0 {
+		t.Fatal("cached world is empty")
 	}
 	if colOn.Counts().Rx == 0 {
 		t.Fatal("platoon received nothing; scenario is inert")
@@ -112,7 +113,7 @@ func TestStopGoWaveReachesPlatoon(t *testing.T) {
 	cfg.PerturbFor = 18 * time.Second
 	_, stream := roundTraces(t, cfg, 0)
 	crawled := false
-	for _, rec := range stream.Vehicles {
+	for _, rec := range stream.Trace().Vehicles {
 		if rec.Veh < cfg.Cars && rec.At > cfg.PerturbAt && rec.Speed < 2 {
 			crawled = true
 			break
@@ -182,8 +183,8 @@ func TestTrafficStoreServesByteIdenticalRounds(t *testing.T) {
 	if !bytes.Equal(traceBytes(t, colComputed), traceBytes(t, colLoaded)) {
 		t.Fatal("disk-served round's protocol trace differs from the computed round's")
 	}
-	if !bytes.Equal(traceBytes(t, streamComputed), traceBytes(t, streamLoaded)) {
-		t.Fatal("disk-served traffic stream differs from the computed one")
+	if !bytes.Equal(traceBytes(t, streamComputed.Trace()), traceBytes(t, streamLoaded.Trace())) {
+		t.Fatal("disk-served traffic world differs from the computed one")
 	}
 
 	// The store must hold exactly the computed world's file.
@@ -270,7 +271,7 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 	}
 	key := header().Key
 
-	jsonl, fixed := traceBytes(t, stream), fixedWidthStream(t, stream)
+	jsonl, fixed := traceBytes(t, stream.Trace()), fixedWidthStream(t, stream.Trace())
 	for i, parent := range []struct {
 		schema string
 		body   []byte
@@ -287,7 +288,7 @@ func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
 		resetTrafficCache()
 		colAgain, streamAgain := roundTraces(t, cfg, 0)
 		if !bytes.Equal(traceBytes(t, colAgain), traceBytes(t, col)) ||
-			!bytes.Equal(traceBytes(t, streamAgain), traceBytes(t, stream)) {
+			!bytes.Equal(traceBytes(t, streamAgain.Trace()), traceBytes(t, stream.Trace())) {
 			t.Fatalf("%s: recomputed round differs from the first", schema)
 		}
 		if st := store.Stats(); st.Corrupt != uint64(i+1) || st.Saves != uint64(i+2) {
@@ -340,11 +341,10 @@ func quickCityScale() CityScaleConfig {
 }
 
 // TestTrafficCacheHandsRecordingToReplay: the traffic cache holds the
-// recorded collector itself, with no wire-format round trip in between.
-// That collector equals ReadJSONL(WriteJSONL(recording)) record for
-// record, so the round trip it replaced was an identity; and since every
-// arm now shares it by reference, replaying two arms from the cache must
-// leave it unchanged.
+// recorded world itself, and every arm replays it by reference. That
+// world equals a fresh recording of the same inputs, survives the
+// traffic store's World -> trace -> World round trip bit for bit with
+// the same summary, and is what CityScaleRound serializes.
 func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -361,16 +361,14 @@ func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	recording, err := recordTrafficTrace(tcfg, specs, cfg.Duration)
+	ts, err := traffic.New(tcfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaJSONL, err := trace.ReadJSONL(bytes.NewReader(traceBytes(t, recording)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts.RunTo(cfg.Duration)
+	recording := ts.World().Trace()
 
-	var cached *trace.Collector
+	var cached *traffic.World
 	for _, arm := range []string{"coop", "nocoop"} {
 		armCfg := cfg
 		armCfg.Arm, armCfg.Coop = arm, arm == "coop"
@@ -381,43 +379,80 @@ func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 		trafficCache.mu.Lock()
 		e := trafficCache.m[traffic.TraceKey(tcfg, specs, cfg.Duration)]
 		trafficCache.mu.Unlock()
-		if e == nil || e.col != stream {
-			t.Fatalf("arm %s: round did not replay the cached collector", arm)
+		if e == nil || e.world == nil || (cached != nil && e.world != cached) {
+			t.Fatalf("arm %s: round did not replay the cached world", arm)
 		}
-		cached = e.col
+		cached = e.world
+		if !reflect.DeepEqual(stream, recording) {
+			t.Fatalf("arm %s: round serialized a world other than the recording", arm)
+		}
 	}
 
-	if cached.Counts() != viaJSONL.Counts() || len(cached.Vehicles) == 0 {
-		t.Fatalf("cached counts %+v, round-tripped recording %+v", cached.Counts(), viaJSONL.Counts())
+	st, err := traffic.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range viaJSONL.Vehicles {
-		if got := cached.Vehicles[i]; got != want {
-			t.Fatalf("vehicle record %d: cached %+v, round-tripped recording %+v", i, got, want)
+	if err := st.Save("city", cached); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := st.Load("city")
+	if err != nil || loaded == nil {
+		t.Fatalf("Load = (%v, %v)", loaded, err)
+	}
+	if loaded, err = loaded.Bind(g.Network); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Trace(), recording) {
+		t.Fatal("stored world serializes differently from the recording")
+	}
+	if got, want := loaded.Summary(), cached.Summary(); got != want || want != traceSummary(recording) {
+		t.Fatalf("stored world summary %+v, cached %+v, recording %+v", got, want, traceSummary(recording))
+	}
+}
+
+// traceSummary summarises a serialized world independently of
+// traffic.Summary: speeds summed in record order.
+func traceSummary(col *trace.Collector) traffic.Summary {
+	var s traffic.Summary
+	if len(col.Vehicles) == 0 {
+		return s
+	}
+	var speedSum float64
+	crawls := 0
+	for _, r := range col.Vehicles {
+		speedSum += r.Speed
+		if r.Speed < 2 {
+			crawls++
 		}
 	}
+	s.Samples = len(col.Vehicles)
+	s.MeanSpeedMPS = speedSum / float64(s.Samples)
+	s.CrawlShare = float64(crawls) / float64(s.Samples)
+	return s
 }
 
 // trafficFamily is a traffic family's config: its round also returns
-// the stream behind the round.
+// the world behind the round.
 type trafficFamily[C any] interface {
 	Normalized() (C, error)
-	round(round int) (Round, *trace.Collector, error)
+	round(round int) (Round, *traffic.World, error)
 }
 
 // roundTraces normalizes cfg and runs one round, returning its protocol
-// trace and traffic stream. The round's summary must be the stream's.
-func roundTraces[C trafficFamily[C]](t testing.TB, cfg C, round int) (*trace.Collector, *trace.Collector) {
+// trace and traffic world. The round's summary must be the summary of
+// the world's serialized form.
+func roundTraces[C trafficFamily[C]](t testing.TB, cfg C, round int) (*trace.Collector, *traffic.World) {
 	t.Helper()
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, stream, err := cfg.round(round)
+	r, world, err := cfg.round(round)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := SummarizeTraffic(stream); r.TrafficSummary != want {
-		t.Fatalf("round summary %+v, stream summarises to %+v", r.TrafficSummary, want)
+	if want := TrafficSummary(traceSummary(world.Trace())); r.TrafficSummary != want {
+		t.Fatalf("round summary %+v, world summarises to %+v", r.TrafficSummary, want)
 	}
-	return r.Protocol, stream
+	return r.Protocol, world
 }

@@ -74,7 +74,7 @@ func (cfg TrafficGridConfig) Normalized() (TrafficGridConfig, error) {
 }
 
 // TrafficGridResult is the study output: per-round protocol traces plus
-// the summaries of the traffic streams that produced them.
+// the summaries of the traffic worlds that produced them.
 type TrafficGridResult struct {
 	Config  TrafficGridConfig
 	CarIDs  []packet.NodeID
@@ -168,21 +168,21 @@ func (cfg TrafficGridConfig) Result(rounds []Round) *TrafficGridResult {
 }
 
 // Round implements Family: the protocol trace and the summary of the
-// traffic stream behind it.
+// traffic world behind it.
 func (cfg TrafficGridConfig) Round(round int) (Round, error) {
 	r, _, err := cfg.round(round)
 	return r, err
 }
 
-// round runs one round, returning it and its traffic stream.
-func (cfg TrafficGridConfig) round(round int) (Round, *trace.Collector, error) {
+// round runs one round, returning it and its traffic world.
+func (cfg TrafficGridConfig) round(round int) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("tgrid-round-%d", round))
 	g, specs, err := trafficGridWorld(cfg, roundSeed)
 	if err != nil {
 		return Round{}, nil, err
 	}
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
-	models, trafficStream, err := trafficModels(g.Network, tcfg, specs, cfg.Duration, cfg.Cars)
+	models, world, err := trafficModels(tcfg, specs, cfg.Duration, cfg.Cars)
 	if err != nil {
 		return Round{}, nil, err
 	}
@@ -201,5 +201,5 @@ func (cfg TrafficGridConfig) round(round int) (Round, *trace.Collector, error) {
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, TrafficSummary: SummarizeTraffic(trafficStream)}, trafficStream, nil
+	return Round{Protocol: result.Trace, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
 }

@@ -170,26 +170,34 @@ func (e *Engine) Stop() { e.stopReq = true }
 // Step executes the next live event, advancing the clock to its timestamp.
 // It reports whether an event was executed (false means the queue is empty).
 func (e *Engine) Step() bool {
+	ev := e.peekLive()
+	if ev == nil {
+		return false
+	}
+	e.queue.Pop()
+	e.now = ev.at
+	e.processed++
+	fn, arg := ev.fn, ev.arg
+	// Recycle before the callback runs: the only live reference at this
+	// point is ours (Timers drop theirs via timerFire, which is the
+	// callback itself), and recycling first lets the callback's own
+	// schedule reuse the slot immediately.
+	e.recycle(ev)
+	fn(arg)
+	return true
+}
+
+// peekLive discards the cancelled events at the head of the queue and
+// returns the earliest live event without removing it, or nil.
+func (e *Engine) peekLive() *event {
 	for {
-		ev := e.queue.Pop()
-		if ev == nil {
-			return false
+		ev := e.queue.Peek()
+		if ev == nil || !ev.cancelled {
+			return ev
 		}
-		if ev.cancelled {
-			e.cancelledQueued--
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.processed++
-		fn, arg := ev.fn, ev.arg
-		// Recycle before the callback runs: the only live reference at
-		// this point is ours (Timers drop theirs via timerFire, which is
-		// the callback itself), and recycling first lets the callback's
-		// own schedule reuse the slot immediately.
+		e.queue.Pop()
+		e.cancelledQueued--
 		e.recycle(ev)
-		fn(arg)
-		return true
 	}
 }
 
@@ -214,7 +222,7 @@ func (e *Engine) RunUntil(horizon time.Duration) error {
 		if e.stopReq {
 			return ErrStopped
 		}
-		next := e.queue.Peek()
+		next := e.peekLive()
 		if next == nil {
 			break
 		}

@@ -250,6 +250,27 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
+// TestRunUntilSkipsCancelledHead: a cancelled event at the queue head,
+// before the horizon, must not let RunUntil run the next live event past
+// the horizon.
+func TestRunUntilSkipsCancelledHead(t *testing.T) {
+	e := New()
+	timer := e.NewTimer(func() { t.Fatal("stopped timer fired") })
+	timer.Reset(time.Second)
+	fired := false
+	e.Schedule(10*time.Second, func() { fired = true })
+	timer.Stop()
+	if err := e.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if fired || e.Now() != 5*time.Second {
+		t.Fatalf("after RunUntil(5s): 10 s event fired %v, clock %v; want pending at 5s", fired, e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want the 10 s event", e.Pending())
+	}
+}
+
 func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 	e := New()
 	if err := e.RunUntil(10 * time.Second); err != nil {

@@ -64,11 +64,11 @@ var resultCase = codecCase[*harness.UnitResult]{
 	},
 }
 
-var trafficCase = codecCase[*trace.Collector]{
+var trafficCase = codecCase[*traffic.World]{
 	name:   "traffic",
 	fault:  "traffic.store",
 	open:   func(dir string) (*traffic.Store, error) { return traffic.NewStore(dir) },
-	sample: trafficSample,
+	sample: trafficWorld,
 	parent: func(h header) any {
 		return struct {
 			Schema  string `json:"schema"`
@@ -79,11 +79,21 @@ var trafficCase = codecCase[*trace.Collector]{
 	},
 }
 
+// trafficSample is a serialized traffic world: one vehicle sampled
+// twice.
 func trafficSample() *trace.Collector {
-	col := &trace.Collector{}
-	col.OnVehicle(trace.VehicleRecord{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25})
-	col.OnVehicle(trace.VehicleRecord{At: time.Second, Veh: 3, Link: 2, Lane: 0, Arc: 48.25, Speed: 8.5})
-	return col
+	return &trace.Collector{Vehicles: []trace.VehicleRecord{
+		{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25},
+		{At: time.Second, Veh: 3, Link: 2, Lane: 0, Arc: 48.25, Speed: 8.5},
+	}}
+}
+
+func trafficWorld() *traffic.World {
+	w, err := traffic.WorldFromTrace(trafficSample())
+	if err != nil {
+		panic(err)
+	}
+	return w
 }
 
 // header mirrors the store's header line.

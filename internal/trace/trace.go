@@ -80,11 +80,12 @@ type CompleteRecord struct {
 
 // VehicleRecord is one microscopic-traffic state sample: where vehicle Veh
 // was at time At, expressed in road coordinates (link, lane, arc along the
-// link's centreline) plus its speed. Traffic simulations emit these streams
-// so an expensive closed-loop run can be recorded once and replayed as
-// mobility models across many protocol sweeps. Vehicle IDs are traffic-
-// simulation indices, not station IDs: most traffic is radio-silent
-// background.
+// link's centreline) plus its speed. It is the serialized form of a
+// traffic world (traffic.World.Trace): the traffic store encodes worlds
+// through it, and a world's records stand in time-major order, at each
+// instant the vehicles sampled then in ID order. Vehicle IDs are
+// traffic-simulation indices, not station IDs: most traffic is
+// radio-silent background.
 type VehicleRecord struct {
 	At    time.Duration `json:"at"`
 	Veh   int           `json:"veh"`
@@ -151,12 +152,6 @@ func (c *Collector) OnRecovered(id packet.NodeID, seq uint32, from packet.NodeID
 // OnComplete implements carq.Observer.
 func (c *Collector) OnComplete(id packet.NodeID, at time.Duration) {
 	c.Completed = append(c.Completed, CompleteRecord{At: at, Node: id})
-}
-
-// OnVehicle records one traffic state sample. Samples must be appended in
-// chronological order per vehicle.
-func (c *Collector) OnVehicle(r VehicleRecord) {
-	c.Vehicles = append(c.Vehicles, r)
 }
 
 // --- Queries -------------------------------------------------------------

@@ -38,10 +38,12 @@ func sampleCollector() *Collector {
 	c.OnRecovered(1, 2, 2, 9*time.Second)
 	c.OnComplete(1, 9*time.Second)
 	// Traffic stream: two vehicles sampled twice each.
-	c.OnVehicle(VehicleRecord{At: 0, Veh: 7, Link: 0, Lane: 1, Arc: 12.5, Speed: 8.25})
-	c.OnVehicle(VehicleRecord{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 0})
-	c.OnVehicle(VehicleRecord{At: 500 * time.Millisecond, Veh: 7, Link: 0, Lane: 0, Arc: 16.625, Speed: 8.5})
-	c.OnVehicle(VehicleRecord{At: 500 * time.Millisecond, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 0.1})
+	c.Vehicles = []VehicleRecord{
+		{At: 0, Veh: 7, Link: 0, Lane: 1, Arc: 12.5, Speed: 8.25},
+		{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 0},
+		{At: 500 * time.Millisecond, Veh: 7, Link: 0, Lane: 0, Arc: 16.625, Speed: 8.5},
+		{At: 500 * time.Millisecond, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 0.1},
+	}
 	return c
 }
 
@@ -213,7 +215,7 @@ func TestJSONLVehicleFloatExactness(t *testing.T) {
 		123456.78900000001, math.Sqrt(2) * 17.3,
 	}
 	for i, v := range vals {
-		c.OnVehicle(VehicleRecord{
+		c.Vehicles = append(c.Vehicles, VehicleRecord{
 			At: time.Duration(i) * 100 * time.Millisecond, Veh: i,
 			Arc: v, Speed: v / 7,
 		})

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // signalGreen reports whether link saw green on the simulation's last
@@ -122,14 +120,13 @@ func TestActuatedDeterminism(t *testing.T) {
 	run := func() []byte {
 		ap := DefaultActuatedParams()
 		g, specs := actuatedTestWorld(t, ap, 36)
-		rec := &trace.Collector{}
-		s, err := New(Config{Network: g.Network, Seed: 4, Recorder: rec}, specs)
+		s, err := New(Config{Network: g.Network, Seed: 4}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.RunTo(2 * time.Minute)
 		var buf bytes.Buffer
-		if err := rec.WriteJSONL(&buf); err != nil {
+		if err := s.World().Trace().WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -161,14 +158,13 @@ func TestActuatedDiffersFromFixed(t *testing.T) {
 			l := g.Links[i%len(g.Links)]
 			specs = append(specs, VehicleSpec{Driver: DefaultDriver(), Link: l.ID, ArcM: 20})
 		}
-		rec := &trace.Collector{}
-		s, err := New(Config{Network: g.Network, Seed: 4, Recorder: rec}, specs)
+		s, err := New(Config{Network: g.Network, Seed: 4}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.RunTo(2 * time.Minute)
 		var buf bytes.Buffer
-		if err := rec.WriteJSONL(&buf); err != nil {
+		if err := s.World().Trace().WriteJSONL(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 func demandTestGrid(t *testing.T, lanes int) *GridNet {
@@ -180,8 +178,7 @@ func TestDemandVehiclesDriveAndExit(t *testing.T) {
 	if len(specs) == 0 {
 		t.Skip("realisation injected no vehicles") // ~1e-6 probability
 	}
-	rec := &trace.Collector{}
-	s, err := New(Config{Network: g.Network, Seed: 11, Recorder: rec}, specs)
+	s, err := New(Config{Network: g.Network, Seed: 11}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +187,8 @@ func TestDemandVehiclesDriveAndExit(t *testing.T) {
 	s.RunTo(horizon + 120*time.Second)
 
 	// Before its entry time a vehicle must sit parked at the origin.
-	rp, err := NewReplay(g.Network, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	probe := 0
-	model, err := rp.Model(probe)
+	model, err := s.World().Model(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +200,7 @@ func TestDemandVehiclesDriveAndExit(t *testing.T) {
 	destLen := g.Link(d).Length()
 	exited := 0
 	for i := range specs {
-		link, _, arc, v := s.State(i)
+		link, _, arc, v := state(s, i)
 		if link == d && arc == destLen && v == 0 {
 			exited++
 		}
@@ -243,10 +236,9 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 	// An open route of just the origin makes the entrant exit at its
 	// end; the blocked-entry mechanics are what is under test.
 	entrant.ExitAtEnd = true
-	rec := &trace.Collector{}
 	// Single-file: on one lane an "overtake" can only mean the entrant
 	// passed through the blocker's body.
-	s, err := New(Config{Network: g.Network, Seed: 2, Recorder: rec},
+	s, err := New(Config{Network: g.Network, Seed: 2},
 		[]VehicleSpec{blocker, entrant})
 	if err != nil {
 		t.Fatal(err)
@@ -255,8 +247,8 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 	entered := time.Duration(-1)
 	for s.Now() < 3*time.Minute {
 		s.Step()
-		bLink, _, bArc, _ := s.State(0)
-		eLink, _, eArc, _ := s.State(1)
+		bLink, _, bArc, _ := state(s, 0)
+		eLink, _, eArc, _ := state(s, 1)
 		if eArc != 0 && entered < 0 {
 			entered = s.Now()
 			// The slot was gated, so the entry tick itself must leave

@@ -24,14 +24,14 @@ func TestIDMFreeRoad(t *testing.T) {
 func TestIDMEquilibriumGap(t *testing.T) {
 	p := DefaultDriver()
 	for _, v := range []float64{3, 8, 13} {
-		gap := p.EquilibriumGap(v, 15)
+		gap := equilibriumGap(p, v, 15)
 		if a := p.IDMAccel(v, v, gap, 15); math.Abs(a) > 1e-9 {
 			t.Fatalf("v=%v: accel at equilibrium gap %v = %v, want 0", v, gap, a)
 		}
 	}
 	// At v0 the free term vanishes: no finite gap reaches equilibrium.
-	if g := p.EquilibriumGap(15, 15); !math.IsInf(g, 1) {
-		t.Fatalf("EquilibriumGap(v0) = %v, want +Inf", g)
+	if g := equilibriumGap(p, 15, 15); !math.IsInf(g, 1) {
+		t.Fatalf("equilibriumGap(v0) = %v, want +Inf", g)
 	}
 }
 

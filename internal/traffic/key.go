@@ -17,9 +17,8 @@ const traceKeySchema = "traffic-world/4"
 
 // TraceKey returns the canonical cache key of the traffic world defined
 // by (cfg, specs, horizon) — exactly the inputs the determinism contract
-// says a recorded stream is a pure function of. It serialises every
-// field of the config except the Recorder sink (which receives output
-// and shapes nothing), a structural digest of the network (geometry,
+// says a recorded world is a pure function of. It serialises every
+// field of the config, a structural digest of the network (geometry,
 // lanes, speed limits, topology, signal timing including actuated
 // parameters), and every field of every vehicle spec, then hashes the
 // serialisation. Any input that could change recorded trajectories
@@ -30,8 +29,7 @@ func TraceKey(cfg Config, specs []VehicleSpec, horizon time.Duration) string {
 	h := sha256.New()
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	w("%s\n", traceKeySchema)
-	// Every Config field except Network (below, structurally) and
-	// Recorder (an output sink).
+	// Every Config field except Network (below, structurally).
 	w("cfg|seed=%d\n", cfg.Seed)
 	w("horizon=%d\n", int64(horizon))
 	if net := cfg.Network; net != nil {

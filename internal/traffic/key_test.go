@@ -64,8 +64,7 @@ func TestTraceKeyCoversEveryConfigField(t *testing.T) {
 	base := TraceKey(cfg, specs, horizon)
 
 	skip := map[string]bool{
-		"Network":  true, // digested structurally; covered below
-		"Recorder": true, // output sink: receives the stream, shapes nothing
+		"Network": true, // digested structurally; covered below
 	}
 	ct := reflect.TypeOf(cfg)
 	for i := 0; i < ct.NumField(); i++ {

@@ -140,16 +140,6 @@ func (s *Signal) Cycle() time.Duration {
 	return c
 }
 
-// GreenFor reports whether link sees green at virtual time now under the
-// fixed cycle.
-func (s *Signal) GreenFor(link LinkID, now time.Duration) bool {
-	if s.Cycle() <= 0 {
-		return true
-	}
-	green, _ := s.phaseAt(now)
-	return slices.Contains(green, link)
-}
-
 // phaseAt returns the green links of the fixed-cycle phase showing at now
 // (none during a clearance) and the instant that phase ends. The cycle
 // must be positive.
@@ -261,20 +251,6 @@ type GridSpec struct {
 	// (north-south, east-west) timed by stop-line occupancy instead of
 	// the fixed Green/AllRed cycle.
 	Actuated *ActuatedParams
-}
-
-// DefaultGridSpec returns a 3x3-intersection grid of 120 m blocks with
-// 50 km/h two-lane streets and a 24 s green per axis.
-func DefaultGridSpec() GridSpec {
-	return GridSpec{
-		Rows: 3, Cols: 3,
-		BlockM:        120,
-		Lanes:         2,
-		LaneWidthM:    3.2,
-		SpeedLimitMPS: 14, // ~50 km/h
-		Green:         24 * time.Second,
-		AllRed:        4 * time.Second,
-	}
 }
 
 // GridNet is a Network built from a GridSpec plus the index needed to

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGridNetworkShape(t *testing.T) {
-	spec := DefaultGridSpec() // 3x3
+	spec := defaultGridSpec() // 3x3
 	g, err := NewGridNetwork(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestGridNetworkShape(t *testing.T) {
 }
 
 func TestGridLinkBetween(t *testing.T) {
-	g, err := NewGridNetwork(DefaultGridSpec())
+	g, err := NewGridNetwork(defaultGridSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,13 @@ func TestGridLinkBetween(t *testing.T) {
 }
 
 func TestSignalCycle(t *testing.T) {
-	g, err := NewGridNetwork(DefaultGridSpec())
+	g, err := NewGridNetwork(defaultGridSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sig := g.Signals[0]
 	cycle := sig.Cycle()
-	want := 2*DefaultGridSpec().Green + 2*DefaultGridSpec().AllRed
+	want := 2*defaultGridSpec().Green + 2*defaultGridSpec().AllRed
 	if cycle != want {
 		t.Fatalf("cycle = %v, want %v", cycle, want)
 	}
@@ -80,27 +80,27 @@ func TestSignalCycle(t *testing.T) {
 		t.Fatalf("empty phase link sets: ns=%v ew=%v", ns, ew)
 	}
 	// During phase 0 the NS links are green and the EW links red.
-	probe := DefaultGridSpec().Green / 2
+	probe := defaultGridSpec().Green / 2
 	for _, id := range ns {
-		if !sig.GreenFor(id, probe) {
+		if !greenFor(sig, id, probe) {
 			t.Fatalf("NS link %d red during its phase", id)
 		}
 	}
 	for _, id := range ew {
-		if sig.GreenFor(id, probe) {
+		if greenFor(sig, id, probe) {
 			t.Fatalf("EW link %d green during NS phase", id)
 		}
 	}
 	// All-red clearance: nobody is green.
-	clearance := DefaultGridSpec().Green + DefaultGridSpec().AllRed/2
+	clearance := defaultGridSpec().Green + defaultGridSpec().AllRed/2
 	for _, id := range append(append([]LinkID{}, ns...), ew...) {
-		if sig.GreenFor(id, clearance) {
+		if greenFor(sig, id, clearance) {
 			t.Fatalf("link %d green during clearance", id)
 		}
 	}
 	// The cycle wraps: one full cycle later the answers repeat.
 	for _, id := range ns {
-		if sig.GreenFor(id, probe) != sig.GreenFor(id, probe+cycle) {
+		if greenFor(sig, id, probe) != greenFor(sig, id, probe+cycle) {
 			t.Fatalf("link %d cycle does not wrap", id)
 		}
 	}

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config parameterises a traffic simulation.
@@ -17,10 +17,6 @@ type Config struct {
 	Network *Network
 	// Seed roots every per-vehicle random stream (turn choices).
 	Seed int64
-	// Recorder, when non-nil, receives every exposed trajectory sample
-	// as a trace.VehicleRecord — the stream Replay reconstructs models
-	// from.
-	Recorder *trace.Collector
 }
 
 const (
@@ -122,6 +118,10 @@ type Simulation struct {
 	// links of signals whose display changed (shown, by SignalID).
 	green []bool
 	shown []display
+	// tracks[id] is vehicle id's recorded track, and sum summarises
+	// every sample in record order: the world World returns.
+	tracks []track
+	sum    summer
 }
 
 // display is what one signal shows, as last written into the green
@@ -156,9 +156,10 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 		return nil, fmt.Errorf("traffic: no vehicles")
 	}
 	s := &Simulation{
-		cfg:   cfg,
-		net:   cfg.Network,
-		lanes: make([][][]*vehicle, len(cfg.Network.Links)),
+		cfg:    cfg,
+		net:    cfg.Network,
+		lanes:  make([][][]*vehicle, len(cfg.Network.Links)),
+		tracks: make([]track, len(specs)),
 	}
 	for i, l := range s.net.Links {
 		s.lanes[i] = make([][]*vehicle, l.Lanes)
@@ -176,6 +177,7 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 			return nil, fmt.Errorf("traffic: vehicle %d: %w", i, err)
 		}
 		s.vehs = append(s.vehs, veh)
+		s.tracks[i].veh = i
 		if !veh.pending {
 			s.lanes[veh.link.ID][veh.lane] = append(s.lanes[veh.link.ID][veh.lane], veh)
 		}
@@ -190,9 +192,9 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 			// The pre-entry sample parks the vehicle at its entry point
 			// with zero speed, so its replayed track holds it there from
 			// t=0 (a model needs a track even before injection).
-			veh.recordParked(s.now, cfg.Recorder)
+			s.record(veh, 0)
 		} else {
-			veh.record(s.now, cfg.Recorder)
+			s.record(veh, veh.v)
 		}
 	}
 	return s, nil
@@ -301,25 +303,21 @@ func (v *vehicle) desiredSpeed(now time.Duration) float64 {
 	return math.Max(v0, 0.1)
 }
 
-// record emits the vehicle's current state as one trajectory sample. The
-// recorder stream is the simulation's only trajectory output.
-func (v *vehicle) record(now time.Duration, rec *trace.Collector) {
-	if rec != nil {
-		rec.OnVehicle(trace.VehicleRecord{
-			At: now, Veh: v.id,
-			Link: int(v.link.ID), Lane: v.lane,
-			Arc: v.arc, Speed: v.v,
-		})
-	}
+// record appends the vehicle's current position, at speed v, to its
+// track as one exposed sample: the simulation's only trajectory output.
+func (s *Simulation) record(veh *vehicle, v float64) {
+	tr := &s.tracks[veh.id]
+	tr.samples = append(tr.samples, sample{
+		at: s.now, link: int32(veh.link.ID), lane: int32(veh.lane), arc: veh.arc, v: v,
+	})
+	s.sum.add(v)
 }
 
-// recordParked writes the pre-entry sample: the entry position with zero
-// speed, so the track holds the vehicle still until injection.
-func (v *vehicle) recordParked(now time.Duration, rec *trace.Collector) {
-	saved := v.v
-	v.v = 0
-	v.record(now, rec)
-	v.v = saved
+// World returns the world recorded so far, bound to the simulation's
+// network: every vehicle's samples up to the current clock. Later steps
+// leave it unchanged.
+func (s *Simulation) World() *World {
+	return &World{net: s.net, tracks: slices.Clone(s.tracks), sum: s.sum}
 }
 
 // sortLane restores ascending-arc order; lanes are nearly sorted every
@@ -341,9 +339,6 @@ func laneLess(a, b *vehicle) bool {
 
 // Now returns the simulation clock.
 func (s *Simulation) Now() time.Duration { return s.now }
-
-// NumVehicles returns the vehicle count.
-func (s *Simulation) NumVehicles() int { return len(s.vehs) }
 
 // Step advances every vehicle by one tick.
 func (s *Simulation) Step() {
@@ -486,7 +481,7 @@ func (s *Simulation) Step() {
 			continue
 		}
 		if atSample || veh.changed {
-			veh.record(s.now, s.cfg.Recorder)
+			s.record(veh, veh.v)
 			veh.changed = false
 		}
 	}
@@ -733,14 +728,9 @@ func (s *Simulation) RunTo(d time.Duration) {
 	}
 }
 
-// State reports vehicle id's instantaneous road coordinates.
-func (s *Simulation) State(id int) (link LinkID, lane int, arcM, speedMPS float64) {
-	veh := s.vehs[id]
-	return veh.link.ID, veh.lane, veh.arc, veh.v
-}
-
 // PositionNow returns vehicle id's exact current plane position (not the
-// sampled track).
+// sampled track). It is the replay fidelity oracle: a World's model
+// equals it at every recorded instant.
 func (s *Simulation) PositionNow(id int) geom.Point {
 	veh := s.vehs[id]
 	return veh.link.LanePoint(veh.lane, veh.arc)
@@ -762,19 +752,4 @@ func (s *Simulation) MeanSpeedMPS() float64 {
 		return 0
 	}
 	return sum / float64(active)
-}
-
-// StoppedCount returns how many in-traffic vehicles move slower than
-// threshold.
-func (s *Simulation) StoppedCount(thresholdMPS float64) int {
-	n := 0
-	for _, veh := range s.vehs {
-		if veh.pending || veh.exited {
-			continue
-		}
-		if veh.v < thresholdMPS {
-			n++
-		}
-	}
-	return n
 }

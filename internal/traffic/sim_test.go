@@ -26,7 +26,7 @@ func TestFreeVehicleReachesSpeedLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunTo(60 * time.Second)
-	_, _, _, v := s.State(0)
+	_, _, _, v := state(s, 0)
 	if math.Abs(v-14) > 0.3 {
 		t.Fatalf("cruise speed = %v, want ~14 (link limit)", v)
 	}
@@ -48,8 +48,8 @@ func TestFollowerSettlesAtEquilibriumGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunTo(3 * time.Minute)
-	_, _, arcLead, vLead := s.State(0)
-	_, _, arcFol, vFol := s.State(1)
+	_, _, arcLead, vLead := state(s, 0)
+	_, _, arcFol, vFol := state(s, 1)
 	if math.Abs(vLead-8) > 0.2 || math.Abs(vFol-8) > 0.2 {
 		t.Fatalf("speeds = %v, %v, want ~8", vLead, vFol)
 	}
@@ -58,7 +58,7 @@ func TestFollowerSettlesAtEquilibriumGap(t *testing.T) {
 		gap += net.Links[0].Length()
 	}
 	gap -= drv.LengthM
-	want := drv.EquilibriumGap(8, 14)
+	want := equilibriumGap(drv, 8, 14)
 	if math.Abs(gap-want) > 1.5 {
 		t.Fatalf("steady gap = %v, want ~%v", gap, want)
 	}
@@ -69,7 +69,7 @@ func TestFollowerSettlesAtEquilibriumGap(t *testing.T) {
 // node (0,1).
 func gridCross(t *testing.T, lanes int) (*GridNet, LinkID) {
 	t.Helper()
-	spec := DefaultGridSpec()
+	spec := defaultGridSpec()
 	spec.Rows, spec.Cols, spec.Lanes = 2, 2, lanes
 	g, err := NewGridNetwork(spec)
 	if err != nil {
@@ -88,7 +88,7 @@ func gridCross(t *testing.T, lanes int) (*GridNet, LinkID) {
 // cycles, with positive, negative and zero signal offsets and a phase
 // that does not end on a tick boundary.
 func TestGreenTableFollowsFixedCycle(t *testing.T) {
-	spec := DefaultGridSpec()
+	spec := defaultGridSpec()
 	spec.Green = 7*time.Second + 30*time.Millisecond
 	g, err := NewGridNetwork(spec)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestGreenTableFollowsFixedCycle(t *testing.T) {
 			at -= tickLen
 		}
 		for _, l := range g.Links {
-			want := l.Signal == NoSignal || g.Signals[l.Signal].GreenFor(l.ID, at)
+			want := l.Signal == NoSignal || greenFor(g.Signals[l.Signal], l.ID, at)
 			if got := signalGreen(s, l.ID); got != want {
 				t.Fatalf("tick %d (t=%v): link %d green %v, schedule says %v", tick, at, l.ID, got, want)
 			}
@@ -119,11 +119,11 @@ func TestGreenTableFollowsFixedCycle(t *testing.T) {
 }
 
 func TestRedLightStopsVehicle(t *testing.T) {
-	g, east := gridCross(t, DefaultGridSpec().Lanes)
+	g, east := gridCross(t, defaultGridSpec().Lanes)
 	l := g.Links[east]
 	sig := g.Signals[l.Signal]
 	// Phase 0 is north-south green: an eastbound (EW) vehicle sees red.
-	if sig.GreenFor(east, 0) {
+	if greenFor(sig, east, 0) {
 		t.Fatal("eastbound green at t=0; test setup expects red")
 	}
 	drv := DefaultDriver()
@@ -135,7 +135,7 @@ func TestRedLightStopsVehicle(t *testing.T) {
 	}
 	// 120 m at ~10-14 m/s reaches the stop line well inside the 24 s red.
 	s.RunTo(20 * time.Second)
-	link, _, arc, v := s.State(0)
+	link, _, arc, v := state(s, 0)
 	if link != east {
 		t.Fatalf("vehicle crossed on red (link %d)", link)
 	}
@@ -147,7 +147,7 @@ func TestRedLightStopsVehicle(t *testing.T) {
 	}
 	// After the green starts (24s+4s clearance), it crosses.
 	s.RunTo(45 * time.Second)
-	if link, _, _, _ := s.State(0); link == east {
+	if link, _, _, _ := state(s, 0); link == east {
 		t.Fatal("vehicle never crossed after green")
 	}
 }
@@ -168,9 +168,9 @@ func TestQueueCompresssAtRed(t *testing.T) {
 	s.RunTo(22 * time.Second)
 	// All three queued on the red: spacing collapses to roughly the
 	// standstill gap (well under the initial 30 m).
-	_, _, arc0, _ := s.State(0)
-	_, _, arc1, _ := s.State(1)
-	_, _, arc2, _ := s.State(2)
+	_, _, arc0, _ := state(s, 0)
+	_, _, arc1, _ := state(s, 1)
+	_, _, arc2, _ := state(s, 2)
 	if !(arc0 > arc1 && arc1 > arc2) {
 		t.Fatalf("queue out of order: %v %v %v", arc0, arc1, arc2)
 	}
@@ -200,7 +200,7 @@ func TestLaneChangeOvertakesSlowLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunTo(40 * time.Second)
-	_, lane, _, v := s.State(1)
+	_, lane, _, v := state(s, 1)
 	if lane != 1 {
 		t.Fatalf("fast vehicle still in lane 0 (v=%v)", v)
 	}
@@ -213,7 +213,7 @@ func TestLaneChangeOvertakesSlowLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.RunTo(40 * time.Second)
-	if _, lane, _, v := s2.State(1); lane != 0 || v > 4 {
+	if _, lane, _, v := state(s2, 1); lane != 0 || v > 4 {
 		t.Fatalf("one-lane corridor: lane=%d v=%v, want stuck in lane 0 at ~3", lane, v)
 	}
 }
@@ -237,7 +237,7 @@ func TestStopAndGoWavePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunTo(10 * time.Second)
-	if n := s.StoppedCount(2); n != 0 {
+	if n := stoppedCount(s, 2); n != 0 {
 		t.Fatalf("%d vehicles crawling before the perturbation", n)
 	}
 	// While vehicle 0 crawls, the wave spreads to the vehicles behind it
@@ -245,7 +245,7 @@ func TestStopAndGoWavePropagates(t *testing.T) {
 	s.RunTo(30 * time.Second)
 	slowed := 0
 	for i := 20; i < 25; i++ {
-		if _, _, _, v := s.State(i); v < 5 {
+		if _, _, _, v := state(s, i); v < 5 {
 			slowed++
 		}
 	}
@@ -260,7 +260,7 @@ func TestStopAndGoWavePropagates(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	build := func() *Simulation {
-		g, err := NewGridNetwork(DefaultGridSpec())
+		g, err := NewGridNetwork(defaultGridSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,9 +281,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	a, b := build(), build()
 	a.RunTo(60 * time.Second)
 	b.RunTo(60 * time.Second)
-	for i := 0; i < a.NumVehicles(); i++ {
-		la, na, aa, va := a.State(i)
-		lb, nb, ab, vb := b.State(i)
+	for i := 0; i < len(a.vehs); i++ {
+		la, na, aa, va := state(a, i)
+		lb, nb, ab, vb := state(b, i)
 		if la != lb || na != nb || aa != ab || va != vb {
 			t.Fatalf("vehicle %d diverged: (%d,%d,%v,%v) vs (%d,%d,%v,%v)",
 				i, la, na, aa, va, lb, nb, ab, vb)
@@ -292,7 +292,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestRouteFollowing(t *testing.T) {
-	g, err := NewGridNetwork(DefaultGridSpec())
+	g, err := NewGridNetwork(defaultGridSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestRouteFollowing(t *testing.T) {
 	visited := map[LinkID]bool{}
 	for i := 0; i < 3000; i++ {
 		s.Step()
-		link, _, _, _ := s.State(0)
+		link, _, _, _ := state(s, 0)
 		if !onRoute[link] {
 			t.Fatalf("vehicle left its route onto link %d", link)
 		}
@@ -331,7 +331,7 @@ func TestRouteFollowing(t *testing.T) {
 }
 
 func TestVehicleSpecValidation(t *testing.T) {
-	g, err := NewGridNetwork(DefaultGridSpec())
+	g, err := NewGridNetwork(defaultGridSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,11 @@ import (
 	"time"
 
 	"repro/internal/storeutil"
-	"repro/internal/trace"
 )
 
-// storeTestStream records a real (small) grid simulation so store tests
+// storeTestWorld records a real (small) grid simulation so store tests
 // exercise genuine trajectory payloads, not synthetic records.
-func storeTestStream(t *testing.T) *trace.Collector {
+func storeTestWorld(t *testing.T) *World {
 	t.Helper()
 	g, err := NewGridNetwork(GridSpec{
 		Rows: 2, Cols: 2, BlockM: 120, Lanes: 1, LaneWidthM: 3.2,
@@ -23,26 +22,22 @@ func storeTestStream(t *testing.T) *trace.Collector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &trace.Collector{}
 	specs := []VehicleSpec{
 		{Driver: DefaultDriver(), Link: 0, Lane: 0, ArcM: 10},
 		{Driver: DefaultDriver(), Link: 1, Lane: 0, ArcM: 30},
 	}
-	s, err := New(Config{Network: g.Network, Seed: 5, Recorder: rec}, specs)
+	s, err := New(Config{Network: g.Network, Seed: 5}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.RunTo(20 * time.Second)
-	if len(rec.Vehicles) == 0 {
-		t.Fatal("test stream recorded no samples")
-	}
-	return rec
+	return s.World()
 }
 
-func jsonlBytes(t *testing.T, col *trace.Collector) []byte {
+func jsonlBytes(t *testing.T, w *World) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := col.WriteJSONL(&buf); err != nil {
+	if err := w.Trace().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -53,9 +48,9 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := storeTestStream(t)
+	w := storeTestWorld(t)
 	const key = "grid|seed=5|veh=2|dur=20s"
-	if err := st.Save(key, col); err != nil {
+	if err := st.Save(key, w); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Load(key)
@@ -65,10 +60,10 @@ func TestStoreRoundTripByteIdentity(t *testing.T) {
 	if got == nil {
 		t.Fatal("saved key loads as a miss")
 	}
-	// The loaded stream must serialize to the exact bytes of the
-	// original — the property that makes disk-served replays
+	// The loaded world must serialize to the exact bytes of the
+	// original, the property that makes disk-served replays
 	// byte-identical to the in-memory cache's recording.
-	if !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, col)) {
+	if !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, w)) {
 		t.Fatal("store round-trip changed the JSONL byte stream")
 	}
 }
@@ -78,12 +73,12 @@ func TestStoreMissOnAbsentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := st.Load("never-saved")
+	w, err := st.Load("never-saved")
 	if err != nil {
 		t.Fatalf("absent key must be a clean miss, got error %v", err)
 	}
-	if col != nil {
-		t.Fatal("absent key returned a stream")
+	if w != nil {
+		t.Fatal("absent key returned a world")
 	}
 }
 
@@ -94,9 +89,9 @@ func TestStoreEvictionDefaultOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := storeTestStream(t)
+	w := storeTestWorld(t)
 	for _, key := range []string{"a", "b", "c"} {
-		if err := st.Save(key, col); err != nil {
+		if err := st.Save(key, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +108,7 @@ func TestStoreSaveIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save("k", storeTestStream(t)); err != nil {
+	if err := st.Save("k", storeTestWorld(t)); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -136,9 +131,9 @@ func TestStoreQuarantineHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := storeTestStream(t)
+	w := storeTestWorld(t)
 	const key = "quarantine-trace-key"
-	if err := st.Save(key, col); err != nil {
+	if err := st.Save(key, w); err != nil {
 		t.Fatal(err)
 	}
 	path := st.Path(key)
@@ -164,11 +159,11 @@ func TestStoreQuarantineHeals(t *testing.T) {
 	if got, lerr := st.Load(key); got != nil || lerr != nil {
 		t.Fatalf("Load after quarantine = (%v, %v), want a clean miss", got, lerr)
 	}
-	if err := st.Save(key, col); err != nil {
+	if err := st.Save(key, w); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Load(key)
-	if err != nil || got == nil || !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, col)) {
+	if err != nil || got == nil || !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, w)) {
 		t.Fatalf("healed entry = (%v, %v)", got, err)
 	}
 }

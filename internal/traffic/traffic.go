@@ -44,14 +44,15 @@
 // step in ID order, per-lane orderings are explicit slices (no map
 // iteration), and every random draw comes from a per-vehicle stream
 // derived from Config.Seed, so a run is bit-reproducible. Its only
-// trajectory output is the stream Config.Recorder receives: samples
-// every fifth tick (plus every lane/link change), each holding the
-// vehicle's exact state at its timestamp. A Replay of that
-// stream — in memory or decoded from either trace codec — is a
-// piecewise-linear track equal to Simulation.PositionNow at every
-// recorded instant, so every sweep arm and every harness worker sees
-// the same position history: the property the record-once, sweep-many
-// workflow rests on.
+// trajectory output is the World it records: per vehicle, a sample every
+// fifth tick (plus every lane/link change), each holding the vehicle's
+// exact state at its timestamp. A World's model is a piecewise-linear
+// track equal to Simulation.PositionNow at every recorded instant, so
+// every sweep arm and every harness worker sees the same position
+// history: the property the record-once, sweep-many workflow rests on.
+// The world exists in memory in that one form; its serialized form
+// (World.Trace, a time-major trace.VehicleRecord stream) exists only at
+// the traffic store's boundary, and decoding it rebuilds the same world.
 package traffic
 
 import (
@@ -139,20 +140,4 @@ func (p DriverParams) IDMAccel(v, vLead, gapM, v0 float64) float64 {
 	sStar := p.MinGapM + math.Max(0, v*p.TimeHeadwayS+v*dv/(2*math.Sqrt(p.MaxAccelMPS2*p.ComfortDecelMPS2)))
 	ratio := sStar / gapM
 	return p.MaxAccelMPS2 * (free - ratio*ratio)
-}
-
-// EquilibriumGap returns the bumper-to-bumper gap at which a driver
-// following a leader at equal constant speed v has zero acceleration —
-// the steady-state platoon spacing, useful for seeding dense scenarios.
-func (p DriverParams) EquilibriumGap(v, v0 float64) float64 {
-	free := 1.0
-	if v0 > 0 {
-		r := v / v0
-		r2 := r * r
-		free = 1 - r2*r2
-	}
-	if free <= 0 {
-		return math.Inf(1)
-	}
-	return (p.MinGapM + v*p.TimeHeadwayS) / math.Sqrt(free)
 }

@@ -1,90 +1,109 @@
 package traffic
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/mobility"
-	"repro/internal/trace"
 )
 
-// Replay reconstructs per-vehicle mobility models from a recorded
-// traffic stream. The records must come from a simulation over the same
-// network (Config.Recorder wrote them). A model's track is
-// piecewise-linear through the samples, so at every recorded instant it
-// returns exactly the position the simulation held then
-// (Simulation.PositionNow).
-type Replay struct {
+// World is one recorded traffic world: every vehicle's exposed
+// trajectory samples in time order, and the summary of the whole
+// population. A Simulation records it (Simulation.World) and the traffic
+// store persists it (see Trace). It is immutable, so every sweep arm
+// and every harness worker replays one world concurrently.
+type World struct {
 	net    *Network
-	tracks map[int][]sample
-	ids    []int
+	tracks []track // ascending by vehicle ID
+	sum    summer
 }
 
-// NewReplay indexes a recorded stream. It validates that every record
-// references a link and lane that exist in the network and that each
-// vehicle's samples are chronological.
-func NewReplay(net *Network, col *trace.Collector) (*Replay, error) {
+// track is one vehicle's samples, strictly increasing in time.
+type track struct {
+	veh     int
+	samples []sample
+}
+
+// Summary condenses a world for reports: the mean speed over every
+// sample and the share of samples below the crawling threshold (2 m/s),
+// the jam exposure of the whole population. Both sum the samples in
+// record order (see Trace), so a decoded world summarises to the exact
+// bits of its recording.
+type Summary struct {
+	MeanSpeedMPS float64
+	CrawlShare   float64
+	Samples      int
+}
+
+// summer accumulates a Summary sample by sample, in record order; every
+// world has at least one sample.
+type summer struct {
+	speed     float64
+	crawls, n int
+}
+
+func (s *summer) add(v float64) {
+	s.speed += v
+	if v < 2 {
+		s.crawls++
+	}
+	s.n++
+}
+
+// Summary returns the world's summary.
+func (w *World) Summary() Summary {
+	n := float64(w.sum.n)
+	return Summary{MeanSpeedMPS: w.sum.speed / n, CrawlShare: float64(w.sum.crawls) / n, Samples: w.sum.n}
+}
+
+// Bind checks every sample against net (its link exists and its lane is
+// one of the link's) and returns the world replaying over net. A
+// recorded world is bound to its simulation's network already; a world
+// decoded from the traffic store, which holds no network, must be bound
+// before Model.
+func (w *World) Bind(net *Network) (*World, error) {
 	if net == nil {
-		return nil, fmt.Errorf("traffic: replay without network")
+		return nil, errors.New("traffic: world without network")
 	}
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if len(col.Vehicles) == 0 {
-		return nil, fmt.Errorf("traffic: trace has no vehicle records")
+	for _, tr := range w.tracks {
+		for _, s := range tr.samples {
+			if s.link < 0 || int(s.link) >= len(net.Links) || s.lane < 0 || int(s.lane) >= net.Links[s.link].Lanes {
+				return nil, fmt.Errorf("traffic: vehicle %d at %v: link %d lane %d out of range", tr.veh, s.at, s.link, s.lane)
+			}
+		}
 	}
-	r := &Replay{net: net, tracks: make(map[int][]sample)}
-	last := make(map[int]time.Duration)
-	for i, rec := range col.Vehicles {
-		if rec.Link < 0 || rec.Link >= len(net.Links) {
-			return nil, fmt.Errorf("traffic: record %d: link %d out of range", i, rec.Link)
-		}
-		l := net.Links[rec.Link]
-		if rec.Lane < 0 || rec.Lane >= l.Lanes {
-			return nil, fmt.Errorf("traffic: record %d: lane %d out of range", i, rec.Lane)
-		}
-		if prev, seen := last[rec.Veh]; seen && rec.At < prev {
-			return nil, fmt.Errorf("traffic: record %d: vehicle %d time goes backwards", i, rec.Veh)
-		}
-		last[rec.Veh] = rec.At
-		if _, seen := r.tracks[rec.Veh]; !seen {
-			r.ids = append(r.ids, rec.Veh)
-		}
-		r.tracks[rec.Veh] = append(r.tracks[rec.Veh], sample{
-			at:   rec.At,
-			link: int32(rec.Link),
-			lane: int32(rec.Lane),
-			arc:  rec.Arc,
-			v:    rec.Speed,
-		})
-	}
-	return r, nil
+	bound := *w
+	bound.net = net
+	return &bound, nil
 }
 
-// VehicleIDs returns the replayed vehicle IDs in first-appearance order
-// (the simulation records vehicles in ID order, so this is ID order for
-// streams written by Config.Recorder).
-func (r *Replay) VehicleIDs() []int {
-	return append([]int(nil), r.ids...)
-}
-
-// Model returns the mobility model of one replayed vehicle: the latest
-// sample at or before the query time, linearly extrapolated along its
-// lane at the sampled speed. The model keeps a private sample cursor:
-// simulation clocks are monotone, so the usual query pattern advances a
-// step or two per call instead of re-running a binary search over the
-// whole track. Do not share one model across concurrently running
-// engines.
-func (r *Replay) Model(id int) (mobility.Model, error) {
-	track, ok := r.tracks[id]
+// Model returns the mobility model of one vehicle: the latest sample at
+// or before the query time, linearly extrapolated along its lane at the
+// sampled speed, so at every recorded instant it returns exactly the
+// position the simulation held then (Simulation.PositionNow). The model
+// keeps a private sample cursor: simulation clocks are monotone, so the
+// usual query pattern advances a step or two per call instead of
+// re-running a binary search over the whole track. Do not share one
+// model across concurrently running engines.
+func (w *World) Model(id int) (mobility.Model, error) {
+	if w.net == nil {
+		return nil, errors.New("traffic: world not bound to a network")
+	}
+	i, ok := slices.BinarySearchFunc(w.tracks, id, func(tr track, id int) int { return cmp.Compare(tr.veh, id) })
 	if !ok {
 		return nil, fmt.Errorf("traffic: no samples for vehicle %d", id)
 	}
-	net := r.net
+	net, samples := w.net, w.tracks[i].samples
 	var cur posCursor
 	return mobility.Func(func(now time.Duration) geom.Point {
-		return cur.at(net, track, now)
+		return cur.at(net, samples, now)
 	}), nil
 }
 
