@@ -307,7 +307,7 @@ func BenchmarkExtBitrate(b *testing.B) {
 func BenchmarkExtEpidemic(b *testing.B) {
 	epidemicFactory := func(id packet.NodeID, engine *sim.Engine, port *mac.Station, seed int64, obs carq.Observer) (scenario.Node, error) {
 		return baseline.NewEpidemicNode(
-			baseline.DefaultEpidemicConfig(id), engine, port,
+			id, engine, port,
 			sim.Stream(seed, fmt.Sprintf("epidemic-%v", id)), obs)
 	}
 	for _, tc := range []struct {

@@ -57,14 +57,13 @@ func cityBenchWorld(tb testing.TB) ([]mobility.Model, []geom.Point) {
 // deeper urban, so even HELLO beacons carry only ~220 m.
 func cityBenchChannel(seed int64) radio.Config {
 	return radio.Config{
-		PathLoss:           radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 4.5},
-		TxPowerDBm:         12,
-		NoiseFloorDBm:      -92,
-		ShadowSigmaDB:      3,
-		ShadowTau:          800 * time.Millisecond,
-		FadingK:            2,
-		CaptureThresholdDB: 10,
-		Seed:               seed,
+		PathLossExponent: 4.5,
+		TxPowerDBm:       12,
+		NoiseFloorDBm:    -92,
+		ShadowSigmaDB:    3,
+		ShadowTau:        800 * time.Millisecond,
+		FadingK:          2,
+		Seed:             seed,
 	}
 }
 

@@ -413,7 +413,7 @@ func bitrateSweep(c *harness.Context) error {
 func epidemicComparison(c *harness.Context) error {
 	epidemicFactory := func(id packet.NodeID, engine *sim.Engine, port *mac.Station, seed int64, obs carq.Observer) (scenario.Node, error) {
 		return baseline.NewEpidemicNode(
-			baseline.DefaultEpidemicConfig(id), engine, port,
+			id, engine, port,
 			sim.Stream(seed, fmt.Sprintf("epidemic-%v", id)), obs)
 	}
 	arms := []struct {

@@ -132,10 +132,6 @@ func flowTick(arg any) {
 // Stop halts packet generation (already queued frames still drain).
 func (a *AP) Stop() { a.stopped = true }
 
-// SentCount returns the number of distinct packets generated for a flow so
-// far (repeats not counted).
-func (a *AP) SentCount(flow packet.NodeID) uint32 { return a.sent[flow] }
-
 func (a *AP) tick(fl *apFlow) {
 	if a.stopped {
 		return

@@ -31,6 +31,10 @@ func (c *countTracer) OnTx(src packet.NodeID, f *packet.Frame, start, airtime ti
 func (c *countTracer) OnRx(packet.NodeID, *packet.Frame, mac.RxMeta)                      {}
 func (c *countTracer) OnDrop(packet.NodeID, *packet.Frame, time.Duration, mac.DropReason) {}
 
+// sentCount returns the number of distinct packets generated for a flow so
+// far (repeats not counted).
+func (a *AP) sentCount(flow packet.NodeID) uint32 { return a.sent[flow] }
+
 func buildAP(t *testing.T, cfg Config) (*sim.Engine, *AP, *countTracer) {
 	t.Helper()
 	engine := sim.New()
@@ -91,8 +95,8 @@ func TestRatePerFlow(t *testing.T) {
 			t.Fatalf("flow %v: %d packets in 10 s, want ~50", flow, n)
 		}
 		// Generation may lead airing by one packet at the horizon.
-		if got := a.SentCount(flow); got < uint32(n) || got > uint32(n)+1 {
-			t.Fatalf("SentCount(%v) = %d, want %d or %d", flow, got, n, n+1)
+		if got := a.sentCount(flow); got < uint32(n) || got > uint32(n)+1 {
+			t.Fatalf("sentCount(%v) = %d, want %d or %d", flow, got, n, n+1)
 		}
 	}
 }
@@ -173,7 +177,7 @@ func TestRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := tr.dataTx[7]
-	distinct := a.SentCount(7)
+	distinct := a.sentCount(7)
 	if len(seqs) != int(distinct)*3 {
 		t.Fatalf("tx count %d != 3 * distinct %d", len(seqs), distinct)
 	}

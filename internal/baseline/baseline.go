@@ -19,7 +19,6 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/carq"
@@ -28,43 +27,17 @@ import (
 	"repro/internal/sim"
 )
 
-// EpidemicConfig parameterises an epidemic flooding node.
-type EpidemicConfig struct {
-	// ID is this node's address.
-	ID packet.NodeID
-	// APTimeout is the silence period after which the node considers
-	// itself in a dark area and starts flooding, mirroring C-ARQ's phase
-	// trigger for a fair comparison.
-	APTimeout time.Duration
-	// PushInterval is the pacing between flooded frames.
-	PushInterval time.Duration
-	// MaxPushes bounds how many times one buffered packet is flooded.
-	MaxPushes int
-}
-
-// DefaultEpidemicConfig matches C-ARQ's trigger timing with a moderate
-// flooding rate.
-func DefaultEpidemicConfig(id packet.NodeID) EpidemicConfig {
-	return EpidemicConfig{
-		ID:           id,
-		APTimeout:    5 * time.Second,
-		PushInterval: 40 * time.Millisecond,
-		MaxPushes:    2,
-	}
-}
-
-func (c EpidemicConfig) validate() error {
-	if c.APTimeout <= 0 {
-		return fmt.Errorf("baseline: non-positive AP timeout %v", c.APTimeout)
-	}
-	if c.PushInterval <= 0 {
-		return fmt.Errorf("baseline: non-positive push interval %v", c.PushInterval)
-	}
-	if c.MaxPushes <= 0 {
-		return fmt.Errorf("baseline: non-positive max pushes %d", c.MaxPushes)
-	}
-	return nil
-}
+// The epidemic node's timing: C-ARQ's phase trigger, for a fair
+// comparison, and a moderate flooding rate.
+const (
+	// apTimeout is the silence period after which the node considers
+	// itself in a dark area and starts flooding: C-ARQ's 5 s.
+	apTimeout = 5 * time.Second
+	// pushInterval is the pacing between flooded frames.
+	pushInterval = 40 * time.Millisecond
+	// maxPushes bounds how many times one buffered packet is flooded.
+	maxPushes = 2
+)
 
 // pushKey identifies one buffered foreign packet.
 type pushKey struct {
@@ -76,7 +49,7 @@ type pushKey struct {
 // everyone else's — and, in dark areas, re-broadcasts foreign packets
 // round-robin so their owners (and further relays) can pick them up.
 type EpidemicNode struct {
-	cfg  EpidemicConfig
+	id   packet.NodeID
 	ctx  *sim.Engine
 	port carq.Port
 	rng  *rand.Rand
@@ -89,9 +62,9 @@ type EpidemicNode struct {
 	pushes map[pushKey]int
 	cursor int
 
-	dark      bool
-	apTimeout *sim.Timer // enters the dark area when AP frames stop
-	push      *sim.Timer // paces the dark-area flood
+	dark    bool
+	apTimer *sim.Timer // enters the dark area when AP frames stop
+	push    *sim.Timer // paces the dark-area flood
 
 	stats EpidemicStats
 }
@@ -104,11 +77,9 @@ type EpidemicStats struct {
 	Pushes     uint64 // flooded transmissions
 }
 
-// NewEpidemicNode builds a stopped node; Start begins operation.
-func NewEpidemicNode(cfg EpidemicConfig, ctx *sim.Engine, port carq.Port, rng *rand.Rand, obs carq.Observer) (*EpidemicNode, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// NewEpidemicNode builds a stopped node for station id; Start begins
+// operation.
+func NewEpidemicNode(id packet.NodeID, ctx *sim.Engine, port carq.Port, rng *rand.Rand, obs carq.Observer) (*EpidemicNode, error) {
 	if ctx == nil || port == nil || rng == nil {
 		return nil, fmt.Errorf("baseline: nil dependency")
 	}
@@ -116,7 +87,7 @@ func NewEpidemicNode(cfg EpidemicConfig, ctx *sim.Engine, port carq.Port, rng *r
 		obs = carq.NopObserver{}
 	}
 	n := &EpidemicNode{
-		cfg:    cfg,
+		id:     id,
 		ctx:    ctx,
 		port:   port,
 		rng:    rng,
@@ -125,7 +96,7 @@ func NewEpidemicNode(cfg EpidemicConfig, ctx *sim.Engine, port carq.Port, rng *r
 		store:  make(map[pushKey][]byte),
 		pushes: make(map[pushKey]int),
 	}
-	n.apTimeout = ctx.NewTimer(n.enterDark)
+	n.apTimer = ctx.NewTimer(n.enterDark)
 	n.push = ctx.NewTimer(n.pushTick)
 	return n, nil
 }
@@ -159,10 +130,10 @@ func (n *EpidemicNode) HandleFrame(f *packet.Frame, meta mac.RxMeta) {
 }
 
 func (n *EpidemicNode) absorb(flow packet.NodeID, seq uint32, payload []byte, from packet.NodeID, fromAP bool) {
-	if from == n.cfg.ID {
+	if from == n.id {
 		return
 	}
-	if flow == n.cfg.ID {
+	if flow == n.id {
 		if _, dup := n.own[seq]; dup {
 			return
 		}
@@ -171,7 +142,7 @@ func (n *EpidemicNode) absorb(flow packet.NodeID, seq uint32, payload []byte, fr
 			n.stats.DataDirect++
 		} else {
 			n.stats.Recovered++
-			n.obs.OnRecovered(n.cfg.ID, seq, from, n.ctx.Now())
+			n.obs.OnRecovered(n.id, seq, from, n.ctx.Now())
 		}
 		return
 	}
@@ -185,7 +156,7 @@ func (n *EpidemicNode) absorb(flow packet.NodeID, seq uint32, payload []byte, fr
 }
 
 func (n *EpidemicNode) onAPContact() {
-	n.apTimeout.Reset(n.cfg.APTimeout)
+	n.apTimer.Reset(apTimeout)
 	if n.dark {
 		n.dark = false
 		n.push.Stop()
@@ -195,7 +166,7 @@ func (n *EpidemicNode) onAPContact() {
 func (n *EpidemicNode) enterDark() {
 	n.dark = true
 	// Desynchronise the flood start across nodes.
-	jitter := time.Duration(n.rng.Int63n(int64(n.cfg.PushInterval) + 1))
+	jitter := time.Duration(n.rng.Int63n(int64(pushInterval) + 1))
 	n.push.Reset(jitter)
 }
 
@@ -203,12 +174,12 @@ func (n *EpidemicNode) enterDark() {
 // timer.
 func (n *EpidemicNode) pushTick() {
 	if key, payload, ok := n.nextPush(); ok {
-		if err := n.port.Send(packet.NewResponse(n.cfg.ID, key.flow, key.seq, payload)); err == nil {
+		if err := n.port.Send(packet.NewResponse(n.id, key.flow, key.seq, payload)); err == nil {
 			n.pushes[key]++
 			n.stats.Pushes++
 		}
 	}
-	n.push.Reset(n.cfg.PushInterval)
+	n.push.Reset(pushInterval)
 }
 
 // nextPush scans the round-robin order for the next packet still under
@@ -223,23 +194,11 @@ func (n *EpidemicNode) nextPush() (pushKey, []byte, bool) {
 		}
 		key := n.order[n.cursor]
 		n.cursor++
-		if n.pushes[key] < n.cfg.MaxPushes {
+		if n.pushes[key] < maxPushes {
 			return key, n.store[key], true
 		}
 	}
 	return pushKey{}, nil, false
-}
-
-// SortedStoreKeys returns the buffered foreign packets, for tests.
-func (n *EpidemicNode) SortedStoreKeys() []pushKey {
-	keys := append([]pushKey(nil), n.order...)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].flow != keys[j].flow {
-			return keys[i].flow < keys[j].flow
-		}
-		return keys[i].seq < keys[j].seq
-	})
-	return keys
 }
 
 var _ mac.Handler = (*EpidemicNode)(nil)

@@ -21,15 +21,11 @@ func (p *fakePort) Send(f *packet.Frame) error {
 
 const apID packet.NodeID = 100
 
-func newEpidemic(t *testing.T, mutate func(*EpidemicConfig)) (*sim.Engine, *EpidemicNode, *fakePort) {
+func newEpidemic(t *testing.T) (*sim.Engine, *EpidemicNode, *fakePort) {
 	t.Helper()
 	engine := sim.New()
 	port := &fakePort{}
-	cfg := DefaultEpidemicConfig(1)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	n, err := NewEpidemicNode(cfg, engine, port, sim.Stream(3, "epi"), nil)
+	n, err := NewEpidemicNode(1, engine, port, sim.Stream(3, "epi"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,27 +39,16 @@ func TestEpidemicValidation(t *testing.T) {
 	engine := sim.New()
 	port := &fakePort{}
 	rng := sim.Stream(1, "x")
-	for _, mutate := range []func(*EpidemicConfig){
-		func(c *EpidemicConfig) { c.APTimeout = 0 },
-		func(c *EpidemicConfig) { c.PushInterval = 0 },
-		func(c *EpidemicConfig) { c.MaxPushes = 0 },
-	} {
-		cfg := DefaultEpidemicConfig(1)
-		mutate(&cfg)
-		if _, err := NewEpidemicNode(cfg, engine, port, rng, nil); err == nil {
-			t.Fatalf("invalid config accepted: %+v", cfg)
-		}
-	}
-	if _, err := NewEpidemicNode(DefaultEpidemicConfig(1), nil, port, rng, nil); err == nil {
+	if _, err := NewEpidemicNode(1, nil, port, rng, nil); err == nil {
 		t.Fatal("nil ctx accepted")
 	}
-	if _, err := NewEpidemicNode(DefaultEpidemicConfig(1), engine, nil, rng, nil); err == nil {
+	if _, err := NewEpidemicNode(1, engine, nil, rng, nil); err == nil {
 		t.Fatal("nil port accepted")
 	}
 }
 
 func TestEpidemicBuffersEverything(t *testing.T) {
-	engine, n, _ := newEpidemic(t, nil)
+	engine, n, _ := newEpidemic(t)
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewData(apID, 1, 1, []byte("mine")))
 		rxd(n, packet.NewData(apID, 2, 1, []byte("theirs")))
@@ -80,13 +65,13 @@ func TestEpidemicBuffersEverything(t *testing.T) {
 	if st.DataDirect != 1 || st.Buffered != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := len(n.SortedStoreKeys()); got != 2 {
+	if got := len(n.order); got != 2 {
 		t.Fatalf("store size = %d", got)
 	}
 }
 
 func TestEpidemicFloodsInDarkArea(t *testing.T) {
-	engine, n, port := newEpidemic(t, nil)
+	engine, n, port := newEpidemic(t)
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewData(apID, 2, 1, []byte("a")))
 		rxd(n, packet.NewData(apID, 2, 2, []byte("b")))
@@ -113,7 +98,7 @@ func TestEpidemicFloodsInDarkArea(t *testing.T) {
 }
 
 func TestEpidemicStopsFloodingOnAPContact(t *testing.T) {
-	engine, n, port := newEpidemic(t, nil)
+	engine, n, port := newEpidemic(t)
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewData(apID, 2, 1, []byte("a")))
 	})
@@ -134,7 +119,7 @@ func TestEpidemicStopsFloodingOnAPContact(t *testing.T) {
 }
 
 func TestEpidemicRecoversOwnFromRelay(t *testing.T) {
-	engine, n, _ := newEpidemic(t, nil)
+	engine, n, _ := newEpidemic(t)
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewResponse(2, 1, 7, []byte("relayed")))
 	})
@@ -152,7 +137,7 @@ func TestEpidemicRecoversOwnFromRelay(t *testing.T) {
 func TestEpidemicRelaysForeignRelays(t *testing.T) {
 	// A relayed packet for a third node is stored and re-flooded —
 	// epidemic spreading beyond one hop.
-	engine, n, port := newEpidemic(t, nil)
+	engine, n, port := newEpidemic(t)
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewData(apID, 9, 1, []byte("keepalive"))) // AP contact
 		rxd(n, packet.NewResponse(2, 3, 4, []byte("relay")))
@@ -172,7 +157,7 @@ func TestEpidemicRelaysForeignRelays(t *testing.T) {
 }
 
 func TestEpidemicIgnoresOwnTransmissions(t *testing.T) {
-	engine, n, _ := newEpidemic(t, nil)
+	engine, n, _ := newEpidemic(t)
 	engine.Schedule(time.Second, func() {
 		// A frame we sent ourselves, heard through some path: ignore.
 		rxd(n, packet.NewResponse(1, 2, 3, []byte("self")))
@@ -189,7 +174,7 @@ func TestEpidemicObserverRecovery(t *testing.T) {
 	engine := sim.New()
 	var recovered []uint32
 	obs := &recObserver{seqs: &recovered}
-	n, err := NewEpidemicNode(DefaultEpidemicConfig(1), engine, &fakePort{}, sim.Stream(1, "x"), obs)
+	n, err := NewEpidemicNode(1, engine, &fakePort{}, sim.Stream(1, "x"), obs)
 	if err != nil {
 		t.Fatal(err)
 	}

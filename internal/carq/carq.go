@@ -12,13 +12,26 @@
 //     that listed it as a cooperator. HELLO beacons advertise the node's
 //     cooperator list, which simultaneously recruits cooperators and
 //     assigns each its response order.
-//   - Cooperative-ARQ: when no DATA frame has been heard for APTimeout
-//     (5 s in the prototype), the node cycles over its missing-packet list
+//   - Cooperative-ARQ: when no DATA frame has been heard for the AP
+//     timeout, the node cycles over its missing-packet list
 //     (first..last sequence received from the AP), broadcasting REQUESTs.
 //     Cooperators holding a requested packet respond after a back-off
 //     proportional to their assigned order, suppressing their response if
 //     another cooperator answers first. The cycle repeats over the
 //     shrinking list until it drains or a new AP is contacted.
+//
+// The protocol runs on fixed timing:
+//
+//   - HELLO beacons every 1 s, jittered ±10% against synchronisation;
+//     a cooperator candidate not heard for three beacon periods expires
+//     (Config.CandidateTTL overrides this);
+//   - the AP timeout is 5 s, the prototype's value as the paper states it;
+//   - a cooperator of order k answers a REQUEST after k response slots of
+//     15 ms, and paces a multi-packet answer 12 ms per packet. A slot
+//     exceeds one response airtime, so a later cooperator overhears an
+//     earlier answer and suppresses its own;
+//   - a requester waits one slot per cooperator order plus 12 ms per
+//     requested packet, then 10 ms more, before its next REQUEST.
 //
 // The protocol talks to the network through the small Port interface, so
 // it can be unit-tested against a scripted port and deployed over the
@@ -87,27 +100,28 @@ func (NopObserver) OnRecovered(packet.NodeID, uint32, packet.NodeID, time.Durati
 // OnComplete implements Observer.
 func (NopObserver) OnComplete(packet.NodeID, time.Duration) {}
 
-// Config holds the protocol parameters. DefaultConfig reproduces the
-// prototype's settings where the paper states them (5 s AP timeout) and
-// uses conservative values elsewhere.
+// The protocol timing (see the package doc).
+const (
+	// helloInterval is the beacon period.
+	helloInterval = time.Second
+	// apTimeout is the silence period after the last heard DATA frame
+	// that triggers the Cooperative-ARQ phase.
+	apTimeout = 5 * time.Second
+	// coopSlot is the per-order response back-off unit: the cooperator
+	// with order k answers k*coopSlot after a REQUEST. It must exceed a
+	// response airtime for overhear-suppression to work.
+	coopSlot = 15 * time.Millisecond
+	// perResponseTime paces multi-packet response bursts and sizes the
+	// per-request response window.
+	perResponseTime = 12 * time.Millisecond
+	// requestSpacing is extra idle margin between request cycles.
+	requestSpacing = 10 * time.Millisecond
+)
+
+// Config holds the protocol parameters a study varies.
 type Config struct {
 	// ID is this node's address.
 	ID packet.NodeID
-	// HelloInterval is the beacon period. Beacons are jittered ±10% to
-	// avoid synchronisation.
-	HelloInterval time.Duration
-	// APTimeout is the silence period after the last heard DATA frame
-	// that triggers the Cooperative-ARQ phase (5 s in the prototype).
-	APTimeout time.Duration
-	// CoopSlot is the per-order response back-off unit: the cooperator
-	// with order k answers k*CoopSlot after a REQUEST. It must exceed a
-	// response airtime for overhear-suppression to work.
-	CoopSlot time.Duration
-	// PerResponseTime paces multi-packet response bursts in batched mode
-	// and sizes the per-request response window.
-	PerResponseTime time.Duration
-	// RequestSpacing is extra idle margin between request cycles.
-	RequestSpacing time.Duration
 	// BatchRequests enables the paper's proposed optimisation: one
 	// REQUEST carries all missing sequences (up to MaxBatch) instead of
 	// one REQUEST per packet.
@@ -123,7 +137,7 @@ type Config struct {
 	// "first received" interpretation, kept as an ablation.
 	KnownFirstSeq uint32
 	// CandidateTTL expires cooperator candidates that have not been
-	// heard for this long. Zero defaults to 3*HelloInterval.
+	// heard for this long. Zero defaults to three beacon periods.
 	CandidateTTL time.Duration
 	// Selection picks and orders cooperators from the candidate set.
 	// Nil defaults to SelectAll.
@@ -150,34 +164,16 @@ type Config struct {
 // DefaultConfig returns the canonical parameters for node id.
 func DefaultConfig(id packet.NodeID) Config {
 	return Config{
-		ID:              id,
-		HelloInterval:   time.Second,
-		APTimeout:       5 * time.Second,
-		CoopSlot:        15 * time.Millisecond,
-		PerResponseTime: 12 * time.Millisecond,
-		RequestSpacing:  10 * time.Millisecond,
-		BatchRequests:   false,
-		MaxBatch:        64,
-		KnownFirstSeq:   1,
-		Selection:       SelectAll{},
-		CoopEnabled:     true,
+		ID:            id,
+		BatchRequests: false,
+		MaxBatch:      64,
+		KnownFirstSeq: 1,
+		Selection:     SelectAll{},
+		CoopEnabled:   true,
 	}
 }
 
 func (c Config) validate() error {
-	if c.HelloInterval <= 0 {
-		return fmt.Errorf("carq: non-positive hello interval %v", c.HelloInterval)
-	}
-	if c.APTimeout <= 0 {
-		return fmt.Errorf("carq: non-positive AP timeout %v", c.APTimeout)
-	}
-	if c.CoopSlot <= 0 || c.PerResponseTime <= 0 {
-		return fmt.Errorf("carq: non-positive response timing (slot=%v perResponse=%v)",
-			c.CoopSlot, c.PerResponseTime)
-	}
-	if c.RequestSpacing < 0 {
-		return fmt.Errorf("carq: negative request spacing %v", c.RequestSpacing)
-	}
 	if c.BatchRequests && c.MaxBatch <= 0 {
 		return fmt.Errorf("carq: batched requests with MaxBatch %d", c.MaxBatch)
 	}

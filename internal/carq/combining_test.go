@@ -59,9 +59,9 @@ func TestCombiningTwoStrongCopiesDecode(t *testing.T) {
 		t.Fatalf("observer recovered = %v", obs.recovered)
 	}
 	// Combined DATA extends the direct range.
-	first, last, ok := n.OwnRange()
+	first, last, ok := n.ownRange()
 	if !ok || first != 7 || last != 7 {
-		t.Fatalf("OwnRange = %d..%d ok=%v", first, last, ok)
+		t.Fatalf("ownRange = %d..%d ok=%v", first, last, ok)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestCombiningResponseCopiesCount(t *testing.T) {
 		t.Fatal("response copies did not combine")
 	}
 	// A combined RESPONSE must not extend the direct AP range.
-	if _, _, ok := n.OwnRange(); ok {
+	if _, _, ok := n.ownRange(); ok {
 		t.Fatal("combined RESPONSE extended the direct-reception range")
 	}
 }

@@ -70,7 +70,7 @@ type Node struct {
 	// Timers, pooled through the engine: re-arming them (which the
 	// AP timeout does on every reception) allocates nothing.
 	helloTimer   *sim.Timer
-	apTimeout    *sim.Timer
+	apTimer      *sim.Timer
 	requestTimer *sim.Timer
 
 	// Request cycling.
@@ -145,7 +145,7 @@ func NewNode(cfg Config, deps Deps) (*Node, error) {
 		return nil, fmt.Errorf("carq: nil RNG")
 	}
 	if cfg.CandidateTTL == 0 {
-		cfg.CandidateTTL = 3 * cfg.HelloInterval
+		cfg.CandidateTTL = 3 * helloInterval
 	}
 	if cfg.Selection == nil {
 		cfg.Selection = SelectAll{}
@@ -171,18 +171,9 @@ func NewNode(cfg Config, deps Deps) (*Node, error) {
 		pending:    make(map[respKey]*pendingResp),
 	}
 	n.helloTimer = deps.Ctx.NewTimer(n.helloTick)
-	n.apTimeout = deps.Ctx.NewTimer(n.onAPTimeout)
+	n.apTimer = deps.Ctx.NewTimer(n.onAPTimeout)
 	n.requestTimer = deps.Ctx.NewTimer(n.issueRequest)
 	return n, nil
-}
-
-// MustNode is NewNode but panics on error, for scenario assembly.
-func MustNode(cfg Config, deps Deps) *Node {
-	n, err := NewNode(cfg, deps)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 // Start begins HELLO beaconing. It is a no-op when cooperation is
@@ -191,7 +182,7 @@ func (n *Node) Start() {
 	if !n.cfg.CoopEnabled {
 		return
 	}
-	n.scheduleHello(n.jitter(n.cfg.HelloInterval / 2))
+	n.scheduleHello(n.jitter(helloInterval / 2))
 }
 
 // ID returns the node's address.
@@ -218,12 +209,6 @@ func (n *Node) Payload(seq uint32) ([]byte, bool) {
 
 // HaveCount returns the number of distinct own-flow packets held.
 func (n *Node) HaveCount() int { return len(n.have) }
-
-// OwnRange returns the first and last own-flow sequence received directly
-// from the AP; ok is false before any direct reception.
-func (n *Node) OwnRange() (first, last uint32, ok bool) {
-	return n.ownMin, n.ownMax, n.ownSeen
-}
 
 // recoveryLo returns the lower bound of the recovery range: the block's
 // known first sequence when configured, otherwise the node's own first
@@ -353,10 +338,6 @@ func (n *Node) Cooperators() []packet.NodeID {
 	return append([]packet.NodeID(nil), n.myCoops...)
 }
 
-// BufferedFor returns how many packets the node holds for a platoon
-// member's flow.
-func (n *Node) BufferedFor(flow packet.NodeID) int { return len(n.forOthers[flow]) }
-
 // HandleFrame implements mac.Handler: the node's single entry point for
 // every frame its radio decodes (promiscuous).
 func (n *Node) HandleFrame(f *packet.Frame, meta mac.RxMeta) {
@@ -416,7 +397,7 @@ func (n *Node) bufferFor(flow packet.NodeID, seq uint32, payload []byte) {
 }
 
 func (n *Node) onAPContact() {
-	n.apTimeout.Reset(n.cfg.APTimeout)
+	n.apTimer.Reset(apTimeout)
 	if n.phase != PhaseReception {
 		n.setPhase(PhaseReception)
 		// Entering coverage ends the requesting cycle (the paper: a node
@@ -515,7 +496,7 @@ func (n *Node) helloTick() {
 	if err := n.port.Send(packet.NewHello(n.cfg.ID, n.myCoops)); err == nil {
 		n.stats.HellosSent++
 	}
-	n.scheduleHello(n.jitter(n.cfg.HelloInterval))
+	n.scheduleHello(n.jitter(helloInterval))
 }
 
 // jitter returns d scaled uniformly into [0.9d, 1.1d].
@@ -576,9 +557,9 @@ func (n *Node) responseWindow(requested int) time.Duration {
 	if orders == 0 {
 		orders = 1
 	}
-	return time.Duration(orders)*n.cfg.CoopSlot +
-		time.Duration(requested)*n.cfg.PerResponseTime +
-		n.cfg.RequestSpacing
+	return time.Duration(orders)*coopSlot +
+		time.Duration(requested)*perResponseTime +
+		requestSpacing
 }
 
 // --- Cooperative-ARQ phase: responding ----------------------------------
@@ -605,8 +586,8 @@ func (n *Node) onRequest(f *packet.Frame) {
 		if _, already := n.pending[key]; already {
 			continue
 		}
-		delay := time.Duration(order)*n.cfg.CoopSlot +
-			time.Duration(held)*n.cfg.PerResponseTime
+		delay := time.Duration(order)*coopSlot +
+			time.Duration(held)*perResponseTime
 		held++
 		r := n.getResp(f.Src, seq, payload)
 		n.pending[key] = r

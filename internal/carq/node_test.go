@@ -69,6 +69,16 @@ func newTestNode(t *testing.T, mutate func(*Config)) (*sim.Engine, *Node, *fakeP
 // rx injects a frame into the node at the engine's current time.
 func rx(n *Node, f *packet.Frame) { n.HandleFrame(f, mac.RxMeta{RxPowerDBm: -60}) }
 
+// ownRange returns the first and last own-flow sequence received directly
+// from the AP; ok is false before any direct reception.
+func (n *Node) ownRange() (first, last uint32, ok bool) {
+	return n.ownMin, n.ownMax, n.ownSeen
+}
+
+// bufferedFor returns how many packets the node holds for a platoon
+// member's flow.
+func (n *Node) bufferedFor(flow packet.NodeID) int { return len(n.forOthers[flow]) }
+
 const apID packet.NodeID = 100
 
 func TestNewNodeValidation(t *testing.T) {
@@ -87,11 +97,6 @@ func TestNewNodeValidation(t *testing.T) {
 		t.Fatal("nil rng accepted")
 	}
 	for _, mutate := range []func(*Config){
-		func(c *Config) { c.HelloInterval = 0 },
-		func(c *Config) { c.APTimeout = 0 },
-		func(c *Config) { c.CoopSlot = 0 },
-		func(c *Config) { c.PerResponseTime = 0 },
-		func(c *Config) { c.RequestSpacing = -time.Second },
 		func(c *Config) { c.BatchRequests = true; c.MaxBatch = 0 },
 	} {
 		cfg := DefaultConfig(1)
@@ -142,7 +147,7 @@ func TestCandidateExpiry(t *testing.T) {
 	engine, n, _, _ := newTestNode(t, nil)
 	n.Start()
 	engine.Schedule(100*time.Millisecond, func() { rx(n, packet.NewHello(2, nil)) })
-	// Node 2 goes silent; after CandidateTTL (3 s) it must drop out.
+	// Node 2 goes silent; after the candidate TTL (3 s) it must drop out.
 	if err := engine.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +168,9 @@ func TestOwnFlowReceptionAndRange(t *testing.T) {
 	if err := engine.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	first, last, ok := n.OwnRange()
+	first, last, ok := n.ownRange()
 	if !ok || first != 3 || last != 8 {
-		t.Fatalf("OwnRange = %d..%d ok=%v, want 3..8", first, last, ok)
+		t.Fatalf("ownRange = %d..%d ok=%v, want 3..8", first, last, ok)
 	}
 	if !n.Have(5) || !n.Have(8) || !n.Have(3) || n.Have(4) {
 		t.Fatal("Have() wrong")
@@ -226,8 +231,8 @@ func TestBufferingOnlyWhenRecruited(t *testing.T) {
 	if err := engine.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.BufferedFor(2); got != 1 {
-		t.Fatalf("BufferedFor(2) = %d, want 1", got)
+	if got := n.bufferedFor(2); got != 1 {
+		t.Fatalf("bufferedFor(2) = %d, want 1", got)
 	}
 	if n.Stats().DataBuffered != 1 {
 		t.Fatalf("DataBuffered = %d", n.Stats().DataBuffered)
@@ -243,8 +248,8 @@ func TestBufferForAllAblation(t *testing.T) {
 	if err := engine.RunUntil(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.BufferedFor(2); got != 1 {
-		t.Fatalf("BufferedFor(2) = %d, want 1", got)
+	if got := n.bufferedFor(2); got != 1 {
+		t.Fatalf("bufferedFor(2) = %d, want 1", got)
 	}
 }
 
@@ -447,7 +452,7 @@ func TestCooperatorRespondsWithOrderBackoff(t *testing.T) {
 }
 
 func TestResponseDelayMatchesOrder(t *testing.T) {
-	// Order 2 with CoopSlot 15 ms: the response fires 30 ms after the
+	// Order 2 with the 15 ms response slot: the response fires 30 ms after the
 	// request.
 	engine, n, port, _ := newTestNode(t, nil)
 	n.Start()
@@ -567,7 +572,7 @@ func TestNoCoopBaseline(t *testing.T) {
 		t.Fatalf("DataDirect = %d", n.Stats().DataDirect)
 	}
 	// And still recovers nothing / buffers nothing.
-	if n.BufferedFor(2) != 0 {
+	if n.bufferedFor(2) != 0 {
 		t.Fatal("no-coop node buffered data")
 	}
 }
@@ -634,13 +639,4 @@ func TestPhaseString(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got, tc.want)
 		}
 	}
-}
-
-func TestMustNodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNode did not panic")
-		}
-	}()
-	MustNode(Config{}, Deps{})
 }

@@ -78,7 +78,7 @@ func TestNodeInvariantsUnderRandomTraffic(t *testing.T) {
 				return false
 			}
 		}
-		if first, last, ok := n.OwnRange(); ok {
+		if first, last, ok := n.ownRange(); ok {
 			for _, s := range missing {
 				if s > last {
 					t.Logf("missing %d beyond ownMax %d", s, last)

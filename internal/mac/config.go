@@ -4,6 +4,11 @@
 // connects stations through the radio channel. The medium resolves
 // per-receiver collisions with a capture rule and delivers frames
 // promiscuously, as the prototype's monitor-mode capture did.
+//
+// Contention uses 802.11b DSSS timing, the PHY of the paper's 1 Mb/s
+// experiments: a station defers a 50 µs DIFS plus a back-off of 0-31
+// slots of 20 µs. During a collision the strongest frame survives only if
+// it exceeds the interference by the 10 dB capture margin.
 package mac
 
 import (
@@ -13,17 +18,23 @@ import (
 	"repro/internal/radio"
 )
 
-// Config holds per-station MAC parameters. DefaultConfig matches 802.11b
-// DSSS timing, the PHY the paper's 1 Mb/s experiments used.
-type Config struct {
-	// SlotTime is the contention slot duration.
-	SlotTime time.Duration
-	// DIFS is the idle period required before contention starts.
-	DIFS time.Duration
-	// CWMin is the contention window: back-off slots are drawn uniformly
-	// from [0, CWMin]. Broadcast frames never double the window (there
+// The 802.11b DSSS timing and the capture rule (see the package doc).
+const (
+	// slotTime is the contention slot duration.
+	slotTime = 20 * time.Microsecond
+	// difs is the idle period required before contention starts.
+	difs = 50 * time.Microsecond
+	// cwMin is the contention window: back-off slots are drawn uniformly
+	// from [0, cwMin]. Broadcast frames never double the window (there
 	// are no retries).
-	CWMin int
+	cwMin = 31
+	// captureThresholdDB: during a collision, the strongest frame is
+	// still received if it exceeds the sum of interferers by this margin.
+	captureThresholdDB = 10
+)
+
+// Config holds per-station MAC parameters.
+type Config struct {
 	// CSThresholdDBm is the carrier-sense (energy-detect) threshold: the
 	// medium is busy for a station when any ongoing transmission arrives
 	// above this power.
@@ -43,9 +54,6 @@ type Config struct {
 // DefaultConfig returns 802.11b-like parameters at 1 Mb/s.
 func DefaultConfig() Config {
 	return Config{
-		SlotTime:       20 * time.Microsecond,
-		DIFS:           50 * time.Microsecond,
-		CWMin:          31,
 		CSThresholdDBm: -85,
 		Modulation:     radio.DSSS1Mbps,
 		QueueCap:       512,
@@ -53,12 +61,6 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.SlotTime <= 0 || c.DIFS <= 0 {
-		return fmt.Errorf("mac: non-positive timing (slot=%v difs=%v)", c.SlotTime, c.DIFS)
-	}
-	if c.CWMin < 0 {
-		return fmt.Errorf("mac: negative CWMin %d", c.CWMin)
-	}
 	if c.Modulation.BitRate <= 0 {
 		return fmt.Errorf("mac: modulation %q has no bit rate", c.Modulation.Name)
 	}

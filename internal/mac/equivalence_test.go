@@ -50,7 +50,7 @@ func (r *eqRecorder) OnDrop(dst packet.NodeID, f *packet.Frame, at time.Duration
 // area, so the indexed path really culls.
 func urbanEquivalenceChannel(seed int64) radio.Config {
 	cfg := radio.DefaultConfig()
-	cfg.PathLoss = radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 4.0}
+	cfg.PathLossExponent = 4.0
 	cfg.Seed = seed
 	return cfg
 }

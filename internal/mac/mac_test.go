@@ -338,25 +338,15 @@ func TestAddStationValidation(t *testing.T) {
 	if _, err := m.AddStation(1, fixedPos(geom.Point{}), nil, DefaultConfig()); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	bad := DefaultConfig()
-	bad.SlotTime = 0
-	if _, err := m.AddStation(2, fixedPos(geom.Point{}), nil, bad); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	bad2 := DefaultConfig()
-	bad2.Modulation = radio.Modulation{}
-	if _, err := m.AddStation(3, fixedPos(geom.Point{}), nil, bad2); err == nil {
+	badMod := DefaultConfig()
+	badMod.Modulation = radio.Modulation{}
+	if _, err := m.AddStation(3, fixedPos(geom.Point{}), nil, badMod); err == nil {
 		t.Fatal("zero modulation accepted")
 	}
-	bad3 := DefaultConfig()
-	bad3.QueueCap = 0
-	if _, err := m.AddStation(4, fixedPos(geom.Point{}), nil, bad3); err == nil {
+	badQueue := DefaultConfig()
+	badQueue.QueueCap = 0
+	if _, err := m.AddStation(4, fixedPos(geom.Point{}), nil, badQueue); err == nil {
 		t.Fatal("zero queue accepted")
-	}
-	bad4 := DefaultConfig()
-	bad4.CWMin = -1
-	if _, err := m.AddStation(5, fixedPos(geom.Point{}), nil, bad4); err == nil {
-		t.Fatal("negative CW accepted")
 	}
 }
 
@@ -377,8 +367,8 @@ func TestAirtimeOccupiesMedium(t *testing.T) {
 	_ = rec
 	frame := packet.NewData(1, 2, 1, make([]byte, 1000))
 	airtime := secondsToDuration(radio.DSSS1Mbps.Airtime(frame.WireSize()))
-	minAt := DefaultConfig().DIFS + airtime
-	maxAt := minAt + time.Duration(DefaultConfig().CWMin)*DefaultConfig().SlotTime
+	minAt := difs + airtime
+	maxAt := minAt + cwMin*slotTime
 	if rxAt < minAt || rxAt > maxAt {
 		t.Fatalf("rx at %v, want within [%v, %v]", rxAt, minAt, maxAt)
 	}

@@ -741,7 +741,6 @@ func (m *Medium) finishTransmission(tx *transmission) {
 		}
 	} else {
 		noise := m.channel.NoiseFloorDBm()
-		capture := m.channel.CaptureThresholdDB()
 		for i, rx := range tx.dests {
 			m.verdicts[i] = 0
 			m.skip[i] = false
@@ -766,7 +765,7 @@ func (m *Medium) finishTransmission(tx *transmission) {
 			// is not noise-like for DSSS, so apply a capture rule — the
 			// frame survives only if it dominates the interferers by the
 			// capture margin.
-			if itf > noise-10 && tx.pows[i]-itf < capture {
+			if itf > noise-10 && tx.pows[i]-itf < captureThresholdDB {
 				m.verdicts[i] = DropCollision
 				m.skip[i] = true
 			}

@@ -175,11 +175,8 @@ func (s *Station) tryContend() {
 		return
 	}
 	s.waiting = false
-	slots := 0
-	if s.cfg.CWMin > 0 {
-		slots = s.rng.Intn(s.cfg.CWMin + 1)
-	}
-	s.contention.Reset(s.cfg.DIFS + time.Duration(slots)*s.cfg.SlotTime)
+	slots := s.rng.Intn(cwMin + 1)
+	s.contention.Reset(difs + time.Duration(slots)*slotTime)
 }
 
 // beginTx fires at the end of the contention period.

@@ -27,17 +27,17 @@ import (
 // a length; dists[i] must equal src.Dist(dsts[i]). Simulation-loop only
 // (it advances the pairs' shadowing processes).
 func (c *Channel) BatchMeanRxPower(links []*ShadowLink, dists []float64, src geom.Point, dsts []geom.Point, now time.Duration, out []float64) {
-	tx := c.cfg.TxPowerDBm
+	tx, loss := c.cfg.TxPowerDBm, c.loss
 	if obs := c.cfg.ObstructionDB; obs != nil {
 		for i, l := range links {
-			p := tx - c.lossDB(dists[i]) + (*shadowProcess)(l).sample(now)
+			p := tx - loss.lossDB(dists[i]) + (*shadowProcess)(l).sample(now)
 			p -= obs(src, dsts[i])
 			out[i] = p
 		}
 		return
 	}
 	for i, l := range links {
-		out[i] = tx - c.lossDB(dists[i]) + (*shadowProcess)(l).sample(now)
+		out[i] = tx - loss.lossDB(dists[i]) + (*shadowProcess)(l).sample(now)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // Config parameterises a Channel. The zero value is not valid; use
 // DefaultConfig as a starting point.
 type Config struct {
-	// PathLoss is the large-scale attenuation model.
-	PathLoss PathLoss
+	// PathLossExponent is the log-distance exponent n of the path-loss
+	// law (see the package doc).
+	PathLossExponent float64
 	// TxPowerDBm is the transmit power used by all stations.
 	TxPowerDBm float64
 	// NoiseFloorDBm is the thermal noise plus receiver noise figure.
@@ -30,9 +31,6 @@ type Config struct {
 	// link between two positions — used to model buildings blocking
 	// non-line-of-sight street segments in the urban scenario.
 	ObstructionDB func(a, b geom.Point) float64
-	// CaptureThresholdDB: during a collision, the strongest frame is
-	// still received if it exceeds the sum of interferers by this margin.
-	CaptureThresholdDB float64
 	// Seed roots the channel's deterministic random streams.
 	Seed int64
 }
@@ -42,14 +40,13 @@ type Config struct {
 // shadowing and Rician fading with a weak line-of-sight component.
 func DefaultConfig() Config {
 	return Config{
-		PathLoss:           LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 3.0},
-		TxPowerDBm:         18,
-		NoiseFloorDBm:      -94,
-		ShadowSigmaDB:      5,
-		ShadowTau:          800 * time.Millisecond,
-		FadingK:            3,
-		CaptureThresholdDB: 10,
-		Seed:               1,
+		PathLossExponent: 3.0,
+		TxPowerDBm:       18,
+		NoiseFloorDBm:    -94,
+		ShadowSigmaDB:    5,
+		ShadowTau:        800 * time.Millisecond,
+		FadingK:          3,
+		Seed:             1,
 	}
 }
 
@@ -75,9 +72,8 @@ type Channel struct {
 	// cached path is bit-identical to the uncached one.
 	noiseLin    float64
 	noiseOnlyDB float64
-	// lossDB is the path-loss model with its constants precomputed
-	// (bit-identical to cfg.PathLoss.LossDB).
-	lossDB func(d float64) float64
+	// loss is the path-loss law at cfg.PathLossExponent.
+	loss logDistance
 }
 
 // The boost bounds. They exist to bound the link budget, not to shape
@@ -97,8 +93,8 @@ const (
 
 // NewChannel validates cfg and builds a channel.
 func NewChannel(cfg Config) (*Channel, error) {
-	if err := validatePathLoss(cfg.PathLoss); err != nil {
-		return nil, err
+	if cfg.PathLossExponent <= 0 {
+		return nil, fmt.Errorf("radio: non-positive path-loss exponent %v", cfg.PathLossExponent)
 	}
 	if cfg.ShadowSigmaDB < 0 {
 		return nil, fmt.Errorf("radio: negative shadowing sigma %v", cfg.ShadowSigmaDB)
@@ -115,7 +111,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 		fadeClampDB:   maxFadeDB,
 		noiseLin:      noiseLin,
 		noiseOnlyDB:   10 * math.Log10(noiseLin),
-		lossDB:        fastLossFunc(cfg.PathLoss),
+		loss:          newLogDistance(cfg.PathLossExponent),
 	}, nil
 }
 
@@ -135,10 +131,6 @@ func (c *Channel) Config() Config { return c.cfg }
 // NoiseFloorDBm returns the configured noise floor.
 func (c *Channel) NoiseFloorDBm() float64 { return c.cfg.NoiseFloorDBm }
 
-// CaptureThresholdDB returns the capture margin used by the MAC's
-// collision resolution.
-func (c *Channel) CaptureThresholdDB() float64 { return c.cfg.CaptureThresholdDB }
-
 // ShadowLink returns the handle to the unordered pair's shadowing
 // process, for callers that sample the same link at high rates (the MAC
 // caches these per station pair). Simulation-loop only.
@@ -148,12 +140,12 @@ func (c *Channel) ShadowLink(a, b packet.NodeID) *ShadowLink {
 
 // MeanRxPowerLinkDBm returns the large-scale received power (path loss +
 // shadowing, no fading) for a frame from pa to pb over shadow link l at
-// virtual time now. d must equal pa.Dist(pb); the MAC's receiver filter
-// has always just computed it. The medium computes the same value in
-// batches (BatchMeanRxPower); the per-frame fading sample is drawn
+// virtual time now. d must equal pa.Dist(pb). It is the one-receiver
+// reference oracle for BatchMeanRxPower, which the medium calls; tests
+// hold the batch to it bit for bit. The per-frame fading sample is drawn
 // separately by ResolveFrame.
 func (c *Channel) MeanRxPowerLinkDBm(l *ShadowLink, d float64, pa, pb geom.Point, now time.Duration) float64 {
-	p := c.cfg.TxPowerDBm - c.lossDB(d) + (*shadowProcess)(l).sample(now)
+	p := c.cfg.TxPowerDBm - c.loss.lossDB(d) + (*shadowProcess)(l).sample(now)
 	if c.cfg.ObstructionDB != nil {
 		p -= c.cfg.ObstructionDB(pa, pb)
 	}
@@ -235,19 +227,19 @@ func (c *Channel) MaxRangeM(floorDBm float64) float64 {
 		return math.Inf(1)
 	}
 	budget := c.cfg.TxPowerDBm + c.shadowClampDB - floorDBm
-	if c.lossDB(1) > budget {
+	if c.loss.lossDB(1) > budget {
 		return 0
 	}
 	const maxD = 1e8
-	if c.lossDB(maxD) <= budget {
+	if c.loss.lossDB(maxD) <= budget {
 		return math.Inf(1)
 	}
-	// LossDB is monotone non-decreasing; bisect and return the upper
+	// The law is monotone non-decreasing; bisect and return the upper
 	// bracket so the true threshold is never undercut.
 	lo, hi := 1.0, maxD
 	for i := 0; i < 200 && hi-lo > 1e-6; i++ {
 		mid := lo + (hi-lo)/2
-		if c.lossDB(mid) <= budget {
+		if c.loss.lossDB(mid) <= budget {
 			lo = mid
 		} else {
 			hi = mid

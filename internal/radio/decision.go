@@ -186,6 +186,9 @@ type FrameDraw struct {
 //   - a fading draw otherwise;
 //   - a coin draw only when the interference-free PER is strictly inside
 //     (0, 1).
+//
+// ResolveFrame is the one-receiver reference oracle for BatchResolve,
+// which the medium calls; tests hold the batch to it draw for draw.
 func (c *Channel) ResolveFrame(s *FadeStream, meanRxDBm float64, e FrameEdges, mod Modulation, bytes int) FrameDraw {
 	var fade float64
 	if c.cfg.FadingK >= 0 {
@@ -217,6 +220,9 @@ func (c *Channel) ResolveFrame(s *FadeStream, meanRxDBm float64, e FrameEdges, m
 // middle band, the coin is drawn here, which is safe because the source
 // cannot have started its next frame — and so nothing else can touch this
 // link's stream — before this end event completes.
+//
+// FinishFrame is also the reference oracle for BatchFinish, which calls
+// it for the interfered receivers only.
 func (c *Channel) FinishFrame(s *FadeStream, d *FrameDraw, meanRxDBm, interferenceDBm float64, e FrameEdges, mod Modulation, bytes int) FrameDecision {
 	rx := meanRxDBm + d.FadeDB
 	if math.IsInf(interferenceDBm, -1) {

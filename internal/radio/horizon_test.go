@@ -68,7 +68,7 @@ func TestMaxRangeBrackets(t *testing.T) {
 		t.Fatalf("MaxRangeM(%v) = %v", floor, r)
 	}
 	cfg := c.Config()
-	at := func(d float64) float64 { return cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.shadowClampDB }
+	at := func(d float64) float64 { return cfg.TxPowerDBm - c.loss.lossDB(d) + c.shadowClampDB }
 	if p := at(r - 0.01); p < floor-1e-9 {
 		t.Fatalf("power just inside range %v below floor: %v < %v", r, p, floor)
 	}
@@ -100,7 +100,7 @@ func TestBeyondMaxRangeNeverReceives(t *testing.T) {
 	cfg := c.Config()
 	s := c.FadeStream(1, 2)
 	for _, d := range []float64{r + 0.01, r * 1.5, r * 10} {
-		meanRx := cfg.TxPowerDBm - cfg.PathLoss.LossDB(d) + c.shadowClampDB
+		meanRx := cfg.TxPowerDBm - c.loss.lossDB(d) + c.shadowClampDB
 		for i := 0; i < 2000; i++ {
 			dec := decide(c, s, meanRx, mod, bytes)
 			if dec.PER < 1 || dec.Received {

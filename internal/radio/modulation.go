@@ -1,9 +1,6 @@
 package radio
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Modulation describes a PHY rate: its bit rate and the mapping from SNR to
 // bit error probability. The paper's testbed fixed all transmissions at
@@ -65,16 +62,6 @@ var (
 // Modulations lists the built-in rates, lowest first.
 func Modulations() []Modulation {
 	return []Modulation{DSSS1Mbps, DSSS2Mbps, OFDM6Mbps, CCK11Mbps}
-}
-
-// ModulationByName returns the built-in modulation with the given name.
-func ModulationByName(name string) (Modulation, error) {
-	for _, m := range Modulations() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Modulation{}, fmt.Errorf("radio: unknown modulation %q", name)
 }
 
 // BER returns the bit error rate at the given SNR (dB). The modulation's

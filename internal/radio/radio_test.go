@@ -11,67 +11,67 @@ import (
 	"repro/internal/sim"
 )
 
-func TestFreeSpaceKnownValues(t *testing.T) {
-	m := FreeSpace{FreqHz: 2.4e9}
-	// Friis at 2.4 GHz: ~40 dB at 1 m, +20 dB per decade.
-	at1 := m.LossDB(1)
+// lossBits pins the path-loss law to exact float64 bits: the values the
+// former LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: n}.LossDB model
+// returned at lossBitsDists, for every exponent a scenario or test
+// configures. Any change to the law's arithmetic — term order, the
+// precomputed constants, the clamp — moves a bit here before it moves an
+// output byte.
+var (
+	lossBitsDists = []float64{0.5, 1, 1.5, 37.5, 250, 1e4}
+	lossBits      = []struct {
+		exponent float64
+		bits     []uint64
+	}{
+		{3.0, []uint64{0x404406f0d6e0d438, 0x404406f0d6e0d438, 0x4046ab21973629c8, 0x4055d19c44b5b44c, 0x405bff83e48b0984, 0x406401bc35b8350e}},
+		{3.2, []uint64{0x404406f0d6e0d438, 0x404406f0d6e0d438, 0x4046d835e84ceb38, 0x40569b161ffe971c, 0x405d327397488b9c, 0x406501bc35b8350e}},
+		{3.8, []uint64{0x404406f0d6e0d438, 0x404406f0d6e0d438, 0x40475f72db912f87, 0x4058f783b1d93f8c, 0x406065a157c088f2, 0x406801bc35b8350e}},
+		{4.0, []uint64{0x404406f0d6e0d438, 0x404406f0d6e0d438, 0x40478c872ca7f0f7, 0x4059c0fd8d22225c, 0x4060ff19311f49fe, 0x406901bc35b8350e}},
+		{4.2, []uint64{0x404406f0d6e0d438, 0x404406f0d6e0d438, 0x4047b99b7dbeb267, 0x405a8a77686b052c, 0x406198910a7e0b0a, 0x406a01bc35b8350e}},
+		{4.5, []uint64{0x404406f0d6e0d438, 0x404406f0d6e0d438, 0x4047fd39f760d48f, 0x405bb8ae31585964, 0x40627ec4d08c2c9c, 0x406b81bc35b8350e}},
+	}
+)
+
+func TestPathLossBits(t *testing.T) {
+	for _, row := range lossBits {
+		l := newLogDistance(row.exponent)
+		for i, d := range lossBitsDists {
+			if got := math.Float64bits(l.lossDB(d)); got != row.bits[i] {
+				t.Errorf("n=%v d=%v: loss bits %#016x, want %#016x", row.exponent, d, got, row.bits[i])
+			}
+		}
+	}
+}
+
+func TestPathLossKnownValues(t *testing.T) {
+	l := newLogDistance(3)
+	// Friis at 2.4 GHz and the 1 m reference: ~40 dB.
+	at1 := l.lossDB(1)
 	if math.Abs(at1-40.05) > 0.2 {
-		t.Fatalf("LossDB(1) = %v, want ~40.05", at1)
+		t.Fatalf("lossDB(1) = %v, want ~40.05", at1)
 	}
-	if got := m.LossDB(10) - at1; math.Abs(got-20) > 1e-9 {
-		t.Fatalf("decade slope = %v dB, want 20", got)
+	// 10·n dB per decade beyond the reference.
+	if got := l.lossDB(10) - at1; math.Abs(got-30) > 1e-9 {
+		t.Fatalf("decade slope = %v dB, want 30", got)
 	}
-	if got := m.LossDB(0.1); got != at1 {
+	if got := l.lossDB(1000) - l.lossDB(100); math.Abs(got-30) > 1e-9 {
+		t.Fatalf("far decade slope = %v dB, want 30", got)
+	}
+	// Sub-metre distances clamp to the reference.
+	if got := l.lossDB(0.1); got != at1 {
 		t.Fatalf("sub-metre distance not clamped: %v != %v", got, at1)
 	}
 }
 
-func TestLogDistanceSlopeAndContinuity(t *testing.T) {
-	m := LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 3}
-	if got := m.LossDB(10) - m.LossDB(1); math.Abs(got-30) > 1e-9 {
-		t.Fatalf("decade slope = %v dB, want 30", got)
-	}
-	fs := FreeSpace{FreqHz: 2.4e9}
-	if math.Abs(m.LossDB(1)-fs.LossDB(1)) > 1e-9 {
-		t.Fatal("log-distance should equal free space at reference distance")
-	}
-	// Zero RefDist defaults to 1 m.
-	m2 := LogDistance{FreqHz: 2.4e9, Exponent: 3}
-	if math.Abs(m2.LossDB(100)-m.LossDB(100)) > 1e-9 {
-		t.Fatal("RefDist default not applied")
-	}
-}
-
-func TestTwoRayCrossoverContinuity(t *testing.T) {
-	m := TwoRay{FreqHz: 2.4e9, TxH: 5, RxH: 1.5}
-	dc := m.crossover()
-	if dc <= 0 {
-		t.Fatalf("crossover = %v", dc)
-	}
-	below := m.LossDB(dc * 0.999)
-	above := m.LossDB(dc * 1.001)
-	if math.Abs(below-above) > 0.1 {
-		t.Fatalf("discontinuity at crossover: %v vs %v", below, above)
-	}
-	// 40 dB/decade beyond crossover.
-	if got := m.LossDB(dc*100) - m.LossDB(dc*10); math.Abs(got-40) > 1e-6 {
-		t.Fatalf("far slope = %v dB/decade, want 40", got)
-	}
-}
-
 func TestPathLossMonotoneProperty(t *testing.T) {
-	models := []PathLoss{
-		FreeSpace{FreqHz: 2.4e9},
-		LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 2.8},
-		TwoRay{FreqHz: 2.4e9, TxH: 5, RxH: 1.5},
-	}
+	laws := []logDistance{newLogDistance(2.8), newLogDistance(3.8), newLogDistance(4.5)}
 	check := func(d1, d2 uint16) bool {
-		a, b := float64(d1)+1, float64(d2)+1
+		a, b := float64(d1)/8, float64(d2)/8
 		if a > b {
 			a, b = b, a
 		}
-		for _, m := range models {
-			if m.LossDB(a) > m.LossDB(b)+1e-9 {
+		for _, l := range laws {
+			if l.lossDB(a) > l.lossDB(b)+1e-9 {
 				return false
 			}
 		}
@@ -240,13 +240,19 @@ func TestAirtime(t *testing.T) {
 	}
 }
 
+// TestModulationByName: the built-in modulations are told apart by
+// name — trace and report labels print it — and the paper's 1 Mb/s rate
+// is among them under its name.
 func TestModulationByName(t *testing.T) {
-	m, err := ModulationByName("DSSS-DBPSK-1Mbps")
-	if err != nil || m.BitRate != 1e6 {
-		t.Fatalf("ModulationByName: %v, %v", m, err)
+	byName := make(map[string]Modulation)
+	for _, m := range Modulations() {
+		if _, dup := byName[m.Name]; dup {
+			t.Fatalf("modulation name %q used twice", m.Name)
+		}
+		byName[m.Name] = m
 	}
-	if _, err := ModulationByName("nope"); err == nil {
-		t.Fatal("unknown modulation accepted")
+	if m, ok := byName["DSSS-DBPSK-1Mbps"]; !ok || m.BitRate != 1e6 {
+		t.Fatalf("DSSS-DBPSK-1Mbps: %+v, found=%v", m, ok)
 	}
 }
 
@@ -295,7 +301,7 @@ func TestCombineDBm(t *testing.T) {
 
 func TestNewChannelValidation(t *testing.T) {
 	if _, err := NewChannel(Config{}); err == nil {
-		t.Fatal("nil path loss accepted")
+		t.Fatal("zero path-loss exponent accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.ShadowSigmaDB = -1

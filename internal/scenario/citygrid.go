@@ -232,12 +232,11 @@ func gridAPs(g *traffic.GridNet) []geom.Point {
 // is exactly the regime where spatially-indexed delivery pays.
 func cityScaleChannel() radio.Config {
 	return radio.Config{
-		PathLoss:           radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 4.2},
-		TxPowerDBm:         15,
-		NoiseFloorDBm:      -92,
-		ShadowSigmaDB:      3,
-		ShadowTau:          800 * time.Millisecond,
-		FadingK:            2,
-		CaptureThresholdDB: 10,
+		PathLossExponent: 4.2,
+		TxPowerDBm:       15,
+		NoiseFloorDBm:    -92,
+		ShadowSigmaDB:    3,
+		ShadowTau:        800 * time.Millisecond,
+		FadingK:          2,
 	}
 }

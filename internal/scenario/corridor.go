@@ -49,13 +49,12 @@ func DefaultCorridor() CorridorConfig {
 // kinder than the urban canyon.
 func corridorChannel() radio.Config {
 	return radio.Config{
-		PathLoss:           radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 3.2},
-		TxPowerDBm:         13,
-		NoiseFloorDBm:      -94,
-		ShadowSigmaDB:      4,
-		ShadowTau:          600 * time.Millisecond,
-		FadingK:            2,
-		CaptureThresholdDB: 10,
+		PathLossExponent: 3.2,
+		TxPowerDBm:       13,
+		NoiseFloorDBm:    -94,
+		ShadowSigmaDB:    4,
+		ShadowTau:        600 * time.Millisecond,
+		FadingK:          2,
 	}
 }
 

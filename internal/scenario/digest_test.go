@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ap"
 	"repro/internal/carq"
+	"repro/internal/mac"
 	"repro/internal/radio"
 )
 
@@ -75,19 +77,35 @@ func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
 	}
 }
 
-// TestRadioConfigFieldCount pins radio.Config's field list: ConfigDigest
-// walks whatever struct it is handed, but scenario configs carry no
-// radio.Config value — each family builds its channel in its own
-// builder (cityScaleChannel in citygrid.go, corridorChannel,
-// highwayChannel, testbedChannel, trafficGridChannel), so a newly added
-// channel knob must be consciously set there. Bump the count AND decide
-// the new field's value in each of those builders (and, if a study
-// varies it, add it to that family's config) when radio.Config grows.
-func TestRadioConfigFieldCount(t *testing.T) {
-	const want = 9
-	if got := reflect.TypeOf(radio.Config{}).NumField(); got != want {
-		t.Fatalf("radio.Config has %d fields, expected %d — set the new field in the per-family channel builders "+
-			"(citygrid.go, corridor.go, highway.go, testbed.go, trafficgrid.go) and update this count", got, want)
+// TestLayerConfigFieldCount pins the settable fields of the configs below
+// the scenario layer. The rule is TestScenarioConfigFieldCount's: a field
+// exists only while non-test code sets it, or a test shrinks a world with
+// it; every value nothing varies is a constant in its package (the
+// path-loss law's carrier and reference distance in radio, the 802.11b
+// contention timing and capture margin in mac, the protocol timing in
+// carq). Scenario configs carry none of these structs, so ConfigDigest
+// cannot see a new field: it must be set where the structs are built —
+//   - radio.Config: the per-family channel builders cityScaleChannel
+//     (citygrid.go), corridorChannel, highwayChannel, testbedChannel and
+//     trafficGridChannel;
+//   - mac.Config: mac.DefaultConfig, adjusted in testbed.go;
+//   - carq.Config: carq.DefaultConfig through Common.carqConfig
+//     (family.go), adjusted in testbed.go and twoway.go;
+//   - ap.Config: apConfigWindow (testbed.go) and the literals in
+//     corridor.go and download.go.
+//
+// Add a field only with a caller that sets it, and update its count here.
+func TestLayerConfigFieldCount(t *testing.T) {
+	want := map[reflect.Type]int{
+		reflect.TypeOf(radio.Config{}): 8,
+		reflect.TypeOf(mac.Config{}):   4,
+		reflect.TypeOf(carq.Config{}):  10,
+		reflect.TypeOf(ap.Config{}):    10,
+	}
+	for typ, n := range want {
+		if got := typ.NumField(); got != n {
+			t.Errorf("%s has %d fields, expected %d", typ, got, n)
+		}
 	}
 }
 

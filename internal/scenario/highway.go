@@ -60,13 +60,12 @@ func DefaultHighway() HighwayConfig {
 // Reception is solid within ~130 m of the AP and dies quickly beyond.
 func highwayChannel() radio.Config {
 	return radio.Config{
-		PathLoss:           radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 3.0},
-		TxPowerDBm:         10,
-		NoiseFloorDBm:      -94,
-		ShadowSigmaDB:      3,
-		ShadowTau:          400 * time.Millisecond,
-		FadingK:            6,
-		CaptureThresholdDB: 10,
+		PathLossExponent: 3.0,
+		TxPowerDBm:       10,
+		NoiseFloorDBm:    -94,
+		ShadowSigmaDB:    3,
+		ShadowTau:        400 * time.Millisecond,
+		FadingK:          6,
 	}
 }
 

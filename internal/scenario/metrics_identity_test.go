@@ -67,7 +67,7 @@ func epidemicTestbed() familyCase {
 	cfg := DefaultTestbed()
 	cfg.Rounds = 1
 	cfg.Factory = func(id packet.NodeID, engine *sim.Engine, port *mac.Station, seed int64, obs carq.Observer) (Node, error) {
-		return baseline.NewEpidemicNode(baseline.DefaultEpidemicConfig(id), engine, port,
+		return baseline.NewEpidemicNode(id, engine, port,
 			sim.Stream(seed, fmt.Sprintf("epidemic-%v", id)), obs)
 	}
 	f := family(cfg)

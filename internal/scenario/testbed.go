@@ -131,19 +131,18 @@ func TestbedBuilding() geom.Rect {
 func testbedChannel() radio.Config {
 	building := TestbedBuilding()
 	return radio.Config{
-		PathLoss:      radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 3.8},
-		TxPowerDBm:    17,
-		NoiseFloorDBm: -94,
-		ShadowSigmaDB: 5.5,
-		ShadowTau:     800 * time.Millisecond,
-		FadingK:       1,
+		PathLossExponent: 3.8,
+		TxPowerDBm:       17,
+		NoiseFloorDBm:    -94,
+		ShadowSigmaDB:    5.5,
+		ShadowTau:        800 * time.Millisecond,
+		FadingK:          1,
 		ObstructionDB: func(a, b geom.Point) float64 {
 			if building.SegmentIntersects(a, b) {
 				return buildingLossDB
 			}
 			return 0
 		},
-		CaptureThresholdDB: 10,
 	}
 }
 

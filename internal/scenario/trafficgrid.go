@@ -132,12 +132,12 @@ func trafficGridChannel(g *traffic.GridNet) radio.Config {
 		}
 	}
 	return radio.Config{
-		PathLoss:      radio.LogDistance{FreqHz: 2.4e9, RefDist: 1, Exponent: 3.8},
-		TxPowerDBm:    17,
-		NoiseFloorDBm: -94,
-		ShadowSigmaDB: 5.5,
-		ShadowTau:     800 * time.Millisecond,
-		FadingK:       1,
+		PathLossExponent: 3.8,
+		TxPowerDBm:       17,
+		NoiseFloorDBm:    -94,
+		ShadowSigmaDB:    5.5,
+		ShadowTau:        800 * time.Millisecond,
+		FadingK:          1,
 		ObstructionDB: func(a, b geom.Point) float64 {
 			loss := 0.0
 			for _, bld := range buildings {
@@ -147,7 +147,6 @@ func trafficGridChannel(g *traffic.GridNet) radio.Config {
 			}
 			return loss
 		},
-		CaptureThresholdDB: 10,
 	}
 }
 
