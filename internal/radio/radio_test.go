@@ -43,21 +43,41 @@ func TestPathLossBits(t *testing.T) {
 	}
 }
 
-func TestPathLossKnownValues(t *testing.T) {
-	l := newLogDistance(3)
-	// Friis at 2.4 GHz and the 1 m reference: ~40 dB.
-	at1 := l.lossDB(1)
+// TestFreeSpaceKnownValues checks the law at exponent 2, where it is the
+// Friis free-space model: ~40.05 dB at 2.4 GHz and 1 m, +20 dB per decade,
+// and sub-metre distances clamped to the 1 m reference.
+func TestFreeSpaceKnownValues(t *testing.T) {
+	fs := newLogDistance(2)
+	at1 := fs.lossDB(1)
 	if math.Abs(at1-40.05) > 0.2 {
 		t.Fatalf("lossDB(1) = %v, want ~40.05", at1)
 	}
-	// 10·n dB per decade beyond the reference.
+	if got := fs.lossDB(10) - at1; math.Abs(got-20) > 1e-9 {
+		t.Fatalf("decade slope = %v dB, want 20", got)
+	}
+	if got := fs.lossDB(0.1); got != at1 {
+		t.Fatalf("sub-metre distance not clamped: %v != %v", got, at1)
+	}
+}
+
+// TestLogDistanceSlopeAndContinuity checks 10·n dB per decade beyond the
+// reference, and that the law meets free space at the 1 m reference with
+// no step on either side of it.
+func TestLogDistanceSlopeAndContinuity(t *testing.T) {
+	l := newLogDistance(3)
+	at1 := l.lossDB(1)
 	if got := l.lossDB(10) - at1; math.Abs(got-30) > 1e-9 {
 		t.Fatalf("decade slope = %v dB, want 30", got)
 	}
 	if got := l.lossDB(1000) - l.lossDB(100); math.Abs(got-30) > 1e-9 {
 		t.Fatalf("far decade slope = %v dB, want 30", got)
 	}
-	// Sub-metre distances clamp to the reference.
+	if fs := newLogDistance(2).lossDB(1); math.Abs(at1-fs) > 1e-9 {
+		t.Fatalf("lossDB(1) = %v, want free-space %v at the reference distance", at1, fs)
+	}
+	if got := l.lossDB(1.000001) - at1; got < 0 || got > 1e-4 {
+		t.Fatalf("step of %v dB just beyond the reference distance", got)
+	}
 	if got := l.lossDB(0.1); got != at1 {
 		t.Fatalf("sub-metre distance not clamped: %v != %v", got, at1)
 	}
