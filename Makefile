@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race fuzz bench bench-traffic bench-json bench-compare fmt vet check sweep-resume crash-resume soak sweepd-smoke metrics-smoke
+.PHONY: all build test short race fuzz bench bench-traffic bench-json bench-compare profile fmt vet check sweep-resume crash-resume soak sweepd-smoke metrics-smoke
 
 all: build test
 
@@ -55,6 +55,18 @@ bench-json:
 # only), so CI can gate on it without re-running benchmarks.
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare
+
+# Profile a small representative sweep through the experiments binary's
+# pprof mode: a traffic-grid city, the recovery dynamics and the paper's
+# Table 1 and Figures 3-8, so the profiles cover the traffic, protocol
+# and analysis paths. Leaves cpu.pprof and mem.pprof in the repository
+# root for CI to keep as artifacts.
+PROFILE_DIR ?= /tmp
+profile:
+	$(GO) run ./cmd/experiments -exp trafficgrid,dynamics,table1 -rounds 2 \
+		-out $(PROFILE_DIR)/profiled-results \
+		-traffic-store $(PROFILE_DIR)/traffic-store \
+		-cpuprofile cpu.pprof -memprofile mem.pprof
 
 # Resume gate: one small sweep twice against a shared result store; the
 # second run must compute zero units and reproduce the first byte for

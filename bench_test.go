@@ -221,7 +221,7 @@ func BenchmarkAblationAPRetransmit(b *testing.B) {
 				var held, offered float64
 				for _, round := range res.Rounds {
 					for _, car := range res.CarIDs {
-						held += float64(len(round.HeldSet(car)))
+						held += float64(len(analysis.HeldSeqs(round, car)))
 						offered += float64(len(round.DataSentSeqs(car)))
 					}
 				}
@@ -474,12 +474,10 @@ func BenchmarkAblationRecruitmentTTL(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				lo, hi, ok := analysis.Window(res.Rounds, 3, res.CarIDs)
+				_, _, after, joint, ok := analysis.CoopCurves(res.Rounds, 3, res.CarIDs)
 				if !ok {
 					b.Fatal("no window")
 				}
-				after := analysis.AfterCoopSeries(res.Rounds, 3, lo, hi)
-				joint := analysis.JointSeries(res.Rounds, 3, res.CarIDs, lo, hi)
 				_, gap = analysis.OptimalityGap(after, joint)
 			}
 			b.ReportMetric(gap, "car3_mean_gap")

@@ -54,8 +54,8 @@ func main() {
 	fmt.Println("per-car reception (own flow):")
 	for _, car := range cars {
 		sent := col.DataSentSeqs(car)
-		direct := col.DirectRxSet(car, car)
-		held := col.HeldSet(car)
+		direct := analysis.DirectSeqs(col, car, car)
+		held := analysis.HeldSeqs(col, car)
 		fmt.Printf("  car %v: %d sent, %d direct (%.1f%%), %d held after coop (%.1f%%)\n",
 			car, len(sent), len(direct), pct(len(direct), len(sent)),
 			len(held), pct(len(held), len(sent)))

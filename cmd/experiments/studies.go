@@ -294,7 +294,7 @@ func apRetxAblation(c *harness.Context) error {
 		var held, offered float64
 		for _, round := range res.Rounds {
 			for _, car := range res.CarIDs {
-				held += float64(len(round.HeldSet(car)))
+				held += float64(len(analysis.HeldSeqs(round, car)))
 				offered += float64(len(round.DataSentSeqs(car)))
 			}
 		}
@@ -623,12 +623,10 @@ func recruitmentTTL(c *harness.Context) error {
 	out.WriteString("TTL    car3 mean gap   car3 post-coop%%\n")
 	for i, ttl := range ttls {
 		res := results[i]
-		lo, hi, ok := analysis.Window(res.Rounds, 3, res.CarIDs)
+		_, _, after, joint, ok := analysis.CoopCurves(res.Rounds, 3, res.CarIDs)
 		if !ok {
 			return fmt.Errorf("no window for car 3")
 		}
-		after := analysis.AfterCoopSeries(res.Rounds, 3, lo, hi)
-		joint := analysis.JointSeries(res.Rounds, 3, res.CarIDs, lo, hi)
 		_, meanGap := analysis.OptimalityGap(after, joint)
 		rows := report.Table1Rows(res)
 		fmt.Fprintf(&out, "%-6v %13.4f %17.1f\n", ttl, meanGap, rows[2].LostAfterPct())

@@ -157,96 +157,193 @@ func FormatTable1(rows []*Table1Row) string {
 	return b.String()
 }
 
-// seqBounds returns the min and max keys of a non-empty set.
-func seqBounds(set map[uint32]bool) (lo, hi uint32) {
-	first := true
-	for s := range set {
-		if first {
-			lo, hi = s, s
-			first = false
-			continue
-		}
-		if s < lo {
-			lo = s
-		}
-		if s > hi {
-			hi = s
-		}
-	}
-	return lo, hi
+// receivers files one round's DATA receptions of a flow under their
+// receiving stations in a single scan of the round's Rx records: after
+// read, seqs[k] holds the sorted distinct sequence numbers station ids[k]
+// received directly. The lists are reused from round to round.
+type receivers struct {
+	ids  []packet.NodeID // distinct stations, in first-listed order
+	seqs [][]uint32
 }
 
-// Window returns the sequence range over which reception curves are
-// plotted for a flow: the span from the earliest to the latest sequence
-// any of the cars received directly in any round (the union of all
-// reception windows, i.e. the paper's packet-number axis).
-func Window(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID) (lo, hi uint32, ok bool) {
-	first := true
+func newReceivers(stations []packet.NodeID) *receivers {
+	r := &receivers{}
+	for _, id := range stations {
+		if !slices.Contains(r.ids, id) {
+			r.ids = append(r.ids, id)
+		}
+	}
+	r.seqs = make([][]uint32, len(r.ids))
+	return r
+}
+
+// slot returns the index of id in ids, or -1.
+func (r *receivers) slot(id packet.NodeID) int { return slices.Index(r.ids, id) }
+
+func (r *receivers) read(round *trace.Collector, flow packet.NodeID) {
+	for k := range r.seqs {
+		r.seqs[k] = r.seqs[k][:0]
+	}
+	for i := range round.Rx {
+		rx := &round.Rx[i]
+		if rx.Type != packet.TypeData || rx.Flow != flow {
+			continue
+		}
+		if k := r.slot(rx.Dst); k >= 0 {
+			r.seqs[k] = append(r.seqs[k], rx.Seq)
+		}
+	}
+	for k := range r.seqs {
+		r.seqs[k] = distinct(r.seqs[k])
+	}
+}
+
+// coopReader reads, one round at a time, the joint reception of a car's
+// flow by a set of cars (the paper's "virtual car") and what the car
+// holds of its flow after cooperation: its direct receptions plus its
+// C-ARQ recoveries.
+type coopReader struct {
+	car         packet.NodeID
+	rx          *receivers
+	members     int // rx.ids[:members] are the cars pooled into the joint reception
+	joint, held []uint32
+}
+
+func newCoopReader(car packet.NodeID, cars []packet.NodeID) *coopReader {
+	// car goes last, so the distinct cars keep the leading slots.
+	c := &coopReader{car: car, rx: newReceivers(append(slices.Clip(cars), car))}
+	c.members = len(c.rx.ids)
+	if !slices.Contains(cars, car) {
+		c.members--
+	}
+	return c
+}
+
+// read returns the round's joint and held lists, sorted and distinct.
+// They are valid until the next read.
+func (c *coopReader) read(round *trace.Collector) (joint, held []uint32) {
+	c.rx.read(round, c.car)
+	c.joint = c.joint[:0]
+	for _, seqs := range c.rx.seqs[:c.members] {
+		c.joint = append(c.joint, seqs...)
+	}
+	c.joint = distinct(c.joint)
+	c.held = append(c.held[:0], c.rx.seqs[c.rx.slot(c.car)]...)
+	for _, r := range round.Recovered {
+		if r.Node == c.car {
+			c.held = append(c.held, r.Seq)
+		}
+	}
+	c.held = distinct(c.held)
+	return c.joint, c.held
+}
+
+// DirectSeqs returns the distinct sequence numbers of flow's DATA frames
+// that station rx received directly off the air, ascending.
+func DirectSeqs(round *trace.Collector, rx, flow packet.NodeID) []uint32 {
+	r := newReceivers([]packet.NodeID{rx})
+	r.read(round, flow)
+	return r.seqs[0]
+}
+
+// HeldSeqs returns the distinct sequence numbers car holds of its own
+// flow at the end of a round, ascending: its direct receptions plus its
+// cooperative recoveries.
+func HeldSeqs(round *trace.Collector, car packet.NodeID) []uint32 {
+	_, held := newCoopReader(car, nil).read(round)
+	return held
+}
+
+// window accumulates the span of sorted sequence lists: the reception
+// curves' packet-number axis.
+type window struct {
+	lo, hi uint32
+	ok     bool
+}
+
+func (w *window) cover(sorted []uint32) {
+	if len(sorted) == 0 {
+		return
+	}
+	lo, hi := sorted[0], sorted[len(sorted)-1]
+	if !w.ok {
+		w.lo, w.hi, w.ok = lo, hi, true
+		return
+	}
+	w.lo, w.hi = min(w.lo, lo), max(w.hi, hi)
+}
+
+// ReceptionCurves computes one of Figures 3–5: for each of the cars,
+// P(packet number s of flow is received directly by that car) across
+// rounds, for every s in the flow's window [lo, hi]. The window spans
+// the earliest to the latest sequence any of the cars received directly
+// in any round (the union of all reception windows, i.e. the paper's
+// packet-number axis); ok is false when none did. Each round's
+// receptions are read once for all the cars.
+func ReceptionCurves(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID) (lo, hi uint32, curves []*stats.Series, ok bool) {
+	rx := newReceivers(cars)
+	runs := make([][]uint32, len(rx.ids))
+	var w window
 	for _, round := range rounds {
-		joint := round.JointRxSet(flow, cars...)
-		if len(joint) == 0 {
-			continue
-		}
-		l, h := seqBounds(joint)
-		if first {
-			lo, hi, first = l, h, false
-			continue
-		}
-		if l < lo {
-			lo = l
-		}
-		if h > hi {
-			hi = h
+		rx.read(round, flow)
+		for k, seqs := range rx.seqs {
+			w.cover(seqs)
+			runs[k] = append(runs[k], seqs...)
 		}
 	}
-	return lo, hi, !first
-}
-
-// ReceptionSeries computes P(packet number s of `flow` is received
-// directly by `rx`) across rounds, for s in [lo, hi] — one curve of
-// Figures 3–5.
-func ReceptionSeries(rounds []*trace.Collector, flow, rx packet.NodeID, lo, hi uint32) *stats.Series {
-	return seqSeries(fmt.Sprintf("Rx in %v of flow %v", rx, flow), rounds, lo, hi,
-		func(round *trace.Collector) map[uint32]bool { return round.DirectRxSet(rx, flow) })
-}
-
-// AfterCoopSeries computes P(car holds its own packet s after the
-// Cooperative-ARQ phase) for s in [lo, hi] — the "after coop" curve of
-// Figures 6–8.
-func AfterCoopSeries(rounds []*trace.Collector, car packet.NodeID, lo, hi uint32) *stats.Series {
-	return seqSeries(fmt.Sprintf("Rx in %v after coop", car), rounds, lo, hi,
-		func(round *trace.Collector) map[uint32]bool { return round.HeldSet(car) })
-}
-
-// JointSeries computes P(packet s of `flow` was received directly by any
-// of the cars) — the paper's "Joint Rx in Car 1, 2 or 3" oracle curve.
-func JointSeries(rounds []*trace.Collector, flow packet.NodeID, cars []packet.NodeID, lo, hi uint32) *stats.Series {
-	return seqSeries(fmt.Sprintf("Joint Rx of flow %v", flow), rounds, lo, hi,
-		func(round *trace.Collector) map[uint32]bool { return round.JointRxSet(flow, cars...) })
-}
-
-// seqSeries samples, for every s in [lo, hi], the fraction of rounds
-// whose set contains s. Each round's set is built once and tallied into
-// per-sequence hit counts, so the cost is linear in the window plus the
-// rounds' receptions rather than their product.
-func seqSeries(name string, rounds []*trace.Collector, lo, hi uint32, set func(*trace.Collector) map[uint32]bool) *stats.Series {
-	s := &stats.Series{Name: name}
-	if lo > hi {
-		return s
+	if !w.ok {
+		return 0, 0, nil, false
 	}
+	curves = make([]*stats.Series, len(cars))
+	for i, car := range cars {
+		curves[i] = seqSeries(fmt.Sprintf("Rx in car %v", car), runs[rx.slot(car)], len(rounds), w.lo, w.hi)
+	}
+	return w.lo, w.hi, curves, true
+}
+
+// CoopCurves computes one of Figures 6–8: P(car holds its own packet s
+// after the Cooperative-ARQ phase) against P(packet s of car's flow was
+// received directly by any of the cars), the paper's "Joint Rx in Car 1,
+// 2 or 3" oracle, for every s in the window of car's flow as
+// ReceptionCurves defines it. Each round is read once.
+func CoopCurves(rounds []*trace.Collector, car packet.NodeID, cars []packet.NodeID) (lo, hi uint32, after, joint *stats.Series, ok bool) {
+	c := newCoopReader(car, cars)
+	var jointRuns, heldRuns []uint32
+	var w window
+	for _, round := range rounds {
+		j, h := c.read(round)
+		w.cover(j)
+		jointRuns = append(jointRuns, j...)
+		heldRuns = append(heldRuns, h...)
+	}
+	if !w.ok {
+		return 0, 0, nil, nil, false
+	}
+	after = seqSeries(fmt.Sprintf("Rx in car %v after coop", car), heldRuns, len(rounds), w.lo, w.hi)
+	joint = seqSeries("Joint Rx in any car", jointRuns, len(rounds), w.lo, w.hi)
+	return w.lo, w.hi, after, joint, true
+}
+
+// seqSeries samples, for every s in [lo, hi] (lo <= hi), the fraction
+// of the rounds whose distinct sequence list holds s. runs is every
+// round's list concatenated, so the number of times s occurs in it is
+// the number of rounds that hold s, and the cost is linear in the window
+// plus the runs.
+func seqSeries(name string, runs []uint32, rounds int, lo, hi uint32) *stats.Series {
 	hits := make([]int, int(hi-lo)+1)
-	for _, round := range rounds {
-		for seq := range set(round) {
-			if seq >= lo && seq <= hi {
-				hits[seq-lo]++
-			}
+	for _, seq := range runs {
+		if seq >= lo && seq <= hi {
+			hits[seq-lo]++
 		}
 	}
-	s.X = make([]float64, 0, len(hits))
-	s.Y = make([]float64, 0, len(hits))
+	s := &stats.Series{
+		Name: name,
+		X:    make([]float64, 0, len(hits)),
+		Y:    make([]float64, 0, len(hits)),
+	}
 	for i, k := range hits {
 		var p stats.Proportion
-		p.AddN(k, len(rounds))
+		p.AddN(k, rounds)
 		s.Append(float64(lo+uint32(i)), p.Estimate())
 	}
 	return s
@@ -259,16 +356,16 @@ func seqSeries(name string, rounds []*trace.Collector, lo, hi uint32, set func(*
 // cooperation it equals the car's own hit rate; with C-ARQ it approaches
 // 1 because gaps are filled in the dark stretches between Infostations.
 func CoverageEfficiency(rounds []*trace.Collector, car packet.NodeID, cars []packet.NodeID) float64 {
+	c := newCoopReader(car, cars)
 	var acc stats.Accumulator
 	for _, round := range rounds {
-		joint := round.JointRxSet(car, cars...)
+		joint, held := c.read(round)
 		if len(joint) == 0 {
 			continue
 		}
-		held := round.HeldSet(car)
 		got := 0
-		for seq := range joint {
-			if held[seq] {
+		for _, seq := range joint {
+			if _, ok := slices.BinarySearch(held, seq); ok {
 				got++
 			}
 		}

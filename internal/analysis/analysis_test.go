@@ -124,29 +124,37 @@ func TestFormatTable1(t *testing.T) {
 func TestWindow(t *testing.T) {
 	r1 := buildRound(20, map[packet.NodeID][]uint32{car1: {3, 9}, car2: {5, 12}}, nil)
 	r2 := buildRound(20, map[packet.NodeID][]uint32{car1: {2, 8}}, nil)
-	lo, hi, ok := Window([]*trace.Collector{r1, r2}, car1, []packet.NodeID{car1, car2})
-	if !ok {
-		t.Fatal("no window found")
-	}
+	rounds := []*trace.Collector{r1, r2}
+	cars := []packet.NodeID{car1, car2}
 	// Joint over car1's flow: round1 car1 received {3,9} of flow car1;
 	// car2 received nothing of flow car1 (buildRound records own flow
-	// only). Round2: {2,8}. Window = 2..9.
-	if lo != 2 || hi != 9 {
-		t.Fatalf("window = %d..%d, want 2..9", lo, hi)
+	// only). Round2: {2,8}. Window = 2..9 for both figures of the flow.
+	lo, hi, curves, ok := ReceptionCurves(rounds, car1, cars)
+	if !ok || lo != 2 || hi != 9 || len(curves) != 2 || curves[0].Len() != 8 {
+		t.Fatalf("reception window = %d..%d ok=%v with %d curves", lo, hi, ok, len(curves))
 	}
-	_, _, ok = Window(nil, car1, []packet.NodeID{car1})
-	if ok {
-		t.Fatal("empty round set produced a window")
+	lo, hi, after, joint, ok := CoopCurves(rounds, car1, cars)
+	if !ok || lo != 2 || hi != 9 || after.Len() != 8 || joint.Len() != 8 {
+		t.Fatalf("coop window = %d..%d ok=%v", lo, hi, ok)
+	}
+	if _, _, _, ok := ReceptionCurves(nil, car1, []packet.NodeID{car1}); ok {
+		t.Fatal("empty round set produced a reception window")
+	}
+	if _, _, _, _, ok := CoopCurves(nil, car1, []packet.NodeID{car1}); ok {
+		t.Fatal("empty round set produced a coop window")
 	}
 }
 
 func TestReceptionSeriesProbabilities(t *testing.T) {
-	// Seq 1 received in both rounds, seq 2 in one, seq 3 in none.
+	// Seq 1 received by car1 in both rounds, seq 2 in one, seq 3 in
+	// none; car2 overhearing seq 3 stretches the window to 1..3.
 	r1 := buildRound(3, map[packet.NodeID][]uint32{car1: {1, 2}}, nil)
 	r2 := buildRound(3, map[packet.NodeID][]uint32{car1: {1}}, nil)
-	s := ReceptionSeries([]*trace.Collector{r1, r2}, car1, car1, 1, 3)
-	if s.Len() != 3 {
-		t.Fatalf("series len = %d", s.Len())
+	r2.OnRx(car2, packet.NewData(apID, car1, 3, nil), mac.RxMeta{At: 3 * time.Second})
+	_, _, curves, _ := ReceptionCurves([]*trace.Collector{r1, r2}, car1, []packet.NodeID{car1, car2})
+	s := curves[0]
+	if s.Len() != 3 || s.Name != "Rx in car n1" {
+		t.Fatalf("series %q len = %d", s.Name, s.Len())
 	}
 	want := []float64{1, 0.5, 0}
 	for i, w := range want {
@@ -168,11 +176,19 @@ func TestAfterCoopAndJointSeries(t *testing.T) {
 	c.OnRx(car2, packet.NewData(apID, car1, 2, nil), mac.RxMeta{At: 2 * time.Second}) // overheard by car2
 	c.OnRecovered(car1, 2, car2, 10*time.Second)
 
+	// Seq 3 of car1's flow reaches car2 only in a RESPONSE, which is no
+	// direct reception, and seq 4 is of car2's own flow: neither widens
+	// car1's window.
+	c.OnRx(car2, packet.NewResponse(car3, car1, 3, nil), mac.RxMeta{At: 3 * time.Second})
+	c.OnRx(car2, packet.NewData(apID, car2, 4, nil), mac.RxMeta{At: 4 * time.Second})
+
 	rounds := []*trace.Collector{c}
-	after := AfterCoopSeries(rounds, car1, 1, 3)
-	joint := JointSeries(rounds, car1, []packet.NodeID{car1, car2}, 1, 3)
-	wantAfter := []float64{1, 1, 0}
-	wantJoint := []float64{1, 1, 0}
+	lo, hi, after, joint, ok := CoopCurves(rounds, car1, []packet.NodeID{car1, car2})
+	if !ok || lo != 1 || hi != 2 {
+		t.Fatalf("window = %d..%d ok=%v, want 1..2", lo, hi, ok)
+	}
+	wantAfter := []float64{1, 1}
+	wantJoint := []float64{1, 1}
 	for i := range wantAfter {
 		if after.Y[i] != wantAfter[i] {
 			t.Fatalf("after[%d] = %v, want %v", i, after.Y[i], wantAfter[i])
@@ -193,8 +209,7 @@ func TestOptimalityGapDetectsShortfall(t *testing.T) {
 	// Car 2 heard it, car 1 never recovered it.
 	c.OnRx(car2, packet.NewData(apID, car1, 1, nil), mac.RxMeta{At: time.Second})
 	rounds := []*trace.Collector{c}
-	after := AfterCoopSeries(rounds, car1, 1, 1)
-	joint := JointSeries(rounds, car1, []packet.NodeID{car1, car2}, 1, 1)
+	_, _, after, joint, _ := CoopCurves(rounds, car1, []packet.NodeID{car1, car2})
 	maxGap, _ := OptimalityGap(after, joint)
 	if maxGap != 1 {
 		t.Fatalf("maxGap = %v, want 1", maxGap)
@@ -238,7 +253,9 @@ func TestSplitRegions(t *testing.T) {
 
 func TestRegionMeans(t *testing.T) {
 	r1 := buildRound(9, map[packet.NodeID][]uint32{car1: {1, 2, 3}}, nil)
-	s := ReceptionSeries([]*trace.Collector{r1}, car1, car1, 1, 9)
+	r1.OnRx(car2, packet.NewData(apID, car1, 9, nil), mac.RxMeta{At: 9 * time.Second})
+	_, _, curves, _ := ReceptionCurves([]*trace.Collector{r1}, car1, []packet.NodeID{car1, car2})
+	s := curves[0]
 	regions := SplitRegions(1, 9)
 	m1, m2, m3 := regions.RegionMeans(s)
 	if m1 != 1 || m2 != 0 || m3 != 0 {
@@ -301,7 +318,7 @@ func naiveTable1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 	}
 	for _, round := range rounds {
 		for i, car := range cars {
-			direct := round.DirectRxSet(car, car)
+			direct := naiveDirect(round, car, car)
 			if len(direct) == 0 {
 				continue
 			}
@@ -313,7 +330,7 @@ func naiveTable1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 				}
 			}
 			heldN := 0
-			for seq := range round.HeldSet(car) {
+			for seq := range naiveHeld(round, car) {
 				if seq >= first && seq <= last {
 					heldN++
 				}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -28,14 +29,17 @@ func RecoveryDynamics(round *trace.Collector, car packet.NodeID) *stats.Series {
 	if coopStart < 0 {
 		return s
 	}
-	direct := round.DirectRxSet(car, car)
+	direct := DirectSeqs(round, car, car)
 	if len(direct) == 0 {
 		return s
 	}
-	first, last := seqBounds(direct)
+	first, last := direct[0], direct[len(direct)-1]
 	missing := 0
 	for _, seq := range round.DataSentSeqs(car) {
-		if seq >= first && seq <= last && !direct[seq] {
+		if seq < first || seq > last {
+			continue
+		}
+		if _, got := slices.BinarySearch(direct, seq); !got {
 			missing++
 		}
 	}

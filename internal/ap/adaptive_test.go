@@ -92,8 +92,8 @@ func TestAPUsesRepeatPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := tr.dataTx[7]
-	if len(seqs) != int(a.sentCount(7))*2 {
-		t.Fatalf("policy repeats not applied: %d tx for %d packets", len(seqs), a.sentCount(7))
+	if len(seqs) != int(tr.sentCount(7))*2 {
+		t.Fatalf("policy repeats not applied: %d tx for %d packets", len(seqs), tr.sentCount(7))
 	}
 }
 

@@ -8,6 +8,7 @@ package ap
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/mac"
@@ -62,6 +63,11 @@ func (c Config) validate() error {
 	if c.Repeats < 1 {
 		return fmt.Errorf("ap: repeats %d < 1", c.Repeats)
 	}
+	for i, flow := range c.Flows {
+		if slices.Contains(c.Flows[:i], flow) {
+			return fmt.Errorf("ap: flow %v listed twice", flow)
+		}
+	}
 	return nil
 }
 
@@ -70,8 +76,6 @@ type AP struct {
 	cfg     Config
 	ctx     *sim.Engine
 	station *mac.Station
-	nextSeq map[packet.NodeID]uint32
-	sent    map[packet.NodeID]uint32 // distinct packets per flow (excluding repeats)
 	payload []byte
 	stopped bool
 }
@@ -92,12 +96,7 @@ func New(ctx *sim.Engine, station *mac.Station, cfg Config) (*AP, error) {
 		cfg:     cfg,
 		ctx:     ctx,
 		station: station,
-		nextSeq: make(map[packet.NodeID]uint32, len(cfg.Flows)),
-		sent:    make(map[packet.NodeID]uint32, len(cfg.Flows)),
 		payload: make([]byte, cfg.PayloadBytes),
-	}
-	for _, flow := range cfg.Flows {
-		a.nextSeq[flow] = cfg.FirstSeq
 	}
 	// Stagger flows within one inter-packet period so the AP's own
 	// frames never contend with each other at exactly the same instant.
@@ -111,7 +110,7 @@ func New(ctx *sim.Engine, station *mac.Station, cfg Config) (*AP, error) {
 		if delay < 0 {
 			delay = 0
 		}
-		ctx.ScheduleCall(delay, flowTick, &apFlow{ap: a, flow: flow, period: period})
+		ctx.ScheduleCall(delay, flowTick, &apFlow{ap: a, flow: flow, period: period, next: cfg.FirstSeq})
 	}
 	return a, nil
 }
@@ -121,6 +120,7 @@ type apFlow struct {
 	ap     *AP
 	flow   packet.NodeID
 	period time.Duration
+	next   uint32 // the sequence number of the flow's next packet
 }
 
 // flowTick is the shared pooled-event callback driving every flow.
@@ -141,15 +141,13 @@ func (a *AP) tick(fl *apFlow) {
 	if a.cfg.Stop > a.cfg.Start && now >= a.cfg.Stop {
 		return
 	}
-	seq := a.nextSeq[flow]
-	next := seq + 1
+	seq := fl.next
+	fl.next++
 	// Offsets from FirstSeq, so a cycle ending at math.MaxUint32 wraps
 	// back to FirstSeq instead of comparing against an overflowed end.
-	if a.cfg.CycleLength > 0 && next-a.cfg.FirstSeq >= a.cfg.CycleLength {
-		next = a.cfg.FirstSeq
+	if a.cfg.CycleLength > 0 && fl.next-a.cfg.FirstSeq >= a.cfg.CycleLength {
+		fl.next = a.cfg.FirstSeq
 	}
-	a.nextSeq[flow] = next
-	a.sent[flow]++
 	repeats := a.cfg.Repeats
 	if a.cfg.RepeatPolicy != nil {
 		repeats = a.cfg.RepeatPolicy.Repeats(now)

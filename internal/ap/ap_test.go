@@ -2,6 +2,7 @@ package ap
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,9 +32,13 @@ func (c *countTracer) OnTx(src packet.NodeID, f *packet.Frame, start, airtime ti
 func (c *countTracer) OnRx(packet.NodeID, *packet.Frame, mac.RxMeta)                      {}
 func (c *countTracer) OnDrop(packet.NodeID, *packet.Frame, time.Duration, mac.DropReason) {}
 
-// sentCount returns the number of distinct packets generated for a flow so
-// far (repeats not counted).
-func (a *AP) sentCount(flow packet.NodeID) uint32 { return a.sent[flow] }
+// sentCount returns the number of distinct DATA sequence numbers aired on
+// a flow so far (repeats not counted).
+func (c *countTracer) sentCount(flow packet.NodeID) uint32 {
+	seqs := slices.Clone(c.dataTx[flow])
+	slices.Sort(seqs)
+	return uint32(len(slices.Compact(seqs)))
+}
 
 func buildAP(t *testing.T, cfg Config) (*sim.Engine, *AP, *countTracer) {
 	t.Helper()
@@ -68,6 +73,7 @@ func TestValidation(t *testing.T) {
 		{ID: 1, Flows: []packet.NodeID{2}, PacketsPerSecond: 5, PayloadBytes: -1, Repeats: 1},
 		{ID: 1, Flows: []packet.NodeID{2}, PacketsPerSecond: 5, PayloadBytes: packet.MaxPayload + 1, Repeats: 1},
 		{ID: 1, Flows: []packet.NodeID{2}, PacketsPerSecond: 5, PayloadBytes: 10, Repeats: 0},
+		{ID: 1, Flows: []packet.NodeID{2, 3, 2}, PacketsPerSecond: 5, PayloadBytes: 10, Repeats: 1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(engine, st, cfg); err == nil {
@@ -84,7 +90,7 @@ func TestRatePerFlow(t *testing.T) {
 		ID: 1, Flows: []packet.NodeID{10, 11, 12},
 		PacketsPerSecond: 5, PayloadBytes: 100, Repeats: 1,
 	}
-	engine, a, tr := buildAP(t, cfg)
+	engine, _, tr := buildAP(t, cfg)
 	if err := engine.RunUntil(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +100,9 @@ func TestRatePerFlow(t *testing.T) {
 		if n < 49 || n > 51 {
 			t.Fatalf("flow %v: %d packets in 10 s, want ~50", flow, n)
 		}
-		// Generation may lead airing by one packet at the horizon.
-		if got := a.sentCount(flow); got < uint32(n) || got > uint32(n)+1 {
-			t.Fatalf("sentCount(%v) = %d, want %d or %d", flow, got, n, n+1)
+		// Without repeats every aired packet is a new one.
+		if got := tr.sentCount(flow); got != uint32(n) {
+			t.Fatalf("sentCount(%v) = %d, want %d", flow, got, n)
 		}
 	}
 }
@@ -177,7 +183,7 @@ func TestRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := tr.dataTx[7]
-	distinct := a.sentCount(7)
+	distinct := tr.sentCount(7)
 	if len(seqs) != int(distinct)*3 {
 		t.Fatalf("tx count %d != 3 * distinct %d", len(seqs), distinct)
 	}

@@ -4,7 +4,7 @@
 //   - No cooperation: carq.Config.CoopEnabled = false (plain reception) —
 //     the "before coop" column of Table 1.
 //   - The joint-reception oracle ("virtual car"): computed from traces by
-//     analysis.JointSeries / trace.JointRxSet, exactly as the paper
+//     analysis.CoopCurves (its joint curve), exactly as the paper
 //     post-processed its captures for Figures 6-8.
 //   - AP-side retransmissions: ap.Config.Repeats > 1, trading new-data
 //     rate for per-packet reliability during coverage.

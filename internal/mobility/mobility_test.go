@@ -1,7 +1,9 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -265,7 +267,7 @@ func TestPlatoonGapsNeverCollapse(t *testing.T) {
 	}
 	for s := 0; s < 120; s++ {
 		now := time.Duration(s) * time.Second
-		if g := p.Gap(2, now); g < 3 {
+		if g := gap(p, 2, now); g < 3 {
 			t.Fatalf("gap collapsed to %v m at %v", g, now)
 		}
 	}
@@ -282,11 +284,11 @@ func TestSqueezeReducesGapInZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Leader at arc 100 (t=10s): no squeeze.
-	if g := p.Gap(1, 10*time.Second); math.Abs(g-40) > 1e-9 {
+	if g := gap(p, 1, 10*time.Second); math.Abs(g-40) > 1e-9 {
 		t.Fatalf("gap outside zone = %v, want 40", g)
 	}
 	// Leader at arc 400 (t=40s): squeezed to 10.
-	if g := p.Gap(1, 40*time.Second); math.Abs(g-10) > 1e-9 {
+	if g := gap(p, 1, 40*time.Second); math.Abs(g-10) > 1e-9 {
 		t.Fatalf("gap inside zone = %v, want 10", g)
 	}
 }
@@ -323,8 +325,8 @@ func TestPlatoonCarPositionsOnPath(t *testing.T) {
 			t.Fatalf("car %d off the square: %v", i, pos)
 		}
 	}
-	if got := len(p.Spacing(25 * time.Second)); got != 2 {
-		t.Fatalf("Spacing len = %d", got)
+	if got := spacing(p, 25*time.Second); len(got) != 2 || got[0] <= 0 || got[1] <= 0 {
+		t.Fatalf("spacing = %v, want two positive distances", got)
 	}
 }
 
@@ -338,7 +340,7 @@ func TestPlatoonIndexPanics(t *testing.T) {
 		func() { p.Car(-1) },
 		func() { p.Car(3) },
 		func() { p.ArcAt(7, 0) },
-		func() { p.Gap(0, 0) },
+		func() { gap(p, 0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -348,6 +350,74 @@ func TestPlatoonIndexPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// gap returns car i's instantaneous gap behind car i-1 (i >= 1),
+// evaluating the leader afresh.
+func gap(p *Platoon, i int, now time.Duration) float64 {
+	if i <= 0 || i >= len(p.profiles) {
+		panic(fmt.Sprintf("mobility: gap index %d out of range [1,%d)", i, len(p.profiles)))
+	}
+	return p.gapAt(i, now, math.Mod(p.leader.ArcAt(now), p.leader.PathLength()))
+}
+
+// spacing returns the distances between consecutive cars' positions at
+// now.
+func spacing(p *Platoon, now time.Duration) []float64 {
+	out := make([]float64, 0, p.Size()-1)
+	for i := 1; i < p.Size(); i++ {
+		out = append(out, p.Car(i-1).Position(now).Dist(p.Car(i).Position(now)))
+	}
+	return out
+}
+
+// naiveArc is car i's arc evaluated from nothing: the leader once for
+// its arc and once more inside every gap, with no memo.
+func naiveArc(p *Platoon, i int, now time.Duration) float64 {
+	arc := p.leader.ArcAt(now)
+	for j := 1; j <= i; j++ {
+		arc -= gap(p, j, now)
+	}
+	return arc
+}
+
+// TestPlatoonArcAtMatchesNaive checks the memoised ArcAt bit for bit
+// against naiveArc for every car, on a looped path with squeezes and an
+// open one, at instants visited in shuffled order with repeats and steps
+// backward, each instant's cars queried in a random order.
+func TestPlatoonArcAtMatchesNaive(t *testing.T) {
+	profs := append(defaultProfiles(), DriverProfile{
+		Name: "car4", HeadwayM: 25, HeadwayJitterM: 4, WobbleM: 3, WobblePeriod: 17 * time.Second,
+		Squeezes: []GapSqueeze{{FromArc: 100, ToArc: 300, Factor: 0.4}, {FromArc: 250, ToArc: 500, Factor: 0.7}},
+	})
+	leaders := []*PathFollower{
+		MustPathFollower(FollowerConfig{Path: square(200), Loop: true, SpeedMPS: 6, StartArc: 90,
+			Zones: []SpeedZone{{100, 140, 0.5}}}),
+		MustPathFollower(FollowerConfig{Path: StraightHighway(900), SpeedMPS: 20}),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for li, leader := range leaders {
+		p, err := NewPlatoon(leader, profs, sim.Stream(int64(li), "platoon"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var instants []time.Duration
+		for k := 0; k < 400; k++ {
+			instants = append(instants, time.Duration(rng.Int63n(int64(3*time.Minute))))
+		}
+		// Repeats, both back to back and after other instants.
+		instants = append(instants, instants[:50]...)
+		rng.Shuffle(len(instants), func(a, b int) { instants[a], instants[b] = instants[b], instants[a] })
+		instants = append(instants, instants[7], instants[7], 0, time.Minute, 0)
+		for _, now := range instants {
+			for _, i := range rng.Perm(p.Size())[:1+rng.Intn(p.Size())] {
+				got, want := p.ArcAt(i, now), naiveArc(p, i, now)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("leader %d, car %d at %v: ArcAt = %v, naive %v", li, i, now, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -42,6 +42,12 @@ type GapSqueeze struct {
 // leader is a PathFollower; follower i trails follower i-1 by its profile's
 // gap. Gaps transition smoothly because the wobble and squeeze terms are
 // continuous in time.
+//
+// A Platoon remembers the last instant it evaluated, so the cars' position
+// queries at one instant share one leader evaluation and one gap per car.
+// That makes it stateful: like traffic.World's models, a Platoon belongs
+// to one simulation engine and must not be shared by engines running
+// concurrently.
 type Platoon struct {
 	leader   *PathFollower
 	profiles []DriverProfile
@@ -49,6 +55,13 @@ type Platoon struct {
 	roundJitter []float64
 	// wobblePhase[i] randomises each car's oscillation phase.
 	wobblePhase []float64
+
+	// The memo of instant at: arcs[:known] are cars 0..known-1's arcs,
+	// and leaderInLap is the leader's in-lap arc once known > 1.
+	at          time.Duration
+	known       int
+	arcs        []float64
+	leaderInLap float64
 }
 
 // NewPlatoon builds a platoon of len(profiles) cars. profiles[0] is the
@@ -77,6 +90,7 @@ func NewPlatoon(leader *PathFollower, profiles []DriverProfile, rng *rand.Rand) 
 		profiles:    profiles,
 		roundJitter: make([]float64, len(profiles)),
 		wobblePhase: make([]float64, len(profiles)),
+		arcs:        make([]float64, len(profiles)),
 	}
 	for i := range profiles {
 		if i == 0 {
@@ -94,15 +108,15 @@ func (p *Platoon) Size() int { return len(p.profiles) }
 // Leader returns the leader's path follower.
 func (p *Platoon) Leader() *PathFollower { return p.leader }
 
-// gapAt returns car i's instantaneous gap behind car i-1.
-func (p *Platoon) gapAt(i int, now time.Duration) float64 {
+// gapAt returns car i's instantaneous gap behind car i-1, given the
+// leader's in-lap arc at now.
+func (p *Platoon) gapAt(i int, now time.Duration, leaderArc float64) float64 {
 	prof := p.profiles[i]
 	gap := prof.HeadwayM + p.roundJitter[i]
 	if prof.WobbleM > 0 && prof.WobblePeriod > 0 {
 		omega := 2 * math.Pi / prof.WobblePeriod.Seconds()
 		gap += prof.WobbleM * math.Sin(omega*now.Seconds()+p.wobblePhase[i])
 	}
-	leaderArc := math.Mod(p.leader.ArcAt(now), p.leader.PathLength())
 	for _, s := range prof.Squeezes {
 		if leaderArc >= s.FromArc && leaderArc < s.ToArc {
 			gap *= s.Factor
@@ -116,16 +130,25 @@ func (p *Platoon) gapAt(i int, now time.Duration) float64 {
 	return gap
 }
 
-// ArcAt returns car i's unwrapped arc position at time now.
+// ArcAt returns car i's unwrapped arc position at time now: the leader's
+// arc minus the gaps of cars 1..i, subtracted in that order. An instant
+// other than the memoised one starts the memo afresh, and cars are
+// evaluated only as far back as a query reaches.
 func (p *Platoon) ArcAt(i int, now time.Duration) float64 {
 	if i < 0 || i >= len(p.profiles) {
 		panic(fmt.Sprintf("mobility: car index %d out of range [0,%d)", i, len(p.profiles)))
 	}
-	arc := p.leader.ArcAt(now)
-	for j := 1; j <= i; j++ {
-		arc -= p.gapAt(j, now)
+	if p.known == 0 || now != p.at {
+		p.at, p.known = now, 1
+		p.arcs[0] = p.leader.ArcAt(now)
 	}
-	return arc
+	for ; p.known <= i; p.known++ {
+		if p.known == 1 {
+			p.leaderInLap = math.Mod(p.arcs[0], p.leader.PathLength())
+		}
+		p.arcs[p.known] = p.arcs[p.known-1] - p.gapAt(p.known, now, p.leaderInLap)
+	}
+	return p.arcs[i]
 }
 
 // Car returns the Model for car i (0 = leader).
@@ -153,27 +176,6 @@ func (p *Platoon) Cars() []Model {
 		cars[i] = p.Car(i)
 	}
 	return cars
-}
-
-// Gap returns the instantaneous gap in metres between car i and its
-// predecessor (i >= 1), for diagnostics and tests.
-func (p *Platoon) Gap(i int, now time.Duration) float64 {
-	if i <= 0 || i >= len(p.profiles) {
-		panic(fmt.Sprintf("mobility: gap index %d out of range [1,%d)", i, len(p.profiles)))
-	}
-	return p.gapAt(i, now)
-}
-
-// Spacing returns the distance between consecutive cars' positions at now,
-// for diagnostics.
-func (p *Platoon) Spacing(now time.Duration) []float64 {
-	out := make([]float64, 0, len(p.profiles)-1)
-	for i := 1; i < len(p.profiles); i++ {
-		a := p.Car(i - 1).Position(now)
-		b := p.Car(i).Position(now)
-		out = append(out, a.Dist(b))
-	}
-	return out
 }
 
 var _ Model = (*PathFollower)(nil)

@@ -56,18 +56,16 @@ type ReceptionFigure struct {
 
 // NewReceptionFigure computes the figure data for flow `flow`.
 func NewReceptionFigure(rounds []*trace.Collector, cars []packet.NodeID, flow packet.NodeID) (*ReceptionFigure, error) {
-	lo, hi, ok := analysis.Window(rounds, flow, cars)
+	lo, hi, series, ok := analysis.ReceptionCurves(rounds, flow, cars)
 	if !ok {
 		return nil, fmt.Errorf("report: no reception window for flow %v", flow)
 	}
-	fig := &ReceptionFigure{Flow: flow, Window: [2]uint32{lo, hi}}
-	for _, car := range cars {
-		s := analysis.ReceptionSeries(rounds, flow, car, lo, hi)
-		s.Name = fmt.Sprintf("Rx in car %v", car)
-		fig.Series = append(fig.Series, s)
-	}
-	fig.Regions = analysis.NewRegionReport(analysis.SplitRegions(lo, hi), fig.Series...)
-	return fig, nil
+	return &ReceptionFigure{
+		Flow:    flow,
+		Window:  [2]uint32{lo, hi},
+		Series:  series,
+		Regions: analysis.NewRegionReport(analysis.SplitRegions(lo, hi), series...),
+	}, nil
 }
 
 // String renders the figure as an ASCII chart plus region table.
@@ -118,14 +116,10 @@ type CoopFigure struct {
 
 // NewCoopFigure computes the figure data for one car.
 func NewCoopFigure(rounds []*trace.Collector, cars []packet.NodeID, car packet.NodeID) (*CoopFigure, error) {
-	lo, hi, ok := analysis.Window(rounds, car, cars)
+	lo, hi, after, joint, ok := analysis.CoopCurves(rounds, car, cars)
 	if !ok {
 		return nil, fmt.Errorf("report: no reception window for car %v", car)
 	}
-	after := analysis.AfterCoopSeries(rounds, car, lo, hi)
-	after.Name = fmt.Sprintf("Rx in car %v after coop", car)
-	joint := analysis.JointSeries(rounds, car, cars, lo, hi)
-	joint.Name = "Joint Rx in any car"
 	maxGap, meanGap := analysis.OptimalityGap(after, joint)
 	return &CoopFigure{
 		Car:       car,

@@ -18,9 +18,10 @@ func TestCanonical30Rounds(t *testing.T) {
 	rows := analysis.Table1(res.Rounds, res.CarIDs)
 	t.Logf("\n%s", analysis.FormatTable1(rows))
 	for _, car := range res.CarIDs {
-		lo, hi, _ := analysis.Window(res.Rounds, car, res.CarIDs)
-		after := analysis.AfterCoopSeries(res.Rounds, car, lo, hi)
-		joint := analysis.JointSeries(res.Rounds, car, res.CarIDs, lo, hi)
+		lo, hi, after, joint, ok := analysis.CoopCurves(res.Rounds, car, res.CarIDs)
+		if !ok {
+			t.Fatalf("car%v: no reception window", car)
+		}
 		maxGap, meanGap := analysis.OptimalityGap(after, joint)
 		t.Logf("car%v: window %d..%d maxGap=%.3f meanGap=%.3f", car, lo, hi, maxGap, meanGap)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -35,7 +36,12 @@ func TestFullStackInvariants(t *testing.T) {
 		for _, seq := range col.DataSentSeqs(car) {
 			sentSet[seq] = true
 		}
-		joint := col.JointRxSet(car, carIDs...)
+		joint := make(map[uint32]bool) // received off the air by any car
+		for _, rx := range carIDs {
+			for _, seq := range analysis.DirectSeqs(col, rx, car) {
+				joint[seq] = true
+			}
+		}
 
 		seen := make(map[uint32]bool)
 		for _, rec := range col.Recovered {
@@ -57,7 +63,7 @@ func TestFullStackInvariants(t *testing.T) {
 			}
 		}
 
-		for seq := range col.HeldSet(car) {
+		for _, seq := range analysis.HeldSeqs(col, car) {
 			if !sentSet[seq] {
 				t.Errorf("car %v: holds seq %d never sent on its flow", car, seq)
 			}

@@ -68,7 +68,7 @@ func TestTestbedRoundShape(t *testing.T) {
 		}
 		// Every car must have received something directly.
 		for _, car := range res.CarIDs {
-			if len(round.DirectRxSet(car, car)) == 0 {
+			if len(analysis.DirectSeqs(round, car, car)) == 0 {
 				t.Fatalf("round %d: car %v received nothing", i, car)
 			}
 		}

@@ -8,8 +8,8 @@
 // the MAC (mac.Tracer) and the protocol (carq.Observer), can be exported
 // and re-imported as JSON Lines (the interchange format) or in a compact,
 // canonical delta-varint binary encoding (the stores' format; see
-// AppendBinary), and expose the set/series queries the analysis layer is
-// built on.
+// AppendBinary). The records are plain slices: package analysis reads
+// them directly into the paper's per-sequence statistics.
 package trace
 
 import (
@@ -167,53 +167,6 @@ func (c *Collector) DataSentSeqs(flow packet.NodeID) []uint32 {
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
-}
-
-// DirectRxSet returns the sequence numbers of flow-f DATA frames that
-// station rx received directly off the air.
-func (c *Collector) DirectRxSet(rx, flow packet.NodeID) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for _, r := range c.Rx {
-		if r.Type == packet.TypeData && r.Flow == flow && r.Dst == rx {
-			out[r.Seq] = true
-		}
-	}
-	return out
-}
-
-// JointRxSet returns the sequence numbers of flow-f DATA frames received
-// directly by ANY of the given stations — the paper's "virtual car" joint
-// reception.
-func (c *Collector) JointRxSet(flow packet.NodeID, stations ...packet.NodeID) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for _, s := range stations {
-		for seq := range c.DirectRxSet(s, flow) {
-			out[seq] = true
-		}
-	}
-	return out
-}
-
-// RecoveredSet returns the sequence numbers node recovered via C-ARQ
-// (protocol-level events).
-func (c *Collector) RecoveredSet(node packet.NodeID) map[uint32]bool {
-	out := make(map[uint32]bool)
-	for _, r := range c.Recovered {
-		if r.Node == node {
-			out[r.Seq] = true
-		}
-	}
-	return out
-}
-
-// HeldSet returns everything node holds of its own flow at the end of the
-// round: direct receptions plus cooperative recoveries.
-func (c *Collector) HeldSet(node packet.NodeID) map[uint32]bool {
-	out := c.DirectRxSet(node, node)
-	for seq := range c.RecoveredSet(node) {
-		out[seq] = true
-	}
-	return out
 }
 
 // Counts summarises the event volume, for logging.

@@ -72,33 +72,6 @@ func TestDataSentSeqsDeduplicates(t *testing.T) {
 	}
 }
 
-func TestDirectAndJointRxSets(t *testing.T) {
-	c := sampleCollector()
-	direct1 := c.DirectRxSet(1, 1)
-	if !direct1[1] || direct1[2] || !direct1[3] {
-		t.Fatalf("DirectRxSet(1,1) = %v", direct1)
-	}
-	joint := c.JointRxSet(1, 1, 2, 3)
-	for seq := uint32(1); seq <= 3; seq++ {
-		if !joint[seq] {
-			t.Fatalf("JointRxSet missing seq %d: %v", seq, joint)
-		}
-	}
-}
-
-func TestHeldSetIncludesRecoveries(t *testing.T) {
-	c := sampleCollector()
-	held := c.HeldSet(1)
-	for seq := uint32(1); seq <= 3; seq++ {
-		if !held[seq] {
-			t.Fatalf("HeldSet(1) missing %d: %v", seq, held)
-		}
-	}
-	if rec := c.RecoveredSet(1); !rec[2] || len(rec) != 1 {
-		t.Fatalf("RecoveredSet(1) = %v", rec)
-	}
-}
-
 func TestCounts(t *testing.T) {
 	c := sampleCollector()
 	got := c.Counts()
