@@ -14,6 +14,11 @@ build:
 	$(GO) build ./...
 	$(GO) -C bench build ./...
 
+# The root suite includes TestPublicSurface (surface_test.go), the pin on
+# internal/'s public surface: it fails on an exported func or method that
+# no other package's production code calls, unless it satisfies an
+# interface or sits on the test's allow-list with a reason. It has no
+# -short skip, so short and race run it too.
 test:
 	$(GO) test ./...
 	$(GO) -C bench test -short ./...

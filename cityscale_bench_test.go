@@ -79,22 +79,25 @@ func runCityMedium(tb testing.TB, enum mac.Enumeration, seed int64) int {
 	m := mac.NewMedium(engine, ch, nil)
 	m.SetEnumeration(enum)
 
-	var stations []*mac.Station
+	var (
+		stations []*mac.Station
+		ids      []packet.NodeID
+	)
 	for i, ap := range aps {
-		ap := ap
-		st, err := m.AddStation(scenario.APID+packet.NodeID(i),
-			func(time.Duration) geom.Point { return ap }, nil, mac.DefaultConfig())
+		ap, id := ap, scenario.APID+packet.NodeID(i)
+		st, err := m.AddStation(id, func(time.Duration) geom.Point { return ap }, nil, mac.DefaultConfig())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		stations = append(stations, st)
+		stations, ids = append(stations, st), append(ids, id)
 	}
 	for i, model := range models {
-		st, err := m.AddStation(packet.NodeID(1000+i), model.Position, nil, mac.DefaultConfig())
+		id := packet.NodeID(1000 + i)
+		st, err := m.AddStation(id, model.Position, nil, mac.DefaultConfig())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		stations = append(stations, st)
+		stations, ids = append(stations, st), append(ids, id)
 	}
 
 	// Self-rescheduling pooled send chains keep the event heap at one
@@ -124,28 +127,22 @@ func runCityMedium(tb testing.TB, enum mac.Enumeration, seed int64) int {
 		if i < len(aps) {
 			b = &beatState{
 				st:     st,
-				frame:  packet.NewData(st.ID(), packet.NodeID(1000), 0, payload),
+				frame:  packet.NewData(ids[i], packet.NodeID(1000), 0, payload),
 				at:     time.Duration(i) * time.Millisecond,
 				period: 50 * time.Millisecond,
 			}
 		} else {
 			b = &beatState{
 				st:     st,
-				frame:  packet.NewHello(st.ID(), nil),
+				frame:  packet.NewHello(ids[i], nil),
 				at:     time.Duration(sched.Int63n(int64(time.Second))),
 				period: time.Second,
 			}
 		}
 		engine.ScheduleCall(b.at, beat, b)
 	}
-	if err := engine.RunUntil(cityBenchSimFor); err != nil {
-		tb.Fatal(err)
-	}
-	sent := 0
-	for _, st := range stations {
-		sent += int(st.Sent())
-	}
-	return sent
+	engine.RunUntil(cityBenchSimFor)
+	return int(m.Stats().Transmissions)
 }
 
 // BenchmarkCityScale compares the two delivery paths on the 604-station

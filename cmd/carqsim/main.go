@@ -9,7 +9,8 @@
 //	        [-trace file.jsonl]
 //
 // -rounds applies to testbed, highway and corridor; download is one
-// continuous multi-lap run.
+// continuous multi-lap run. -trace applies to testbed only; any other
+// scenario with -trace is refused.
 package main
 
 import (
@@ -36,9 +37,12 @@ func main() {
 		speed     = flag.Float64("speed", 0, "speed in m/s (0: scenario default)")
 		coop      = flag.Bool("coop", true, "enable Cooperative ARQ")
 		batch     = flag.Bool("batch", false, "batch missing sequences into one REQUEST")
-		tracePath = flag.String("trace", "", "write the first round's trace as JSONL to this file")
+		tracePath = flag.String("trace", "", "write the first round's trace as JSONL to this file (testbed only)")
 	)
 	flag.Parse()
+	if *tracePath != "" && *scen != "testbed" {
+		log.Fatalf("-trace writes the testbed's first round; scenario %q writes no trace", *scen)
+	}
 
 	switch *scen {
 	case "testbed":
@@ -112,9 +116,12 @@ func writeTrace(path string, res *scenario.TestbedResult) {
 	if err != nil {
 		log.Fatalf("creating trace file: %v", err)
 	}
-	defer f.Close()
 	if err := res.Rounds[0].WriteJSONL(f); err != nil {
+		f.Close()
 		log.Fatalf("writing trace: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatalf("closing trace file: %v", err)
 	}
 	log.Printf("wrote round-0 trace to %s (%d tx, %d rx records)",
 		path, len(res.Rounds[0].Tx), len(res.Rounds[0].Rx))

@@ -23,19 +23,36 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// run runs the CLI with args in a child process.
+func run(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var errBuf strings.Builder
+	cmd.Stderr = &errBuf
+	out, err := cmd.Output()
+	return string(out), errBuf.String(), err
+}
+
 // carqsim runs the CLI with args and returns its stdout; it fails t
 // unless the CLI exits 0.
 func carqsim(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	out, stderr, err := run(args...)
 	if err != nil {
-		t.Fatalf("carqsim %v: %v\nstderr:\n%s", args, err, stderr.String())
+		t.Fatalf("carqsim %v: %v\nstderr:\n%s", args, err, stderr)
 	}
-	return string(out)
+	return out
+}
+
+// carqsimFails runs the CLI with args, fails t if it exits 0, and
+// returns its stderr.
+func carqsimFails(t *testing.T, args ...string) string {
+	t.Helper()
+	out, stderr, err := run(args...)
+	if err == nil {
+		t.Fatalf("carqsim %v exited 0; want a failure\nstdout:\n%s", args, out)
+	}
+	return stderr
 }
 
 // TestScenarios runs every scenario for one round and checks each prints
@@ -72,5 +89,23 @@ func TestTraceReadsBack(t *testing.T) {
 	}
 	if len(col.Tx) == 0 {
 		t.Fatal("trace holds no Tx records")
+	}
+}
+
+// TestTraceRefusedOutsideTestbed: only the testbed records a trace, so
+// -trace with any other scenario exits non-zero with a message and
+// writes no file, instead of silently doing nothing.
+func TestTraceRefusedOutsideTestbed(t *testing.T) {
+	for _, scen := range []string{"highway", "download", "corridor"} {
+		t.Run(scen, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "round0.jsonl")
+			stderr := carqsimFails(t, "-scenario", scen, "-rounds", "1", "-trace", path)
+			if !strings.Contains(stderr, "-trace") || !strings.Contains(stderr, scen) {
+				t.Fatalf("stderr does not explain the refusal:\n%s", stderr)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("refused run left a trace file (stat: %v)", err)
+			}
+		})
 	}
 }

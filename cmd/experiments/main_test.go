@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +41,9 @@ func TestCatalogueRegistered(t *testing.T) {
 			t.Fatalf("order: %s after %s", want[i-1], want[i])
 		}
 	}
-	if _, ok := harness.Lookup("figures"); !ok {
+	if !slices.ContainsFunc(harness.Experiments(), func(e *harness.Experiment) bool {
+		return slices.Contains(e.Aliases, "figures")
+	}) {
 		t.Fatal("alias figures not registered")
 	}
 }
@@ -116,7 +119,11 @@ func TestHarnessSmoke(t *testing.T) {
 		}
 	}
 
-	m, err := harness.ReadManifest(filepath.Join(dir, "manifest.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := harness.ParseManifest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,5 +98,48 @@ func TestHealthzKnownToReadOnlyGuard(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
 		t.Fatalf("POST /api/healthz = %d (Allow %q), want 405 with Allow", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+}
+
+// TestOutputTraversalNeverServed: the manifest is outside input, and
+// handleOutput joins a listed name onto the output directory. A
+// manifest listing "../x" must not make /outputs/../x serve the file
+// beside the output directory, neither at the handler (which is what a
+// go >= 1.22 mux hands it) nor through the routes, raw or escaped.
+func TestOutputTraversalNeverServed(t *testing.T) {
+	root := t.TempDir()
+	out := filepath.Join(root, "out")
+	if err := os.Mkdir(out, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const secret = "a file beside the output directory\n"
+	if err := os.WriteFile(filepath.Join(root, "x"), []byte(secret), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(secret))
+	manifest := fmt.Sprintf(`{"schema":2,"seed":1,"rounds":1,"experiments":[{"name":"e","title":"t","seed":1,"rounds":1,"units":0,`+
+		`"outputs":[{"file":"../x","kind":"raw","bytes":%d,"sha256":"%x"}]}]}`+"\n", len(secret), sum)
+	if err := os.WriteFile(filepath.Join(out, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(out, t.TempDir(), nil, false)
+
+	req := httptest.NewRequest(http.MethodGet, "/outputs/../x", nil)
+	if req.URL.Path != "/outputs/../x" {
+		t.Fatalf("request path %q, want it uncleaned", req.URL.Path)
+	}
+	rec := httptest.NewRecorder()
+	s.handleOutput(rec, req)
+	if rec.Code == http.StatusOK || strings.Contains(rec.Body.String(), secret) {
+		t.Fatalf("handler served ../x: %d %q", rec.Code, rec.Body.String())
+	}
+
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	for _, path := range []string{"/outputs/../x", "/outputs/..%2Fx"} {
+		resp, body := get(t, ts.URL+path, nil)
+		if strings.Contains(string(body), secret) {
+			t.Fatalf("GET %s served ../x: %d %q", path, resp.StatusCode, body)
+		}
 	}
 }

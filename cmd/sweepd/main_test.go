@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func fixedClock() time.Time { return time.Unix(1700000000, 0).UTC() }
 // manifest, timings and typed outputs — without running simulations.
 func writeSweep(t *testing.T, dir string, expName string) {
 	t.Helper()
-	if _, ok := harness.Lookup(expName); !ok {
+	if !slices.Contains(harness.Names(), expName) {
 		registerProbe(expName)
 	}
 	r, err := harness.NewRunner(harness.Options{Rounds: 1, Seed: 1, OutDir: dir, Now: fixedClock})

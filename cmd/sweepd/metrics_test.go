@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,17 +14,25 @@ import (
 	"repro/internal/metrics"
 )
 
-// writeRunSnapshot fakes the sweep producer's metrics.json: a private
-// registry (so the test does not pollute the process default) with the
-// counters a real instrumented run would leave behind.
+// writeRunSnapshot fakes the sweep producer's metrics.json: a snapshot
+// built by hand (so the test does not pollute the process default
+// registry) with the counters a real instrumented run would leave behind.
 func writeRunSnapshot(t *testing.T, dir string) {
 	t.Helper()
-	reg := metrics.NewRegistry()
-	reg.Counter("sim_events_processed_total", "events whose callbacks ran").Add(4242)
-	reg.Counter("result_store_hits_total", "store hits").Add(7)
-	reg.Counter("result_store_misses_total", "store misses").Add(3)
+	snap := metrics.Snapshot{
+		Counters: []metrics.CounterSample{
+			{Name: "result_store_hits_total", Value: 7},
+			{Name: "result_store_misses_total", Value: 3},
+			{Name: "sim_events_processed_total", Value: 4242},
+		},
+		Help: map[string]string{
+			"result_store_hits_total":    "store hits",
+			"result_store_misses_total":  "store misses",
+			"sim_events_processed_total": "events whose callbacks ran",
+		},
+	}
 	var buf bytes.Buffer
-	if err := reg.Snapshot().Deterministic().WriteJSON(&buf); err != nil {
+	if err := snap.Deterministic().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, harness.MetricsFile), buf.Bytes(), 0o644); err != nil {
@@ -103,7 +112,7 @@ func TestMetricsEndpointWithoutRunSnapshot(t *testing.T) {
 
 func TestProgressEndpoint(t *testing.T) {
 	expName := "sweepd-progress-probe"
-	if _, ok := harness.Lookup(expName); !ok {
+	if !slices.Contains(harness.Names(), expName) {
 		harness.Register(harness.Experiment{
 			Name:  expName,
 			Title: "synthetic progress probe",

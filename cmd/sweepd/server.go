@@ -355,7 +355,8 @@ func (s *server) handleStore(w http.ResponseWriter, r *http.Request) {
 
 // handleOutput serves one manifest-recorded study output. The manifest
 // is the allowlist: a file on disk but not in the manifest does not
-// exist for the API, which also keeps traversal out by construction.
+// exist for the API. harness.ParseManifest admits only plain file names,
+// so no listed name joins onto a path outside the output directory.
 func (s *server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	if err := s.refresh(); err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

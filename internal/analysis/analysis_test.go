@@ -257,7 +257,7 @@ func TestRegionMeans(t *testing.T) {
 	_, _, curves, _ := ReceptionCurves([]*trace.Collector{r1}, car1, []packet.NodeID{car1, car2})
 	s := curves[0]
 	regions := SplitRegions(1, 9)
-	m1, m2, m3 := regions.RegionMeans(s)
+	m1, m2, m3 := regions.regionMeans(s)
 	if m1 != 1 || m2 != 0 || m3 != 0 {
 		t.Fatalf("region means = %v, %v, %v; want 1, 0, 0", m1, m2, m3)
 	}

@@ -30,9 +30,9 @@ func SplitRegions(lo, hi uint32) Regions {
 	}
 }
 
-// RegionMeans returns the mean Y of a series within each region. The
+// regionMeans returns the mean Y of a series within each region. The
 // series' X values must be sequence numbers within [Lo, Hi].
-func (r Regions) RegionMeans(s *stats.Series) (m1, m2, m3 float64) {
+func (r Regions) regionMeans(s *stats.Series) (m1, m2, m3 float64) {
 	var a1, a2, a3 stats.Accumulator
 	for i := range s.X {
 		seq := uint32(s.X[i])
@@ -60,7 +60,7 @@ type RegionReport struct {
 func NewRegionReport(regions Regions, series ...*stats.Series) *RegionReport {
 	rep := &RegionReport{Regions: regions}
 	for _, s := range series {
-		m1, m2, m3 := regions.RegionMeans(s)
+		m1, m2, m3 := regions.regionMeans(s)
 		rep.Names = append(rep.Names, s.Name)
 		rep.Means = append(rep.Means, [3]float64{m1, m2, m3})
 	}

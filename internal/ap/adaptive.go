@@ -61,9 +61,9 @@ func (p *AdaptiveRepeats) HandleFrame(f *packet.Frame, meta mac.RxMeta) {
 	p.lastListLen[f.Src] = len(f.List)
 }
 
-// CooperatorEstimate returns the mean advertised cooperator count over
+// cooperatorEstimate returns the mean advertised cooperator count over
 // vehicles heard within the window.
-func (p *AdaptiveRepeats) CooperatorEstimate() float64 {
+func (p *AdaptiveRepeats) cooperatorEstimate() float64 {
 	now := p.ctx.Now()
 	sum, n := 0, 0
 	for id, at := range p.lastHeard {
@@ -99,7 +99,7 @@ func (p *AdaptiveRepeats) Repeats(now time.Duration) int {
 	if !heard {
 		return 1
 	}
-	r := p.MaxRepeats - int(p.CooperatorEstimate()+0.5)
+	r := p.MaxRepeats - int(p.cooperatorEstimate()+0.5)
 	if r < 1 {
 		r = 1
 	}

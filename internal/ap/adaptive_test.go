@@ -45,7 +45,7 @@ func TestAdaptiveRepeatsFullPlatoon(t *testing.T) {
 	p.HandleFrame(packet.NewHello(1, []packet.NodeID{2, 3}), mac.RxMeta{})
 	p.HandleFrame(packet.NewHello(2, []packet.NodeID{1, 3}), mac.RxMeta{})
 	p.HandleFrame(packet.NewHello(3, []packet.NodeID{1, 2}), mac.RxMeta{})
-	if got := p.CooperatorEstimate(); got != 2 {
+	if got := p.cooperatorEstimate(); got != 2 {
 		t.Fatalf("CooperatorEstimate = %v, want 2", got)
 	}
 	if got := p.Repeats(engine.Now()); got != 1 {
@@ -58,14 +58,12 @@ func TestAdaptiveRepeatsExpiry(t *testing.T) {
 	p := NewAdaptiveRepeats(engine, 3, time.Second)
 	p.HandleFrame(packet.NewHello(1, nil), mac.RxMeta{})
 	engine.Schedule(5*time.Second, func() {})
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	// The HELLO is stale now.
 	if got := p.Repeats(engine.Now()); got != 1 {
 		t.Fatalf("Repeats = %d, want 1 after expiry", got)
 	}
-	if got := p.CooperatorEstimate(); got != 0 {
+	if got := p.cooperatorEstimate(); got != 0 {
 		t.Fatalf("CooperatorEstimate = %v, want 0 after expiry", got)
 	}
 }
@@ -84,13 +82,10 @@ func TestAPUsesRepeatPolicy(t *testing.T) {
 	cfg := Config{
 		ID: 1, Flows: []packet.NodeID{7},
 		PacketsPerSecond: 5, PayloadBytes: 0, Repeats: 1,
-		RepeatPolicy: staticPolicy(2),
+		RepeatPolicy: staticPolicy(2), Stop: 2*time.Second - time.Millisecond,
 	}
-	engine, a, tr := buildAP(t, cfg)
-	engine.Schedule(2*time.Second-time.Millisecond, a.Stop)
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine, _, tr := buildAP(t, cfg)
+	engine.RunUntil(time.Hour)
 	seqs := tr.dataTx[7]
 	if len(seqs) != int(tr.sentCount(7))*2 {
 		t.Fatalf("policy repeats not applied: %d tx for %d packets", len(seqs), tr.sentCount(7))

@@ -77,7 +77,6 @@ type AP struct {
 	ctx     *sim.Engine
 	station *mac.Station
 	payload []byte
-	stopped bool
 }
 
 // New validates cfg and attaches the AP behaviour to the given station.
@@ -129,13 +128,7 @@ func flowTick(arg any) {
 	fl.ap.tick(fl)
 }
 
-// Stop halts packet generation (already queued frames still drain).
-func (a *AP) Stop() { a.stopped = true }
-
 func (a *AP) tick(fl *apFlow) {
-	if a.stopped {
-		return
-	}
 	flow := fl.flow
 	now := a.ctx.Now()
 	if a.cfg.Stop > a.cfg.Start && now >= a.cfg.Stop {

@@ -91,9 +91,7 @@ func TestRatePerFlow(t *testing.T) {
 		PacketsPerSecond: 5, PayloadBytes: 100, Repeats: 1,
 	}
 	engine, _, tr := buildAP(t, cfg)
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	for _, flow := range cfg.Flows {
 		n := len(tr.dataTx[flow])
 		// 5/s over 10 s: 50 +-1 for phase effects.
@@ -110,9 +108,7 @@ func TestRatePerFlow(t *testing.T) {
 func TestSequencesAreConsecutiveFromOne(t *testing.T) {
 	cfg := Config{ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 10, PayloadBytes: 50, Repeats: 1}
 	engine, _, tr := buildAP(t, cfg)
-	if err := engine.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(3 * time.Second)
 	seqs := tr.dataTx[7]
 	if len(seqs) == 0 {
 		t.Fatal("no packets sent")
@@ -127,9 +123,7 @@ func TestSequencesAreConsecutiveFromOne(t *testing.T) {
 func TestFirstSeqOverride(t *testing.T) {
 	cfg := Config{ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 10, PayloadBytes: 0, Repeats: 1, FirstSeq: 100}
 	engine, _, tr := buildAP(t, cfg)
-	if err := engine.RunUntil(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Second)
 	if seqs := tr.dataTx[7]; len(seqs) == 0 || seqs[0] != 100 {
 		t.Fatalf("first seq = %v, want 100", seqs)
 	}
@@ -144,9 +138,7 @@ func TestCycleEndingAtMaxUint32(t *testing.T) {
 		FirstSeq: first, CycleLength: 9, Stop: 1950 * time.Millisecond,
 	}
 	engine, _, tr := buildAP(t, cfg)
-	if err := engine.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(3 * time.Second)
 	seqs := tr.dataTx[7]
 	if len(seqs) != 20 {
 		t.Fatalf("sent %d packets, want 20", len(seqs))
@@ -165,9 +157,7 @@ func TestStartStopWindow(t *testing.T) {
 		Start: 2 * time.Second, Stop: 4 * time.Second,
 	}
 	engine, _, tr := buildAP(t, cfg)
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	n := len(tr.dataTx[7])
 	// 2 s window at 10/s.
 	if n < 19 || n > 21 {
@@ -176,12 +166,9 @@ func TestStartStopWindow(t *testing.T) {
 }
 
 func TestRepeats(t *testing.T) {
-	cfg := Config{ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 5, PayloadBytes: 0, Repeats: 3}
-	engine, a, tr := buildAP(t, cfg)
-	engine.Schedule(2*time.Second-time.Millisecond, a.Stop)
-	if err := engine.Run(); err != nil { // drain so queued repeats all air
-		t.Fatal(err)
-	}
+	cfg := Config{ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 5, PayloadBytes: 0, Repeats: 3, Stop: 2*time.Second - time.Millisecond}
+	engine, _, tr := buildAP(t, cfg)
+	engine.RunUntil(time.Hour)
 	seqs := tr.dataTx[7]
 	distinct := tr.sentCount(7)
 	if len(seqs) != int(distinct)*3 {
@@ -200,12 +187,9 @@ func TestRepeats(t *testing.T) {
 }
 
 func TestStopHaltsGeneration(t *testing.T) {
-	cfg := Config{ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 10, PayloadBytes: 0, Repeats: 1}
-	engine, a, tr := buildAP(t, cfg)
-	engine.Schedule(time.Second, a.Stop)
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{ID: 1, Flows: []packet.NodeID{7}, PacketsPerSecond: 10, PayloadBytes: 0, Repeats: 1, Stop: time.Second}
+	engine, _, tr := buildAP(t, cfg)
+	engine.RunUntil(time.Hour)
 	n := len(tr.dataTx[7])
 	if n < 9 || n > 11 {
 		t.Fatalf("sent %d packets before Stop, want ~10", n)
@@ -229,9 +213,7 @@ func TestFlowsAreStaggered(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.RunUntil(600 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(600 * time.Millisecond)
 	if len(order) < 9 {
 		t.Fatalf("only %d transmissions", len(order))
 	}

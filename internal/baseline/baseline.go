@@ -105,18 +105,6 @@ func NewEpidemicNode(id packet.NodeID, ctx *sim.Engine, port carq.Port, rng *ran
 // until AP silence, so Start is a no-op hook for interface symmetry.
 func (n *EpidemicNode) Start() {}
 
-// Stats returns a snapshot of the counters.
-func (n *EpidemicNode) Stats() EpidemicStats { return n.stats }
-
-// HaveCount returns the number of own-flow packets held.
-func (n *EpidemicNode) HaveCount() int { return len(n.own) }
-
-// Have reports whether the node holds its own-flow packet seq.
-func (n *EpidemicNode) Have(seq uint32) bool {
-	_, ok := n.own[seq]
-	return ok
-}
-
 // HandleFrame implements mac.Handler.
 func (n *EpidemicNode) HandleFrame(f *packet.Frame, meta mac.RxMeta) {
 	switch f.Type {

@@ -35,6 +35,12 @@ func newEpidemic(t *testing.T) (*sim.Engine, *EpidemicNode, *fakePort) {
 
 func rxd(n *EpidemicNode, f *packet.Frame) { n.HandleFrame(f, mac.RxMeta{}) }
 
+// has reports whether the node holds its own-flow packet seq.
+func (n *EpidemicNode) has(seq uint32) bool {
+	_, ok := n.own[seq]
+	return ok
+}
+
 func TestEpidemicValidation(t *testing.T) {
 	engine := sim.New()
 	port := &fakePort{}
@@ -55,13 +61,11 @@ func TestEpidemicBuffersEverything(t *testing.T) {
 		rxd(n, packet.NewData(apID, 3, 9, []byte("also theirs")))
 		rxd(n, packet.NewData(apID, 3, 9, []byte("dup")))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
+	engine.RunUntil(2 * time.Second)
+	if len(n.own) != 1 || !n.has(1) {
+		t.Fatalf("own store wrong: %d", len(n.own))
 	}
-	if n.HaveCount() != 1 || !n.Have(1) {
-		t.Fatalf("own store wrong: %d", n.HaveCount())
-	}
-	st := n.Stats()
+	st := n.stats
 	if st.DataDirect != 1 || st.Buffered != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -77,9 +81,7 @@ func TestEpidemicFloodsInDarkArea(t *testing.T) {
 		rxd(n, packet.NewData(apID, 2, 2, []byte("b")))
 	})
 	// Dark from ~6 s; run long enough for several push intervals.
-	if err := engine.RunUntil(8 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(8 * time.Second)
 	if len(port.sent) == 0 {
 		t.Fatal("no flooding in dark area")
 	}
@@ -92,7 +94,7 @@ func TestEpidemicFloodsInDarkArea(t *testing.T) {
 			t.Fatalf("unexpected flooded frame %v", f)
 		}
 	}
-	if n.Stats().Pushes != uint64(len(port.sent)) {
+	if n.stats.Pushes != uint64(len(port.sent)) {
 		t.Fatalf("push stats mismatch")
 	}
 }
@@ -106,13 +108,9 @@ func TestEpidemicStopsFloodingOnAPContact(t *testing.T) {
 	engine.Schedule(7*time.Second, func() {
 		rxd(n, packet.NewData(apID, 2, 5, []byte("z")))
 	})
-	if err := engine.RunUntil(7500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(7500 * time.Millisecond)
 	count := len(port.sent)
-	if err := engine.RunUntil(11 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(11 * time.Second)
 	if len(port.sent) != count {
 		t.Fatalf("kept flooding in coverage: %d -> %d", count, len(port.sent))
 	}
@@ -123,14 +121,12 @@ func TestEpidemicRecoversOwnFromRelay(t *testing.T) {
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewResponse(2, 1, 7, []byte("relayed")))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Have(7) {
+	engine.RunUntil(2 * time.Second)
+	if !n.has(7) {
 		t.Fatal("relayed own packet not absorbed")
 	}
-	if n.Stats().Recovered != 1 {
-		t.Fatalf("Recovered = %d", n.Stats().Recovered)
+	if n.stats.Recovered != 1 {
+		t.Fatalf("Recovered = %d", n.stats.Recovered)
 	}
 }
 
@@ -142,9 +138,7 @@ func TestEpidemicRelaysForeignRelays(t *testing.T) {
 		rxd(n, packet.NewData(apID, 9, 1, []byte("keepalive"))) // AP contact
 		rxd(n, packet.NewResponse(2, 3, 4, []byte("relay")))
 	})
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	found := false
 	for _, f := range port.sent {
 		if f.Flow == 3 && f.Seq == 4 {
@@ -162,10 +156,8 @@ func TestEpidemicIgnoresOwnTransmissions(t *testing.T) {
 		// A frame we sent ourselves, heard through some path: ignore.
 		rxd(n, packet.NewResponse(1, 2, 3, []byte("self")))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n.Stats().Buffered != 0 {
+	engine.RunUntil(2 * time.Second)
+	if n.stats.Buffered != 0 {
 		t.Fatal("absorbed own transmission")
 	}
 }
@@ -181,9 +173,7 @@ func TestEpidemicObserverRecovery(t *testing.T) {
 	engine.Schedule(time.Second, func() {
 		rxd(n, packet.NewResponse(2, 1, 42, nil))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if len(recovered) != 1 || recovered[0] != 42 {
 		t.Fatalf("observer recoveries = %v", recovered)
 	}

@@ -21,10 +21,8 @@ func TestCombiningDisabledIgnoresCorruptFrames(t *testing.T) {
 			rxCorrupt(n, packet.NewData(apID, 1, 7, []byte("x")), 30)
 		}
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n.Have(7) {
+	engine.RunUntil(2 * time.Second)
+	if n.holds(7) {
 		t.Fatal("combining-disabled node decoded corrupted frames")
 	}
 	if n.Stats().CorruptCopies != 0 {
@@ -40,15 +38,13 @@ func TestCombiningTwoStrongCopiesDecode(t *testing.T) {
 		// DSSS processing gain the combined PER is effectively zero, so
 		// the second copy must decode deterministically.
 		rxCorrupt(n, packet.NewData(apID, 1, 7, []byte("x")), 10)
-		if n.Have(7) {
+		if n.holds(7) {
 			t.Error("single corrupted copy decoded")
 		}
 		rxCorrupt(n, packet.NewData(apID, 1, 7, []byte("x")), 10)
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Have(7) {
+	engine.RunUntil(2 * time.Second)
+	if !n.holds(7) {
 		t.Fatal("two strong copies did not combine")
 	}
 	st := n.Stats()
@@ -73,10 +69,8 @@ func TestCombiningHopelessCopiesDoNotDecode(t *testing.T) {
 			rxCorrupt(n, packet.NewData(apID, 1, 7, make([]byte, 1000)), -30)
 		}
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n.Have(7) {
+	engine.RunUntil(2 * time.Second)
+	if n.holds(7) {
 		t.Fatal("deeply corrupted copies decoded")
 	}
 	if got := n.Stats().CorruptCopies; got != 5 {
@@ -91,9 +85,7 @@ func TestCombiningIgnoresForeignFlows(t *testing.T) {
 		rxCorrupt(n, packet.NewData(apID, 2, 7, nil), 20)
 		rxCorrupt(n, packet.NewData(apID, 2, 7, nil), 20)
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if n.Stats().CorruptCopies != 0 {
 		t.Fatal("soft-buffered a foreign flow")
 	}
@@ -106,13 +98,11 @@ func TestCombiningIgnoresControlFrames(t *testing.T) {
 		rxCorrupt(n, packet.NewHello(2, []packet.NodeID{1}), 20)
 		rxCorrupt(n, packet.NewRequest(2, []uint32{1}), 20)
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if n.Stats().CorruptCopies != 0 {
 		t.Fatal("soft-buffered control frames")
 	}
-	if len(n.Cooperators()) != 0 {
+	if len(n.cooperators()) != 0 {
 		t.Fatal("corrupted HELLO updated cooperator state")
 	}
 }
@@ -124,13 +114,11 @@ func TestCombiningSkipsAlreadyHeldPackets(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 7, []byte("clean")))
 		rxCorrupt(n, packet.NewData(apID, 1, 7, []byte("soft")), 20)
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if got := n.Stats().CorruptCopies; got != 0 {
 		t.Fatalf("buffered a copy of a held packet: %d", got)
 	}
-	if p, _ := n.Payload(7); string(p) != "clean" {
+	if p, _ := n.payload(7); string(p) != "clean" {
 		t.Fatalf("payload overwritten: %q", p)
 	}
 }
@@ -144,10 +132,8 @@ func TestCombiningResponseCopiesCount(t *testing.T) {
 		rxCorrupt(n, packet.NewResponse(2, 1, 9, []byte("r")), 10)
 		rxCorrupt(n, packet.NewResponse(3, 1, 9, []byte("r")), 10)
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Have(9) {
+	engine.RunUntil(2 * time.Second)
+	if !n.holds(9) {
 		t.Fatal("response copies did not combine")
 	}
 	// A combined RESPONSE must not extend the direct AP range.

@@ -87,7 +87,7 @@ func TestMissingMatchesMapScan(t *testing.T) {
 						trial, words, lo, ownMax, bound)
 				}
 			}
-			if got := n.Missing(); !slices.Equal(got, want) {
+			if got := n.missing(); !slices.Equal(got, want) {
 				t.Fatalf("trial %d step %d (base %d, known %d): Missing = %v, want %v",
 					trial, step, base, known, got, want)
 			}
@@ -108,7 +108,7 @@ func TestMissingWindowEndsAtMaxUint32(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, seq, nil))
 	}
 	want := []uint32{first, first + 1, first + 3, first + 4, first + 6, first + 7}
-	if got := n.Missing(); !slices.Equal(got, want) {
+	if got := n.missing(); !slices.Equal(got, want) {
 		t.Fatalf("Missing = %v, want %v", got, want)
 	}
 	if got := n.MissingCount(); got != len(want) {

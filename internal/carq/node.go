@@ -185,27 +185,11 @@ func (n *Node) Start() {
 	n.scheduleHello(n.jitter(helloInterval / 2))
 }
 
-// ID returns the node's address.
-func (n *Node) ID() packet.NodeID { return n.cfg.ID }
-
 // Phase returns the current protocol phase.
 func (n *Node) Phase() Phase { return n.phase }
 
 // Stats returns a snapshot of the protocol counters.
 func (n *Node) Stats() Stats { return n.stats }
-
-// Have reports whether the node holds its own-flow packet seq (received
-// directly or recovered).
-func (n *Node) Have(seq uint32) bool {
-	_, ok := n.have[seq]
-	return ok
-}
-
-// Payload returns the stored payload for an own-flow packet.
-func (n *Node) Payload(seq uint32) ([]byte, bool) {
-	p, ok := n.have[seq]
-	return p, ok
-}
 
 // HaveCount returns the number of distinct own-flow packets held.
 func (n *Node) HaveCount() int { return len(n.have) }
@@ -218,12 +202,6 @@ func (n *Node) recoveryLo() uint32 {
 		return n.cfg.KnownFirstSeq
 	}
 	return n.ownMin
-}
-
-// Missing returns the node's current missing list: every sequence in the
-// recovery range it does not hold, ascending.
-func (n *Node) Missing() []uint32 {
-	return n.missingInto(nil)
 }
 
 // missingInto appends the missing list to out (which callers on the hot
@@ -242,7 +220,7 @@ func (n *Node) missingInto(out []uint32) []uint32 {
 	return out
 }
 
-// MissingCount returns len(Missing()) without allocating.
+// MissingCount returns the length of the missing list without allocating.
 func (n *Node) MissingCount() int {
 	if !n.ownSeen {
 		return 0
@@ -331,11 +309,6 @@ func (n *Node) fillHeld(from, to int) {
 			n.markHeld(uint32(u))
 		}
 	}
-}
-
-// Cooperators returns the node's current ordered cooperator list.
-func (n *Node) Cooperators() []packet.NodeID {
-	return append([]packet.NodeID(nil), n.myCoops...)
 }
 
 // HandleFrame implements mac.Handler: the node's single entry point for

@@ -79,6 +79,28 @@ func (n *Node) ownRange() (first, last uint32, ok bool) {
 // member's flow.
 func (n *Node) bufferedFor(flow packet.NodeID) int { return len(n.forOthers[flow]) }
 
+// holds reports whether the node holds its own-flow packet seq (received
+// directly or recovered).
+func (n *Node) holds(seq uint32) bool {
+	_, ok := n.have[seq]
+	return ok
+}
+
+// payload returns the stored payload for an own-flow packet.
+func (n *Node) payload(seq uint32) ([]byte, bool) {
+	p, ok := n.have[seq]
+	return p, ok
+}
+
+// missing returns the node's current missing list: every sequence in the
+// recovery range it does not hold, ascending.
+func (n *Node) missing() []uint32 { return n.missingInto(nil) }
+
+// cooperators returns a copy of the node's ordered cooperator list.
+func (n *Node) cooperators() []packet.NodeID {
+	return append([]packet.NodeID(nil), n.myCoops...)
+}
+
 const apID packet.NodeID = 100
 
 func TestNewNodeValidation(t *testing.T) {
@@ -110,9 +132,7 @@ func TestNewNodeValidation(t *testing.T) {
 func TestHelloBeaconing(t *testing.T) {
 	engine, n, port, _ := newTestNode(t, nil)
 	n.Start()
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	hellos := port.byType(packet.TypeHello)
 	// ~1/s with jitter: expect 9-11 beacons in 10 s.
 	if len(hellos) < 8 || len(hellos) > 12 {
@@ -129,15 +149,13 @@ func TestHelloCarriesCooperatorsInDiscoveryOrder(t *testing.T) {
 	// Hear node 3 first, then node 2.
 	engine.Schedule(100*time.Millisecond, func() { rx(n, packet.NewHello(3, nil)) })
 	engine.Schedule(200*time.Millisecond, func() { rx(n, packet.NewHello(2, nil)) })
-	if err := engine.RunUntil(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(3 * time.Second)
 	hellos := port.byType(packet.TypeHello)
 	last := hellos[len(hellos)-1]
 	if len(last.List) != 2 || last.List[0] != 3 || last.List[1] != 2 {
 		t.Fatalf("cooperator list = %v, want [3 2] (discovery order)", last.List)
 	}
-	coops := n.Cooperators()
+	coops := n.cooperators()
 	if len(coops) != 2 || coops[0] != 3 || coops[1] != 2 {
 		t.Fatalf("Cooperators() = %v", coops)
 	}
@@ -148,10 +166,8 @@ func TestCandidateExpiry(t *testing.T) {
 	n.Start()
 	engine.Schedule(100*time.Millisecond, func() { rx(n, packet.NewHello(2, nil)) })
 	// Node 2 goes silent; after the candidate TTL (3 s) it must drop out.
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Cooperators(); len(got) != 0 {
+	engine.RunUntil(10 * time.Second)
+	if got := n.cooperators(); len(got) != 0 {
 		t.Fatalf("stale cooperator kept: %v", got)
 	}
 }
@@ -165,17 +181,15 @@ func TestOwnFlowReceptionAndRange(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 3, []byte("three")))
 		rx(n, packet.NewData(apID, 1, 5, []byte("dup")))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	first, last, ok := n.ownRange()
 	if !ok || first != 3 || last != 8 {
 		t.Fatalf("ownRange = %d..%d ok=%v, want 3..8", first, last, ok)
 	}
-	if !n.Have(5) || !n.Have(8) || !n.Have(3) || n.Have(4) {
+	if !n.holds(5) || !n.holds(8) || !n.holds(3) || n.holds(4) {
 		t.Fatal("Have() wrong")
 	}
-	if p, ok := n.Payload(5); !ok || string(p) != "five" {
+	if p, ok := n.payload(5); !ok || string(p) != "five" {
 		t.Fatalf("Payload(5) = %q, %v (duplicate overwrote?)", p, ok)
 	}
 	st := n.Stats()
@@ -185,7 +199,7 @@ func TestOwnFlowReceptionAndRange(t *testing.T) {
 	// Default config knows the block starts at seq 1, so the missing
 	// list reaches back before the first direct reception.
 	want := []uint32{1, 2, 4, 6, 7}
-	got := n.Missing()
+	got := n.missing()
 	if len(got) != len(want) {
 		t.Fatalf("Missing = %v, want %v", got, want)
 	}
@@ -208,10 +222,8 @@ func TestMissingStrictFirstReceived(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 3, nil))
 		rx(n, packet.NewData(apID, 1, 5, nil))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	got := n.Missing()
+	engine.RunUntil(2 * time.Second)
+	got := n.missing()
 	if len(got) != 1 || got[0] != 4 {
 		t.Fatalf("strict Missing = %v, want [4]", got)
 	}
@@ -228,9 +240,7 @@ func TestBufferingOnlyWhenRecruited(t *testing.T) {
 		// Now DATA for node 2 is buffered.
 		rx(n, packet.NewData(apID, 2, 2, []byte("b")))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if got := n.bufferedFor(2); got != 1 {
 		t.Fatalf("bufferedFor(2) = %d, want 1", got)
 	}
@@ -245,9 +255,7 @@ func TestBufferForAllAblation(t *testing.T) {
 	engine.Schedule(time.Second, func() {
 		rx(n, packet.NewData(apID, 2, 1, []byte("a"))) // no recruitment needed
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if got := n.bufferedFor(2); got != 1 {
 		t.Fatalf("bufferedFor(2) = %d, want 1", got)
 	}
@@ -262,23 +270,17 @@ func TestPhaseTransitions(t *testing.T) {
 	engine.Schedule(time.Second, func() { rx(n, packet.NewData(apID, 1, 1, nil)) })
 	// Keep coverage alive at 2 s, then silence: coop at ~2s + 5s.
 	engine.Schedule(2*time.Second, func() { rx(n, packet.NewData(apID, 1, 2, nil)) })
-	if err := engine.RunUntil(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(6 * time.Second)
 	if n.Phase() != PhaseReception {
 		t.Fatalf("phase at 6 s = %v, want reception (timeout restarts)", n.Phase())
 	}
-	if err := engine.RunUntil(8 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(8 * time.Second)
 	if n.Phase() != PhaseCoopARQ {
 		t.Fatalf("phase at 8 s = %v, want coop-arq", n.Phase())
 	}
 	// Back to reception on new AP contact.
 	engine.Schedule(0, func() { rx(n, packet.NewData(apID, 1, 3, nil)) })
-	if err := engine.RunUntil(9 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(9 * time.Second)
 	if n.Phase() != PhaseReception {
 		t.Fatalf("phase after re-contact = %v", n.Phase())
 	}
@@ -300,9 +302,7 @@ func TestRequestCycleSingleMode(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewData(apID, 1, 5, nil)) // missing 2,3,4
 	})
-	if err := engine.RunUntil(8 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(8 * time.Second)
 	reqs := port.byType(packet.TypeRequest)
 	if len(reqs) < 6 {
 		t.Fatalf("only %d REQUESTs in ~2 s of coop, want several cycles", len(reqs))
@@ -329,9 +329,7 @@ func TestRequestCycleBatchedMode(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewData(apID, 1, 5, nil)) // missing 2,3,4
 	})
-	if err := engine.RunUntil(7 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(7 * time.Second)
 	reqs := port.byType(packet.TypeRequest)
 	if len(reqs) < 2 {
 		t.Fatalf("only %d batched REQUESTs", len(reqs))
@@ -351,9 +349,7 @@ func TestNoRequestsWhenNothingMissing(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewData(apID, 1, 2, nil))
 	})
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	if got := port.byType(packet.TypeRequest); len(got) != 0 {
 		t.Fatalf("complete node sent %d REQUESTs", len(got))
 	}
@@ -373,10 +369,8 @@ func TestRecoveryStopsRequesting(t *testing.T) {
 	engine.Schedule(7*time.Second, func() {
 		rx(n, packet.NewResponse(2, 1, 2, []byte("rec")))
 	})
-	if err := engine.RunUntil(12 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !n.Have(2) {
+	engine.RunUntil(12 * time.Second)
+	if !n.holds(2) {
 		t.Fatal("packet 2 not recovered")
 	}
 	if n.Stats().Recovered != 1 {
@@ -396,9 +390,7 @@ func TestRecoveryStopsRequesting(t *testing.T) {
 		}
 	}
 	n2 := len(reqs)
-	if err := engine.RunUntil(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(20 * time.Second)
 	if len(port.byType(packet.TypeRequest)) != n2 {
 		t.Fatal("node kept requesting after full recovery")
 	}
@@ -411,9 +403,7 @@ func TestDuplicateResponseCounted(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewResponse(2, 1, 1, nil)) // already held
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if st := n.Stats(); st.RecoveredDuplicate != 1 || st.Recovered != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -433,9 +423,7 @@ func TestCooperatorRespondsWithOrderBackoff(t *testing.T) {
 		rx(n, packet.NewRequest(2, []uint32{42}))
 	})
 	var respAt time.Duration = -1
-	if err := engine.RunUntil(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(5 * time.Second)
 	resps := port.byType(packet.TypeResponse)
 	if len(resps) != 1 {
 		t.Fatalf("sent %d responses, want 1", len(resps))
@@ -466,9 +454,7 @@ func TestResponseDelayMatchesOrder(t *testing.T) {
 	var before, after int
 	engine.Schedule(reqTime+29*time.Millisecond, func() { before = len(port.byType(packet.TypeResponse)) })
 	engine.Schedule(reqTime+31*time.Millisecond, func() { after = len(port.byType(packet.TypeResponse)) })
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if before != 0 || after != 1 {
 		t.Fatalf("response timing wrong: before=%d after=%d", before, after)
 	}
@@ -487,9 +473,7 @@ func TestResponseSuppressionOnOverhear(t *testing.T) {
 	engine.Schedule(time.Second+5*time.Millisecond, func() {
 		rx(n, packet.NewResponse(9, 2, 7, nil))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if got := port.byType(packet.TypeResponse); len(got) != 0 {
 		t.Fatalf("suppressed response was sent: %v", got)
 	}
@@ -507,9 +491,7 @@ func TestNoResponseWithoutRecruitment(t *testing.T) {
 		rx(n, packet.NewData(apID, 2, 7, nil)) // not buffered either
 		rx(n, packet.NewRequest(2, []uint32{7}))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if got := port.byType(packet.TypeResponse); len(got) != 0 {
 		t.Fatalf("un-recruited node responded: %v", got)
 	}
@@ -522,9 +504,7 @@ func TestRequestForUnbufferedPacketIgnored(t *testing.T) {
 		rx(n, packet.NewHello(2, []packet.NodeID{1}))
 		rx(n, packet.NewRequest(2, []uint32{99})) // never overheard
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	if got := port.byType(packet.TypeResponse); len(got) != 0 {
 		t.Fatalf("responded without holding the packet: %v", got)
 	}
@@ -539,9 +519,7 @@ func TestBatchedRequestServedSequentially(t *testing.T) {
 		rx(n, packet.NewData(apID, 2, 3, nil))
 		rx(n, packet.NewRequest(2, []uint32{1, 2, 3}))
 	})
-	if err := engine.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(2 * time.Second)
 	resps := port.byType(packet.TypeResponse)
 	if len(resps) != 2 {
 		t.Fatalf("sent %d responses, want 2 (held packets only)", len(resps))
@@ -561,9 +539,7 @@ func TestNoCoopBaseline(t *testing.T) {
 		rx(n, packet.NewData(apID, 2, 3, nil))
 		rx(n, packet.NewRequest(2, []uint32{3}))
 	})
-	if err := engine.RunUntil(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(15 * time.Second)
 	if len(port.sent) != 0 {
 		t.Fatalf("no-coop node transmitted: %v", port.sent)
 	}
@@ -590,9 +566,7 @@ func TestPortErrorsDoNotPanic(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewData(apID, 1, 3, nil))
 	})
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	if n.Stats().HellosSent != 0 || n.Stats().RequestsSent != 0 {
 		t.Fatalf("stats counted failed sends: %+v", n.Stats())
 	}
@@ -607,17 +581,13 @@ func TestReEnteringCoverageStopsRequests(t *testing.T) {
 	})
 	// Coop starts at ~6 s. New AP contact at 8 s.
 	engine.Schedule(8*time.Second, func() { rx(n, packet.NewData(apID, 1, 10, nil)) })
-	if err := engine.RunUntil(8500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(8500 * time.Millisecond)
 	countAt8 := len(port.byType(packet.TypeRequest))
 	if countAt8 == 0 {
 		t.Fatal("no requests before re-contact")
 	}
 	// Requests must not continue while in coverage (next 4 s < timeout).
-	if err := engine.RunUntil(12 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(12 * time.Second)
 	if got := len(port.byType(packet.TypeRequest)); got != countAt8 {
 		t.Fatalf("requests continued in coverage: %d -> %d", countAt8, got)
 	}

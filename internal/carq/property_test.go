@@ -14,9 +14,9 @@ import (
 // sequences and checks structural invariants that must hold whatever
 // arrives:
 //
-//   - Missing() never contains a held sequence, is sorted, and falls
+//   - missing() never contains a held sequence, is sorted, and falls
 //     inside [recovery-lo, ownMax].
-//   - Cooperators() never contains duplicates or the node itself.
+//   - cooperators() never contains duplicates or the node itself.
 //   - The node never transmits a REQUEST for a packet it holds.
 //   - Stats counters are consistent (DataDirect == held packets obtained
 //     directly, Recovered <= total held).
@@ -62,14 +62,12 @@ func TestNodeInvariantsUnderRandomTraffic(t *testing.T) {
 				}
 			})
 		}
-		if err := engine.RunUntil(30 * time.Second); err != nil {
-			return false
-		}
+		engine.RunUntil(30 * time.Second)
 
 		// Invariant: missing list well-formed and disjoint from held.
-		missing := n.Missing()
+		missing := n.missing()
 		for i, s := range missing {
-			if n.Have(s) {
+			if n.holds(s) {
 				t.Logf("missing contains held seq %d", s)
 				return false
 			}
@@ -93,9 +91,9 @@ func TestNodeInvariantsUnderRandomTraffic(t *testing.T) {
 
 		// Invariant: cooperator list has no duplicates and never self.
 		seen := map[packet.NodeID]bool{}
-		for _, id := range n.Cooperators() {
-			if id == n.ID() || seen[id] {
-				t.Logf("bad cooperator list: %v", n.Cooperators())
+		for _, id := range n.cooperators() {
+			if id == n.cfg.ID || seen[id] {
+				t.Logf("bad cooperator list: %v", n.cooperators())
 				return false
 			}
 			seen[id] = true
@@ -151,9 +149,7 @@ func TestRequestNeverTargetsHeldPacket(t *testing.T) {
 	engine.Schedule(8*time.Second, func() {
 		n.HandleFrame(packet.NewResponse(2, 1, 4, nil), mac.RxMeta{})
 	})
-	if err := engine.RunUntil(15 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(15 * time.Second)
 	if port.requests == 0 {
 		t.Fatal("no requests observed")
 	}
@@ -169,7 +165,7 @@ func (p *checkingPort) Send(f *packet.Frame) error {
 	if f.Type == packet.TypeRequest {
 		p.requests++
 		for _, s := range f.Seqs {
-			if p.node.Have(s) {
+			if p.node.holds(s) {
 				p.t.Errorf("REQUEST for held seq %d", s)
 			}
 		}

@@ -11,9 +11,7 @@ import (
 func TestHelloJitterBounds(t *testing.T) {
 	engine, n, port, _ := newTestNode(t, nil)
 	n.Start()
-	if err := engine.RunUntil(60 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(60 * time.Second)
 	hellos := port.byType(packet.TypeHello)
 	if len(hellos) < 50 {
 		t.Fatalf("only %d hellos in 60 s", len(hellos))
@@ -45,9 +43,7 @@ func TestResponseWindowScalesWithCooperators(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewData(apID, 1, 4, nil)) // missing 2,3
 	})
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(10 * time.Second)
 	reqs := port.byType(packet.TypeRequest)
 	if len(reqs) < 4 {
 		t.Fatalf("too few requests: %d", len(reqs))
@@ -78,9 +74,7 @@ func TestServeOrderExpiry(t *testing.T) {
 		rx(n, packet.NewHello(3, nil)) // prompts refreshCooperators
 		rx(n, packet.NewRequest(2, []uint32{7}))
 	})
-	if err := engine.RunUntil(12 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(12 * time.Second)
 	if got := port.byType(packet.TypeResponse); len(got) != 0 {
 		t.Fatalf("responded for an expired recruitment: %v", got)
 	}
@@ -100,9 +94,7 @@ func TestReRecruitmentAfterExpiry(t *testing.T) {
 		rx(n, packet.NewHello(2, []packet.NodeID{1})) // re-recruit
 		rx(n, packet.NewRequest(2, []uint32{7}))
 	})
-	if err := engine.RunUntil(12 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(12 * time.Second)
 	if got := port.byType(packet.TypeResponse); len(got) != 1 {
 		t.Fatalf("re-recruited node sent %d responses, want 1", len(got))
 	}
@@ -120,9 +112,7 @@ func TestBatchRequestCursorAdvances(t *testing.T) {
 		rx(n, packet.NewData(apID, 1, 1, nil))
 		rx(n, packet.NewData(apID, 1, 9, nil)) // missing 2..8 (7 seqs)
 	})
-	if err := engine.RunUntil(8 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(8 * time.Second)
 	reqs := port.byType(packet.TypeRequest)
 	if len(reqs) < 3 {
 		t.Fatalf("requests = %d", len(reqs))

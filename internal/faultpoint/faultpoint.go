@@ -32,28 +32,20 @@ import (
 	"time"
 )
 
-// enabled is the global injection switch. Off by default: every Fire and
-// ShortWrite consults it first and returns immediately, so instrumented
-// paths stay branch-predictable when no faults are armed.
+// enabled is the global injection switch. Off by default: every FireKey
+// and ShortWrite consults it first and returns immediately, so
+// instrumented paths stay branch-predictable when no faults are armed.
 var enabled atomic.Bool
-
-// Enabled reports whether fault injection is globally on.
-func Enabled() bool { return enabled.Load() }
-
-// SetEnabled flips global fault injection. Arming specs through
-// ArmSpecs enables it implicitly; tests that Arm points directly flip
-// it themselves (and disable it again on cleanup).
-func SetEnabled(on bool) { enabled.Store(on) }
 
 // Action is what an armed point does when it fires.
 type Action uint8
 
 const (
-	// ActError makes Fire return an injected error.
+	// ActError makes FireKey return an injected error.
 	ActError Action = iota + 1
-	// ActPanic makes Fire panic with a recognisable message.
+	// ActPanic makes FireKey panic with a recognisable message.
 	ActPanic
-	// ActSleep makes Fire block for the armed delay, then return nil —
+	// ActSleep makes FireKey block for the armed delay, then return nil —
 	// the hook that parks a work unit so an external SIGKILL lands at a
 	// known place in a sweep.
 	ActSleep
@@ -118,7 +110,7 @@ func (s Spec) validate() error {
 }
 
 // Point is one named fail site. Resolve handles once with New and keep
-// them in package-level vars; Fire/ShortWrite are the hot-path calls.
+// them in package-level vars; FireKey/ShortWrite are the hot-path calls.
 type Point struct {
 	name string
 
@@ -131,10 +123,9 @@ type Point struct {
 // Name returns the point's registered name.
 func (p *Point) Name() string { return p.name }
 
-// Arm installs spec on the point, resetting its hit and fire counters.
-// The global switch is left alone: call SetEnabled (or use ArmSpecs,
-// which enables it) to make armed points live.
-func (p *Point) Arm(spec Spec) error {
+// arm installs spec on the point, resetting its hit and fire counters.
+// The global switch is left alone.
+func (p *Point) arm(spec Spec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
@@ -145,33 +136,22 @@ func (p *Point) Arm(spec Spec) error {
 	return nil
 }
 
-// MustArm is Arm for tests and var blocks; it panics on an invalid spec.
+// MustArm arms the point for a test and switches injection on, as
+// ArmSpecs does for the CLI; it panics on an invalid spec. Tests in
+// other packages arm their faults with it and clean up with DisarmAll.
 func (p *Point) MustArm(spec Spec) {
-	if err := p.Arm(spec); err != nil {
+	if err := p.arm(spec); err != nil {
 		panic(err)
 	}
+	enabled.Store(true)
 }
 
-// Disarm removes the point's spec. Counters keep their values for
-// inspection until the next Arm.
-func (p *Point) Disarm() {
+// disarm removes the point's spec. Counters keep their values for
+// inspection until the next arming.
+func (p *Point) disarm() {
 	p.mu.Lock()
 	p.spec = nil
 	p.mu.Unlock()
-}
-
-// Hits returns the matching calls counted since the last arming.
-func (p *Point) Hits() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits
-}
-
-// Fired returns how many calls actually fired since the last arming.
-func (p *Point) Fired() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fired
 }
 
 // take decides whether the current call (presenting key) fires, consuming
@@ -197,14 +177,11 @@ func (p *Point) take(key string) (Spec, bool) {
 	return *s, true
 }
 
-// Fire is the generic injection site: it returns an injected error,
+// FireKey is the generic injection site: it returns an injected error,
 // panics, or sleeps, per the armed spec, and returns nil when disarmed
-// or not selected. Short-write arms do not fire here — they belong to
-// ShortWrite sites. Equivalent to FireKey("").
-func (p *Point) Fire() error { return p.FireKey("") }
-
-// FireKey is Fire with a call-site key (a unit label, a store key) that
-// key-armed specs match exactly. The disarmed cost is one atomic load.
+// or not selected. key (a unit label, a store key) is what key-armed
+// specs match exactly. Short-write arms do not fire here — they belong
+// to ShortWrite sites. The disarmed cost is one atomic load.
 func (p *Point) FireKey(key string) error {
 	if !enabled.Load() {
 		return nil
@@ -266,26 +243,6 @@ func New(name string) *Point {
 	return p
 }
 
-// Lookup returns the point called name, if it has been resolved.
-func Lookup(name string) (*Point, bool) {
-	registry.Lock()
-	defer registry.Unlock()
-	p, ok := registry.points[name]
-	return p, ok
-}
-
-// Names returns every resolved point name, sorted.
-func Names() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	names := make([]string, 0, len(registry.points))
-	for name := range registry.points {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // DisarmAll disarms every resolved point and switches injection off —
 // the test-cleanup hammer.
 func DisarmAll() {
@@ -296,9 +253,9 @@ func DisarmAll() {
 	}
 	registry.Unlock()
 	for _, p := range points {
-		p.Disarm()
+		p.disarm()
 	}
-	SetEnabled(false)
+	enabled.Store(false)
 }
 
 // Armed returns the names of currently armed points, sorted — for the
@@ -324,11 +281,11 @@ func Armed() []string {
 	return names
 }
 
-// SeededHit derives a 1-based hit index in [1, n] from a root seed — the
+// seededHit derives a 1-based hit index in [1, n] from a root seed — the
 // seed-derived schedule: the same seed always shakes the same call, and
 // sweeping seeds sweeps the fault across the run. splitmix64 finalizer,
 // so adjacent seeds land on unrelated hits.
-func SeededHit(seed int64, n uint64) uint64 {
+func seededHit(seed int64, n uint64) uint64 {
 	if n == 0 {
 		return 1
 	}
@@ -339,7 +296,7 @@ func SeededHit(seed int64, n uint64) uint64 {
 	return 1 + z%n
 }
 
-// ParseSpec parses one arming in the CLI grammar:
+// parseSpec parses one arming in the CLI grammar:
 //
 //	name=action[:arg][@selector]...
 //
@@ -347,7 +304,7 @@ func SeededHit(seed int64, n uint64) uint64 {
 // Selectors: @hit=<n> (fire the n-th call), @key=<k> (fire calls
 // presenting key k), @seed=<seed>:<n> (fire the seed-derived hit within
 // the first n calls), @count=<n> (cap total fires).
-func ParseSpec(s string) (name string, spec Spec, err error) {
+func parseSpec(s string) (name string, spec Spec, err error) {
 	parts := strings.Split(s, "@")
 	head := parts[0]
 	eq := strings.IndexByte(head, '=')
@@ -409,7 +366,7 @@ func ParseSpec(s string) (name string, spec Spec, err error) {
 			if serr != nil || nerr != nil || n == 0 {
 				return "", Spec{}, fmt.Errorf("faultpoint: spec %q: seed %q: want <int>:<positive int>", s, v)
 			}
-			spec.Hit = SeededHit(seed, n)
+			spec.Hit = seededHit(seed, n)
 		case "count":
 			n, nerr := strconv.ParseUint(v, 10, 64)
 			if nerr != nil || n == 0 {
@@ -444,19 +401,19 @@ func ArmSpecs(list string) error {
 		if one == "" {
 			continue
 		}
-		name, spec, err := ParseSpec(one)
+		name, spec, err := parseSpec(one)
 		if err != nil {
 			return err
 		}
 		armings = append(armings, arming{name, spec})
 	}
 	for _, a := range armings {
-		if err := New(a.name).Arm(a.spec); err != nil {
+		if err := New(a.name).arm(a.spec); err != nil {
 			return err
 		}
 	}
 	if len(armings) > 0 {
-		SetEnabled(true)
+		enabled.Store(true)
 	}
 	return nil
 }

@@ -13,10 +13,32 @@ func disarm(t *testing.T) {
 	t.Cleanup(DisarmAll)
 }
 
+// lookup returns the point called name, if it has been resolved.
+func lookup(name string) (*Point, bool) {
+	registry.Lock()
+	defer registry.Unlock()
+	p, ok := registry.points[name]
+	return p, ok
+}
+
+// hitCount returns the matching calls counted since the last arming.
+func (p *Point) hitCount() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits
+}
+
+// firedCount returns how many calls actually fired since the last arming.
+func (p *Point) firedCount() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.fired
+}
+
 func TestDisarmedFiresNothing(t *testing.T) {
 	disarm(t)
 	p := New("test.disarmed")
-	if err := p.Fire(); err != nil {
+	if err := p.FireKey(""); err != nil {
 		t.Fatalf("disarmed Fire: %v", err)
 	}
 	if n, ok := p.ShortWrite("k"); ok {
@@ -24,11 +46,12 @@ func TestDisarmedFiresNothing(t *testing.T) {
 	}
 	// Armed but globally disabled: still silent.
 	p.MustArm(Spec{Action: ActError})
-	if err := p.Fire(); err != nil {
+	enabled.Store(false)
+	if err := p.FireKey(""); err != nil {
 		t.Fatalf("globally disabled Fire: %v", err)
 	}
-	if p.Hits() != 0 {
-		t.Fatalf("disabled point counted %d hits", p.Hits())
+	if p.hitCount() != 0 {
+		t.Fatalf("disabled point counted %d hits", p.hitCount())
 	}
 }
 
@@ -36,16 +59,15 @@ func TestErrorInjection(t *testing.T) {
 	disarm(t)
 	p := New("test.error")
 	p.MustArm(Spec{Action: ActError, Msg: "boom"})
-	SetEnabled(true)
-	err := p.Fire()
+	err := p.FireKey("")
 	if err == nil || !strings.Contains(err.Error(), "faultpoint test.error: boom") {
 		t.Fatalf("Fire = %v, want injected boom", err)
 	}
-	if p.Fired() != 1 {
-		t.Fatalf("Fired = %d, want 1", p.Fired())
+	if p.firedCount() != 1 {
+		t.Fatalf("Fired = %d, want 1", p.firedCount())
 	}
-	p.Disarm()
-	if err := p.Fire(); err != nil {
+	p.disarm()
+	if err := p.FireKey(""); err != nil {
 		t.Fatalf("after Disarm: %v", err)
 	}
 }
@@ -54,7 +76,6 @@ func TestPanicInjection(t *testing.T) {
 	disarm(t)
 	p := New("test.panic")
 	p.MustArm(Spec{Action: ActPanic})
-	SetEnabled(true)
 	defer func() {
 		v := recover()
 		s, ok := v.(string)
@@ -62,7 +83,7 @@ func TestPanicInjection(t *testing.T) {
 			t.Fatalf("recover = %v, want injected panic", v)
 		}
 	}()
-	p.Fire()
+	p.FireKey("")
 	t.Fatal("Fire did not panic")
 }
 
@@ -70,9 +91,8 @@ func TestSleepInjection(t *testing.T) {
 	disarm(t)
 	p := New("test.sleep")
 	p.MustArm(Spec{Action: ActSleep, Delay: 20 * time.Millisecond})
-	SetEnabled(true)
 	start := time.Now()
-	if err := p.Fire(); err != nil {
+	if err := p.FireKey(""); err != nil {
 		t.Fatalf("Fire: %v", err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
@@ -84,13 +104,12 @@ func TestShortWriteInjection(t *testing.T) {
 	disarm(t)
 	p := New("test.short")
 	p.MustArm(Spec{Action: ActShortWrite, Bytes: 7})
-	SetEnabled(true)
 	n, ok := p.ShortWrite("any")
 	if !ok || n != 7 {
 		t.Fatalf("ShortWrite = (%d, %v), want (7, true)", n, ok)
 	}
 	// A short-write arm never fires through the generic site.
-	if err := p.Fire(); err != nil {
+	if err := p.FireKey(""); err != nil {
 		t.Fatalf("Fire on short-write arm: %v", err)
 	}
 }
@@ -99,15 +118,14 @@ func TestHitSelector(t *testing.T) {
 	disarm(t)
 	p := New("test.hit")
 	p.MustArm(Spec{Action: ActError, Hit: 3})
-	SetEnabled(true)
 	for i := 1; i <= 5; i++ {
-		err := p.Fire()
+		err := p.FireKey("")
 		if (i == 3) != (err != nil) {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
 	}
-	if p.Hits() != 5 || p.Fired() != 1 {
-		t.Fatalf("hits/fired = %d/%d, want 5/1", p.Hits(), p.Fired())
+	if p.hitCount() != 5 || p.firedCount() != 1 {
+		t.Fatalf("hits/fired = %d/%d, want 5/1", p.hitCount(), p.firedCount())
 	}
 }
 
@@ -115,7 +133,6 @@ func TestKeySelector(t *testing.T) {
 	disarm(t)
 	p := New("test.key")
 	p.MustArm(Spec{Action: ActError, Key: "b"})
-	SetEnabled(true)
 	if err := p.FireKey("a"); err != nil {
 		t.Fatalf("key a fired: %v", err)
 	}
@@ -123,8 +140,8 @@ func TestKeySelector(t *testing.T) {
 		t.Fatal("key b did not fire")
 	}
 	// Non-matching keys do not consume hits.
-	if p.Hits() != 1 {
-		t.Fatalf("hits = %d, want 1", p.Hits())
+	if p.hitCount() != 1 {
+		t.Fatalf("hits = %d, want 1", p.hitCount())
 	}
 }
 
@@ -132,10 +149,9 @@ func TestCountCap(t *testing.T) {
 	disarm(t)
 	p := New("test.count")
 	p.MustArm(Spec{Action: ActError, Count: 2})
-	SetEnabled(true)
 	fired := 0
 	for i := 0; i < 5; i++ {
-		if p.Fire() != nil {
+		if p.FireKey("") != nil {
 			fired++
 		}
 	}
@@ -148,12 +164,11 @@ func TestRearmResetsCounters(t *testing.T) {
 	disarm(t)
 	p := New("test.rearm")
 	p.MustArm(Spec{Action: ActError, Hit: 1})
-	SetEnabled(true)
-	if p.Fire() == nil {
+	if p.FireKey("") == nil {
 		t.Fatal("first arming did not fire")
 	}
 	p.MustArm(Spec{Action: ActError, Hit: 1})
-	if p.Fire() == nil {
+	if p.FireKey("") == nil {
 		t.Fatal("re-armed point did not fire on its first hit")
 	}
 }
@@ -162,10 +177,10 @@ func TestNewIsIdempotent(t *testing.T) {
 	if New("test.same") != New("test.same") {
 		t.Fatal("New returned distinct points for one name")
 	}
-	if _, ok := Lookup("test.same"); !ok {
+	if _, ok := lookup("test.same"); !ok {
 		t.Fatal("Lookup missed a registered point")
 	}
-	if _, ok := Lookup("test.never-registered"); ok {
+	if _, ok := lookup("test.never-registered"); ok {
 		t.Fatal("Lookup invented a point")
 	}
 }
@@ -186,21 +201,21 @@ func TestArmedLists(t *testing.T) {
 
 func TestSeededHit(t *testing.T) {
 	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
-		h := SeededHit(seed, 10)
+		h := seededHit(seed, 10)
 		if h < 1 || h > 10 {
 			t.Fatalf("SeededHit(%d, 10) = %d, out of [1,10]", seed, h)
 		}
-		if h2 := SeededHit(seed, 10); h2 != h {
+		if h2 := seededHit(seed, 10); h2 != h {
 			t.Fatalf("SeededHit(%d, 10) not stable: %d vs %d", seed, h, h2)
 		}
 	}
-	if SeededHit(3, 0) != 1 {
+	if seededHit(3, 0) != 1 {
 		t.Fatal("SeededHit with n=0 must clamp to 1")
 	}
 	// Adjacent seeds should not all collapse onto one hit.
 	seen := map[uint64]bool{}
 	for s := int64(0); s < 16; s++ {
-		seen[SeededHit(s, 1000)] = true
+		seen[seededHit(s, 1000)] = true
 	}
 	if len(seen) < 8 {
 		t.Fatalf("seeded hits look degenerate: %d distinct in 16 seeds", len(seen))
@@ -222,10 +237,10 @@ func TestParseSpec(t *testing.T) {
 		{"p=error@key=x/y round 2", "p", Spec{Action: ActError, Key: "x/y round 2"}},
 		{"p=error@count=3", "p", Spec{Action: ActError, Count: 3}},
 		{"p=panic@hit=2@count=1", "p", Spec{Action: ActPanic, Hit: 2, Count: 1}},
-		{"p=error@seed=42:10", "p", Spec{Action: ActError, Hit: SeededHit(42, 10)}},
+		{"p=error@seed=42:10", "p", Spec{Action: ActError, Hit: seededHit(42, 10)}},
 	}
 	for _, c := range cases {
-		name, spec, err := ParseSpec(c.in)
+		name, spec, err := parseSpec(c.in)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", c.in, err)
 		}
@@ -253,7 +268,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"p=error@key",
 	}
 	for _, in := range bad {
-		if _, _, err := ParseSpec(in); err == nil {
+		if _, _, err := parseSpec(in); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", in)
 		}
 	}
@@ -264,7 +279,7 @@ func TestParseSpecErrors(t *testing.T) {
 func TestParseSpecBlankName(t *testing.T) {
 	disarm(t)
 	for _, in := range []string{" =panic", "\t=error", "  =short:3@hit=1"} {
-		if name, _, err := ParseSpec(in); err == nil {
+		if name, _, err := parseSpec(in); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted blank name %q", in, name)
 		}
 		if err := ArmSpecs(in); err == nil {
@@ -278,25 +293,25 @@ func TestArmSpecs(t *testing.T) {
 	if err := ArmSpecs(""); err != nil {
 		t.Fatalf("empty list: %v", err)
 	}
-	if Enabled() {
+	if enabled.Load() {
 		t.Fatal("empty ArmSpecs enabled injection")
 	}
 	err := ArmSpecs("test.specs.a=error:x@hit=1, test.specs.b=sleep:1ms")
 	if err != nil {
 		t.Fatalf("ArmSpecs: %v", err)
 	}
-	if !Enabled() {
+	if !enabled.Load() {
 		t.Fatal("ArmSpecs did not enable injection")
 	}
-	a, _ := Lookup("test.specs.a")
-	if err := a.Fire(); err == nil {
+	a, _ := lookup("test.specs.a")
+	if err := a.FireKey(""); err == nil {
 		t.Fatal("armed point a did not fire")
 	}
 	// A parse error arms nothing.
 	if err := ArmSpecs("test.specs.c=error,test.specs.d=bogus"); err == nil {
 		t.Fatal("bad list accepted")
 	}
-	if c, ok := Lookup("test.specs.c"); ok {
+	if c, ok := lookup("test.specs.c"); ok {
 		if c.spec != nil {
 			t.Fatal("bad list partially armed test.specs.c")
 		}
@@ -307,7 +322,6 @@ func TestConcurrentFire(t *testing.T) {
 	disarm(t)
 	p := New("test.concurrent")
 	p.MustArm(Spec{Action: ActError, Hit: 50})
-	SetEnabled(true)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	fired := 0
@@ -316,7 +330,7 @@ func TestConcurrentFire(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if p.Fire() != nil {
+				if p.FireKey("") != nil {
 					mu.Lock()
 					fired++
 					mu.Unlock()
@@ -328,7 +342,7 @@ func TestConcurrentFire(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("hit=50 fired %d times across 200 calls, want exactly 1", fired)
 	}
-	if p.Hits() != 200 {
-		t.Fatalf("hits = %d, want 200", p.Hits())
+	if p.hitCount() != 200 {
+		t.Fatalf("hits = %d, want 200", p.hitCount())
 	}
 }

@@ -3,7 +3,7 @@ package faultpoint
 import "testing"
 
 // FuzzParseSpec feeds arbitrary text to the -faultpoints grammar.
-// Neither ParseSpec nor ArmSpecs may panic, and every spec ParseSpec
+// Neither parseSpec nor ArmSpecs may panic, and every spec parseSpec
 // accepts must name a point and arm it. Seeds are the schedules the
 // README and the CI soak and crash-resume scripts arm.
 func FuzzParseSpec(f *testing.F) {
@@ -21,14 +21,14 @@ func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		t.Cleanup(DisarmAll)
 		_ = ArmSpecs(s)
-		name, spec, err := ParseSpec(s)
+		name, spec, err := parseSpec(s)
 		if err != nil {
 			return
 		}
 		if name == "" {
 			t.Fatalf("ParseSpec(%q) accepted an empty name", s)
 		}
-		if err := New(name).Arm(spec); err != nil {
+		if err := New(name).arm(spec); err != nil {
 			t.Fatalf("ParseSpec(%q) accepted %+v, which Arm rejects: %v", s, spec, err)
 		}
 	})

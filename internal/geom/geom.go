@@ -36,9 +36,9 @@ type Vec struct {
 	DX, DY float64
 }
 
-// Len returns the Euclidean norm of v. Like Point.Dist it uses the plain
+// length returns the Euclidean norm of v. Like Point.Dist it uses the plain
 // sqrt form; displacements are metres.
-func (v Vec) Len() float64 { return math.Sqrt(v.DX*v.DX + v.DY*v.DY) }
+func (v Vec) length() float64 { return math.Sqrt(v.DX*v.DX + v.DY*v.DY) }
 
 // Scale returns v scaled by k.
 func (v Vec) Scale(k float64) Vec { return Vec{v.DX * k, v.DY * k} }
@@ -46,7 +46,7 @@ func (v Vec) Scale(k float64) Vec { return Vec{v.DX * k, v.DY * k} }
 // Unit returns the unit vector in the direction of v. The unit vector of
 // the zero vector is the zero vector.
 func (v Vec) Unit() Vec {
-	l := v.Len()
+	l := v.length()
 	if l == 0 {
 		return Vec{}
 	}
@@ -67,15 +67,15 @@ type Polyline struct {
 	// total length.
 	cum []float64
 	// dirs[i] is the unit direction of segment i (pts[i] -> pts[i+1]),
-	// precomputed because Heading sits on the mobility hot path (one
+	// precomputed because PointHeading sits on the mobility hot path (one
 	// call per station position evaluation).
 	dirs []Vec
 }
 
-// NewPolyline builds a polyline through the given points. It requires at
+// newPolyline builds a polyline through the given points. It requires at
 // least two points; consecutive duplicate points are allowed (they
 // contribute zero length).
-func NewPolyline(pts ...Point) (*Polyline, error) {
+func newPolyline(pts ...Point) (*Polyline, error) {
 	if len(pts) < 2 {
 		return nil, fmt.Errorf("geom: polyline needs >= 2 points, got %d", len(pts))
 	}
@@ -93,10 +93,10 @@ func NewPolyline(pts ...Point) (*Polyline, error) {
 	return &Polyline{pts: cp, cum: cum, dirs: dirs}, nil
 }
 
-// MustPolyline is NewPolyline but panics on error; for static scenario
+// MustPolyline is newPolyline but panics on error; for static scenario
 // geometry known to be valid.
 func MustPolyline(pts ...Point) *Polyline {
-	pl, err := NewPolyline(pts...)
+	pl, err := newPolyline(pts...)
 	if err != nil {
 		panic(err)
 	}
@@ -141,16 +141,16 @@ func (pl *Polyline) At(s float64) Point {
 	return Lerp(pl.pts[lo], pl.pts[hi], t)
 }
 
-// PointHeading returns At(s) and Heading(s) from one segment search — the
+// PointHeading returns At(s) and heading(s) from one segment search — the
 // two are always wanted together on the mobility hot path (lane offsets
 // need the travel direction), and both run the same binary search over the
-// cumulative lengths. Results are exactly At's and Heading's.
+// cumulative lengths. Results are exactly At's and heading's.
 func (pl *Polyline) PointHeading(s float64) (Point, Vec) {
 	total := pl.Length()
 	if s <= 0 || s >= total {
 		// Ends have bespoke clamp rules in both functions; they are rare
 		// (a vehicle parked at a link boundary), so delegate.
-		return pl.At(s), pl.Heading(s)
+		return pl.At(s), pl.heading(s)
 	}
 	lo, hi := 0, len(pl.cum)-1
 	for lo+1 < hi {
@@ -173,7 +173,7 @@ func (pl *Polyline) PointHeading(s float64) (Point, Vec) {
 // callers that cache segment geometry across repeated evaluations (the
 // traffic replay cursor). Evaluating Lerp(Lo, Hi, (s-CumLo)/(CumHi-CumLo))
 // for s in [CumLo, CumHi) reproduces At(s) bit-for-bit, and Dir is
-// Heading(s) over the same span.
+// heading(s) over the same span.
 type Segment struct {
 	CumLo, CumHi float64
 	Lo, Hi       Point
@@ -222,10 +222,10 @@ func (pl *Polyline) AtLooped(s float64) Point {
 	return pl.At(s)
 }
 
-// Heading returns the unit direction of travel at arc length s (the
+// heading returns the unit direction of travel at arc length s (the
 // direction of the segment containing s). At exact vertices it returns the
 // direction of the following segment.
-func (pl *Polyline) Heading(s float64) Vec {
+func (pl *Polyline) heading(s float64) Vec {
 	total := pl.Length()
 	if s < 0 {
 		s = 0

@@ -34,18 +34,18 @@ func TestPointDist(t *testing.T) {
 
 func TestVecOps(t *testing.T) {
 	v := Point{3, 4}.Sub(Point{0, 0})
-	if !almostEq(v.Len(), 5) {
-		t.Fatalf("Len = %v, want 5", v.Len())
+	if !almostEq(v.length(), 5) {
+		t.Fatalf("Len = %v, want 5", v.length())
 	}
 	u := v.Unit()
-	if !almostEq(u.Len(), 1) {
-		t.Fatalf("Unit().Len() = %v, want 1", u.Len())
+	if !almostEq(u.length(), 1) {
+		t.Fatalf("Unit().Len() = %v, want 1", u.length())
 	}
 	if got := (Vec{}).Unit(); got != (Vec{}) {
 		t.Fatalf("Unit of zero vec = %v, want zero", got)
 	}
-	if got := v.Scale(2); !almostEq(got.Len(), 10) {
-		t.Fatalf("Scale(2).Len() = %v, want 10", got.Len())
+	if got := v.Scale(2); !almostEq(got.length(), 10) {
+		t.Fatalf("Scale(2).Len() = %v, want 10", got.length())
 	}
 	p := Point{1, 1}.Add(Vec{2, 3})
 	if p != (Point{3, 4}) {
@@ -67,13 +67,13 @@ func TestLerp(t *testing.T) {
 }
 
 func TestNewPolylineValidation(t *testing.T) {
-	if _, err := NewPolyline(Point{0, 0}); err == nil {
+	if _, err := newPolyline(Point{0, 0}); err == nil {
 		t.Fatal("single-point polyline accepted")
 	}
-	if _, err := NewPolyline(Point{1, 2}, Point{1, 2}); err == nil {
+	if _, err := newPolyline(Point{1, 2}, Point{1, 2}); err == nil {
 		t.Fatal("zero-length polyline accepted")
 	}
-	if _, err := NewPolyline(Point{0, 0}, Point{1, 0}); err != nil {
+	if _, err := newPolyline(Point{0, 0}, Point{1, 0}); err != nil {
 		t.Fatalf("valid polyline rejected: %v", err)
 	}
 }
@@ -139,10 +139,10 @@ func TestPolylineAtLooped(t *testing.T) {
 
 func TestPolylineHeading(t *testing.T) {
 	pl := MustPolyline(Point{0, 0}, Point{10, 0}, Point{10, 10})
-	if h := pl.Heading(5); !almostEq(h.DX, 1) || !almostEq(h.DY, 0) {
+	if h := pl.heading(5); !almostEq(h.DX, 1) || !almostEq(h.DY, 0) {
 		t.Fatalf("Heading(5) = %v, want east", h)
 	}
-	if h := pl.Heading(15); !almostEq(h.DX, 0) || !almostEq(h.DY, 1) {
+	if h := pl.heading(15); !almostEq(h.DX, 0) || !almostEq(h.DY, 1) {
 		t.Fatalf("Heading(15) = %v, want north", h)
 	}
 }

@@ -6,8 +6,8 @@ type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// Contains reports whether p lies strictly inside the rectangle.
-func (r Rect) Contains(p Point) bool {
+// contains reports whether p lies strictly inside the rectangle.
+func (r Rect) contains(p Point) bool {
 	return p.X > r.MinX && p.X < r.MaxX && p.Y > r.MinY && p.Y < r.MaxY
 }
 
@@ -15,7 +15,7 @@ func (r Rect) Contains(p Point) bool {
 // rectangle's interior (merely grazing the boundary does not count). It
 // uses Liang-Barsky clipping.
 func (r Rect) SegmentIntersects(p, q Point) bool {
-	if r.Contains(p) || r.Contains(q) {
+	if r.contains(p) || r.contains(q) {
 		return true
 	}
 	dx := q.X - p.X

@@ -20,7 +20,7 @@ func TestRectContains(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := r.Contains(tt.p); got != tt.want {
+			if got := r.contains(tt.p); got != tt.want {
 				t.Fatalf("Contains(%v) = %v, want %v", tt.p, got, tt.want)
 			}
 		})
@@ -72,7 +72,7 @@ func TestSegmentIntersectsSamplingProperty(t *testing.T) {
 		sampleHit := false
 		for i := 0; i <= 100; i++ {
 			pt := Lerp(p, q, float64(i)/100)
-			if r.Contains(pt) {
+			if r.contains(pt) {
 				sampleHit = true
 				break
 			}

@@ -92,7 +92,6 @@ func TestUnitPanicIsolation(t *testing.T) {
 		faultpoint.New("harness.unit").MustArm(faultpoint.Spec{
 			Action: faultpoint.ActPanic, Key: "iso/p round 1",
 		})
-		faultpoint.SetEnabled(true)
 		defer faultpoint.DisarmAll()
 		isoReset()
 		dir := t.TempDir()
@@ -124,7 +123,7 @@ func TestUnitPanicIsolation(t *testing.T) {
 		if _, serr := os.Stat(filepath.Join(dir, "bad.txt")); serr == nil {
 			t.Fatalf("workers=%d: failed experiment emitted its output", workers)
 		}
-		return manifest, sib, r.Timings(), err
+		return manifest, sib, r.timings, err
 	}
 
 	m1, sib1, tims, err := run(1)
@@ -177,7 +176,6 @@ func TestUnitRetryRecovers(t *testing.T) {
 	faultpoint.New("harness.unit").MustArm(faultpoint.Spec{
 		Action: faultpoint.ActPanic, Key: "iso/p round 1", Count: 1,
 	})
-	faultpoint.SetEnabled(true)
 	isoReset()
 	r, err := NewRunner(Options{Rounds: 1, Seed: 7, OutDir: t.TempDir(), Workers: 2})
 	if err != nil {
@@ -186,7 +184,7 @@ func TestUnitRetryRecovers(t *testing.T) {
 	if err := r.Run([]string{"fault-iso-bad"}); err != nil {
 		t.Fatalf("retry did not recover the unit: %v", err)
 	}
-	tim := r.Timings().Experiments[0]
+	tim := r.timings.Experiments[0]
 	if tim.Retries != 1 || len(tim.Failed) != 0 {
 		t.Fatalf("retries/failed = %d/%d, want 1/0", tim.Retries, len(tim.Failed))
 	}
@@ -220,7 +218,7 @@ func TestUnitWatchdogFlagsWithoutKilling(t *testing.T) {
 	if err := r.Run([]string{"fault-watchdog-probe"}); err != nil {
 		t.Fatalf("watchdog killed the sweep: %v", err)
 	}
-	tim := r.Timings().Experiments[0]
+	tim := r.timings.Experiments[0]
 	if len(tim.Hung) != 1 || tim.Hung[0] != "slow/p round 0" {
 		t.Fatalf("hung list = %v, want [slow/p round 0]", tim.Hung)
 	}
@@ -237,7 +235,6 @@ func TestRunContinuesPastFailedExperiment(t *testing.T) {
 	faultpoint.New("harness.unit").MustArm(faultpoint.Spec{
 		Action: faultpoint.ActError, Msg: "disk on fire", Key: "iso/p round 0",
 	})
-	faultpoint.SetEnabled(true)
 	isoReset()
 	dir := t.TempDir()
 	r, err := NewRunner(Options{Rounds: 1, Seed: 7, OutDir: dir, Workers: 1})
@@ -251,7 +248,7 @@ func TestRunContinuesPastFailedExperiment(t *testing.T) {
 	if !isoDone()["sib0"] {
 		t.Fatal("sibling experiment did not run after the failure")
 	}
-	m, err2 := ReadManifest(filepath.Join(dir, "manifest.json"))
+	m, err2 := readManifest(filepath.Join(dir, "manifest.json"))
 	if err2 != nil {
 		t.Fatal(err2)
 	}

@@ -4,19 +4,24 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// FuzzReadManifest feeds arbitrary bytes to ReadManifest as a sweep
+// FuzzReadManifest feeds arbitrary bytes to readManifest as a sweep
 // directory's manifest.json, the file sweepd reads from disk. Reading
 // must never panic; an accepted manifest must hold no null record
-// (sweepd walks every one) and must re-encode stably. The seed corpus
-// (testdata/fuzz/FuzzReadManifest) holds real manifests, truncations
-// and null records.
+// (sweepd walks every one), only plain output file names (sweepd joins
+// them onto the output directory), and must re-encode stably. The seed
+// corpus (testdata/fuzz/FuzzReadManifest) holds real manifests,
+// truncations and null records; the seeds below add traversing names.
 func FuzzReadManifest(f *testing.F) {
+	for _, name := range []string{"../x", "a/b", ".hidden", "fig3.dat"} {
+		f.Add([]byte(`{"schema":2,"experiments":[{"name":"e","outputs":[{"file":"` + name + `","kind":"raw"}]}]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		m, err := ReadManifest(writeFuzzFile(t, dir, data))
+		m, err := readManifest(writeFuzzFile(t, dir, data))
 		if err != nil {
 			return
 		}
@@ -33,14 +38,17 @@ func FuzzReadManifest(f *testing.F) {
 				if o == nil {
 					t.Fatal("accepted a null output")
 				}
+				if o.File == "" || o.File != filepath.Base(o.File) || !filepath.IsLocal(o.File) || strings.HasPrefix(o.File, ".") {
+					t.Fatalf("accepted output name %q, which is not a plain file name", o.File)
+				}
 			}
 		}
-		reencodeStable(t, dir, m.WriteManifest, func(path string) (func(string) error, error) {
-			m, err := ReadManifest(path)
+		reencodeStable(t, dir, m.write, func(path string) (func(string) error, error) {
+			m, err := readManifest(path)
 			if err != nil {
 				return nil, err
 			}
-			return m.WriteManifest, nil
+			return m.write, nil
 		})
 	})
 }
@@ -64,12 +72,12 @@ func FuzzReadTimings(f *testing.F) {
 				}
 			}
 		}
-		reencodeStable(t, dir, tim.WriteTimings, func(path string) (func(string) error, error) {
+		reencodeStable(t, dir, tim.write, func(path string) (func(string) error, error) {
 			tim, err := ReadTimings(path)
 			if err != nil {
 				return nil, err
 			}
-			return tim.WriteTimings, nil
+			return tim.write, nil
 		})
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,7 +36,7 @@ type Runner struct {
 // NewRunner validates opts, creates the output directory (and the
 // result store, when configured) and returns a ready runner.
 func NewRunner(opts Options) (*Runner, error) {
-	opts, err := opts.Validate()
+	opts, err := opts.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +57,7 @@ func NewRunner(opts Options) (*Runner, error) {
 			return nil, err
 		}
 	}
-	pool := NewPool(opts.Workers)
+	pool := newPool(opts.Workers)
 	r := &Runner{
 		opts:  opts,
 		pool:  pool,
@@ -71,7 +70,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		timings: &Timings{
 			Schema:      ManifestSchema,
 			GeneratedAt: opts.Now().UTC().Format(time.RFC3339),
-			Workers:     pool.Workers(),
+			Workers:     pool.workers,
 			CodeDigest:  opts.CodeDigest,
 		},
 	}
@@ -83,15 +82,6 @@ func NewRunner(opts Options) (*Runner, error) {
 	return r, nil
 }
 
-// Workers reports the effective pool width.
-func (r *Runner) Workers() int { return r.pool.Workers() }
-
-// Manifest returns the accumulated manifest.
-func (r *Runner) Manifest() *Manifest { return r.manifest }
-
-// Timings returns the accumulated timings sidecar.
-func (r *Runner) Timings() *Timings { return r.timings }
-
 // Store returns the result store, or nil when none is configured.
 func (r *Runner) Store() *ResultStore { return r.store }
 
@@ -101,9 +91,9 @@ func (r *Runner) Run(names []string) error {
 	exps := make([]*Experiment, 0, len(names))
 	seen := make(map[*Experiment]bool, len(names))
 	for _, name := range names {
-		e, ok := Lookup(name)
+		e, ok := lookup(name)
 		if !ok {
-			return fmt.Errorf("harness: unknown experiment %q (have %v)", name, AllNames())
+			return fmt.Errorf("harness: unknown experiment %q (have %v)", name, allNames())
 		}
 		// Aliases and repeats resolve to one experiment; run it once
 		// (the monolith likewise shared one run for table1/figures).
@@ -125,7 +115,7 @@ func (r *Runner) Run(names []string) error {
 			r.logf("%s failed: %v (continuing with remaining experiments)", e.Name, err)
 		}
 	}
-	if err := r.WriteManifest(); err != nil {
+	if err := r.writeManifest(); err != nil {
 		return err
 	}
 	r.logStoreSummary()
@@ -167,13 +157,13 @@ func (r *Runner) runOne(e *Experiment) error {
 	return err
 }
 
-// WriteManifest writes manifest.json and its timings.json sidecar to
+// writeManifest writes manifest.json and its timings.json sidecar to
 // the output directory.
-func (r *Runner) WriteManifest() error {
-	if err := r.manifest.WriteManifest(filepath.Join(r.opts.OutDir, "manifest.json")); err != nil {
+func (r *Runner) writeManifest() error {
+	if err := r.manifest.write(filepath.Join(r.opts.OutDir, "manifest.json")); err != nil {
 		return err
 	}
-	return r.timings.WriteTimings(filepath.Join(r.opts.OutDir, "timings.json"))
+	return r.timings.write(filepath.Join(r.opts.OutDir, "timings.json"))
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -221,14 +211,14 @@ func (c *Context) CappedRounds(n int) int {
 	return n
 }
 
-// Seed returns the run's root seed. A Batch stamps it into every
+// seed returns the run's root seed. A Batch stamps it into every
 // scenario config; each round then derives its own streams from it and
 // the round index alone (sim.SeedFor), so any unit can be re-run in
 // isolation and scheduling can never perturb results.
-func (c *Context) Seed() int64 { return c.runner.opts.Seed }
+func (c *Context) seed() int64 { return c.runner.opts.Seed }
 
-// Logf emits a progress line prefixed with the experiment name.
-func (c *Context) Logf(format string, args ...any) {
+// logf emits a progress line prefixed with the experiment name.
+func (c *Context) logf(format string, args ...any) {
 	c.runner.logf("%s: "+format, append([]any{c.rec.Name}, args...)...)
 }
 
@@ -263,7 +253,7 @@ func (c *Context) RunUnits(units []Unit) error {
 	if metrics.Enabled() {
 		mUnitsTotal.Add(uint64(len(units)))
 	}
-	errs := c.runner.pool.DoAll(len(units), func(i int) error {
+	errs := c.runner.pool.doAll(len(units), func(i int) error {
 		u := units[i]
 		label := fmt.Sprintf("%s/%s round %d", u.Scenario, u.Point, u.Round)
 		start := time.Now()
@@ -290,7 +280,7 @@ func (c *Context) runUnit(label string, u Unit) error {
 		return nil
 	}
 	c.countRetry()
-	c.Logf("unit %s failed (%v); retrying once after %v", label, err, unitRetryBackoff)
+	c.logf("unit %s failed (%v); retrying once after %v", label, err, unitRetryBackoff)
 	time.Sleep(unitRetryBackoff)
 	err2 := c.attemptUnit(label, u)
 	if err2 == nil {
@@ -392,7 +382,7 @@ func (c *Context) flagHung(label string, d time.Duration) {
 	if metrics.Enabled() {
 		mUnitsHung.Inc()
 	}
-	c.Logf("watchdog: unit %s still running after %v (flagged, not killed)", label, d)
+	c.logf("watchdog: unit %s still running after %v (flagged, not killed)", label, d)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.tim != nil {
@@ -429,7 +419,7 @@ func (c *Context) loadUnit(key string) *UnitResult {
 	}
 	res, err := c.runner.store.Load(key)
 	if err != nil {
-		c.Logf("result store: %v (recomputing)", err)
+		c.logf("result store: %v (recomputing)", err)
 		return nil
 	}
 	if res == nil {
@@ -456,7 +446,7 @@ func (c *Context) saveUnit(key string, res *UnitResult) {
 		return
 	}
 	if err := c.runner.store.Save(key, res); err != nil {
-		c.Logf("result store: %v", err)
+		c.logf("result store: %v", err)
 	}
 }
 
@@ -468,8 +458,8 @@ func (c *Context) Emit(name string, kind OutputKind, content string) error {
 	if !kind.valid() {
 		return fmt.Errorf("emit %s: unknown output kind %q", name, kind)
 	}
-	if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
-		return fmt.Errorf("emit: output name %q is not a plain file name", name)
+	if err := checkOutputName(name); err != nil {
+		return fmt.Errorf("emit: %w", err)
 	}
 	path := filepath.Join(c.runner.opts.OutDir, name)
 	data := []byte(content)

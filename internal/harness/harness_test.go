@@ -41,10 +41,10 @@ func TestRegistryLookupAndOrder(t *testing.T) {
 	Register(Experiment{Name: "reg-a", Title: "A", Aliases: []string{"reg-a-alias"}, Run: func(*Context) error { return nil }})
 	Register(Experiment{Name: "reg-b", Title: "B", Run: func(*Context) error { return nil }})
 
-	if _, ok := Lookup("reg-a"); !ok {
+	if _, ok := lookup("reg-a"); !ok {
 		t.Fatal("reg-a not found")
 	}
-	if e, ok := Lookup("reg-a-alias"); !ok || e.Name != "reg-a" {
+	if e, ok := lookup("reg-a-alias"); !ok || e.Name != "reg-a" {
 		t.Fatalf("alias lookup = %v, %v", e, ok)
 	}
 	names := Names()
@@ -74,10 +74,10 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestPoolDoFillsAllSlots(t *testing.T) {
-	p := NewPool(4)
+	p := newPool(4)
 	const n = 100
 	out := make([]int, n)
-	errs := p.DoAll(n, func(i int) error {
+	errs := p.doAll(n, func(i int) error {
 		out[i] = i * i
 		return nil
 	})
@@ -96,10 +96,10 @@ func TestPoolDoFillsAllSlots(t *testing.T) {
 
 func TestPoolDoBoundsConcurrency(t *testing.T) {
 	const width = 3
-	p := NewPool(width)
+	p := newPool(width)
 	var cur, max atomic.Int64
 	var mu sync.Mutex
-	for _, err := range p.DoAll(50, func(int) error {
+	for _, err := range p.doAll(50, func(int) error {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > max.Load() {
@@ -138,8 +138,8 @@ func TestRunDedupsAliasesAndRepeats(t *testing.T) {
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("experiment ran %d times, want 1", n)
 	}
-	if len(r.Manifest().Experiments) != 1 {
-		t.Fatalf("manifest records = %d, want 1", len(r.Manifest().Experiments))
+	if len(r.manifest.Experiments) != 1 {
+		t.Fatalf("manifest records = %d, want 1", len(r.manifest.Experiments))
 	}
 }
 
@@ -264,7 +264,7 @@ func TestRunnerWritesManifest(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "probe.txt")); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadManifest(filepath.Join(dir, "manifest.json"))
+	m, err := readManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestRunReleasesRoundTraces(t *testing.T) {
 		if err := r.Run([]string{"reg-release-traces"}); err != nil {
 			t.Fatal(err)
 		}
-		tim := r.Timings().Experiments[0]
+		tim := r.timings.Experiments[0]
 		if tim.UnitsComputed != pass.computed || tim.UnitsCached != pass.cached {
 			t.Fatalf("%s pass: computed %d, cached %d", pass.name, tim.UnitsComputed, tim.UnitsCached)
 		}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 )
 
 // ManifestSchema versions the manifest layout for downstream tooling.
@@ -134,18 +135,15 @@ type FailedUnit struct {
 	Attempts int    `json:"attempts"`
 }
 
-// WriteManifest serialises the manifest to path with a trailing newline.
-func (m *Manifest) WriteManifest(path string) error {
+// write serialises the manifest to path with a trailing newline.
+func (m *Manifest) write(path string) error {
 	return writeJSON(path, m)
 }
 
-// ReadManifest loads a manifest written by WriteManifest.
-func ReadManifest(path string) (*Manifest, error) {
-	return readParsed(path, ParseManifest)
-}
-
 // ParseManifest decodes the bytes of a manifest.json. It rejects null
-// records, which every consumer would dereference.
+// records, which every consumer would dereference, and any output name
+// Context.Emit would refuse: consumers (sweepd) join the name onto the
+// output directory.
 func ParseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -155,17 +153,32 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		if e == nil || slices.Contains(e.Points, nil) || slices.Contains(e.Outputs, nil) {
 			return nil, errNullRecord
 		}
+		for _, o := range e.Outputs {
+			if err := checkOutputName(o.File); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return &m, nil
 }
 
-// WriteTimings serialises the timings sidecar to path.
-func (t *Timings) WriteTimings(path string) error {
+// checkOutputName rejects an output name that is not a plain file name
+// inside the output directory: empty, holding a path separator, or
+// starting with "." (which covers ".." and the ".<name>.tmp" temps).
+func checkOutputName(name string) error {
+	if name == "" || name != filepath.Base(name) || strings.HasPrefix(name, ".") {
+		return fmt.Errorf("output name %q is not a plain file name", name)
+	}
+	return nil
+}
+
+// write serialises the timings sidecar to path.
+func (t *Timings) write(path string) error {
 	return writeJSON(path, t)
 }
 
-// ReadTimings loads a timings sidecar written by WriteTimings. Like
-// ReadManifest, it rejects null records.
+// ReadTimings loads a timings sidecar. Like ParseManifest, it rejects
+// null records.
 func ReadTimings(path string) (*Timings, error) {
 	return readParsed(path, func(data []byte) (*Timings, error) {
 		var t Timings

@@ -5,8 +5,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
+
+// readManifest loads a manifest written by (*Manifest).write.
+func readManifest(path string) (*Manifest, error) {
+	return readParsed(path, ParseManifest)
+}
 
 // TestWriteManifestReplacesAtomically: a reader holding the old
 // manifest.json open (sweepd, serving a directory a sweep is writing)
@@ -18,7 +24,7 @@ func TestWriteManifestReplacesAtomically(t *testing.T) {
 	path := filepath.Join(dir, "manifest.json")
 	old := &Manifest{Schema: ManifestSchema, Seed: 1, Rounds: 2,
 		Experiments: []*ExperimentRecord{{Name: "table1", Title: "Table 1"}}}
-	if err := old.WriteManifest(path); err != nil {
+	if err := old.write(path); err != nil {
 		t.Fatal(err)
 	}
 	oldBytes, err := os.ReadFile(path)
@@ -36,7 +42,7 @@ func TestWriteManifestReplacesAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := &Manifest{Schema: ManifestSchema, Seed: 2, Rounds: 3}
-	if err := next.WriteManifest(path); err != nil {
+	if err := next.write(path); err != nil {
 		t.Fatal(err)
 	}
 	held, err := io.ReadAll(f)
@@ -46,7 +52,7 @@ func TestWriteManifestReplacesAtomically(t *testing.T) {
 	if !bytes.Equal(held, oldBytes) {
 		t.Fatalf("open reader saw %q after the rewrite, want the old %q", held, oldBytes)
 	}
-	m, err := ReadManifest(path)
+	m, err := readManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,5 +84,37 @@ func TestWriteManifestReplacesAtomically(t *testing.T) {
 	}
 	if got.Mode() != want.Mode() {
 		t.Fatalf("manifest.json mode %v, want os.WriteFile's %v", got.Mode(), want.Mode())
+	}
+}
+
+// TestParseManifestRejectsUnsafeOutputNames: a manifest is outside
+// input to its readers, and sweepd joins each output name onto the
+// output directory, so ParseManifest refuses every name Context.Emit
+// refuses (one shared check) and accepts the names Emit writes.
+func TestParseManifestRejectsUnsafeOutputNames(t *testing.T) {
+	manifest := func(file string) []byte {
+		return []byte(`{"schema":2,"experiments":[{"name":"e","outputs":[{"file":` +
+			strconv.Quote(file) + `,"kind":"raw"}]}]}`)
+	}
+	c := &Context{runner: newTestRunner(t, 1), rec: &ExperimentRecord{}}
+	for _, name := range []string{"", ".", "..", "../x", "../../etc/passwd", "/etc/passwd", "a/b", "sub/../x", ".hidden", ".x.tmp"} {
+		if m, err := ParseManifest(manifest(name)); err == nil {
+			t.Errorf("ParseManifest accepted output name %q: %+v", name, m.Experiments[0].Outputs[0])
+		}
+		if err := c.Emit(name, OutputRaw, "x"); err == nil {
+			t.Errorf("Emit accepted output name %q", name)
+		}
+	}
+	for _, name := range []string{"fig3.dat", "table1.txt", "a..b", "x.svg"} {
+		m, err := ParseManifest(manifest(name))
+		if err != nil {
+			t.Fatalf("ParseManifest rejected plain name %q: %v", name, err)
+		}
+		if got := m.Experiments[0].Outputs[0].File; got != name {
+			t.Fatalf("output name %q parsed as %q", name, got)
+		}
+		if err := c.Emit(name, OutputRaw, "x"); err != nil {
+			t.Fatalf("Emit rejected plain name %q: %v", name, err)
+		}
 	}
 }

@@ -90,9 +90,9 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.CodeDigest, "code-digest", o.CodeDigest, "code identity mixed into result-store keys (empty: VCS build stamp, or \"dev\")")
 }
 
-// Validate checks the options and fills derived defaults (code digest,
+// validate checks the options and fills derived defaults (code digest,
 // clock). It returns the validated copy so callers can keep a literal.
-func (o Options) Validate() (Options, error) {
+func (o Options) validate() (Options, error) {
 	if o.Rounds <= 0 {
 		return o, fmt.Errorf("harness: non-positive rounds %d", o.Rounds)
 	}

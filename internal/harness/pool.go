@@ -14,17 +14,14 @@ type Pool struct {
 	workers int
 }
 
-// NewPool returns a pool of the given width; workers <= 0 defaults to
+// newPool returns a pool of the given width; workers <= 0 defaults to
 // GOMAXPROCS.
-func NewPool(workers int) *Pool {
+func newPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{workers: workers}
 }
-
-// Workers reports the pool width.
-func (p *Pool) Workers() int { return p.workers }
 
 // PanicError is a panic recovered at a unit-attempt boundary, preserving
 // the panic value and the panicking goroutine's stack so the failure
@@ -36,15 +33,15 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// DoAll runs fn(0..n-1) on up to Workers goroutines and waits for all
+// doAll runs fn(0..n-1) on up to p.workers goroutines and waits for all
 // of them. Workers claim indices from a shared counter, so the schedule
 // is work-stealing; determinism comes from fn writing only to its own
 // index. Every index runs to completion regardless of other units'
 // failures, and the per-index errors come back positionally. fn must not
-// panic: DoAll has no guard of its own, so the harness recovers each unit
+// panic: doAll has no guard of its own, so the harness recovers each unit
 // attempt into a *PanicError (attemptUnit) — one bad unit fails alone
 // while its siblings finish and persist their results.
-func (p *Pool) DoAll(n int, fn func(i int) error) []error {
+func (p *Pool) doAll(n int, fn func(i int) error) []error {
 	errs := make([]error, n)
 	if n <= 0 {
 		return errs

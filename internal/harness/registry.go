@@ -56,8 +56,8 @@ func Register(e Experiment) {
 	registry.order = append(registry.order, exp)
 }
 
-// Lookup resolves a CLI name or alias.
-func Lookup(name string) (*Experiment, bool) {
+// lookup resolves a CLI name or alias.
+func lookup(name string) (*Experiment, bool) {
 	registry.Lock()
 	defer registry.Unlock()
 	e, ok := registry.byName[name]
@@ -82,8 +82,8 @@ func Names() []string {
 	return names
 }
 
-// AllNames returns every name and alias, sorted, for error messages.
-func AllNames() []string {
+// allNames returns every name and alias, sorted, for error messages.
+func allNames() []string {
 	registry.Lock()
 	defer registry.Unlock()
 	names := make([]string, 0, len(registry.byName))

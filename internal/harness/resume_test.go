@@ -221,7 +221,7 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 	if *computes2 != rounds {
 		t.Fatalf("run over parent-format entries computed %d units, want %d", *computes2, rounds)
 	}
-	if st := ctx2.runner.Store().Stats(); st.Corrupt != rounds {
+	if st := ctx2.runner.store.Stats(); st.Corrupt != rounds {
 		t.Fatalf("quarantined %d parent-format entries, want %d", st.Corrupt, rounds)
 	}
 	_, out3, computes3 := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
@@ -493,10 +493,6 @@ func TestResumeByteIdentity(t *testing.T) {
 	cold := run(1)
 
 	// Kill half the store and resume with a different worker count.
-	store, err := NewResultStore(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ents, err := os.ReadDir(storeDir)
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +502,7 @@ func TestResumeByteIdentity(t *testing.T) {
 	}
 	for i, e := range ents {
 		if i%2 == 0 {
-			if err := os.Remove(filepath.Join(store.Dir(), e.Name())); err != nil {
+			if err := os.Remove(filepath.Join(storeDir, e.Name())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -648,7 +644,7 @@ func TestManifestDeterministic(t *testing.T) {
 // registerOnce tolerates repeated registration across tests in this
 // package sharing one process.
 func registerOnce(e Experiment) {
-	if _, ok := Lookup(e.Name); !ok {
+	if _, ok := lookup(e.Name); !ok {
 		Register(e)
 	}
 }

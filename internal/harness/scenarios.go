@@ -34,7 +34,7 @@ func (c *Context) Batch() *Batch { return &Batch{ctx: c} }
 // expensive traffic worlds stay shared through the (seed, round)-keyed
 // caches.
 func (b *Batch) stamp(point string, c *scenario.Common) {
-	c.Seed = b.ctx.Seed()
+	c.Seed = b.ctx.seed()
 	if c.Arm == "" {
 		c.Arm = point
 	}

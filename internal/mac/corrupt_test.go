@@ -2,6 +2,7 @@ package mac
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/packet"
@@ -43,12 +44,10 @@ func TestDeliverCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := m.Station(1).Send(packet.NewData(1, 2, 9, []byte("soft"))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 2, 9, []byte("soft"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(soft) != 1 || !soft[0].Corrupt {
 		t.Fatalf("soft station deliveries = %+v, want one corrupt", soft)
 	}
@@ -81,15 +80,13 @@ func TestDeliverCorruptNotForCollisions(t *testing.T) {
 	}), softCfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
+	if err := m.station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	for _, meta := range got {
 		if meta.Corrupt {
 			t.Fatalf("collision produced a soft copy: %+v", meta)

@@ -131,9 +131,7 @@ func runEquivalenceWorld(t *testing.T, seed int64, stations int, enum Enumeratio
 			engine.Schedule(at, func() { _ = st.Send(f) })
 		}
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	rec.log = append(rec.log, corrupts...)
 	rec.stats = m.Stats()
 	rec.inflight = m.InFlightReceivers()
@@ -235,7 +233,8 @@ func TestSenderRewokenWhenMediumStillBusy(t *testing.T) {
 	cfg := radio.DefaultConfig()
 	cfg.ShadowSigmaDB = 0
 	cfg.FadingK = -1
-	m := NewMedium(engine, radio.MustChannel(cfg), nil)
+	rec := newRecorder()
+	m := NewMedium(engine, radio.MustChannel(cfg), rec)
 
 	// A senses everything; B senses nothing (so it happily transmits
 	// over A).
@@ -263,11 +262,9 @@ func TestSenderRewokenWhenMediumStillBusy(t *testing.T) {
 	engine.Schedule(4*time.Millisecond, func() {
 		_ = b.Send(packet.NewData(2, 1, 9, make([]byte, 2304)))
 	})
-	if err := engine.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if a.Sent() != 2 || a.QueueLen() != 0 {
-		t.Fatalf("station A stalled: sent=%d queue=%d waiting=%v", a.Sent(), a.QueueLen(), a.waiting)
+	engine.RunUntil(10 * time.Second)
+	if rec.txFrom[1] != 2 || a.queueLen() != 0 {
+		t.Fatalf("station A stalled: sent=%d queue=%d waiting=%v", rec.txFrom[1], a.queueLen(), a.waiting)
 	}
 }
 
@@ -297,7 +294,7 @@ func TestHistoryBoundedUnderSustainedTraffic(t *testing.T) {
 		for i, st := range stations {
 			st, i := st, i
 			engine.Schedule(at, func() {
-				_ = st.Send(packet.NewData(st.ID(), packet.NodeID((i+1)%4+1), uint32(at), []byte("x")))
+				_ = st.Send(packet.NewData(st.id, packet.NodeID((i+1)%4+1), uint32(at), []byte("x")))
 			})
 		}
 	}
@@ -310,12 +307,8 @@ func TestHistoryBoundedUnderSustainedTraffic(t *testing.T) {
 			}
 		})
 	}
-	if err := engine.RunUntil(horizon); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stations {
-		sent += int(st.Sent())
-	}
+	engine.RunUntil(horizon)
+	sent = int(m.Stats().Transmissions)
 	if sent < 1000 {
 		t.Fatalf("only %d transmissions; the load did not saturate the medium", sent)
 	}

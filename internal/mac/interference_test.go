@@ -34,7 +34,7 @@ func TestInterfererDegradesButCarrierSenseProtects(t *testing.T) {
 
 	// The interferer saturates the medium with 60 big frames.
 	for i := 0; i < 60; i++ {
-		if err := m.Station(9).Send(packet.NewData(9, 999, uint32(i), make([]byte, 1000))); err != nil {
+		if err := m.station(9).Send(packet.NewData(9, 999, uint32(i), make([]byte, 1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,12 +42,10 @@ func TestInterfererDegradesButCarrierSenseProtects(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		seq := uint32(1000 + i)
 		engine.Schedule(time.Duration(i)*25*time.Millisecond, func() {
-			_ = m.Station(1).Send(packet.NewData(1, 2, seq, make([]byte, 200)))
+			_ = m.station(1).Send(packet.NewData(1, 2, seq, make([]byte, 200)))
 		})
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	got := 0
 	for _, f := range rec.rxFrames[2] {
 		if f.Flow == 2 {
@@ -82,19 +80,17 @@ func TestHiddenInterfererCausesLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := m.Station(9).Send(packet.NewData(9, 999, uint32(i), make([]byte, 1000))); err != nil {
+		if err := m.station(9).Send(packet.NewData(9, 999, uint32(i), make([]byte, 1000))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 20; i++ {
 		seq := uint32(1000 + i)
 		engine.Schedule(time.Duration(i)*15*time.Millisecond, func() {
-			_ = m.Station(1).Send(packet.NewData(1, 2, seq, make([]byte, 1000)))
+			_ = m.station(1).Send(packet.NewData(1, 2, seq, make([]byte, 1000)))
 		})
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	got := 0
 	for _, f := range rec.rxFrames[2] {
 		if f.Flow == 2 {

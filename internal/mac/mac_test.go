@@ -28,20 +28,25 @@ func fixedPos(p geom.Point) PositionFunc {
 
 // recorder implements Tracer and Handler for tests.
 type recorder struct {
-	tx    []string
-	rx    []string
-	drops []string
+	tx     []string
+	txFrom map[packet.NodeID]int // transmissions per source
+	rx     []string
+	drops  []string
 	// rxFrames keeps received frames per station.
 	rxFrames map[packet.NodeID][]*packet.Frame
 }
 
 func newRecorder() *recorder {
-	return &recorder{rxFrames: make(map[packet.NodeID][]*packet.Frame)}
+	return &recorder{txFrom: make(map[packet.NodeID]int), rxFrames: make(map[packet.NodeID][]*packet.Frame)}
 }
 
 func (r *recorder) OnTx(src packet.NodeID, f *packet.Frame, start, airtime time.Duration) {
 	r.tx = append(r.tx, src.String()+" "+f.String())
+	r.txFrom[src]++
 }
+
+// station returns the registered station with the given id, or nil.
+func (m *Medium) station(id packet.NodeID) *Station { return m.stations[id] }
 
 func (r *recorder) OnRx(dst packet.NodeID, f *packet.Frame, meta RxMeta) {
 	r.rx = append(r.rx, dst.String()+" "+f.String())
@@ -76,12 +81,10 @@ func TestPointToPointDelivery(t *testing.T) {
 		1: {X: 0}, 2: {X: 50},
 	})
 	payload := []byte("hello world")
-	if err := m.Station(1).Send(packet.NewData(1, 2, 7, payload)); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 2, 7, payload)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	engine.RunUntil(time.Hour)
 	frames := rec.rxFrames[2]
 	if len(frames) != 1 {
 		t.Fatalf("station 2 received %d frames, want 1", len(frames))
@@ -90,8 +93,8 @@ func TestPointToPointDelivery(t *testing.T) {
 	if got.Seq != 7 || string(got.Payload) != "hello world" {
 		t.Fatalf("received %+v", got)
 	}
-	if m.Station(1).Sent() != 1 {
-		t.Fatalf("Sent() = %d, want 1", m.Station(1).Sent())
+	if rec.txFrom[1] != 1 {
+		t.Fatalf("station 1 transmitted %d frames, want 1", rec.txFrom[1])
 	}
 }
 
@@ -101,12 +104,10 @@ func TestPromiscuousDelivery(t *testing.T) {
 	engine, m, rec := setup(t, map[packet.NodeID]geom.Point{
 		1: {X: 0}, 2: {X: 50}, 3: {X: 60},
 	})
-	if err := m.Station(1).Send(packet.NewData(1, 2, 1, []byte("x"))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 2, 1, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(rec.rxFrames[2]) != 1 || len(rec.rxFrames[3]) != 1 {
 		t.Fatalf("rx counts: station2=%d station3=%d, want 1/1",
 			len(rec.rxFrames[2]), len(rec.rxFrames[3]))
@@ -122,12 +123,10 @@ func TestOutOfRangeNotDelivered(t *testing.T) {
 	engine, m, rec := setup(t, map[packet.NodeID]geom.Point{
 		1: {X: 0}, 2: {X: 500}, 3: {X: 5000},
 	})
-	if err := m.Station(1).Send(packet.NewData(1, 2, 1, []byte("x"))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 2, 1, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(rec.rxFrames[2])+len(rec.rxFrames[3]) != 0 {
 		t.Fatalf("distant stations received frames: %d/%d",
 			len(rec.rxFrames[2]), len(rec.rxFrames[3]))
@@ -154,12 +153,10 @@ func TestHandlerReceivesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(1).Send(packet.NewHello(1, []packet.NodeID{2})); err != nil {
+	if err := m.station(1).Send(packet.NewHello(1, []packet.NodeID{2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(got) != 1 || got[0].Type != packet.TypeHello {
 		t.Fatalf("handler got %v", got)
 	}
@@ -171,15 +168,13 @@ func TestCarrierSenseSerialisesNeighbours(t *testing.T) {
 	engine, m, rec := setup(t, map[packet.NodeID]geom.Point{
 		1: {X: 0}, 2: {X: 30}, 3: {X: 15},
 	})
-	if err := m.Station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
+	if err := m.station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(rec.rxFrames[3]) != 2 {
 		t.Fatalf("receiver got %d frames, want 2 (drops: %v)", len(rec.rxFrames[3]), rec.drops)
 	}
@@ -192,15 +187,13 @@ func TestHiddenTerminalCollision(t *testing.T) {
 	engine, m, rec := setup(t, map[packet.NodeID]geom.Point{
 		1: {X: 0}, 2: {X: 300}, 3: {X: 150},
 	})
-	if err := m.Station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
+	if err := m.station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(rec.rxFrames[3]) != 0 {
 		t.Fatalf("receiver got %d frames during collision, want 0", len(rec.rxFrames[3]))
 	}
@@ -221,15 +214,13 @@ func TestCaptureStrongerFrameSurvives(t *testing.T) {
 	engine, m, rec := setup(t, map[packet.NodeID]geom.Point{
 		1: {X: 0}, 2: {X: 300}, 3: {X: 15},
 	})
-	if err := m.Station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 3, 1, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
+	if err := m.station(2).Send(packet.NewData(2, 3, 2, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(rec.rxFrames[3]) != 1 || rec.rxFrames[3][0].Src != 1 {
 		t.Fatalf("capture failed: rx=%v drops=%v", rec.rx, rec.drops)
 	}
@@ -241,15 +232,13 @@ func TestHalfDuplex(t *testing.T) {
 	engine, m, rec := setup(t, map[packet.NodeID]geom.Point{
 		1: {X: 0}, 2: {X: 300},
 	})
-	if err := m.Station(1).Send(packet.NewData(1, 2, 1, make([]byte, 500))); err != nil {
+	if err := m.station(1).Send(packet.NewData(1, 2, 1, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Station(2).Send(packet.NewData(2, 1, 2, make([]byte, 500))); err != nil {
+	if err := m.station(2).Send(packet.NewData(2, 1, 2, make([]byte, 500))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if len(rec.rxFrames[1])+len(rec.rxFrames[2]) != 0 {
 		t.Fatalf("half-duplex violated: %v", rec.rx)
 	}
@@ -269,13 +258,11 @@ func TestQueueDrainsInOrder(t *testing.T) {
 		1: {X: 0}, 2: {X: 50},
 	})
 	for seq := uint32(1); seq <= 5; seq++ {
-		if err := m.Station(1).Send(packet.NewData(1, 2, seq, []byte("p"))); err != nil {
+		if err := m.station(1).Send(packet.NewData(1, 2, seq, []byte("p"))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	frames := rec.rxFrames[2]
 	if len(frames) != 5 {
 		t.Fatalf("received %d frames, want 5", len(frames))
@@ -299,7 +286,7 @@ func TestQueueCapacity(t *testing.T) {
 	if _, err := m.AddStation(2, fixedPos(geom.Point{X: 10}), nil, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Station(1)
+	s := m.station(1)
 	for i := 0; i < 2; i++ {
 		if err := s.Send(packet.NewData(1, 2, uint32(i), nil)); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
@@ -319,7 +306,7 @@ func TestSendRejectsUnencodableFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &packet.Frame{Type: packet.Type(99)}
-	if err := m.Station(1).Send(bad); err == nil {
+	if err := m.station(1).Send(bad); err == nil {
 		t.Fatal("unencodable frame accepted")
 	}
 }
@@ -357,13 +344,11 @@ func TestAirtimeOccupiesMedium(t *testing.T) {
 		1: {X: 0}, 2: {X: 50},
 	})
 	var rxAt time.Duration
-	m.Station(2).SetHandler(HandlerFunc(func(f *packet.Frame, meta RxMeta) { rxAt = meta.At }))
-	if err := m.Station(1).Send(packet.NewData(1, 2, 1, make([]byte, 1000))); err != nil {
+	m.station(2).SetHandler(HandlerFunc(func(f *packet.Frame, meta RxMeta) { rxAt = meta.At }))
+	if err := m.station(1).Send(packet.NewData(1, 2, 1, make([]byte, 1000))); err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	_ = rec
 	frame := packet.NewData(1, 2, 1, make([]byte, 1000))
 	airtime := secondsToDuration(radio.DSSS1Mbps.Airtime(frame.WireSize()))
@@ -389,13 +374,11 @@ func TestDeterministicMACRuns(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			seq := uint32(i)
 			engine.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-				_ = m.Station(1).Send(packet.NewData(1, 2, seq, make([]byte, 200)))
-				_ = m.Station(3).Send(packet.NewData(3, 2, seq+1000, make([]byte, 200)))
+				_ = m.station(1).Send(packet.NewData(1, 2, seq, make([]byte, 200)))
+				_ = m.station(3).Send(packet.NewData(3, 2, seq+1000, make([]byte, 200)))
 			})
 		}
-		if err := engine.Run(); err != nil {
-			t.Fatal(err)
-		}
+		engine.RunUntil(time.Hour)
 		return append(append([]string{}, rec.rx...), rec.drops...)
 	}
 	a, b := run(), run()
@@ -435,19 +418,17 @@ func TestManyFramesUnderLoad(t *testing.T) {
 	})
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := m.Station(1).Send(packet.NewData(1, 2, uint32(i), make([]byte, 100))); err != nil {
+		if err := m.station(1).Send(packet.NewData(1, 2, uint32(i), make([]byte, 100))); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Station(2).Send(packet.NewData(2, 3, uint32(i), make([]byte, 100))); err != nil {
+		if err := m.station(2).Send(packet.NewData(2, 3, uint32(i), make([]byte, 100))); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Station(3).Send(packet.NewData(3, 1, uint32(i), make([]byte, 100))); err != nil {
+		if err := m.station(3).Send(packet.NewData(3, 1, uint32(i), make([]byte, 100))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	engine.RunUntil(time.Hour)
 	if got := len(rec.tx); got != 3*n {
 		t.Fatalf("tx count = %d, want %d", got, 3*n)
 	}
@@ -469,12 +450,10 @@ func BenchmarkMediumBroadcast(b *testing.B) {
 			}
 		}
 		for j := 0; j < 100; j++ {
-			if err := m.Station(1).Send(packet.NewData(1, 2, uint32(j), make([]byte, 1000))); err != nil {
+			if err := m.station(1).Send(packet.NewData(1, 2, uint32(j), make([]byte, 1000))); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := engine.Run(); err != nil {
-			b.Fatal(err)
-		}
+		engine.RunUntil(time.Hour)
 	}
 }

@@ -326,9 +326,6 @@ func NewMedium(engine *sim.Engine, channel *radio.Channel, tracer Tracer) *Mediu
 // default). Any choice delivers the same frames.
 func (m *Medium) SetEnumeration(e Enumeration) { m.enum = e }
 
-// Engine returns the simulation engine driving this medium.
-func (m *Medium) Engine() *sim.Engine { return m.engine }
-
 // AddStation registers a station. The id must be unique and pos non-nil;
 // handler may be nil for transmit-only stations. An untraced station with
 // no handler and no DeliverCorrupt is deaf: the medium only carrier-senses
@@ -366,9 +363,6 @@ func (m *Medium) AddStation(id packet.NodeID, pos PositionFunc, handler Handler,
 	}
 	return s, nil
 }
-
-// Station returns the registered station with the given id, or nil.
-func (m *Medium) Station(id packet.NodeID) *Station { return m.stations[id] }
 
 // maxRangeFor returns the reception horizon of a frame: the distance
 // beyond which its mean rx power — even with the maximum shadowing boost —

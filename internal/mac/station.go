@@ -67,21 +67,10 @@ type Station struct {
 	posT  time.Duration
 	posP  geom.Point
 	posOK bool
-
-	// sent counts frames put on the air, for diagnostics.
-	sent uint64
-	// dropped counts frames rejected at enqueue time (full queue).
-	dropped uint64
 }
 
-// ID returns the station's node ID.
-func (s *Station) ID() packet.NodeID { return s.id }
-
-// Sent returns the number of frames this station has transmitted.
-func (s *Station) Sent() uint64 { return s.sent }
-
-// QueueLen returns the number of frames waiting for the medium.
-func (s *Station) QueueLen() int { return len(s.queue) - s.qhead }
+// queueLen returns the number of frames waiting for the medium.
+func (s *Station) queueLen() int { return len(s.queue) - s.qhead }
 
 // SetHandler installs the receive handler; protocol layers that need a
 // reference to their own station call this after AddStation.
@@ -147,9 +136,8 @@ func (s *Station) Send(f *packet.Frame) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("mac: station %v: %w", s.id, err)
 	}
-	if s.QueueLen() >= s.cfg.QueueCap {
-		s.dropped++
-		return fmt.Errorf("mac: station %v: queue full (%d frames)", s.id, s.QueueLen())
+	if s.queueLen() >= s.cfg.QueueCap {
+		return fmt.Errorf("mac: station %v: queue full (%d frames)", s.id, s.queueLen())
 	}
 	s.queue = append(s.queue, f)
 	s.tryContend()
@@ -159,14 +147,14 @@ func (s *Station) Send(f *packet.Frame) error {
 // wantsMedium reports whether the station has traffic waiting on medium
 // availability.
 func (s *Station) wantsMedium() bool {
-	return s.QueueLen() > 0 && !s.transmitting && !s.contention.Pending()
+	return s.queueLen() > 0 && !s.transmitting && !s.contention.Pending()
 }
 
 // tryContend starts the DIFS+back-off countdown if the station has
 // traffic, is not already contending or transmitting, and senses an idle
 // medium. Otherwise it flags itself to be woken when the medium frees.
 func (s *Station) tryContend() {
-	if s.QueueLen() == 0 || s.transmitting || s.contention.Pending() {
+	if s.queueLen() == 0 || s.transmitting || s.contention.Pending() {
 		return
 	}
 	if s.medium.busyFor(s) {
@@ -181,7 +169,7 @@ func (s *Station) tryContend() {
 
 // beginTx fires at the end of the contention period.
 func (s *Station) beginTx() {
-	if s.QueueLen() == 0 {
+	if s.queueLen() == 0 {
 		return
 	}
 	// The medium may have turned busy in the same instant (tie-breaking);
@@ -208,7 +196,6 @@ func (s *Station) beginTx() {
 		s.queue, s.qhead = s.queue[:n], 0
 	}
 	s.transmitting = true
-	s.sent++
 	s.medium.startTransmission(s, f)
 }
 
@@ -216,7 +203,7 @@ func (s *Station) beginTx() {
 // this station can sense: abort contention and wait for idle.
 func (s *Station) onMediumBusy() {
 	s.contention.Stop()
-	if s.QueueLen() > 0 && !s.transmitting {
+	if s.queueLen() > 0 && !s.transmitting {
 		s.waiting = true
 		s.medium.enqueueWaiting(s)
 	}

@@ -16,11 +16,11 @@ import (
 // (testdata/fuzz/FuzzReadSnapshotJSON) holds a real metrics.json, a
 // histogram snapshot and malformed names and help strings.
 func FuzzReadSnapshotJSON(f *testing.F) {
-	live := NewRegistry()
-	live.Counter("live_requests_total", "requests served").Inc()
-	live.LabelledCounter("live_status_total", "responses by code", "code", "200").Add(2)
-	live.Gauge("live_in_flight", "requests in flight").Set(1)
-	live.Histogram("live_request_seconds", "request latency").Observe(0.01)
+	live := newRegistry()
+	live.counter("live_requests_total", "requests served").Inc()
+	live.labelledCounter("live_status_total", "responses by code", "code", "200").Add(2)
+	live.gauge("live_in_flight", "requests in flight").set(1)
+	live.histogram("live_request_seconds", "request latency").observe(0.01)
 	liveSnap := live.Snapshot()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -55,7 +55,7 @@ func checkExposition(text string) error {
 	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
 			name, _, _ := strings.Cut(rest, " ")
-			if !ValidName(name) || helped != "" {
+			if !validName(name) || helped != "" {
 				return fmt.Errorf("malformed help line %q", line)
 			}
 			helped = name
@@ -63,7 +63,7 @@ func checkExposition(text string) error {
 		}
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
 			name, typ, _ := strings.Cut(rest, " ")
-			if !ValidName(name) || typed[name] || (helped != "" && helped != name) ||
+			if !validName(name) || typed[name] || (helped != "" && helped != name) ||
 				(typ != "counter" && typ != "gauge" && typ != "histogram") {
 				return fmt.Errorf("malformed type line %q", line)
 			}
@@ -79,13 +79,13 @@ func checkExposition(text string) error {
 
 func wellFormedSample(line string) bool {
 	end := strings.IndexAny(line, "{ ")
-	if end <= 0 || !ValidName(line[:end]) {
+	if end <= 0 || !validName(line[:end]) {
 		return false
 	}
 	rest := line[end:]
 	if labels, ok := strings.CutPrefix(rest, "{"); ok {
 		key, value, ok := strings.Cut(labels, "=")
-		if !ok || !ValidName(key) {
+		if !ok || !validName(key) {
 			return false
 		}
 		quoted, err := strconv.QuotedPrefix(value)

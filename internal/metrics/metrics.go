@@ -75,9 +75,6 @@ type Gauge struct {
 	name string
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // SetMax raises the gauge to v if v is larger — the high-water-mark
 // operation. Concurrent raisers converge on the true maximum.
 func (g *Gauge) SetMax(v int64) {
@@ -89,8 +86,8 @@ func (g *Gauge) SetMax(v int64) {
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+// value returns the current value.
+func (g *Gauge) value() int64 { return g.v.Load() }
 
 // Name returns the gauge's registered name.
 func (g *Gauge) Name() string { return g.name }
@@ -119,8 +116,8 @@ type Histogram struct {
 // len22 is len(histBuckets)+1; Go needs a constant for the array.
 const len22 = 22
 
-// Observe records a duration in seconds.
-func (h *Histogram) Observe(seconds float64) {
+// observe records a duration in seconds.
+func (h *Histogram) observe(seconds float64) {
 	i := sort.SearchFloat64s(histBuckets, seconds)
 	h.counts[i].Add(1)
 	for {
@@ -133,7 +130,7 @@ func (h *Histogram) Observe(seconds float64) {
 }
 
 // ObserveDuration records d.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
 
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
@@ -153,8 +150,8 @@ type Registry struct {
 	help      map[string]string
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
@@ -165,7 +162,7 @@ func NewRegistry() *Registry {
 }
 
 // def is the default registry every package-level handle resolves in.
-var def = NewRegistry()
+var def = newRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return def }
@@ -180,8 +177,8 @@ func (r *Registry) setMeta(name, labelKey, help string) {
 	}
 }
 
-// Counter registers (or returns the existing) plain counter name.
-func (r *Registry) Counter(name, help string) *Counter {
+// counter registers (or returns the existing) plain counter name.
+func (r *Registry) counter(name, help string) *Counter {
 	mustValidName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -194,10 +191,10 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// LabelledCounter registers (or returns the existing) counter sample
+// labelledCounter registers (or returns the existing) counter sample
 // name{labelKey="labelValue"}. All samples of one family must share one
 // label key.
-func (r *Registry) LabelledCounter(name, help, labelKey, labelValue string) *Counter {
+func (r *Registry) labelledCounter(name, help, labelKey, labelValue string) *Counter {
 	mustValidName(name)
 	mustValidName(labelKey)
 	r.mu.Lock()
@@ -212,8 +209,8 @@ func (r *Registry) LabelledCounter(name, help, labelKey, labelValue string) *Cou
 	return c
 }
 
-// Gauge registers (or returns the existing) gauge name.
-func (r *Registry) Gauge(name, help string) *Gauge {
+// gauge registers (or returns the existing) gauge name.
+func (r *Registry) gauge(name, help string) *Gauge {
 	mustValidName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -228,8 +225,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram registers (or returns the existing) duration histogram name.
-func (r *Registry) Histogram(name, help string) *Histogram {
+// histogram registers (or returns the existing) duration histogram name.
+func (r *Registry) histogram(name, help string) *Histogram {
 	mustValidName(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -247,30 +244,30 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // NewCounter, NewLabelledCounter, NewGauge and NewHistogram resolve
 // handles in the default registry — the forms package-level var blocks
 // use.
-func NewCounter(name, help string) *Counter { return def.Counter(name, help) }
+func NewCounter(name, help string) *Counter { return def.counter(name, help) }
 
-// NewLabelledCounter is Registry.LabelledCounter on the default registry.
+// NewLabelledCounter is labelledCounter on the default registry.
 func NewLabelledCounter(name, help, labelKey, labelValue string) *Counter {
-	return def.LabelledCounter(name, help, labelKey, labelValue)
+	return def.labelledCounter(name, help, labelKey, labelValue)
 }
 
-// NewGauge is Registry.Gauge on the default registry.
-func NewGauge(name, help string) *Gauge { return def.Gauge(name, help) }
+// NewGauge is gauge on the default registry.
+func NewGauge(name, help string) *Gauge { return def.gauge(name, help) }
 
-// NewHistogram is Registry.Histogram on the default registry.
-func NewHistogram(name, help string) *Histogram { return def.Histogram(name, help) }
+// NewHistogram is histogram on the default registry.
+func NewHistogram(name, help string) *Histogram { return def.histogram(name, help) }
 
 // mustValidName enforces the Prometheus metric/label name charset, so a
 // registered handle can always be rendered.
 func mustValidName(name string) {
-	if !ValidName(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
 }
 
-// ValidName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*, the
+// validName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*, the
 // Prometheus metric name charset.
-func ValidName(name string) bool {
+func validName(name string) bool {
 	if name == "" {
 		return false
 	}
@@ -342,7 +339,7 @@ func (r *Registry) Snapshot() Snapshot {
 		})
 	}
 	for _, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSample{Name: g.name, Value: g.Value()})
+		s.Gauges = append(s.Gauges, GaugeSample{Name: g.name, Value: g.value()})
 	}
 	for _, h := range r.histograms {
 		hs := HistogramSample{Name: h.name, Bounds: histBuckets}
@@ -463,7 +460,7 @@ func ReadSnapshotJSON(data []byte) (Snapshot, error) {
 		names = append(names, h.Name)
 	}
 	for _, name := range names {
-		if !ValidName(name) {
+		if !validName(name) {
 			return Snapshot{}, fmt.Errorf("metrics: snapshot: invalid name %q", name)
 		}
 	}

@@ -8,10 +8,13 @@ import (
 	"time"
 )
 
+// set stores v.
+func (g *Gauge) set(v int64) { g.v.Store(v) }
+
 func TestCounterRegistrationIdempotent(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("test_total", "help")
-	b := r.Counter("test_total", "")
+	r := newRegistry()
+	a := r.counter("test_total", "help")
+	b := r.counter("test_total", "")
 	if a != b {
 		t.Fatal("same name resolved two handles")
 	}
@@ -23,13 +26,13 @@ func TestCounterRegistrationIdempotent(t *testing.T) {
 }
 
 func TestLabelledCounterFamilies(t *testing.T) {
-	r := NewRegistry()
-	a := r.LabelledCounter("drops_total", "drops", "cause", "collision")
-	b := r.LabelledCounter("drops_total", "", "cause", "channel")
+	r := newRegistry()
+	a := r.labelledCounter("drops_total", "drops", "cause", "collision")
+	b := r.labelledCounter("drops_total", "", "cause", "channel")
 	if a == b {
 		t.Fatal("different label values share a handle")
 	}
-	if r.LabelledCounter("drops_total", "", "cause", "collision") != a {
+	if r.labelledCounter("drops_total", "", "cause", "collision") != a {
 		t.Fatal("same label value resolved a new handle")
 	}
 	defer func() {
@@ -37,11 +40,11 @@ func TestLabelledCounterFamilies(t *testing.T) {
 			t.Fatal("mixing label keys in one family did not panic")
 		}
 	}()
-	r.LabelledCounter("drops_total", "", "reason", "x")
+	r.labelledCounter("drops_total", "", "reason", "x")
 }
 
 func TestInvalidNamePanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	for _, bad := range []string{"", "1abc", "with space", "dash-ed", "ütf"} {
 		func() {
 			defer func() {
@@ -49,36 +52,36 @@ func TestInvalidNamePanics(t *testing.T) {
 					t.Errorf("name %q did not panic", bad)
 				}
 			}()
-			r.Counter(bad, "")
+			r.counter(bad, "")
 		}()
 	}
 	for _, good := range []string{"a", "_x", "ns:sub_total", "A9_b"} {
-		if !ValidName(good) {
+		if !validName(good) {
 			t.Errorf("ValidName(%q) = false", good)
 		}
 	}
 }
 
 func TestGaugeSetMax(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("depth_high_water", "")
+	r := newRegistry()
+	g := r.gauge("depth_high_water", "")
 	g.SetMax(5)
 	g.SetMax(3)
-	if got := g.Value(); got != 5 {
+	if got := g.value(); got != 5 {
 		t.Fatalf("value = %d, want 5", got)
 	}
 	g.SetMax(9)
-	if got := g.Value(); got != 9 {
+	if got := g.value(); got != 9 {
 		t.Fatalf("value = %d, want 9", got)
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("unit_seconds", "")
-	h.Observe(0.0005)              // below the first bound -> bucket 0
+	r := newRegistry()
+	h := r.histogram("unit_seconds", "")
+	h.observe(0.0005)              // below the first bound -> bucket 0
 	h.ObserveDuration(time.Second) // exactly the 1s bound -> its bucket (le is inclusive)
-	h.Observe(1e6)                 // beyond every bound -> +Inf only
+	h.observe(1e6)                 // beyond every bound -> +Inf only
 	s := r.Snapshot()
 	if len(s.Histograms) != 1 {
 		t.Fatalf("histograms = %d", len(s.Histograms))
@@ -119,13 +122,13 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zz_total", "").Inc()
-	r.Counter("aa_total", "").Inc()
-	r.LabelledCounter("mm_total", "", "k", "b").Inc()
-	r.LabelledCounter("mm_total", "", "k", "a").Inc()
-	r.Gauge("g2", "").Set(1)
-	r.Gauge("g1", "").Set(2)
+	r := newRegistry()
+	r.counter("zz_total", "").Inc()
+	r.counter("aa_total", "").Inc()
+	r.labelledCounter("mm_total", "", "k", "b").Inc()
+	r.labelledCounter("mm_total", "", "k", "a").Inc()
+	r.gauge("g2", "").set(1)
+	r.gauge("g1", "").set(2)
 	s := r.Snapshot()
 	var names []string
 	for _, c := range s.Counters {
@@ -141,12 +144,12 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 }
 
 func TestPrometheusRendering(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("events_total", "events processed").Add(42)
-	r.LabelledCounter("drops_total", "drops by cause", "cause", "collision").Add(7)
-	r.LabelledCounter("drops_total", "", "cause", "channel").Add(1)
-	r.Gauge("depth", "queue depth").Set(13)
-	r.Histogram("wall_seconds", "unit wall time").Observe(0.5)
+	r := newRegistry()
+	r.counter("events_total", "events processed").Add(42)
+	r.labelledCounter("drops_total", "drops by cause", "cause", "collision").Add(7)
+	r.labelledCounter("drops_total", "", "cause", "channel").Add(1)
+	r.gauge("depth", "queue depth").set(13)
+	r.histogram("wall_seconds", "unit wall time").observe(0.5)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -178,10 +181,10 @@ func TestPrometheusRendering(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "help a").Add(5)
-	r.LabelledCounter("b_total", "", "k", "v").Add(2)
-	r.Gauge("g", "").Set(-3)
+	r := newRegistry()
+	r.counter("a_total", "help a").Add(5)
+	r.labelledCounter("b_total", "", "k", "v").Add(2)
+	r.gauge("g", "").set(-3)
 	snap := r.Snapshot().Deterministic()
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {
@@ -204,11 +207,11 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestMergePrefersReceiver(t *testing.T) {
-	run := NewRegistry()
-	run.Counter("sim_events_total", "").Add(100)
-	live := NewRegistry()
-	live.Counter("sim_events_total", "").Add(0) // zero-valued registration
-	live.Counter("http_requests_total", "").Add(9)
+	run := newRegistry()
+	run.counter("sim_events_total", "").Add(100)
+	live := newRegistry()
+	live.counter("sim_events_total", "").Add(0) // zero-valued registration
+	live.counter("http_requests_total", "").Add(9)
 	merged := run.Snapshot().Merge(live.Snapshot())
 	byName := map[string]uint64{}
 	for _, c := range merged.Counters {
@@ -232,10 +235,10 @@ func TestEnabledDefaultOff(t *testing.T) {
 // histograms record on other goroutines — the race-detector contract
 // behind sweepd scraping a live process.
 func TestConcurrentSnapshot(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
-	h := r.Histogram("h_seconds", "")
+	r := newRegistry()
+	c := r.counter("c_total", "")
+	g := r.gauge("g", "")
+	h := r.histogram("h_seconds", "")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -245,7 +248,7 @@ func TestConcurrentSnapshot(t *testing.T) {
 			for {
 				c.Inc()
 				g.SetMax(int64(c.Value()))
-				h.Observe(0.001)
+				h.observe(0.001)
 				select {
 				case <-stop:
 					return

@@ -92,12 +92,12 @@ func lintComment(line string, types map[string]string, helped, sampled map[strin
 	kind, family := fields[1], fields[2]
 	switch kind {
 	case "HELP":
-		if !ValidName(family) {
+		if !validName(family) {
 			return fmt.Errorf("HELP for invalid metric name %q", family)
 		}
 		helped[family] = true
 	case "TYPE":
-		if !ValidName(family) {
+		if !validName(family) {
 			return fmt.Errorf("TYPE for invalid metric name %q", family)
 		}
 		if len(fields) != 4 {
@@ -130,7 +130,7 @@ func lintSample(line string) (string, float64, error) {
 		return "", 0, fmt.Errorf("malformed sample %q", line)
 	}
 	name := rest[:end]
-	if !ValidName(name) {
+	if !validName(name) {
 		return "", 0, fmt.Errorf("invalid metric name %q", name)
 	}
 	rest = rest[end:]
@@ -218,5 +218,5 @@ func sampleFamily(name string, types map[string]string) string {
 }
 
 func validLabelName(name string) bool {
-	return !strings.ContainsRune(name, ':') && ValidName(name)
+	return !strings.ContainsRune(name, ':') && validName(name)
 }

@@ -49,7 +49,7 @@ type PathFollower struct {
 	lapTime    float64 // time for one full traversal
 }
 
-// FollowerConfig configures NewPathFollower.
+// FollowerConfig configures MustPathFollower.
 type FollowerConfig struct {
 	Path     *geom.Polyline
 	Loop     bool
@@ -58,8 +58,8 @@ type FollowerConfig struct {
 	Zones    []SpeedZone
 }
 
-// NewPathFollower validates cfg and precomputes the time parameterisation.
-func NewPathFollower(cfg FollowerConfig) (*PathFollower, error) {
+// newPathFollower validates cfg and precomputes the time parameterisation.
+func newPathFollower(cfg FollowerConfig) (*PathFollower, error) {
 	if cfg.Path == nil {
 		return nil, fmt.Errorf("mobility: nil path")
 	}
@@ -104,9 +104,9 @@ func NewPathFollower(cfg FollowerConfig) (*PathFollower, error) {
 	}, nil
 }
 
-// MustPathFollower is NewPathFollower but panics on error.
+// MustPathFollower is newPathFollower but panics on error.
 func MustPathFollower(cfg FollowerConfig) *PathFollower {
-	f, err := NewPathFollower(cfg)
+	f, err := newPathFollower(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -127,9 +127,6 @@ func zoneFactor(zones []SpeedZone, arc float64) float64 {
 func (f *PathFollower) LapTime() time.Duration {
 	return time.Duration(f.lapTime * float64(time.Second))
 }
-
-// PathLength returns the path's total arc length.
-func (f *PathFollower) PathLength() float64 { return f.path.Length() }
 
 // ArcAt returns the arc-length position at time now, measured from the
 // path start (not from StartArc) and NOT wrapped: it increases without

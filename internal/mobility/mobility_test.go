@@ -21,18 +21,18 @@ func square(side float64) *geom.Polyline {
 
 func TestNewPathFollowerValidation(t *testing.T) {
 	path := square(100)
-	if _, err := NewPathFollower(FollowerConfig{Path: nil, SpeedMPS: 5}); err == nil {
+	if _, err := newPathFollower(FollowerConfig{Path: nil, SpeedMPS: 5}); err == nil {
 		t.Fatal("nil path accepted")
 	}
-	if _, err := NewPathFollower(FollowerConfig{Path: path, SpeedMPS: 0}); err == nil {
+	if _, err := newPathFollower(FollowerConfig{Path: path, SpeedMPS: 0}); err == nil {
 		t.Fatal("zero speed accepted")
 	}
-	if _, err := NewPathFollower(FollowerConfig{
+	if _, err := newPathFollower(FollowerConfig{
 		Path: path, SpeedMPS: 5, Zones: []SpeedZone{{0, 10, 0}},
 	}); err == nil {
 		t.Fatal("zero zone factor accepted")
 	}
-	if _, err := NewPathFollower(FollowerConfig{
+	if _, err := newPathFollower(FollowerConfig{
 		Path: path, SpeedMPS: 5, Zones: []SpeedZone{{10, 10, 1}},
 	}); err == nil {
 		t.Fatal("empty zone range accepted")
@@ -41,18 +41,23 @@ func TestNewPathFollowerValidation(t *testing.T) {
 
 // TestPathFollowerDegeneratePaths covers the degenerate geometry edge
 // cases: paths that cannot be built (zero points, one point, coincident
-// points) must be rejected at the polyline layer, and NewPathFollower
-// must never be constructible over them.
+// points) must be rejected at the polyline layer (MustPolyline panics),
+// so no path follower is ever constructed over them.
 func TestPathFollowerDegeneratePaths(t *testing.T) {
-	if _, err := geom.NewPolyline(); err == nil {
-		t.Fatal("empty polyline accepted")
-	}
-	if _, err := geom.NewPolyline(geom.Point{X: 1, Y: 2}); err == nil {
-		t.Fatal("single-point polyline accepted")
-	}
-	// All-coincident points: a polyline with zero total length.
-	if _, err := geom.NewPolyline(geom.Point{X: 3, Y: 3}, geom.Point{X: 3, Y: 3}); err == nil {
-		t.Fatal("zero-length polyline accepted")
+	for name, pts := range map[string][]geom.Point{
+		"empty":        nil,
+		"single-point": {{X: 1, Y: 2}},
+		// All-coincident points: a polyline with zero total length.
+		"zero-length": {{X: 3, Y: 3}, {X: 3, Y: 3}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s polyline accepted", name)
+				}
+			}()
+			geom.MustPolyline(pts...)
+		}()
 	}
 }
 
@@ -243,8 +248,8 @@ func TestPlatoonOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 3 {
-		t.Fatalf("Size = %d", p.Size())
+	if len(p.profiles) != 3 {
+		t.Fatalf("Size = %d", len(p.profiles))
 	}
 	for _, at := range []time.Duration{0, 10 * time.Second, time.Minute} {
 		a0 := p.ArcAt(0, at)
@@ -319,7 +324,7 @@ func TestPlatoonCarPositionsOnPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < p.Size(); i++ {
+	for i := 0; i < len(p.profiles); i++ {
 		pos := p.Car(i).Position(25 * time.Second)
 		if pos.X < -1e-6 || pos.X > 200+1e-6 || pos.Y < -1e-6 || pos.Y > 200+1e-6 {
 			t.Fatalf("car %d off the square: %v", i, pos)
@@ -359,14 +364,14 @@ func gap(p *Platoon, i int, now time.Duration) float64 {
 	if i <= 0 || i >= len(p.profiles) {
 		panic(fmt.Sprintf("mobility: gap index %d out of range [1,%d)", i, len(p.profiles)))
 	}
-	return p.gapAt(i, now, math.Mod(p.leader.ArcAt(now), p.leader.PathLength()))
+	return p.gapAt(i, now, math.Mod(p.leader.ArcAt(now), p.leader.path.Length()))
 }
 
 // spacing returns the distances between consecutive cars' positions at
 // now.
 func spacing(p *Platoon, now time.Duration) []float64 {
-	out := make([]float64, 0, p.Size()-1)
-	for i := 1; i < p.Size(); i++ {
+	out := make([]float64, 0, len(p.profiles)-1)
+	for i := 1; i < len(p.profiles); i++ {
 		out = append(out, p.Car(i-1).Position(now).Dist(p.Car(i).Position(now)))
 	}
 	return out
@@ -411,7 +416,7 @@ func TestPlatoonArcAtMatchesNaive(t *testing.T) {
 		rng.Shuffle(len(instants), func(a, b int) { instants[a], instants[b] = instants[b], instants[a] })
 		instants = append(instants, instants[7], instants[7], 0, time.Minute, 0)
 		for _, now := range instants {
-			for _, i := range rng.Perm(p.Size())[:1+rng.Intn(p.Size())] {
+			for _, i := range rng.Perm(len(p.profiles))[:1+rng.Intn(len(p.profiles))] {
 				got, want := p.ArcAt(i, now), naiveArc(p, i, now)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("leader %d, car %d at %v: ArcAt = %v, naive %v", li, i, now, got, want)

@@ -102,12 +102,6 @@ func NewPlatoon(leader *PathFollower, profiles []DriverProfile, rng *rand.Rand) 
 	return pl, nil
 }
 
-// Size returns the number of cars.
-func (p *Platoon) Size() int { return len(p.profiles) }
-
-// Leader returns the leader's path follower.
-func (p *Platoon) Leader() *PathFollower { return p.leader }
-
 // gapAt returns car i's instantaneous gap behind car i-1, given the
 // leader's in-lap arc at now.
 func (p *Platoon) gapAt(i int, now time.Duration, leaderArc float64) float64 {
@@ -144,7 +138,7 @@ func (p *Platoon) ArcAt(i int, now time.Duration) float64 {
 	}
 	for ; p.known <= i; p.known++ {
 		if p.known == 1 {
-			p.leaderInLap = math.Mod(p.arcs[0], p.leader.PathLength())
+			p.leaderInLap = math.Mod(p.arcs[0], p.leader.path.Length())
 		}
 		p.arcs[p.known] = p.arcs[p.known-1] - p.gapAt(p.known, now, p.leaderInLap)
 	}

@@ -64,9 +64,9 @@ func Modulations() []Modulation {
 	return []Modulation{DSSS1Mbps, DSSS2Mbps, OFDM6Mbps, CCK11Mbps}
 }
 
-// BER returns the bit error rate at the given SNR (dB). The modulation's
-// processing gain is applied internally.
-func (m Modulation) BER(snrDB float64) float64 {
+// bitErrorRate returns the bit error rate at the given SNR (dB). The
+// modulation's processing gain is applied internally.
+func (m Modulation) bitErrorRate(snrDB float64) float64 {
 	snrLin := math.Pow(10, snrDB/10)
 	ebn0 := snrLin * m.ProcessingGain
 	b := m.ber(ebn0)
@@ -86,7 +86,7 @@ func (m Modulation) PER(snrDB float64, bytes int) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	ber := m.BER(snrDB)
+	ber := m.bitErrorRate(snrDB)
 	if ber == 0 {
 		return 0
 	}

@@ -219,7 +219,7 @@ func TestModulationBERMonotone(t *testing.T) {
 	for _, m := range Modulations() {
 		prev := 1.0
 		for snr := -10.0; snr <= 30; snr += 0.5 {
-			b := m.BER(snr)
+			b := m.bitErrorRate(snr)
 			if b < 0 || b > 0.5 {
 				t.Fatalf("%s: BER(%v) = %v out of range", m.Name, snr, b)
 			}

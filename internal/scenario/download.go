@@ -162,7 +162,7 @@ func (cfg DownloadConfig) Round(round int) (Round, error) {
 
 	out := Round{Protocol: result.Trace}
 	for i, id := range carIDs {
-		cd := CarDownload{Car: id, Blocks: result.CarqNode(id).HaveCount()}
+		cd := CarDownload{Car: id, Blocks: result.carqNode(id).HaveCount()}
 		if at, ok := done[id]; ok {
 			cd.Completed = true
 			cd.CompletionTime = at

@@ -60,7 +60,7 @@ func (c Common) platoon(models []mobility.Model) []CarSpec {
 // forked by the sweep arm.
 func (c Common) run(roundSeed int64, s Setup) (*Result, error) {
 	s.Seed = sim.ArmSeed(roundSeed, c.Arm)
-	return Run(s)
+	return runSetup(s)
 }
 
 // Round is one round's output: what a work unit computes, stores and

@@ -8,8 +8,8 @@ import (
 
 // The scenario layer is where per-round simulations meet the process-wide
 // metrics registry: engines and media keep plain single-threaded counters
-// (sim.Engine.Stats, mac.Medium.Stats), and Run flushes them here once per
-// round behind a single metrics.Enabled() branch. Handles resolve once, at
+// (sim.Engine.Stats, mac.Medium.Stats), and runSetup flushes them here
+// once per round behind a single metrics.Enabled() branch. Handles resolve once, at
 // package init; flushing is a handful of atomic adds per round.
 //
 // Determinism contract (see the README's Observability section): every

@@ -67,7 +67,7 @@ type CarSpec struct {
 // BeaconSpec binds one beacon-only background vehicle: a station that
 // sends a HELLO every Period (jittered) from StartAt on and ignores what
 // it hears. Beacons load the channel and the medium but are not part of
-// the round's trace scope (see Run).
+// the round's trace scope (see runSetup).
 type BeaconSpec struct {
 	ID       packet.NodeID
 	Mobility mobility.Model
@@ -109,25 +109,25 @@ type Result struct {
 	Nodes map[packet.NodeID]Node
 }
 
-// CarqNode returns the car's node as a *carq.Node, or nil when the car
+// carqNode returns the car's node as a *carq.Node, or nil when the car
 // ran a different protocol.
-func (r *Result) CarqNode(id packet.NodeID) *carq.Node {
+func (r *Result) carqNode(id packet.NodeID) *carq.Node {
 	n, _ := r.Nodes[id].(*carq.Node)
 	return n
 }
 
-// mediumEnumeration is how every medium Run builds enumerates receivers:
-// mac.EnumerateAuto, except while the scan-vs-index equivalence test
-// forces one path. Every choice produces the same round.
+// mediumEnumeration is how every medium runSetup builds enumerates
+// receivers: mac.EnumerateAuto, except while the scan-vs-index
+// equivalence test forces one path. Every choice produces the same round.
 var mediumEnumeration mac.Enumeration
 
-// Run executes one simulation round and returns its trace and final node
+// runSetup executes one simulation round and returns its trace and final node
 // states. The trace is scoped to the tracked stations — the APs and the
 // cars: it records a transmission whose source is tracked and a
 // reception or drop whose receiver is tracked. Beacons are registered
 // after the cars and stay out of the trace; the medium still counts
 // their events (mac.Stats).
-func Run(s Setup) (*Result, error) {
+func runSetup(s Setup) (*Result, error) {
 	if len(s.APs) == 0 {
 		return nil, fmt.Errorf("scenario: no access points")
 	}
@@ -205,9 +205,7 @@ func Run(s Setup) (*Result, error) {
 	if s.Hook != nil {
 		s.Hook(engine, nodes)
 	}
-	if err := engine.RunUntil(s.Duration); err != nil {
-		return nil, fmt.Errorf("scenario: run: %w", err)
-	}
+	engine.RunUntil(s.Duration)
 	// One predictable branch per round: the engine and medium count with
 	// plain fields while the simulation runs; only the flush into the
 	// shared registry is gated (and skipped entirely by default).

@@ -1,24 +1,16 @@
 package sim
 
-import (
-	"errors"
-	"time"
-)
-
-// ErrStopped is returned by Run when the simulation was halted by Stop
-// before the event queue drained.
-var ErrStopped = errors.New("sim: stopped")
+import "time"
 
 // Engine is the discrete-event scheduler. It is single-threaded by design:
 // all protocol logic runs inside event callbacks on the goroutine that calls
-// Run, so simulations need no locking and are fully deterministic.
+// RunUntil, so simulations need no locking and are fully deterministic.
 //
 // The zero value is not ready to use; create engines with New.
 type Engine struct {
 	now     time.Duration
 	queue   eventQueue
 	seq     uint64
-	stopReq bool
 	running bool
 
 	// processed counts events whose callbacks have run, for diagnostics.
@@ -52,9 +44,6 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.processed }
-
 // Pending returns the number of live events waiting in the queue.
 // Cancelled events that have not been lazily discarded yet are excluded,
 // so the count is exactly the number of callbacks still due to run.
@@ -84,7 +73,7 @@ type Stats struct {
 
 // Stats returns the engine's counters so far. The engine is
 // single-threaded; call it from the owning goroutine (typically after
-// Run returns).
+// RunUntil returns).
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Scheduled:     e.scheduled,
@@ -163,13 +152,9 @@ func (e *Engine) recycle(ev *event) {
 	e.recycled++
 }
 
-// Stop requests that Run return after the currently executing event. It is
-// safe to call from inside an event callback.
-func (e *Engine) Stop() { e.stopReq = true }
-
-// Step executes the next live event, advancing the clock to its timestamp.
+// step executes the next live event, advancing the clock to its timestamp.
 // It reports whether an event was executed (false means the queue is empty).
-func (e *Engine) Step() bool {
+func (e *Engine) step() bool {
 	ev := e.peekLive()
 	if ev == nil {
 		return false
@@ -201,38 +186,22 @@ func (e *Engine) peekLive() *event {
 	}
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// nil when the queue drained and ErrStopped when halted early.
-func (e *Engine) Run() error {
-	return e.RunUntil(-1)
-}
-
 // RunUntil executes events with timestamps <= horizon, then advances the
-// clock to horizon. A negative horizon means "no horizon" (run to drain).
-// Events strictly after the horizon remain queued. It returns ErrStopped if
-// Stop halted the run early, nil otherwise.
-func (e *Engine) RunUntil(horizon time.Duration) error {
+// clock to horizon. Events strictly after the horizon remain queued.
+func (e *Engine) RunUntil(horizon time.Duration) {
 	if e.running {
-		panic("sim: nested Run")
+		panic("sim: nested RunUntil")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.stopReq = false
 	for {
-		if e.stopReq {
-			return ErrStopped
-		}
 		next := e.peekLive()
-		if next == nil {
+		if next == nil || next.at > horizon {
 			break
 		}
-		if horizon >= 0 && next.at > horizon {
-			break
-		}
-		e.Step()
+		e.step()
 	}
-	if horizon >= 0 && e.now < horizon {
+	if e.now < horizon {
 		e.now = horizon
 	}
-	return nil
 }

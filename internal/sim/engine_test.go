@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// drain runs events until the queue is empty.
+func (e *Engine) drain() {
+	for e.step() {
+	}
+}
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := New()
 	if got := e.Now(); got != 0 {
@@ -21,9 +27,7 @@ func TestScheduleAdvancesClock(t *testing.T) {
 	e := New()
 	var at time.Duration = -1
 	e.Schedule(5*time.Second, func() { at = e.Now() })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	if at != 5*time.Second {
 		t.Fatalf("callback ran at %v, want 5s", at)
 	}
@@ -38,9 +42,7 @@ func TestEventsFireInTimestampOrder(t *testing.T) {
 	e.Schedule(3*time.Second, func() { order = append(order, 3) })
 	e.Schedule(1*time.Second, func() { order = append(order, 1) })
 	e.Schedule(2*time.Second, func() { order = append(order, 2) })
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -56,9 +58,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 		i := i
 		e.Schedule(time.Second, func() { order = append(order, i) })
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	if len(order) != 10 {
 		t.Fatalf("got %d events, want 10", len(order))
 	}
@@ -75,9 +75,7 @@ func TestNegativeDelayClampedToZero(t *testing.T) {
 	e.Schedule(time.Second, func() {
 		e.Schedule(-time.Minute, func() { fired = true })
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
 	}
@@ -104,9 +102,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if !tm.Stop() {
 		t.Fatal("Stop on armed timer returned false")
 	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	if fired {
 		t.Fatal("stopped timer fired")
 	}
@@ -135,9 +131,7 @@ func TestCancelAfterFireReturnsFalse(t *testing.T) {
 	fired := false
 	tm := e.NewTimer(func() { fired = true })
 	tm.Reset(time.Second)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	if !fired {
 		t.Fatal("timer did not fire")
 	}
@@ -157,28 +151,6 @@ func TestCancelIdleTimerSafe(t *testing.T) {
 	}
 	if tm.Pending() || e.Pending() != 0 || e.Stats().Cancelled != 0 {
 		t.Fatal("never-armed timer left state behind")
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	e := New()
-	var count int
-	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	if err := e.Run(); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if count != 3 {
-		t.Fatalf("executed %d events before stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("Pending() = %d, want 7", e.Pending())
 	}
 }
 
@@ -206,15 +178,13 @@ func TestPendingExcludesCancelled(t *testing.T) {
 		t.Fatalf("Pending() after re-stop = %d, want 3", e.Pending())
 	}
 	// Stepping over a cancelled event keeps the count consistent.
-	if !e.Step() { // runs the live 1 s event
+	if !e.step() { // runs the live 1 s event
 		t.Fatal("Step found no event")
 	}
 	if e.Pending() != 2 {
 		t.Fatalf("Pending() after first step = %d, want 2", e.Pending())
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() after drain = %d, want 0", e.Pending())
 	}
@@ -232,9 +202,7 @@ func TestRunUntilHorizon(t *testing.T) {
 		d := d * time.Second
 		e.Schedule(d, func() { fired = append(fired, d) })
 	}
-	if err := e.RunUntil(3 * time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(3 * time.Second)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events, want 3", len(fired))
 	}
@@ -242,9 +210,7 @@ func TestRunUntilHorizon(t *testing.T) {
 		t.Fatalf("Now() = %v, want 3s", e.Now())
 	}
 	// Remaining events still fire on a later run.
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	if len(fired) != 5 {
 		t.Fatalf("fired %d events total, want 5", len(fired))
 	}
@@ -260,9 +226,7 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	fired := false
 	e.Schedule(10*time.Second, func() { fired = true })
 	timer.Stop()
-	if err := e.RunUntil(5 * time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(5 * time.Second)
 	if fired || e.Now() != 5*time.Second {
 		t.Fatalf("after RunUntil(5s): 10 s event fired %v, clock %v; want pending at 5s", fired, e.Now())
 	}
@@ -273,9 +237,7 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 
 func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 	e := New()
-	if err := e.RunUntil(10 * time.Second); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
+	e.RunUntil(10 * time.Second)
 	if e.Now() != 10*time.Second {
 		t.Fatalf("Now() = %v, want 10s", e.Now())
 	}
@@ -294,9 +256,7 @@ func TestEventChaining(t *testing.T) {
 		}
 	}
 	e.Schedule(100*time.Millisecond, tick)
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.drain()
 	for i, at := range times {
 		want := time.Duration(i+1) * 100 * time.Millisecond
 		if at != want {
@@ -312,11 +272,9 @@ func TestProcessedCountsLiveEventsOnly(t *testing.T) {
 	tm.Reset(2 * time.Second)
 	tm.Stop()
 	e.Schedule(3*time.Second, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if e.Processed() != 2 {
-		t.Fatalf("Processed() = %d, want 2", e.Processed())
+	e.drain()
+	if e.processed != 2 {
+		t.Fatalf("Processed() = %d, want 2", e.processed)
 	}
 }
 
@@ -339,9 +297,7 @@ func TestClockMonotonicProperty(t *testing.T) {
 				recs = append(recs, rec{e.Now(), i})
 			})
 		}
-		if err := e.Run(); err != nil {
-			return false
-		}
+		e.drain()
 		if len(recs) != len(delaysMs) {
 			return false
 		}
@@ -423,9 +379,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			e.Schedule(time.Duration(i)*time.Second, func() { spawn(0) })
 		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+		e.drain()
 		return trace
 	}
 	a, b := run(42), run(42)
@@ -479,11 +433,9 @@ func TestNestedRunPanics(t *testing.T) {
 				t.Error("nested Run did not panic")
 			}
 		}()
-		_ = e.Run()
+		e.RunUntil(2 * time.Second)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	e.RunUntil(2 * time.Second)
 }
 
 func BenchmarkScheduleRun(b *testing.B) {
@@ -493,9 +445,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.Schedule(time.Duration(j%97)*time.Millisecond, func() {})
 		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+		e.drain()
 	}
 }
 
@@ -512,9 +462,7 @@ func BenchmarkEventChain(b *testing.B) {
 			}
 		}
 		e.Schedule(0, tick)
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+		e.drain()
 	}
 }
 
@@ -573,15 +521,11 @@ func TestEventAccountingIdentity(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			act()
 			if rng.Intn(20) == 0 {
-				if err := e.RunUntil(e.Now() + time.Duration(rng.Intn(300))*time.Millisecond); err != nil {
-					t.Fatal(err)
-				}
+				e.RunUntil(e.Now() + time.Duration(rng.Intn(300))*time.Millisecond)
 			}
 			check("after step")
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		e.drain()
 		check("after drain")
 		if st := e.Stats(); e.Pending() != 0 || st.Cancelled == 0 {
 			t.Fatalf("seed %d: drained with %d pending, %d cancelled", seed, e.Pending(), st.Cancelled)
@@ -597,12 +541,10 @@ func TestScheduleStoredFuncAllocationFree(t *testing.T) {
 	var tick func()
 	tick = func() {}
 	e.Schedule(time.Millisecond, tick) // warm the free list
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Schedule(time.Millisecond, tick)
-		e.Step()
+		e.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("re-arming a stored func allocated %.1f times per run", allocs)

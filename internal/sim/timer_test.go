@@ -11,9 +11,7 @@ func TestScheduleCallFiresInOrderWithScheduled(t *testing.T) {
 	e.Schedule(time.Second, func() { got = append(got, 1) })
 	e.ScheduleCall(time.Second, func(arg any) { got = append(got, arg.(int)) }, 2)
 	e.Schedule(time.Second, func() { got = append(got, 3) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("same-instant Schedule/ScheduleCall order = %v, want [1 2 3]", got)
 	}
@@ -31,9 +29,7 @@ func TestScheduleCallRecyclesEvents(t *testing.T) {
 	}
 	e.ScheduleCall(time.Millisecond, chain, nil)
 	allocs := testing.AllocsPerRun(1, func() {
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		e.drain()
 	})
 	if fired < 1000 {
 		t.Fatalf("chain fired %d times", fired)
@@ -53,9 +49,7 @@ func TestScheduleCallNegativeDelayClamped(t *testing.T) {
 			}
 		}, nil)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 }
 
 func TestScheduleCallNilCallbackPanics(t *testing.T) {
@@ -75,9 +69,7 @@ func TestTimerResetAndFire(t *testing.T) {
 	if !tm.Pending() {
 		t.Fatal("armed timer not pending")
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 	if fired != 1 || tm.Pending() {
 		t.Fatalf("fired=%d pending=%v after run", fired, tm.Pending())
 	}
@@ -89,9 +81,7 @@ func TestTimerResetReplacesPending(t *testing.T) {
 	tm := e.NewTimer(func() { at = e.Now() })
 	tm.Reset(time.Second)
 	tm.Reset(3 * time.Second) // re-arm before the first deadline
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 	if at != 3*time.Second {
 		t.Fatalf("timer fired at %v, want 3s (single firing at the latest Reset)", at)
 	}
@@ -107,9 +97,7 @@ func TestTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop reported a prevented firing")
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 }
 
 func TestTimerRearmFromCallback(t *testing.T) {
@@ -123,9 +111,7 @@ func TestTimerRearmFromCallback(t *testing.T) {
 		}
 	})
 	tm.Reset(time.Second)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.drain()
 	if fired != 5 {
 		t.Fatalf("periodic timer fired %d times, want 5", fired)
 	}
@@ -146,11 +132,9 @@ func TestTimerStopExcludedFromPending(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("Pending = %d after Stop, want 1", e.Pending())
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Processed() != 1 {
-		t.Fatalf("Processed = %d, want 1 (stopped timer must not count)", e.Processed())
+	e.drain()
+	if e.processed != 1 {
+		t.Fatalf("Processed = %d, want 1 (stopped timer must not count)", e.processed)
 	}
 }
 

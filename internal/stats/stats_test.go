@@ -7,26 +7,35 @@ import (
 	"testing/quick"
 )
 
+// stdDev is the batch sample standard deviation of xs (n-1
+// denominator), the oracle the streaming Accumulator is checked against.
+func stdDev(xs []float64) float64 {
+	m := Mean(xs)
+	var ss float64
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
+	}
+	return math.Sqrt(ss / float64(len(xs)-1))
+}
+
 func TestAccumulatorBasics(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 {
+	if a.n != 0 || a.Mean() != 0 || a.variance() != 0 {
 		t.Fatal("zero accumulator not zero-valued")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d, want 8", a.N())
+	if a.n != 8 {
+		t.Fatalf("n = %d, want 8", a.n)
 	}
 	if got := a.Mean(); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
 	// Sample variance with n-1 denominator: sum sq dev = 32, /7.
-	if got := a.Variance(); math.Abs(got-32.0/7) > 1e-12 {
+	if got := a.variance(); math.Abs(got-32.0/7) > 1e-12 {
 		t.Fatalf("Variance = %v, want %v", got, 32.0/7)
-	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v, want 2/9", a.Min(), a.Max())
 	}
 }
 
@@ -36,11 +45,8 @@ func TestAccumulatorSingleValue(t *testing.T) {
 	if a.Mean() != 3.5 {
 		t.Fatalf("Mean = %v", a.Mean())
 	}
-	if a.Variance() != 0 || a.StdDev() != 0 {
+	if a.variance() != 0 || a.StdDev() != 0 {
 		t.Fatal("variance of single observation should be 0")
-	}
-	if a.Min() != 3.5 || a.Max() != 3.5 {
-		t.Fatal("min/max of single observation wrong")
 	}
 }
 
@@ -57,7 +63,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 			a.Add(xs[i])
 		}
 		return math.Abs(a.Mean()-Mean(xs)) < 1e-9 &&
-			math.Abs(a.StdDev()-StdDev(xs)) < 1e-9
+			math.Abs(a.StdDev()-stdDev(xs)) < 1e-9
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -70,7 +76,11 @@ func TestProportion(t *testing.T) {
 		t.Fatal("empty proportion estimate != 0")
 	}
 	for i := 0; i < 30; i++ {
-		p.Add(i < 21) // 21 of 30
+		k := 0
+		if i < 21 { // 21 of 30
+			k = 1
+		}
+		p.AddN(k, 1)
 	}
 	if p.successes != 21 || p.trials != 30 {
 		t.Fatalf("got %d/%d, want 21/30", p.successes, p.trials)
@@ -110,45 +120,13 @@ func TestMeanStdDevEdgeCases(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
 	}
-	if StdDev(nil) != 0 || StdDev([]float64{5}) != 0 {
-		t.Fatal("StdDev edge cases wrong")
+	var a Accumulator
+	if a.StdDev() != 0 {
+		t.Fatal("StdDev of no observations != 0")
 	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-		{-5, 15},  // clamped
-		{120, 50}, // clamped
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.q); math.Abs(got-tt.want) > 1e-9 {
-			t.Fatalf("Percentile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("Percentile(nil) != 0")
-	}
-	if Percentile([]float64{7}, 99) != 7 {
-		t.Fatal("Percentile single value wrong")
-	}
-	if Median(xs) != 35 {
-		t.Fatal("Median wrong")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
+	a.Add(5)
+	if a.StdDev() != 0 {
+		t.Fatal("StdDev of one observation != 0")
 	}
 }
 

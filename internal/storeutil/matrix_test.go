@@ -214,7 +214,6 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 		faultpoint.New(c.fault + ".save.write").MustArm(faultpoint.Spec{
 			Action: faultpoint.ActShortWrite, Bytes: 10, Key: key,
 		})
-		faultpoint.SetEnabled(true)
 		err := st.Save(key, c.sample())
 		faultpoint.DisarmAll()
 		if err == nil || !strings.Contains(err.Error(), "short write") {
@@ -258,7 +257,6 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 		faultpoint.New(c.fault + ".load").MustArm(faultpoint.Spec{
 			Action: faultpoint.ActError, Msg: "injected read failure", Key: key, Count: 1,
 		})
-		faultpoint.SetEnabled(true)
 		_, err := load(key)
 		faultpoint.DisarmAll()
 		if err == nil || !strings.Contains(err.Error(), "injected read failure") {

@@ -138,9 +138,6 @@ func (s *Store[T]) Stats() Stats {
 	return Stats{v(hits), v(misses), v(readBytes), v(saves), v(writtenBytes), v(corrupt)}
 }
 
-// Dir returns the store's root directory.
-func (s *Store[T]) Dir() string { return s.dir }
-
 // Path returns the file key stores under.
 func (s *Store[T]) Path(key string) string {
 	h := fnv.New64a()

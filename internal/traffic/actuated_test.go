@@ -85,7 +85,7 @@ func TestActuatedGreenBounds(t *testing.T) {
 				delete(greenSince, id)
 			}
 		}
-		s.Step()
+		s.step()
 	}
 	if len(greens) < 10 {
 		t.Fatalf("only %d completed greens observed; the controller is stuck", len(greens))

@@ -32,14 +32,14 @@ type DemandFlow struct {
 // traversal time of the whole link.
 func linkTravelTime(l *Link) float64 { return l.Length() / l.SpeedLimitMPS }
 
-// ShortestRoute returns the link sequence (inclusive of both endpoints)
+// shortestRoute returns the link sequence (inclusive of both endpoints)
 // minimising total free-flow travel time from one link to another, or
 // false when no path exists. Weights are static — congestion does not
 // re-route — so a vehicle's route can be fixed in its spec at injection
 // time, which is what keeps demand-driven worlds replayable byte for
 // byte. Ties break deterministically towards lower link IDs. Loop links
 // (ring roads) never appear on a route except as the origin itself.
-func ShortestRoute(net *Network, from, to LinkID) ([]LinkID, bool) {
+func shortestRoute(net *Network, from, to LinkID) ([]LinkID, bool) {
 	n := len(net.Links)
 	if from < 0 || int(from) >= n || to < 0 || int(to) >= n {
 		return nil, false
@@ -127,11 +127,11 @@ func ExpandDemand(net *Network, flows []DemandFlow, horizon time.Duration, seed 
 		if f.RateVehPerHour <= 0 {
 			return nil, fmt.Errorf("traffic: flow %d rate %v veh/h", i, f.RateVehPerHour)
 		}
-		route, ok := ShortestRoute(net, f.Origin, f.Dest)
+		route, ok := shortestRoute(net, f.Origin, f.Dest)
 		if !ok {
 			return nil, fmt.Errorf("traffic: flow %d: no route from link %d to %d", i, f.Origin, f.Dest)
 		}
-		origin := net.Link(f.Origin)
+		origin := net.link(f.Origin)
 		rng := sim.Stream(seed, fmt.Sprintf("demand-flow-%d", i))
 		ratePerSec := f.RateVehPerHour / 3600
 		// Fixed per-vehicle draw order (gap, driver, lane) keeps the

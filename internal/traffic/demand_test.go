@@ -33,7 +33,7 @@ func TestShortestRouteOnGrid(t *testing.T) {
 	if !ok {
 		t.Fatal("grid misses (3,2)->(3,3)")
 	}
-	route, found := ShortestRoute(g.Network, from, to)
+	route, found := shortestRoute(g.Network, from, to)
 	if !found {
 		t.Fatal("no route found")
 	}
@@ -42,7 +42,7 @@ func TestShortestRouteOnGrid(t *testing.T) {
 	}
 	for i := 0; i+1 < len(route); i++ {
 		legal := false
-		for _, nx := range g.Link(route[i]).Next {
+		for _, nx := range g.link(route[i]).Next {
 			if nx == route[i+1] {
 				legal = true
 			}
@@ -68,7 +68,7 @@ func bfsHops(net *Network, from, to LinkID) int {
 		if cur == to {
 			return depth[cur]
 		}
-		for _, nx := range net.Link(cur).Next {
+		for _, nx := range net.link(cur).Next {
 			if _, seen := depth[nx]; !seen {
 				depth[nx] = depth[cur] + 1
 				queue = append(queue, nx)
@@ -83,7 +83,7 @@ func TestShortestRouteUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ShortestRoute(ring, 0, 1); ok {
+	if _, ok := shortestRoute(ring, 0, 1); ok {
 		t.Fatal("route to an out-of-range link did not fail")
 	}
 }
@@ -197,7 +197,7 @@ func TestDemandVehiclesDriveAndExit(t *testing.T) {
 	if justBefore > 0 && model.Position(justBefore) != at0 {
 		t.Fatal("pending vehicle moved before its entry time")
 	}
-	destLen := g.Link(d).Length()
+	destLen := g.link(d).Length()
 	exited := 0
 	for i := range specs {
 		link, _, arc, v := state(s, i)
@@ -245,12 +245,12 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 	}
 	tick := 100 * time.Millisecond
 	entered := time.Duration(-1)
-	for s.Now() < 3*time.Minute {
-		s.Step()
+	for s.now < 3*time.Minute {
+		s.step()
 		bLink, _, bArc, _ := state(s, 0)
 		eLink, _, eArc, _ := state(s, 1)
 		if eArc != 0 && entered < 0 {
-			entered = s.Now()
+			entered = s.now
 			// The slot was gated, so the entry tick itself must leave
 			// the full standstill gap to the queued leader.
 			if gap := bArc - blocker.Driver.LengthM - eArc; gap < entrant.Driver.MinGapM-0.7 {
@@ -262,7 +262,7 @@ func TestInjectionDefersUntilEntryClear(t *testing.T) {
 		// bumper overlaps while trailing a floor-speed leader are a
 		// known forward-Euler IDM artifact, not an injection bug.
 		if bLink == eLink && eArc > bArc {
-			t.Fatalf("entrant leapfrogged its leader at %v (%.2f > %.2f)", s.Now(), eArc, bArc)
+			t.Fatalf("entrant leapfrogged its leader at %v (%.2f > %.2f)", s.now, eArc, bArc)
 		}
 	}
 	if entered < 0 {

@@ -23,7 +23,7 @@ func defaultGridSpec() GridSpec {
 // greenFor reports whether link sees green at virtual time now under
 // sig's fixed cycle.
 func greenFor(sig *Signal, link LinkID, now time.Duration) bool {
-	if sig.Cycle() <= 0 {
+	if sig.cycle() <= 0 {
 		return true
 	}
 	green, _ := sig.phaseAt(now)

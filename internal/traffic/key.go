@@ -8,7 +8,7 @@ import (
 )
 
 // traceKeySchema versions the cache-key serialisation AND the stepping
-// semantics behind it. Bump it whenever Step's behaviour changes in a
+// semantics behind it. Bump it whenever step's behaviour changes in a
 // way no config field captures (a new integration rule, a controller
 // logic change, one of sim.go's constants such as the tick): every
 // previously stored world then misses and is recomputed instead of

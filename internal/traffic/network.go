@@ -45,17 +45,17 @@ type Link struct {
 // Length returns the centreline arc length.
 func (l *Link) Length() float64 { return l.Centre.Length() }
 
-// Loops reports whether the link is a closed loop: it lists itself as its
-// only successor (Validate rejects a self-successor among others). It is
+// loops reports whether the link is a closed loop: it lists itself as its
+// only successor (validate rejects a self-successor among others). It is
 // derived, not stored, so validating a network never writes to it and
 // concurrent simulations may share one.
-func (l *Link) Loops() bool { return len(l.Next) == 1 && l.Next[0] == l.ID }
+func (l *Link) loops() bool { return len(l.Next) == 1 && l.Next[0] == l.ID }
 
 // LanePoint maps road coordinates (lane, arc) to the plane: the
 // centreline point at arc, offset half a lane plus lane widths to the
 // right of the direction of travel.
 func (l *Link) LanePoint(lane int, arc float64) geom.Point {
-	if l.Loops() {
+	if l.loops() {
 		total := l.Length()
 		arc = math.Mod(arc, total)
 		if arc < 0 {
@@ -131,8 +131,8 @@ type Signal struct {
 	Actuated *ActuatedParams
 }
 
-// Cycle returns the total cycle duration.
-func (s *Signal) Cycle() time.Duration {
+// cycle returns the total cycle duration.
+func (s *Signal) cycle() time.Duration {
 	var c time.Duration
 	for _, p := range s.Phases {
 		c += p.Dur
@@ -144,7 +144,7 @@ func (s *Signal) Cycle() time.Duration {
 // (none during a clearance) and the instant that phase ends. The cycle
 // must be positive.
 func (s *Signal) phaseAt(now time.Duration) (green []LinkID, until time.Duration) {
-	cycle := s.Cycle()
+	cycle := s.cycle()
 	t := (now + s.Offset) % cycle
 	if t < 0 {
 		t += cycle
@@ -164,12 +164,12 @@ type Network struct {
 	Signals []*Signal
 }
 
-// Link returns the link with the given ID.
-func (n *Network) Link(id LinkID) *Link { return n.Links[id] }
+// link returns the link with the given ID.
+func (n *Network) link(id LinkID) *Link { return n.Links[id] }
 
-// Validate checks internal consistency: IDs match indices, successors
+// validate checks internal consistency: IDs match indices, successors
 // exist, geometry and lane counts are sane.
-func (n *Network) Validate() error {
+func (n *Network) validate() error {
 	if len(n.Links) == 0 {
 		return fmt.Errorf("traffic: network has no links")
 	}
@@ -225,7 +225,7 @@ func (n *Network) Validate() error {
 					return fmt.Errorf("traffic: actuated signal %d phase %d serves no links", i, j)
 				}
 			}
-		} else if s.Cycle() <= 0 {
+		} else if s.cycle() <= 0 {
 			return fmt.Errorf("traffic: signal %d has empty cycle", i)
 		}
 	}
@@ -423,7 +423,7 @@ func NewGridNetwork(spec GridSpec) (*GridNet, error) {
 			}
 		}
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -471,7 +471,7 @@ func NewRingRoad(spec RingSpec) (*Network, error) {
 			Signal:        NoSignal,
 		}},
 	}
-	if err := n.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		return nil, err
 	}
 	return n, nil

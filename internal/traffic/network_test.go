@@ -69,7 +69,7 @@ func TestSignalCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig := g.Signals[0]
-	cycle := sig.Cycle()
+	cycle := sig.cycle()
 	want := 2*defaultGridSpec().Green + 2*defaultGridSpec().AllRed
 	if cycle != want {
 		t.Fatalf("cycle = %v, want %v", cycle, want)
@@ -118,7 +118,7 @@ func TestLanePointOffsetsRight(t *testing.T) {
 		Signal:        NoSignal,
 	}
 	n := &Network{Links: []*Link{l}}
-	if err := n.Validate(); err != nil {
+	if err := n.validate(); err != nil {
 		t.Fatal(err)
 	}
 	p0 := l.LanePoint(0, 50)
@@ -137,7 +137,7 @@ func TestRingRoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := n.Links[0]
-	if !l.Loops() {
+	if !l.loops() {
 		t.Fatal("ring link does not loop")
 	}
 	if math.Abs(l.Length()-1000) > 1e-6 {
@@ -163,7 +163,7 @@ func TestNetworkValidateRejects(t *testing.T) {
 		{"bad signal", &Network{Links: []*Link{{ID: 0, Centre: line, Lanes: 1, LaneWidthM: 3, SpeedLimitMPS: 10, Next: []LinkID{0}, Signal: 3}}}},
 	}
 	for _, tc := range cases {
-		if err := tc.net.Validate(); err == nil {
+		if err := tc.net.validate(); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
 	}

@@ -134,7 +134,7 @@ type display struct {
 
 // actuatedState is one actuated signal's controller: which phase shows
 // green, when that green began, and the all-red clearance window between
-// phases. It is pure traffic state — advanced only by Step — so actuated
+// phases. It is pure traffic state — advanced only by step — so actuated
 // worlds keep the bit-reproducibility contract.
 type actuatedState struct {
 	phase      int
@@ -149,7 +149,7 @@ func New(cfg Config, specs []VehicleSpec) (*Simulation, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("traffic: nil network")
 	}
-	if err := cfg.Network.Validate(); err != nil {
+	if err := cfg.Network.validate(); err != nil {
 		return nil, err
 	}
 	if len(specs) == 0 {
@@ -207,7 +207,7 @@ func (s *Simulation) newVehicle(id int, spec VehicleSpec) (*vehicle, error) {
 	if spec.Link < 0 || int(spec.Link) >= len(s.net.Links) {
 		return nil, fmt.Errorf("link %d out of range", spec.Link)
 	}
-	l := s.net.Link(spec.Link)
+	l := s.net.link(spec.Link)
 	if spec.Lane < 0 || spec.Lane >= l.Lanes {
 		return nil, fmt.Errorf("lane %d out of range [0,%d)", spec.Lane, l.Lanes)
 	}
@@ -225,7 +225,7 @@ func (s *Simulation) newVehicle(id int, spec VehicleSpec) (*vehicle, error) {
 	}
 	for i := range spec.Route {
 		if spec.ExitAtEnd {
-			if s.net.Link(spec.Route[i]).Loops() {
+			if s.net.link(spec.Route[i]).loops() {
 				return nil, fmt.Errorf("route hop %d: OD route through loop link %d never ends", i, spec.Route[i])
 			}
 			if i+1 == len(spec.Route) {
@@ -234,7 +234,7 @@ func (s *Simulation) newVehicle(id int, spec VehicleSpec) (*vehicle, error) {
 		}
 		cur, nxt := spec.Route[i], spec.Route[(i+1)%len(spec.Route)]
 		found := false
-		for _, n := range s.net.Link(cur).Next {
+		for _, n := range s.net.link(cur).Next {
 			if n == nxt {
 				found = true
 				break
@@ -272,7 +272,7 @@ func (s *Simulation) newVehicle(id int, spec VehicleSpec) (*vehicle, error) {
 func (v *vehicle) chooseNext(net *Network) {
 	l := v.link
 	switch {
-	case l.Loops():
+	case l.loops():
 		v.next = l
 	case len(v.route) > 0:
 		if v.exitAtEnd {
@@ -280,14 +280,14 @@ func (v *vehicle) chooseNext(net *Network) {
 				v.next = nil
 				return
 			}
-			v.next = net.Link(v.route[v.routePos+1])
+			v.next = net.link(v.route[v.routePos+1])
 			return
 		}
-		v.next = net.Link(v.route[(v.routePos+1)%len(v.route)])
+		v.next = net.link(v.route[(v.routePos+1)%len(v.route)])
 	case len(l.Next) == 1:
-		v.next = net.Link(l.Next[0])
+		v.next = net.link(l.Next[0])
 	default:
-		v.next = net.Link(l.Next[v.rng.Intn(len(l.Next))])
+		v.next = net.link(l.Next[v.rng.Intn(len(l.Next))])
 	}
 }
 
@@ -337,11 +337,8 @@ func laneLess(a, b *vehicle) bool {
 	return a.id < b.id
 }
 
-// Now returns the simulation clock.
-func (s *Simulation) Now() time.Duration { return s.now }
-
-// Step advances every vehicle by one tick.
-func (s *Simulation) Step() {
+// step advances every vehicle by one tick.
+func (s *Simulation) step() {
 	dt := tickLen.Seconds()
 
 	// 1. Restore per-lane ordering. This must precede injection: the
@@ -386,18 +383,18 @@ func (s *Simulation) Step() {
 		for _, list := range lanes {
 			for i, veh := range list {
 				v0 := veh.desiredSpeed(s.now)
-				a := veh.drv.IDMAccel(veh.v, 0, math.Inf(1), v0)
+				a := veh.drv.idmAccel(veh.v, 0, math.Inf(1), v0)
 				switch {
 				case i+1 < len(list):
 					lead := list[i+1]
 					gap := lead.arc - lead.drv.LengthM - veh.arc
-					a = math.Min(a, veh.drv.IDMAccel(veh.v, lead.v, gap, v0))
-				case l.Loops() && len(list) > 0:
+					a = math.Min(a, veh.drv.idmAccel(veh.v, lead.v, gap, v0))
+				case l.loops() && len(list) > 0:
 					// Wrap-around leader; alone, a vehicle follows its
 					// own tail a full circumference ahead.
 					lead := list[0]
 					gap := l.Length() - veh.arc + lead.arc - lead.drv.LengthM
-					a = math.Min(a, veh.drv.IDMAccel(veh.v, lead.v, gap, v0))
+					a = math.Min(a, veh.drv.idmAccel(veh.v, lead.v, gap, v0))
 				case veh.next != nil:
 					// Empty lane ahead: defer to the first vehicle on
 					// the chosen next link.
@@ -409,11 +406,11 @@ func (s *Simulation) Step() {
 					if nlist := s.lanes[tl.ID][tLane]; len(nlist) > 0 {
 						lead := nlist[0]
 						gap := l.Length() - veh.arc + lead.arc - lead.drv.LengthM
-						a = math.Min(a, veh.drv.IDMAccel(veh.v, lead.v, gap, v0))
+						a = math.Min(a, veh.drv.idmAccel(veh.v, lead.v, gap, v0))
 					}
 				}
 				if red && veh.arc < stopLine {
-					a = math.Min(a, veh.drv.IDMAccel(veh.v, 0, stopLine-veh.arc, v0))
+					a = math.Min(a, veh.drv.idmAccel(veh.v, 0, stopLine-veh.arc, v0))
 				}
 				veh.a = a
 			}
@@ -437,7 +434,7 @@ func (s *Simulation) Step() {
 		newArc := veh.arc + veh.v*dt
 		veh.v = math.Max(0, veh.v+veh.a*dt)
 		l := veh.link
-		if l.Loops() {
+		if l.loops() {
 			for newArc >= l.Length() {
 				newArc -= l.Length()
 			}
@@ -607,17 +604,17 @@ func (s *Simulation) maybeChangeLane(veh *vehicle) {
 		leader, follower := laneNeighbors(list, veh, l)
 		// Safety: room on both sides, and the new follower never forced
 		// below -b_safe.
-		aNew := veh.drv.IDMAccel(veh.v, 0, math.Inf(1), v0)
+		aNew := veh.drv.idmAccel(veh.v, 0, math.Inf(1), v0)
 		if leader != nil {
 			gap := gapAhead(veh, leader, l)
 			if gap < 0.5 {
 				continue
 			}
-			aNew = math.Min(aNew, veh.drv.IDMAccel(veh.v, leader.v, gap, v0))
+			aNew = math.Min(aNew, veh.drv.idmAccel(veh.v, leader.v, gap, v0))
 		}
 		red := !s.green[l.ID]
 		if stopLine := l.Length() - stopMarginM; red && veh.arc < stopLine {
-			aNew = math.Min(aNew, veh.drv.IDMAccel(veh.v, 0, stopLine-veh.arc, v0))
+			aNew = math.Min(aNew, veh.drv.idmAccel(veh.v, 0, stopLine-veh.arc, v0))
 		}
 		followerLoss := 0.0
 		var aFollowerNew float64
@@ -626,7 +623,7 @@ func (s *Simulation) maybeChangeLane(veh *vehicle) {
 			if gap < 0.5 {
 				continue
 			}
-			aFollowerNew = follower.drv.IDMAccel(follower.v, veh.v, gap, follower.desiredSpeed(s.now))
+			aFollowerNew = follower.drv.idmAccel(follower.v, veh.v, gap, follower.desiredSpeed(s.now))
 			if aFollowerNew < -safeDecelMPS2 {
 				continue
 			}
@@ -672,7 +669,7 @@ func laneNeighbors(list []*vehicle, veh *vehicle, l *Link) (leader, follower *ve
 	if lo > 0 {
 		follower = list[lo-1]
 	}
-	if l.Loops() && len(list) > 0 {
+	if l.loops() && len(list) > 0 {
 		if leader == nil {
 			leader = list[0]
 		}
@@ -687,7 +684,7 @@ func laneNeighbors(list []*vehicle, veh *vehicle, l *Link) (leader, follower *ve
 // loop links.
 func gapAhead(back, lead *vehicle, l *Link) float64 {
 	d := lead.arc - back.arc
-	if l.Loops() && d < 0 {
+	if l.loops() && d < 0 {
 		d += l.Length()
 	}
 	return d - lead.drv.LengthM
@@ -724,7 +721,7 @@ func (s *Simulation) insertIntoLane(veh *vehicle) {
 // RunTo steps the simulation until its clock reaches d.
 func (s *Simulation) RunTo(d time.Duration) {
 	for s.now < d {
-		s.Step()
+		s.step()
 	}
 }
 

@@ -104,7 +104,7 @@ func TestGreenTableFollowsFixedCycle(t *testing.T) {
 	for tick := 0; tick < 600; tick++ {
 		// Step advances the clock after it drives, so the table holds
 		// the displays of the tick that just ran.
-		at := s.Now()
+		at := s.now
 		if tick > 0 {
 			at -= tickLen
 		}
@@ -114,7 +114,7 @@ func TestGreenTableFollowsFixedCycle(t *testing.T) {
 				t.Fatalf("tick %d (t=%v): link %d green %v, schedule says %v", tick, at, l.ID, got, want)
 			}
 		}
-		s.Step()
+		s.step()
 	}
 }
 
@@ -318,7 +318,7 @@ func TestRouteFollowing(t *testing.T) {
 	}
 	visited := map[LinkID]bool{}
 	for i := 0; i < 3000; i++ {
-		s.Step()
+		s.step()
 		link, _, _, _ := state(s, 0)
 		if !onRoute[link] {
 			t.Fatalf("vehicle left its route onto link %d", link)

@@ -116,11 +116,11 @@ func (p DriverParams) validate() error {
 	return nil
 }
 
-// IDMAccel returns the IDM acceleration for a vehicle at speed v whose
+// idmAccel returns the IDM acceleration for a vehicle at speed v whose
 // leader moves at vLead with bumper-to-bumper gap gapM. v0 is the
 // effective desired speed (driver preference already capped by the link
 // limit). Pass gapM = +Inf for a free road.
-func (p DriverParams) IDMAccel(v, vLead, gapM, v0 float64) float64 {
+func (p DriverParams) idmAccel(v, vLead, gapM, v0 float64) float64 {
 	free := 1.0
 	if v0 > 0 {
 		r := v / v0

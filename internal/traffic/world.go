@@ -69,7 +69,7 @@ func (w *World) Bind(net *Network) (*World, error) {
 	if net == nil {
 		return nil, errors.New("traffic: world without network")
 	}
-	if err := net.Validate(); err != nil {
+	if err := net.validate(); err != nil {
 		return nil, err
 	}
 	for _, tr := range w.tracks {
@@ -205,7 +205,7 @@ func samplePosCursor(net *Network, track []sample, now time.Duration, hint int) 
 	}
 	l := net.Links[smp.link]
 	arc := smp.arc + smp.v*(now-smp.at).Seconds()
-	if !l.Loops() {
+	if !l.loops() {
 		// Plain comparison, not math.Min: arc and length are always
 		// finite here and the call is too hot for the NaN-aware helper.
 		if max := l.Length(); arc > max {

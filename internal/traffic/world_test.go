@@ -156,8 +156,8 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 					for id, tr := range s.tracks {
 						samples := tr.samples
 						for _, smp := range samples[seen[id]:] {
-							if got, want := models[id].Position(s.Now()), s.PositionNow(id); got != want {
-								t.Fatalf("vehicle %d at %v: replayed %v, simulator %v", id, s.Now(), got, want)
+							if got, want := models[id].Position(s.now), s.PositionNow(id); got != want {
+								t.Fatalf("vehicle %d at %v: replayed %v, simulator %v", id, s.now, got, want)
 							}
 							if k := seen[id]; k > 0 && samples[k-1].link == smp.link && samples[k-1].lane != smp.lane {
 								laneChanges++
@@ -168,8 +168,8 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 					}
 				}
 				check()
-				for s.Now() < w.horizon {
-					s.Step()
+				for s.now < w.horizon {
+					s.step()
 					check()
 				}
 				if checked != len(col.Vehicles) {
@@ -187,7 +187,7 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 						parked++
 					}
 					link, _, arc, v := state(s, id)
-					if last := spec.Route[len(spec.Route)-1]; link == last && arc == w.net.Link(last).Length() && v == 0 {
+					if last := spec.Route[len(spec.Route)-1]; link == last && arc == w.net.link(last).Length() && v == 0 {
 						exited++
 					}
 				}
