@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/trace"
 )
 
@@ -74,7 +75,10 @@ func TestScenarios(t *testing.T) {
 }
 
 // TestTraceReadsBack: the testbed's -trace file is JSON Lines that
-// trace.ReadJSONL decodes, holding the round's transmissions.
+// trace.ReadJSONL decodes, holding the round's full record: its
+// transmissions, its drops and its receptions of every frame type. The
+// stores keep only the study view of a round; the exported trace keeps
+// everything carqtrace reports on.
 func TestTraceReadsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "round0.jsonl")
 	carqsim(t, "-scenario", "testbed", "-rounds", "1", "-trace", path)
@@ -89,6 +93,18 @@ func TestTraceReadsBack(t *testing.T) {
 	}
 	if len(col.Tx) == 0 {
 		t.Fatal("trace holds no Tx records")
+	}
+	if len(col.Drops) == 0 {
+		t.Fatal("trace holds no drop records")
+	}
+	heard := map[packet.Type]int{}
+	for _, r := range col.Rx {
+		heard[r.Type]++
+	}
+	for _, typ := range []packet.Type{packet.TypeData, packet.TypeHello, packet.TypeRequest, packet.TypeResponse} {
+		if heard[typ] == 0 {
+			t.Fatalf("trace holds no %v reception (receptions by type: %v)", typ, heard)
+		}
 	}
 }
 

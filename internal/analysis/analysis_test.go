@@ -364,7 +364,7 @@ func TestTable1MatchesNaiveReference(t *testing.T) {
 				c.Tx = append(c.Tx, trace.TxRecord{Src: apID, Type: types[rng.Intn(len(types))], Dst: node(), Flow: node(), Seq: seq()})
 			}
 			for k := rng.Intn(80); k > 0; k-- {
-				c.Rx = append(c.Rx, trace.RxRecord{Dst: node(), Src: apID, Type: types[rng.Intn(len(types))], AddrTo: node(), Flow: node(), Seq: seq()})
+				c.Rx = append(c.Rx, trace.RxRecord{Dst: node(), Src: apID, Type: types[rng.Intn(len(types))], Flow: node(), Seq: seq()})
 			}
 			for k := rng.Intn(20); k > 0; k-- {
 				c.Recovered = append(c.Recovered, trace.RecoveryRecord{Node: node(), Seq: seq(), From: node()})

@@ -417,9 +417,10 @@ func TestCityDemandWorkerInvariance(t *testing.T) {
 
 // TestBatchTestbedMatchesRunTestbed is the harness half of the
 // determinism contract: decomposing an experiment into pooled,
-// store-backed work units must reproduce scenario.RunRounds bit for bit,
-// both when a cold run computes the units and when a warm run loads
-// them. The testbed stores no meta; the download stores its cars.
+// store-backed work units must reproduce scenario.RunRounds bit for bit —
+// its results, and the study view of its traces — both when a cold run
+// computes the units and when a warm run loads them. The testbed stores
+// no meta; the download stores its cars.
 func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -441,7 +442,7 @@ func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("pooled testbed diverges from direct run:\n%+v\nvs\n%+v", want, got)
 			}
-			sameTraces(t, pooled.Rounds, direct.Rounds)
+			sameTraces(t, pooled.Rounds, studyViews(direct.Rounds))
 			if pooled.RoundDuration != direct.RoundDuration {
 				t.Fatalf("round duration %v vs %v", pooled.RoundDuration, direct.RoundDuration)
 			}
@@ -462,7 +463,7 @@ func TestBatchTestbedMatchesRunTestbed(t *testing.T) {
 			if pooled.LapTime != direct.LapTime {
 				t.Fatalf("lap time %v vs %v", pooled.LapTime, direct.LapTime)
 			}
-			sameTraces(t, []*trace.Collector{pooled.Trace}, []*trace.Collector{direct.Trace})
+			sameTraces(t, []*trace.Collector{pooled.Trace}, studyViews([]*trace.Collector{direct.Trace}))
 		}
 	})
 }
@@ -518,6 +519,16 @@ func coldWarm[C scenario.Family[C, R], R any, P interface {
 		t.Fatalf("warm run computed %d and loaded %d units, want 0 and %d", computed, cached, units)
 	}
 	return []R{cold, warm}
+}
+
+// studyViews returns the study view (analysis.StudyView) of each trace:
+// what a stored round keeps of it.
+func studyViews(cols []*trace.Collector) []*trace.Collector {
+	views := make([]*trace.Collector, len(cols))
+	for i, c := range cols {
+		views[i] = analysis.StudyView(c)
+	}
+	return views
 }
 
 // sameTraces fails t unless got and want hold the same traces, compared

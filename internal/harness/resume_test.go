@@ -6,13 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -162,13 +165,14 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 // same body and CRC), result-store/2 (JSONL trace sections),
 // result-store/4 (fixed-width binary trace sections), result-store/5
 // (the current encoding, whose city traces also held the background
-// beacons' events) and result-store/6 (a traffic family's entry, which
-// also carried the round's traffic stream) — and JSONL or fixed-width
-// bodies under the current schema are quarantined by the next run and
-// recomputed into the current format with identical applied results;
-// the run after that serves every unit.
+// beacons' events), result-store/6 (a traffic family's entry, which
+// also carried the round's traffic stream) and result-store/7 (a full
+// trace: every frame type's receptions, with their radio fields, and
+// drops) — and JSONL or fixed-width bodies under the current schema are
+// quarantined by the next run and recomputed into the current format
+// with identical applied results; the run after that serves every unit.
 func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
-	const rounds = 7
+	const rounds = 8
 	storeDir := t.TempDir()
 	_, out1, _ := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
 	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
@@ -194,7 +198,7 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		var parent []byte
-		switch i % 7 {
+		switch i % 8 {
 		case 0:
 			parent = fmt.Appendf(nil, `{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
 				hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
@@ -211,6 +215,8 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			parent = bytes.Replace(data, []byte(ResultStoreSchema), []byte("result-store/5"), 1)
 		case 6:
 			parent = streamEntry(t, store, "result-store/6", hdr.Key)
+		case 7:
+			parent = fullTraceEntry(t, store, "result-store/7", hdr.Key)
 		}
 		if err := os.WriteFile(path, parent, 0o644); err != nil {
 			t.Fatal(err)
@@ -257,7 +263,9 @@ type parentDownloadMeta struct {
 // download's cars and lap time, a traffic family's summary, citydemand's
 // vehicle count — are served as hits, and apply to the same result as a
 // fresh compute. This is what lets the stored form change without a
-// schema bump.
+// schema bump. Each family's stored round is also its study view: the
+// cold run applies the round the warm run loads, and it holds no drop
+// and no reception but DATA (see storedTraces).
 func TestStoredRoundsReadParentLayout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -265,7 +273,7 @@ func TestStoredRoundsReadParentLayout(t *testing.T) {
 	t.Run("testbed", func(t *testing.T) {
 		cfg := scenario.DefaultTestbed()
 		cfg.Rounds = 1
-		fresh, served, stored := servedFromLayout(t, cfg, func(r *scenario.TestbedResult) any {
+		fresh, cold, served, stored := servedFromLayout(t, cfg, func(r *scenario.TestbedResult) any {
 			return parentRoundMeta{DurationNS: int64(r.RoundDuration)}
 		})
 		if stored != nil {
@@ -274,21 +282,21 @@ func TestStoredRoundsReadParentLayout(t *testing.T) {
 		if served.RoundDuration != fresh.RoundDuration {
 			t.Fatalf("round duration %v, want %v", served.RoundDuration, fresh.RoundDuration)
 		}
-		sameTraces(t, served.Rounds, fresh.Rounds)
+		storedTraces(t, fresh.Rounds, cold.Rounds, served.Rounds)
 	})
 	t.Run("download", func(t *testing.T) {
-		fresh, served, _ := servedFromLayout(t, smallDownload(), func(r *scenario.DownloadResult) any {
+		fresh, cold, served, _ := servedFromLayout(t, smallDownload(), func(r *scenario.DownloadResult) any {
 			return parentDownloadMeta{Cars: r.Cars, LapTimeNS: int64(r.LapTime)}
 		})
 		if !reflect.DeepEqual(served.Cars, fresh.Cars) || served.LapTime != fresh.LapTime {
 			t.Fatalf("served cars %+v lap %v, want %+v lap %v", served.Cars, served.LapTime, fresh.Cars, fresh.LapTime)
 		}
-		sameTraces(t, []*trace.Collector{served.Trace}, []*trace.Collector{fresh.Trace})
+		storedTraces(t, []*trace.Collector{fresh.Trace}, []*trace.Collector{cold.Trace}, []*trace.Collector{served.Trace})
 	})
 	t.Run("stopgo", func(t *testing.T) {
 		cfg := scenario.DefaultStopGo()
 		cfg.Rounds = 1
-		fresh, served, stored := servedFromLayout(t, cfg, func(r *scenario.StopGoResult) any {
+		fresh, cold, served, stored := servedFromLayout(t, cfg, func(r *scenario.StopGoResult) any {
 			s := r.Traffic[0]
 			return parentRoundMeta{MeanSpeedMPS: s.MeanSpeedMPS, CrawlShare: s.CrawlShare, Samples: s.Samples}
 		})
@@ -300,7 +308,7 @@ func TestStoredRoundsReadParentLayout(t *testing.T) {
 		if !reflect.DeepEqual(served.Traffic, fresh.Traffic) {
 			t.Fatalf("served summaries %+v, want %+v", served.Traffic, fresh.Traffic)
 		}
-		sameTraces(t, served.Rounds, fresh.Rounds)
+		storedTraces(t, fresh.Rounds, cold.Rounds, served.Rounds)
 	})
 	t.Run("citydemand", func(t *testing.T) {
 		cfg := scenario.DefaultCityDemand()
@@ -314,7 +322,7 @@ func TestStoredRoundsReadParentLayout(t *testing.T) {
 			s := r.Traffic[0]
 			return parentRoundMeta{Vehicles: r.Vehicles[0], MeanSpeedMPS: s.MeanSpeedMPS, CrawlShare: s.CrawlShare, Samples: s.Samples}
 		}
-		fresh, served, stored := servedFromLayout(t, cfg, layout)
+		fresh, cold, served, stored := servedFromLayout(t, cfg, layout)
 		if fresh.Vehicles[0] == 0 {
 			t.Fatal("no demand vehicles, so the vehicles key goes unchecked")
 		}
@@ -322,19 +330,45 @@ func TestStoredRoundsReadParentLayout(t *testing.T) {
 		if !reflect.DeepEqual(served.Vehicles, fresh.Vehicles) || !reflect.DeepEqual(served.Traffic, fresh.Traffic) {
 			t.Fatalf("served vehicles %v summaries %+v, want %v %+v", served.Vehicles, served.Traffic, fresh.Vehicles, fresh.Traffic)
 		}
-		sameTraces(t, served.Rounds, fresh.Rounds)
+		storedTraces(t, fresh.Rounds, cold.Rounds, served.Rounds)
 	})
 }
+
+// storedTraces fails t unless the traces a cold run applied equal, by
+// their binary encoding, those a warm run loaded, and both are the study
+// view of the traces fresh from scenario.RunRounds: DATA receptions only
+// and no drop. fresh must hold some of each record the view leaves out,
+// so the check is not vacuous.
+func storedTraces(t *testing.T, fresh, cold, served []*trace.Collector) {
+	t.Helper()
+	sameTraces(t, cold, served)
+	sameTraces(t, served, studyViews(fresh))
+	for i, col := range fresh {
+		if len(col.Drops) == 0 || !slices.ContainsFunc(col.Rx, isControlRx) {
+			t.Fatalf("fresh trace %d holds %d drops and no control reception: nothing to project away", i, len(col.Drops))
+		}
+	}
+	for i, col := range served {
+		if len(col.Rx) == 0 {
+			t.Fatalf("stored trace %d holds no DATA reception", i)
+		}
+		if len(col.Drops) != 0 || slices.ContainsFunc(col.Rx, isControlRx) {
+			t.Fatalf("stored trace %d keeps %d drops or a control reception", i, len(col.Drops))
+		}
+	}
+}
+
+func isControlRx(r trace.RxRecord) bool { return r.Type != packet.TypeData }
 
 // servedFromLayout runs cfg's one unit cold into an empty store, then
 // rewrites the stored entry's meta section to the JSON of layout(fresh),
 // where fresh is scenario.RunRounds(cfg), and runs cfg warm, which must
-// load the unit. It returns fresh, the warm result and the meta section
-// the cold run stored.
+// load the unit. It returns fresh, the cold and the warm result and the
+// meta section the cold run stored.
 func servedFromLayout[C scenario.Family[C, R], R any, P interface {
 	*C
 	Base() *scenario.Common
-}](t *testing.T, cfg C, layout func(fresh R) any) (fresh, served R, stored []byte) {
+}](t *testing.T, cfg C, layout func(fresh R) any) (fresh, cold, served R, stored []byte) {
 	t.Helper()
 	P(&cfg).Base().Arm = "p" // the arm the batch stamps on point "p"
 	fresh, err := scenario.RunRounds(cfg)
@@ -342,7 +376,7 @@ func servedFromLayout[C scenario.Family[C, R], R any, P interface {
 		t.Fatal(err)
 	}
 	storeDir := t.TempDir()
-	storedPoint[C, R, P](t, storeDir, cfg)
+	cold, _, _ = storedPoint[C, R, P](t, storeDir, cfg)
 
 	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
 	if err != nil || len(paths) != 1 {
@@ -378,7 +412,7 @@ func servedFromLayout[C scenario.Family[C, R], R any, P interface {
 	if computed != 0 || cached != 1 {
 		t.Fatalf("run over the earlier layout computed %d and loaded %d units, want 0 and 1", computed, cached)
 	}
-	return fresh, served, stored
+	return fresh, cold, served, stored
 }
 
 // sameMeta fails t unless stored is the JSON of layout byte for byte.
@@ -435,6 +469,28 @@ func streamEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
 	t.Helper()
 	stream := &trace.Collector{Vehicles: []trace.VehicleRecord{{At: time.Second, Veh: 3, Link: 2, Arc: 40, Speed: 1.5}}}
 	return parentEntry(t, store, schema, key, encodeCollector, stream.AppendBinary(nil))
+}
+
+// fullTraceEntry renders the entry stored under key as result-store/7
+// wrote it: the shared header under schema and a full protocol trace,
+// which adds to the stored records a HELLO reception in that schema's rx
+// layout (At Dst Src AddrTo Flow Seq | Type RxPowerDBm SINRdB) and a
+// DATA drop.
+func fullTraceEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
+	t.Helper()
+	return parentEntry(t, store, schema, key, func(col *trace.Collector) []byte {
+		if len(col.Tx) != 0 || len(col.Rx) != 0 {
+			t.Fatalf("full-trace entry over %+v records", col.Counts())
+		}
+		full := *col
+		full.Drops = []trace.DropRecord{{At: time.Second, Dst: 1, Src: 100, Type: packet.TypeData, Flow: 1, Seq: 4, Reason: mac.DropChannel}}
+		enc := full.AppendBinary(nil) // enc[1] is the empty rx block's count
+		rx := binary.AppendVarint([]byte{1}, int64(time.Second))
+		rx = append(rx, 2, 3, 0, 3, 0, byte(packet.TypeHello)) // Dst 1, Src 2, AddrTo broadcast, Flow 2, Seq 0
+		rx = binary.LittleEndian.AppendUint64(rx, math.Float64bits(-70))
+		rx = binary.LittleEndian.AppendUint64(rx, math.Float64bits(20))
+		return append(append(enc[:1:1], rx...), enc[2:]...)
+	}, nil)
 }
 
 // parentEntry renders the entry stored under key with the shared

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/scenario"
 )
 
@@ -101,10 +102,11 @@ func (b *Batch) addStoredRounds(scenarioName, point string, rounds int, cfg any,
 // config (see stamp) before it is normalized and digested; a config that
 // fails to normalize fails Go before any unit runs.
 //
-// A unit stores its scenario.Round: the trace as the protocol section and
-// the round's JSON form as the meta section, absent when it is {}. A
-// computed round applies the way a loaded one does, by decoding that
-// stored form, so cold and warm runs read the same bytes.
+// A unit stores its scenario.Round: the study view of its trace
+// (analysis.StudyView) as the protocol section and the round's JSON form
+// as the meta section, absent when it is {}. A computed round applies
+// the way a loaded one does, as that stored form, so cold and warm runs
+// read the same records and the same bytes.
 func Add[C scenario.Family[C, R], R any, P interface {
 	*C
 	Base() *scenario.Common
@@ -131,15 +133,15 @@ func Add[C scenario.Family[C, R], R any, P interface {
 	b.finalize = append(b.finalize, func() { *out = cfg.Result(rounds) })
 }
 
-// storedRound returns the stored form of r. encoding/json writes a float
-// as the shortest text that parses back to the same bits, so every field
-// reloads bit for bit.
+// storedRound returns the stored form of r: the study view of its trace
+// and its meta. encoding/json writes a float as the shortest text that
+// parses back to the same bits, so every field reloads bit for bit.
 func storedRound(r scenario.Round) (*UnitResult, error) {
 	meta, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("harness: unit meta: %w", err)
 	}
-	res := &UnitResult{Protocol: r.Protocol}
+	res := &UnitResult{Protocol: analysis.StudyView(r.Protocol)}
 	if string(meta) != "{}" {
 		res.Meta = meta
 	}

@@ -16,8 +16,10 @@ import (
 // binary trace sections; /4: download meta without a config copy; /5:
 // delta-varint trace sections; /6: protocol traces scoped to the tracked
 // stations, without the city families' background beacons; /7: traffic
-// summaries in the round meta; no traffic stream.)
-const ResultStoreSchema = "result-store/7"
+// summaries in the round meta; no traffic stream; /8: the study
+// projection, analysis.StudyView: DATA receptions only, no drops, and an
+// rx record without power, SINR or addressed destination.)
+const ResultStoreSchema = "result-store/8"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol

@@ -19,7 +19,7 @@ import (
 // bytes and floats:
 //
 //	tx          At Src Dst Flow Seq Bytes | Type
-//	rx          At Dst Src AddrTo Flow Seq | Type RxPowerDBm SINRdB
+//	rx          At Dst Src Flow Seq | Type
 //	drop        At Dst Src Flow Seq | Type Reason
 //	phase       At Node | From To
 //	recovery    At Node Seq From
@@ -56,7 +56,7 @@ const categories = 7
 // varint 10), which pre-grow the encoder's buffer.
 const (
 	minTx, maxTx             = 6 + 1, 10 + 3*3 + 5 + 10 + 1
-	minRx, maxRx             = 6 + 17, 10 + 4*3 + 5 + 17
+	minRx, maxRx             = 5 + 1, 10 + 3*3 + 5 + 1
 	minDrop, maxDrop         = 5 + 2, 10 + 3*3 + 5 + 2
 	minPhase, maxPhase       = 2 + 2, 10 + 3 + 2
 	minRecovery, maxRecovery = 4, 10 + 3 + 5 + 3
@@ -96,12 +96,9 @@ func (c *Collector) AppendBinary(dst []byte) []byte {
 		dst = binary.AppendVarint(dst, int64(r.At-at))
 		dst = appendID(dst, r.Dst)
 		dst = appendID(dst, r.Src)
-		dst = appendID(dst, r.AddrTo)
 		dst = appendID(dst, r.Flow)
 		dst = appendSeq(dst, r.Seq-seq)
 		dst = append(dst, byte(r.Type))
-		dst = le.AppendUint64(dst, math.Float64bits(r.RxPowerDBm))
-		dst = le.AppendUint64(dst, math.Float64bits(r.SINRdB))
 		at, seq = r.At, r.Seq
 	}
 
@@ -357,10 +354,10 @@ func decodeRx(d *decoder) []RxRecord {
 	p, i := d.p, d.i
 	var at int64
 	var seq uint32
-	var u [6]uint64
+	var u [5]uint64
 	for k := range recs {
 		i = uvarints(p, i, u[:])
-		code := recordError(p, i, u[1]|u[2]|u[3]|u[4], u[5], 17)
+		code := recordError(p, i, u[1]|u[2]|u[3], u[4], 1)
 		if code == 0 {
 			code = frameError(p[i:], false)
 		}
@@ -369,13 +366,11 @@ func decodeRx(d *decoder) []RxRecord {
 			return nil
 		}
 		at += zigzag(u[0])
-		seq += uint32(zigzag(u[5]))
+		seq += uint32(zigzag(u[4]))
 		r := &recs[k]
 		r.At, r.Dst, r.Src, r.Type = time.Duration(at), id(u[1]), id(u[2]), packet.Type(p[i])
-		r.AddrTo, r.Flow, r.Seq = id(u[3]), id(u[4]), seq
-		r.RxPowerDBm = math.Float64frombits(le.Uint64(p[i+1:]))
-		r.SINRdB = math.Float64frombits(le.Uint64(p[i+9:]))
-		i += 17
+		r.Flow, r.Seq = id(u[3]), seq
+		i++
 	}
 	d.i = i
 	return recs

@@ -62,8 +62,7 @@ func randomCollector(rng *rand.Rand) *Collector {
 		c.Tx = append(c.Tx, TxRecord{At: at(), Src: node(), Type: typ(), Dst: node(), Flow: node(), Seq: seq(), Bytes: i()})
 	}
 	for k := n(); k > 0; k-- {
-		c.Rx = append(c.Rx, RxRecord{At: at(), Dst: node(), Src: node(), Type: typ(), AddrTo: node(),
-			Flow: node(), Seq: seq(), RxPowerDBm: f(), SINRdB: f()})
+		c.Rx = append(c.Rx, RxRecord{At: at(), Dst: node(), Src: node(), Type: typ(), Flow: node(), Seq: seq()})
 	}
 	for k := n(); k > 0; k-- {
 		c.Drops = append(c.Drops, DropRecord{At: at(), Dst: node(), Src: node(), Type: typ(), Flow: node(),
@@ -85,23 +84,14 @@ func randomCollector(rng *rand.Rand) *Collector {
 }
 
 // sameRecords reports the first difference between two collectors,
-// comparing floats by their bits so NaN payloads and −0 count.
+// comparing the vehicle samples' floats, the only floats a record
+// carries, by their bits so NaN payloads and −0 count.
 func sameRecords(t *testing.T, want, got *Collector) {
 	t.Helper()
 	if want.Counts() != got.Counts() {
 		t.Fatalf("counts %+v, want %+v", got.Counts(), want.Counts())
 	}
 	bits := math.Float64bits
-	for i, w := range want.Rx {
-		g := got.Rx[i]
-		if bits(w.RxPowerDBm) != bits(g.RxPowerDBm) || bits(w.SINRdB) != bits(g.SINRdB) {
-			t.Fatalf("rx %d floats: got %+v, want %+v", i, g, w)
-		}
-		w.RxPowerDBm, w.SINRdB, g.RxPowerDBm, g.SINRdB = 0, 0, 0, 0
-		if w != g {
-			t.Fatalf("rx %d: got %+v, want %+v", i, g, w)
-		}
-	}
 	for i, w := range want.Vehicles {
 		g := got.Vehicles[i]
 		if bits(w.Arc) != bits(g.Arc) || bits(w.Speed) != bits(g.Speed) {
@@ -113,7 +103,7 @@ func sameRecords(t *testing.T, want, got *Collector) {
 		}
 	}
 	for _, pair := range [][2]any{
-		{want.Tx, got.Tx}, {want.Drops, got.Drops}, {want.Phases, got.Phases},
+		{want.Tx, got.Tx}, {want.Rx, got.Rx}, {want.Drops, got.Drops}, {want.Phases, got.Phases},
 		{want.Recovered, got.Recovered}, {want.Completed, got.Completed},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
@@ -133,12 +123,13 @@ func extremeCollector() *Collector {
 	for k, v := range ints {
 		at, seq, id := time.Duration(v), seqs[k], packet.NodeID(0xFFFF-k)
 		c.Tx = append(c.Tx, TxRecord{At: at, Src: id, Type: packet.TypeResponse, Dst: 0xFFFF, Flow: 0, Seq: seq, Bytes: v})
-		c.Rx = append(c.Rx, RxRecord{At: at, Dst: id, Src: 0, Type: packet.TypeData, AddrTo: 0xFFFF, Flow: id, Seq: seq, SINRdB: math.Inf(-1)})
+		c.Rx = append(c.Rx, RxRecord{At: at, Dst: id, Src: 0xFFFF, Type: packet.TypeData, Flow: id, Seq: seq})
 		c.Drops = append(c.Drops, DropRecord{At: at, Dst: id, Type: packet.TypeResponse, Seq: seq, Reason: mac.DropHalfDuplex})
 		c.Phases = append(c.Phases, PhaseRecord{At: at, Node: id, From: 0xFF})
 		c.Recovered = append(c.Recovered, RecoveryRecord{At: at, Node: id, Seq: seq, From: 0xFFFF})
 		c.Completed = append(c.Completed, CompleteRecord{At: at, Node: id})
-		c.Vehicles = append(c.Vehicles, VehicleRecord{At: at, Veh: v, Link: v, Lane: ints[len(ints)-1-k], Arc: math.NaN()})
+		c.Vehicles = append(c.Vehicles, VehicleRecord{At: at, Veh: v, Link: v, Lane: ints[len(ints)-1-k],
+			Arc: math.NaN(), Speed: math.Inf(-1)})
 	}
 	return c
 }
@@ -234,7 +225,7 @@ func TestDecodeBinaryRejects(t *testing.T) {
 		// One tx record of type 5, past TypeResponse.
 		{"tx type", "tx record 0: unknown frame type", append([]byte{1, 0, 2, 2, 2, 0, 0, 5}, blocks(6)...)},
 		// One rx record of type 0.
-		{"rx type", "rx record 0: unknown frame type", append(blocks(1, 1, 0, 2, 2, 2, 2, 0, 0), make([]byte, 16+5)...)},
+		{"rx type", "rx record 0: unknown frame type", append(blocks(1, 1, 0, 2, 2, 2, 0, 0), make([]byte, 5)...)},
 		// One DATA drop for reason 4, a cause the MAC no longer has.
 		{"drop reason", "drop record 0: unknown drop reason", blocks(2, 1, 0, 2, 2, 2, 0, 1, 4, 0, 0, 0, 0)},
 	}

@@ -50,7 +50,7 @@ func FuzzReadJSONL(f *testing.F) {
 // 'i' a NodeID, 's' a seq delta, then the tail: 't' a frame type byte,
 // 'r' a drop reason byte, 'b' any other raw byte, 'f' an 8-byte float.
 // Bytes precede floats, so a byte's index in the tail is its offset.
-var layouts = [categories]string{"viiisvt", "viiiistff", "viiistr", "vibb", "visi", "vi", "vvvvff"}
+var layouts = [categories]string{"viiisvt", "viiist", "viiistr", "vibb", "visi", "vi", "vvvvff"}
 
 // refWalk skips through data by layouts alone — no records decoded —
 // and returns the error DecodeBinary must give, or "" for input it must

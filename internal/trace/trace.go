@@ -10,6 +10,11 @@
 // canonical delta-varint binary encoding (the stores' format; see
 // AppendBinary). The records are plain slices: package analysis reads
 // them directly into the paper's per-sequence statistics.
+//
+// A round's collector holds its full record — receptions of every frame
+// type and every drop — which is what a JSONL export carries. The result
+// store keeps only the part the studies read, analysis.StudyView: the
+// DATA receptions and no drops.
 package trace
 
 import (
@@ -32,17 +37,18 @@ type TxRecord struct {
 	Bytes int           `json:"bytes"`
 }
 
-// RxRecord is one successful frame reception at one station.
+// RxRecord is one successful frame reception at one station: who heard
+// which frame of which flow, and when. The radio side of a reception
+// (power, SINR) and the frame's addressed destination stay in
+// mac.RxMeta and the frame, where the protocol reads them; no study
+// does.
 type RxRecord struct {
-	At         time.Duration `json:"at"`
-	Dst        packet.NodeID `json:"dst"` // the receiving station
-	Src        packet.NodeID `json:"src"`
-	Type       packet.Type   `json:"type"`
-	AddrTo     packet.NodeID `json:"addr_to"` // the frame's addressed destination
-	Flow       packet.NodeID `json:"flow"`
-	Seq        uint32        `json:"seq"`
-	RxPowerDBm float64       `json:"rx_dbm"`
-	SINRdB     float64       `json:"sinr_db"`
+	At   time.Duration `json:"at"`
+	Dst  packet.NodeID `json:"dst"` // the receiving station
+	Src  packet.NodeID `json:"src"`
+	Type packet.Type   `json:"type"`
+	Flow packet.NodeID `json:"flow"`
+	Seq  uint32        `json:"seq"`
 }
 
 // DropRecord is one failed delivery at one station.
@@ -125,9 +131,7 @@ func (c *Collector) OnTx(src packet.NodeID, f *packet.Frame, start, airtime time
 // OnRx implements mac.Tracer.
 func (c *Collector) OnRx(dst packet.NodeID, f *packet.Frame, meta mac.RxMeta) {
 	c.Rx = append(c.Rx, RxRecord{
-		At: meta.At, Dst: dst, Src: f.Src, Type: f.Type, AddrTo: f.Dst,
-		Flow: f.Flow, Seq: f.Seq,
-		RxPowerDBm: meta.RxPowerDBm, SINRdB: meta.SINRdB,
+		At: meta.At, Dst: dst, Src: f.Src, Type: f.Type, Flow: f.Flow, Seq: f.Seq,
 	})
 }
 
