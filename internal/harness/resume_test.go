@@ -18,6 +18,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/scenario"
+	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
 
@@ -107,7 +108,7 @@ func TestStoredRoundsResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	deleted := []int{2, 5, 6}
-	digest := scenario.ConfigDigest(syntheticCfg{Label: "p0", Gain: 3})
+	digest := storeutil.Digest(syntheticCfg{Label: "p0", Gain: 3})
 	for _, round := range deleted {
 		key := ctx2.unitKey("synthetic", "p0", round, digest)
 		if err := os.Remove(store.Path(key)); err != nil {

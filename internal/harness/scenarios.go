@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/scenario"
+	"repro/internal/storeutil"
 )
 
 // Batch accumulates (scenario, parameter-point, round) work units across
@@ -65,13 +66,13 @@ func (b *Batch) Go() error {
 // addStoredRounds adds one unit per round, each resolving through the
 // result store: a stored result applies directly, a miss computes,
 // applies and persists. cfg is the normalized config whose digest
-// (scenario.ConfigDigest) anchors the unit keys; compute runs the
+// (storeutil.Digest) anchors the unit keys; compute runs the
 // simulation for one round; apply writes a result — computed or loaded —
 // into the round's own slot of caller-owned storage.
 func (b *Batch) addStoredRounds(scenarioName, point string, rounds int, cfg any,
 	compute func(round int) (*UnitResult, error),
 	apply func(round int, res *UnitResult) error) {
-	digest := scenario.ConfigDigest(cfg)
+	digest := storeutil.Digest(cfg)
 	for i := 0; i < rounds; i++ {
 		i := i
 		key := b.ctx.unitKey(scenarioName, point, i, digest)

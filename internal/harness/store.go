@@ -21,6 +21,13 @@ import (
 // rx record without power, SINR or addressed destination.)
 const ResultStoreSchema = "result-store/8"
 
+// resultStoreSchemaPin is ResultStoreSchema and the SHA-256 of the codec
+// sections of one stored round per scenario family (TestStoreSchemaPin).
+// A change to what a round computes or stores that leaves
+// ResultStoreSchema as it is fails that test; a bump updates both halves
+// in the same change.
+const resultStoreSchemaPin = "result-store/8 0aa09a5787ae2a7717b1faccaa761c04ecf3c37e0dfb505e620928f6ccfd8758"
+
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol
 // trace and Meta a small scenario-specific JSON payload (round duration,

@@ -2,13 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -134,5 +139,98 @@ func TestStoreSummaryCounts(t *testing.T) {
 	sum := store.Summary()
 	if sum.Entries != 3 || sum.Bytes <= 0 || sum.Schema != ResultStoreSchema || sum.Dir != dir {
 		t.Fatalf("summary %+v", sum)
+	}
+}
+
+// pinnedRoundSections returns the result-store codec sections of round 0
+// of cfg.
+func pinnedRoundSections[C scenario.Family[C, R], R any](t *testing.T, cfg C) [][]byte {
+	t.Helper()
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cfg.Round(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := storedRound(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := resultCodec.Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sections
+}
+
+// TestStoreSchemaPin fails a change to the stored form of one round per
+// scenario family that leaves ResultStoreSchema as it is: a store would
+// then serve rounds the current code no longer computes. The configs are
+// the small ones of the scenario package's cross-family suites
+// (families_test.go); the entry header, which holds the code digest, is
+// left out.
+func TestStoreSchemaPin(t *testing.T) {
+	testbed := scenario.DefaultTestbed()
+	testbed.Rounds = 1
+	highway := scenario.DefaultHighway()
+	highway.Rounds = 1
+	corridor := scenario.DefaultCorridor()
+	corridor.Rounds = 1
+	twoway := scenario.DefaultTwoWay()
+	twoway.Rounds = 1
+	download := scenario.DefaultDownload()
+	download.FileBlocks = 40
+	download.MaxLaps = 2
+	grid := scenario.DefaultTrafficGrid()
+	grid.Rounds = 1
+	grid.Duration = 60 * time.Second
+	stopgo := scenario.DefaultStopGo()
+	stopgo.Rounds = 1
+	demand := scenario.DefaultCityDemand()
+	demand.Rounds = 1
+	demand.Cars = 4
+	demand.GridRows, demand.GridCols = 8, 8
+	demand.DemandScale = 2
+	demand.Duration = 30 * time.Second
+	city := scenario.DefaultCityScale()
+	city.GridRows, city.GridCols = 8, 8
+	city.Background = 80
+	city.Cars = 6
+	city.Duration = 30 * time.Second
+	city.Rounds = 1
+
+	h := sha256.New()
+	for _, f := range []struct {
+		name     string
+		sections [][]byte
+	}{
+		{testbed.Name(), pinnedRoundSections(t, testbed)},
+		{highway.Name(), pinnedRoundSections(t, highway)},
+		{corridor.Name(), pinnedRoundSections(t, corridor)},
+		{twoway.Name(), pinnedRoundSections(t, twoway)},
+		{download.Name(), pinnedRoundSections(t, download)},
+		{grid.Name(), pinnedRoundSections(t, grid)},
+		{stopgo.Name(), pinnedRoundSections(t, stopgo)},
+		{demand.Name(), pinnedRoundSections(t, demand)},
+		{city.Name(), pinnedRoundSections(t, city)},
+	} {
+		h.Write([]byte(f.name))
+		for _, b := range f.sections {
+			n := int64(len(b))
+			if b == nil {
+				n = -1
+			}
+			h.Write(binary.AppendVarint(nil, n))
+			h.Write(b)
+		}
+	}
+	got := ResultStoreSchema + " " + hex.EncodeToString(h.Sum(nil))
+	if schema, _, _ := strings.Cut(resultStoreSchemaPin, " "); got != resultStoreSchemaPin {
+		if schema == ResultStoreSchema {
+			t.Fatalf("the reference rounds' stored form changed under an unchanged harness.ResultStoreSchema %q: bump harness.ResultStoreSchema, then set resultStoreSchemaPin to the new schema and digest\n got %s\npin %s", ResultStoreSchema, got, resultStoreSchemaPin)
+		}
+		t.Fatalf("harness.ResultStoreSchema is %q but resultStoreSchemaPin names %q: set resultStoreSchemaPin to %q", ResultStoreSchema, schema, got)
 	}
 }

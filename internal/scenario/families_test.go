@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mac"
 	"repro/internal/metrics"
+	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
 
@@ -92,7 +93,7 @@ func families() []familyCase {
 // TestNormalizedKeepsDefaults: a family default is written once, in its
 // DefaultX, and Normalized only validates — so every family's default
 // config comes back from Normalized unchanged, funcs included (compared
-// through ConfigDigest, which walks every field).
+// through storeutil.Digest, which walks every field).
 func TestNormalizedKeepsDefaults(t *testing.T) {
 	for name, check := range map[string]func() (string, string, error){
 		"testbed":     func() (string, string, error) { return normalizedDigests(DefaultTestbed()) },
@@ -117,7 +118,7 @@ func TestNormalizedKeepsDefaults(t *testing.T) {
 // normalizedDigests returns the digests of cfg and of cfg normalized.
 func normalizedDigests[C Family[C, R], R any](cfg C) (before, after string, err error) {
 	n, err := cfg.Normalized()
-	return ConfigDigest(cfg), ConfigDigest(n), err
+	return storeutil.Digest(cfg), storeutil.Digest(n), err
 }
 
 // keep leaves a config's shared settings as they are.

@@ -456,3 +456,38 @@ func roundTraces[C trafficFamily[C]](t testing.TB, cfg C, round int) (*trace.Col
 	}
 	return r.Protocol, world
 }
+
+// TestCityScaleTraceKeyStable: two builds of one cityscale round's world,
+// the second over a freshly built grid, key equally, so no pointer
+// address or map order of the round's world building reaches its key.
+func TestCityScaleTraceKeyStable(t *testing.T) {
+	cfg, err := DefaultCityScale().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const roundSeed = 11
+	build := func() (*traffic.GridNet, string) {
+		g, specs, err := cityScaleWorld(cfg, roundSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, traffic.TraceKey(traffic.Config{Network: g.Network, Seed: roundSeed}, specs, cfg.Duration)
+	}
+	first, key := build()
+	gridNets.mu.Lock()
+	shared := gridNets.m
+	gridNets.m = make(map[string]*traffic.GridNet)
+	gridNets.mu.Unlock()
+	t.Cleanup(func() {
+		gridNets.mu.Lock()
+		gridNets.m = shared
+		gridNets.mu.Unlock()
+	})
+	second, again := build()
+	if first == second {
+		t.Fatal("the second build reused the first grid")
+	}
+	if again != key {
+		t.Fatal("two builds of one cityscale round's world key differently")
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/mobility"
+	"repro/internal/storeutil"
 	"repro/internal/traffic"
 )
 
@@ -44,9 +45,11 @@ var trafficStore *traffic.Store
 // record-once-replay-many path. Worlds already memoised in this process
 // are unaffected. Sweeps pointed at a shared directory compute each
 // traffic world exactly once across processes and serve every later arm
-// from disk; loads are byte-identical to an in-process recording (see the
-// store round-trip tests). The store grows without bound: nothing evicts
-// a world, so pruning the directory is the operator's call.
+// from disk: keys are content digests (traffic.TraceKey), so equal inputs
+// key equally in every process, and loads are byte-identical to an
+// in-process recording (see the store round-trip tests). The store grows
+// without bound: nothing evicts a world, so pruning the directory is the
+// operator's call.
 func SetTrafficTraceStore(dir string) error {
 	var st *traffic.Store
 	if dir != "" {
@@ -64,9 +67,9 @@ func SetTrafficTraceStore(dir string) error {
 // world returns the traffic world of (tcfg, specs, d), filling its entry
 // once: from the store when it holds a world that binds to the network,
 // else by recording it, and then saving it. The key is
-// traffic.TraceKey(tcfg, specs, d): the exhaustive digest of everything
-// that shapes vehicle motion, computed here so no scenario can forget a
-// field when its config grows one.
+// traffic.TraceKey(tcfg, specs, d): the store schema and the
+// storeutil.Digest of everything that shapes vehicle motion, computed
+// here so no scenario can forget a field when its config grows one.
 func (c *trafficTraceCache) world(tcfg traffic.Config, specs []traffic.VehicleSpec, d time.Duration) (*traffic.World, error) {
 	key := traffic.TraceKey(tcfg, specs, d)
 	c.mu.Lock()
@@ -120,25 +123,16 @@ func (c *trafficTraceCache) world(tcfg traffic.Config, specs []traffic.VehicleSp
 // distinct spec, and the catalogue has a handful.
 var gridNets = struct {
 	mu sync.Mutex
-	m  map[gridKey]*traffic.GridNet
-}{m: make(map[gridKey]*traffic.GridNet)}
-
-// gridKey is a GridSpec by value: Actuated's parameters instead of the
-// caller's pointer.
-type gridKey struct {
-	spec     traffic.GridSpec // Actuated cleared
-	actuated bool
-	params   traffic.ActuatedParams
-}
+	m  map[string]*traffic.GridNet // by storeutil.Digest(spec)
+}{m: make(map[string]*traffic.GridNet)}
 
 // gridNetwork returns the shared street grid for spec, building it on
 // first use.
 func gridNetwork(spec traffic.GridSpec) (*traffic.GridNet, error) {
-	key := gridKey{spec: spec}
+	key := storeutil.Digest(spec)
 	if spec.Actuated != nil {
 		// The shared grid must not alias the caller's parameters.
 		params := *spec.Actuated
-		key.spec.Actuated, key.actuated, key.params = nil, true, params
 		spec.Actuated = &params
 	}
 	gridNets.mu.Lock()

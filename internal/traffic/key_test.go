@@ -32,8 +32,8 @@ func keyTestWorld(t *testing.T) (Config, []VehicleSpec) {
 
 // perturbField changes one struct field to a different value, returning
 // false for kinds it cannot handle (the caller fails the test then — a
-// new field of an unknown kind means both TraceKey and this test need
-// extending). Structs are not handled here; the tests recurse into them
+// new field of an unknown kind means this helper needs extending;
+// storeutil.Digest already walks every kind). Structs are not handled here; the tests recurse into them
 // explicitly.
 func perturbField(f reflect.Value) bool {
 	switch f.Kind() {
@@ -56,8 +56,7 @@ func perturbField(f reflect.Value) bool {
 // config by reflection and require a different cache key, so that two
 // configs differing ONLY in a newly added field can never collide on a
 // key and silently serve a stale precomputed trace. A field this test
-// cannot perturb fails loudly: whoever adds it must extend TraceKey and
-// this test together.
+// cannot perturb fails loudly: whoever adds it must extend perturbField.
 func TestTraceKeyCoversEveryConfigField(t *testing.T) {
 	cfg, specs := keyTestWorld(t)
 	const horizon = 30 * time.Second
@@ -75,7 +74,7 @@ func TestTraceKeyCoversEveryConfigField(t *testing.T) {
 		mod := cfg
 		f := reflect.ValueOf(&mod).Elem().Field(i)
 		if !perturbField(f) {
-			t.Fatalf("Config.%s has kind %v this test cannot perturb: extend TraceKey and perturbField", name, f.Kind())
+			t.Fatalf("Config.%s has kind %v this test cannot perturb: extend perturbField", name, f.Kind())
 		}
 		if TraceKey(mod, specs, horizon) == base {
 			t.Errorf("perturbing Config.%s did not change the trace key", name)
@@ -114,7 +113,7 @@ func TestTraceKeyCoversEverySpecField(t *testing.T) {
 		key := perturbSpecs(func(s *VehicleSpec) {
 			f := reflect.ValueOf(s).Elem().Field(i)
 			if !perturbField(f) {
-				t.Fatalf("VehicleSpec.%s has kind %v this test cannot perturb: extend TraceKey and perturbField", name, f.Kind())
+				t.Fatalf("VehicleSpec.%s has kind %v this test cannot perturb: extend perturbField", name, f.Kind())
 			}
 		})
 		if key == base {
@@ -211,5 +210,20 @@ func TestTraceKeyCoversNetworkAndActuation(t *testing.T) {
 		if key == base {
 			t.Errorf("perturbing ActuatedParams.%s did not change the trace key", name)
 		}
+	}
+}
+
+// TestTraceKeyStableAcrossBuilds: two separate builds of equal inputs key
+// equally, so no pointer address or map order reaches the key and a
+// later process finds the worlds an earlier one stored.
+func TestTraceKeyStableAcrossBuilds(t *testing.T) {
+	const horizon = 30 * time.Second
+	a, specsA := keyTestWorld(t)
+	b, specsB := keyTestWorld(t)
+	if a.Network == b.Network {
+		t.Fatal("the two builds share one network")
+	}
+	if TraceKey(a, specsA, horizon) != TraceKey(b, specsB, horizon) {
+		t.Fatal("two builds of one grid and population key differently")
 	}
 }

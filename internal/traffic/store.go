@@ -13,12 +13,23 @@ import (
 	"repro/internal/trace"
 )
 
-// StoreSchema is the traffic store's format version. Bump it when the
-// file or wire format or the record semantics change: loads reject other
-// schemas, so a stale store degrades to recomputation. (/2: exhaustive
-// TraceKey keys, demand-driven vehicles; /3: the storeutil header; /4:
-// the binary trace section; /5: the delta-varint trace section.)
-const StoreSchema = "traffic-trace-store/5"
+// StoreSchema is the traffic store's one version constant, and the
+// first part of every TraceKey. Bump it when the file or wire format,
+// the record semantics or the stepping semantics change (a new
+// integration rule, a controller logic change, one of sim.go's constants
+// such as the tick): loads reject other schemas and every key changes,
+// so a stale store degrades to recomputation. (/2: exhaustive TraceKey
+// keys, demand-driven vehicles; /3: the storeutil header; /4: the binary
+// trace section; /5: the delta-varint trace section; /6: keys are
+// storeutil.Digest of the inputs, and this constant also versions the
+// stepping semantics, which the retired traffic-world/4 key prefix did.)
+const StoreSchema = "traffic-trace-store/6"
+
+// storeSchemaPin is StoreSchema and the SHA-256 of the store bytes of
+// four short reference worlds, one per network kind (TestStoreSchemaPin).
+// A change to how worlds step or encode that leaves StoreSchema as it is
+// fails that test; a bump updates both halves in the same change.
+const storeSchemaPin = "traffic-trace-store/6 d5a1c44c707c0d793ff66722acd58b223a574a5568d6f1b0c7db232f6a3ab6e9"
 
 // Store is the on-disk cache of recorded traffic worlds, keyed like the
 // scenario layer's in-memory cache (every parameter that shapes vehicle

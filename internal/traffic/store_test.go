@@ -2,6 +2,9 @@ package traffic
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,9 +85,9 @@ func TestStoreMissOnAbsentKey(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionDefaultOff pins that the store is unbounded: it grows
-// with every Save and never deletes an entry.
-func TestStoreEvictionDefaultOff(t *testing.T) {
+// TestStoreIsUnbounded pins that the store grows with every Save and
+// never deletes an entry.
+func TestStoreIsUnbounded(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +100,7 @@ func TestStoreEvictionDefaultOff(t *testing.T) {
 	}
 	for _, key := range []string{"a", "b", "c"} {
 		if got, err := st.Load(key); err != nil || got == nil {
-			t.Fatalf("entry %q missing with eviction off: %v", key, err)
+			t.Fatalf("entry %q missing after later saves: %v", key, err)
 		}
 	}
 }
@@ -165,5 +168,82 @@ func TestStoreQuarantineHeals(t *testing.T) {
 	got, err := st.Load(key)
 	if err != nil || got == nil || !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, w)) {
 		t.Fatalf("healed entry = (%v, %v)", got, err)
+	}
+}
+
+// referenceWorlds records one short world per network kind: a fixed-time
+// grid, an actuated grid, a ring road with a speed cap, and OD demand.
+// Each runs car-following, lane changes and its kind's signal or entry
+// logic, so a change to how worlds step reaches their bytes.
+func referenceWorlds(t *testing.T) map[string]*World {
+	t.Helper()
+	record := func(net *Network, specs []VehicleSpec, d time.Duration) *World {
+		s, err := New(Config{Network: net, Seed: 3}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunTo(d)
+		return s.World()
+	}
+	grid := func(actuated bool) *World {
+		spec := defaultGridSpec()
+		if actuated {
+			ap := DefaultActuatedParams()
+			spec.Actuated = &ap
+		}
+		g, err := NewGridNetwork(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var specs []VehicleSpec
+		for i := 0; i < 8; i++ {
+			specs = append(specs, VehicleSpec{Driver: DefaultDriver(), Link: LinkID(i % 4), Lane: i % 2, ArcM: float64(10 + 25*(i/4))})
+		}
+		return record(g.Network, specs, 40*time.Second)
+	}
+	ring, err := NewRingRoad(RingSpec{CircumferenceM: 400, Lanes: 2, LaneWidthM: 3.5, SpeedLimitMPS: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ringSpecs []VehicleSpec
+	for i := 0; i < 10; i++ {
+		ringSpecs = append(ringSpecs, VehicleSpec{Driver: DefaultDriver(), Lane: i % 2, ArcM: float64(40 * i), SpeedMPS: 8})
+	}
+	ringSpecs[0].Caps = []SpeedCap{{From: 5 * time.Second, To: 15 * time.Second, MaxMPS: 2}}
+	g := demandTestGrid(t, 2)
+	demand, err := ExpandDemand(g.Network, demandTestFlows(t, g), time.Minute, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*World{
+		"fixed grid":    grid(false),
+		"actuated grid": grid(true),
+		"ring":          record(ring, ringSpecs, 30*time.Second),
+		"demand":        record(g.Network, demand, 90*time.Second),
+	}
+}
+
+// TestStoreSchemaPin fails a change to the reference worlds' store bytes
+// that leaves StoreSchema as it is: a stored world would then replay
+// dynamics the current code no longer computes.
+func TestStoreSchemaPin(t *testing.T) {
+	worlds := referenceWorlds(t)
+	h := sha256.New()
+	for _, name := range []string{"fixed grid", "actuated grid", "ring", "demand"} {
+		sections, err := worldCodec.Encode(worlds[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range sections {
+			h.Write(binary.AppendUvarint([]byte(name), uint64(len(b))))
+			h.Write(b)
+		}
+	}
+	got := StoreSchema + " " + hex.EncodeToString(h.Sum(nil))
+	if schema, _, _ := strings.Cut(storeSchemaPin, " "); got != storeSchemaPin {
+		if schema == StoreSchema {
+			t.Fatalf("the reference worlds' store bytes changed under an unchanged traffic.StoreSchema %q: bump traffic.StoreSchema, then set storeSchemaPin to the new schema and digest\n got %s\npin %s", StoreSchema, got, storeSchemaPin)
+		}
+		t.Fatalf("traffic.StoreSchema is %q but storeSchemaPin names %q: set storeSchemaPin to %q", StoreSchema, schema, got)
 	}
 }
