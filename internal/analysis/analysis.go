@@ -76,13 +76,13 @@ func Table1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 		}
 	}
 	// Each distinct car's lists in the current round: the DATA seqs it
-	// received directly, the DATA seqs the AP sent for its flow and the
-	// seqs it recovered through C-ARQ.
-	type lists struct{ direct, sent, recovered []uint32 }
+	// received directly and the seqs it recovered through C-ARQ. The
+	// DATA seqs the AP sent for its flow are the round's tally's runs.
+	type lists struct{ direct, recovered []uint32 }
 	per := make([]lists, len(slot))
 	for _, round := range rounds {
 		for k, l := range per {
-			per[k] = lists{l.direct[:0], l.sent[:0], l.recovered[:0]}
+			per[k] = lists{l.direct[:0], l.recovered[:0]}
 		}
 		for i := range round.Rx {
 			r := &round.Rx[i]
@@ -93,15 +93,6 @@ func Table1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 				per[k].direct = append(per[k].direct, r.Seq)
 			}
 		}
-		for i := range round.Tx {
-			r := &round.Tx[i]
-			if r.Type != packet.TypeData {
-				continue
-			}
-			if k, ok := slot[r.Flow]; ok {
-				per[k].sent = append(per[k].sent, r.Seq)
-			}
-		}
 		for _, r := range round.Recovered {
 			if k, ok := slot[r.Node]; ok {
 				per[k].recovered = append(per[k].recovered, r.Seq)
@@ -109,15 +100,15 @@ func Table1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 		}
 		for i, car := range cars {
 			l := &per[slot[car]]
-			l.direct, l.sent, l.recovered = distinct(l.direct), distinct(l.sent), distinct(l.recovered)
+			l.direct, l.recovered = distinct(l.direct), distinct(l.recovered)
 			if len(l.direct) == 0 {
 				continue
 			}
 			first, last := l.direct[0], l.direct[len(l.direct)-1]
 			txN, heldN := 0, len(l.direct)
-			for _, seq := range l.sent {
-				if seq >= first && seq <= last {
-					txN++
+			for _, run := range round.Sent.DataRuns(car) {
+				if lo, hi := max(run.First, first), min(run.Last, last); lo <= hi {
+					txN += int(hi-lo) + 1
 				}
 			}
 			for _, seq := range l.recovered {

@@ -310,7 +310,8 @@ func TestLastRecoveryLatencies(t *testing.T) {
 
 // naiveTable1 is the per-car reference Table1 is checked against: for
 // every round and car it queries the round's direct-reception set, the
-// AP's DATA sends and the held set separately.
+// AP's DATA sends (from the tx records, not the Sent tally) and the held
+// set separately.
 func naiveTable1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 	rows := make([]*Table1Row, len(cars))
 	for i, car := range cars {
@@ -324,7 +325,7 @@ func naiveTable1(rounds []*trace.Collector, cars []packet.NodeID) []*Table1Row {
 			}
 			first, last := seqBounds(direct)
 			txN := 0
-			for _, seq := range round.DataSentSeqs(car) {
+			for seq := range naiveSent(round, car) {
 				if seq >= first && seq <= last {
 					txN++
 				}
@@ -361,7 +362,7 @@ func TestTable1MatchesNaiveReference(t *testing.T) {
 		for r := rng.Intn(4); r >= 0; r-- {
 			c := &trace.Collector{}
 			for k := rng.Intn(80); k > 0; k-- {
-				c.Tx = append(c.Tx, trace.TxRecord{Src: apID, Type: types[rng.Intn(len(types))], Dst: node(), Flow: node(), Seq: seq()})
+				c.OnTx(apID, &packet.Frame{Type: types[rng.Intn(len(types))], Dst: node(), Flow: node(), Seq: seq()}, 0, time.Millisecond)
 			}
 			for k := rng.Intn(80); k > 0; k-- {
 				c.Rx = append(c.Rx, trace.RxRecord{Dst: node(), Src: apID, Type: types[rng.Intn(len(types))], Flow: node(), Seq: seq()})

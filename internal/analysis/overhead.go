@@ -21,25 +21,20 @@ type Overhead struct {
 	ResponseBytes int
 }
 
-// MeasureOverhead counts protocol transmissions in a round trace.
+// MeasureOverhead counts protocol transmissions in a round trace, from
+// its tally of sends.
 func MeasureOverhead(round *trace.Collector) Overhead {
-	var o Overhead
-	for _, r := range round.Tx {
-		switch r.Type {
-		case packet.TypeData:
-			o.DataTx++
-		case packet.TypeHello:
-			o.HelloTx++
-			o.HelloBytes += r.Bytes
-		case packet.TypeRequest:
-			o.RequestTx++
-			o.RequestBytes += r.Bytes
-		case packet.TypeResponse:
-			o.ResponseTx++
-			o.ResponseBytes += r.Bytes
-		}
+	sent := &round.Sent
+	hello, request, response := sent.Frame(packet.TypeHello), sent.Frame(packet.TypeRequest), sent.Frame(packet.TypeResponse)
+	return Overhead{
+		DataTx:        sent.Frame(packet.TypeData).Count,
+		HelloTx:       hello.Count,
+		RequestTx:     request.Count,
+		ResponseTx:    response.Count,
+		HelloBytes:    hello.Bytes,
+		RequestBytes:  request.Bytes,
+		ResponseBytes: response.Bytes,
 	}
-	return o
 }
 
 // ControlTx returns the non-DATA transmission count.

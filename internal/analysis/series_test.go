@@ -61,6 +61,18 @@ func naiveHeld(round *trace.Collector, car packet.NodeID) map[uint32]bool {
 	return out
 }
 
+// naiveSent returns the seqs of flow's DATA frames the round's tx
+// records hold, independent of the Sent tally the readers use.
+func naiveSent(round *trace.Collector, flow packet.NodeID) map[uint32]bool {
+	out := make(map[uint32]bool)
+	for _, r := range round.Tx {
+		if r.Type == packet.TypeData && r.Flow == flow {
+			out[r.Seq] = true
+		}
+	}
+	return out
+}
+
 // seqBounds returns the min and max keys of a non-empty set.
 func seqBounds(set map[uint32]bool) (lo, hi uint32) {
 	first := true
@@ -146,7 +158,7 @@ func naiveDynamics(round *trace.Collector, car packet.NodeID) *stats.Series {
 	}
 	first, last := seqBounds(direct)
 	missing := 0
-	for _, seq := range round.DataSentSeqs(car) {
+	for seq := range naiveSent(round, car) {
 		if seq >= first && seq <= last && !direct[seq] {
 			missing++
 		}

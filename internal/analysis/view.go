@@ -6,13 +6,14 @@ import (
 )
 
 // StudyView returns what the readers in this package (and
-// trace.DataSentSeqs) read of a round: its transmissions, phase changes,
-// recoveries and completions, shared with round, and its DATA
+// trace.DataSentSeqs) read of a round: its transmissions' tally, phase
+// changes, recoveries and completions, shared with round, and its DATA
 // receptions, copied into an array of their own length so the round's
-// full reception array can be freed. HELLO, REQUEST and RESPONSE
-// receptions, drops and vehicle samples are left out: no study reads
-// them. A stored round is its study view, so a study computes the same
-// result from a computed round and from a loaded one.
+// full reception array can be freed. The transmission records, HELLO,
+// REQUEST and RESPONSE receptions, drops and vehicle samples are left
+// out: no study reads them, so a computed round's full arrays are freed
+// once it is projected. A stored round is its study view, so a study
+// computes the same result from a computed round and from a loaded one.
 func StudyView(round *trace.Collector) *trace.Collector {
 	n := 0
 	for i := range round.Rx {
@@ -30,7 +31,7 @@ func StudyView(round *trace.Collector) *trace.Collector {
 		}
 	}
 	return &trace.Collector{
-		Tx:        round.Tx,
+		Sent:      round.Sent,
 		Rx:        rx,
 		Phases:    round.Phases,
 		Recovered: round.Recovered,

@@ -16,10 +16,11 @@ import (
 )
 
 // fullRound fabricates one full round trace over a small id and seq
-// space, so flows, receivers and recoverers collide: transmissions and
-// receptions of every frame type, drops for every cause, phase changes
-// (a Cooperative-ARQ entry among them for most cars), recoveries and
-// completions, in no particular time order.
+// space, so flows, receivers and recoverers collide: transmissions
+// (through OnTx, which tallies them) and receptions of every frame type,
+// drops for every cause, phase changes (a Cooperative-ARQ entry among
+// them for most cars), recoveries and completions, in no particular time
+// order.
 func fullRound(rng *rand.Rand) *trace.Collector {
 	nodes := []packet.NodeID{apID, car1, car2, car3}
 	cars := nodes[1:]
@@ -28,9 +29,10 @@ func fullRound(rng *rand.Rand) *trace.Collector {
 	seq := func() uint32 { return uint32(rng.Intn(30)) }
 	at := func() time.Duration { return time.Duration(rng.Intn(5000)) * time.Millisecond }
 	c := &trace.Collector{}
+	payload := make([]byte, packet.MaxPayload)
 	for k := rng.Intn(80); k > 0; k-- {
-		c.Tx = append(c.Tx, trace.TxRecord{At: at(), Src: node(nodes), Type: typ(), Dst: node(nodes),
-			Flow: node(cars), Seq: seq(), Bytes: 30 + rng.Intn(1500)})
+		c.OnTx(node(nodes), &packet.Frame{Type: typ(), Dst: node(nodes), Flow: node(cars), Seq: seq(),
+			Payload: payload[:rng.Intn(len(payload))]}, at(), time.Millisecond)
 	}
 	for k := rng.Intn(160); k > 0; k-- {
 		c.Rx = append(c.Rx, trace.RxRecord{At: at(), Dst: node(nodes), Src: node(nodes), Type: typ(),
@@ -122,13 +124,13 @@ func renderSeries(series ...*stats.Series) string {
 // TestStudyViewKeepsEveryStudyResult: every study reader returns the
 // same result, bit for bit, on random full rounds and on their study
 // views, for each car and for car lists that omit or repeat a car. A
-// reader that starts to read what the view leaves out — a control
-// frame's reception, a drop — fails here rather than silently after a
-// resume, whose rounds are study views.
+// reader that starts to read what the view leaves out — a transmission
+// record, a control frame's reception, a drop — fails here rather than
+// silently after a resume, whose rounds are study views.
 func TestStudyViewKeepsEveryStudyResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	carLists := [][]packet.NodeID{{car1, car2, car3}, {car2, car3}, {car3, car1, car3}}
-	var dropped, controlRx int
+	var dropped, controlRx, sent int
 	for trial := 0; trial < 200; trial++ {
 		rounds := make([]*trace.Collector, 1+rng.Intn(4))
 		views := make([]*trace.Collector, len(rounds))
@@ -136,15 +138,16 @@ func TestStudyViewKeepsEveryStudyResult(t *testing.T) {
 			rounds[i] = fullRound(rng)
 			views[i] = StudyView(rounds[i])
 			dropped += len(rounds[i].Drops)
+			sent += len(rounds[i].Tx)
 			for _, r := range rounds[i].Rx {
 				if r.Type != packet.TypeData {
 					controlRx++
 				}
 			}
 			v := views[i]
-			if v.Drops != nil || len(v.Rx) != cap(v.Rx) || slices.ContainsFunc(v.Rx, func(r trace.RxRecord) bool { return r.Type != packet.TypeData }) {
-				t.Fatalf("trial %d round %d: view keeps %d drops, or a control reception, or spare Rx capacity (%d of %d)",
-					trial, i, len(v.Drops), len(v.Rx), cap(v.Rx))
+			if v.Tx != nil || v.Drops != nil || len(v.Rx) != cap(v.Rx) || slices.ContainsFunc(v.Rx, func(r trace.RxRecord) bool { return r.Type != packet.TypeData }) {
+				t.Fatalf("trial %d round %d: view keeps %d tx records, or %d drops, or a control reception, or spare Rx capacity (%d of %d)",
+					trial, i, len(v.Tx), len(v.Drops), len(v.Rx), cap(v.Rx))
 			}
 		}
 		cars := carLists[trial%len(carLists)]
@@ -156,7 +159,7 @@ func TestStudyViewKeepsEveryStudyResult(t *testing.T) {
 			}
 		}
 	}
-	if dropped == 0 || controlRx == 0 {
-		t.Fatalf("random rounds held %d drops and %d control receptions: nothing was left out", dropped, controlRx)
+	if dropped == 0 || controlRx == 0 || sent == 0 {
+		t.Fatalf("random rounds held %d drops, %d control receptions and %d tx records: nothing was left out", dropped, controlRx, sent)
 	}
 }

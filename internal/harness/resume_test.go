@@ -167,13 +167,14 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 // result-store/4 (fixed-width binary trace sections), result-store/5
 // (the current encoding, whose city traces also held the background
 // beacons' events), result-store/6 (a traffic family's entry, which
-// also carried the round's traffic stream) and result-store/7 (a full
+// also carried the round's traffic stream), result-store/7 (a full
 // trace: every frame type's receptions, with their radio fields, and
-// drops) — and JSONL or fixed-width bodies under the current schema are
+// drops) and result-store/8 (transmission records and no sent block) —
+// and JSONL or fixed-width bodies under the current schema are
 // quarantined by the next run and recomputed into the current format
 // with identical applied results; the run after that serves every unit.
 func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
-	const rounds = 8
+	const rounds = 9
 	storeDir := t.TempDir()
 	_, out1, _ := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
 	paths, err := filepath.Glob(filepath.Join(storeDir, "*.unit.jsonl"))
@@ -199,7 +200,7 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 		var parent []byte
-		switch i % 8 {
+		switch i % rounds {
 		case 0:
 			parent = fmt.Appendf(nil, `{"schema":"result-store/1","key":%q,"meta_len":%d,"proto_len":%d,"traffic_len":%d,"body_crc":%d}`,
 				hdr.Key, hdr.Sections[0], hdr.Sections[1], hdr.Sections[2], hdr.BodyCRC)
@@ -218,6 +219,8 @@ func TestStoredRoundsRecomputeParentFormat(t *testing.T) {
 			parent = streamEntry(t, store, "result-store/6", hdr.Key)
 		case 7:
 			parent = fullTraceEntry(t, store, "result-store/7", hdr.Key)
+		case 8:
+			parent = txEntry(t, store, "result-store/8", hdr.Key)
 		}
 		if err := os.WriteFile(path, parent, 0o644); err != nil {
 			t.Fatal(err)
@@ -469,7 +472,8 @@ func fixedWidthEntry(t *testing.T, store *ResultStore, schema, key string) []byt
 func streamEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
 	t.Helper()
 	stream := &trace.Collector{Vehicles: []trace.VehicleRecord{{At: time.Second, Veh: 3, Link: 2, Arc: 40, Speed: 1.5}}}
-	return parentEntry(t, store, schema, key, encodeCollector, stream.AppendBinary(nil))
+	encode := func(col *trace.Collector) []byte { return parentBinary(t, col) }
+	return parentEntry(t, store, schema, key, encode, parentBinary(t, stream))
 }
 
 // fullTraceEntry renders the entry stored under key as result-store/7
@@ -485,13 +489,37 @@ func fullTraceEntry(t *testing.T, store *ResultStore, schema, key string) []byte
 		}
 		full := *col
 		full.Drops = []trace.DropRecord{{At: time.Second, Dst: 1, Src: 100, Type: packet.TypeData, Flow: 1, Seq: 4, Reason: mac.DropChannel}}
-		enc := full.AppendBinary(nil) // enc[1] is the empty rx block's count
+		enc := parentBinary(t, &full) // enc[1] is the empty rx block's count
 		rx := binary.AppendVarint([]byte{1}, int64(time.Second))
 		rx = append(rx, 2, 3, 0, 3, 0, byte(packet.TypeHello)) // Dst 1, Src 2, AddrTo broadcast, Flow 2, Seq 0
 		rx = binary.LittleEndian.AppendUint64(rx, math.Float64bits(-70))
 		rx = binary.LittleEndian.AppendUint64(rx, math.Float64bits(20))
 		return append(append(enc[:1:1], rx...), enc[2:]...)
 	}, nil)
+}
+
+// txEntry renders the entry stored under key as result-store/8 wrote
+// it: the shared header under schema and a protocol section that holds
+// a DATA transmission record and no sent block.
+func txEntry(t *testing.T, store *ResultStore, schema, key string) []byte {
+	t.Helper()
+	return parentEntry(t, store, schema, key, func(col *trace.Collector) []byte {
+		withTx := *col
+		withTx.Tx = []trace.TxRecord{{At: time.Second, Src: 100, Type: packet.TypeData, Dst: 1, Flow: 1, Seq: 4, Bytes: 1036}}
+		return parentBinary(t, &withTx)
+	}, nil)
+}
+
+// parentBinary is col's binary encoding as result-store/8 and earlier
+// wrote it: the seven record blocks without the sent block, which col
+// must leave empty.
+func parentBinary(t *testing.T, col *trace.Collector) []byte {
+	t.Helper()
+	if !reflect.DeepEqual(col.Sent, trace.Sends{}) {
+		t.Fatalf("parent encoding of a tally %+v", col.Sent)
+	}
+	enc := col.AppendBinary(nil)
+	return enc[:len(enc)-2] // the empty sent block's two zero counts
 }
 
 // parentEntry renders the entry stored under key with the shared

@@ -18,15 +18,16 @@ import (
 // stations, without the city families' background beacons; /7: traffic
 // summaries in the round meta; no traffic stream; /8: the study
 // projection, analysis.StudyView: DATA receptions only, no drops, and an
-// rx record without power, SINR or addressed destination.)
-const ResultStoreSchema = "result-store/8"
+// rx record without power, SINR or addressed destination; /9: the
+// transmissions as their tally, trace.Sends, with no tx records.)
+const ResultStoreSchema = "result-store/9"
 
 // resultStoreSchemaPin is ResultStoreSchema and the SHA-256 of the codec
 // sections of one stored round per scenario family (TestStoreSchemaPin).
 // A change to what a round computes or stores that leaves
 // ResultStoreSchema as it is fails that test; a bump updates both halves
 // in the same change.
-const resultStoreSchemaPin = "result-store/8 0aa09a5787ae2a7717b1faccaa761c04ecf3c37e0dfb505e620928f6ccfd8758"
+const resultStoreSchemaPin = "result-store/9 175c1a99a0a40362e29cf49d3f4a5f5d8e56b7925c3cafc94ef3098a7d7a63ba"
 
 // UnitResult is the serialisable outcome of one work unit — the value
 // the result store content-addresses. Protocol is the unit's protocol

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"reflect"
 	"runtime"
@@ -27,18 +28,33 @@ import (
 // functions and closures apart but not two instances of one closure with
 // different captures: callers must key such differences by other means
 // (the harness keys units by parameter-point label too).
+//
+// The bytes stream into the hash a chunk at a time, so a large value
+// (a city's road network) costs one chunk of buffer, not its whole
+// serialisation; only a map's entries, which are sorted before they are
+// hashed, are held whole.
 func Digest(v any) string {
-	d := digester{buf: make([]byte, 0, 1024)}
+	d := digester{buf: make([]byte, 0, 1024), h: sha256.New()}
 	d.value(reflect.ValueOf(&v).Elem(), 0)
-	sum := sha256.Sum256(d.buf)
-	return hex.EncodeToString(sum[:])
+	d.h.Write(d.buf)
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // maxDigestDepth bounds the walk of a cyclic value; keyed values are
 // trees.
 const maxDigestDepth = 64
 
-type digester struct{ buf []byte }
+// digestChunk is the buffered size past which a digester hashes its
+// buffer and empties it, outside map entries.
+const digestChunk = 16 << 10
+
+type digester struct {
+	buf []byte
+	h   hash.Hash
+	// inMap counts the map walks in progress, whose entries stay in buf
+	// until they are sorted.
+	inMap int
+}
 
 func (d *digester) uvarint(x uint64) { d.buf = binary.AppendUvarint(d.buf, x) }
 
@@ -125,12 +141,17 @@ func (d *digester) value(v reflect.Value, depth int) {
 		// type keeps their presence visible.
 		d.str(v.Type().String())
 	}
+	if d.inMap == 0 && len(d.buf) >= digestChunk {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
 }
 
 // mapEntries writes v's entry count and then its entries, each key's
 // bytes followed by its value's, in ascending order of those bytes.
 func (d *digester) mapEntries(v reflect.Value, depth int) {
 	d.uvarint(uint64(v.Len()))
+	d.inMap++
 	base := len(d.buf)
 	var spans [][2]int
 	for it := v.MapRange(); it.Next(); {
@@ -147,4 +168,5 @@ func (d *digester) mapEntries(v reflect.Value, depth int) {
 	for _, s := range spans {
 		d.buf = append(d.buf, entries[s[0]:s[1]]...)
 	}
+	d.inMap--
 }

@@ -15,8 +15,8 @@ import (
 // The binary encoding is the stores' compact, canonical form of a
 // Collector: one block per record category in WriteJSONL's category
 // order, each a uvarint record count followed by that many records,
-// row-wise. A record is its varint fields in struct order, then its raw
-// bytes and floats:
+// row-wise, and then the sent block. A record is its varint fields in
+// struct order, then its raw bytes and floats:
 //
 //	tx          At Src Dst Flow Seq Bytes | Type
 //	rx          At Dst Src Flow Seq | Type
@@ -25,6 +25,20 @@ import (
 //	recovery    At Node Seq From
 //	completion  At Node
 //	vehicle     At Veh Link Lane | Arc Speed
+//
+// The sent block is Collector.Sent as two counted lists: the frame
+// tallies that are not zero, by ascending type, then the flows, by
+// ascending Flow, each followed by its runs (at least one):
+//
+//	frame tally Count Bytes | Type
+//	flow        Flow Runs
+//	run         Gap Len
+//
+// Count, Bytes, Runs, Gap and Len are uvarints. A run is First..First+Len,
+// where First is Gap for a flow's first run and the previous run's Last
+// plus Gap after it; Gap is then at least 2, so runs neither overlap nor
+// adjoin. The encoder writes Sent as it is: a tally OnTx or the decoder
+// built.
 //
 // Fields are coded as follows:
 //
@@ -46,8 +60,11 @@ import (
 // no trailing bytes — so every Collector has exactly one encoding and
 // every accepted input re-encodes to the same bytes. It also accepts
 // only the frame types (TypeData..TypeResponse) and drop causes
-// (DropChannel..DropHalfDuplex) the MAC records. Ints are stored as
-// int64: the codec assumes a 64-bit int.
+// (DropChannel..DropHalfDuplex) the MAC records, and only a canonical
+// sent block: tallies and flows in strictly ascending order, no zero
+// tally, no flow without runs, no run past math.MaxUint32 and no two
+// runs of a flow that overlap or adjoin. Ints are stored as int64: the
+// codec assumes a 64-bit int.
 const categories = 7
 
 // Record sizes at their smallest (every varint one byte), which bound a
@@ -62,17 +79,25 @@ const (
 	minRecovery, maxRecovery = 4, 10 + 3 + 5 + 3
 	minComplete, maxComplete = 2, 10 + 3
 	minVehicle, maxVehicle   = 4 + 16, 4*10 + 16
+	minTally, maxTally       = 2 + 1, 2*10 + 1
+	minFlow, maxFlow         = 2 + minRun, 3 + 10
+	minRun, maxRun           = 2, 2 * 5
 )
 
 var le = binary.LittleEndian
 
 // AppendBinary appends the binary encoding of c to dst and returns the
-// extended slice. The encoding of an empty collector is the seven zero
-// counts, so it is never empty.
+// extended slice. The encoding of an empty collector is nine zero
+// counts, the sent block's two among them, so it is never empty.
 func (c *Collector) AppendBinary(dst []byte) []byte {
-	dst = slices.Grow(dst, categories*binary.MaxVarintLen64+len(c.Tx)*maxTx+len(c.Rx)*maxRx+
+	runs := 0
+	for _, f := range c.Sent.Flows {
+		runs += len(f.Runs)
+	}
+	dst = slices.Grow(dst, (categories+2)*binary.MaxVarintLen64+len(c.Tx)*maxTx+len(c.Rx)*maxRx+
 		len(c.Drops)*maxDrop+len(c.Phases)*maxPhase+len(c.Recovered)*maxRecovery+
-		len(c.Completed)*maxComplete+len(c.Vehicles)*maxVehicle)
+		len(c.Completed)*maxComplete+len(c.Vehicles)*maxVehicle+
+		frameTypes*maxTally+len(c.Sent.Flows)*maxFlow+runs*maxRun)
 
 	var at time.Duration
 	var seq uint32
@@ -158,6 +183,39 @@ func (c *Collector) AppendBinary(dst []byte) []byte {
 		dst = le.AppendUint64(dst, math.Float64bits(r.Speed))
 		at, veh = r.At, r.Veh
 	}
+	return c.Sent.appendBinary(dst)
+}
+
+func (s *Sends) appendBinary(dst []byte) []byte {
+	tallies := 0
+	for _, f := range s.Frames {
+		if f != (FrameTally{}) {
+			tallies++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(tallies))
+	for i, f := range s.Frames {
+		if f != (FrameTally{}) {
+			dst = binary.AppendUvarint(dst, uint64(f.Count))
+			dst = binary.AppendUvarint(dst, uint64(f.Bytes))
+			dst = append(dst, byte(packet.TypeData)+byte(i))
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(s.Flows)))
+	for _, f := range s.Flows {
+		dst = appendID(dst, f.Flow)
+		dst = binary.AppendUvarint(dst, uint64(len(f.Runs)))
+		var last uint32
+		for k, r := range f.Runs {
+			gap := r.First
+			if k > 0 {
+				gap -= last
+			}
+			dst = binary.AppendUvarint(dst, uint64(gap))
+			dst = binary.AppendUvarint(dst, uint64(r.Last-r.First))
+			last = r.Last
+		}
+	}
 	return dst
 }
 
@@ -184,6 +242,7 @@ func DecodeBinary(data []byte) (*Collector, error) {
 		Recovered: decodeRecoveries(&d),
 		Completed: decodeCompletions(&d),
 		Vehicles:  decodeVehicles(&d),
+		Sent:      decodeSends(&d),
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -214,6 +273,13 @@ const (
 	errSeqOverflow
 	errBadType
 	errBadReason
+	errTypeOrder
+	errEmptyTally
+	errFlowOrder
+	errNoRuns
+	errRunCount
+	errRunsTouch
+	errRunOverflow
 )
 
 var readErrors = [...]string{
@@ -224,6 +290,13 @@ var readErrors = [...]string{
 	-errSeqOverflow - 1:    "seq delta overflow",
 	-errBadType - 1:        "unknown frame type",
 	-errBadReason - 1:      "unknown drop reason",
+	-errTypeOrder - 1:      "frame types out of order",
+	-errEmptyTally - 1:     "empty frame tally",
+	-errFlowOrder - 1:      "flows out of order",
+	-errNoRuns - 1:         "flow without runs",
+	-errRunCount - 1:       "more runs than the bytes left hold",
+	-errRunsTouch - 1:      "runs overlap or adjoin",
+	-errRunOverflow - 1:    "run past the last seq",
 }
 
 // count reads a block's record count and checks that the bytes left
@@ -504,4 +577,83 @@ func decodeVehicles(d *decoder) []VehicleRecord {
 	}
 	d.i = i
 	return recs
+}
+
+// decodeSends decodes the sent block. Its two lists are checked as the
+// record blocks are, then for the canonical order and runs.
+func decodeSends(d *decoder) Sends {
+	var s Sends
+	n := d.count("frame tally", minTally)
+	p, i := d.p, d.i
+	var u [2]uint64
+	var prev packet.Type
+	for k := 0; k < n; k++ {
+		i = uvarints(p, i, u[:])
+		code := recordError(p, i, 0, 0, 1)
+		if code == 0 {
+			code = frameError(p[i:], false)
+		}
+		switch {
+		case code < 0:
+		case packet.Type(p[i]) <= prev:
+			code = errTypeOrder
+		case u[0]|u[1] == 0:
+			code = errEmptyTally
+		}
+		if code < 0 {
+			d.fail("frame tally", k, code)
+			return Sends{}
+		}
+		prev = packet.Type(p[i])
+		s.Frames[prev-packet.TypeData] = FrameTally{Count: int(u[0]), Bytes: int(u[1])}
+		i++
+	}
+	d.i = i
+
+	n = d.count("flow", minFlow)
+	if n == 0 {
+		return s
+	}
+	i = d.i
+	s.Flows = make([]FlowSeqs, n)
+	for k := range s.Flows {
+		i = uvarints(p, i, u[:])
+		code := recordError(p, i, u[0], 0, 0)
+		switch {
+		case code < 0:
+		case k > 0 && id(u[0]) <= s.Flows[k-1].Flow:
+			code = errFlowOrder
+		case u[1] == 0:
+			code = errNoRuns
+		case u[1] > uint64((len(p)-i)/minRun):
+			code = errRunCount
+		}
+		if code < 0 {
+			d.fail("flow", k, code)
+			return Sends{}
+		}
+		f := &s.Flows[k]
+		f.Flow, f.Runs = id(u[0]), make([]SeqRun, u[1])
+		var last uint64 // the previous run's Last, 0 before the first
+		for r := range f.Runs {
+			i = uvarints(p, i, u[:])
+			gap, span := u[0], u[1]
+			switch {
+			case i < 0:
+				code = i
+			case gap > math.MaxUint32 || span > math.MaxUint32 || last+gap+span > math.MaxUint32:
+				code = errRunOverflow
+			case r > 0 && gap < 2:
+				code = errRunsTouch
+			}
+			if code < 0 {
+				d.fail("flow", k, code)
+				return Sends{}
+			}
+			last += gap + span
+			f.Runs[r] = SeqRun{First: uint32(last - span), Last: uint32(last)}
+		}
+	}
+	d.i = i
+	return s
 }

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,7 +82,44 @@ func randomCollector(rng *rand.Rand) *Collector {
 	for k := n(); k > 0; k-- {
 		c.Vehicles = append(c.Vehicles, VehicleRecord{At: at(), Veh: i(), Link: i(), Lane: i(), Arc: f(), Speed: f()})
 	}
+	c.Sent = randomSends(rng, i)
 	return c
+}
+
+// randomSends builds a valid sent tally independent of any tx records:
+// tallies of random ints, some zero, and flows (0xFFFF among them) whose
+// runs start at 0, end at math.MaxUint32, or lie in between, at least
+// one seq apart.
+func randomSends(rng *rand.Rand, i func() int) Sends {
+	var s Sends
+	for t := range s.Frames {
+		if rng.Intn(3) > 0 {
+			s.Frames[t] = FrameTally{Count: i(), Bytes: i()}
+		}
+	}
+	flows := map[packet.NodeID]bool{}
+	for k := rng.Intn(5); k > 0; k-- {
+		flows[[]packet.NodeID{0, 1, 7, 0xFFFE, 0xFFFF}[rng.Intn(5)]] = true
+	}
+	for flow := range flows {
+		f := FlowSeqs{Flow: flow}
+		next := uint64(0)
+		if rng.Intn(2) == 0 {
+			next = uint64(rng.Uint32())
+		}
+		for next <= math.MaxUint32 && len(f.Runs) < 6 {
+			first := next
+			last := min(first+uint64(rng.Intn(4)), math.MaxUint32)
+			if rng.Intn(8) == 0 {
+				last = math.MaxUint32
+			}
+			f.Runs = append(f.Runs, SeqRun{First: uint32(first), Last: uint32(last)})
+			next = last + 2 + uint64(rng.Intn(3))<<uint(rng.Intn(32))
+		}
+		s.Flows = append(s.Flows, f)
+	}
+	slices.SortFunc(s.Flows, func(a, b FlowSeqs) int { return cmp.Compare(a.Flow, b.Flow) })
+	return s
 }
 
 // sameRecords reports the first difference between two collectors,
@@ -104,7 +143,7 @@ func sameRecords(t *testing.T, want, got *Collector) {
 	}
 	for _, pair := range [][2]any{
 		{want.Tx, got.Tx}, {want.Rx, got.Rx}, {want.Drops, got.Drops}, {want.Phases, got.Phases},
-		{want.Recovered, got.Recovered}, {want.Completed, got.Completed},
+		{want.Recovered, got.Recovered}, {want.Completed, got.Completed}, {want.Sent, got.Sent},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {
 			t.Fatalf("records differ:\n got %+v\nwant %+v", pair[1], pair[0])
@@ -167,13 +206,14 @@ func TestBinaryAppends(t *testing.T) {
 	}
 }
 
-// TestBinaryEmptyCollector: an empty collector encodes to its seven zero
-// counts, one byte each — non-nil, so a store keeps "present but empty"
-// distinct from an absent section — and decodes back to nil categories,
-// as ReadJSONL leaves them.
+// TestBinaryEmptyCollector: an empty collector encodes to its seven
+// record counts and its sent block's two list counts, all zero, one byte
+// each — non-nil, so a store keeps "present but empty" distinct from an
+// absent section — and decodes back to nil categories, as ReadJSONL
+// leaves them.
 func TestBinaryEmptyCollector(t *testing.T) {
 	enc := (&Collector{}).AppendBinary(nil)
-	if !bytes.Equal(enc, make([]byte, categories)) {
+	if !bytes.Equal(enc, make([]byte, categories+2)) {
 		t.Fatalf("empty collector encodes to %v", enc)
 	}
 	got, err := DecodeBinary(enc)
@@ -192,7 +232,8 @@ func TestDecodeBinaryRejects(t *testing.T) {
 	enc := c.AppendBinary(nil)
 	noVehicles := *c
 	noVehicles.Vehicles = nil
-	vehicleCount := len(noVehicles.AppendBinary(nil)) - 1 // offset of the vehicle count
+	sent := len((&Collector{Sent: c.Sent}).AppendBinary(nil)) - categories // the sent block's length
+	vehicleCount := len(noVehicles.AppendBinary(nil)) - sent - 1           // offset of the vehicle count
 
 	// block prefixes hand-built encodings with the first k categories'
 	// zero counts.
@@ -206,7 +247,8 @@ func TestDecodeBinaryRejects(t *testing.T) {
 		{"short count", "tx count: truncated", []byte{0x85}},
 		{"mid record", "need more than", enc[:4]},
 		{"cut count", "vehicle count: truncated", enc[:vehicleCount]},
-		{"last byte", "vehicle record 3: truncated", enc[:len(enc)-1]},
+		{"last vehicle byte", "vehicle record 3: truncated", enc[:len(enc)-sent-1]},
+		{"last byte", "2 flow records need more than the 7 bytes left", enc[:len(enc)-1]},
 		{"oversized count", "3 tx records need more than", oversized},
 		{"huge count", "need more than", binary.AppendUvarint(nil, math.MaxUint64)},
 		{"trailing bytes", "1 trailing bytes", append(append([]byte(nil), enc...), 0)},
@@ -228,6 +270,25 @@ func TestDecodeBinaryRejects(t *testing.T) {
 		{"rx type", "rx record 0: unknown frame type", append(blocks(1, 1, 0, 2, 2, 2, 0, 0), make([]byte, 5)...)},
 		// One DATA drop for reason 4, a cause the MAC no longer has.
 		{"drop reason", "drop record 0: unknown drop reason", blocks(2, 1, 0, 2, 2, 2, 0, 1, 4, 0, 0, 0, 0)},
+		// Sent blocks after seven empty record blocks. A frame tally of
+		// type 5, past TypeResponse.
+		{"tally type", "frame tally record 0: unknown frame type", blocks(7, 1, 1, 1, 5, 0)},
+		// Two HELLO tallies, then a DATA tally after a HELLO one.
+		{"repeated type", "frame tally record 1: frame types out of order", blocks(7, 2, 1, 1, 2, 1, 1, 2, 0)},
+		{"unsorted types", "frame tally record 1: frame types out of order", blocks(7, 2, 1, 1, 2, 1, 1, 1, 0)},
+		{"zero tally", "frame tally record 0: empty frame tally", blocks(7, 1, 0, 0, 1, 0)},
+		{"tally count", "3 frame tally records need more than the 8 bytes left", blocks(7, 3, 1, 1, 1, 1, 1, 2, 0, 0)},
+		// Flows 2 then 1 (ids 3 then 2), each with the one run 0..0.
+		{"unsorted flows", "flow record 1: flows out of order", blocks(7, 0, 2, 3, 1, 0, 0, 2, 1, 0, 0)},
+		{"duplicate flow", "flow record 1: flows out of order", blocks(7, 0, 2, 2, 1, 0, 0, 2, 1, 0, 0)},
+		{"flow without runs", "flow record 0: flow without runs", blocks(7, 0, 1, 2, 0, 0, 0)},
+		{"run count", "flow record 0: more runs than the bytes left hold", blocks(7, 0, 1, 2, 3, 0, 0, 0)},
+		{"flow count", "5 flow records need more than the 4 bytes left", blocks(7, 0, 5, 2, 1, 0, 0)},
+		// Flow 1's runs 5..6 and then 6..6 (gap 0) or 7..7 (gap 1).
+		{"overlapping runs", "flow record 0: runs overlap or adjoin", blocks(7, 0, 1, 2, 2, 5, 1, 0, 0)},
+		{"adjacent runs", "flow record 0: runs overlap or adjoin", blocks(7, 0, 1, 2, 2, 5, 1, 1, 0)},
+		// A run from math.MaxUint32 of length 1.
+		{"run overflow", "flow record 0: run past the last seq", blocks(7, 0, 1, 2, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -123,8 +123,105 @@ func refWalk(data []byte) string {
 			rest = rest[tail:]
 		}
 	}
+	if cause := refWalkSent(&rest, uvarint); cause != "" {
+		return cause
+	}
 	if len(rest) > 0 {
 		return fmt.Sprintf("trace: %d trailing bytes after the last record block", len(rest))
+	}
+	return ""
+}
+
+// refWalkSent skips the sent block at the front of *rest, reading its
+// varints with uvarint, and returns the error DecodeBinary must give for
+// it, or "". A frame tally (Count Bytes | Type) fails at its first
+// malformed varint, else at a missing type byte, else at a type outside
+// TypeData..TypeResponse, else at a type not above the previous one,
+// else at a zero tally. A flow (Flow Runs) fails at its first malformed
+// varint, else at an id out of range, else at a Flow not above the
+// previous one, else at zero runs, else at more runs than two bytes
+// each leave room for. A run (Gap Len) fails at its first malformed
+// varint, else at a Gap, Len or end past math.MaxUint32, else at a Gap
+// under 2 after a flow's first run.
+func refWalkSent(rest *[]byte, uvarint func() (uint64, string)) string {
+	n, cause := uvarint()
+	if cause != "" {
+		return "trace: frame tally count: " + cause
+	}
+	if n > uint64(len(*rest)/3) {
+		return fmt.Sprintf("trace: %d frame tally records need more than the %d bytes left", n, len(*rest))
+	}
+	var prevType byte
+	for rec := 0; uint64(rec) < n; rec++ {
+		count, cause := uvarint()
+		var bytes uint64
+		if cause == "" {
+			bytes, cause = uvarint()
+		}
+		switch {
+		case cause != "":
+		case len(*rest) < 1:
+			cause = "truncated"
+		case (*rest)[0] < byte(packet.TypeData) || (*rest)[0] > byte(packet.TypeResponse):
+			cause = "unknown frame type"
+		case (*rest)[0] <= prevType:
+			cause = "frame types out of order"
+		case count == 0 && bytes == 0:
+			cause = "empty frame tally"
+		}
+		if cause != "" {
+			return fmt.Sprintf("trace: frame tally record %d: %s", rec, cause)
+		}
+		prevType = (*rest)[0]
+		*rest = (*rest)[1:]
+	}
+
+	n, cause = uvarint()
+	if cause != "" {
+		return "trace: flow count: " + cause
+	}
+	if n > uint64(len(*rest)/4) {
+		return fmt.Sprintf("trace: %d flow records need more than the %d bytes left", n, len(*rest))
+	}
+	var prevFlow uint16
+	for rec := 0; uint64(rec) < n; rec++ {
+		flow, cause := uvarint()
+		var runs uint64
+		if cause == "" {
+			runs, cause = uvarint()
+		}
+		switch {
+		case cause != "":
+		case flow > math.MaxUint16:
+			cause = "id overflow"
+		case rec > 0 && uint16(flow-1) <= prevFlow:
+			cause = "flows out of order"
+		case runs == 0:
+			cause = "flow without runs"
+		case runs > uint64(len(*rest)/2):
+			cause = "more runs than the bytes left hold"
+		}
+		var last uint64
+		for r := uint64(0); cause == "" && r < runs; r++ {
+			gap, c := uvarint()
+			var length uint64
+			if c == "" {
+				length, c = uvarint()
+			}
+			switch {
+			case c != "":
+				cause = c
+			case gap > math.MaxUint32 || length > math.MaxUint32 || last+gap+length > math.MaxUint32:
+				cause = "run past the last seq"
+			case r > 0 && gap < 2:
+				cause = "runs overlap or adjoin"
+			}
+			last += gap + length
+		}
+		if cause != "" {
+			return fmt.Sprintf("trace: flow record %d: %s", rec, cause)
+		}
+		prevFlow = uint16(flow - 1)
 	}
 	return ""
 }
@@ -137,7 +234,11 @@ func refWalk(data []byte) string {
 // (testdata/fuzz/FuzzDecodeBinary) holds every record kind, the empty
 // collector, truncations, an oversized count, trailing bytes, a
 // non-minimal varint, id and seq-delta overflows, unknown frame types and
-// drop reasons and a real cityscale traffic section.
+// drop reasons, a real cityscale traffic section, and sent blocks: one
+// with several runs per flow, and ones with overlapping runs, adjacent
+// runs, unsorted and duplicate flows, a frame type out of range, a
+// repeated frame type, a zero tally, a flow without runs, a run past the
+// last seq and flow and run counts past the input.
 func FuzzDecodeBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wantErr := refWalk(data)

@@ -78,7 +78,10 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a stream produced by WriteJSONL back into a Collector.
+// ReadJSONL parses a stream produced by WriteJSONL back into a Collector,
+// and tallies its tx lines into Sent. A stream carries no tally of its
+// own, so a collector whose Tx does not account for its Sent, such as a
+// stored round, reads back with the tally of the Tx it wrote.
 func ReadJSONL(r io.Reader) (*Collector, error) {
 	c := &Collector{}
 	dec := json.NewDecoder(r)
@@ -96,6 +99,7 @@ func ReadJSONL(r io.Reader) (*Collector, error) {
 				return nil, fmt.Errorf("trace: line %d: tx record missing body", lineNo)
 			}
 			c.Tx = append(c.Tx, *l.Tx)
+			c.Sent.add(l.Tx.Type, l.Tx.Flow, l.Tx.Seq, l.Tx.Bytes)
 		case "rx":
 			if l.Rx == nil {
 				return nil, fmt.Errorf("trace: line %d: rx record missing body", lineNo)

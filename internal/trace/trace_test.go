@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -249,5 +250,99 @@ func TestDataSentSeqsOutOfOrderAndRepeated(t *testing.T) {
 	}
 	if got, want := c.DataSentSeqs(2), []uint32{7, 8, 9, 10}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("DataSentSeqs(2) = %v, want %v", got, want)
+	}
+}
+
+// naiveSends recomputes a tally from tx records: per type the frames and
+// their bytes, per flow the sorted distinct DATA seqs cut into runs
+// wherever two neighbours differ by more than 1.
+func naiveSends(tx []TxRecord) Sends {
+	var s Sends
+	seqs := map[packet.NodeID][]uint32{}
+	for _, r := range tx {
+		f := &s.Frames[r.Type-packet.TypeData]
+		f.Count++
+		f.Bytes += r.Bytes
+		if r.Type == packet.TypeData {
+			seqs[r.Flow] = append(seqs[r.Flow], r.Seq)
+		}
+	}
+	var flows []packet.NodeID
+	for flow := range seqs {
+		flows = append(flows, flow)
+	}
+	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
+	for _, flow := range flows {
+		list := seqs[flow]
+		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		f := FlowSeqs{Flow: flow}
+		for _, seq := range list {
+			if n := len(f.Runs); n > 0 && uint64(seq) <= uint64(f.Runs[n-1].Last)+1 {
+				f.Runs[n-1].Last = seq
+				continue
+			}
+			f.Runs = append(f.Runs, SeqRun{seq, seq})
+		}
+		s.Flows = append(s.Flows, f)
+	}
+	return s
+}
+
+// TestSentMatchesTx: random frames of every type fed through OnTx, with
+// receptions interleaved through OnRx, leave a Sent tally equal to one
+// recomputed from Tx, and ReadJSONL rebuilds the same tally from the
+// tx lines. The seqs come as carousel cycles, repeats, out-of-order
+// stragglers and values at both ends of the uint32 range, so runs are
+// extended, filled in from either side, joined and split.
+func TestSentMatchesTx(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	flows := []packet.NodeID{0, 1, 2, 7, 0xFFFF}
+	var runs, sends int
+	for trial := 0; trial < 300; trial++ {
+		c := &Collector{}
+		base := []uint32{0, 1000, math.MaxUint32 - 20}[rng.Intn(3)]
+		next := map[packet.NodeID]uint32{}
+		for k := rng.Intn(200); k > 0; k-- {
+			flow := flows[rng.Intn(len(flows))]
+			var seq uint32
+			switch rng.Intn(4) {
+			case 0, 1: // the carousel's next seq, cycling over 24
+				seq = base + next[flow]%24
+				next[flow]++
+			case 2: // a straggler anywhere in the window
+				seq = base + uint32(rng.Intn(24))
+			default: // far away
+				seq = rng.Uint32()
+			}
+			f := &packet.Frame{Type: packet.TypeData + packet.Type(rng.Intn(4)), Src: 100, Dst: flow, Flow: flow, Seq: seq,
+				Payload: make([]byte, rng.Intn(40))}
+			c.OnTx(100, f, time.Duration(k), time.Millisecond)
+			if rng.Intn(2) == 0 {
+				c.OnRx(flow, f, mac.RxMeta{At: time.Duration(k)})
+			}
+		}
+		want := naiveSends(c.Tx)
+		if !reflect.DeepEqual(c.Sent, want) {
+			t.Fatalf("trial %d: Sent = %+v\nrecomputed from Tx %+v", trial, c.Sent, want)
+		}
+		for _, f := range want.Flows {
+			runs += len(f.Runs)
+		}
+		sends += len(c.Tx)
+
+		var buf bytes.Buffer
+		if err := c.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Sent, c.Sent) {
+			t.Fatalf("trial %d: ReadJSONL rebuilt Sent = %+v\nrecorded %+v", trial, back.Sent, c.Sent)
+		}
+	}
+	if runs < 1000 {
+		t.Fatalf("random rounds made only %d runs from %d sends", runs, sends)
 	}
 }

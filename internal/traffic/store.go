@@ -22,14 +22,16 @@ import (
 // keys, demand-driven vehicles; /3: the storeutil header; /4: the binary
 // trace section; /5: the delta-varint trace section; /6: keys are
 // storeutil.Digest of the inputs, and this constant also versions the
-// stepping semantics, which the retired traffic-world/4 key prefix did.)
-const StoreSchema = "traffic-trace-store/6"
+// stepping semantics, which the retired traffic-world/4 key prefix did;
+// /7: the trace section ends with the binary encoding's sent block, two
+// zero counts for a world.)
+const StoreSchema = "traffic-trace-store/7"
 
 // storeSchemaPin is StoreSchema and the SHA-256 of the store bytes of
 // four short reference worlds, one per network kind (TestStoreSchemaPin).
 // A change to how worlds step or encode that leaves StoreSchema as it is
 // fails that test; a bump updates both halves in the same change.
-const storeSchemaPin = "traffic-trace-store/6 d5a1c44c707c0d793ff66722acd58b223a574a5568d6f1b0c7db232f6a3ab6e9"
+const storeSchemaPin = "traffic-trace-store/7 1a2398ebc728b65fc21a6585814c0dc53be09dce55e1464802fc9de8cb2e15a6"
 
 // Store is the on-disk cache of recorded traffic worlds, keyed like the
 // scenario layer's in-memory cache (every parameter that shapes vehicle

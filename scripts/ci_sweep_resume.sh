@@ -22,12 +22,15 @@ out3="$work/run3"
 # each round's traffic summary back from the stored meta; table1's
 # testbed rounds store no meta at all, and download stores its cars'
 # outcomes. twoway and corridor cover the remaining road families.
+# batch, apretx and epidemic read the rounds' transmission tally
+# (analysis.MeasureOverhead, trace.Collector.DataSentSeqs), which a
+# stored round keeps instead of its transmission records.
 # sweep OUT RESULT-STORE [FLAG...]
 sweep() {
     out="$1" results="$2"
     shift 2
     go run ./cmd/experiments \
-        -exp highway,dynamics,stopgo,table1,download,twoway,corridor,trafficgrid -rounds 2 -seed 1 \
+        -exp highway,dynamics,stopgo,table1,download,twoway,corridor,trafficgrid,batch,apretx,epidemic -rounds 2 -seed 1 \
         -out "$out" -result-store "$results" \
         -traffic-store "$work/traffic-store" \
         -code-digest ci-resume-gate "$@"
