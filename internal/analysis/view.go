@@ -8,12 +8,14 @@ import (
 // StudyView returns what the readers in this package (and
 // trace.DataSentSeqs) read of a round: its transmissions' tally, phase
 // changes, recoveries and completions, shared with round, and its DATA
-// receptions, copied into an array of their own length so the round's
-// full reception array can be freed. The transmission records, HELLO,
-// REQUEST and RESPONSE receptions, drops and vehicle samples are left
-// out: no study reads them, so a computed round's full arrays are freed
-// once it is projected. A stored round is its study view, so a study
-// computes the same result from a computed round and from a loaded one.
+// receptions, copied into an array of their own length. The transmission
+// records, HELLO, REQUEST and RESPONSE receptions, drops and vehicle
+// samples are left out: no study reads them.
+//
+// It is the oracle for a study round (scenario.StudyRound), which
+// records this and no more as it runs: a study round's trace equals the
+// study view of the same round recorded in full, which is what a study
+// computes from a computed round and from a stored one alike.
 func StudyView(round *trace.Collector) *trace.Collector {
 	n := 0
 	for i := range round.Rx {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -161,5 +162,54 @@ func TestStudyViewKeepsEveryStudyResult(t *testing.T) {
 	}
 	if dropped == 0 || controlRx == 0 || sent == 0 {
 		t.Fatalf("random rounds held %d drops, %d control receptions and %d tx records: nothing was left out", dropped, controlRx, sent)
+	}
+}
+
+// TestStudyCollectorRecordsStudyView: a study collector
+// (trace.NewStudyCollector) fed random events through the tracer and
+// observer methods equals, by its binary encoding, the study view of a
+// full collector fed the same events, and keeps no transmission record,
+// control reception or drop.
+func TestStudyCollectorRecordsStudyView(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	nodes := []packet.NodeID{apID, car1, car2, car3}
+	node := func() packet.NodeID { return nodes[rng.Intn(len(nodes))] }
+	payload := make([]byte, packet.MaxPayload)
+	frame := func() *packet.Frame {
+		return &packet.Frame{Type: packet.TypeData + packet.Type(rng.Intn(int(packet.TypeResponse))),
+			Src: node(), Dst: node(), Flow: node(), Seq: uint32(rng.Intn(30)), Payload: payload[:rng.Intn(len(payload))]}
+	}
+	var left int
+	for trial := 0; trial < 100; trial++ {
+		full, study := &trace.Collector{}, trace.NewStudyCollector()
+		for k := rng.Intn(300); k > 0; k-- {
+			at, f := time.Duration(rng.Intn(5000))*time.Millisecond, frame()
+			for _, c := range []*trace.Collector{full, study} {
+				switch k % 6 {
+				case 0:
+					c.OnTx(f.Src, f, at, time.Millisecond)
+				case 1:
+					c.OnRx(f.Dst, f, mac.RxMeta{At: at, RxPowerDBm: -70, SINRdB: 12})
+				case 2:
+					c.OnDrop(f.Dst, f, at, mac.DropCollision)
+				case 3:
+					c.OnPhaseChange(f.Dst, carq.PhaseReception, carq.PhaseCoopARQ, at)
+				case 4:
+					c.OnRecovered(f.Dst, f.Seq, f.Src, at)
+				default:
+					c.OnComplete(f.Dst, at)
+				}
+			}
+		}
+		if study.Tx != nil || study.Drops != nil || slices.ContainsFunc(study.Rx, func(r trace.RxRecord) bool { return r.Type != packet.TypeData }) {
+			t.Fatalf("trial %d: study collector keeps %d tx records, %d drops or a control reception", trial, len(study.Tx), len(study.Drops))
+		}
+		if !bytes.Equal(study.AppendBinary(nil), StudyView(full).AppendBinary(nil)) {
+			t.Fatalf("trial %d: study collector %+v differs from the study view of %+v", trial, study.Counts(), full.Counts())
+		}
+		left += len(full.Tx) + len(full.Drops) + len(full.Rx) - len(study.Rx)
+	}
+	if left == 0 {
+		t.Fatal("the full collectors held nothing for the study collectors to leave out")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/scenario"
 	"repro/internal/storeutil"
 )
@@ -103,10 +102,12 @@ func (b *Batch) addStoredRounds(scenarioName, point string, rounds int, cfg any,
 // config (see stamp) before it is normalized and digested; a config that
 // fails to normalize fails Go before any unit runs.
 //
-// A unit stores its scenario.Round: the study view of its trace
-// (analysis.StudyView) as the protocol section and the round's JSON form
-// as the meta section, absent when it is {}. A computed round applies
-// the way a loaded one does, as that stored form, so cold and warm runs
+// A unit computes its round with scenario.StudyRound, which records the
+// trace as the studies read it — the sends' tally, DATA receptions,
+// phases, recoveries and completions; no transmission records, control
+// receptions or drops — and stores that scenario.Round: its trace as the
+// protocol section and its JSON form as the meta section, absent when it
+// is {}. A computed round applies as it is stored, so cold and warm runs
 // read the same records and the same bytes.
 func Add[C scenario.Family[C, R], R any, P interface {
 	*C
@@ -121,7 +122,7 @@ func Add[C scenario.Family[C, R], R any, P interface {
 	rounds := make([]scenario.Round, cfg.NumRounds())
 	b.addStoredRounds(cfg.Name(), point, len(rounds), cfg,
 		func(round int) (*UnitResult, error) {
-			r, err := cfg.Round(round)
+			r, err := scenario.StudyRound[C, P](cfg, round)
 			if err != nil {
 				return nil, err
 			}
@@ -134,15 +135,16 @@ func Add[C scenario.Family[C, R], R any, P interface {
 	b.finalize = append(b.finalize, func() { *out = cfg.Result(rounds) })
 }
 
-// storedRound returns the stored form of r: the study view of its trace
-// and its meta. encoding/json writes a float as the shortest text that
-// parses back to the same bits, so every field reloads bit for bit.
+// storedRound returns the stored form of r, a study round
+// (scenario.StudyRound): its trace as it was recorded, and its meta.
+// encoding/json writes a float as the shortest text that parses back to
+// the same bits, so every field reloads bit for bit.
 func storedRound(r scenario.Round) (*UnitResult, error) {
 	meta, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("harness: unit meta: %w", err)
 	}
-	res := &UnitResult{Protocol: analysis.StudyView(r.Protocol)}
+	res := &UnitResult{Protocol: r.Protocol}
 	if string(meta) != "{}" {
 		res.Meta = meta
 	}

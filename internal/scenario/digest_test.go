@@ -14,13 +14,17 @@ import (
 // TestConfigDigestSeesCommonEverywhere: every scenario family embeds
 // Common, and each family's config digest (storeutil.Digest) must see
 // its fields — these are exactly the configs addStoredRounds keys stored
-// results by.
+// results by — except the recording mode StudyRound sets, which changes
+// no stored round, so a study round keys the unit a full round does.
 func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
 	for _, f := range families() {
 		base := f.config(keep)
 		forked := f.config(func(c *Common) { c.Arm += "-forked" })
 		if storeutil.Digest(base) == storeutil.Digest(forked) {
 			t.Errorf("%s: Common.Arm invisible to the config digest", f.name)
+		}
+		if study := f.config(func(c *Common) { c.study = true }); storeutil.Digest(base) != storeutil.Digest(study) {
+			t.Errorf("%s: the study recording mode changes the config digest", f.name)
 		}
 	}
 }
@@ -66,7 +70,7 @@ func TestLayerConfigFieldCount(t *testing.T) {
 // caller that sets it, and update its count here.
 func TestScenarioConfigFieldCount(t *testing.T) {
 	want := map[reflect.Type]int{
-		reflect.TypeOf(Common{}):            6,
+		reflect.TypeOf(Common{}):            7,
 		reflect.TypeOf(CityGrid{}):          4,
 		reflect.TypeOf(TestbedConfig{}):     10,
 		reflect.TypeOf(HighwayConfig{}):     3,
@@ -91,7 +95,7 @@ func TestScenarioConfigFieldCount(t *testing.T) {
 		}
 		total += got
 	}
-	if total != 51 {
-		t.Errorf("scenario configs hold %d fields, expected 51", total)
+	if total != 52 {
+		t.Errorf("scenario configs hold %d fields, expected 52", total)
 	}
 }

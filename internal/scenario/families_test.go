@@ -1,11 +1,16 @@
 package scenario
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/mac"
 	"repro/internal/metrics"
+	"repro/internal/packet"
 	"repro/internal/storeutil"
 	"repro/internal/trace"
 )
@@ -23,6 +28,9 @@ type familyCase struct {
 	// run runs one round of the small config with with applied and
 	// returns its protocol trace.
 	run func(t *testing.T, with func(*Common), round int) *trace.Collector
+	// study runs one round of the small config through StudyRound and
+	// returns its protocol trace.
+	study func(t *testing.T, round int) *trace.Collector
 }
 
 // family builds a table row for a round-based family from its small
@@ -42,6 +50,18 @@ func family[C Family[C, R], R any, P interface {
 		config: func(with func(*Common)) any { return config(with) },
 		run: func(t *testing.T, with func(*Common), round int) *trace.Collector {
 			return runRound(t, config(with), round).Protocol
+		},
+		study: func(t *testing.T, round int) *trace.Collector {
+			t.Helper()
+			c, err := cfg.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := StudyRound[C, P](c, round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Protocol
 		},
 	}
 }
@@ -88,6 +108,62 @@ func families() []familyCase {
 		family(demand),
 		family(city),
 	}
+}
+
+// TestStudyRoundIsStudyView: in every family, round 0 recorded through
+// StudyRound — the harness's recording — is the study view
+// (analysis.StudyView) of round 0 recorded in full: the same tally, the
+// same DATA receptions record for record, the same phases, recoveries
+// and completions, and no transmission record, drop or control
+// reception. The full round must hold each of those, so leaving them
+// out is checked, not vacuous.
+func TestStudyRoundIsStudyView(t *testing.T) {
+	for _, f := range families() {
+		t.Run(f.name, func(t *testing.T) {
+			full := f.run(t, keep, 0)
+			study := f.study(t, 0)
+			if len(full.Tx) == 0 || len(full.Drops) == 0 || !slices.ContainsFunc(full.Rx, controlRx) {
+				t.Fatalf("full round holds %d tx records, %d drops and %d receptions, not every kind the study recording leaves out",
+					len(full.Tx), len(full.Drops), len(full.Rx))
+			}
+			if len(study.Tx) != 0 || len(study.Drops) != 0 || slices.ContainsFunc(study.Rx, controlRx) {
+				t.Fatalf("study round keeps %d tx records, %d drops or a control reception", len(study.Tx), len(study.Drops))
+			}
+			want := analysis.StudyView(full)
+			if !reflect.DeepEqual(study.Sent, want.Sent) {
+				t.Fatalf("study tally %+v, want %+v", study.Sent, want.Sent)
+			}
+			if len(want.Rx) == 0 {
+				t.Fatal("no DATA reception to compare")
+			}
+			if i := firstDiff(study.Rx, want.Rx); i >= 0 {
+				t.Fatalf("study receptions (%d) differ from the full round's DATA receptions (%d) at record %d", len(study.Rx), len(want.Rx), i)
+			}
+			if firstDiff(study.Phases, want.Phases) >= 0 || firstDiff(study.Recovered, want.Recovered) >= 0 ||
+				firstDiff(study.Completed, want.Completed) >= 0 || len(study.Vehicles) != 0 {
+				t.Fatalf("study round %+v, want the protocol events of %+v", study.Counts(), want.Counts())
+			}
+			if !bytes.Equal(study.AppendBinary(nil), want.AppendBinary(nil)) {
+				t.Fatal("study round encodes apart from the study view")
+			}
+		})
+	}
+}
+
+func controlRx(r trace.RxRecord) bool { return r.Type != packet.TypeData }
+
+// firstDiff returns the first index at which a and b differ, or -1 if
+// they hold the same records.
+func firstDiff[T comparable](a, b []T) int {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 // TestNormalizedKeepsDefaults: a family default is written once, in its

@@ -96,10 +96,10 @@ func TestHighwayValidation(t *testing.T) {
 }
 
 func TestRunSetupValidation(t *testing.T) {
-	if _, err := runSetup(Setup{}); err == nil {
+	if _, err := runSetup(Setup{}, false); err == nil {
 		t.Fatal("empty setup accepted")
 	}
-	if _, err := runSetup(Setup{APs: []APSpec{{}}}); err == nil {
+	if _, err := runSetup(Setup{APs: []APSpec{{}}}, false); err == nil {
 		t.Fatal("setup without cars accepted")
 	}
 }

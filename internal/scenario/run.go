@@ -126,8 +126,9 @@ var mediumEnumeration mac.Enumeration
 // cars: it records a transmission whose source is tracked and a
 // reception or drop whose receiver is tracked. Beacons are registered
 // after the cars and stay out of the trace; the medium still counts
-// their events (mac.Stats).
-func runSetup(s Setup) (*Result, error) {
+// their events (mac.Stats). A study round records its trace with a
+// study collector (trace.NewStudyCollector), any other in full.
+func runSetup(s Setup, study bool) (*Result, error) {
 	if len(s.APs) == 0 {
 		return nil, fmt.Errorf("scenario: no access points")
 	}
@@ -138,7 +139,12 @@ func runSetup(s Setup) (*Result, error) {
 		return nil, fmt.Errorf("scenario: non-positive duration %v", s.Duration)
 	}
 	engine := sim.New()
-	col := &trace.Collector{}
+	var col *trace.Collector
+	if study {
+		col = trace.NewStudyCollector()
+	} else {
+		col = &trace.Collector{}
+	}
 	s.Channel.Seed = s.Seed
 	channel, err := radio.NewChannel(s.Channel)
 	if err != nil {

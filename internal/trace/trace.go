@@ -11,12 +11,15 @@
 // AppendBinary). The records are plain slices: package analysis reads
 // them directly into the paper's per-sequence statistics.
 //
-// A round's collector holds its full record — transmissions and
+// A zero Collector records a round in full — transmissions and
 // receptions of every frame type and every drop — which is what a JSONL
 // export carries, and it tallies its transmissions as it records them
-// (Sends). The result store keeps only the part the studies read,
-// analysis.StudyView: the tally instead of the transmissions, the DATA
-// receptions and no drops.
+// (Sends). A study collector (NewStudyCollector) records only what the
+// studies read, which is what the result store keeps: the tally without
+// the transmissions, the DATA receptions and no drops. The experiment
+// harness records its rounds that way; a scenario run outside it
+// (carqsim, whose -trace export carqtrace reads, the bench probe, the
+// tests) records in full.
 package trace
 
 import (
@@ -234,11 +237,12 @@ func addSeq(runs []SeqRun, seq uint32) []SeqRun {
 // Collector accumulates the tracked stations' events of one simulation
 // round: a transmission whose source is tracked, a reception or drop
 // whose receiver is tracked, and the protocol's events. It implements
-// mac.Tracer and carq.Observer. The zero value is ready to use.
+// mac.Tracer and carq.Observer. The zero value is ready to use and
+// records in full.
 //
-// Sent tallies the transmissions in Tx; the studies read it, not Tx,
-// so a round keeps its study results once Tx is gone (a stored round
-// has none).
+// Sent tallies the transmissions; the studies read it, not Tx, so a
+// round keeps its study results without Tx (a stored round and a study
+// collector's round have none).
 type Collector struct {
 	Tx        []TxRecord
 	Sent      Sends
@@ -248,7 +252,18 @@ type Collector struct {
 	Recovered []RecoveryRecord
 	Completed []CompleteRecord
 	Vehicles  []VehicleRecord
+
+	// study makes OnTx keep only the tally, OnRx keep only DATA
+	// receptions and OnDrop record nothing (NewStudyCollector).
+	study bool
 }
+
+// NewStudyCollector returns an empty collector that records a round as
+// the studies read it and the result store keeps it: the Sent tally
+// without Tx records, DATA receptions only and no drops, with every
+// phase change, recovery and completion. Its round equals the full
+// round with the rest left out, at a fraction of the allocation.
+func NewStudyCollector() *Collector { return &Collector{study: true} }
 
 var (
 	_ mac.Tracer    = (*Collector)(nil)
@@ -257,16 +272,22 @@ var (
 
 // OnTx implements mac.Tracer.
 func (c *Collector) OnTx(src packet.NodeID, f *packet.Frame, start, airtime time.Duration) {
-	r := TxRecord{
-		At: start, Src: src, Type: f.Type, Dst: f.Dst, Flow: f.Flow,
-		Seq: f.Seq, Bytes: f.WireSize(),
+	bytes := f.WireSize()
+	c.Sent.add(f.Type, f.Flow, f.Seq, bytes)
+	if c.study {
+		return
 	}
-	c.Tx = append(c.Tx, r)
-	c.Sent.add(r.Type, r.Flow, r.Seq, r.Bytes)
+	c.Tx = append(c.Tx, TxRecord{
+		At: start, Src: src, Type: f.Type, Dst: f.Dst, Flow: f.Flow,
+		Seq: f.Seq, Bytes: bytes,
+	})
 }
 
 // OnRx implements mac.Tracer.
 func (c *Collector) OnRx(dst packet.NodeID, f *packet.Frame, meta mac.RxMeta) {
+	if c.study && f.Type != packet.TypeData {
+		return
+	}
 	c.Rx = append(c.Rx, RxRecord{
 		At: meta.At, Dst: dst, Src: f.Src, Type: f.Type, Flow: f.Flow, Seq: f.Seq,
 	})
@@ -274,6 +295,9 @@ func (c *Collector) OnRx(dst packet.NodeID, f *packet.Frame, meta mac.RxMeta) {
 
 // OnDrop implements mac.Tracer.
 func (c *Collector) OnDrop(dst packet.NodeID, f *packet.Frame, at time.Duration, reason mac.DropReason) {
+	if c.study {
+		return
+	}
 	c.Drops = append(c.Drops, DropRecord{
 		At: at, Dst: dst, Src: f.Src, Type: f.Type, Flow: f.Flow,
 		Seq: f.Seq, Reason: reason,
