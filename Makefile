@@ -32,8 +32,10 @@ short:
 	$(GO) test -count=2 -short ./...
 	$(GO) -C bench test -short ./...
 
+# -count=1 bypasses go test's result cache, so every run tests again
+# instead of replaying the last run's results.
 race:
-	$(GO) test -race ./...
+	$(GO) test -count=1 -race ./...
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...

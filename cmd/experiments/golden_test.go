@@ -13,6 +13,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 // update regenerates the committed goldens instead of checking them:
@@ -127,7 +128,7 @@ func table1Summary(t *testing.T, emitted string) string {
 	}
 	rounds := make([]scenario.Round, cfg.Rounds)
 	for r := range rounds {
-		if rounds[r], err = cfg.Round(r); err != nil {
+		if rounds[r], err = cfg.Round(r, &trace.Collector{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,7 +53,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/scenario"
 )
 
 func main() {
@@ -89,11 +88,6 @@ func run(exp string, opts harness.Options, progress bool, cpuProfile, memProfile
 	opts.Logf = log.Printf
 	if progress {
 		opts.Metrics = true
-	}
-	if opts.TrafficStore != "" {
-		if err := scenario.SetTrafficTraceStore(opts.TrafficStore); err != nil {
-			return err
-		}
 	}
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)

@@ -12,10 +12,11 @@ import (
 // records, HELLO, REQUEST and RESPONSE receptions, drops and vehicle
 // samples are left out: no study reads them.
 //
-// It is the oracle for a study round (scenario.StudyRound), which
-// records this and no more as it runs: a study round's trace equals the
-// study view of the same round recorded in full, which is what a study
-// computes from a computed round and from a stored one alike.
+// It is the oracle for a study collector (trace.NewStudyCollector),
+// which records this and no more as its round runs: a study round's
+// trace equals the study view of the same round recorded in full, which
+// is what a study computes from a computed round and from a stored one
+// alike.
 func StudyView(round *trace.Collector) *trace.Collector {
 	n := 0
 	for i := range round.Rx {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultpoint"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 )
 
 // Runner executes registered experiments through a shared worker pool,
@@ -34,7 +35,9 @@ type Runner struct {
 }
 
 // NewRunner validates opts, creates the output directory (and the
-// result store, when configured) and returns a ready runner.
+// result store, when configured), installs the traffic store when one
+// is configured (scenario.SetTrafficTraceStore, process-wide) and
+// returns a ready runner.
 func NewRunner(opts Options) (*Runner, error) {
 	opts, err := opts.validate()
 	if err != nil {
@@ -45,6 +48,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	}
 	if opts.FaultPoints != "" {
 		if err := faultpoint.ArmSpecs(opts.FaultPoints); err != nil {
+			return nil, err
+		}
+	}
+	if opts.TrafficStore != "" {
+		if err := scenario.SetTrafficTraceStore(opts.TrafficStore); err != nil {
 			return nil, err
 		}
 	}

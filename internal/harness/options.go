@@ -33,7 +33,8 @@ type Options struct {
 	// can shard one sweep through a shared directory.
 	ResultStore string
 	// TrafficStore, when non-empty, is the directory of the on-disk
-	// precomputed traffic-trace store (see traffic.Store).
+	// precomputed traffic-trace store (see traffic.Store); NewRunner
+	// installs it for the whole process.
 	TrafficStore string
 	// Metrics enables the process-wide telemetry registry
 	// (internal/metrics): simulator and store counters accumulate, and the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/storeutil"
+	"repro/internal/trace"
 )
 
 // Batch accumulates (scenario, parameter-point, round) work units across
@@ -102,13 +103,14 @@ func (b *Batch) addStoredRounds(scenarioName, point string, rounds int, cfg any,
 // config (see stamp) before it is normalized and digested; a config that
 // fails to normalize fails Go before any unit runs.
 //
-// A unit computes its round with scenario.StudyRound, which records the
-// trace as the studies read it — the sends' tally, DATA receptions,
-// phases, recoveries and completions; no transmission records, control
-// receptions or drops — and stores that scenario.Round: its trace as the
-// protocol section and its JSON form as the meta section, absent when it
-// is {}. A computed round applies as it is stored, so cold and warm runs
-// read the same records and the same bytes.
+// A unit records its round into a study collector
+// (trace.NewStudyCollector), which keeps the trace as the studies read
+// it — the sends' tally, DATA receptions, phases, recoveries and
+// completions; no transmission records, control receptions or drops —
+// and stores that scenario.Round: its trace as the protocol section and
+// its JSON form as the meta section, absent when it is {}. A computed
+// round applies as it is stored, so cold and warm runs read the same
+// records and the same bytes.
 func Add[C scenario.Family[C, R], R any, P interface {
 	*C
 	Base() *scenario.Common
@@ -122,7 +124,7 @@ func Add[C scenario.Family[C, R], R any, P interface {
 	rounds := make([]scenario.Round, cfg.NumRounds())
 	b.addStoredRounds(cfg.Name(), point, len(rounds), cfg,
 		func(round int) (*UnitResult, error) {
-			r, err := scenario.StudyRound[C, P](cfg, round)
+			r, err := cfg.Round(round, trace.NewStudyCollector())
 			if err != nil {
 				return nil, err
 			}
@@ -135,8 +137,8 @@ func Add[C scenario.Family[C, R], R any, P interface {
 	b.finalize = append(b.finalize, func() { *out = cfg.Result(rounds) })
 }
 
-// storedRound returns the stored form of r, a study round
-// (scenario.StudyRound): its trace as it was recorded, and its meta.
+// storedRound returns the stored form of r, a round recorded into a
+// study collector: its trace as it was recorded, and its meta.
 // encoding/json writes a float as the shortest text that parses back to
 // the same bits, so every field reloads bit for bit.
 func storedRound(r scenario.Round) (*UnitResult, error) {

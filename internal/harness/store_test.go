@@ -144,16 +144,13 @@ func TestStoreSummaryCounts(t *testing.T) {
 
 // pinnedRoundSections returns the result-store codec sections of round 0
 // of cfg, computed as a harness unit computes it.
-func pinnedRoundSections[C scenario.Family[C, R], R any, P interface {
-	*C
-	Base() *scenario.Common
-}](t *testing.T, cfg C) [][]byte {
+func pinnedRoundSections[C scenario.Family[C, R], R any](t *testing.T, cfg C) [][]byte {
 	t.Helper()
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := scenario.StudyRound[C, P](cfg, 0)
+	r, err := cfg.Round(0, trace.NewStudyCollector())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	r, world, err := cfg.round(round)
+	r, world, err := cfg.round(round, &trace.Collector{})
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -234,19 +234,19 @@ func CityDemandRound(cfg CityDemandConfig, round int) (*trace.Collector, *trace.
 // traffic world behind it and the demand-vehicle count. Every stream —
 // including the Poisson arrival processes — derives from the root seed
 // and round index alone.
-func (cfg CityDemandConfig) Round(round int) (Round, error) {
-	r, _, err := cfg.round(round)
+func (cfg CityDemandConfig) Round(round int, col *trace.Collector) (Round, error) {
+	r, _, err := cfg.round(round, col)
 	return r, err
 }
 
 // round runs one round, returning it and its traffic world.
-func (cfg CityDemandConfig) round(round int) (Round, *traffic.World, error) {
+func (cfg CityDemandConfig) round(round int, col *trace.Collector) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("citydemand-round-%d", round))
 	g, specs, err := cityDemandWorld(cfg, roundSeed)
 	if err != nil {
 		return Round{}, nil, err
 	}
-	r, world, err := cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
+	r, world, err := cfg.CityGrid.round(cfg.Common, col, roundSeed, g, specs)
 	if err != nil {
 		return Round{}, nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/radio"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -57,7 +58,7 @@ func (cg CityGrid) validate(c Common) error {
 // a synchronised carousel — every AP transmits the same numbered stream
 // on the same schedule. Every vehicle replays the recorded traffic
 // world, which round returns beside the round.
-func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, *traffic.World, error) {
+func (cg CityGrid) round(c Common, col *trace.Collector, roundSeed int64, g *traffic.GridNet, specs []traffic.VehicleSpec) (Round, *traffic.World, error) {
 	tcfg := traffic.Config{Network: g.Network, Seed: roundSeed}
 	models, world, err := trafficModels(tcfg, specs, cg.Duration, len(specs))
 	if err != nil {
@@ -87,7 +88,7 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 		}
 	}
 
-	result, err := c.run(roundSeed, Setup{
+	_, err = c.run(roundSeed, col, Setup{
 		Channel:  cityScaleChannel(),
 		MAC:      mac.DefaultConfig(),
 		APs:      aps,
@@ -98,7 +99,7 @@ func (cg CityGrid) round(c Common, roundSeed int64, g *traffic.GridNet, specs []
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
+	return Round{Protocol: col, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
 }
 
 // cityGridSpec is the street grid every grid family drives: two-lane

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -82,7 +83,7 @@ func TestGridNetworkShared(t *testing.T) {
 		wg.Add(1)
 		go func(round int) {
 			defer wg.Done()
-			if r, err := cfg.Round(round); err != nil || r.Vehicles == 0 {
+			if r, err := cfg.Round(round, &trace.Collector{}); err != nil || r.Vehicles == 0 {
 				t.Errorf("round %d: %d demand vehicles, %v", round, r.Vehicles, err)
 			}
 		}(round)

@@ -123,7 +123,7 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 	if err != nil {
 		return nil, nil, err
 	}
-	r, world, err := cfg.round(round)
+	r, world, err := cfg.round(round, &trace.Collector{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -132,19 +132,19 @@ func CityScaleRound(cfg CityScaleConfig, round int) (*trace.Collector, *trace.Co
 
 // Round implements Family: the protocol trace and the summary of the
 // traffic world behind it.
-func (cfg CityScaleConfig) Round(round int) (Round, error) {
-	r, _, err := cfg.round(round)
+func (cfg CityScaleConfig) Round(round int, col *trace.Collector) (Round, error) {
+	r, _, err := cfg.round(round, col)
 	return r, err
 }
 
 // round runs one round, returning it and its traffic world.
-func (cfg CityScaleConfig) round(round int) (Round, *traffic.World, error) {
+func (cfg CityScaleConfig) round(round int, col *trace.Collector) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("city-round-%d", round))
 	g, specs, err := cityScaleWorld(cfg, roundSeed)
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return cfg.CityGrid.round(cfg.Common, roundSeed, g, specs)
+	return cfg.CityGrid.round(cfg.Common, col, roundSeed, g, specs)
 }
 
 // CityScaleMobilityModels builds (through the shared traffic-trace cache)

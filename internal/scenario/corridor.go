@@ -110,7 +110,7 @@ func (cfg CorridorConfig) Result(rounds []Round) *CorridorResult {
 // interesting quantity is how much of the *receivable* stream (anything
 // any platoon member heard) each car ends up holding — cooperation closes
 // most of that gap in the dark stretch between the stations.
-func (cfg CorridorConfig) Round(round int) (Round, error) {
+func (cfg CorridorConfig) Round(round int, col *trace.Collector) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("corridor-round-%d", round))
 	carIDs := CarIDs(cfg.Cars)
 	roadLen := corridorRoadLength(cfg)
@@ -147,7 +147,7 @@ func (cfg CorridorConfig) Round(round int) (Round, error) {
 		}
 	}
 
-	result, err := cfg.run(roundSeed, Setup{
+	_, err = cfg.run(roundSeed, col, Setup{
 		Channel:  corridorChannel(),
 		MAC:      mac.DefaultConfig(),
 		APs:      aps,
@@ -157,5 +157,5 @@ func (cfg CorridorConfig) Round(round int) (Round, error) {
 	if err != nil {
 		return Round{}, err
 	}
-	return Round{Protocol: result.Trace}, nil
+	return Round{Protocol: col}, nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ap"
 	"repro/internal/carq"
@@ -13,20 +14,47 @@ import (
 
 // TestConfigDigestSeesCommonEverywhere: every scenario family embeds
 // Common, and each family's config digest (storeutil.Digest) must see
-// its fields — these are exactly the configs addStoredRounds keys stored
-// results by — except the recording mode StudyRound sets, which changes
-// no stored round, so a study round keys the unit a full round does.
+// every one of its fields — these are exactly the configs
+// addStoredRounds keys stored results by. Each field is perturbed by
+// reflection, so a field added to Common is checked without editing
+// this test; a kind the test cannot perturb fails loudly.
 func TestConfigDigestSeesCommonEverywhere(t *testing.T) {
+	common := reflect.TypeOf(Common{})
 	for _, f := range families() {
-		base := f.config(keep)
-		forked := f.config(func(c *Common) { c.Arm += "-forked" })
-		if storeutil.Digest(base) == storeutil.Digest(forked) {
-			t.Errorf("%s: Common.Arm invisible to the config digest", f.name)
-		}
-		if study := f.config(func(c *Common) { c.study = true }); storeutil.Digest(base) != storeutil.Digest(study) {
-			t.Errorf("%s: the study recording mode changes the config digest", f.name)
+		base := storeutil.Digest(f.config(keep))
+		for i := 0; i < common.NumField(); i++ {
+			name := common.Field(i).Name
+			perturbed := f.config(func(c *Common) {
+				// NewAt makes an unexported field settable too.
+				field := reflect.ValueOf(c).Elem().Field(i)
+				field = reflect.NewAt(field.Type(), unsafe.Pointer(field.UnsafeAddr())).Elem()
+				if !perturbCommonField(field) {
+					t.Fatalf("Common.%s has kind %v this test cannot perturb: extend perturbCommonField", name, field.Kind())
+				}
+			})
+			if storeutil.Digest(perturbed) == base {
+				t.Errorf("%s: Common.%s invisible to the config digest", f.name, name)
+			}
 		}
 	}
+}
+
+// perturbCommonField changes f to another value of its kind and reports
+// whether it could.
+func perturbCommonField(f reflect.Value) bool {
+	switch f.Kind() {
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(f.Float() + 1)
+	case reflect.String:
+		f.SetString(f.String() + "-perturbed")
+	default:
+		return false
+	}
+	return true
 }
 
 // TestLayerConfigFieldCount pins the settable fields of the configs below
@@ -70,7 +98,7 @@ func TestLayerConfigFieldCount(t *testing.T) {
 // caller that sets it, and update its count here.
 func TestScenarioConfigFieldCount(t *testing.T) {
 	want := map[reflect.Type]int{
-		reflect.TypeOf(Common{}):            7,
+		reflect.TypeOf(Common{}):            6,
 		reflect.TypeOf(CityGrid{}):          4,
 		reflect.TypeOf(TestbedConfig{}):     10,
 		reflect.TypeOf(HighwayConfig{}):     3,
@@ -95,7 +123,7 @@ func TestScenarioConfigFieldCount(t *testing.T) {
 		}
 		total += got
 	}
-	if total != 52 {
-		t.Errorf("scenario configs hold %d fields, expected 52", total)
+	if total != 51 {
+		t.Errorf("scenario configs hold %d fields, expected 51", total)
 	}
 }

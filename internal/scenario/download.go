@@ -97,7 +97,7 @@ func (cfg DownloadConfig) Result(rounds []Round) *DownloadResult {
 
 // Round implements Family: the multi-lap file download. Round r seeds
 // itself with the (r+1)-th draw of the config's download stream.
-func (cfg DownloadConfig) Round(round int) (Round, error) {
+func (cfg DownloadConfig) Round(round int, col *trace.Collector) (Round, error) {
 	seeds := sim.Stream(cfg.Seed, "download")
 	var roundSeed int64
 	for i := 0; i <= round; i++ {
@@ -117,7 +117,7 @@ func (cfg DownloadConfig) Round(round int) (Round, error) {
 	// done holds each car's completion instant.
 	done := make(map[packet.NodeID]time.Duration, cfg.Cars)
 
-	result, err := cfg.run(roundSeed, Setup{
+	nodes, err := cfg.run(roundSeed, col, Setup{
 		Channel: testbedChannel(),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
@@ -160,9 +160,9 @@ func (cfg DownloadConfig) Round(round int) (Round, error) {
 		return Round{}, err
 	}
 
-	out := Round{Protocol: result.Trace}
+	out := Round{Protocol: col}
 	for i, id := range carIDs {
-		cd := CarDownload{Car: id, Blocks: result.carqNode(id).HaveCount()}
+		cd := CarDownload{Car: id, Blocks: nodes[id].(*carq.Node).HaveCount()}
 		if at, ok := done[id]; ok {
 			cd.Completed = true
 			cd.CompletionTime = at

@@ -17,7 +17,7 @@ var (
 // RoundWorld runs one round of a normalized traffic family config,
 // returning the round and the traffic world it replays.
 func RoundWorld[C trafficFamily[C]](cfg C, round int) (Round, *traffic.World, error) {
-	return cfg.round(round)
+	return cfg.round(round, &trace.Collector{})
 }
 
 // TraceSummary summarises a serialized traffic world in record order.

@@ -28,8 +28,8 @@ type familyCase struct {
 	// run runs one round of the small config with with applied and
 	// returns its protocol trace.
 	run func(t *testing.T, with func(*Common), round int) *trace.Collector
-	// study runs one round of the small config through StudyRound and
-	// returns its protocol trace.
+	// study runs one round of the small config into a study collector
+	// (trace.NewStudyCollector) and returns its protocol trace.
 	study func(t *testing.T, round int) *trace.Collector
 }
 
@@ -57,7 +57,7 @@ func family[C Family[C, R], R any, P interface {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := StudyRound[C, P](c, round)
+			r, err := c.Round(round, trace.NewStudyCollector())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,8 +110,8 @@ func families() []familyCase {
 	}
 }
 
-// TestStudyRoundIsStudyView: in every family, round 0 recorded through
-// StudyRound — the harness's recording — is the study view
+// TestStudyRoundIsStudyView: in every family, round 0 recorded into a
+// study collector — the harness's recording — is the study view
 // (analysis.StudyView) of round 0 recorded in full: the same tally, the
 // same DATA receptions record for record, the same phases, recoveries
 // and completions, and no transmission record, drop or control
@@ -200,14 +200,14 @@ func normalizedDigests[C Family[C, R], R any](cfg C) (before, after string, err 
 // keep leaves a config's shared settings as they are.
 func keep(*Common) {}
 
-// runRound normalizes cfg and runs one round.
+// runRound normalizes cfg and runs one round, recorded in full.
 func runRound[C Family[C, R], R any](t testing.TB, cfg C, round int) Round {
 	t.Helper()
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := cfg.Round(round)
+	r, err := cfg.Round(round, &trace.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}

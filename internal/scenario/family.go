@@ -32,13 +32,6 @@ type Common struct {
 	// PacketsPerSecond per flow and PayloadBytes size the AP's stream.
 	PacketsPerSecond float64
 	PayloadBytes     int
-
-	// study records the round with a study collector
-	// (trace.NewStudyCollector). Only StudyRound sets it, on its own
-	// copy of a config, and what a round stores is the same either way,
-	// so the config digest leaves it out and both recordings key one
-	// stored unit.
-	study bool `digest:"-"`
 }
 
 // Base returns c itself. Promoted through embedding, it gives generic
@@ -63,26 +56,11 @@ func (c Common) platoon(models []mobility.Model) []CarSpec {
 	return cars
 }
 
-// run executes one round's Setup under the shared wiring: the round seed
-// forked by the sweep arm, recorded in full or for the studies.
-func (c Common) run(roundSeed int64, s Setup) (*Result, error) {
+// run executes one round's Setup under the shared wiring, the round seed
+// forked by the sweep arm, recording its trace into col.
+func (c Common) run(roundSeed int64, col *trace.Collector, s Setup) (map[packet.NodeID]Node, error) {
 	s.Seed = sim.ArmSeed(roundSeed, c.Arm)
-	return runSetup(s, c.study)
-}
-
-// StudyRound runs one round of cfg, a normalized config, as its Round
-// method does, but records its trace with a study collector
-// (trace.NewStudyCollector): the Sent tally without Tx records, DATA
-// receptions only and no drops — the round as the studies read it and
-// the result store keeps it. Everything else about the round is the
-// same. The experiment harness runs its units this way; Round itself,
-// and so RunRounds and TestbedRound, records in full.
-func StudyRound[C interface{ Round(int) (Round, error) }, P interface {
-	*C
-	Base() *Common
-}](cfg C, round int) (Round, error) {
-	P(&cfg).Base().study = true
-	return cfg.Round(round)
+	return runSetup(s, col)
 }
 
 // Round is one round's output: what a work unit computes, stores and
@@ -113,14 +91,17 @@ type Family[C, R any] interface {
 	Normalized() (C, error)
 	// NumRounds is the number of rounds a run executes.
 	NumRounds() int
-	// Round runs one round and records its trace in full
-	// (StudyRound records it as the studies read it).
-	Round(round int) (Round, error)
+	// Round runs one round, records its trace into col, which must be
+	// empty, and returns col as the round's Protocol. The caller picks
+	// the recording: a zero Collector records in full, a study collector
+	// (trace.NewStudyCollector) as the studies read the round.
+	Round(round int, col *trace.Collector) (Round, error)
 	// Result assembles the run's result from every round, in order.
 	Result(rounds []Round) R
 }
 
-// RunRounds normalizes cfg and runs every round serially.
+// RunRounds normalizes cfg and runs every round serially, recording
+// each in full.
 func RunRounds[C Family[C, R], R any](cfg C) (R, error) {
 	var zero R
 	cfg, err := cfg.Normalized()
@@ -129,7 +110,7 @@ func RunRounds[C Family[C, R], R any](cfg C) (R, error) {
 	}
 	rounds := make([]Round, cfg.NumRounds())
 	for i := range rounds {
-		if rounds[i], err = cfg.Round(i); err != nil {
+		if rounds[i], err = cfg.Round(i, &trace.Collector{}); err != nil {
 			return zero, fmt.Errorf("scenario: %s round %d: %w", cfg.Name(), i, err)
 		}
 	}

@@ -118,7 +118,7 @@ func (cfg HighwayConfig) Result(rounds []Round) *HighwayResult {
 }
 
 // Round implements Family: one drive-thru pass.
-func (cfg HighwayConfig) Round(round int) (Round, error) {
+func (cfg HighwayConfig) Round(round int, col *trace.Collector) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("hwy-round-%d", round))
 	carIDs := CarIDs(cfg.Cars)
 
@@ -135,7 +135,7 @@ func (cfg HighwayConfig) Round(round int) (Round, error) {
 	passTime := time.Duration(cfg.RoadLengthM / cfg.SpeedMPS * float64(time.Second))
 	duration := passTime + highwayCoopTime
 
-	result, err := cfg.run(roundSeed, Setup{
+	_, err = cfg.run(roundSeed, col, Setup{
 		Channel: highwayChannel(),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
@@ -149,5 +149,5 @@ func (cfg HighwayConfig) Round(round int) (Round, error) {
 	if err != nil {
 		return Round{}, err
 	}
-	return Round{Protocol: result.Trace}, nil
+	return Round{Protocol: col}, nil
 }

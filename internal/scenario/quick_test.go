@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/trace"
 )
 
 func TestDownloadCoopReducesVisits(t *testing.T) {
@@ -96,10 +97,10 @@ func TestHighwayValidation(t *testing.T) {
 }
 
 func TestRunSetupValidation(t *testing.T) {
-	if _, err := runSetup(Setup{}, false); err == nil {
+	if _, err := runSetup(Setup{}, &trace.Collector{}); err == nil {
 		t.Fatal("empty setup accepted")
 	}
-	if _, err := runSetup(Setup{APs: []APSpec{{}}}, false); err == nil {
+	if _, err := runSetup(Setup{APs: []APSpec{{}}}, &trace.Collector{}); err == nil {
 		t.Fatal("setup without cars accepted")
 	}
 }

@@ -102,33 +102,20 @@ type Setup struct {
 	Hook func(engine *sim.Engine, nodes map[packet.NodeID]Node)
 }
 
-// Result is one simulation run's output: the trace and the cars' final
-// protocol instances (beacons keep no state worth returning).
-type Result struct {
-	Trace *trace.Collector
-	Nodes map[packet.NodeID]Node
-}
-
-// carqNode returns the car's node as a *carq.Node, or nil when the car
-// ran a different protocol.
-func (r *Result) carqNode(id packet.NodeID) *carq.Node {
-	n, _ := r.Nodes[id].(*carq.Node)
-	return n
-}
-
 // mediumEnumeration is how every medium runSetup builds enumerates
 // receivers: mac.EnumerateAuto, except while the scan-vs-index
 // equivalence test forces one path. Every choice produces the same round.
 var mediumEnumeration mac.Enumeration
 
-// runSetup executes one simulation round and returns its trace and final node
-// states. The trace is scoped to the tracked stations — the APs and the
-// cars: it records a transmission whose source is tracked and a
-// reception or drop whose receiver is tracked. Beacons are registered
-// after the cars and stay out of the trace; the medium still counts
-// their events (mac.Stats). A study round records its trace with a
-// study collector (trace.NewStudyCollector), any other in full.
-func runSetup(s Setup, study bool) (*Result, error) {
+// runSetup executes one simulation round, records its trace into col
+// and returns the cars' final protocol instances (beacons keep no state
+// worth returning). The trace is scoped to the tracked stations — the
+// APs and the cars: it records a transmission whose source is tracked
+// and a reception or drop whose receiver is tracked. Beacons are
+// registered after the cars and stay out of the trace; the medium still
+// counts their events (mac.Stats). col records in full or as the
+// studies read the round, as its caller made it.
+func runSetup(s Setup, col *trace.Collector) (map[packet.NodeID]Node, error) {
 	if len(s.APs) == 0 {
 		return nil, fmt.Errorf("scenario: no access points")
 	}
@@ -139,12 +126,6 @@ func runSetup(s Setup, study bool) (*Result, error) {
 		return nil, fmt.Errorf("scenario: non-positive duration %v", s.Duration)
 	}
 	engine := sim.New()
-	var col *trace.Collector
-	if study {
-		col = trace.NewStudyCollector()
-	} else {
-		col = &trace.Collector{}
-	}
 	s.Channel.Seed = s.Seed
 	channel, err := radio.NewChannel(s.Channel)
 	if err != nil {
@@ -218,7 +199,7 @@ func runSetup(s Setup, study bool) (*Result, error) {
 	if metrics.Enabled() {
 		flushRunStats(engine, medium)
 	}
-	return &Result{Trace: col, Nodes: nodes}, nil
+	return nodes, nil
 }
 
 // beaconNode is the background vehicles' protocol: periodic HELLO

@@ -169,13 +169,13 @@ func (cfg StopGoConfig) Result(rounds []Round) *StopGoResult {
 
 // Round implements Family: the protocol trace and the summary of the
 // traffic world behind it.
-func (cfg StopGoConfig) Round(round int) (Round, error) {
-	r, _, err := cfg.round(round)
+func (cfg StopGoConfig) Round(round int, col *trace.Collector) (Round, error) {
+	r, _, err := cfg.round(round, col)
 	return r, err
 }
 
 // round runs one round, returning it and its traffic world.
-func (cfg StopGoConfig) round(round int) (Round, *traffic.World, error) {
+func (cfg StopGoConfig) round(round int, col *trace.Collector) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("stopgo-round-%d", round))
 	net, specs, err := stopGoWorld(cfg, roundSeed)
 	if err != nil {
@@ -187,7 +187,7 @@ func (cfg StopGoConfig) round(round int) (Round, *traffic.World, error) {
 		return Round{}, nil, err
 	}
 
-	result, err := cfg.run(roundSeed, Setup{
+	_, err = cfg.run(roundSeed, col, Setup{
 		Channel: highwayChannel(),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
@@ -201,5 +201,5 @@ func (cfg StopGoConfig) round(round int) (Round, *traffic.World, error) {
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
+	return Round{Protocol: col, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
 }

@@ -268,7 +268,7 @@ func TestbedRound(cfg TestbedConfig, round int) (*trace.Collector, time.Duration
 	if err != nil {
 		return nil, 0, err
 	}
-	r, err := cfg.Round(round)
+	r, err := cfg.Round(round, &trace.Collector{})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -276,7 +276,7 @@ func TestbedRound(cfg TestbedConfig, round int) (*trace.Collector, time.Duration
 }
 
 // Round implements Family: one lap of the urban block.
-func (cfg TestbedConfig) Round(round int) (Round, error) {
+func (cfg TestbedConfig) Round(round int, col *trace.Collector) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("round-%d", round))
 	carIDs := CarIDs(cfg.Cars)
 
@@ -311,7 +311,7 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 		cars[i] = CarSpec{ID: id, Mobility: platoon.Car(i), Carq: ccfg, Factory: cfg.Factory}
 	}
 
-	result, err := cfg.run(roundSeed, Setup{
+	_, err = cfg.run(roundSeed, col, Setup{
 		Channel: testbedChannel(),
 		MAC:     macCfg,
 		APs: []APSpec{{
@@ -326,7 +326,7 @@ func (cfg TestbedConfig) Round(round int) (Round, error) {
 	if err != nil {
 		return Round{}, err
 	}
-	return Round{Protocol: result.Trace}, nil
+	return Round{Protocol: col}, nil
 }
 
 // timeToArc returns the time at which the follower's unwrapped arc reaches

@@ -132,7 +132,7 @@ func TestTrafficConfigValidation(t *testing.T) {
 	}
 	bad = DefaultTrafficGrid()
 	bad.Background = 100000
-	if _, err := bad.Round(0); err == nil {
+	if _, err := bad.Round(0, &trace.Collector{}); err == nil {
 		t.Fatal("over-capacity background accepted")
 	}
 	sg := DefaultStopGo()
@@ -435,7 +435,7 @@ func traceSummary(col *trace.Collector) traffic.Summary {
 // the world behind the round.
 type trafficFamily[C any] interface {
 	Normalized() (C, error)
-	round(round int) (Round, *traffic.World, error)
+	round(round int, col *trace.Collector) (Round, *traffic.World, error)
 }
 
 // roundTraces normalizes cfg and runs one round, returning its protocol
@@ -447,7 +447,7 @@ func roundTraces[C trafficFamily[C]](t testing.TB, cfg C, round int) (*trace.Col
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, world, err := cfg.round(round)
+	r, world, err := cfg.round(round, &trace.Collector{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,13 +168,13 @@ func (cfg TrafficGridConfig) Result(rounds []Round) *TrafficGridResult {
 
 // Round implements Family: the protocol trace and the summary of the
 // traffic world behind it.
-func (cfg TrafficGridConfig) Round(round int) (Round, error) {
-	r, _, err := cfg.round(round)
+func (cfg TrafficGridConfig) Round(round int, col *trace.Collector) (Round, error) {
+	r, _, err := cfg.round(round, col)
 	return r, err
 }
 
 // round runs one round, returning it and its traffic world.
-func (cfg TrafficGridConfig) round(round int) (Round, *traffic.World, error) {
+func (cfg TrafficGridConfig) round(round int, col *trace.Collector) (Round, *traffic.World, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("tgrid-round-%d", round))
 	g, specs, err := trafficGridWorld(cfg, roundSeed)
 	if err != nil {
@@ -186,7 +186,7 @@ func (cfg TrafficGridConfig) round(round int) (Round, *traffic.World, error) {
 		return Round{}, nil, err
 	}
 
-	result, err := cfg.run(roundSeed, Setup{
+	_, err = cfg.run(roundSeed, col, Setup{
 		Channel: trafficGridChannel(g),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
@@ -200,5 +200,5 @@ func (cfg TrafficGridConfig) round(round int) (Round, *traffic.World, error) {
 	if err != nil {
 		return Round{}, nil, err
 	}
-	return Round{Protocol: result.Trace, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
+	return Round{Protocol: col, TrafficSummary: TrafficSummary(world.Summary())}, world, nil
 }

@@ -130,7 +130,7 @@ func (cfg TwoWayConfig) Result(rounds []Round) *TwoWayResult {
 }
 
 // Round implements Family: one out-and-back drive.
-func (cfg TwoWayConfig) Round(round int) (Round, error) {
+func (cfg TwoWayConfig) Round(round int, col *trace.Collector) (Round, error) {
 	roundSeed := sim.SeedFor(cfg.Seed, fmt.Sprintf("twoway-round-%d", round))
 	carIDs := CarIDs(cfg.Cars)
 
@@ -187,7 +187,7 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	apCfg := apConfigWindow(APID, carIDs, cfg.PacketsPerSecond,
 		cfg.PayloadBytes, 1, 0, apStop)
 	apCfg.CycleLength = cfg.CycleBlocks
-	result, err := cfg.run(roundSeed, Setup{
+	_, err = cfg.run(roundSeed, col, Setup{
 		Channel: highwayChannel(),
 		MAC:     mac.DefaultConfig(),
 		APs: []APSpec{{
@@ -200,5 +200,5 @@ func (cfg TwoWayConfig) Round(round int) (Round, error) {
 	if err != nil {
 		return Round{}, err
 	}
-	return Round{Protocol: result.Trace}, nil
+	return Round{Protocol: col}, nil
 }

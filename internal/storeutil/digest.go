@@ -17,7 +17,9 @@ import (
 // field of every nested struct (exported or not), every element and
 // every map entry feeds the hash, so a value growing a field, or any
 // field changing, changes the digest and its entry misses instead of
-// serving a stale one.
+// serving a stale one. There is no exception: no struct tag or field
+// name leaves a field out, so a value that should not key an entry is
+// passed beside the keyed value, not inside it.
 //
 // The serialisation appends varints for ints, lengths and presence
 // (nil and empty slices and maps differ), IEEE bits for floats, the
@@ -28,9 +30,6 @@ import (
 // functions and closures apart but not two instances of one closure with
 // different captures: callers must key such differences by other means
 // (the harness keys units by parameter-point label too).
-//
-// A struct field tagged `digest:"-"` is left out. It is for a field that
-// changes how a value is computed, never the result a key stands for.
 //
 // The bytes stream into the hash a chunk at a time, so a large value
 // (a city's road network) costs one chunk of buffer, not its whole
@@ -57,15 +56,6 @@ type digester struct {
 	// inMap counts the map walks in progress, whose entries stay in buf
 	// until they are sorted.
 	inMap int
-	// structs holds the tagged fields of each struct type walked so
-	// far, the one last looked up first: a value holds few struct
-	// types, and a slice of structs meets one type over and over.
-	structs []structFields
-}
-
-type structFields struct {
-	t       reflect.Type
-	unkeyed []bool
 }
 
 func (d *digester) uvarint(x uint64) { d.buf = binary.AppendUvarint(d.buf, x) }
@@ -111,11 +101,8 @@ func (d *digester) value(v reflect.Value, depth int) {
 	case reflect.String:
 		d.str(v.String())
 	case reflect.Struct:
-		skip := d.unkeyed(v.Type())
 		for i := 0; i < v.NumField(); i++ {
-			if skip == nil || !skip[i] {
-				d.value(v.Field(i), depth+1)
-			}
+			d.value(v.Field(i), depth+1)
 		}
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
@@ -160,30 +147,6 @@ func (d *digester) value(v reflect.Value, depth int) {
 		d.h.Write(d.buf)
 		d.buf = d.buf[:0]
 	}
-}
-
-// unkeyed reports, per field of struct type t, whether the field is
-// tagged `digest:"-"`; nil when none is.
-func (d *digester) unkeyed(t reflect.Type) []bool {
-	for i, s := range d.structs {
-		if s.t == t {
-			d.structs[0], d.structs[i] = s, d.structs[0]
-			return s.unkeyed
-		}
-	}
-	var skip []bool
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).Tag.Get("digest") == "-" {
-			if skip == nil {
-				skip = make([]bool, t.NumField())
-			}
-			skip[i] = true
-		}
-	}
-	d.structs = append(d.structs, structFields{t, skip})
-	n := len(d.structs) - 1
-	d.structs[0], d.structs[n] = d.structs[n], d.structs[0]
-	return skip
 }
 
 // mapEntries writes v's entry count and then its entries, each key's

@@ -70,23 +70,6 @@ func TestDigestSeesEveryField(t *testing.T) {
 	}
 }
 
-// TestDigestSkipsUnkeyedFields: a field tagged digest:"-" is invisible
-// to the digest; the fields beside it are not.
-func TestDigestSkipsUnkeyedFields(t *testing.T) {
-	type moded struct {
-		A    int
-		mode bool `digest:"-"`
-		B    string
-	}
-	base := storeutil.Digest(moded{A: 1, B: "b"})
-	if storeutil.Digest(moded{A: 1, mode: true, B: "b"}) != base {
-		t.Error("a field tagged digest:\"-\" changes the digest")
-	}
-	if storeutil.Digest(moded{A: 2, B: "b"}) == base || storeutil.Digest(moded{A: 1, B: "c"}) == base {
-		t.Error("a field beside a tagged one is invisible to the digest")
-	}
-}
-
 // TestDigestDistinguishesInterfaceImpls: two Selection policies with
 // identical field values must not alias — the dynamic type is part of
 // the digest.

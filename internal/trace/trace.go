@@ -16,10 +16,11 @@
 // export carries, and it tallies its transmissions as it records them
 // (Sends). A study collector (NewStudyCollector) records only what the
 // studies read, which is what the result store keeps: the tally without
-// the transmissions, the DATA receptions and no drops. The experiment
-// harness records its rounds that way; a scenario run outside it
-// (carqsim, whose -trace export carqtrace reads, the bench probe, the
-// tests) records in full.
+// the transmissions, the DATA receptions and no drops. A scenario round
+// records into the collector its caller passes (scenario.Family.Round):
+// the experiment harness passes a study collector, and a scenario run
+// outside it (carqsim, whose -trace export carqtrace reads, the bench
+// probe, the tests) passes a zero one and records in full.
 package trace
 
 import (
@@ -262,7 +263,10 @@ type Collector struct {
 // the studies read it and the result store keeps it: the Sent tally
 // without Tx records, DATA receptions only and no drops, with every
 // phase change, recovery and completion. Its round equals the full
-// round with the rest left out, at a fraction of the allocation.
+// round with the rest left out, at a fraction of the allocation. The
+// experiment harness passes one to every round it computes
+// (scenario.Family.Round); the mode belongs to the collector, not to a
+// scenario config, so it never reaches a store key.
 func NewStudyCollector() *Collector { return &Collector{study: true} }
 
 var (

@@ -30,7 +30,7 @@ var surfaceAllow = map[string]string{
 	"traffic.(*Simulation).PositionNow":   "oracle: the exact position a replayed World must equal at every recorded instant",
 	"packet.(*Frame).Encode":              "oracle: the wire codec mac's TestDeliveredFramesImmutable checks WireSize against",
 	"packet.Decode":                       "oracle: the wire codec mac's TestDeliveredFramesImmutable round-trips delivered frames through",
-	"analysis.StudyView":                  "oracle: the projection of a full round that scenario's and harness's tests hold a study round (scenario.StudyRound) to, record for record",
+	"analysis.StudyView":                  "oracle: the projection of a full round that scenario's and harness's tests hold a round recorded into a study collector (trace.NewStudyCollector) to, record for record",
 
 	// Cross-package test helpers.
 	"faultpoint.(*Point).MustArm":        "cross-package test helper: harness and storeutil tests arm their faults with it",
