@@ -72,7 +72,6 @@ PROFILE_DIR ?= /tmp
 profile:
 	$(GO) run ./cmd/experiments -exp trafficgrid,dynamics,table1 -rounds 2 \
 		-out $(PROFILE_DIR)/profiled-results \
-		-traffic-store $(PROFILE_DIR)/traffic-store \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 
 # Resume gate: one small sweep twice against a shared result store; the

@@ -11,7 +11,7 @@
 //	experiments [-exp all|<name>[,<name>...]] [-rounds 30] [-seed 1]
 //	            [-out results] [-workers N] [-list]
 //	            [-result-store dir] [-code-digest id]
-//	            [-traffic-store dir] [-metrics] [-progress]
+//	            [-metrics] [-progress]
 //	            [-unit-timeout d] [-faultpoints specs]
 //	            [-cpuprofile file] [-memprofile file]
 //
@@ -19,8 +19,8 @@
 // gnuplot-ready .dat series and SVG figures, plus a machine-readable
 // manifest.json describing every experiment, seed and output file and a
 // timings.json sidecar with run provenance. The shared sweep flags
-// (rounds, seed, out, workers, stores) are bound from harness.Options,
-// the same struct cmd/sweepd binds, so both binaries configure one way.
+// (rounds, seed, out, workers, result store, ...) are bound from
+// harness.Options; cmd/sweepd, which runs no sweep, declares its own.
 //
 // -result-store points work-unit resolution at a content-addressed
 // on-disk store of unit results keyed by root seed, unit identity and
@@ -28,9 +28,12 @@
 // changed, an interrupted sweep resumes where it stopped, and several
 // processes shard one sweep by sharing the directory.
 //
-// -traffic-store points the traffic scenarios' record-once-replay-many
-// path at an on-disk precomputed-trace store: the first run of a sweep
-// records each traffic world, every later run (any process) loads it.
+// Traffic worlds are recorded once per process and shared through an
+// in-memory cache; nothing stores them on disk. -traffic-store is
+// ignored: it only creates its directory, for the benchmark's resume
+// workload (bench/run.go), which still passes it and measures the
+// directory. It goes when ROADMAP item 1's benchmark change drops it
+// there.
 //
 // -metrics enables the telemetry registry (internal/metrics): simulator,
 // cache and store counters accumulate across the run and a metrics.json
@@ -59,29 +62,40 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 
-	opts := harness.DefaultOptions()
-	opts.Bind(flag.CommandLine)
-	var (
-		exp        = flag.String("exp", "all", "experiments to run: all, or a comma-separated list of names")
-		list       = flag.Bool("list", false, "print the experiment catalogue and exit")
-		progress   = flag.Bool("progress", false, "print live unit progress to stderr once a second (implies -metrics)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof allocation profile at the end of the run to this file")
-	)
-	flag.Parse()
-
-	if *list {
-		printCatalogue(os.Stdout)
-		return
-	}
-
-	// Everything fallible runs inside run(): log.Fatal calls os.Exit,
-	// which would skip the profiling defers and leave a truncated
-	// cpu.pprof / missing mem.pprof on the very failing sweeps the
-	// profiling mode exists to debug.
-	if err := run(*exp, opts, *progress, *cpuProfile, *memProfile); err != nil {
+	if err := runArgs(flag.CommandLine, os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// runArgs parses args into fs and runs what they select. Everything
+// fallible runs inside it: log.Fatal calls os.Exit, which would skip the
+// profiling defers and leave a truncated cpu.pprof / missing mem.pprof
+// on the very failing sweeps the profiling mode exists to debug.
+func runArgs(fs *flag.FlagSet, args []string) error {
+	opts := harness.DefaultOptions()
+	opts.Bind(fs)
+	var (
+		exp        = fs.String("exp", "all", "experiments to run: all, or a comma-separated list of names")
+		list       = fs.Bool("list", false, "print the experiment catalogue and exit")
+		progress   = fs.Bool("progress", false, "print live unit progress to stderr once a second (implies -metrics)")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof allocation profile at the end of the run to this file")
+		// Ignored but for creating its directory (see the package doc).
+		trafficStore = fs.String("traffic-store", "", "ignored: creates this directory and nothing else; traffic worlds are not stored on disk (goes with ROADMAP item 1's benchmark change)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *list {
+		printCatalogue(os.Stdout)
+		return nil
+	}
+	if *trafficStore != "" {
+		if err := os.MkdirAll(*trafficStore, 0o755); err != nil {
+			return err
+		}
+	}
+	return run(*exp, opts, *progress, *cpuProfile, *memProfile)
 }
 
 func run(exp string, opts harness.Options, progress bool, cpuProfile, memProfile string) (err error) {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -194,5 +196,39 @@ func TestWorkerCountInvariance(t *testing.T) {
 		} else if got != want {
 			t.Errorf("%s differs between 1 and 3 workers", name)
 		}
+	}
+}
+
+// TestTrafficStoreFlagIgnored: -traffic-store only creates its
+// directory. A traffic sweep run with it leaves the directory empty and
+// writes the manifest of the same sweep run without it, byte for byte.
+func TestTrafficStoreFlagIgnored(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation rounds in -short mode")
+	}
+	manifest := func(extra ...string) []byte {
+		out := t.TempDir()
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		args := append([]string{"-exp", "stopgo", "-rounds", "1", "-seed", "1", "-out", out}, extra...)
+		if err := runArgs(fs, args); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(out, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	dir := filepath.Join(t.TempDir(), "traffic")
+	with := manifest("-traffic-store", dir)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("-traffic-store did not create its directory: %v", err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("-traffic-store directory holds %d entries, want none", len(ents))
+	}
+	if without := manifest(); !bytes.Equal(with, without) {
+		t.Fatal("-traffic-store changed manifest.json")
 	}
 }

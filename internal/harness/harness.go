@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/faultpoint"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
 )
 
 // Runner executes registered experiments through a shared worker pool,
@@ -34,10 +33,10 @@ type Runner struct {
 	unitsCached   atomic.Int64
 }
 
-// NewRunner validates opts, creates the output directory (and the
-// result store, when configured), installs the traffic store when one
-// is configured (scenario.SetTrafficTraceStore, process-wide) and
-// returns a ready runner.
+// NewRunner validates opts, enables the telemetry registry and arms the
+// fault points when asked (both process-wide), creates the output
+// directory (and the result store, when configured) and returns a ready
+// runner.
 func NewRunner(opts Options) (*Runner, error) {
 	opts, err := opts.validate()
 	if err != nil {
@@ -48,11 +47,6 @@ func NewRunner(opts Options) (*Runner, error) {
 	}
 	if opts.FaultPoints != "" {
 		if err := faultpoint.ArmSpecs(opts.FaultPoints); err != nil {
-			return nil, err
-		}
-	}
-	if opts.TrafficStore != "" {
-		if err := scenario.SetTrafficTraceStore(opts.TrafficStore); err != nil {
 			return nil, err
 		}
 	}

@@ -415,51 +415,6 @@ func TestCityDemandWorkerInvariance(t *testing.T) {
 	}
 }
 
-// trafficStoreRuns numbers TestRunnerInstallsTrafficStore's runs in
-// this process. Each run keys a traffic world no earlier run memoised
-// (go test -count=N), so the store below the in-memory cache is
-// consulted and filled every time.
-var trafficStoreRuns atomic.Int64
-
-// TestRunnerInstallsTrafficStore: a runner whose options name a traffic
-// store installs it, so a traffic family's units save the worlds they
-// record there, with no call to scenario.SetTrafficTraceStore.
-func TestRunnerInstallsTrafficStore(t *testing.T) {
-	dir := t.TempDir()
-	t.Cleanup(func() {
-		if err := scenario.SetTrafficTraceStore(""); err != nil {
-			t.Error(err)
-		}
-	})
-	cfg := scenario.DefaultStopGo()
-	cfg.Rounds = 1
-	cfg.Cars = 2
-	cfg.Vehicles = 20
-	cfg.RingM = 600
-	cfg.Duration = 20 * time.Second
-	cfg.PerturbAt = 5 * time.Second
-	cfg.PerturbFor = 5 * time.Second
-	seed := 1000 + trafficStoreRuns.Add(1)
-	r, err := NewRunner(Options{Rounds: 1, Seed: seed, OutDir: t.TempDir(), Workers: 1, TrafficStore: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Context{runner: r, rec: &ExperimentRecord{}}
-	b := c.Batch()
-	var res *scenario.StopGoResult
-	Add(b, "p", cfg, &res)
-	if err := b.Go(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("traffic store holds %d files after one round, want its world's 1", len(ents))
-	}
-}
-
 // TestBatchTestbedMatchesRunTestbed is the harness half of the
 // determinism contract: decomposing an experiment into pooled,
 // store-backed work units must reproduce scenario.RunRounds bit for bit —

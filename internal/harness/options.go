@@ -9,8 +9,8 @@ import (
 
 // Options is the one configuration surface of a sweep: an output
 // directory for reports and the manifest, an optional content-addressed
-// result store for unit results, an optional precomputed traffic-trace
-// store (both unbounded: nothing evicts an entry), and the run's knobs.
+// result store for unit results (unbounded: nothing evicts an entry),
+// and the run's knobs.
 // cmd/experiments binds it to flags through Bind; cmd/sweepd, which runs
 // no sweep, declares its own six flags.
 type Options struct {
@@ -32,10 +32,6 @@ type Options struct {
 	// instead of recomputed, so interrupted sweeps resume and N processes
 	// can shard one sweep through a shared directory.
 	ResultStore string
-	// TrafficStore, when non-empty, is the directory of the on-disk
-	// precomputed traffic-trace store (see traffic.Store); NewRunner
-	// installs it for the whole process.
-	TrafficStore string
 	// Metrics enables the process-wide telemetry registry
 	// (internal/metrics): simulator and store counters accumulate, and the
 	// runner writes a metrics.json snapshot beside timings.json. Off by
@@ -84,7 +80,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&o.OutDir, "out", o.OutDir, "output directory (reports, series, manifest.json, timings.json)")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "concurrent work units (0: GOMAXPROCS)")
 	fs.StringVar(&o.ResultStore, "result-store", o.ResultStore, "directory of the content-addressed unit-result store (empty: recompute everything)")
-	fs.StringVar(&o.TrafficStore, "traffic-store", o.TrafficStore, "directory of the on-disk precomputed traffic-trace store (empty: in-memory cache only)")
 	fs.BoolVar(&o.Metrics, "metrics", o.Metrics, "enable the telemetry registry and write a metrics.json snapshot beside timings.json")
 	fs.DurationVar(&o.UnitTimeout, "unit-timeout", o.UnitTimeout, "flag work units still running after this long (watchdog: logged and listed in timings.json, never killed; 0: off)")
 	fs.StringVar(&o.FaultPoints, "faultpoints", o.FaultPoints, "arm deterministic fault injection: comma-separated name=action[:arg][@hit=n][@key=k][@seed=s:n][@count=n] specs (testing and CI only)")

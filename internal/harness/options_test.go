@@ -22,12 +22,14 @@ func TestOptionsFlagSurface(t *testing.T) {
 	newFlagSet().VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	want := []string{
 		"code-digest", "faultpoints", "metrics", "out", "result-store",
-		"rounds", "seed", "traffic-store", "unit-timeout", "workers",
+		"rounds", "seed", "unit-timeout", "workers",
 	}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("flags = %v, want %v", names, want)
 	}
-	if err := newFlagSet().Parse([]string{"-traffic-store-cap", "1"}); err == nil {
-		t.Error("-traffic-store-cap accepted, want unknown flag")
+	for _, args := range [][]string{{"-traffic-store-cap", "1"}, {"-traffic-store", "dir"}} {
+		if err := newFlagSet().Parse(args); err == nil {
+			t.Errorf("%v accepted, want unknown flag", args)
+		}
 	}
 }

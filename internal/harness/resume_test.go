@@ -161,6 +161,43 @@ func TestStoredRoundsKeyedByConfig(t *testing.T) {
 	}
 }
 
+// TestStoredRoundsKeyedByCodeDigest: the code digest partitions one
+// store. A runner with another digest is served nothing and computes
+// every unit; a runner with the first digest again is served every unit.
+func TestStoredRoundsKeyedByCodeDigest(t *testing.T) {
+	const rounds = 4
+	storeDir := t.TempDir()
+	run := func(digest string) (cached int64, computes int, out []int) {
+		t.Helper()
+		r, err := NewRunner(Options{
+			Rounds: rounds, Seed: 1, OutDir: t.TempDir(), Workers: 2,
+			ResultStore: storeDir, CodeDigest: digest,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, out, n := runSynthetic(t, r, rounds)
+		if got := r.Progress().UnitsCached; got != ctx.cached.Load() {
+			t.Fatalf("digest %q: runner counted %d cached units, context %d", digest, got, ctx.cached.Load())
+		}
+		return ctx.cached.Load(), *n, out
+	}
+	if cached, computes, _ := run("code-a"); cached != 0 || computes != rounds {
+		t.Fatalf("cold run under code-a: %d cached, %d computed; want 0 and %d", cached, computes, rounds)
+	}
+	cached, computes, outB := run("code-b")
+	if cached != 0 || computes != rounds {
+		t.Fatalf("run under code-b over code-a's store: %d cached, %d computed; want 0 and %d", cached, computes, rounds)
+	}
+	cached, computes, outA := run("code-a")
+	if cached != rounds || computes != 0 {
+		t.Fatalf("rerun under code-a: %d cached, %d computed; want %d and 0", cached, computes, rounds)
+	}
+	if !slices.Equal(outA, outB) {
+		t.Fatalf("served results %v differ from the computed %v", outA, outB)
+	}
+}
+
 // TestStoredRoundsRecomputeParentFormat: entries in the formats the
 // result store wrote before — result-store/1 (per-section length fields,
 // same body and CRC), result-store/2 (JSONL trace sections),

@@ -59,7 +59,12 @@ var (
 	mCacheHits = metrics.NewCounter("traffic_trace_cache_hits_total",
 		"in-memory traffic-trace cache hits (sweep arms sharing a recorded world)")
 	mCacheMisses = metrics.NewCounter("traffic_trace_cache_misses_total",
-		"in-memory traffic-trace cache misses (worlds recorded or loaded from the store)")
+		"in-memory traffic-trace cache misses (worlds recorded)")
+
+	// Always 0; kept registered only until ROADMAP item 1's bench edit drops the traffic.store_* series.
+	_ = metrics.NewCounter("traffic_store_hits_total", "always 0: traffic worlds live only in the in-memory cache")
+	_ = metrics.NewCounter("traffic_store_read_bytes_total", "always 0: traffic worlds live only in the in-memory cache")
+	_ = metrics.NewCounter("traffic_store_written_bytes_total", "always 0: traffic worlds live only in the in-memory cache")
 
 	// mDrops indexes mac_drops_total{cause=...} by mac.DropReason, the
 	// same indexing mac.Stats.Drops uses; slot 0 is unused.

@@ -2,19 +2,11 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/crc32"
-	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/storeutil"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -147,54 +139,12 @@ func TestTrafficConfigValidation(t *testing.T) {
 	}
 }
 
-// resetTrafficCache empties the in-memory tier so a later round is forced
-// through whatever lower tier (the on-disk store) is installed.
+// resetTrafficCache empties the traffic cache, so a later round records
+// its world again.
 func resetTrafficCache() {
 	trafficCache.mu.Lock()
 	trafficCache.m = make(map[string]*trafficTraceEntry)
 	trafficCache.mu.Unlock()
-}
-
-// TestTrafficStoreServesByteIdenticalRounds is the precomputed-trace
-// serving acceptance test: a round whose traffic world is loaded from the
-// on-disk store must emit exactly the protocol trace of the round that
-// computed the world, and the store must actually have been populated.
-func TestTrafficStoreServesByteIdenticalRounds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation rounds in -short mode")
-	}
-	dir := t.TempDir()
-	if err := SetTrafficTraceStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = SetTrafficTraceStore("")
-		resetTrafficCache()
-	}()
-	resetTrafficCache()
-
-	cfg := quickTrafficGrid()
-	colComputed, streamComputed := roundTraces(t, cfg, 0)
-
-	// A fresh in-memory cache forces the next identical round through the
-	// disk tier, as a separate sweep process would be.
-	resetTrafficCache()
-	colLoaded, streamLoaded := roundTraces(t, cfg, 0)
-	if !bytes.Equal(traceBytes(t, colComputed), traceBytes(t, colLoaded)) {
-		t.Fatal("disk-served round's protocol trace differs from the computed round's")
-	}
-	if !bytes.Equal(traceBytes(t, streamComputed.Trace()), traceBytes(t, streamLoaded.Trace())) {
-		t.Fatal("disk-served traffic world differs from the computed one")
-	}
-
-	// The store must hold exactly the computed world's file.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("store holds %d files, want 1", len(ents))
-	}
 }
 
 // TestArmForksProtocolRandomnessNotTraffic pins the per-arm RNG split:
@@ -231,105 +181,6 @@ func TestArmForksProtocolRandomnessNotTraffic(t *testing.T) {
 	}
 }
 
-// TestTrafficStoreRecomputesParentFormat: a stored traffic world with a
-// JSONL body — as traffic-trace-store/3 wrote it — or a fixed-width
-// binary body — as traffic-trace-store/4 wrote it — or either
-// mislabelled with the current schema, is quarantined, recomputed into
-// the current format with an identical round, and served from disk
-// afterwards.
-func TestTrafficStoreRecomputesParentFormat(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation rounds in -short mode")
-	}
-	dir := t.TempDir()
-	if err := SetTrafficTraceStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = SetTrafficTraceStore("")
-		resetTrafficCache()
-	}()
-	resetTrafficCache()
-	store := trafficStore
-
-	cfg := quickTrafficGrid()
-	col, stream := roundTraces(t, cfg, 0)
-	paths, err := filepath.Glob(filepath.Join(dir, "*.trace.jsonl"))
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("store holds %v (%v), want one world", paths, err)
-	}
-	path := paths[0]
-	header := func() (hdr struct{ Schema, Key string }) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data[:bytes.IndexByte(data, '\n')], &hdr); err != nil {
-			t.Fatal(err)
-		}
-		return hdr
-	}
-	key := header().Key
-
-	jsonl, fixed := traceBytes(t, stream.Trace()), fixedWidthStream(t, stream.Trace())
-	for i, parent := range []struct {
-		schema string
-		body   []byte
-	}{
-		{"traffic-trace-store/3", jsonl}, {traffic.StoreSchema, jsonl},
-		{"traffic-trace-store/4", fixed}, {traffic.StoreSchema, fixed},
-	} {
-		schema, body := parent.schema, parent.body
-		line := fmt.Appendf(nil, `{"schema":%q,"key":%q,"sections":[%d],"body_crc":%d}`,
-			schema, key, len(body), crc32.ChecksumIEEE(body))
-		if err := os.WriteFile(path, append(append(line, '\n'), body...), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		resetTrafficCache()
-		colAgain, streamAgain := roundTraces(t, cfg, 0)
-		if !bytes.Equal(traceBytes(t, colAgain), traceBytes(t, col)) ||
-			!bytes.Equal(traceBytes(t, streamAgain.Trace()), traceBytes(t, stream.Trace())) {
-			t.Fatalf("%s: recomputed round differs from the first", schema)
-		}
-		if st := store.Stats(); st.Corrupt != uint64(i+1) || st.Saves != uint64(i+2) {
-			t.Fatalf("%s: stats %+v, want the JSONL entry quarantined and re-saved", schema, st)
-		}
-		if _, err := os.Stat(path + storeutil.QuarantineSuffix); err != nil {
-			t.Fatalf("%s: no post-mortem copy: %v", schema, err)
-		}
-		if got := header().Schema; got != traffic.StoreSchema {
-			t.Fatalf("%s: recompute saved schema %q", schema, got)
-		}
-	}
-
-	resetTrafficCache()
-	hits := store.Stats().Hits
-	roundTraces(t, cfg, 0)
-	if st := store.Stats(); st.Hits != hits+1 {
-		t.Fatalf("healed world not served from disk: %+v", st)
-	}
-}
-
-// fixedWidthStream encodes a traffic stream as traffic-trace-store/4
-// stored it: per category a uint64 record count, each vehicle record
-// its At, Veh, Link and Lane as int64 and its floats' bits, all
-// little-endian.
-func fixedWidthStream(t *testing.T, stream *trace.Collector) []byte {
-	t.Helper()
-	if n := stream.Counts(); n != (trace.Counts{Vehicles: n.Vehicles}) {
-		t.Fatalf("traffic stream holds protocol records: %+v", n)
-	}
-	le := binary.LittleEndian
-	out := le.AppendUint64(make([]byte, 6*8), uint64(len(stream.Vehicles)))
-	for _, r := range stream.Vehicles {
-		for _, v := range []uint64{uint64(r.At), uint64(r.Veh), uint64(r.Link), uint64(r.Lane),
-			math.Float64bits(r.Arc), math.Float64bits(r.Speed)} {
-			out = le.AppendUint64(out, v)
-		}
-	}
-	return out
-}
-
 // quickCityScale is the cityscale scenario shrunk to test size: the same
 // world builder and replay path over far fewer vehicles and seconds.
 func quickCityScale() CityScaleConfig {
@@ -342,9 +193,8 @@ func quickCityScale() CityScaleConfig {
 
 // TestTrafficCacheHandsRecordingToReplay: the traffic cache holds the
 // recorded world itself, and every arm replays it by reference. That
-// world equals a fresh recording of the same inputs, survives the
-// traffic store's World -> trace -> World round trip bit for bit with
-// the same summary, and is what CityScaleRound serializes.
+// world equals a fresh recording of the same inputs, summarises to its
+// serialized form's summary, and is what CityScaleRound serializes.
 func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation rounds in -short mode")
@@ -388,25 +238,8 @@ func TestTrafficCacheHandsRecordingToReplay(t *testing.T) {
 		}
 	}
 
-	st, err := traffic.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save("city", cached); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := st.Load("city")
-	if err != nil || loaded == nil {
-		t.Fatalf("Load = (%v, %v)", loaded, err)
-	}
-	if loaded, err = loaded.Bind(g.Network); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Trace(), recording) {
-		t.Fatal("stored world serializes differently from the recording")
-	}
-	if got, want := loaded.Summary(), cached.Summary(); got != want || want != traceSummary(recording) {
-		t.Fatalf("stored world summary %+v, cached %+v, recording %+v", got, want, traceSummary(recording))
+	if got, want := cached.Summary(), traceSummary(recording); got != want {
+		t.Fatalf("cached world summary %+v, recording %+v", got, want)
 	}
 }
 

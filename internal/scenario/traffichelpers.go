@@ -35,45 +35,13 @@ const capTrafficCacheEntries = 64
 
 var trafficCache = &trafficTraceCache{m: make(map[string]*trafficTraceEntry)}
 
-// trafficStore, when non-nil, is the on-disk tier below the in-memory
-// cache: misses try a load before computing, and computed worlds are
-// saved for later processes. Guarded by trafficCache.mu.
-var trafficStore *traffic.Store
-
-// SetTrafficTraceStore installs (dir != "") or removes (dir == "") the
-// on-disk precomputed-world store consulted by every traffic scenario's
-// record-once-replay-many path. Worlds already memoised in this process
-// are unaffected. Sweeps pointed at a shared directory compute each
-// traffic world exactly once across processes and serve every later arm
-// from disk: keys are content digests (traffic.TraceKey), so equal inputs
-// key equally in every process, and loads are byte-identical to an
-// in-process recording (see the store round-trip tests). The store grows
-// without bound: nothing evicts a world, so pruning the directory is the
-// operator's call.
-func SetTrafficTraceStore(dir string) error {
-	var st *traffic.Store
-	if dir != "" {
-		var err error
-		if st, err = traffic.NewStore(dir); err != nil {
-			return err
-		}
-	}
-	trafficCache.mu.Lock()
-	trafficStore = st
-	trafficCache.mu.Unlock()
-	return nil
-}
-
-// world returns the traffic world of (tcfg, specs, d), filling its entry
-// once: from the store when it holds a world that binds to the network,
-// else by recording it, and then saving it. The key is
-// traffic.TraceKey(tcfg, specs, d): the store schema and the
+// world returns the traffic world of (tcfg, specs, d), recording it
+// once. The key is traffic.TraceKey(tcfg, specs, d): the
 // storeutil.Digest of everything that shapes vehicle motion, computed
 // here so no scenario can forget a field when its config grows one.
 func (c *trafficTraceCache) world(tcfg traffic.Config, specs []traffic.VehicleSpec, d time.Duration) (*traffic.World, error) {
 	key := traffic.TraceKey(tcfg, specs, d)
 	c.mu.Lock()
-	store := trafficStore
 	e, ok := c.m[key]
 	if !ok {
 		if len(c.m) >= capTrafficCacheEntries {
@@ -91,33 +59,18 @@ func (c *trafficTraceCache) world(tcfg traffic.Config, specs []traffic.VehicleSp
 		}
 	}
 	e.once.Do(func() {
-		if store != nil {
-			// A load error means an unusable file (corrupt, truncated,
-			// foreign schema), and a world that does not bind does not
-			// fit the network: recompute and overwrite either.
-			if w, err := store.Load(key); err == nil && w != nil {
-				if e.world, err = w.Bind(tcfg.Network); err == nil {
-					return
-				}
-			}
-		}
 		ts, err := traffic.New(tcfg, specs)
 		if e.err = err; err != nil {
 			return
 		}
 		ts.RunTo(d)
 		e.world = ts.World()
-		if store != nil {
-			// Best effort: a read-only or full disk must not fail the
-			// sweep, only disable its cross-process reuse.
-			_ = store.Save(key, e.world)
-		}
 	})
 	return e.world, e.err
 }
 
 // gridNets memoises street grids by spec. A GridNet is read-only once
-// built (traffic.New and World.Bind only read and validate it), so every
+// built (traffic.New only reads and validates it), so every
 // round and every concurrent unit over one spec shares one build instead
 // of rebuilding the same grid per round. A process builds one grid per
 // distinct spec, and the catalogue has a handful.

@@ -3,25 +3,20 @@ package storeutil_test
 import (
 	"bytes"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/storeutil"
 )
 
 // FuzzStoreLoad writes arbitrary bytes as the entry for one key and
-// loads them through both codecs of the one store. Load must never
-// panic; an entry it rejects must be counted and quarantined, freeing
-// the path for the recompute; an entry it accepts must survive a
-// Save/Load round trip unchanged. The seed corpus
-// (testdata/fuzz/FuzzStoreLoad) holds real Save outputs of both codecs,
-// truncations of them and crafted headers.
+// loads them through the result codec. Load must never panic; an entry
+// it rejects must be counted and quarantined, freeing the path for the
+// recompute; an entry it accepts must survive a Save/Load round trip
+// unchanged. The seed corpus (testdata/fuzz/FuzzStoreLoad) holds real
+// Save outputs, truncations of them and crafted headers.
 func FuzzStoreLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzLoad(t, resultCase, data)
-		fuzzLoad(t, trafficCase, data)
 	})
 }
 
@@ -62,27 +57,5 @@ func fuzzLoad[T comparable](t *testing.T, c codecCase[T], data []byte) {
 	}
 	if !bytes.Equal(readFile(t, path), first) {
 		t.Fatalf("%s: accepted entry changes across a Save/Load round trip", c.name)
-	}
-}
-
-// TestFuzzSeedsRejectBadWorlds pins two FuzzStoreLoad seeds the traffic
-// codec must reject although their header and CRC are sound: a vehicle
-// whose samples go back in time, and a negative lane.
-func TestFuzzSeedsRejectBadWorlds(t *testing.T) {
-	for seed, cause := range map[string]string{
-		"traffic-backwards":     "time-major order",
-		"traffic-negative-lane": "out of range",
-	} {
-		corpus := string(readFile(t, filepath.Join("testdata", "fuzz", "FuzzStoreLoad", seed)))
-		quoted, ok := strings.CutPrefix(strings.TrimSpace(corpus), "go test fuzz v1\n[]byte(")
-		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: unreadable corpus entry (%v)", seed, err)
-		}
-		st := mustOpen(t, trafficCase, t.TempDir())
-		writeFile(t, st.Path(goldenKey), []byte(data))
-		if _, err := st.Load(goldenKey); err == nil || !strings.Contains(err.Error(), cause) {
-			t.Fatalf("%s: Load = %v, want a %q rejection", seed, err, cause)
-		}
 	}
 }

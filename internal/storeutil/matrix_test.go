@@ -16,7 +16,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/storeutil"
 	"repro/internal/trace"
-	"repro/internal/traffic"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current Save output")
@@ -64,36 +63,13 @@ var resultCase = codecCase[*harness.UnitResult]{
 	},
 }
 
-var trafficCase = codecCase[*traffic.World]{
-	name:   "traffic",
-	fault:  "traffic.store",
-	open:   func(dir string) (*traffic.Store, error) { return traffic.NewStore(dir) },
-	sample: trafficWorld,
-	parent: func(h header) any {
-		return struct {
-			Schema  string `json:"schema"`
-			Key     string `json:"key"`
-			BodyLen int64  `json:"body_len"`
-			BodyCRC uint32 `json:"body_crc"`
-		}{"traffic-trace-store/2", h.Key, h.Sections[0], h.BodyCRC}
-	},
-}
-
-// trafficSample is a serialized traffic world: one vehicle sampled
-// twice.
+// trafficSample is a serialized traffic world, one vehicle sampled
+// twice, for the result codec's traffic section.
 func trafficSample() *trace.Collector {
 	return &trace.Collector{Vehicles: []trace.VehicleRecord{
 		{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25},
 		{At: time.Second, Veh: 3, Link: 2, Lane: 0, Arc: 48.25, Speed: 8.5},
 	}}
-}
-
-func trafficWorld() *traffic.World {
-	w, err := traffic.WorldFromTrace(trafficSample())
-	if err != nil {
-		panic(err)
-	}
-	return w
 }
 
 // header mirrors the store's header line.
@@ -155,12 +131,11 @@ func temps(t *testing.T, dir string) []string {
 }
 
 // TestStoreMatrix runs the corruption, torn-write and quarantine matrix
-// once per codec against one store, then checks the store's accounting:
+// against one result store, then checks the store's accounting:
 // every Load is one hit or one miss, and every quarantine left exactly
 // one post-mortem file.
 func TestStoreMatrix(t *testing.T) {
 	t.Run(resultCase.name, func(t *testing.T) { runMatrix(t, resultCase) })
-	t.Run(trafficCase.name, func(t *testing.T) { runMatrix(t, trafficCase) })
 }
 
 func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
@@ -346,12 +321,11 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 	}
 }
 
-// TestGoldenFormat pins the exact bytes one Save writes per codec, so
+// TestGoldenFormat pins the exact bytes one Save writes, so
 // any change to the file format shows up as a reviewed diff of
 // testdata/golden next to its schema bump (go test -update rewrites).
 func TestGoldenFormat(t *testing.T) {
 	t.Run(resultCase.name, func(t *testing.T) { checkGolden(t, resultCase, "result.unit.jsonl") })
-	t.Run(trafficCase.name, func(t *testing.T) { checkGolden(t, trafficCase, "traffic.trace.jsonl") })
 }
 
 func checkGolden[T comparable](t *testing.T, c codecCase[T], name string) {

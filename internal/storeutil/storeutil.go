@@ -1,7 +1,8 @@
 // Package storeutil is the repository's one content-addressed blob
-// store; the unit-result and traffic stores are Stores over typed Codecs,
-// and Digest is the one content digest their keys are built from: it
-// reads every field of the keyed value, with no exception.
+// store; the unit-result store (harness.ResultStore) is a Store over a
+// typed Codec. Digest is the one content digest its keys and the
+// in-memory traffic-world cache's keys are built from: it reads every
+// field of the keyed value, with no exception.
 // An entry <fnv64a(key)>.<kind>.jsonl is a JSON header line {schema,
 // key, section lengths (-1 = absent), body CRC-32} and the concatenated
 // sections, which codecs may encode in binary (the .jsonl name promises

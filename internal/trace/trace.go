@@ -94,9 +94,9 @@ type CompleteRecord struct {
 // VehicleRecord is one microscopic-traffic state sample: where vehicle Veh
 // was at time At, expressed in road coordinates (link, lane, arc along the
 // link's centreline) plus its speed. It is the serialized form of a
-// traffic world (traffic.World.Trace): the traffic store encodes worlds
-// through it, and a world's records stand in time-major order, at each
-// instant the vehicles sampled then in ID order. Vehicle IDs are
+// traffic world (traffic.World.Trace), and a world's records stand in
+// time-major order, at each instant the vehicles sampled then in ID
+// order. Vehicle IDs are
 // traffic-simulation indices, not station IDs: most traffic is
 // radio-silent background.
 type VehicleRecord struct {

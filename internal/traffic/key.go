@@ -8,12 +8,11 @@ import (
 
 // TraceKey returns the key of the traffic world defined by (cfg, specs,
 // horizon), exactly the inputs the determinism contract says a recorded
-// world is a pure function of: StoreSchema, which versions the stepping
-// semantics no input captures, and the storeutil.Digest of every field of
-// the config, of the network it points to (geometry, topology, signal
+// world is a pure function of: the storeutil.Digest of every field of the
+// config, of the network it points to (geometry, topology, signal
 // timing, actuated parameters) and of every vehicle spec.
 func TraceKey(cfg Config, specs []VehicleSpec, horizon time.Duration) string {
-	return StoreSchema + "|" + storeutil.Digest(struct {
+	return storeutil.Digest(struct {
 		Config
 		Specs   []VehicleSpec
 		Horizon time.Duration

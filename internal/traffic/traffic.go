@@ -51,8 +51,8 @@
 // every sweep arm and every harness worker sees the same position
 // history: the property the record-once, sweep-many workflow rests on.
 // The world exists in memory in that one form; its serialized form
-// (World.Trace, a time-major trace.VehicleRecord stream) exists only at
-// the traffic store's boundary, and decoding it rebuilds the same world.
+// (World.Trace, a time-major trace.VehicleRecord stream) is written for
+// callers that export a round's traffic, and nothing decodes it back.
 package traffic
 
 import (

@@ -2,20 +2,21 @@ package traffic
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/mobility"
+	"repro/internal/trace"
 )
 
 // World is one recorded traffic world: every vehicle's exposed
 // trajectory samples in time order, and the summary of the whole
-// population. A Simulation records it (Simulation.World) and the traffic
-// store persists it (see Trace). It is immutable, so every sweep arm
-// and every harness worker replays one world concurrently.
+// population. A Simulation records it (Simulation.World), bound to the
+// simulation's network. It is immutable, so every sweep arm and every
+// harness worker replays one world concurrently.
 type World struct {
 	net    *Network
 	tracks []track // ascending by vehicle ID
@@ -31,8 +32,7 @@ type track struct {
 // Summary condenses a world for reports: the mean speed over every
 // sample and the share of samples below the crawling threshold (2 m/s),
 // the jam exposure of the whole population. Both sum the samples in
-// record order (see Trace), so a decoded world summarises to the exact
-// bits of its recording.
+// record order (see Trace).
 type Summary struct {
 	MeanSpeedMPS float64
 	CrawlShare   float64
@@ -60,28 +60,38 @@ func (w *World) Summary() Summary {
 	return Summary{MeanSpeedMPS: w.sum.speed / n, CrawlShare: float64(w.sum.crawls) / n, Samples: w.sum.n}
 }
 
-// Bind checks every sample against net (its link exists and its lane is
-// one of the link's) and returns the world replaying over net. A
-// recorded world is bound to its simulation's network already; a world
-// decoded from the traffic store, which holds no network, must be bound
-// before Model.
-func (w *World) Bind(net *Network) (*World, error) {
-	if net == nil {
-		return nil, errors.New("traffic: world without network")
+// Trace returns the world's serialized form: one trace.VehicleRecord
+// per sample, time-major (at each instant, the vehicles sampled then in
+// ID order), which is the order the simulation recorded them in. It
+// rebuilds that order by merging the tracks instant by instant.
+func (w *World) Trace() *trace.Collector {
+	recs := make([]trace.VehicleRecord, 0, w.sum.n)
+	next := make([]int, len(w.tracks)) // each track's next sample
+	live := make([]int, 0, len(w.tracks))
+	var at time.Duration = math.MaxInt64
+	for i, tr := range w.tracks {
+		live = append(live, i)
+		at = min(at, tr.samples[0].at)
 	}
-	if err := net.validate(); err != nil {
-		return nil, err
-	}
-	for _, tr := range w.tracks {
-		for _, s := range tr.samples {
-			if s.link < 0 || int(s.link) >= len(net.Links) || s.lane < 0 || int(s.lane) >= net.Links[s.link].Lanes {
-				return nil, fmt.Errorf("traffic: vehicle %d at %v: link %d lane %d out of range", tr.veh, s.at, s.link, s.lane)
+	for len(live) > 0 {
+		now, kept := at, live[:0]
+		at = math.MaxInt64
+		for _, i := range live {
+			tr := &w.tracks[i]
+			if s := tr.samples[next[i]]; s.at == now {
+				recs = append(recs, trace.VehicleRecord{
+					At: s.at, Veh: tr.veh, Link: int(s.link), Lane: int(s.lane), Arc: s.arc, Speed: s.v,
+				})
+				next[i]++
+			}
+			if next[i] < len(tr.samples) {
+				kept = append(kept, i)
+				at = min(at, tr.samples[next[i]].at)
 			}
 		}
+		live = kept
 	}
-	bound := *w
-	bound.net = net
-	return &bound, nil
+	return &trace.Collector{Vehicles: recs}
 }
 
 // Model returns the mobility model of one vehicle: the latest sample at
@@ -93,9 +103,6 @@ func (w *World) Bind(net *Network) (*World, error) {
 // re-running a binary search over the whole track. Do not share one
 // model across concurrently running engines.
 func (w *World) Model(id int) (mobility.Model, error) {
-	if w.net == nil {
-		return nil, errors.New("traffic: world not bound to a network")
-	}
 	i, ok := slices.BinarySearchFunc(w.tracks, id, func(tr track, id int) int { return cmp.Compare(tr.veh, id) })
 	if !ok {
 		return nil, fmt.Errorf("traffic: no samples for vehicle %d", id)

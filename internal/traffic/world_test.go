@@ -12,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// recordGridRun steps a small grid population and returns its network
-// and recorded world.
-func recordGridRun(t *testing.T, d time.Duration) (*GridNet, *World) {
+// recordGridRun steps a small grid population and returns its recorded
+// world.
+func recordGridRun(t *testing.T, d time.Duration) *World {
 	t.Helper()
 	g, err := NewGridNetwork(defaultGridSpec())
 	if err != nil {
@@ -33,7 +33,7 @@ func recordGridRun(t *testing.T, d time.Duration) (*GridNet, *World) {
 		t.Fatal(err)
 	}
 	s.RunTo(d)
-	return g, s.World()
+	return s.World()
 }
 
 // oracleWorld is one traffic world the replay oracle records and
@@ -92,12 +92,13 @@ func oracleWorlds(t *testing.T) []oracleWorld {
 }
 
 // TestReplayMatchesLiveExactly is the record-then-replay fidelity
-// oracle: record a world, round-trip it through its serialized form in
-// each trace codec and bind it again, then step the same world again and
-// check that at every tick that records a sample, each recorded
-// vehicle's model returns exactly the simulator's state (PositionNow).
-// It also checks the worlds exercise parked entries, route-end exits and
-// lane changes, so those sample paths are covered.
+// oracle: record a world, then step the same world again and check that
+// at every tick that records a sample, each recorded vehicle's model
+// returns exactly the simulator's state (PositionNow), and the world's
+// serialized form, read back through each trace codec, holds exactly
+// the samples the re-run takes, in the order it takes them. It also
+// checks the worlds exercise parked entries, route-end exits and lane
+// changes, so those sample paths are covered.
 func TestReplayMatchesLiveExactly(t *testing.T) {
 	codecs := []struct {
 		name      string
@@ -120,23 +121,15 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.RunTo(w.horizon)
-		recorded := s.World()
+		world := s.World()
+		if len(world.tracks) != len(w.specs) {
+			t.Fatalf("%s: world has %d vehicles, want %d", w.name, len(world.tracks), len(w.specs))
+		}
 		for _, codec := range codecs {
 			t.Run(w.name+"/"+codec.name, func(t *testing.T) {
-				col, err := codec.roundTrip(recorded.Trace())
+				col, err := codec.roundTrip(world.Trace())
 				if err != nil {
 					t.Fatal(err)
-				}
-				decoded, err := WorldFromTrace(col)
-				if err != nil {
-					t.Fatal(err)
-				}
-				world, err := decoded.Bind(w.net)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(world.tracks) != len(w.specs) {
-					t.Fatalf("world has %d vehicles, want %d", len(world.tracks), len(w.specs))
 				}
 				models := make([]mobility.Model, len(w.specs))
 				for id := range models {
@@ -149,6 +142,9 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The serialized form is time-major in ID order, so the
+				// re-run meets its records in stream order.
+				recs := col.Vehicles
 				// seen[id] counts vehicle id's samples checked so far.
 				seen := make([]int, len(w.specs))
 				checked, laneChanges := 0, 0
@@ -158,6 +154,10 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 						for _, smp := range samples[seen[id]:] {
 							if got, want := models[id].Position(s.now), s.PositionNow(id); got != want {
 								t.Fatalf("vehicle %d at %v: replayed %v, simulator %v", id, s.now, got, want)
+							}
+							want := trace.VehicleRecord{At: smp.at, Veh: id, Link: int(smp.link), Lane: int(smp.lane), Arc: smp.arc, Speed: smp.v}
+							if checked >= len(recs) || recs[checked] != want {
+								t.Fatalf("record %d does not hold vehicle %d's sample %+v", checked, id, want)
 							}
 							if k := seen[id]; k > 0 && samples[k-1].link == smp.link && samples[k-1].lane != smp.lane {
 								laneChanges++
@@ -172,8 +172,8 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 					s.step()
 					check()
 				}
-				if checked != len(col.Vehicles) {
-					t.Fatalf("re-run recorded %d samples, decoded stream holds %d", checked, len(col.Vehicles))
+				if checked != len(recs) {
+					t.Fatalf("re-run recorded %d samples, decoded stream holds %d", checked, len(recs))
 				}
 				if laneChanges == 0 {
 					t.Fatal("no lane change recorded")
@@ -199,9 +199,11 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 	}
 }
 
-// TestWorldTraceRoundTrip: a city world survives World -> Collector ->
-// World bit for bit, with the same summary, and its serialized form is
-// time-major with each instant's vehicles in ID order.
+// TestWorldTraceRoundTrip: a city world's serialized form is time-major
+// with each instant's vehicles in ID order, holds every track's samples
+// exactly and sums to the world's summary bit for bit; a vehicle first
+// sampled after a higher-numbered one still takes its place in each
+// instant's ID order.
 func TestWorldTraceRoundTrip(t *testing.T) {
 	for _, w := range oracleWorlds(t) {
 		t.Run(w.name, func(t *testing.T) {
@@ -217,20 +219,39 @@ func TestWorldTraceRoundTrip(t *testing.T) {
 					t.Fatalf("record %d (%v, vehicle %d) follows (%v, vehicle %d)", i, r.At, r.Veh, p.At, p.Veh)
 				}
 			}
-			decoded, err := WorldFromTrace(col)
-			if err != nil {
-				t.Fatal(err)
+			next := make(map[int]int)
+			var sum summer
+			for i, r := range col.Vehicles {
+				tr := recorded.tracks[r.Veh]
+				k := next[r.Veh]
+				if k >= len(tr.samples) || tr.samples[k] != (sample{at: r.At, link: int32(r.Link), lane: int32(r.Lane), arc: r.Arc, v: r.Speed}) {
+					t.Fatalf("record %d %+v is not vehicle %d's sample %d", i, r, r.Veh, k)
+				}
+				next[r.Veh]++
+				sum.add(r.Speed)
 			}
-			if !reflect.DeepEqual(decoded.tracks, recorded.tracks) {
-				t.Fatal("decoded tracks differ from the recording")
+			for _, tr := range recorded.tracks {
+				if next[tr.veh] != len(tr.samples) {
+					t.Fatalf("vehicle %d: %d of %d samples serialized", tr.veh, next[tr.veh], len(tr.samples))
+				}
 			}
-			if got, want := decoded.Summary(), recorded.Summary(); !sameSummary(got, want) || want.Samples != len(col.Vehicles) {
-				t.Fatalf("decoded summary %+v, recorded %+v over %d records", got, want, len(col.Vehicles))
-			}
-			if again := decoded.Trace(); !reflect.DeepEqual(again, col) {
-				t.Fatal("decoded world serializes differently")
+			if got, want := (&World{sum: sum}).Summary(), recorded.Summary(); !sameSummary(got, want) {
+				t.Fatalf("records summarise to %+v, world %+v", got, want)
 			}
 		})
+	}
+	late := &World{tracks: []track{
+		{veh: 2, samples: []sample{{at: time.Second, arc: 7, v: 3}, {at: 3 * time.Second, arc: 13}}},
+		{veh: 5, samples: []sample{{at: 0, link: 1, arc: 3, v: 1}, {at: time.Second, link: 1, arc: 4, v: 1}}},
+	}}
+	want := []trace.VehicleRecord{
+		{At: 0, Veh: 5, Link: 1, Arc: 3, Speed: 1},
+		{At: time.Second, Veh: 2, Link: 0, Arc: 7, Speed: 3},
+		{At: time.Second, Veh: 5, Link: 1, Arc: 4, Speed: 1},
+		{At: 3 * time.Second, Veh: 2, Link: 0, Arc: 13, Speed: 0},
+	}
+	if got := late.Trace().Vehicles; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Trace() = %+v, want %+v", got, want)
 	}
 }
 
@@ -239,33 +260,8 @@ func sameSummary(a, b Summary) bool {
 		math.Float64bits(a.CrawlShare) == math.Float64bits(b.CrawlShare) && a.Samples == b.Samples
 }
 
-// TestWorldFromTraceOrdersVehicles: a vehicle first sampled after a
-// higher-numbered one still gets its track in ID order, and the merge
-// writes the stream back in its time-major order.
-func TestWorldFromTraceOrdersVehicles(t *testing.T) {
-	col := &trace.Collector{Vehicles: []trace.VehicleRecord{
-		{At: 0, Veh: 5, Link: 1, Arc: 3, Speed: 1},
-		{At: time.Second, Veh: 2, Link: 0, Arc: 7, Speed: 3},
-		{At: time.Second, Veh: 5, Link: 1, Arc: 4, Speed: 1},
-		{At: 3 * time.Second, Veh: 2, Link: 0, Arc: 13, Speed: 0},
-	}}
-	w, err := WorldFromTrace(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.tracks) != 2 || w.tracks[0].veh != 2 || w.tracks[1].veh != 5 {
-		t.Fatalf("tracks %+v, want vehicles 2 and 5 in order", w.tracks)
-	}
-	if got := w.Trace(); !reflect.DeepEqual(got, col) {
-		t.Fatalf("Trace() = %+v, want %+v", got.Vehicles, col.Vehicles)
-	}
-	if sum := w.Summary(); sum.Samples != 4 || sum.MeanSpeedMPS != 1.25 || sum.CrawlShare != 0.75 {
-		t.Fatalf("summary %+v", sum)
-	}
-}
-
 func TestReplayModelInterpolates(t *testing.T) {
-	_, w := recordGridRun(t, 10*time.Second)
+	w := recordGridRun(t, 10*time.Second)
 	m, err := w.Model(0)
 	if err != nil {
 		t.Fatal(err)
@@ -287,52 +283,7 @@ func TestReplayModelInterpolates(t *testing.T) {
 }
 
 func TestReplayErrors(t *testing.T) {
-	g, w := recordGridRun(t, 2*time.Second)
-	decode := func(recs ...trace.VehicleRecord) error {
-		_, err := WorldFromTrace(&trace.Collector{Vehicles: recs})
-		return err
-	}
-	if decode() == nil {
-		t.Fatal("empty stream accepted")
-	}
-	if decode(trace.VehicleRecord{Veh: 0, Lane: -1}) == nil {
-		t.Fatal("negative lane accepted")
-	}
-	if decode(trace.VehicleRecord{At: time.Second, Veh: 0}, trace.VehicleRecord{At: 0, Veh: 0}) == nil {
-		t.Fatal("non-chronological stream accepted")
-	}
-	if decode(trace.VehicleRecord{Veh: 1}, trace.VehicleRecord{Veh: 0}) == nil {
-		t.Fatal("an instant's vehicles out of ID order accepted")
-	}
-	if decode(trace.VehicleRecord{Veh: 0}, trace.VehicleRecord{Veh: 0}) == nil {
-		t.Fatal("a vehicle sampled twice at one instant accepted")
-	}
-	if _, err := WorldFromTrace(&trace.Collector{Completed: []trace.CompleteRecord{{}}, Vehicles: []trace.VehicleRecord{{}}}); err == nil {
-		t.Fatal("stream with protocol records accepted")
-	}
-
-	unbound, err := WorldFromTrace(w.Trace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := unbound.Model(0); err == nil {
-		t.Fatal("unbound world handed out a model")
-	}
-	if _, err := unbound.Bind(nil); err == nil {
-		t.Fatal("nil network accepted")
-	}
-	for name, rec := range map[string]trace.VehicleRecord{
-		"link": {Veh: 0, Link: 999},
-		"lane": {Veh: 0, Link: 0, Lane: 99},
-	} {
-		bad, err := WorldFromTrace(&trace.Collector{Vehicles: []trace.VehicleRecord{rec}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bad.Bind(g.Network); err == nil {
-			t.Fatalf("out-of-range %s accepted", name)
-		}
-	}
+	w := recordGridRun(t, 2*time.Second)
 	if _, err := w.Model(12345); err == nil {
 		t.Fatal("unknown vehicle accepted")
 	}

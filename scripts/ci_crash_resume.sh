@@ -26,7 +26,6 @@ sweep() { # sweep <out> <store> [extra flags...]
     "$work/experiments" \
         -exp highway,dynamics -rounds 2 -seed 1 \
         -out "$out" -result-store "$store" \
-        -traffic-store "$work/traffic-store" \
         -code-digest ci-crash "$@"
 }
 
@@ -41,7 +40,6 @@ store="$work/store"
 "$work/experiments" \
     -exp highway,dynamics -rounds 2 -seed 1 \
     -out "$work/crashed" -result-store "$store" \
-    -traffic-store "$work/traffic-store" \
     -code-digest ci-crash \
     -workers 1 -faultpoints 'harness.unit=sleep:600s@hit=4' \
     >/dev/null 2>"$work/crashed.log" &

@@ -34,8 +34,7 @@ sweep() {
 }
 
 echo "==> instrumented sweeps (-progress)"
-sweep "$on" -result-store "$work/store" -traffic-store "$work/traffic-on" \
-    -progress 2>"$work/on.log" \
+sweep "$on" -result-store "$work/store" -progress 2>"$work/on.log" \
     || { cat "$work/on.log" >&2; exit 1; }
 cat "$work/on.log"
 
@@ -119,7 +118,7 @@ fi
 echo "candidates $candidates = deliveries $deliveries + drops $drops + culled $culled + sensed $sensed + in flight $inflight"
 
 echo "==> uninstrumented control runs"
-sweep "$off" -traffic-store "$work/traffic-off"
+sweep "$off"
 
 # Identity: everything but the provenance sidecars must match byte for
 # byte (the control runs write no metrics.json at all).

@@ -2,10 +2,9 @@
 # ci_sweep_resume.sh — the resume gate: run one small sweep twice
 # against a shared result store. The second run must compute zero units
 # (every one served from the store) and reproduce the first run's
-# outputs byte for byte. A third run against a fresh result store but
-# the warm traffic store must compute every unit over traffic worlds
-# loaded from disk (no traffic-store miss) and reproduce the same bytes.
-# Fails loudly otherwise.
+# outputs byte for byte. A third run against a fresh result store, in a
+# new process, must compute every unit again and reproduce the same
+# bytes. Fails loudly otherwise.
 set -eu
 
 work="$(mktemp -d)"
@@ -32,7 +31,6 @@ sweep() {
     go run ./cmd/experiments \
         -exp highway,dynamics,stopgo,table1,download,twoway,corridor,trafficgrid,batch,apretx,epidemic -rounds 2 -seed 1 \
         -out "$out" -result-store "$results" \
-        -traffic-store "$work/traffic-store" \
         -code-digest ci-resume-gate "$@"
 }
 
@@ -68,28 +66,13 @@ if ! diff -r --exclude=timings.json --exclude=metrics.json "$out1" "$out2"; then
     exit 1
 fi
 
-# Gate 3: a sweep that recomputes every unit (fresh result store) over
-# the warm traffic store loads each traffic world from disk and must
-# reproduce the cold run byte for byte.
-echo "==> recompute sweep (fresh result store, warm traffic store)"
+# Gate 3: a sweep that recomputes every unit (fresh result store) in a
+# second process must reproduce the cold run byte for byte.
+echo "==> recompute sweep (fresh result store)"
 sweep "$out3" "$work/store3" -metrics
-# metric NAME prints NAME's value from the third run's metrics.json (the
-# "value" line after its "name" line), empty when absent.
-metric() {
-    awk -v want="\"name\": \"$1\"" '
-        index($0, want) { found = 1; next }
-        found && /"value":/ { sub(/.*"value": */, ""); sub(/[^0-9].*/, ""); print; exit }
-    ' "$out3/metrics.json"
-}
-misses="$(metric traffic_store_misses_total)"
-hits="$(metric traffic_store_hits_total)"
-if [ "$misses" != 0 ] || [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
-    echo "FAIL: recompute sweep read traffic_store misses '$misses', hits '$hits'; want 0 misses and at least 1 hit" >&2
-    exit 1
-fi
 if ! diff -r --exclude=timings.json --exclude=metrics.json "$out1" "$out3"; then
-    echo "FAIL: sweep over stored traffic worlds diverges from the cold run" >&2
+    echo "FAIL: recompute sweep diverges from the cold run" >&2
     exit 1
 fi
 
-echo "OK: warm sweep computed 0 units, the recompute sweep loaded $hits traffic worlds with 0 misses, and both reproduced the cold run byte-identically"
+echo "OK: warm sweep computed 0 units, and both it and the recompute sweep reproduced the cold run byte-identically"

@@ -26,14 +26,12 @@ echo "==> sweep (seed the result store)"
 go run ./cmd/experiments \
     -exp dynamics -rounds 2 -seed 1 -out "$work/seed-run" \
     -result-store "$work/store" \
-    -traffic-store "$work/traffic-store" \
     -code-digest ci-smoke -metrics
 
 echo "==> sweep (half warm, with -metrics)"
 go run ./cmd/experiments \
     -exp highway,dynamics -rounds 2 -seed 1 -out "$out" \
     -result-store "$work/store" \
-    -traffic-store "$work/traffic-store" \
     -code-digest ci-smoke -metrics
 
 echo "==> build sweepd; sweep-only flags are unknown (exit 2)"

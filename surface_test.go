@@ -38,9 +38,8 @@ var surfaceAllow = map[string]string{
 	"harness.(*Context).RunUnits":        "cross-package test helper: cmd/sweepd's progress test runs a synthetic two-unit experiment through it",
 	"harness.(*Runner).Store":            "cross-package test helper: scenario's stored-summary test reads the run's result-store counters",
 	"metrics.(*Counter).Value":           "cross-package test helper: scenario and cmd/sweepd tests read their counters' values",
-	"storeutil.(*Store).Path":            "cross-package test helper: harness and traffic store tests corrupt or remove one entry's file",
+	"storeutil.(*Store).Path":            "cross-package test helper: harness and storeutil tests corrupt or remove one entry's file",
 	"traffic.(*Simulation).MeanSpeedMPS": "cross-package test helper: the root traffic-grid benchmark reports the end-of-run mean speed",
-	"traffic.WorldFromTrace":             "cross-package test helper: storeutil's store tests build their traffic-world fixture from a trace",
 }
 
 // TestPublicSurface pins the public surface of internal/ to what
