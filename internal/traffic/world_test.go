@@ -201,9 +201,7 @@ func TestReplayMatchesLiveExactly(t *testing.T) {
 
 // TestWorldTraceRoundTrip: a city world's serialized form is time-major
 // with each instant's vehicles in ID order, holds every track's samples
-// exactly and sums to the world's summary bit for bit; a vehicle first
-// sampled after a higher-numbered one still takes its place in each
-// instant's ID order.
+// exactly and sums to the world's summary bit for bit.
 func TestWorldTraceRoundTrip(t *testing.T) {
 	for _, w := range oracleWorlds(t) {
 		t.Run(w.name, func(t *testing.T) {
@@ -240,6 +238,12 @@ func TestWorldTraceRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWorldFromTraceOrdersVehicles: a vehicle first sampled after a
+// higher-numbered one still takes its place in each instant's ID order
+// when the world is serialized.
+func TestWorldFromTraceOrdersVehicles(t *testing.T) {
 	late := &World{tracks: []track{
 		{veh: 2, samples: []sample{{at: time.Second, arc: 7, v: 3}, {at: 3 * time.Second, arc: 13}}},
 		{veh: 5, samples: []sample{{at: 0, link: 1, arc: 3, v: 1}, {at: time.Second, link: 1, arc: 4, v: 1}}},
