@@ -121,7 +121,7 @@ vet:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/packet -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storeutil -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/harness -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faultpoint -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime $(FUZZTIME)

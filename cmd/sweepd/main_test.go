@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/storeutil"
 )
 
 // fixedClock pins the runner clock so test sweeps are fully
@@ -257,7 +256,7 @@ func TestStoreEndpoint(t *testing.T) {
 	writeSweep(t, dir, "sweepd-probe-store")
 	ts2 := httptest.NewServer(newServer(dir, t.TempDir(), store, false).routes())
 	defer ts2.Close()
-	var sum storeutil.Summary
+	var sum harness.StoreSummary
 	_, body := get(t, ts2.URL+"/api/store", nil)
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func TestStoredRoundsResume(t *testing.T) {
 	digest := storeutil.Digest(syntheticCfg{Label: "p0", Gain: 3})
 	for _, round := range deleted {
 		key := ctx2.unitKey("synthetic", "p0", round, digest)
-		if err := os.Remove(store.Path(key)); err != nil {
+		if err := os.Remove(store.path(key)); err != nil {
 			t.Fatal(err)
 		}
 	}

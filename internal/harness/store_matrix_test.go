@@ -1,4 +1,4 @@
-package storeutil_test
+package harness
 
 import (
 	"bytes"
@@ -12,72 +12,25 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
-	"repro/internal/harness"
-	"repro/internal/packet"
-	"repro/internal/storeutil"
-	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current Save output")
 
-// goldenKey is the key of the golden entries and of every fuzz input.
+// goldenKey is the key of the golden entry and of every fuzz input.
 const goldenKey = "golden|seed=1|round=0"
 
-// codecCase adapts one typed store to the shared tests.
-type codecCase[T comparable] struct {
-	name string
-	// fault is the store's fault-site prefix: <fault>.load and
-	// <fault>.save.write.
-	fault  string
-	open   func(dir string) (*storeutil.Store[T], error)
-	sample func() T
-	// parent renders a header as the codec's format before the shared
-	// store wrote it (same key, body and CRC; the old schema and fields),
-	// the shape a store directory from an older build still holds.
-	parent func(h header) any
-}
-
-var resultCase = codecCase[*harness.UnitResult]{
-	name:  "result",
-	fault: "harness.store",
-	open:  harness.NewResultStore,
-	sample: func() *harness.UnitResult {
-		proto := &trace.Collector{}
-		proto.OnTx(100, packet.NewData(100, 1, 7, []byte("x")), time.Second, 8*time.Millisecond)
-		proto.OnComplete(1, 2*time.Second)
-		return &harness.UnitResult{
-			Meta:     json.RawMessage(`{"duration_ns":1500000000,"vehicles":3}`),
-			Protocol: proto,
-			Traffic:  trafficSample(),
-		}
-	},
-	parent: func(h header) any {
-		return struct {
-			Schema     string `json:"schema"`
-			Key        string `json:"key"`
-			MetaLen    int64  `json:"meta_len"`
-			ProtoLen   int64  `json:"proto_len"`
-			TrafficLen int64  `json:"traffic_len"`
-			BodyCRC    uint32 `json:"body_crc"`
-		}{"result-store/1", h.Key, h.Sections[0], h.Sections[1], h.Sections[2], h.BodyCRC}
-	},
-}
-
-// trafficSample is a serialized traffic world, one vehicle sampled
-// twice, for the result codec's traffic section.
-func trafficSample() *trace.Collector {
-	return &trace.Collector{Vehicles: []trace.VehicleRecord{
-		{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25},
-		{At: time.Second, Veh: 3, Link: 2, Lane: 0, Arc: 48.25, Speed: 8.5},
-	}}
-}
-
-// header mirrors the store's header line.
-type header struct {
-	Schema   string  `json:"schema"`
-	Key      string  `json:"key"`
-	Sections []int64 `json:"sections"`
-	BodyCRC  uint32  `json:"body_crc"`
+// parentHeader renders a header as the result store wrote it before
+// the sectioned header (same key, body and CRC; the old schema and
+// fields), the shape a store directory from an older build still holds.
+func parentHeader(h header) any {
+	return struct {
+		Schema     string `json:"schema"`
+		Key        string `json:"key"`
+		MetaLen    int64  `json:"meta_len"`
+		ProtoLen   int64  `json:"proto_len"`
+		TrafficLen int64  `json:"traffic_len"`
+		BodyCRC    uint32 `json:"body_crc"`
+	}{"result-store/1", h.Key, h.Sections[0], h.Sections[1], h.Sections[2], h.BodyCRC}
 }
 
 // rewriteHeader returns entry with its header line edited by edit and
@@ -96,9 +49,9 @@ func rewriteHeader(t *testing.T, entry []byte, edit func(h *header) any) []byte 
 	return append(append(line, '\n'), entry[nl+1:]...)
 }
 
-func mustOpen[T comparable](t *testing.T, c codecCase[T], dir string) *storeutil.Store[T] {
+func mustOpenStore(t *testing.T, dir string) *ResultStore {
 	t.Helper()
-	st, err := c.open(dir)
+	st, err := NewResultStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,50 +88,45 @@ func temps(t *testing.T, dir string) []string {
 // every Load is one hit or one miss, and every quarantine left exactly
 // one post-mortem file.
 func TestStoreMatrix(t *testing.T) {
-	t.Run(resultCase.name, func(t *testing.T) { runMatrix(t, resultCase) })
-}
-
-func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 	t.Cleanup(faultpoint.DisarmAll)
 	dir := t.TempDir()
-	st := mustOpen(t, c, dir)
+	st := mustOpenStore(t, dir)
 	loads := 0
-	var zero T
-	load := func(key string) (T, error) {
+	load := func(key string) (*UnitResult, error) {
 		loads++
 		return st.Load(key)
 	}
-	save := func(t *testing.T, key string, v T) {
+	save := func(t *testing.T, key string, res *UnitResult) {
 		t.Helper()
-		if err := st.Save(key, v); err != nil {
+		if err := st.Save(key, res); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// wire renders a value as a fresh Save writes it, the canonical form
-	// values are compared in.
-	scratch := mustOpen(t, c, t.TempDir())
-	wire := func(t *testing.T, v T) []byte {
+	// wire renders a result as a fresh Save writes it, the canonical form
+	// results are compared in.
+	scratch := mustOpenStore(t, t.TempDir())
+	wire := func(t *testing.T, res *UnitResult) []byte {
 		t.Helper()
-		if err := scratch.Save("wire", v); err != nil {
+		if err := scratch.Save("wire", res); err != nil {
 			t.Fatal(err)
 		}
-		return readFile(t, scratch.Path("wire"))
+		return readFile(t, scratch.path("wire"))
 	}
-	want := wire(t, c.sample())
+	want := wire(t, storeSample())
 	expectSample := func(t *testing.T, key string) {
 		t.Helper()
-		v, err := load(key)
-		if err != nil || v == zero {
-			t.Fatalf("Load(%q) = (%v, %v), want the sample", key, v, err)
+		res, err := load(key)
+		if err != nil || res == nil {
+			t.Fatalf("Load(%q) = (%v, %v), want the sample", key, res, err)
 		}
-		if !bytes.Equal(wire(t, v), want) {
+		if !bytes.Equal(wire(t, res), want) {
 			t.Fatalf("Load(%q) does not round-trip the sample", key)
 		}
 	}
 	expectMiss := func(t *testing.T, key string) {
 		t.Helper()
-		if v, err := load(key); v != zero || err != nil {
-			t.Fatalf("Load(%q) = (%v, %v), want a clean miss", key, v, err)
+		if res, err := load(key); res != nil || err != nil {
+			t.Fatalf("Load(%q) = (%v, %v), want a clean miss", key, res, err)
 		}
 	}
 
@@ -186,15 +134,15 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 	// identities count from that open.
 	t.Run("torn-write", func(t *testing.T) {
 		const key = "torn-write"
-		faultpoint.New(c.fault + ".save.write").MustArm(faultpoint.Spec{
+		faultpoint.New("harness.store.save.write").MustArm(faultpoint.Spec{
 			Action: faultpoint.ActShortWrite, Bytes: 10, Key: key,
 		})
-		err := st.Save(key, c.sample())
+		err := st.Save(key, storeSample())
 		faultpoint.DisarmAll()
 		if err == nil || !strings.Contains(err.Error(), "short write") {
 			t.Fatalf("faulted Save = %v, want an injected short write", err)
 		}
-		if _, serr := os.Stat(st.Path(key)); !os.IsNotExist(serr) {
+		if _, serr := os.Stat(st.path(key)); !os.IsNotExist(serr) {
 			t.Fatal("short write published a partial entry")
 		}
 		torn := temps(t, dir)
@@ -202,21 +150,21 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 			t.Fatalf("torn write left temps %v, want one of the armed 10 bytes", torn)
 		}
 		// Reopening sweeps temps old enough to be a crashed writer's.
-		old := time.Now().Add(-2 * storeutil.StaleTempAge)
+		old := time.Now().Add(-2 * staleTempAge)
 		if err := os.Chtimes(torn[0], old, old); err != nil {
 			t.Fatal(err)
 		}
-		st, loads = mustOpen(t, c, dir), 0
+		st, loads = mustOpenStore(t, dir), 0
 		if left := temps(t, dir); len(left) != 0 {
 			t.Fatalf("stale temps survived reopen: %v", left)
 		}
 		expectMiss(t, key)
-		save(t, key, c.sample())
+		save(t, key, storeSample())
 		expectSample(t, key)
 	})
 
 	t.Run("round-trip", func(t *testing.T) {
-		save(t, "round-trip", c.sample())
+		save(t, "round-trip", storeSample())
 		expectSample(t, "round-trip")
 		if left := temps(t, dir); len(left) != 0 {
 			t.Fatalf("Save left temps behind: %v", left)
@@ -228,8 +176,8 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 	// An injected load error is a miss that leaves the entry intact.
 	t.Run("load-fault", func(t *testing.T) {
 		const key = "load-fault"
-		save(t, key, c.sample())
-		faultpoint.New(c.fault + ".load").MustArm(faultpoint.Spec{
+		save(t, key, storeSample())
+		faultpoint.New("harness.store.load").MustArm(faultpoint.Spec{
 			Action: faultpoint.ActError, Msg: "injected read failure", Key: key, Count: 1,
 		})
 		_, err := load(key)
@@ -262,7 +210,7 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 			return rewriteHeader(t, b, func(h *header) any { h.Schema += "-foreign"; return h })
 		}},
 		{"parent-format", "schema", func(b []byte) []byte {
-			return rewriteHeader(t, b, func(h *header) any { return c.parent(*h) })
+			return rewriteHeader(t, b, func(h *header) any { return parentHeader(*h) })
 		}},
 		{"key-collision", "key mismatch", func(b []byte) []byte {
 			return rewriteHeader(t, b, func(h *header) any { h.Key = "another key"; return h })
@@ -291,8 +239,8 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 	for _, d := range damages {
 		t.Run(d.name, func(t *testing.T) {
 			key := d.name
-			save(t, key, c.sample())
-			path := st.Path(key)
+			save(t, key, storeSample())
+			path := st.path(key)
 			planted := d.plant(readFile(t, path))
 			writeFile(t, path, planted)
 			_, err := load(key)
@@ -302,11 +250,11 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 			if _, serr := os.Stat(path); !os.IsNotExist(serr) {
 				t.Fatal("rejected file still occupies the entry's path")
 			}
-			if pm := readFile(t, path+storeutil.QuarantineSuffix); !bytes.Equal(pm, planted) {
+			if pm := readFile(t, path+quarantineSuffix); !bytes.Equal(pm, planted) {
 				t.Fatal("post-mortem copy altered")
 			}
 			expectMiss(t, key)
-			save(t, key, c.sample())
+			save(t, key, storeSample())
 			expectSample(t, key)
 		})
 	}
@@ -325,16 +273,12 @@ func runMatrix[T comparable](t *testing.T, c codecCase[T]) {
 // any change to the file format shows up as a reviewed diff of
 // testdata/golden next to its schema bump (go test -update rewrites).
 func TestGoldenFormat(t *testing.T) {
-	t.Run(resultCase.name, func(t *testing.T) { checkGolden(t, resultCase, "result.unit.jsonl") })
-}
-
-func checkGolden[T comparable](t *testing.T, c codecCase[T], name string) {
-	st := mustOpen(t, c, t.TempDir())
-	if err := st.Save(goldenKey, c.sample()); err != nil {
+	st := mustOpenStore(t, t.TempDir())
+	if err := st.Save(goldenKey, storeSample()); err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, st.Path(goldenKey))
-	path := filepath.Join("testdata", "golden", name)
+	got := readFile(t, st.path(goldenKey))
+	path := filepath.Join("testdata", "golden", "result.unit.jsonl")
 	if *update {
 		writeFile(t, path, got)
 		return
@@ -342,5 +286,114 @@ func checkGolden[T comparable](t *testing.T, c codecCase[T], name string) {
 	if want := readFile(t, path); !bytes.Equal(got, want) {
 		t.Errorf("Save output differs from %s (bump the schema and rerun with -update if intended):\n got %q\nwant %q",
 			path, got, want)
+	}
+}
+
+// FuzzStoreLoad writes arbitrary bytes as the entry for one key and
+// loads them. Load must never panic; an entry it rejects must be
+// counted and quarantined, freeing the path for the recompute; an entry
+// it accepts must survive a Save/Load round trip unchanged. The seed
+// corpus (testdata/fuzz/FuzzStoreLoad) holds real Save outputs,
+// truncations of them and crafted headers.
+func FuzzStoreLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := mustOpenStore(t, t.TempDir())
+		path := st.path(goldenKey)
+		writeFile(t, path, data)
+		res, err := st.Load(goldenKey)
+		if err != nil {
+			if res != nil {
+				t.Fatalf("Load returned both a result and %v", err)
+			}
+			if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+				t.Fatalf("rejected entry still at its path (%v): %v", serr, err)
+			}
+			if _, serr := os.Stat(path + quarantineSuffix); serr != nil {
+				t.Fatalf("rejected entry not quarantined (%v): %v", serr, err)
+			}
+			if s := st.Stats(); s.Corrupt != 1 || s.Misses != 1 || s.Hits != 0 {
+				t.Fatalf("stats %+v after one rejection", s)
+			}
+			return
+		}
+		if res == nil {
+			t.Fatal("present entry loaded as a miss")
+		}
+		if err := st.Save(goldenKey, res); err != nil {
+			t.Fatalf("accepted entry does not re-save: %v", err)
+		}
+		first := readFile(t, path)
+		again, err := st.Load(goldenKey)
+		if err != nil || again == nil {
+			t.Fatalf("re-saved entry does not load: (%v, %v)", again, err)
+		}
+		if err := st.Save(goldenKey, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(readFile(t, path), first) {
+			t.Fatal("accepted entry changes across a Save/Load round trip")
+		}
+	})
+}
+
+func TestQuarantineMovesAside(t *testing.T) {
+	st := mustOpenStore(t, t.TempDir())
+	path := st.path("entry")
+	writeFile(t, path, []byte("bad bytes"))
+	if err := st.quarantine(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("original still present after quarantine")
+	}
+	got, err := os.ReadFile(path + quarantineSuffix)
+	if err != nil || string(got) != "bad bytes" {
+		t.Fatalf("quarantined copy = %q, %v", got, err)
+	}
+	// A second quarantine of the same path replaces the post-mortem copy.
+	writeFile(t, path, []byte("worse bytes"))
+	if err := st.quarantine(path); err != nil {
+		t.Fatal(err)
+	}
+	got, _ = os.ReadFile(path + quarantineSuffix)
+	if string(got) != "worse bytes" {
+		t.Fatalf("second quarantine kept stale copy: %q", got)
+	}
+}
+
+func TestCleanStaleTempsAgeGate(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, ".unit-123.tmp")
+	fresh := filepath.Join(dir, ".unit-456.tmp")
+	other := filepath.Join(dir, "entry.unit.jsonl")
+	for _, p := range []string{stale, fresh, other} {
+		writeFile(t, p, []byte("x"))
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(other, old, old); err != nil {
+		t.Fatal(err)
+	}
+	st := &ResultStore{dir: dir}
+	if n := st.cleanStaleTemps(time.Hour); n != 1 {
+		t.Fatalf("removed %d files, want 1", n)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatal("stale temp survived")
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatal("fresh temp (a live writer's) was removed")
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatal("a store entry was removed")
+	}
+}
+
+func TestCleanStaleTempsMissingDir(t *testing.T) {
+	st := &ResultStore{dir: filepath.Join(t.TempDir(), "nope")}
+	if n := st.cleanStaleTemps(time.Hour); n != 0 {
+		t.Fatalf("missing dir removed %d", n)
 	}
 }

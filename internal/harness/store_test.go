@@ -12,16 +12,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
+// storeSample is a full three-section result, the golden entry's value:
+// a protocol trace and a traffic stream of one vehicle sampled twice.
 func storeSample() *UnitResult {
 	proto := &trace.Collector{}
 	proto.OnTx(100, packet.NewData(100, 1, 7, []byte("x")), time.Second, 8*time.Millisecond)
 	proto.OnComplete(1, 2*time.Second)
-	traffic := &trace.Collector{Vehicles: []trace.VehicleRecord{{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25}}}
+	traffic := &trace.Collector{Vehicles: []trace.VehicleRecord{
+		{At: 0, Veh: 3, Link: 2, Lane: 0, Arc: 40, Speed: 8.25},
+		{At: time.Second, Veh: 3, Link: 2, Lane: 0, Arc: 48.25, Speed: 8.5},
+	}}
 	return &UnitResult{
 		Meta:     json.RawMessage(`{"duration_ns":1500000000,"vehicles":3}`),
 		Protocol: proto,
@@ -142,6 +148,62 @@ func TestStoreSummaryCounts(t *testing.T) {
 	}
 }
 
+// TestStoreCounterSeries holds the result_store_*_total series to the
+// stores' own Stats: the benchmark reads five of them from a run's
+// metrics.json and fails a run that lacks one. A cold sweep fills a
+// store; a warm sweep over it then meets one planted corrupt entry, so
+// every series moves, each by exactly its Stats field summed over both
+// runs' stores.
+func TestStoreCounterSeries(t *testing.T) {
+	defer metrics.SetEnabled(metrics.Enabled())
+	metrics.SetEnabled(true)
+	series := func() map[string]uint64 {
+		got := make(map[string]uint64)
+		for _, c := range metrics.Default().Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "result_store_") {
+				got[c.Name] = c.Value
+			}
+		}
+		return got
+	}
+	const rounds = 4
+	storeDir := t.TempDir()
+	before := series()
+	cold, _, _ := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
+	entries, err := filepath.Glob(filepath.Join(storeDir, "*"+resultExt))
+	if err != nil || len(entries) != rounds {
+		t.Fatalf("cold sweep stored %d entries (%v), want %d", len(entries), err, rounds)
+	}
+	data := readFile(t, entries[0])
+	data[len(data)-1] ^= 0x40
+	writeFile(t, entries[0], data)
+	warm, _, computes := runSynthetic(t, resumeRunner(t, storeDir, rounds, 2), rounds)
+	if *computes != 1 {
+		t.Fatalf("warm sweep computed %d units, want the 1 corrupt one", *computes)
+	}
+	after := series()
+
+	a, b := cold.runner.store.Stats(), warm.runner.store.Stats()
+	for name, want := range map[string]uint64{
+		"result_store_hits_total":          a.Hits + b.Hits,
+		"result_store_misses_total":        a.Misses + b.Misses,
+		"result_store_read_bytes_total":    a.ReadBytes + b.ReadBytes,
+		"result_store_saves_total":         a.Saves + b.Saves,
+		"result_store_written_bytes_total": a.WrittenBytes + b.WrittenBytes,
+		"result_store_corrupt_total":       a.Corrupt + b.Corrupt,
+	} {
+		v, ok := after[name]
+		switch {
+		case !ok:
+			t.Errorf("series %s is not registered", name)
+		case want == 0:
+			t.Errorf("Stats field behind %s did not move: the sweep exercises nothing", name)
+		case v-before[name] != want:
+			t.Errorf("%s moved by %d, Stats say %d", name, v-before[name], want)
+		}
+	}
+}
+
 // pinnedRoundSections returns the result-store codec sections of round 0
 // of cfg, computed as a harness unit computes it.
 func pinnedRoundSections[C scenario.Family[C, R], R any](t *testing.T, cfg C) [][]byte {
@@ -158,11 +220,7 @@ func pinnedRoundSections[C scenario.Family[C, R], R any](t *testing.T, cfg C) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections, err := resultCodec.Encode(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sections
+	return new(ResultStore).encode(res)
 }
 
 // TestStoreSchemaPin fails a change to the stored form of one round per

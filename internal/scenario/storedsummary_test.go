@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/scenario"
-	"repro/internal/storeutil"
 	"repro/internal/traffic"
 )
 
@@ -121,7 +120,7 @@ func TestStoredTrafficSummaryBitExact(t *testing.T) {
 
 // runSummaryProbe runs tc's point through a runner on storeDir and
 // returns the applied summaries and the store's counters.
-func runSummaryProbe(t *testing.T, tc summaryCase, storeDir string) ([]scenario.TrafficSummary, storeutil.Stats) {
+func runSummaryProbe(t *testing.T, tc summaryCase, storeDir string) ([]scenario.TrafficSummary, harness.StoreStats) {
 	t.Helper()
 	r, err := harness.NewRunner(harness.Options{
 		Rounds: 1, Seed: 1, OutDir: t.TempDir(), Workers: 2, ResultStore: storeDir,

@@ -1,3 +1,7 @@
+// Package storeutil holds Digest, the one content digest the result
+// store's unit keys and the in-memory traffic-world cache's keys are
+// built from: it reads every field of the keyed value, with no
+// exception.
 package storeutil
 
 import (
@@ -13,13 +17,14 @@ import (
 )
 
 // Digest returns the hex SHA-256 of a canonical serialisation of v, the
-// content half of both stores' keys. It walks v by reflection: every
-// field of every nested struct (exported or not), every element and
-// every map entry feeds the hash, so a value growing a field, or any
-// field changing, changes the digest and its entry misses instead of
-// serving a stale one. There is no exception: no struct tag or field
-// name leaves a field out, so a value that should not key an entry is
-// passed beside the keyed value, not inside it.
+// content half of the result store's and the traffic cache's keys. It
+// walks v by reflection: every field of every nested struct (exported
+// or not), every element and every map entry feeds the hash, so a
+// value growing a field, or any field changing, changes the digest and
+// its entry misses instead of serving a stale one. There is no
+// exception: no struct tag or field name leaves a field out, so a value
+// that should not key an entry is passed beside the keyed value, not
+// inside it.
 //
 // The serialisation appends varints for ints, lengths and presence
 // (nil and empty slices and maps differ), IEEE bits for floats, the

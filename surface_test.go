@@ -33,12 +33,12 @@ var surfaceAllow = map[string]string{
 	"analysis.StudyView":                  "oracle: the projection of a full round that scenario's and harness's tests hold a round recorded into a study collector (trace.NewStudyCollector) to, record for record",
 
 	// Cross-package test helpers.
-	"faultpoint.(*Point).MustArm":        "cross-package test helper: harness and storeutil tests arm their faults with it",
-	"faultpoint.DisarmAll":               "cross-package test helper: harness, storeutil and cmd/experiments tests clean up armed faults with it",
+	"faultpoint.(*Point).MustArm":        "cross-package test helper: harness tests arm their faults with it",
+	"faultpoint.DisarmAll":               "cross-package test helper: harness and cmd/experiments tests clean up armed faults with it",
 	"harness.(*Context).RunUnits":        "cross-package test helper: cmd/sweepd's progress test runs a synthetic two-unit experiment through it",
+	"harness.(*ResultStore).Stats":       "cross-package test helper: scenario's stored-summary test reads the run's result-store counters through Runner.Store",
 	"harness.(*Runner).Store":            "cross-package test helper: scenario's stored-summary test reads the run's result-store counters",
 	"metrics.(*Counter).Value":           "cross-package test helper: scenario and cmd/sweepd tests read their counters' values",
-	"storeutil.(*Store).Path":            "cross-package test helper: harness and storeutil tests corrupt or remove one entry's file",
 	"traffic.(*Simulation).MeanSpeedMPS": "cross-package test helper: the root traffic-grid benchmark reports the end-of-run mean speed",
 }
 
